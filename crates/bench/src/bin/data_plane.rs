@@ -331,6 +331,12 @@ fn main() {
         run.records_cloned as f64,
     );
     record.push(
+        "full run rows materialized (batch → record)",
+        "records",
+        None,
+        run.rows_materialized as f64,
+    );
+    record.push(
         "full run arcs shared",
         "handles",
         None,

@@ -128,7 +128,12 @@ fn commentary(id: &str) -> &'static str {
                         digest the same records at least 2x faster than the \
                         copying baseline while producing byte-identical chunk \
                         summaries, and the data-plane counters prove the replica \
-                        read path clones zero records."
+                        read path clones zero records. The rows-materialized \
+                        counter covers what the clone counter cannot see: rows \
+                        built out of batches. With GROUP output nested in a \
+                        Bag column it equals map-side partition rows plus \
+                        reduce output rows — no bag is materialized for a \
+                        GROUP → aggregate job."
         }
         "mismatch_localization" => {
             "Verification-cost check (§6.4's granularity/recomputation \

@@ -225,6 +225,8 @@ struct ReplicaRun {
     /// as shared handles into the replica's storage (no copy until one
     /// replica's output is actually published).
     outputs: BTreeMap<String, Arc<[Record]>>,
+    /// Map and reduce tasks the replica ran to completion.
+    tasks_done: u64,
 }
 
 /// Messages a replica worker streams to the coordinator: digest reports
@@ -260,6 +262,9 @@ struct RoundState {
 /// [`VerifyMode::Replicate`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReexecSummary {
+    /// Tasks the probe replica completed: the denominator of `sampled`,
+    /// so a report can say how little was checked.
+    pub tasks_total: u64,
     /// Tasks the seeded plan selected for checking.
     pub sampled: u64,
     /// Tasks actually re-executed by the trusted checker.
@@ -598,6 +603,7 @@ impl ParallelExecutor {
         let (run, reports, checks) = self.run_probe_round(prep, sample)?;
 
         let mut reexec = ReexecSummary {
+            tasks_total: run.tasks_done,
             sampled: checks.len() as u64,
             reexecuted: checks.len() as u64,
             ..ReexecSummary::default()
@@ -695,6 +701,7 @@ impl ParallelExecutor {
             self.metrics
                 .gauge_set(Domain::Sim, metric_names::VERIFY_MODE, &[], mode.rank());
             for (name, value) in [
+                (metric_names::REEXEC_TASKS, reexec.tasks_total),
                 (metric_names::REEXEC_SAMPLED, reexec.sampled),
                 (metric_names::REEXEC_RERUN, reexec.reexecuted),
                 (metric_names::REEXEC_CONFIRMED, reexec.confirmed),
@@ -1177,6 +1184,7 @@ impl ParallelExecutor {
             uid,
             complete,
             outputs,
+            tasks_done: cluster.tasks_done(),
         }
     }
 

@@ -25,12 +25,18 @@
 //! Batches require a uniform arity: ragged record sets (possible only via
 //! hand-built inputs; plan-produced streams are rectangular) make
 //! `from_records` return `None` and callers fall back to the row path.
+//!
+//! `GROUP` output stays columnar too: its bags live in a nested
+//! [`Column::Bag`] (offsets into one member batch), so aggregates read
+//! the member columns directly and a `Value::Bag` exists only when a row
+//! is materialized — at the task's output boundary, never in between.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use crate::expr::{EvalContext, Expr};
+use crate::expr::{eval_agg, AggFunc, Expr};
 use crate::op::SortOrder;
+use crate::stats;
 use crate::value::{Record, Value};
 
 /// A column-oriented block of records with uniform arity.
@@ -43,8 +49,10 @@ pub struct Batch {
 /// One column of a [`Batch`].
 ///
 /// `Int` and `Str` are the typed fast paths (a value is either of the
-/// column's type or null, tracked by the validity mask); `Mixed` is the
-/// exact fallback for columns holding bags or heterogeneous values.
+/// column's type or null, tracked by the validity mask); `Bag` is the
+/// nested layout `GROUP` produces; `Mixed` is the exact fallback for
+/// heterogeneous values and for bags that arrive as values (a stored
+/// grouped relation read back by a later job).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Column {
     /// 64-bit integers; `validity[i] == false` means row `i` is null.
@@ -63,6 +71,14 @@ pub enum Column {
         offsets: Vec<usize>,
         /// Per-row null mask; `None` means all rows are valid.
         validity: Option<Vec<bool>>,
+    },
+    /// Bags of records, all held in one member batch: row `i`'s bag is
+    /// rows `offsets[i]..offsets[i + 1]` of `rows`. A bag is never null.
+    Bag {
+        /// `len + 1` entries, starting at 0 and ending at `rows.len()`.
+        offsets: Vec<usize>,
+        /// The members of every bag, concatenated in row order.
+        rows: Box<Batch>,
     },
     /// Arbitrary values (bags, mixed types): the row representation kept
     /// column-major.
@@ -133,7 +149,7 @@ impl Column {
     fn len(&self) -> usize {
         match self {
             Column::Int { values, .. } => values.len(),
-            Column::Str { offsets, .. } => offsets.len() - 1,
+            Column::Str { offsets, .. } | Column::Bag { offsets, .. } => offsets.len() - 1,
             Column::Mixed(values) => values.len(),
         }
     }
@@ -143,6 +159,7 @@ impl Column {
             Column::Int { validity, .. } | Column::Str { validity, .. } => {
                 validity.as_ref().is_none_or(|m| m[row])
             }
+            Column::Bag { .. } => true,
             Column::Mixed(values) => !values[row].is_null(),
         }
     }
@@ -167,7 +184,8 @@ impl Column {
         }
     }
 
-    /// Materializes the [`Value`] at `row`.
+    /// Materializes the [`Value`] at `row`. For a `Bag` column this is
+    /// the one place a `Value::Bag` is built from the member batch.
     fn value_at(&self, row: usize) -> Value {
         match self {
             Column::Int { values, .. } => {
@@ -184,6 +202,11 @@ impl Column {
                 } else {
                     Value::Null
                 }
+            }
+            Column::Bag { offsets, rows } => {
+                let members = offsets[row]..offsets[row + 1];
+                stats::count_rows_materialized(members.len() as u64);
+                Value::Bag(members.map(|i| rows.build_row(i)).collect())
             }
             Column::Mixed(values) => values[row].clone(),
         }
@@ -217,6 +240,15 @@ impl Column {
                 // raw arenas matches Value::Str's order.
                 va.cmp(&vb)
             }
+            // `Vec<Record>`'s order: members pairwise, then bag length.
+            Column::Bag { offsets, rows } => {
+                let (ra, rb) = (offsets[a]..offsets[a + 1], offsets[b]..offsets[b + 1]);
+                let lengths = ra.len().cmp(&rb.len());
+                ra.zip(rb)
+                    .map(|(i, j)| rows.cmp_rows(i, j))
+                    .find(|ord| *ord != Ordering::Equal)
+                    .unwrap_or(lengths)
+            }
             Column::Mixed(values) => values[a].cmp(&values[b]),
         }
     }
@@ -240,6 +272,14 @@ impl Column {
                     out.extend_from_slice(slice);
                 } else {
                     out.push(0);
+                }
+            }
+            Column::Bag { offsets, rows } => {
+                let members = offsets[row]..offsets[row + 1];
+                out.push(3);
+                out.extend_from_slice(&(members.len() as u64).to_be_bytes());
+                for i in members {
+                    rows.write_row_canonical(i, out);
                 }
             }
             Column::Mixed(values) => values[row].write_canonical(out),
@@ -276,6 +316,20 @@ impl Column {
                         .map(|m| indices.iter().map(|&i| m[i]).collect()),
                 }
             }
+            Column::Bag { offsets, rows } => {
+                let total: usize = indices.iter().map(|&i| offsets[i + 1] - offsets[i]).sum();
+                let mut members = Vec::with_capacity(total);
+                let mut out_offsets = Vec::with_capacity(indices.len() + 1);
+                out_offsets.push(0);
+                for &i in indices {
+                    members.extend(offsets[i]..offsets[i + 1]);
+                    out_offsets.push(members.len());
+                }
+                Column::Bag {
+                    offsets: out_offsets,
+                    rows: Box::new(rows.gather(&members)),
+                }
+            }
             Column::Mixed(values) => {
                 Column::Mixed(indices.iter().map(|&i| values[i].clone()).collect())
             }
@@ -300,6 +354,10 @@ impl Column {
                 if let Some(m) = validity {
                     m.truncate(n);
                 }
+            }
+            Column::Bag { offsets, rows } => {
+                offsets.truncate(n + 1);
+                rows.truncate(*offsets.last().expect("offsets non-empty"));
             }
             Column::Mixed(values) => values.truncate(n),
         }
@@ -370,12 +428,20 @@ impl Batch {
 
     /// Materializes row `row` as a [`Record`].
     pub fn row(&self, row: usize) -> Record {
-        Record::new(self.columns.iter().map(|c| c.value_at(row)).collect())
+        stats::count_rows_materialized(1);
+        self.build_row(row)
     }
 
     /// Converts the batch back to rows; inverse of [`Batch::from_records`].
     pub fn to_records(&self) -> Vec<Record> {
-        (0..self.len).map(|i| self.row(i)).collect()
+        stats::count_rows_materialized(self.len as u64);
+        (0..self.len).map(|i| self.build_row(i)).collect()
+    }
+
+    /// [`Batch::row`] without the materialization count; callers count
+    /// their rows in bulk.
+    fn build_row(&self, row: usize) -> Record {
+        Record::new(self.columns.iter().map(|c| c.value_at(row)).collect())
     }
 
     /// Appends [`Record::write_canonical`]'s encoding of row `row` —
@@ -450,6 +516,8 @@ impl Batch {
                     (self.len - nulls) as u64 * 9 + nulls as u64 + bytes.len() as u64
                         - null_str_bytes(c)
                 }
+                // Tag and member count per bag, plus every member row.
+                Column::Bag { rows, .. } => 9 * self.len as u64 + rows.canonical_bytes(),
                 Column::Mixed(values) => values
                     .iter()
                     .map(|v| v.to_canonical_bytes().len() as u64)
@@ -508,57 +576,104 @@ pub fn project_batch(batch: &Batch, exprs: &[Expr]) -> Batch {
 /// ascending, mirroring [`Value`]'s order) with the whole row as the
 /// tie-break. Output equals [`crate::interp::order_records_owned`].
 pub fn order_batch(batch: &Batch, key: usize, order: SortOrder) -> Batch {
-    let mut indices: Vec<usize> = (0..batch.len).collect();
-    let key_col = batch.column(key);
-    indices.sort_unstable_by(|&a, &b| {
-        let primary = match key_col {
-            Some(c) => match order {
-                SortOrder::Asc => c.cmp_rows(a, b),
-                SortOrder::Desc => c.cmp_rows(b, a),
-            },
-            // Out-of-range key: every key is null, ties decide everything.
-            None => Ordering::Equal,
-        };
-        primary.then_with(|| batch.cmp_rows(a, b))
-    });
-    batch.gather(&indices)
+    batch.gather(&sorted_indices(batch, key, order))
 }
 
-/// Vectorized `GROUP BY`: canonical `(key, sorted bag)` records ordered by
-/// key. Output equals [`crate::interp::group_records`].
-pub fn group_batch(batch: &Batch, key: usize) -> Vec<Record> {
+/// Row indices of `batch` sorted by the key column in `order`, the whole
+/// row (always ascending) as the tie-break. The comparator only reports
+/// equality for byte-identical rows, so the unstable sort is safe.
+fn sorted_indices(batch: &Batch, key: usize, order: SortOrder) -> Vec<usize> {
+    let directed = |ord: Ordering| match order {
+        SortOrder::Asc => ord,
+        SortOrder::Desc => ord.reverse(),
+    };
+    // Rows that tie on the key are equal in the key column, so the
+    // whole-row tie-break can skip it.
+    let tie_break = |a: usize, b: usize| {
+        batch
+            .columns
+            .iter()
+            .enumerate()
+            .filter(|(c, _)| *c != key)
+            .map(|(_, c)| c.cmp_rows(a, b))
+            .find(|ord| *ord != Ordering::Equal)
+            .unwrap_or(Ordering::Equal)
+    };
+    match batch.column(key) {
+        // Integer keys ride along with their row index, so the primary
+        // comparison touches no column; only ties look rows up.
+        Some(c @ Column::Int { .. }) => {
+            let mut keyed: Vec<(Option<i64>, usize)> =
+                (0..batch.len).map(|i| (c.int_at(i), i)).collect();
+            keyed.sort_unstable_by(|&(ka, a), &(kb, b)| {
+                directed(ka.cmp(&kb)).then_with(|| tie_break(a, b))
+            });
+            keyed.into_iter().map(|(_, i)| i).collect()
+        }
+        key_col => {
+            let mut indices: Vec<usize> = (0..batch.len).collect();
+            indices.sort_unstable_by(|&a, &b| {
+                // Out-of-range key: every key is null, ties decide
+                // everything.
+                let primary = key_col.map_or(Ordering::Equal, |c| directed(c.cmp_rows(a, b)));
+                primary.then_with(|| tie_break(a, b))
+            });
+            indices
+        }
+    }
+}
+
+/// Vectorized `GROUP BY`: one `[key, bag]` row per distinct key, ordered
+/// by key, each bag in canonical (whole-row) order and held in a
+/// [`Column::Bag`] — no record is built. `to_records()` of the result
+/// equals [`crate::interp::group_records`].
+pub fn group_batch(batch: &Batch, key: usize) -> Batch {
     // Sort row indices by (key, whole row): groups become runs, and each
     // run is already in canonical bag order.
-    let mut indices: Vec<usize> = (0..batch.len).collect();
     let key_col = batch.column(key);
-    indices.sort_unstable_by(|&a, &b| {
-        let primary = key_col.map_or(Ordering::Equal, |c| c.cmp_rows(a, b));
-        primary.then_with(|| batch.cmp_rows(a, b))
-    });
-    let mut out = Vec::new();
-    let mut run_start = 0;
-    while run_start < indices.len() {
-        let mut run_end = run_start + 1;
-        while run_end < indices.len()
-            && key_col
-                .is_none_or(|c| c.cmp_rows(indices[run_start], indices[run_end]) == Ordering::Equal)
-        {
-            run_end += 1;
+    let indices = sorted_indices(batch, key, SortOrder::Asc);
+    // Run boundaries become the bag offsets; the first row of each run
+    // supplies the group key. An out-of-range key column means every key
+    // is null: one group.
+    let mut offsets = vec![0];
+    let mut firsts = Vec::new();
+    for (pos, &row) in indices.iter().enumerate() {
+        let new_run = match (pos, key_col) {
+            (0, _) => true,
+            (_, Some(c)) => c.cmp_rows(indices[pos - 1], row) != Ordering::Equal,
+            (_, None) => false,
+        };
+        if new_run {
+            if pos > 0 {
+                offsets.push(pos);
+            }
+            firsts.push(row);
         }
-        let key_value = key_col.map_or(Value::Null, |c| c.value_at(indices[run_start]));
-        let bag: Vec<Record> = indices[run_start..run_end]
-            .iter()
-            .map(|&i| batch.row(i))
-            .collect();
-        out.push(Record::new(vec![key_value, Value::Bag(bag)]));
-        run_start = run_end;
     }
-    out
+    if !indices.is_empty() {
+        offsets.push(indices.len());
+    }
+    let keys = match key_col {
+        Some(c) => c.gather(&firsts),
+        None => all_null(firsts.len()),
+    };
+    Batch {
+        len: firsts.len(),
+        columns: vec![
+            keys,
+            Column::Bag {
+                offsets,
+                rows: Box::new(batch.gather(&indices)),
+            },
+        ],
+    }
 }
 
 /// Vectorized equi-`JOIN`: concatenated matching rows in canonical order;
-/// null keys never match. Output equals [`crate::interp::join_records`].
-pub fn join_batch(left: &Batch, left_key: usize, right: &Batch, right_key: usize) -> Vec<Record> {
+/// null keys never match. Matches are collected as `(left, right)` row
+/// pairs, sorted, and gathered once per side. `to_records()` of the
+/// result equals [`crate::interp::join_records`].
+pub fn join_batch(left: &Batch, left_key: usize, right: &Batch, right_key: usize) -> Batch {
     let mut by_key: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
     if let Some(rk) = right.column(right_key) {
         for row in 0..right.len {
@@ -567,24 +682,31 @@ pub fn join_batch(left: &Batch, left_key: usize, right: &Batch, right_key: usize
             }
         }
     }
-    let mut out = Vec::new();
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
     if let Some(lk) = left.column(left_key) {
         for row in 0..left.len {
             if !lk.is_valid(row) {
                 continue;
             }
-            let Some(matches) = lk.with_value(row, |k| by_key.get(k).cloned()) else {
-                continue;
-            };
-            for r in matches {
-                let mut fields: Vec<Value> = left.columns.iter().map(|c| c.value_at(row)).collect();
-                fields.extend(right.columns.iter().map(|c| c.value_at(r)));
-                out.push(Record::new(fields));
-            }
+            lk.with_value(row, |k| {
+                if let Some(matches) = by_key.get(k) {
+                    pairs.extend(matches.iter().map(|&r| (row, r)));
+                }
+            });
         }
     }
-    out.sort_unstable();
-    out
+    // Both sides have uniform arity, so the concatenated records order as
+    // (left row, right row).
+    pairs.sort_unstable_by(|&(la, ra), &(lb, rb)| {
+        left.cmp_rows(la, lb).then_with(|| right.cmp_rows(ra, rb))
+    });
+    let (left_rows, right_rows): (Vec<usize>, Vec<usize>) = pairs.into_iter().unzip();
+    let mut columns = left.gather(&left_rows).columns;
+    columns.extend(right.gather(&right_rows).columns);
+    Batch {
+        len: left_rows.len(),
+        columns,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -683,16 +805,51 @@ pub fn eval_column(expr: &Expr, batch: &Batch) -> Column {
             let c = eval_column(e, batch);
             bool_column((0..n).map(|i| !c.is_valid(i)))
         }
-        // Aggregates read a bag column; evaluate row-wise against the
-        // source batch (no cheaper columnar form exists for bags).
-        Expr::Agg { .. } => Column::from_values(
-            (0..n)
-                .map(|i| {
-                    let record = batch.row(i);
-                    expr.eval(&EvalContext::new(&record))
-                })
-                .collect(),
-        ),
+        Expr::Agg {
+            func,
+            bag_col,
+            field,
+        } => match batch.column(*bag_col) {
+            Some(Column::Bag { offsets, rows }) => agg_bags(*func, offsets, rows, *field),
+            // Bags that arrived as values: aggregate each cell in place.
+            Some(c) => Column::from_values(
+                (0..n)
+                    .map(|i| c.with_value(i, |cell| eval_agg(*func, cell, *field)))
+                    .collect(),
+            ),
+            None => all_null(n),
+        },
+    }
+}
+
+/// Aggregates every bag of a [`Column::Bag`] straight from the member
+/// batch; equal, row for row, to [`Expr::eval`] on the materialized bags.
+fn agg_bags(func: AggFunc, offsets: &[usize], rows: &Batch, field: Option<usize>) -> Column {
+    if func == AggFunc::Count {
+        return Column::Int {
+            values: offsets.windows(2).map(|w| (w[1] - w[0]) as i64).collect(),
+            validity: None,
+        };
+    }
+    let n = offsets.len() - 1;
+    let Some(field) = field else {
+        return all_null(n);
+    };
+    // A field past the member arity contributes no integers, like a
+    // string or null field.
+    let member = rows.column(field);
+    let mut values = Vec::with_capacity(n);
+    let mut validity = Vec::with_capacity(n);
+    for w in offsets.windows(2) {
+        let ints = (w[0]..w[1]).filter_map(|i| member.and_then(|c| c.int_at(i)));
+        let folded = func.fold_ints(ints);
+        values.push(folded.unwrap_or(0));
+        validity.push(folded.is_some());
+    }
+    let all_valid = validity.iter().all(|&v| v);
+    Column::Int {
+        values,
+        validity: (!all_valid).then_some(validity),
     }
 }
 
@@ -703,7 +860,7 @@ fn eval_truthy(expr: &Expr, batch: &Batch) -> Vec<bool> {
         Column::Int { values, .. } => (0..batch.len)
             .map(|i| c.is_valid(i) && values[i] != 0)
             .collect(),
-        Column::Str { .. } => vec![false; batch.len],
+        Column::Str { .. } | Column::Bag { .. } => vec![false; batch.len],
         Column::Mixed(values) => values.iter().map(Value::is_truthy).collect(),
     }
 }
@@ -725,7 +882,7 @@ fn all_null(n: usize) -> Column {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::CmpOp;
+    use crate::expr::{CmpOp, EvalContext};
     use crate::interp::{group_records, join_records, order_records, project_record};
 
     fn sample_records() -> Vec<Record> {
@@ -865,10 +1022,202 @@ mod tests {
         let batch = Batch::from_records(&records).unwrap();
         for key in 0..3 {
             assert_eq!(
-                group_batch(&batch, key),
+                group_batch(&batch, key).to_records(),
                 group_records(&records, key),
                 "key {key}"
             );
+        }
+        // Key column out of range: every key is null, one group.
+        let all = group_batch(&batch, 9);
+        assert_eq!(all.len(), 1);
+        assert_eq!(all.to_records(), group_records(&records, 9));
+        let empty = Batch::from_records(&[]).unwrap();
+        assert_eq!(group_batch(&empty, 0).to_records(), Vec::<Record>::new());
+    }
+
+    /// `sample_records()` grouped by column 0, once nested (`Column::Bag`)
+    /// and once as the rows it must be indistinguishable from.
+    fn grouped_sample() -> (Batch, Vec<Record>) {
+        let records = sample_records();
+        let batch = Batch::from_records(&records).unwrap();
+        (group_batch(&batch, 0), group_records(&records, 0))
+    }
+
+    #[test]
+    fn group_output_is_nested_and_materializes_only_on_demand() {
+        let (grouped, rows) = grouped_sample();
+        assert_eq!(grouped.len(), rows.len());
+        assert_eq!(grouped.arity(), 2);
+        assert!(matches!(grouped.column(1), Some(Column::Bag { .. })));
+        let before = stats::thread_rows_materialized();
+        let mut buf = Vec::new();
+        for i in 0..grouped.len() {
+            grouped.write_row_canonical(i, &mut buf);
+        }
+        let _ = grouped.canonical_bytes();
+        let _ = eval_column(
+            &Expr::Agg {
+                func: AggFunc::Count,
+                bag_col: 1,
+                field: None,
+            },
+            &grouped,
+        );
+        assert_eq!(stats::thread_rows_materialized(), before, "no row built");
+        let _ = grouped.to_records();
+        let members: usize = rows
+            .iter()
+            .map(|r| r.get(1).unwrap().as_bag().unwrap().len())
+            .sum();
+        assert_eq!(
+            stats::thread_rows_materialized() - before,
+            (rows.len() + members) as u64,
+            "output rows plus the members of their bags"
+        );
+    }
+
+    #[test]
+    fn bag_column_encoding_matches_rows() {
+        let (grouped, rows) = grouped_sample();
+        let mut total = 0u64;
+        for (i, r) in rows.iter().enumerate() {
+            let mut from_batch = Vec::new();
+            grouped.write_row_canonical(i, &mut from_batch);
+            assert_eq!(from_batch, r.to_canonical_bytes(), "row {i}");
+            total += from_batch.len() as u64;
+            let mut cell = Vec::new();
+            grouped.write_value_canonical(i, 1, &mut cell);
+            assert_eq!(cell, r.get(1).unwrap().to_canonical_bytes(), "bag {i}");
+        }
+        assert_eq!(grouped.canonical_bytes(), total);
+    }
+
+    #[test]
+    fn kernels_over_a_bag_column_match_row_kernels() {
+        let (grouped, rows) = grouped_sample();
+        // FILTER on the key and on an aggregate of the bag.
+        let count = Expr::Agg {
+            func: AggFunc::Count,
+            bag_col: 1,
+            field: None,
+        };
+        for pred in [
+            Expr::is_not_null(Expr::Col(0)),
+            Expr::cmp(CmpOp::Ge, count, Expr::IntLit(2)),
+            Expr::Col(1), // a bag is never truthy
+            Expr::IsNull(Box::new(Expr::Col(1))),
+        ] {
+            let expected: Vec<Record> = rows
+                .iter()
+                .filter(|r| pred.eval(&EvalContext::new(r)).is_truthy())
+                .cloned()
+                .collect();
+            assert_eq!(filter_batch(&grouped, &pred).to_records(), expected);
+        }
+        // ORDER by the bag column itself exercises Vec<Record> order.
+        for key in 0..2 {
+            for order in [SortOrder::Asc, SortOrder::Desc] {
+                assert_eq!(
+                    order_batch(&grouped, key, order).to_records(),
+                    order_records(&rows, key, order),
+                    "key {key} order {order:?}"
+                );
+            }
+        }
+        // GROUP by the bag column and JOIN on it: bags as keys.
+        assert_eq!(
+            group_batch(&grouped, 1).to_records(),
+            group_records(&rows, 1)
+        );
+        assert_eq!(
+            join_batch(&grouped, 1, &grouped, 1).to_records(),
+            join_records(&rows, 1, &rows, 1)
+        );
+        // gather (reversed, with a repeat) and truncate.
+        let picks = [3usize, 1, 1, 0];
+        let expected: Vec<Record> = picks.iter().map(|&i| rows[i].clone()).collect();
+        assert_eq!(grouped.gather(&picks).to_records(), expected);
+        for n in 0..=rows.len() {
+            let mut cut = grouped.clone();
+            cut.truncate(n);
+            assert_eq!(cut.to_records(), rows[..n].to_vec(), "truncate {n}");
+            assert_eq!(
+                cut.canonical_bytes(),
+                rows[..n]
+                    .iter()
+                    .map(|r| r.to_canonical_bytes().len() as u64)
+                    .sum::<u64>()
+            );
+        }
+        // Projecting the bag through keeps it (STORE of a grouped relation).
+        let exprs = vec![Expr::Col(1), Expr::Col(0)];
+        let expected: Vec<Record> = rows.iter().map(|r| project_record(r, &exprs)).collect();
+        assert_eq!(project_batch(&grouped, &exprs).to_records(), expected);
+    }
+
+    #[test]
+    fn aggregates_over_bag_columns_match_row_eval() {
+        // Field 0: ints with a null; 1: strings with a null; 2: ints, nulls
+        // and (in one group) a bag; 3: past the arity. Group by field 0 so
+        // one group's field-2 column is all null / non-integer.
+        let records = sample_records();
+        let batch = Batch::from_records(&records).unwrap();
+        for key in 0..3 {
+            let grouped = group_batch(&batch, key);
+            let rows = group_records(&records, key);
+            // The same bags, arriving as values: the Mixed fallback.
+            let as_values = Batch::from_records(&rows).unwrap();
+            assert!(matches!(as_values.column(1), Some(Column::Mixed(_))));
+            for func in [
+                AggFunc::Count,
+                AggFunc::Sum,
+                AggFunc::Avg,
+                AggFunc::Min,
+                AggFunc::Max,
+            ] {
+                for field in [Some(0), Some(1), Some(2), Some(3), None] {
+                    for bag_col in [1, 0, 5] {
+                        let e = Expr::Agg {
+                            func,
+                            bag_col,
+                            field,
+                        };
+                        let expected: Vec<Value> =
+                            rows.iter().map(|r| e.eval(&EvalContext::new(r))).collect();
+                        for (name, b) in [("nested", &grouped), ("values", &as_values)] {
+                            let col = eval_column(&e, b);
+                            let got: Vec<Value> = (0..b.len()).map(|i| col.value_at(i)).collect();
+                            assert_eq!(
+                                got, expected,
+                                "{name} key {key} {func:?} field {field:?} bag_col {bag_col}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sum_wraps_and_avg_truncates_like_row_eval() {
+        let records = vec![
+            Record::new(vec![Value::Int(1), Value::Int(i64::MAX)]),
+            Record::new(vec![Value::Int(1), Value::Int(2)]),
+            Record::new(vec![Value::Int(2), Value::Int(-7)]),
+            Record::new(vec![Value::Int(2), Value::Int(2)]),
+        ];
+        let grouped = group_batch(&Batch::from_records(&records).unwrap(), 0);
+        let rows = group_records(&records, 0);
+        for func in [AggFunc::Sum, AggFunc::Avg] {
+            let e = Expr::Agg {
+                func,
+                bag_col: 1,
+                field: Some(1),
+            };
+            let col = eval_column(&e, &grouped);
+            for (i, r) in rows.iter().enumerate() {
+                assert_eq!(col.value_at(i), e.eval(&EvalContext::new(r)), "{func:?}");
+            }
         }
     }
 
@@ -884,14 +1233,18 @@ mod tests {
         let lb = Batch::from_records(&left).unwrap();
         let rb = Batch::from_records(&right).unwrap();
         assert_eq!(
-            join_batch(&lb, 0, &rb, 0),
+            join_batch(&lb, 0, &rb, 0).to_records(),
             join_records(&left, 0, &right, 0)
         );
         // Key column out of range on one side → no matches, like the row
         // kernel's unwrap_or(Null).
         assert_eq!(
-            join_batch(&lb, 9, &rb, 0),
+            join_batch(&lb, 9, &rb, 0).to_records(),
             join_records(&left, 9, &right, 0)
+        );
+        assert_eq!(
+            join_batch(&lb, 0, &rb, 9).to_records(),
+            join_records(&left, 0, &right, 9)
         );
     }
 

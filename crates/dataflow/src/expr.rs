@@ -94,6 +94,34 @@ pub enum AggFunc {
     Max,
 }
 
+impl AggFunc {
+    /// Folds the integer fields of one bag (nulls, strings and missing
+    /// fields already dropped); `None` is null. Single source of truth
+    /// for row-wise [`Expr::eval`] and the columnar bag kernel: wrapping
+    /// sum (0 for no integers), truncated average, null `AVG`/`MIN`/`MAX`
+    /// of no integers.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`AggFunc::Count`], which counts records, not a field.
+    pub fn fold_ints(self, ints: impl Iterator<Item = i64>) -> Option<i64> {
+        match self {
+            AggFunc::Sum => Some(ints.fold(0i64, i64::wrapping_add)),
+            AggFunc::Avg => {
+                let (mut sum, mut n) = (0i64, 0i64);
+                for v in ints {
+                    sum = sum.wrapping_add(v);
+                    n += 1;
+                }
+                (n > 0).then(|| sum / n)
+            }
+            AggFunc::Min => ints.min(),
+            AggFunc::Max => ints.max(),
+            AggFunc::Count => unreachable!("COUNT is answered from the bag length"),
+        }
+    }
+}
+
 /// A resolved expression tree.
 ///
 /// # Examples
@@ -191,12 +219,10 @@ impl Expr {
                 func,
                 bag_col,
                 field,
-            } => {
-                let Some(Value::Bag(bag)) = ctx.record.get(*bag_col) else {
-                    return Value::Null;
-                };
-                eval_agg(*func, bag, *field)
-            }
+            } => ctx
+                .record
+                .get(*bag_col)
+                .map_or(Value::Null, |cell| eval_agg(*func, cell, *field)),
         }
     }
 
@@ -215,35 +241,20 @@ impl Expr {
     }
 }
 
-fn eval_agg(func: AggFunc, bag: &[Record], field: Option<usize>) -> Value {
-    match func {
-        AggFunc::Count => Value::Int(bag.len() as i64),
-        AggFunc::Sum | AggFunc::Avg | AggFunc::Min | AggFunc::Max => {
-            let Some(f) = field else { return Value::Null };
-            let ints = bag
-                .iter()
-                .filter_map(|r| r.get(f))
-                .filter_map(Value::as_int);
-            match func {
-                AggFunc::Sum => Value::Int(ints.fold(0i64, i64::wrapping_add)),
-                AggFunc::Avg => {
-                    let (mut sum, mut n) = (0i64, 0i64);
-                    for v in ints {
-                        sum = sum.wrapping_add(v);
-                        n += 1;
-                    }
-                    if n == 0 {
-                        Value::Null
-                    } else {
-                        Value::Int(sum / n)
-                    }
-                }
-                AggFunc::Min => ints.min().map_or(Value::Null, Value::Int),
-                AggFunc::Max => ints.max().map_or(Value::Null, Value::Int),
-                AggFunc::Count => unreachable!(),
-            }
-        }
+/// Aggregates one cell: null unless it holds a bag.
+pub(crate) fn eval_agg(func: AggFunc, cell: &Value, field: Option<usize>) -> Value {
+    let Value::Bag(bag) = cell else {
+        return Value::Null;
+    };
+    if func == AggFunc::Count {
+        return Value::Int(bag.len() as i64);
     }
+    let Some(f) = field else { return Value::Null };
+    let ints = bag
+        .iter()
+        .filter_map(|r| r.get(f))
+        .filter_map(Value::as_int);
+    func.fold_ints(ints).map_or(Value::Null, Value::Int)
 }
 
 /// Evaluation context: the record an expression is applied to.

@@ -9,7 +9,13 @@
 //! instead of cloning them). The interpreter test
 //! `blocking_operators_clone_each_record_exactly_once` pins this.
 //!
-//! Two views exist: a process-wide total (what `cbft-mapreduce`'s
+//! A second counter, `rows_materialized`, counts every batch row turned
+//! back into a [`crate::Record`] (`Batch::row`, `Batch::to_records`, the
+//! members of a materialized bag) — copies the clone counter cannot see,
+//! because a columnar row is built, not cloned. A `GROUP` → aggregate
+//! reduce task materializes exactly its output rows.
+//!
+//! Two views exist of each: a process-wide total (what `cbft-mapreduce`'s
 //! `data_plane` module surfaces next to its own clone counter) and a
 //! per-thread total (kernels clone on the calling thread, so tests can
 //! assert exact counts even while other test threads run kernels of their
@@ -19,9 +25,11 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static RECORD_CLONES: AtomicU64 = AtomicU64::new(0);
+static ROWS_MATERIALIZED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_RECORD_CLONES: Cell<u64> = const { Cell::new(0) };
+    static THREAD_ROWS_MATERIALIZED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Counts `n` record clones on a kernel path.
@@ -39,4 +47,21 @@ pub fn record_clones() -> u64 {
 /// Record clones counted on the calling thread only.
 pub fn thread_record_clones() -> u64 {
     THREAD_RECORD_CLONES.with(Cell::get)
+}
+
+/// Counts `n` batch rows materialized as records.
+pub fn count_rows_materialized(n: u64) {
+    ROWS_MATERIALIZED.fetch_add(n, Ordering::Relaxed);
+    THREAD_ROWS_MATERIALIZED.with(|c| c.set(c.get() + n));
+}
+
+/// Total batch rows materialized as records since process start, across
+/// all threads.
+pub fn rows_materialized() -> u64 {
+    ROWS_MATERIALIZED.load(Ordering::Relaxed)
+}
+
+/// Batch rows materialized on the calling thread only.
+pub fn thread_rows_materialized() -> u64 {
+    THREAD_ROWS_MATERIALIZED.with(Cell::get)
 }

@@ -394,6 +394,7 @@ impl ClusterBuilder {
                 .compute_pool
                 .unwrap_or_else(|| ComputePool::new(default_compute_threads())),
             pending_joins: VecDeque::new(),
+            tasks_done: 0,
         }
     }
 }
@@ -436,6 +437,8 @@ pub struct Cluster {
     pool: ComputePool,
     /// Dispatched payloads not yet joined back into the simulation.
     pending_joins: VecDeque<PendingJoin>,
+    /// Tasks that ran to completion, over all jobs.
+    tasks_done: u64,
 }
 
 /// Span name for a task of the given kind (static so disabled tracing
@@ -495,6 +498,13 @@ impl Cluster {
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.queue.now()
+    }
+
+    /// Map and reduce tasks completed so far, over all jobs — the
+    /// population a [`SamplePlan`](crate::SamplePlan) draws its
+    /// spot-checks from.
+    pub fn tasks_done(&self) -> u64 {
+        self.tasks_done
     }
 
     /// Number of worker nodes.
@@ -1122,13 +1132,23 @@ impl Cluster {
             return;
         };
         self.nodes[node.0].free_slots += 1;
+        self.tasks_done += 1;
         if self.tracer.enabled() {
-            self.tracer.emit(
-                TraceEvent::end(task_span_name(kind), "engine")
-                    .on(self.trace_pid, node.0 as u32)
-                    .at_sim(now.as_micros())
-                    .seq(index as u64),
-            );
+            // Stage wall times ride on the span's End as wall-domain
+            // args: in the exported trace and the summary, never in the
+            // canonical trace.
+            let stages = match &*result {
+                ComputedTask::Map(out) => out.stages,
+                ComputedTask::Reduce(out) => out.stages,
+            };
+            let mut end = TraceEvent::end(task_span_name(kind), "engine")
+                .on(self.trace_pid, node.0 as u32)
+                .at_sim(now.as_micros())
+                .seq(index as u64);
+            for (stage, ns) in stages.named() {
+                end = end.wall_arg(stage, ns);
+            }
+            self.tracer.emit(end);
         }
 
         let spec_sid = job.spec.sid.clone();

@@ -97,6 +97,12 @@ impl JobMetrics {
 /// after a run, `records_cloned` on the storage-read path should be zero
 /// while `arcs_shared` counts every read.
 ///
+/// `rows_materialized` closes the blind spot of `records_cloned`: a row
+/// built out of a columnar batch (`Batch::row`, `Batch::to_records`, the
+/// members of a materialized bag) is a fresh allocation per field, not a
+/// clone, so only this counter sees it. It is counted by the batch
+/// kernels themselves ([`cbft_dataflow::stats`]) and read through here.
+///
 /// Counters are cumulative; callers interested in one region take a
 /// [`data_plane::snapshot`] before and after and subtract.
 ///
@@ -206,6 +212,8 @@ pub mod data_plane {
         pub batch_rows: u64,
         /// Bytes absorbed by digest hashers.
         pub digest_bytes_hashed: u64,
+        /// Batch rows materialized as records (bag members included).
+        pub rows_materialized: u64,
         /// Payloads handed to the compute pool.
         pub tasks_dispatched: u64,
         /// Payloads stolen between pool workers.
@@ -227,6 +235,7 @@ pub mod data_plane {
                 batches_built: self.batches_built - earlier.batches_built,
                 batch_rows: self.batch_rows - earlier.batch_rows,
                 digest_bytes_hashed: self.digest_bytes_hashed - earlier.digest_bytes_hashed,
+                rows_materialized: self.rows_materialized - earlier.rows_materialized,
                 tasks_dispatched: self.tasks_dispatched - earlier.tasks_dispatched,
                 tasks_stolen: self.tasks_stolen - earlier.tasks_stolen,
                 pool_queue_peak: self.pool_queue_peak,
@@ -245,6 +254,7 @@ pub mod data_plane {
             batches_built: read(names::BATCHES_BUILT),
             batch_rows: read(names::BATCH_ROWS),
             digest_bytes_hashed: read(names::DIGEST_BYTES),
+            rows_materialized: cbft_dataflow::stats::rows_materialized(),
             tasks_dispatched: read(names::TASKS_DISPATCHED),
             tasks_stolen: read(names::TASKS_STOLEN),
             pool_queue_peak: read(names::POOL_QUEUE_PEAK),

@@ -6,6 +6,7 @@
 //! pure (no cluster state) makes the task semantics directly testable.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use cbft_dataflow::batch::{filter_batch, group_batch, join_batch, order_batch, project_batch};
 use cbft_dataflow::compile::Site;
@@ -108,6 +109,50 @@ pub(crate) struct Work {
     pub bytes_out: u64,
 }
 
+/// Host wall time one task spent in each of its stages, in nanoseconds.
+///
+/// Carried beside [`Work`], never inside it: `Work` is compared for
+/// equality across planes and replicas, wall time never repeats. The
+/// engine attaches these to the task's trace span as wall-domain args.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct StageWall {
+    /// Records → [`Batch`] conversion at the task's input boundary.
+    pub to_batch: u64,
+    /// Per-record operators (`FILTER`, `FOREACH`, `LIMIT`).
+    pub pipeline_ops: u64,
+    /// The blocking shuffle operator (`GROUP`, `JOIN`, `ORDER`,
+    /// `DISTINCT`, combiner merge).
+    pub shuffle_kernel: u64,
+    /// Canonical encoding and hashing at verification points.
+    pub digest: u64,
+    /// Routing map output to reduce partitions (rows materialize here).
+    pub partition: u64,
+    /// [`Batch`] → records at the task's output boundary.
+    pub to_records: u64,
+}
+
+impl StageWall {
+    /// `(trace arg name, nanoseconds)` per stage, in pipeline order.
+    pub fn named(&self) -> [(&'static str, u64); 6] {
+        [
+            ("to_batch_ns", self.to_batch),
+            ("pipeline_ops_ns", self.pipeline_ops),
+            ("shuffle_kernel_ns", self.shuffle_kernel),
+            ("digest_ns", self.digest),
+            ("partition_ns", self.partition),
+            ("to_records_ns", self.to_records),
+        ]
+    }
+}
+
+/// Runs `f`, adding its wall time to `slot`.
+fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    *slot += start.elapsed().as_nanos() as u64;
+    out
+}
+
 /// Result of a map task.
 #[derive(Clone, Debug)]
 pub(crate) struct MapTaskOutput {
@@ -118,6 +163,8 @@ pub(crate) struct MapTaskOutput {
     pub digests: Vec<(VpSite, ChunkedSummary)>,
     /// Work counters.
     pub work: Work,
+    /// Wall time per stage (diagnostic; not part of the task's result).
+    pub stages: StageWall,
 }
 
 /// Result of a reduce/collector task.
@@ -129,6 +176,8 @@ pub(crate) struct ReduceTaskOutput {
     pub digests: Vec<(VpSite, ChunkedSummary)>,
     /// Work counters.
     pub work: Work,
+    /// Wall time per stage (diagnostic; not part of the task's result).
+    pub stages: StageWall,
 }
 
 /// Executes one map task: applies the input pipeline to a split, digests
@@ -173,9 +222,12 @@ pub(crate) fn run_map_task(
         RecordStream::Slice(records)
     };
 
+    let mut stages = StageWall::default();
     let mut digests = Vec::new();
     for (pos, &vid) in input.pipeline.iter().enumerate() {
-        stream = apply_op(plan, vid, stream, &mut work);
+        stream = timed(&mut stages.pipeline_ops, || {
+            apply_op(plan, vid, stream, &mut work)
+        });
         for vp in &job.verification_points {
             if let Site::MapInput {
                 input: vi,
@@ -184,15 +236,16 @@ pub(crate) fn run_map_task(
             } = vp.site
             {
                 if vi == input_index && vp_pos == pos {
-                    digests.push((
-                        *vp,
-                        digest_stream(stream.iter(), job.digest_granularity, &mut work, pool),
-                    ));
+                    let summary = timed(&mut stages.digest, || {
+                        digest_stream(stream.iter(), job.digest_granularity, &mut work, pool)
+                    });
+                    digests.push((*vp, summary));
                 }
             }
         }
     }
 
+    let partition_start = Instant::now();
     let partitions = if let Some(shuffle) = job.shuffle {
         if let Some(comb) = &job.combiner {
             // Map-side combining: one [key, partials...] record per local
@@ -228,11 +281,13 @@ pub(crate) fn run_map_task(
             .map(|r| (input.tag, r))
             .collect()]
     };
+    stages.partition = partition_start.elapsed().as_nanos() as u64;
 
     MapTaskOutput {
         partitions,
         digests,
         work,
+        stages,
     }
 }
 
@@ -270,6 +325,7 @@ pub(crate) fn run_reduce_task(
         }
     }
 
+    let mut stages = StageWall::default();
     let mut digests = Vec::new();
     let mut start_pos = 0usize;
     let mut records = match (&job.combiner, job.shuffle) {
@@ -288,26 +344,28 @@ pub(crate) fn run_reduce_task(
             );
             let raw: Vec<Record> = incoming.into_iter().map(|(_, r)| r).collect();
             work.record_ops += 2 * raw.len() as u64;
-            let merged = comb.merge(&raw);
+            let merged = timed(&mut stages.shuffle_kernel, || comb.merge(&raw));
             for vp in &job.verification_points {
                 if matches!(vp.site, Site::Reduce { pos: 0, .. }) {
-                    digests.push((
-                        *vp,
-                        digest_stream(merged.iter(), job.digest_granularity, &mut work, pool),
-                    ));
+                    let summary = timed(&mut stages.digest, || {
+                        digest_stream(merged.iter(), job.digest_granularity, &mut work, pool)
+                    });
+                    digests.push((*vp, summary));
                 }
             }
             start_pos = 1;
             merged
         }
         (None, Some(shuffle)) => {
-            let out = materialize_shuffle(plan, shuffle, incoming, &mut work, pool);
+            let out = timed(&mut stages.shuffle_kernel, || {
+                materialize_shuffle(plan, shuffle, incoming, &mut work, pool)
+            });
             for vp in &job.verification_points {
                 if matches!(vp.site, Site::Shuffle { .. }) && vp.vertex == shuffle {
-                    digests.push((
-                        *vp,
-                        digest_stream(out.iter(), job.digest_granularity, &mut work, pool),
-                    ));
+                    let summary = timed(&mut stages.digest, || {
+                        digest_stream(out.iter(), job.digest_granularity, &mut work, pool)
+                    });
+                    digests.push((*vp, summary));
                 }
             }
             out
@@ -316,7 +374,10 @@ pub(crate) fn run_reduce_task(
     };
 
     for (pos, &vid) in job.reduce.iter().enumerate().skip(start_pos) {
-        records = match apply_op(plan, vid, RecordStream::Owned(records), &mut work) {
+        let applied = timed(&mut stages.pipeline_ops, || {
+            apply_op(plan, vid, RecordStream::Owned(records), &mut work)
+        });
+        records = match applied {
             // The stream entered owned, and per-record operators never
             // borrow an owned stream back out.
             RecordStream::Owned(v) => v,
@@ -325,10 +386,10 @@ pub(crate) fn run_reduce_task(
         for vp in &job.verification_points {
             if let Site::Reduce { pos: vp_pos, .. } = vp.site {
                 if vp.vertex == vid && vp_pos == pos {
-                    digests.push((
-                        *vp,
-                        digest_stream(records.iter(), job.digest_granularity, &mut work, pool),
-                    ));
+                    let summary = timed(&mut stages.digest, || {
+                        digest_stream(records.iter(), job.digest_granularity, &mut work, pool)
+                    });
+                    digests.push((*vp, summary));
                 }
             }
         }
@@ -339,6 +400,7 @@ pub(crate) fn run_reduce_task(
         records,
         digests,
         work,
+        stages,
     }
 }
 
@@ -576,10 +638,13 @@ fn run_map_task_batched(
     let plan = &job.plan;
     let input = &job.inputs[input_index];
 
-    let mut batches = Vec::with_capacity(records.len().div_ceil(job.batch_records).max(1));
-    for rows in records.chunks(job.batch_records) {
-        batches.push(Batch::from_records(rows)?);
-    }
+    let mut stages = StageWall::default();
+    let mut batches: Vec<Batch> = timed(&mut stages.to_batch, || {
+        records
+            .chunks(job.batch_records)
+            .map(Batch::from_records)
+            .collect::<Option<_>>()
+    })?;
     data_plane::count_batches_built(batches.len() as u64);
     data_plane::count_batch_rows(records.len() as u64);
 
@@ -595,7 +660,9 @@ fn run_map_task_batched(
 
     let mut digests = Vec::new();
     for (pos, &vid) in input.pipeline.iter().enumerate() {
-        apply_op_batched(plan, vid, &mut batches, &mut owned, &mut work);
+        timed(&mut stages.pipeline_ops, || {
+            apply_op_batched(plan, vid, &mut batches, &mut owned, &mut work)
+        });
         for vp in &job.verification_points {
             if let Site::MapInput {
                 input: vi,
@@ -604,10 +671,10 @@ fn run_map_task_batched(
             } = vp.site
             {
                 if vi == input_index && vp_pos == pos {
-                    digests.push((
-                        *vp,
-                        digest_batches(&batches, job.digest_granularity, &mut work, pool),
-                    ));
+                    let summary = timed(&mut stages.digest, || {
+                        digest_batches(&batches, job.digest_granularity, &mut work, pool)
+                    });
+                    digests.push((*vp, summary));
                 }
             }
         }
@@ -618,29 +685,34 @@ fn run_map_task_batched(
         data_plane::count_records_cloned(total);
     }
     let partitions = if let Some(shuffle) = job.shuffle {
-        partition_batches(
-            plan,
-            shuffle,
-            input.tag,
-            &batches,
-            job.reduce_task_count,
-            &mut work,
-        )
+        timed(&mut stages.partition, || {
+            partition_batches(
+                plan,
+                shuffle,
+                input.tag,
+                &batches,
+                job.reduce_task_count,
+                &mut work,
+            )
+        })
     } else {
-        let mut out = Vec::with_capacity(total as usize);
-        for b in &batches {
-            for r in b.to_records() {
-                work.bytes_out += r.byte_size();
-                out.push((input.tag, r));
+        timed(&mut stages.to_records, || {
+            let mut out = Vec::with_capacity(total as usize);
+            for b in &batches {
+                for r in b.to_records() {
+                    work.bytes_out += r.byte_size();
+                    out.push((input.tag, r));
+                }
             }
-        }
-        vec![out]
+            vec![out]
+        })
     };
 
     Some(MapTaskOutput {
         partitions,
         digests,
         work,
+        stages,
     })
 }
 
@@ -700,7 +772,7 @@ fn partition_batches(
     let mut key_buf = Vec::new();
     for b in batches {
         work.record_ops += b.len() as u64;
-        for row in 0..b.len() {
+        for (row, r) in b.to_records().into_iter().enumerate() {
             let p = match &op {
                 Operator::Group { key } => {
                     key_buf.clear();
@@ -728,7 +800,6 @@ fn partition_batches(
                     0
                 }
             };
-            let r = b.row(row);
             work.bytes_out += r.byte_size();
             parts[p].push((tag, r));
         }
@@ -769,15 +840,24 @@ fn run_reduce_task_batched(
     };
     let mut digests = Vec::new();
 
-    // Materialize the shuffle with vectorized kernels (or pass the
-    // collector input through), yielding the post-shuffle stream as
-    // batches of at most `batch_records` rows.
+    // Convert the partition once, then run the shuffle as a vectorized
+    // kernel: the post-shuffle stream is one batch (bags stay nested in
+    // it), or the collector input in batches of `batch_records` rows.
+    let mut stages = StageWall::default();
+    // Takes the records by value so they are freed before the kernel runs.
+    let mut to_batch = |records: Vec<Record>| {
+        timed(&mut stages.to_batch, || {
+            Batch::from_records(&records).expect("arity checked above")
+        })
+    };
     let mut batches = match &op {
         Some(Operator::Group { key }) => {
             work.record_ops += 2 * incoming.len() as u64;
             let records: Vec<Record> = incoming.into_iter().map(|(_, r)| r).collect();
-            let batch = Batch::from_records(&records).expect("arity checked above");
-            rebatch(&group_batch(&batch, *key), job.batch_records)
+            let batch = to_batch(records);
+            vec![timed(&mut stages.shuffle_kernel, || {
+                group_batch(&batch, *key)
+            })]
         }
         Some(Operator::Join {
             left_key,
@@ -792,18 +872,19 @@ fn run_reduce_task_batched(
                     right.push(r);
                 }
             }
-            let lb = Batch::from_records(&left).expect("arity checked above");
-            let rb = Batch::from_records(&right).expect("arity checked above");
-            rebatch(
-                &join_batch(&lb, *left_key, &rb, *right_key),
-                job.batch_records,
-            )
+            let lb = to_batch(left);
+            let rb = to_batch(right);
+            vec![timed(&mut stages.shuffle_kernel, || {
+                join_batch(&lb, *left_key, &rb, *right_key)
+            })]
         }
         Some(Operator::Order { key, order }) => {
             work.record_ops += 2 * incoming.len() as u64;
             let records: Vec<Record> = incoming.into_iter().map(|(_, r)| r).collect();
-            let batch = Batch::from_records(&records).expect("arity checked above");
-            vec![order_batch(&batch, *key, *order)]
+            let batch = to_batch(records);
+            vec![timed(&mut stages.shuffle_kernel, || {
+                order_batch(&batch, *key, *order)
+            })]
         }
         Some(other) => {
             debug_assert!(false, "non-blocking shuffle {}", other.name());
@@ -811,7 +892,9 @@ fn run_reduce_task_batched(
         }
         None => {
             let records: Vec<Record> = incoming.into_iter().map(|(_, r)| r).collect();
-            rebatch(&records, job.batch_records)
+            timed(&mut stages.to_batch, || {
+                rebatch(&records, job.batch_records)
+            })
         }
     };
     data_plane::count_batches_built(batches.len() as u64);
@@ -820,10 +903,10 @@ fn run_reduce_task_batched(
     if let Some(sh) = job.shuffle {
         for vp in &job.verification_points {
             if matches!(vp.site, Site::Shuffle { .. }) && vp.vertex == sh {
-                digests.push((
-                    *vp,
-                    digest_batches(&batches, job.digest_granularity, &mut work, pool),
-                ));
+                let summary = timed(&mut stages.digest, || {
+                    digest_batches(&batches, job.digest_granularity, &mut work, pool)
+                });
+                digests.push((*vp, summary));
             }
         }
     }
@@ -832,28 +915,36 @@ fn run_reduce_task_batched(
     // map path's clone accounting.
     let mut owned = true;
     for (pos, &vid) in job.reduce.iter().enumerate() {
-        apply_op_batched(plan, vid, &mut batches, &mut owned, &mut work);
+        timed(&mut stages.pipeline_ops, || {
+            apply_op_batched(plan, vid, &mut batches, &mut owned, &mut work)
+        });
         for vp in &job.verification_points {
             if let Site::Reduce { pos: vp_pos, .. } = vp.site {
                 if vp.vertex == vid && vp_pos == pos {
-                    digests.push((
-                        *vp,
-                        digest_batches(&batches, job.digest_granularity, &mut work, pool),
-                    ));
+                    let summary = timed(&mut stages.digest, || {
+                        digest_batches(&batches, job.digest_granularity, &mut work, pool)
+                    });
+                    digests.push((*vp, summary));
                 }
             }
         }
     }
 
-    let mut records = Vec::new();
-    for b in &batches {
-        records.extend(b.to_records());
-    }
+    // The one place reduce-side rows (and any bags still in them)
+    // become records.
+    let records = timed(&mut stages.to_records, || {
+        let mut records = Vec::with_capacity(batches.iter().map(Batch::len).sum());
+        for b in &batches {
+            records.extend(b.to_records());
+        }
+        records
+    });
     work.bytes_out = byte_size(&records);
     Ok(ReduceTaskOutput {
         records,
         digests,
         work,
+        stages,
     })
 }
 
@@ -869,8 +960,8 @@ fn uniform_arity<'a>(mut records: impl Iterator<Item = &'a Record>) -> bool {
     }
 }
 
-/// Slices an owned record stream into batches of at most `batch_records`
-/// rows. Callers guarantee uniform arity.
+/// Slices the collector's (shuffle-less) input into batches of at most
+/// `batch_records` rows. Callers guarantee uniform arity.
 fn rebatch(records: &[Record], batch_records: usize) -> Vec<Batch> {
     records
         .chunks(batch_records.max(1))
@@ -1293,46 +1384,143 @@ mod tests {
         }
     }
 
+    /// Runs `src`'s reduce task over `incoming` on the row path and on the
+    /// columnar path at several batch sizes, with a shuffle-site and
+    /// every reduce-site verification point armed, at chunk granularities
+    /// 1, 2 and unchunked; every observable must be byte-identical.
+    /// Returns the (row path's) output records.
+    fn assert_group_reduce_matches_row_path(src: &str, incoming: &[Tagged]) -> Vec<Record> {
+        let mut job = exec_job(src, vec![]);
+        let jid = cbft_dataflow::compile::JobId(0);
+        let mut vps = vec![VpSite {
+            vertex: job.shuffle.unwrap(),
+            site: Site::Shuffle { job: jid },
+        }];
+        vps.extend(job.reduce.iter().enumerate().map(|(pos, &vertex)| VpSite {
+            vertex,
+            site: Site::Reduce { job: jid, pos },
+        }));
+        job.verification_points = vps;
+        let pool = ComputePool::default();
+        let mut records = Vec::new();
+        for granularity in [1usize, 2, usize::MAX] {
+            job.digest_granularity = granularity;
+            job.batch_records = 0;
+            let row = run_reduce_task(&job, incoming.to_vec(), TaskFate::Faithful, &pool);
+            assert_eq!(row.digests.len(), 1 + job.reduce.len());
+            for bs in [1usize, 5, 1024] {
+                job.batch_records = bs;
+                let batched = run_reduce_task(&job, incoming.to_vec(), TaskFate::Faithful, &pool);
+                assert_reduce_identical(
+                    &batched,
+                    &row,
+                    &format!("granularity {granularity} batch_records {bs}: {src}"),
+                );
+            }
+            records = row.records;
+        }
+        records
+    }
+
+    /// 40 edges over 6 users plus a null-keyed and a null-valued row.
+    fn follower_partition() -> Vec<Tagged> {
+        let mut incoming: Vec<Tagged> = (0..40i64)
+            .map(|i| (0, Record::new(vec![Value::Int(i % 6), Value::Int(i)])))
+            .collect();
+        incoming.push((0, Record::new(vec![Value::Null, Value::Int(7)])));
+        incoming.push((0, Record::new(vec![Value::Int(3), Value::Null])));
+        incoming
+    }
+
     #[test]
     fn batched_reduce_group_matches_row_path_byte_for_byte() {
-        let mut job = exec_job(FOLLOWER, vec![]);
-        let shuffle = job.shuffle.unwrap();
-        job.digest_granularity = 2;
-        job.verification_points = vec![
-            VpSite {
-                vertex: shuffle,
-                site: Site::Shuffle {
-                    job: cbft_dataflow::compile::JobId(0),
-                },
-            },
-            VpSite {
-                vertex: job.reduce[0],
-                site: Site::Reduce {
-                    job: cbft_dataflow::compile::JobId(0),
-                    pos: 0,
-                },
-            },
-        ];
         let incoming: Vec<Tagged> = (0..40i64)
             .map(|i| (0, Record::new(vec![Value::Int(i % 6), Value::Int(i)])))
             .collect();
-        job.batch_records = 0;
-        let row = run_reduce_task(
-            &job,
-            incoming.clone(),
-            TaskFate::Faithful,
-            &ComputePool::default(),
+        assert_group_reduce_matches_row_path(FOLLOWER, &incoming);
+    }
+
+    #[test]
+    fn batched_reduce_aggregates_match_row_path() {
+        let out = assert_group_reduce_matches_row_path(
+            "raw = LOAD 'twitter' AS (user, follower);
+             grp = GROUP raw BY user;
+             agg = FOREACH grp GENERATE group, COUNT(raw) AS n, SUM(raw.follower) AS s,
+                   AVG(raw.follower) AS a, MIN(raw.follower) AS lo, MAX(raw.follower) AS hi;
+             STORE agg INTO 'aggs';",
+            &follower_partition(),
         );
-        for bs in [1usize, 5, 1024] {
-            job.batch_records = bs;
-            let batched = run_reduce_task(
-                &job,
-                incoming.clone(),
-                TaskFate::Faithful,
-                &ComputePool::default(),
-            );
-            assert_reduce_identical(&batched, &row, &format!("batch_records {bs}"));
-        }
+        // User 3 holds followers 3, 9, ..., 39 and one null.
+        let user3 = out.iter().find(|r| r.get(0) == Some(&Value::Int(3)));
+        assert_eq!(user3, Some(&ints(&[&[3, 8, 147, 21, 3, 39]])[0]));
+    }
+
+    #[test]
+    fn batched_reduce_group_filter_limit_pipeline_matches_row_path() {
+        let out = assert_group_reduce_matches_row_path(
+            "raw = LOAD 'twitter' AS (user, follower);
+             grp = GROUP raw BY user;
+             cnt = FOREACH grp GENERATE group, COUNT(raw) AS n;
+             big = FILTER cnt BY n >= 7;
+             top = LIMIT big 3;
+             STORE top INTO 'top';",
+            &follower_partition(),
+        );
+        assert_eq!(out, ints(&[&[0, 7], &[1, 7], &[2, 7]]));
+    }
+
+    #[test]
+    fn stored_grouped_relation_keeps_its_bags_into_the_next_job() {
+        // The bags reach the task output as values...
+        let grouped = assert_group_reduce_matches_row_path(
+            "raw = LOAD 'twitter' AS (user, follower);
+             grp = GROUP raw BY user;
+             STORE grp INTO 'groups';",
+            &follower_partition(),
+        );
+        assert_eq!(grouped.len(), 7, "six users and the null key");
+        assert!(grouped.iter().all(|r| r.get(1).unwrap().as_bag().is_some()));
+
+        // ...and a later job reads them back as a `Column::Mixed`, where
+        // the aggregate takes the exact row-wise fallback.
+        let mut next = exec_job(
+            "grp = LOAD 'groups' AS (user, members);
+             cnt = FOREACH grp GENERATE user, COUNT(members) AS n;
+             STORE cnt INTO 'counts';",
+            vec![],
+        );
+        let pool = ComputePool::default();
+        next.batch_records = 0;
+        let row = run_map_task(&next, 0, &grouped, TaskFate::Faithful, &pool);
+        next.batch_records = 4;
+        let batched = run_map_task(&next, 0, &grouped, TaskFate::Faithful, &pool);
+        assert_map_identical(&batched, &row, "stored bags");
+        let counts: Vec<Record> = row
+            .partitions
+            .concat()
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect();
+        assert_eq!(counts.len(), 7);
+        assert_eq!(counts[0], Record::new(vec![Value::Null, Value::Int(1)]));
+    }
+
+    #[test]
+    fn group_aggregate_reduce_materializes_only_its_output_rows() {
+        use cbft_dataflow::stats::thread_rows_materialized;
+        let job = exec_job(FOLLOWER, vec![]);
+        let incoming = follower_partition();
+        let pool = ComputePool::default(); // inline: the task runs on this thread
+        let before = thread_rows_materialized();
+        let out = run_reduce_task(&job, incoming, TaskFate::Faithful, &pool);
+        assert_eq!(out.records.len(), 7);
+        assert_eq!(
+            thread_rows_materialized() - before,
+            out.records.len() as u64,
+            "no per-input-row or per-bag materialization"
+        );
+        assert!(out.stages.shuffle_kernel > 0 && out.stages.to_records > 0);
+        assert_eq!(out.stages.partition, 0, "reduce tasks do not partition");
     }
 
     #[test]

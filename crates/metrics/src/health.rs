@@ -100,6 +100,9 @@ pub mod names {
     /// Gauge: the executor's operating verification tier
     /// (0=replicate, 1=sample, 2=hybrid). Only present for sampled runs.
     pub const VERIFY_MODE: &str = "cbft_verify_mode";
+    /// Counter: tasks the probe replica completed (what `sampled` is a
+    /// sample of).
+    pub const REEXEC_TASKS: &str = "cbft_reexec_tasks_total";
     /// Counter: completed tasks the seeded plan selected for checking.
     pub const REEXEC_SAMPLED: &str = "cbft_reexec_tasks_sampled_total";
     /// Counter: tasks re-executed by the trusted spot-checker.
@@ -212,6 +215,7 @@ struct ReexecHealth {
     /// The `cbft_verify_mode` gauge: present only for sampled runs, so
     /// its absence suppresses the whole section.
     mode: Option<u64>,
+    tasks: u64,
     sampled: u64,
     rerun: u64,
     confirmed: u64,
@@ -372,6 +376,7 @@ impl HealthReport {
                     }
                 }
                 names::VERIFY_MODE => report.reexec.mode = Some(scalar),
+                names::REEXEC_TASKS => report.reexec.tasks = scalar,
                 names::REEXEC_SAMPLED => report.reexec.sampled = scalar,
                 names::REEXEC_RERUN => report.reexec.rerun = scalar,
                 names::REEXEC_CONFIRMED => report.reexec.confirmed = scalar,
@@ -534,9 +539,10 @@ impl HealthReport {
             out.push_str("\nverification tier (sampled partial re-execution):\n");
             let _ = writeln!(
                 out,
-                "  mode={}  sampled={}  rerun={}  confirmed={}  mismatched={}",
+                "  mode={}  sampled={} of {} tasks  rerun={}  confirmed={}  mismatched={}",
                 VERIFY_MODE_NAMES[(mode as usize).min(VERIFY_MODE_NAMES.len() - 1)],
                 r.sampled,
+                r.tasks,
                 r.rerun,
                 r.confirmed,
                 r.mismatched,
@@ -906,6 +912,7 @@ mod tests {
     fn report_renders_verification_tier_section() {
         let m = Metrics::new();
         m.gauge_set(Domain::Sim, names::VERIFY_MODE, &[], 2);
+        m.add(Domain::Sim, names::REEXEC_TASKS, &[], 31);
         m.add(Domain::Sim, names::REEXEC_SAMPLED, &[], 7);
         m.add(Domain::Sim, names::REEXEC_RERUN, &[], 7);
         m.add(Domain::Sim, names::REEXEC_CONFIRMED, &[], 6);
@@ -920,7 +927,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("mode=hybrid  sampled=7  rerun=7  confirmed=6  mismatched=1"),
+            text.contains("mode=hybrid  sampled=7 of 31 tasks  rerun=7  confirmed=6  mismatched=1"),
             "{text}"
         );
         assert!(

@@ -44,7 +44,7 @@ fn write_event(out: &mut String, e: &TraceEvent) {
     out.push_str(&e.tid.to_string());
     out.push_str(",\"args\":{");
     let mut first = true;
-    for (k, v) in &e.args {
+    for (k, v) in e.args.iter().chain(&e.wall_args) {
         if !first {
             out.push(',');
         }

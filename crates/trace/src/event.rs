@@ -138,6 +138,10 @@ pub struct TraceEvent {
     pub canonical: bool,
     /// Named arguments.
     pub args: Vec<(&'static str, ArgValue)>,
+    /// Wall-domain arguments (host timings measured inside the span):
+    /// exported and summarised, but excluded from the canonical trace
+    /// even when the event itself is canonical.
+    pub wall_args: Vec<(&'static str, ArgValue)>,
 }
 
 impl TraceEvent {
@@ -154,6 +158,7 @@ impl TraceEvent {
             wall_ns: 0,
             canonical: true,
             args: Vec::new(),
+            wall_args: Vec::new(),
         }
     }
 
@@ -199,6 +204,13 @@ impl TraceEvent {
     /// Adds an argument.
     pub fn arg(mut self, key: &'static str, value: impl Into<ArgValue>) -> Self {
         self.args.push((key, value.into()));
+        self
+    }
+
+    /// Adds a wall-domain argument: visible in the exported trace and the
+    /// summary, invisible to canonical-trace comparisons.
+    pub fn wall_arg(mut self, key: &'static str, value: impl Into<ArgValue>) -> Self {
+        self.wall_args.push((key, value.into()));
         self
     }
 
@@ -288,7 +300,10 @@ mod tests {
 
     #[test]
     fn canonicalize_is_order_independent_and_drops_wall() {
-        let mut a = TraceEvent::instant("a", "c").at_sim(10).seq(0);
+        let mut a = TraceEvent::instant("a", "c")
+            .at_sim(10)
+            .seq(0)
+            .wall_arg("digest_ns", 5u64);
         a.wall_ns = 111;
         let mut b = TraceEvent::instant("b", "c").at_sim(5).seq(1);
         b.wall_ns = 222;
@@ -299,6 +314,7 @@ mod tests {
         assert_eq!(fwd, rev);
         assert_eq!(fwd.len(), 2, "non-canonical events are excluded");
         assert_eq!(fwd[0].name, "b", "sorted by sim time");
+        assert!(fwd[1].args.is_empty(), "wall args are not canonical");
     }
 
     #[test]

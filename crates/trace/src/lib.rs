@@ -34,4 +34,4 @@ pub use event::{
 };
 pub use flight::{canonical_dump, EventRing, FlightRecorder};
 pub use sink::{FanoutSink, MemorySink, ScopedSink, TraceSink, Tracer, JOB_PID_STRIDE};
-pub use summary::{KeyLag, SpanStats, TraceSummary, QUORUM_EVENT};
+pub use summary::{KeyLag, SpanStats, StageTotals, TraceSummary, QUORUM_EVENT};

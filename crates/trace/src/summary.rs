@@ -1,5 +1,6 @@
-//! Trace summarisation: per-phase span totals, instant counts,
-//! per-key verification lag, and externally-supplied counters (the
+//! Trace summarisation: per-phase span totals, per-job task-stage wall
+//! time, instant counts, per-key verification lag, and
+//! externally-supplied counters (the
 //! `data_plane` atomics live above this crate in the dependency graph,
 //! so their snapshot deltas are passed in rather than read here).
 
@@ -37,11 +38,25 @@ pub struct KeyLag {
     pub lag_us: u64,
 }
 
+/// Wall time per stage inside the spans of one `(job, span name)` pair,
+/// summed from the spans' wall-domain args.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct StageTotals {
+    /// Completed spans that carried stage timings.
+    pub spans: u64,
+    /// `(stage, total nanoseconds)` in the order the spans listed them.
+    pub stage_ns: Vec<(&'static str, u64)>,
+}
+
 /// An aggregated view over a recorded trace.
 #[derive(Clone, Debug, Default)]
 pub struct TraceSummary {
     /// Span totals keyed by event name.
     pub spans: BTreeMap<&'static str, SpanStats>,
+    /// Stage wall time keyed by `(job, span name)`: the job is the `sid`
+    /// arg of the span's Begin event, the stages are the unsigned
+    /// wall-domain args of its End event.
+    pub task_stages: BTreeMap<(String, &'static str), StageTotals>,
     /// Instant counts keyed by event name.
     pub instants: BTreeMap<&'static str, u64>,
     /// Per-key verification lag rows, in key order.
@@ -59,24 +74,26 @@ impl TraceSummary {
         let mut spans: BTreeMap<&'static str, SpanStats> = BTreeMap::new();
         let mut instants: BTreeMap<&'static str, u64> = BTreeMap::new();
         let mut key_lags = Vec::new();
-        // Open Begin timestamps, stacked per (pid, tid, name) track.
-        type OpenSpans = BTreeMap<(u32, u32, &'static str), Vec<(u64, u64)>>;
+        let mut task_stages: BTreeMap<(String, &'static str), StageTotals> = BTreeMap::new();
+        // Open Begin events, stacked per (pid, tid, name) track.
+        type OpenSpans<'a> = BTreeMap<(u32, u32, &'static str), Vec<&'a TraceEvent>>;
         let mut open: OpenSpans = BTreeMap::new();
 
         for e in events {
             match e.phase {
                 Phase::Begin => {
-                    open.entry((e.pid, e.tid, e.name))
-                        .or_default()
-                        .push((e.sim_us, e.wall_ns));
+                    open.entry((e.pid, e.tid, e.name)).or_default().push(e);
                 }
                 Phase::End => {
                     if let Some(stack) = open.get_mut(&(e.pid, e.tid, e.name)) {
-                        if let Some((begin_sim, begin_wall)) = stack.pop() {
+                        if let Some(begin) = stack.pop() {
                             let s = spans.entry(e.name).or_default();
                             s.count += 1;
-                            s.sim_us_total += e.sim_us.saturating_sub(begin_sim);
-                            s.wall_ns_total += e.wall_ns.saturating_sub(begin_wall);
+                            s.sim_us_total += e.sim_us.saturating_sub(begin.sim_us);
+                            s.wall_ns_total += e.wall_ns.saturating_sub(begin.wall_ns);
+                            if !e.wall_args.is_empty() {
+                                add_stages(&mut task_stages, begin, e);
+                            }
                         }
                     }
                 }
@@ -95,6 +112,7 @@ impl TraceSummary {
 
         TraceSummary {
             spans,
+            task_stages,
             instants,
             key_lags,
             counters: Vec::new(),
@@ -147,6 +165,17 @@ impl TraceSummary {
                 ));
             }
         }
+        if !self.task_stages.is_empty() {
+            out.push_str("  task stages (job span: spans; wall ms per stage):\n");
+            for ((job, span), totals) in &self.task_stages {
+                out.push_str(&format!("    {job} {span}: {} x;", totals.spans));
+                for (stage, ns) in &totals.stage_ns {
+                    let stage = stage.strip_suffix("_ns").unwrap_or(stage);
+                    out.push_str(&format!(" {stage} {:.3}", *ns as f64 / 1e6));
+                }
+                out.push('\n');
+            }
+        }
         if !self.instants.is_empty() {
             out.push_str("  instants:\n");
             for (name, n) in &self.instants {
@@ -176,6 +205,31 @@ impl TraceSummary {
             }
         }
         out
+    }
+}
+
+/// Adds the stage timings on span End `end` to its job's totals.
+fn add_stages(
+    task_stages: &mut BTreeMap<(String, &'static str), StageTotals>,
+    begin: &TraceEvent,
+    end: &TraceEvent,
+) {
+    let job = begin
+        .args
+        .iter()
+        .find_map(|(k, v)| match (*k, v) {
+            ("sid", ArgValue::Str(s)) => Some(s.clone()),
+            _ => None,
+        })
+        .unwrap_or_default();
+    let totals = task_stages.entry((job, end.name)).or_default();
+    totals.spans += 1;
+    for (stage, v) in &end.wall_args {
+        let ArgValue::Uint(ns) = v else { continue };
+        match totals.stage_ns.iter_mut().find(|(s, _)| s == stage) {
+            Some((_, total)) => *total += ns,
+            None => totals.stage_ns.push((stage, *ns)),
+        }
     }
 }
 
@@ -214,6 +268,39 @@ mod tests {
         assert_eq!(s.spans["task"].count, 1);
         assert_eq!(s.spans["task"].sim_us_total, 20);
         assert_eq!(s.instants["digest"], 1);
+    }
+
+    #[test]
+    fn sums_task_stages_per_job_from_wall_args() {
+        let span = |sid: &'static str, tid: u32, digest: u64, sort: u64| {
+            [
+                TraceEvent::begin("reduce_task", "engine")
+                    .on(1, tid)
+                    .arg("sid", sid),
+                TraceEvent::end("reduce_task", "engine")
+                    .on(1, tid)
+                    .wall_arg("digest_ns", digest)
+                    .wall_arg("shuffle_kernel_ns", sort),
+            ]
+        };
+        let mut events = Vec::new();
+        events.extend(span("j0", 0, 1_000_000, 500_000));
+        events.extend(span("j0", 1, 2_000_000, 250_000));
+        events.extend(span("j1", 0, 7, 9));
+        // A span without stage timings adds no row.
+        events.push(TraceEvent::begin("attempt", "executor").arg("sid", "j0"));
+        events.push(TraceEvent::end("attempt", "executor"));
+        let s = TraceSummary::from_events(&events);
+        assert_eq!(s.task_stages.len(), 2);
+        let j0 = &s.task_stages[&("j0".to_owned(), "reduce_task")];
+        assert_eq!(j0.spans, 2);
+        assert_eq!(
+            j0.stage_ns,
+            vec![("digest_ns", 3_000_000), ("shuffle_kernel_ns", 750_000)]
+        );
+        assert!(s
+            .render()
+            .contains("j0 reduce_task: 2 x; digest 3.000 shuffle_kernel 0.750"));
     }
 
     #[test]

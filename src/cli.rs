@@ -21,7 +21,8 @@ use crate::metrics::{
     json_snapshot, names as metric_names, prometheus_text, Domain, HealthReport, Metrics, Snapshot,
 };
 use crate::trace::{
-    chrome_trace_json, FanoutSink, FlightRecorder, MemorySink, TraceSink, TraceSummary, Tracer,
+    chrome_trace_json, FanoutSink, FlightRecorder, MemorySink, TraceEvent, TraceSink, TraceSummary,
+    Tracer,
 };
 
 /// Parsed command-line options for one `cbft` invocation.
@@ -677,17 +678,24 @@ fn finish_trace(
     }
     if opts.trace_summary {
         let delta = data_plane::snapshot().since(&dp_before);
-        let summary = TraceSummary::from_events(&events)
-            .with_counter("records_cloned", delta.records_cloned)
-            .with_counter("arcs_shared", delta.arcs_shared)
-            .with_counter("bytes_encoded", delta.bytes_encoded)
-            .with_counter("digest_bytes_hashed", delta.digest_bytes_hashed)
-            .with_counter("tasks_dispatched", delta.tasks_dispatched)
-            .with_counter("tasks_stolen", delta.tasks_stolen)
-            .with_counter("pool_queue_peak", delta.pool_queue_peak);
+        let summary = trace_summary(&events, &delta);
         let _ = writeln!(out, "\n{}", summary.render());
     }
     Ok(())
+}
+
+/// The `--trace-summary` view (shared with `cbftd`): the recorded events
+/// plus the data-plane counter deltas of the run.
+pub(crate) fn trace_summary(events: &[TraceEvent], delta: &DataPlaneSnapshot) -> TraceSummary {
+    TraceSummary::from_events(events)
+        .with_counter("records_cloned", delta.records_cloned)
+        .with_counter("rows_materialized", delta.rows_materialized)
+        .with_counter("arcs_shared", delta.arcs_shared)
+        .with_counter("bytes_encoded", delta.bytes_encoded)
+        .with_counter("digest_bytes_hashed", delta.digest_bytes_hashed)
+        .with_counter("tasks_dispatched", delta.tasks_dispatched)
+        .with_counter("tasks_stolen", delta.tasks_stolen)
+        .with_counter("pool_queue_peak", delta.pool_queue_peak)
 }
 
 /// The `--threads` path: replicas run on worker threads in isolated
@@ -757,9 +765,10 @@ fn run_parallel(
         let re = outcome.reexec();
         let _ = writeln!(
             out,
-            "verify mode: {}   spot checks: sampled={} rerun={} confirmed={} mismatched={}{}",
+            "verify mode: {}   spot checks: sampled={} of {} tasks rerun={} confirmed={} mismatched={}{}",
             outcome.verify_mode().name(),
             re.sampled,
+            re.tasks_total,
             re.reexecuted,
             re.confirmed,
             re.mismatched,
@@ -1183,6 +1192,20 @@ mod tests {
         assert!(report.starts_with("VERIFIED"), "{report}");
         assert!(report.contains("replicas per round: [1]"), "{report}");
         assert!(report.contains("verify mode: sample"), "{report}");
+        // The denominator is printed; at rate 1.0 every task is checked.
+        let (_, after) = report
+            .split_once("spot checks: sampled=")
+            .expect("spot-check line");
+        let counts: Vec<&str> = after.split_whitespace().take(4).collect();
+        assert_eq!(counts[1..], ["of", counts[0], "tasks"], "{report}");
+        assert_ne!(counts[0], "0", "{report}");
+        assert!(
+            report.contains(&format!(
+                "sampled={} of {} tasks  rerun=",
+                counts[0], counts[0]
+            )),
+            "health report carries the denominator too: {report}"
+        );
         assert!(report.contains("mismatched=0"), "{report}");
         assert!(!report.contains("escalated"), "clean run never escalates");
         assert!(report.contains("== counts (5 records) =="), "{report}");

@@ -39,7 +39,7 @@ use crate::server::{
 };
 use crate::trace::{
     chrome_trace_json, ArgValue, FanoutSink, FlightRecorder, MemorySink, TraceEvent, TraceSink,
-    TraceSummary, Tracer,
+    Tracer,
 };
 
 /// Parsed command-line options for one `cbftd` invocation.
@@ -759,14 +759,7 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
         }
         if opts.trace_summary {
             let delta = data_plane::snapshot().since(&dp_before);
-            let summary = TraceSummary::from_events(&events)
-                .with_counter("records_cloned", delta.records_cloned)
-                .with_counter("arcs_shared", delta.arcs_shared)
-                .with_counter("bytes_encoded", delta.bytes_encoded)
-                .with_counter("digest_bytes_hashed", delta.digest_bytes_hashed)
-                .with_counter("tasks_dispatched", delta.tasks_dispatched)
-                .with_counter("tasks_stolen", delta.tasks_stolen)
-                .with_counter("pool_queue_peak", delta.pool_queue_peak);
+            let summary = crate::cli::trace_summary(&events, &delta);
             let _ = writeln!(out, "\n{}", summary.render());
         }
     }

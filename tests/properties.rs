@@ -584,7 +584,10 @@ proptest! {
 
 // --- columnar data plane & merkle digest trees ------------------------------
 
-use clusterbft_repro::dataflow::Batch;
+use clusterbft_repro::dataflow::batch::{
+    eval_column, filter_batch, group_batch, join_batch, order_batch,
+};
+use clusterbft_repro::dataflow::{AggFunc, Batch, CmpOp, EvalContext, SortOrder};
 use clusterbft_repro::digest::{parent_level, MerkleTree};
 
 proptest! {
@@ -674,15 +677,7 @@ proptest! {
         n_rows in 0usize..40,
         seed_values in proptest::collection::vec(value_strategy(), 1..240),
     ) {
-        let rows: Vec<Record> = (0..n_rows)
-            .map(|r| {
-                Record::new(
-                    (0..arity)
-                        .map(|c| seed_values[(r * arity + c) % seed_values.len()].clone())
-                        .collect(),
-                )
-            })
-            .collect();
+        let rows = uniform_rows(arity, n_rows, &seed_values);
         let Some(batch) = Batch::from_records(&rows) else {
             // from_records only declines ragged input; uniform arity with
             // at least one row must convert.
@@ -692,15 +687,173 @@ proptest! {
         prop_assert_eq!(batch.len(), rows.len());
         let back = batch.to_records();
         prop_assert_eq!(&back, &rows);
-
-        let mut via_batch = Vec::new();
-        let mut via_rows = Vec::new();
+        prop_assert_eq!(encode_batch(&batch), encode_rows(&rows));
         for (r, row) in rows.iter().enumerate() {
-            batch.write_row_canonical(r, &mut via_batch);
-            row.write_canonical(&mut via_rows);
             prop_assert_eq!(batch.row(r), row.clone());
         }
-        prop_assert_eq!(via_batch, via_rows);
+    }
+}
+
+/// `n_rows` records of `arity` fields, cycling through `seed_values`.
+fn uniform_rows(arity: usize, n_rows: usize, seed_values: &[Value]) -> Vec<Record> {
+    (0..n_rows)
+        .map(|r| {
+            (0..arity)
+                .map(|c| seed_values[(r * arity + c) % seed_values.len()].clone())
+                .collect()
+        })
+        .collect()
+}
+
+/// Values from a small domain, so random rows repeat keys (and null keys).
+fn small_value_strategy() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (-2i64..3).prop_map(Value::Int),
+        "[ab]{0,2}".prop_map(Value::str),
+    ]
+}
+
+fn encode_rows(rows: &[Record]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for r in rows {
+        r.write_canonical(&mut out);
+    }
+    out
+}
+
+fn encode_batch(batch: &Batch) -> Vec<u8> {
+    let mut out = Vec::new();
+    for r in 0..batch.len() {
+        batch.write_row_canonical(r, &mut out);
+    }
+    out
+}
+
+fn filter_rows(rows: &[Record], predicate: &Expr) -> Vec<Record> {
+    rows.iter()
+        .filter(|r| predicate.eval(&EvalContext::new(r)).is_truthy())
+        .cloned()
+        .collect()
+}
+
+const AGG_FUNCS: [AggFunc; 5] = [
+    AggFunc::Count,
+    AggFunc::Sum,
+    AggFunc::Avg,
+    AggFunc::Min,
+    AggFunc::Max,
+];
+
+proptest! {
+    /// The nested bag layout is indistinguishable from the rows it stands
+    /// for: `group_batch` materializes to exactly `group_records` (null,
+    /// duplicate and out-of-range keys included) and encodes to the same
+    /// canonical bytes without materializing.
+    #[test]
+    fn group_batch_matches_group_records_and_their_encoding(
+        arity in 1usize..5,
+        n_rows in 0usize..40,
+        key in 0usize..6,
+        seed_values in proptest::collection::vec(small_value_strategy(), 1..60),
+    ) {
+        let rows = uniform_rows(arity, n_rows, &seed_values);
+        let batch = Batch::from_records(&rows).expect("uniform arity");
+        let expected = group_records(&rows, key);
+        let grouped = group_batch(&batch, key);
+        prop_assert_eq!(grouped.len(), expected.len());
+        prop_assert_eq!(&grouped.to_records(), &expected);
+        let bytes = encode_rows(&expected);
+        prop_assert_eq!(grouped.canonical_bytes(), bytes.len() as u64);
+        prop_assert_eq!(encode_batch(&grouped), bytes);
+    }
+
+    /// Every aggregate over a nested bag column equals row-wise
+    /// `Expr::eval` on the materialized bags: valid, all-null, string and
+    /// past-the-arity fields, and no field at all.
+    #[test]
+    fn bag_aggregates_match_row_eval(
+        arity in 1usize..4,
+        n_rows in 0usize..40,
+        key in 0usize..4,
+        seed_values in proptest::collection::vec(small_value_strategy(), 1..60),
+    ) {
+        let rows = uniform_rows(arity, n_rows, &seed_values);
+        let grouped_rows = group_records(&rows, key);
+        let grouped = group_batch(&Batch::from_records(&rows).expect("uniform arity"), key);
+        let fields = (0..=arity).map(Some).chain([None]);
+        for (func, field) in AGG_FUNCS.iter().flat_map(|f| fields.clone().map(move |x| (*f, x))) {
+            let e = Expr::Agg { func, bag_col: 1, field };
+            let expected: Vec<Record> = grouped_rows
+                .iter()
+                .map(|r| Record::new(vec![e.eval(&EvalContext::new(r))]))
+                .collect();
+            let col = eval_column(&e, &grouped);
+            let got = Batch::from_columns(vec![col], grouped.len()).to_records();
+            prop_assert_eq!(got, expected, "{:?} field {:?}", func, field);
+        }
+    }
+
+    /// The per-record kernels treat a batch holding a bag column like the
+    /// rows it stands for.
+    #[test]
+    fn kernels_over_bag_columns_match_row_kernels(
+        arity in 1usize..4,
+        n_rows in 1usize..40,
+        key in 0usize..3,
+        min_count in 0i64..4,
+        picks in proptest::collection::vec(any::<proptest::sample::Index>(), 0..12),
+        cut in any::<proptest::sample::Index>(),
+        seed_values in proptest::collection::vec(small_value_strategy(), 1..60),
+    ) {
+        let rows = uniform_rows(arity, n_rows, &seed_values);
+        let grouped_rows = group_records(&rows, key);
+        let grouped = group_batch(&Batch::from_records(&rows).expect("uniform arity"), key);
+
+        let count = Expr::Agg { func: AggFunc::Count, bag_col: 1, field: None };
+        let predicate = Expr::cmp(CmpOp::Ge, count, Expr::IntLit(min_count));
+        prop_assert_eq!(
+            filter_batch(&grouped, &predicate).to_records(),
+            filter_rows(&grouped_rows, &predicate)
+        );
+        for sort_key in 0..2 {
+            for order in [SortOrder::Asc, SortOrder::Desc] {
+                prop_assert_eq!(
+                    order_batch(&grouped, sort_key, order).to_records(),
+                    order_records(&grouped_rows, sort_key, order)
+                );
+            }
+        }
+        let picks: Vec<usize> = picks.iter().map(|i| i.index(grouped_rows.len())).collect();
+        let picked: Vec<Record> = picks.iter().map(|&i| grouped_rows[i].clone()).collect();
+        prop_assert_eq!(grouped.gather(&picks).to_records(), picked);
+        let n = cut.index(grouped_rows.len() + 1);
+        let mut truncated = grouped.clone();
+        truncated.truncate(n);
+        prop_assert_eq!(&truncated.to_records(), &grouped_rows[..n].to_vec());
+        prop_assert_eq!(encode_batch(&truncated), encode_rows(&grouped_rows[..n]));
+    }
+
+    /// `join_batch` gathers exactly the rows `join_records` concatenates.
+    #[test]
+    fn join_batch_matches_join_records(
+        left_arity in 1usize..4,
+        right_arity in 1usize..4,
+        n_left in 0usize..25,
+        n_right in 0usize..25,
+        left_key in 0usize..4,
+        right_key in 0usize..4,
+        seed_values in proptest::collection::vec(small_value_strategy(), 1..60),
+    ) {
+        let left = uniform_rows(left_arity, n_left, &seed_values);
+        let right = uniform_rows(right_arity, n_right, &seed_values[seed_values.len() / 2..]);
+        let joined = join_batch(
+            &Batch::from_records(&left).expect("uniform arity"),
+            left_key,
+            &Batch::from_records(&right).expect("uniform arity"),
+            right_key,
+        );
+        prop_assert_eq!(joined.to_records(), join_records(&left, left_key, &right, right_key));
     }
 }
 

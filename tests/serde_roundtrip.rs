@@ -176,6 +176,7 @@ fn verification_tier_types_round_trip() {
     }
 
     let summary = ReexecSummary {
+        tasks_total: 96,
         sampled: 12,
         reexecuted: 12,
         confirmed: 11,
