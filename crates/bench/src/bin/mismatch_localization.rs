@@ -131,24 +131,24 @@ fn main() {
         let linear_us = time_us(|| linear_scan(good.chunks(), bad.chunks()));
 
         record.push(
-            &format!("merkle comparisons ({n} chunks)"),
+            format!("merkle comparisons ({n} chunks)"),
             "cmp",
             None,
             diff.comparisons as f64,
         );
         record.push(
-            &format!("linear comparisons ({n} chunks)"),
+            format!("linear comparisons ({n} chunks)"),
             "cmp",
             None,
             linear_comparisons as f64,
         );
         record.push(
-            &format!("merkle localize ({n} chunks)"),
+            format!("merkle localize ({n} chunks)"),
             "us",
             None,
             merkle_us,
         );
-        record.push(&format!("linear scan ({n} chunks)"), "us", None, linear_us);
+        record.push(format!("linear scan ({n} chunks)"), "us", None, linear_us);
 
         merkle_cmp_points.push((n as f64, diff.comparisons as f64));
         linear_cmp_points.push((n as f64, linear_comparisons as f64));

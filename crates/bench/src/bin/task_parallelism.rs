@@ -111,7 +111,7 @@ fn main() {
     record.set_flag("cpu_bound", cpu_bound);
     record.push("inline wall (r=2, pool=1)", "s", None, wall_inline);
     record.push(
-        &format!("pooled wall (r=2, pool={POOL_THREADS})"),
+        format!("pooled wall (r=2, pool={POOL_THREADS})"),
         "s",
         None,
         wall_pooled,

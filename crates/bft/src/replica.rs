@@ -1072,9 +1072,9 @@ mod tests {
         assert!(group.iter().all(|g| g.executed_log().is_empty()));
         // Progress timers fire on the three live replicas.
         let mut inbox = Vec::new();
-        for i in 1..4 {
+        for (i, replica) in group.iter_mut().enumerate().skip(1) {
             let mut out = Vec::new();
-            group[i].on_timer(
+            replica.on_timer(
                 TimerId::Progress {
                     view: 0,
                     request: d,
@@ -1092,10 +1092,10 @@ mod tests {
             }
         }
         pump(&mut group, inbox);
-        for i in 1..4 {
-            assert_eq!(group[i].view(), 1, "replica {i} moved to view 1");
+        for (i, replica) in group.iter().enumerate().skip(1) {
+            assert_eq!(replica.view(), 1, "replica {i} moved to view 1");
             assert_eq!(
-                group[i].executed_log(),
+                replica.executed_log(),
                 &[(1, d)],
                 "request recovered and executed in the new view"
             );

@@ -41,9 +41,8 @@ use cbft_dataflow::analyze::Adversary;
 use cbft_dataflow::compile::{compile_plan, DataSource, JobGraph, JobId, JobOutput, Site};
 use cbft_dataflow::{LogicalPlan, Record, Script};
 use cbft_mapreduce::{
-    data_plane, default_compute_threads, Behavior, Cluster, ComputePool, EngineEvent, ExecInput,
-    ExecJob, JobOutcome, RunHandle, SamplePlan, SpotCheck, SpotCheckRecord, Storage, Ticket,
-    VpSite,
+    data_plane, default_compute_threads, Behavior, Cluster, ComputePool, EngineEvent, JobOutcome,
+    RunHandle, SamplePlan, SpotCheck, SpotCheckRecord, Storage, Ticket, VpSite,
 };
 use cbft_metrics::{names as metric_names, Domain, Metrics};
 use cbft_sim::{CostModel, SeedSpawner};
@@ -53,7 +52,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::VpPolicy;
 use crate::outcome::SubmitError;
-use crate::pipeline::{choose_points, job_output_sites, vp_sites_by_job};
+use crate::pipeline::{choose_points, job_output_sites, vp_sites_by_job, ReplicaJobs};
 use crate::suspicion::{SuspicionBand, SuspicionTable};
 use crate::verifier::{DigestKey, StreamedReport, Verifier};
 
@@ -1091,23 +1090,33 @@ impl ParallelExecutor {
                 .expect("fresh replica storage accepts every input once");
         }
 
-        let mut submitted: HashSet<JobId> = HashSet::new();
-        let mut completed: HashMap<JobId, String> = HashMap::new();
-        let mut handle_jobs: HashMap<RunHandle, JobId> = HashMap::new();
-        let mut seq = 0u64;
-        let mut wedged = false;
-
-        self.submit_ready(
-            &mut cluster,
-            uid,
+        let mut jobs = ReplicaJobs {
             plan,
             graph,
             vp_map,
+            namespace: format!("par/r{uid}"),
+            sid_prefix: "j".to_owned(),
+            replica: uid,
+            // Combiners stay off here so shuffle-site digests are always
+            // materialized identically across both executors.
+            combiners: false,
             sample,
-            &mut submitted,
-            &completed,
-            &mut handle_jobs,
-        );
+            reduce_tasks: self.config.reduce_tasks,
+            map_split_records: self.config.map_split_records,
+            digest_granularity: self.config.digest_granularity,
+            batch_records: self.config.batch_records,
+            files: HashMap::new(),
+            submitted: HashSet::new(),
+        };
+        // Wave by wave, like the sequential pipeline but for one replica.
+        let submit_ready = |jobs: &mut ReplicaJobs, cluster: &mut Cluster| {
+            jobs.submit_ready(cluster, &HashSet::new())
+                .expect("replica-private namespace never collides")
+        };
+        let mut handle_jobs: HashMap<RunHandle, JobId> =
+            submit_ready(&mut jobs, &mut cluster).into_iter().collect();
+        let mut seq = 0u64;
+        let mut wedged = false;
         loop {
             match cluster.step() {
                 Some(EngineEvent::Digest(report)) => {
@@ -1127,21 +1136,11 @@ impl ParallelExecutor {
                     };
                     match outcome {
                         JobOutcome::Success { output_file, .. } => {
-                            completed.insert(job, output_file);
-                            if completed.len() == graph.len() {
+                            jobs.files.insert(job, output_file);
+                            if jobs.files.len() == graph.len() {
                                 break;
                             }
-                            self.submit_ready(
-                                &mut cluster,
-                                uid,
-                                plan,
-                                graph,
-                                vp_map,
-                                sample,
-                                &mut submitted,
-                                &completed,
-                                &mut handle_jobs,
-                            );
+                            handle_jobs.extend(submit_ready(&mut jobs, &mut cluster));
                         }
                         JobOutcome::Failed { .. } => {
                             // Per-replica isolation: one replica's engine
@@ -1160,7 +1159,7 @@ impl ParallelExecutor {
             }
         }
 
-        let complete = !wedged && completed.len() == graph.len();
+        let complete = !wedged && jobs.files.len() == graph.len();
         if self.tracer.enabled() {
             self.tracer.emit(
                 TraceEvent::end("replica", "executor")
@@ -1173,7 +1172,7 @@ impl ParallelExecutor {
         let mut outputs = BTreeMap::new();
         for job in graph.jobs() {
             if let JobOutput::Store(name) = &job.output {
-                if let Some(file) = completed.get(&job.id()) {
+                if let Some(file) = jobs.files.get(&job.id()) {
                     if let Some(records) = cluster.storage().share(file) {
                         outputs.insert(name.clone(), records);
                     }
@@ -1185,76 +1184,6 @@ impl ParallelExecutor {
             complete,
             outputs,
             tasks_done: cluster.tasks_done(),
-        }
-    }
-
-    /// Submits every not-yet-submitted job whose dependencies have
-    /// materialized in this replica's cluster (wave-by-wave, like the
-    /// sequential pipeline but for a single replica).
-    #[allow(clippy::too_many_arguments)]
-    fn submit_ready(
-        &self,
-        cluster: &mut Cluster,
-        uid: usize,
-        plan: &Arc<LogicalPlan>,
-        graph: &JobGraph,
-        vp_map: &HashMap<JobId, Vec<VpSite>>,
-        sample: Option<SamplePlan>,
-        submitted: &mut HashSet<JobId>,
-        completed: &HashMap<JobId, String>,
-        handle_jobs: &mut HashMap<RunHandle, JobId>,
-    ) {
-        let ns = format!("par/r{uid}");
-        for job in graph.jobs() {
-            let job_id = job.id();
-            if submitted.contains(&job_id) || !job.deps().iter().all(|d| completed.contains_key(d))
-            {
-                continue;
-            }
-            let resolve = |src: &DataSource| -> String {
-                match src {
-                    DataSource::Hdfs(f) => f.clone(),
-                    DataSource::Intermediate(j) => completed[j].clone(),
-                }
-            };
-            let spec = ExecJob {
-                plan: Arc::clone(plan),
-                inputs: job
-                    .inputs
-                    .iter()
-                    .map(|i| ExecInput {
-                        file: resolve(&i.source),
-                        pipeline: i.pipeline.clone(),
-                        tag: i.tag,
-                    })
-                    .collect(),
-                shuffle: job.shuffle,
-                reduce: job.reduce.clone(),
-                output_file: match &job.output {
-                    JobOutput::Store(name) => format!("{ns}/{name}"),
-                    JobOutput::Intermediate => format!("{ns}/j{}", job_id.index()),
-                },
-                reduce_task_count: if job.single_reduce {
-                    1
-                } else {
-                    self.config.reduce_tasks
-                },
-                map_split_records: self.config.map_split_records,
-                verification_points: vp_map.get(&job_id).cloned().unwrap_or_default(),
-                digest_granularity: self.config.digest_granularity,
-                batch_records: self.config.batch_records,
-                sid: format!("j{}", job_id.index()),
-                replica: uid,
-                // Combiners stay off here so shuffle-site digests are
-                // always materialized identically across both executors.
-                combiner: None,
-                sample,
-            };
-            let handle = cluster
-                .submit(spec)
-                .expect("replica-private namespace never collides");
-            submitted.insert(job_id);
-            handle_jobs.insert(handle, job_id);
         }
     }
 }

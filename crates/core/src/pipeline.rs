@@ -29,7 +29,7 @@ use cbft_dataflow::compile::{compile_plan, DataSource, JobGraph, JobId, JobOutpu
 use cbft_dataflow::{LogicalPlan, Script, VertexId};
 use cbft_mapreduce::{
     Cluster, ComputePool, EngineEvent, ExecInput, ExecJob, JobOutcome, NodeId, RunHandle,
-    TimerToken, VpSite,
+    SamplePlan, StorageError, TimerToken, VpSite,
 };
 use cbft_metrics::{names as metric_names, Domain, Metrics};
 use cbft_sim::SimDuration;
@@ -326,7 +326,24 @@ impl ClusterBft {
             total_uids += r;
             verifier.set_expected(total_uids);
             let attempt_key = if reuse { 0 } else { attempt };
-            let mut submitted: Vec<HashSet<JobId>> = vec![HashSet::new(); r];
+            let mut replicas: Vec<ReplicaJobs> = (0..r)
+                .map(|rep| ReplicaJobs {
+                    plan: &plan,
+                    graph: &graph,
+                    vp_map: &vp_map,
+                    namespace: format!("cbft-{script_id}/a{attempt}/r{rep}"),
+                    sid_prefix: sid_prefix.clone(),
+                    replica: uid_base + rep,
+                    combiners: self.config.combiners,
+                    sample: None,
+                    reduce_tasks: self.config.reduce_tasks,
+                    map_split_records: self.config.map_split_records,
+                    digest_granularity: self.config.digest_granularity,
+                    batch_records: self.config.batch_records,
+                    files: trusted.clone(),
+                    submitted: HashSet::new(),
+                })
+                .collect();
             let mut completed: Vec<HashMap<JobId, CompletedJob>> = vec![HashMap::new(); r];
             let mut handles: HashMap<RunHandle, (usize, JobId)> = HashMap::new();
             // Per-replica jobs abandoned by early cancellation: once a
@@ -335,23 +352,9 @@ impl ClusterBft {
             let mut blocked: Vec<HashSet<JobId>> = vec![HashSet::new(); r];
             let descendants = job_descendants(&graph);
 
-            for rep in 0..r {
-                self.submit_ready(
-                    &plan,
-                    &graph,
-                    &run_jobs,
-                    &trusted,
-                    &vp_map,
-                    &sid_prefix,
-                    script_id,
-                    attempt,
-                    rep,
-                    uid_base,
-                    &mut submitted[rep],
-                    &completed[rep],
-                    &blocked[rep],
-                    &mut handles,
-                )?;
+            for (rep, jobs) in replicas.iter_mut().enumerate() {
+                let wave = jobs.submit_ready(&mut self.cluster, &blocked[rep])?;
+                handles.extend(wave.into_iter().map(|(h, job)| (h, (rep, job))));
             }
 
             let token = TimerToken(self.timer_counter);
@@ -393,28 +396,16 @@ impl ClusterBft {
                                 total += metrics;
                                 self.suspicion
                                     .record_jobs_metered(nodes.iter().copied(), &self.metrics);
+                                replicas[rep].files.insert(job, output_file.clone());
                                 let done = CompletedJob {
                                     file: output_file,
                                     nodes,
                                 };
                                 completed_by_uid.insert((uid_base + rep, job), done.clone());
                                 completed[rep].insert(job, done);
-                                self.submit_ready(
-                                    &plan,
-                                    &graph,
-                                    &run_jobs,
-                                    &trusted,
-                                    &vp_map,
-                                    &sid_prefix,
-                                    script_id,
-                                    attempt,
-                                    rep,
-                                    uid_base,
-                                    &mut submitted[rep],
-                                    &completed[rep],
-                                    &blocked[rep],
-                                    &mut handles,
-                                )?;
+                                let wave =
+                                    replicas[rep].submit_ready(&mut self.cluster, &blocked[rep])?;
+                                handles.extend(wave.into_iter().map(|(h, job)| (h, (rep, job))));
                                 let all_done = (0..r).all(|i| {
                                     run_jobs.iter().all(|j| {
                                         completed[i].contains_key(j) || blocked[i].contains(j)
@@ -565,17 +556,6 @@ impl ClusterBft {
                     .filter(|k| sites.contains(&k.1))
                     .copied()
                     .collect();
-                if std::env::var_os("CBFT_DEBUG").is_some() {
-                    let verdicts: Vec<String> = keys
-                        .iter()
-                        .map(|k| format!("{:?}", verifier.verdict(k)))
-                        .collect();
-                    eprintln!(
-                        "[cbft] attempt {attempt} job {job} output sites {sites:?} keys {} verdicts {:?}",
-                        keys.len(),
-                        verdicts
-                    );
-                }
                 if keys.is_empty() || !keys.iter().all(|k| verifier.verdict(k).is_verified()) {
                     continue;
                 }
@@ -738,101 +718,6 @@ impl ClusterBft {
         )
     }
 
-    /// Submits every not-yet-submitted job of `rep` whose inputs exist.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_ready(
-        &mut self,
-        plan: &Arc<LogicalPlan>,
-        graph: &JobGraph,
-        run_jobs: &[JobId],
-        trusted: &HashMap<JobId, String>,
-        vp_map: &HashMap<JobId, Vec<VpSite>>,
-        sid_prefix: &str,
-        script_id: u64,
-        attempt: u32,
-        rep: usize,
-        uid_base: usize,
-        submitted: &mut HashSet<JobId>,
-        completed: &HashMap<JobId, CompletedJob>,
-        blocked: &HashSet<JobId>,
-        handles: &mut HashMap<RunHandle, (usize, JobId)>,
-    ) -> Result<(), SubmitError> {
-        let ns = format!("cbft-{script_id}/a{attempt}/r{rep}");
-        for &job_id in run_jobs {
-            if submitted.contains(&job_id) || blocked.contains(&job_id) {
-                continue;
-            }
-            let job = graph.job(job_id);
-            let ready = job
-                .deps()
-                .iter()
-                .all(|d| trusted.contains_key(d) || completed.contains_key(d));
-            if !ready {
-                continue;
-            }
-            let resolve = |src: &DataSource| -> String {
-                match src {
-                    DataSource::Hdfs(f) => f.clone(),
-                    DataSource::Intermediate(j) => trusted
-                        .get(j)
-                        .cloned()
-                        .unwrap_or_else(|| completed[j].file.clone()),
-                }
-            };
-            let vps = vp_map.get(&job_id).cloned().unwrap_or_default();
-            // Combine only when no verification point needs the shuffle's
-            // materialized bags.
-            let combiner = if self.config.combiners
-                && !vps.iter().any(|vp| matches!(vp.site, Site::Shuffle { .. }))
-            {
-                match (job.shuffle, job.reduce.first()) {
-                    (Some(sh), Some(&first)) => cbft_dataflow::combiner::Combiner::for_job(
-                        plan.vertex(sh).op(),
-                        plan.vertex(first).op(),
-                    ),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            let spec = ExecJob {
-                plan: Arc::clone(plan),
-                inputs: job
-                    .inputs
-                    .iter()
-                    .map(|i| ExecInput {
-                        file: resolve(&i.source),
-                        pipeline: i.pipeline.clone(),
-                        tag: i.tag,
-                    })
-                    .collect(),
-                shuffle: job.shuffle,
-                reduce: job.reduce.clone(),
-                output_file: match &job.output {
-                    JobOutput::Store(name) => format!("{ns}/{name}"),
-                    JobOutput::Intermediate => format!("{ns}/j{}", job_id.index()),
-                },
-                reduce_task_count: if job.single_reduce {
-                    1
-                } else {
-                    self.config.reduce_tasks
-                },
-                map_split_records: self.config.map_split_records,
-                verification_points: vps,
-                digest_granularity: self.config.digest_granularity,
-                batch_records: self.config.batch_records,
-                sid: format!("{sid_prefix}{}", job_id.index()),
-                replica: uid_base + rep,
-                combiner,
-                sample: None,
-            };
-            let handle = self.cluster.submit(spec)?;
-            submitted.insert(job_id);
-            handles.insert(handle, (rep, job_id));
-        }
-        Ok(())
-    }
-
     /// Blocks the dependency closure of every (replica, job) whose digests
     /// contradict an established quorum: the corrupt output would feed the
     /// descendants, so running them is wasted work.
@@ -948,6 +833,114 @@ impl std::fmt::Debug for ClusterBft {
             .field("config", &self.config)
             .field("scripts_run", &self.script_counter)
             .finish()
+    }
+}
+
+/// One replica's share of a script run: the `MrJob → ExecJob` lowering
+/// and the rule "submit every job whose dependencies have materialized",
+/// shared by both orchestrators. The sequential pipeline holds `r` of
+/// these over its one shared cluster, the parallel executor one per
+/// replica over that replica's private cluster.
+pub(crate) struct ReplicaJobs<'a> {
+    pub plan: &'a Arc<LogicalPlan>,
+    pub graph: &'a JobGraph,
+    pub vp_map: &'a HashMap<JobId, Vec<VpSite>>,
+    /// Storage namespace of the files this replica writes.
+    pub namespace: String,
+    /// Job `j` runs under the sub-graph id `{sid_prefix}{j}`.
+    pub sid_prefix: String,
+    /// Globally unique replica id.
+    pub replica: usize,
+    /// Whether to combine map-side where no verification point needs the
+    /// shuffle's materialized bags.
+    pub combiners: bool,
+    pub sample: Option<SamplePlan>,
+    pub reduce_tasks: usize,
+    pub map_split_records: usize,
+    pub digest_granularity: usize,
+    pub batch_records: usize,
+    /// Output file of every job this replica may read: jobs trusted from
+    /// earlier attempts (seeded by the caller) and jobs it has completed
+    /// (inserted by the caller as they finish).
+    pub files: HashMap<JobId, String>,
+    /// Jobs handed to the cluster so far.
+    pub submitted: HashSet<JobId>,
+}
+
+impl ReplicaJobs<'_> {
+    /// Submits, in graph order, every job that is neither submitted,
+    /// materialized nor `blocked` and whose dependencies have all
+    /// materialized; returns the new run handles.
+    pub fn submit_ready(
+        &mut self,
+        cluster: &mut Cluster,
+        blocked: &HashSet<JobId>,
+    ) -> Result<Vec<(RunHandle, JobId)>, StorageError> {
+        let mut wave = Vec::new();
+        for job in self.graph.jobs() {
+            let id = job.id();
+            if self.submitted.contains(&id)
+                || self.files.contains_key(&id)
+                || blocked.contains(&id)
+                || !job.deps().iter().all(|d| self.files.contains_key(d))
+            {
+                continue;
+            }
+            wave.push((cluster.submit(self.lower(job))?, id));
+            self.submitted.insert(id);
+        }
+        Ok(wave)
+    }
+
+    fn lower(&self, job: &MrJob) -> ExecJob {
+        let ns = &self.namespace;
+        let vps = self.vp_map.get(&job.id()).cloned().unwrap_or_default();
+        let combiner = match (job.shuffle, job.reduce.first()) {
+            (Some(sh), Some(&first))
+                if self.combiners
+                    && !vps.iter().any(|vp| matches!(vp.site, Site::Shuffle { .. })) =>
+            {
+                cbft_dataflow::combiner::Combiner::for_job(
+                    self.plan.vertex(sh).op(),
+                    self.plan.vertex(first).op(),
+                )
+            }
+            _ => None,
+        };
+        ExecJob {
+            plan: Arc::clone(self.plan),
+            inputs: job
+                .inputs
+                .iter()
+                .map(|i| ExecInput {
+                    file: match &i.source {
+                        DataSource::Hdfs(f) => f.clone(),
+                        DataSource::Intermediate(j) => self.files[j].clone(),
+                    },
+                    pipeline: i.pipeline.clone(),
+                    tag: i.tag,
+                })
+                .collect(),
+            shuffle: job.shuffle,
+            reduce: job.reduce.clone(),
+            output_file: match &job.output {
+                JobOutput::Store(name) => format!("{ns}/{name}"),
+                JobOutput::Intermediate => format!("{ns}/j{}", job.id().index()),
+            },
+            reduce_task_count: if job.single_reduce {
+                1
+            } else {
+                self.reduce_tasks
+            },
+            map_split_records: self.map_split_records,
+            verification_points: vps,
+            digest_granularity: self.digest_granularity,
+            batch_records: self.batch_records,
+            sid: format!("{}{}", self.sid_prefix, job.id().index()),
+            replica: self.replica,
+            combiner,
+            sample: self.sample,
+        }
     }
 }
 

@@ -26,15 +26,12 @@ use rand::rngs::StdRng;
 
 use crate::compute::{default_compute_threads, ComputePool, Ticket};
 use crate::fault::{Behavior, NodeId, TaskFate, WorkerNode};
-use crate::metrics::{data_plane, JobMetrics};
+use crate::metrics::JobMetrics;
 use crate::scheduler::{FifoScheduler, SchedContext, Scheduler, TaskChoice};
 use crate::spec::{DigestReport, ExecJob, RunHandle, TaskKind};
-use crate::spotcheck::{CheckInput, SpotCheckRecord};
+use crate::spotcheck::SpotCheckRecord;
 use crate::storage::{Storage, StorageError};
-use crate::task::{
-    digest_map_outputs, digest_reduce_outputs, run_map_task, run_reduce_task, MapTaskOutput,
-    ReduceTaskOutput, Tagged,
-};
+use crate::task::{run_task, Partition, TaskData, TaskInput, TaskOutput};
 
 // The parallel replica executor gives every replica its own `Cluster` and
 // moves it (plus the jobs submitted to it and the events it emits) onto a
@@ -119,12 +116,6 @@ enum Event {
 }
 
 #[derive(Debug)]
-enum ComputedTask {
-    Map(MapTaskOutput),
-    Reduce(ReduceTaskOutput),
-}
-
-#[derive(Debug)]
 enum TaskSt {
     Pending,
     /// Payload handed to the compute pool; joined (and priced into a
@@ -132,11 +123,11 @@ enum TaskSt {
     /// sim clock can advance past the dispatch instant.
     Dispatched {
         node: NodeId,
-        ticket: Ticket<ComputedTask>,
+        ticket: Ticket<TaskOutput>,
     },
     Running {
         node: NodeId,
-        result: Box<ComputedTask>,
+        result: Box<TaskOutput>,
     },
     Hung,
     Done,
@@ -152,23 +143,37 @@ impl TaskSt {
     }
 }
 
-/// One map task's share of an input file: a window into the `Arc`-shared
-/// write-once payload. Splitting a file across tasks costs only handle
-/// clones; the records themselves are never copied at submission.
-#[derive(Clone, Debug)]
-struct MapSplit {
-    /// Index into [`ExecJob::inputs`].
-    input: usize,
-    /// Shared handle to the whole input file.
-    file: Arc<[Record]>,
-    /// Split window `[start, end)` within `file`.
-    start: usize,
-    end: usize,
+/// The tasks of one phase (map or reduce) of a job, index-aligned.
+#[derive(Debug, Default)]
+struct Phase {
+    inputs: Vec<TaskInput>,
+    states: Vec<TaskSt>,
+    outputs: Vec<Option<TaskData>>,
 }
 
-impl MapSplit {
-    fn records(&self) -> &[Record] {
-        &self.file[self.start..self.end]
+impl Phase {
+    fn new(inputs: Vec<TaskInput>) -> Self {
+        Phase {
+            states: inputs.iter().map(|_| TaskSt::Pending).collect(),
+            outputs: inputs.iter().map(|_| None).collect(),
+            inputs,
+        }
+    }
+
+    /// True once the phase exists and every task in it completed.
+    fn is_done(&self) -> bool {
+        !self.states.is_empty() && self.states.iter().all(TaskSt::is_done)
+    }
+
+    /// Moves every task's output records, in task order, into one vector.
+    fn collect_outputs(&mut self) -> Vec<Record> {
+        let mut records = Vec::new();
+        for out in &mut self.outputs {
+            out.take()
+                .expect("done task has output")
+                .append_to(&mut records);
+        }
+        records
     }
 }
 
@@ -186,32 +191,34 @@ struct RunningJob {
     /// Shared with in-flight payload closures on the compute pool.
     spec: Arc<ExecJob>,
     submitted_at: SimTime,
-    /// Per map task: its window into the shared input file.
-    map_task_inputs: Vec<MapSplit>,
+    /// One task per split window into a shared input file.
+    map: Phase,
     /// HDFS-style home node of each map split (block placement).
     map_task_homes: Vec<NodeId>,
-    map_states: Vec<TaskSt>,
-    map_outputs: Vec<Option<Vec<Vec<Tagged>>>>,
-    reduce_inputs: Vec<Vec<Tagged>>,
-    reduce_states: Vec<TaskSt>,
-    reduce_outputs: Vec<Option<Vec<Record>>>,
-    /// True inputs of sampled reduce tasks, cloned at dispatch (before
-    /// the untrusted task can touch them) and handed to the spot-check
-    /// record when the task completes. Map tasks need no stash — their
-    /// split window into the shared input file is already immutable.
-    sampled_reduce_inputs: BTreeMap<usize, Vec<Tagged>>,
+    /// One task per gathered partition; empty until the maps are done.
+    reduce: Phase,
+    /// True inputs of sampled tasks, captured at dispatch (before the
+    /// untrusted task can touch them) and handed to the spot-check record
+    /// when the task completes.
+    sampled_inputs: BTreeMap<(TaskKind, usize), TaskInput>,
     in_reduce_phase: bool,
     metrics: JobMetrics,
     nodes_used: BTreeSet<NodeId>,
 }
 
 impl RunningJob {
-    fn maps_done(&self) -> bool {
-        self.map_states.iter().all(TaskSt::is_done)
+    fn phase(&self, kind: TaskKind) -> &Phase {
+        match kind {
+            TaskKind::Map => &self.map,
+            TaskKind::Reduce => &self.reduce,
+        }
     }
 
-    fn reduces_done(&self) -> bool {
-        !self.reduce_states.is_empty() && self.reduce_states.iter().all(TaskSt::is_done)
+    fn phase_mut(&mut self, kind: TaskKind) -> &mut Phase {
+        match kind {
+            TaskKind::Map => &mut self.map,
+            TaskKind::Reduce => &mut self.reduce,
+        }
     }
 }
 
@@ -589,7 +596,7 @@ impl Cluster {
                 let mut key = input.file.clone().into_bytes();
                 key.extend_from_slice(&(split_idx as u64).to_be_bytes());
                 map_task_homes.push(NodeId((crate::task::fnv1a(&key) % node_count) as usize));
-                map_task_inputs.push(MapSplit {
+                map_task_inputs.push(TaskInput::Split {
                     input: i,
                     file: Arc::clone(&records),
                     start,
@@ -603,14 +610,10 @@ impl Cluster {
         self.rotation_nonce = self.rotation_nonce.wrapping_add(0x9e37);
         let job = RunningJob {
             submitted_at: self.now(),
-            map_states: (0..n_maps).map(|_| TaskSt::Pending).collect(),
-            map_outputs: (0..n_maps).map(|_| None).collect(),
-            map_task_inputs,
+            map: Phase::new(map_task_inputs),
             map_task_homes,
-            reduce_inputs: Vec::new(),
-            reduce_states: Vec::new(),
-            reduce_outputs: Vec::new(),
-            sampled_reduce_inputs: BTreeMap::new(),
+            reduce: Phase::default(),
+            sampled_inputs: BTreeMap::new(),
             in_reduce_phase: false,
             metrics: JobMetrics::new(),
             nodes_used: BTreeSet::new(),
@@ -642,7 +645,7 @@ impl Cluster {
         let Some(job) = self.jobs.remove(&handle) else {
             return false;
         };
-        for st in job.map_states.iter().chain(job.reduce_states.iter()) {
+        for st in job.map.states.iter().chain(job.reduce.states.iter()) {
             match st {
                 // Dispatched payloads also occupy a slot; their tickets
                 // drop with the job (an orphaned pool result is simply
@@ -817,12 +820,14 @@ impl Cluster {
                     continue; // replica-disjointness constraint
                 }
             }
-            let (states, kind) = if job.in_reduce_phase {
-                (&job.reduce_states, TaskKind::Reduce)
+            let kind = if job.in_reduce_phase {
+                TaskKind::Reduce
             } else {
-                (&job.map_states, TaskKind::Map)
+                TaskKind::Map
             };
-            let group: Vec<TaskChoice> = states
+            let group: Vec<TaskChoice> = job
+                .phase(kind)
+                .states
                 .iter()
                 .enumerate()
                 .filter(|(_, st)| st.is_pending())
@@ -866,11 +871,7 @@ impl Cluster {
         let Some(job) = self.jobs.get_mut(&choice.handle) else {
             return;
         };
-        let states = match choice.kind {
-            TaskKind::Map => &mut job.map_states,
-            TaskKind::Reduce => &mut job.reduce_states,
-        };
-        if !states[choice.task_index].is_pending() {
+        if !job.phase(choice.kind).states[choice.task_index].is_pending() {
             return;
         }
         {
@@ -882,14 +883,6 @@ impl Cluster {
                 if bound != job.spec.replica {
                     return;
                 }
-            }
-            if std::env::var_os("CBFT_ENGINE_DEBUG").is_some()
-                && !n.bindings.contains_key(&job.spec.sid)
-            {
-                eprintln!(
-                    "[engine] {node} binds sid {} replica {}",
-                    job.spec.sid, job.spec.replica
-                );
             }
             n.bindings.insert(job.spec.sid.clone(), job.spec.replica);
             n.free_slots -= 1;
@@ -926,11 +919,7 @@ impl Cluster {
             // handles this at the verifier via timeout and re-execution;
             // with a task timeout configured, the cluster itself re-queues
             // the task (speculative execution) after the deadline.
-            let states = match choice.kind {
-                TaskKind::Map => &mut job.map_states,
-                TaskKind::Reduce => &mut job.reduce_states,
-            };
-            states[choice.task_index] = TaskSt::Hung;
+            job.phase_mut(choice.kind).states[choice.task_index] = TaskSt::Hung;
             if let Some(deadline) = self.task_timeout {
                 let at = self.queue.now() + deadline;
                 self.queue.schedule(
@@ -951,51 +940,20 @@ impl Cluster {
         // `(spec, input, fate)`, so nothing about the pool (size, steal
         // order, host timing) can reach the simulated history.
         let spec = Arc::clone(&job.spec);
+        // The payload gets a worker handle to the pool: the shuffle sort
+        // is chunked over it and the columnar plane fans Merkle-level
+        // hashing out over it.
         let task_pool = self.pool.worker_handle();
-        let ticket =
-            match choice.kind {
-                TaskKind::Map => {
-                    // Maps get a worker handle too: the batched data plane
-                    // fans Merkle-level hashing out over the pool.
-                    let split = job.map_task_inputs[choice.task_index].clone();
-                    self.pool.dispatch(move || {
-                        ComputedTask::Map(run_map_task(
-                            &spec,
-                            split.input,
-                            split.records(),
-                            fate,
-                            &task_pool,
-                        ))
-                    })
-                }
-                TaskKind::Reduce => {
-                    // Each reduce index executes at most once (omission faults
-                    // never reach here, and a hung task re-queues as Pending
-                    // without having run), so the input can be moved out
-                    // instead of cloned. The payload gets a worker handle to
-                    // the pool for its chunked shuffle sort.
-                    let incoming = std::mem::take(&mut job.reduce_inputs[choice.task_index]);
-                    // A sampled reduce task's true input must survive for the
-                    // spot-checker; clone it before the untrusted task (whose
-                    // fate may corrupt its view) consumes the only copy.
-                    if job.spec.sample.as_ref().is_some_and(|s| {
-                        s.samples(&job.spec.sid, TaskKind::Reduce, choice.task_index)
-                    }) {
-                        data_plane::count_records_cloned(incoming.len() as u64);
-                        job.sampled_reduce_inputs
-                            .insert(choice.task_index, incoming.clone());
-                    }
-                    self.pool.dispatch(move || {
-                        ComputedTask::Reduce(run_reduce_task(&spec, incoming, fate, &task_pool))
-                    })
-                }
-            };
-
-        let states = match choice.kind {
-            TaskKind::Map => &mut job.map_states,
-            TaskKind::Reduce => &mut job.reduce_states,
-        };
-        states[choice.task_index] = TaskSt::Dispatched { node, ticket };
+        let input = job.phase_mut(choice.kind).inputs[choice.task_index].take();
+        let sampled = spec.sample.as_ref();
+        if sampled.is_some_and(|s| s.samples(&spec.sid, choice.kind, choice.task_index)) {
+            job.sampled_inputs
+                .insert((choice.kind, choice.task_index), input.capture());
+        }
+        let ticket = self
+            .pool
+            .dispatch(move || run_task(&spec, input, fate, &task_pool));
+        job.phase_mut(choice.kind).states[choice.task_index] = TaskSt::Dispatched { node, ticket };
         self.pending_joins.push_back(PendingJoin {
             handle: choice.handle,
             kind: choice.kind,
@@ -1018,19 +976,16 @@ impl Cluster {
             let Some(job) = self.jobs.get_mut(&p.handle) else {
                 continue;
             };
-            let states = match p.kind {
-                TaskKind::Map => &mut job.map_states,
-                TaskKind::Reduce => &mut job.reduce_states,
-            };
-            let st = std::mem::replace(&mut states[p.index], TaskSt::Pending);
+            let state = &mut job.phase_mut(p.kind).states[p.index];
+            let st = std::mem::replace(state, TaskSt::Pending);
             let TaskSt::Dispatched { node, ticket } = st else {
-                states[p.index] = st;
+                *state = st;
                 continue;
             };
             let computed = ticket.join();
-            let duration = match &computed {
-                ComputedTask::Map(out) => {
-                    let w = out.work;
+            let w = computed.work;
+            let duration = match p.kind {
+                TaskKind::Map => {
                     let write = if job.spec.is_map_only() {
                         self.cost.hdfs(w.bytes_out)
                     } else {
@@ -1049,8 +1004,7 @@ impl Cluster {
                         + self.cost.digest_bytes(w.digest_bytes)
                         + write
                 }
-                ComputedTask::Reduce(out) => {
-                    let w = out.work;
+                TaskKind::Reduce => {
                     self.cost.task_startup
                         + self.cost.network(w.bytes_in)
                         + self.cost.net_latency
@@ -1080,11 +1034,7 @@ impl Cluster {
                     duration.as_micros(),
                 );
             }
-            let states = match p.kind {
-                TaskKind::Map => &mut job.map_states,
-                TaskKind::Reduce => &mut job.reduce_states,
-            };
-            states[p.index] = TaskSt::Running {
+            job.phase_mut(p.kind).states[p.index] = TaskSt::Running {
                 node,
                 result: Box::new(computed),
             };
@@ -1107,12 +1057,9 @@ impl Cluster {
         let Some(job) = self.jobs.get_mut(&handle) else {
             return;
         };
-        let states = match kind {
-            TaskKind::Map => &mut job.map_states,
-            TaskKind::Reduce => &mut job.reduce_states,
-        };
-        if matches!(states[index], TaskSt::Hung) {
-            states[index] = TaskSt::Pending;
+        let state = &mut job.phase_mut(kind).states[index];
+        if matches!(state, TaskSt::Hung) {
+            *state = TaskSt::Pending;
             self.wake_nodes(SimDuration::ZERO);
         }
     }
@@ -1122,13 +1069,10 @@ impl Cluster {
         let Some(job) = self.jobs.get_mut(&handle) else {
             return;
         };
-        let states = match kind {
-            TaskKind::Map => &mut job.map_states,
-            TaskKind::Reduce => &mut job.reduce_states,
-        };
-        let st = std::mem::replace(&mut states[index], TaskSt::Done);
+        let state = &mut job.phase_mut(kind).states[index];
+        let st = std::mem::replace(state, TaskSt::Done);
         let TaskSt::Running { node, result } = st else {
-            states[index] = st; // not running (e.g. stale event) — restore
+            *state = st; // not running (e.g. stale event) — restore
             return;
         };
         self.nodes[node.0].free_slots += 1;
@@ -1137,36 +1081,21 @@ impl Cluster {
             // Stage wall times ride on the span's End as wall-domain
             // args: in the exported trace and the summary, never in the
             // canonical trace.
-            let stages = match &*result {
-                ComputedTask::Map(out) => out.stages,
-                ComputedTask::Reduce(out) => out.stages,
-            };
             let mut end = TraceEvent::end(task_span_name(kind), "engine")
                 .on(self.trace_pid, node.0 as u32)
                 .at_sim(now.as_micros())
                 .seq(index as u64);
-            for (stage, ns) in stages.named() {
+            for (stage, ns) in result.stages.named() {
                 end = end.wall_arg(stage, ns);
             }
             self.tracer.emit(end);
         }
 
-        let spec_sid = job.spec.sid.clone();
-        let spec_replica = job.spec.replica;
-        let sampled = job
-            .spec
-            .sample
-            .as_ref()
-            .is_some_and(|s| s.samples(&spec_sid, kind, index));
-        let cpu_of = |w: &crate::task::Work, cost: &CostModel| {
-            cost.cpu_records(w.record_ops) + cost.digest_bytes(w.digest_bytes)
-        };
-        let mut digest_events = Vec::new();
-        let mut spot: Option<SpotCheckRecord> = None;
-        match *result {
-            ComputedTask::Map(out) => {
-                let w = out.work;
-                job.metrics.cpu_time += cpu_of(&w, &self.cost);
+        let w = result.work;
+        job.metrics.cpu_time +=
+            self.cost.cpu_records(w.record_ops) + self.cost.digest_bytes(w.digest_bytes);
+        match kind {
+            TaskKind::Map => {
                 job.metrics.hdfs_read_bytes += w.bytes_in;
                 if job.map_task_homes[index] == node {
                     job.metrics.data_local_tasks += 1;
@@ -1183,118 +1112,63 @@ impl Cluster {
                     );
                 }
                 job.metrics.map_tasks += 1;
-                for (vp, summary) in out.digests {
-                    job.metrics.network_bytes += 40 * summary.chunks().len() as u64;
-                    digest_events.push(EngineEvent::Digest(DigestReport {
-                        handle,
-                        sid: spec_sid.clone(),
-                        replica: spec_replica,
-                        vertex: vp.vertex,
-                        site: vp.site,
-                        kind,
-                        task_index: index,
-                        summary,
-                        at: now,
-                    }));
-                }
-                if sampled {
-                    // Capture the spot-check evidence: the recorded
-                    // output commitment (digested here, on the trusted
-                    // side — no sim time charged) plus a handle clone of
-                    // the task's split window.
-                    let split = &job.map_task_inputs[index];
-                    spot = Some(SpotCheckRecord {
-                        handle,
-                        sid: spec_sid.clone(),
-                        replica: spec_replica,
-                        kind,
-                        task_index: index,
-                        node,
-                        recorded: digest_map_outputs(&out.partitions, job.spec.digest_granularity),
-                        spec: Arc::clone(&job.spec),
-                        input: CheckInput::Map {
-                            input_index: split.input,
-                            file: Arc::clone(&split.file),
-                            start: split.start,
-                            end: split.end,
-                        },
-                    });
-                }
-                job.map_outputs[index] = Some(out.partitions);
             }
-            ComputedTask::Reduce(out) => {
-                let w = out.work;
-                job.metrics.cpu_time += cpu_of(&w, &self.cost);
+            TaskKind::Reduce => {
                 job.metrics.network_bytes += w.bytes_in;
                 job.metrics.local_read_bytes += w.bytes_in;
                 job.metrics.hdfs_write_bytes += w.bytes_out;
                 job.metrics.reduce_tasks += 1;
-                for (vp, summary) in out.digests {
-                    job.metrics.network_bytes += 40 * summary.chunks().len() as u64;
-                    digest_events.push(EngineEvent::Digest(DigestReport {
-                        handle,
-                        sid: spec_sid.clone(),
-                        replica: spec_replica,
-                        vertex: vp.vertex,
-                        site: vp.site,
-                        kind,
-                        task_index: index,
-                        summary,
-                        at: now,
-                    }));
-                }
-                if sampled {
-                    if let Some(incoming) = job.sampled_reduce_inputs.remove(&index) {
-                        spot = Some(SpotCheckRecord {
-                            handle,
-                            sid: spec_sid.clone(),
-                            replica: spec_replica,
-                            kind,
-                            task_index: index,
-                            node,
-                            recorded: digest_reduce_outputs(
-                                &out.records,
-                                job.spec.digest_granularity,
-                            ),
-                            spec: Arc::clone(&job.spec),
-                            input: CheckInput::Reduce { incoming },
-                        });
-                    }
-                }
-                job.reduce_outputs[index] = Some(out.records);
             }
         }
-        if self.tracer.enabled() {
-            for ev in &digest_events {
-                if let EngineEvent::Digest(d) = ev {
-                    self.tracer.emit(
-                        TraceEvent::instant("digest", "engine")
-                            .on(self.trace_pid, node.0 as u32)
-                            .at_sim(now.as_micros())
-                            .seq(index as u64)
-                            .arg("vertex", d.vertex.0 as u64)
-                            .arg("chunks", d.summary.chunks().len()),
-                    );
-                }
+        // Spot-check evidence for a sampled task: the true input captured
+        // at dispatch plus the recorded output commitment (digested here,
+        // on the trusted side — no sim time charged).
+        let spot = job.sampled_inputs.remove(&(kind, index)).map(|input| {
+            EngineEvent::SpotCheck(Box::new(SpotCheckRecord {
+                handle,
+                sid: job.spec.sid.clone(),
+                replica: job.spec.replica,
+                kind,
+                task_index: index,
+                node,
+                recorded: result.commitment(job.spec.digest_granularity),
+                spec: Arc::clone(&job.spec),
+                input,
+            }))
+        });
+        let TaskOutput { data, digests, .. } = *result;
+        for (vp, summary) in digests {
+            job.metrics.network_bytes += 40 * summary.chunks().len() as u64;
+            if self.tracer.enabled() {
+                self.tracer.emit(
+                    TraceEvent::instant("digest", "engine")
+                        .on(self.trace_pid, node.0 as u32)
+                        .at_sim(now.as_micros())
+                        .seq(index as u64)
+                        .arg("vertex", vp.vertex.0 as u64)
+                        .arg("chunks", summary.chunks().len()),
+                );
             }
+            self.outbox.push_back(EngineEvent::Digest(DigestReport {
+                handle,
+                sid: job.spec.sid.clone(),
+                replica: job.spec.replica,
+                vertex: vp.vertex,
+                site: vp.site,
+                kind,
+                task_index: index,
+                summary,
+                at: now,
+            }));
         }
-        self.outbox.extend(digest_events);
-        if let Some(rec) = spot {
-            self.outbox.push_back(EngineEvent::SpotCheck(Box::new(rec)));
-        }
+        self.outbox.extend(spot);
+        job.phase_mut(kind).outputs[index] = Some(data);
 
         // Phase transitions.
         let mut completed: Option<Vec<Record>> = None;
-        if kind == TaskKind::Map && job.maps_done() {
+        if kind == TaskKind::Map && job.map.is_done() {
             if job.spec.is_map_only() {
-                let records: Vec<Record> = job
-                    .map_outputs
-                    .iter_mut()
-                    .flat_map(|o| o.take().expect("done map has output"))
-                    .flatten()
-                    .map(|(_, r)| r)
-                    .collect();
-                completed = Some(records);
+                completed = Some(job.map.collect_outputs());
             } else {
                 let n_partitions = if job.spec.is_collector() {
                     1
@@ -1302,42 +1176,34 @@ impl Cluster {
                     job.spec.reduce_task_count.max(1)
                 };
                 // Shuffle gather. First transpose ownership — collect
-                // each partition's per-map runs, moving `Vec` handles
-                // only — then concatenate the partitions concurrently on
-                // the compute pool into buffers pre-sized from the
-                // summed run lengths. Records move, never clone, so the
+                // each partition's per-map runs, moving handles only —
+                // then concatenate the partitions concurrently on the
+                // compute pool. Records move, never clone, so the
                 // zero-copy invariant (`records_cloned == 0` on the
                 // replica read path) is preserved; per-partition outputs
                 // are independent of the pool, keeping the gather
                 // deterministic.
-                let mut per_part: Vec<Vec<Vec<Tagged>>> =
+                let mut per_part: Vec<Vec<Partition>> =
                     (0..n_partitions).map(|_| Vec::new()).collect();
-                for out in job.map_outputs.iter_mut() {
-                    let parts = out.take().expect("done map has output");
-                    for (p, records) in parts.into_iter().enumerate() {
+                for out in job.map.outputs.iter_mut() {
+                    let parts = out.take().expect("done map has output").into_partitions();
+                    for (p, run) in parts.into_iter().enumerate() {
                         // Collector jobs concatenate everything into one
                         // partition; shuffled jobs keep partition indices.
                         let target = if job.spec.is_collector() { 0 } else { p };
-                        per_part[target].push(records);
+                        per_part[target].push(run);
                     }
                 }
-                let pool = self.pool.clone();
-                let gathers: Vec<Ticket<Vec<Tagged>>> = per_part
+                let gathers: Vec<Ticket<Partition>> = per_part
                     .into_iter()
-                    .map(|runs| {
-                        pool.dispatch(move || {
-                            let total = runs.iter().map(Vec::len).sum();
-                            let mut buf: Vec<Tagged> = Vec::with_capacity(total);
-                            for run in runs {
-                                buf.extend(run);
-                            }
-                            buf
-                        })
-                    })
+                    .map(|runs| self.pool.dispatch(move || Partition::concat(runs)))
                     .collect();
-                job.reduce_inputs = gathers.into_iter().map(Ticket::join).collect();
-                job.reduce_states = (0..n_partitions).map(|_| TaskSt::Pending).collect();
-                job.reduce_outputs = (0..n_partitions).map(|_| None).collect();
+                job.reduce = Phase::new(
+                    gathers
+                        .into_iter()
+                        .map(|t| TaskInput::Partition(t.join()))
+                        .collect(),
+                );
                 job.in_reduce_phase = true;
                 if self.tracer.enabled() {
                     self.tracer.emit(
@@ -1349,13 +1215,8 @@ impl Cluster {
                     );
                 }
             }
-        } else if kind == TaskKind::Reduce && job.reduces_done() {
-            let records: Vec<Record> = job
-                .reduce_outputs
-                .iter_mut()
-                .flat_map(|o| o.take().expect("done reduce has output"))
-                .collect();
-            completed = Some(records);
+        } else if kind == TaskKind::Reduce && job.reduce.is_done() {
+            completed = Some(job.reduce.collect_outputs());
         }
         if let Some(records) = completed {
             self.complete_job(handle, records);

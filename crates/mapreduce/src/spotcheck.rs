@@ -25,38 +25,12 @@
 
 use std::sync::Arc;
 
-use cbft_dataflow::Record;
 use cbft_digest::{ChunkedSummary, MismatchRange};
 
 use crate::compute::ComputePool;
 use crate::fault::{NodeId, TaskFate};
 use crate::spec::{ExecJob, RunHandle, TaskKind};
-use crate::task::{
-    digest_map_outputs, digest_reduce_outputs, run_map_task, run_reduce_task, Tagged,
-};
-
-/// The captured true input of a sampled task.
-#[derive(Clone, Debug)]
-pub(crate) enum CheckInput {
-    /// A map task's split: a window into the `Arc`-shared input file
-    /// (capture costs only a handle clone).
-    Map {
-        /// Index into [`ExecJob::inputs`].
-        input_index: usize,
-        /// Shared handle to the whole input file.
-        file: Arc<[Record]>,
-        /// Split window `[start, end)` within `file`.
-        start: usize,
-        /// Split window end.
-        end: usize,
-    },
-    /// A reduce/collector task's exact incoming partition, cloned before
-    /// the untrusted task could touch it.
-    Reduce {
-        /// The tagged records fed to the task.
-        incoming: Vec<Tagged>,
-    },
-}
+use crate::task::{run_task, TaskInput};
 
 /// Everything needed to re-execute one sampled task and judge its
 /// recorded output: emitted by the engine as
@@ -79,16 +53,16 @@ pub struct SpotCheckRecord {
     /// Commitment digest over the output the untrusted node reported.
     pub recorded: ChunkedSummary,
     pub(crate) spec: Arc<ExecJob>,
-    pub(crate) input: CheckInput,
+    /// The captured true input: a map split's window into the
+    /// `Arc`-shared input file, or the exact reduce partition fed to the
+    /// task, copied before the untrusted task could touch it.
+    pub(crate) input: TaskInput,
 }
 
 impl SpotCheckRecord {
     /// Number of input records an honest re-run will process.
     pub fn records_to_rerun(&self) -> u64 {
-        match &self.input {
-            CheckInput::Map { start, end, .. } => (end - start) as u64,
-            CheckInput::Reduce { incoming } => incoming.len() as u64,
-        }
+        self.input.len() as u64
     }
 
     /// Re-executes the task honestly on its captured true inputs and
@@ -96,28 +70,10 @@ impl SpotCheckRecord {
     /// verdict (and the localized divergence window) is identical on any
     /// thread and for any pool size.
     pub fn check(&self, pool: &ComputePool) -> SpotCheck {
-        let granularity = self.spec.digest_granularity;
-        let honest = match &self.input {
-            CheckInput::Map {
-                input_index,
-                file,
-                start,
-                end,
-            } => {
-                let out = run_map_task(
-                    &self.spec,
-                    *input_index,
-                    &file[*start..*end],
-                    TaskFate::Faithful,
-                    pool,
-                );
-                digest_map_outputs(&out.partitions, granularity)
-            }
-            CheckInput::Reduce { incoming } => {
-                let out = run_reduce_task(&self.spec, incoming.clone(), TaskFate::Faithful, pool);
-                digest_reduce_outputs(&out.records, granularity)
-            }
-        };
+        // The same entry point the untrusted node ran, with a faithful
+        // fate; the two runs are compared by their output commitments.
+        let honest = run_task(&self.spec, self.input.clone(), TaskFate::Faithful, pool)
+            .commitment(self.spec.digest_granularity);
         let confirmed = honest.combined() == self.recorded.combined();
         SpotCheck {
             sid: self.sid.clone(),

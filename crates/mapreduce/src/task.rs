@@ -4,6 +4,17 @@
 //! compute the verification-point digests, returning work counters that the
 //! engine converts to virtual time through the cost model. Keeping them
 //! pure (no cluster state) makes the task semantics directly testable.
+//!
+//! There is one map skeleton ([`run_map_task`]) and one reduce skeleton
+//! ([`run_reduce_task`]). Both drive a private [`Stream`] whose two arms —
+//! borrowed-or-owned rows, or columnar batches — dispatch to the row and
+//! vectorized kernels; the arm is chosen once, when the task opens its
+//! input, and every work charge, clone count, stage timer and
+//! verification-point match lives in the skeleton, not in the arm. The
+//! engine and the spot-checker run tasks through [`run_task`] over
+//! [`TaskInput`] / [`TaskOutput`]; the record format between operators
+//! and between map and reduce ([`Partition`]) is known to this module
+//! alone.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -13,7 +24,7 @@ use cbft_dataflow::compile::Site;
 use cbft_dataflow::interp::{
     group_records_owned, join_records, order_records_owned, project_record,
 };
-use cbft_dataflow::{Batch, LogicalPlan, Operator, Record, Value, VertexId};
+use cbft_dataflow::{Batch, Operator, Record, Value};
 use cbft_digest::{
     parent_count, parent_level, parent_range, ChunkedDigest, ChunkedSummary, Digest,
 };
@@ -24,9 +35,411 @@ use crate::metrics::data_plane;
 use crate::spec::{ExecJob, VpSite};
 
 /// A record tagged with its join side.
-pub(crate) type Tagged = (usize, Record);
+type Tagged = (usize, Record);
 
-/// A stream of records flowing through a task pipeline.
+/// One reduce partition's share of map output — the data format between
+/// map and reduce tasks.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct Partition(Vec<Tagged>);
+
+impl Partition {
+    /// Records in the partition.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The shuffle gather: concatenates one partition's per-map runs, in
+    /// map-task order, into a buffer pre-sized from the summed run
+    /// lengths. Records move, never clone.
+    pub fn concat(runs: Vec<Partition>) -> Partition {
+        let mut buf = Vec::with_capacity(runs.iter().map(Partition::len).sum());
+        for run in runs {
+            buf.extend(run.0);
+        }
+        Partition(buf)
+    }
+}
+
+/// What a task runs on.
+#[derive(Clone, Debug)]
+pub(crate) enum TaskInput {
+    /// A map task's split: a window into the `Arc`-shared write-once
+    /// input file. Splitting a file across tasks costs only handle
+    /// clones; the records themselves are never copied.
+    Split {
+        /// Index into [`ExecJob::inputs`].
+        input: usize,
+        /// Shared handle to the whole input file.
+        file: Arc<[Record]>,
+        /// Split window `[start, end)` within `file`.
+        start: usize,
+        /// Split window end.
+        end: usize,
+    },
+    /// A reduce (or collector) task's incoming partition.
+    Partition(Partition),
+}
+
+impl TaskInput {
+    /// Records the task reads.
+    pub fn len(&self) -> usize {
+        match self {
+            TaskInput::Split { start, end, .. } => end - start,
+            TaskInput::Partition(p) => p.len(),
+        }
+    }
+
+    /// Hands the input to a task payload. A split is an immutable handle
+    /// and stays in place (its task may be re-queued); a partition moves
+    /// out, since each reduce index executes at most once.
+    pub fn take(&mut self) -> TaskInput {
+        match self {
+            TaskInput::Split { .. } => self.clone(),
+            TaskInput::Partition(p) => TaskInput::Partition(std::mem::take(p)),
+        }
+    }
+
+    /// The copy kept for the trusted spot-checker, made before the
+    /// untrusted task (whose fate may corrupt its view) sees the input.
+    /// A split costs a handle clone; a partition is deep-copied.
+    pub fn capture(&self) -> TaskInput {
+        if let TaskInput::Partition(p) = self {
+            data_plane::count_records_cloned(p.len() as u64);
+        }
+        self.clone()
+    }
+}
+
+/// The records a task produced.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum TaskData {
+    /// A map task's output per reduce partition; a single "partition 0"
+    /// holds everything when the job has no shuffle.
+    Partitions(Vec<Partition>),
+    /// A reduce or collector task's output.
+    Records(Vec<Record>),
+}
+
+impl TaskData {
+    /// Moves the output records, in order, onto the end of `out`.
+    pub fn append_to(self, out: &mut Vec<Record>) {
+        match self {
+            TaskData::Partitions(parts) => {
+                out.extend(parts.into_iter().flat_map(|p| p.0).map(|(_, r)| r))
+            }
+            TaskData::Records(mut records) => out.append(&mut records),
+        }
+    }
+
+    /// A map task's output, one entry per reduce partition.
+    pub fn into_partitions(self) -> Vec<Partition> {
+        match self {
+            TaskData::Partitions(parts) => parts,
+            TaskData::Records(_) => unreachable!("only map tasks feed a shuffle"),
+        }
+    }
+}
+
+/// Work performed by a task, in units the cost model can price.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Work {
+    /// Record×operator applications.
+    pub record_ops: u64,
+    /// Bytes fed through digest functions.
+    pub digest_bytes: u64,
+    /// Bytes of records read by the task.
+    pub bytes_in: u64,
+    /// Bytes of records produced by the task.
+    pub bytes_out: u64,
+}
+
+/// Host wall time one task spent in each of its stages, in nanoseconds.
+///
+/// Carried beside [`Work`], never inside it: `Work` is compared for
+/// equality across planes and replicas, wall time never repeats. The
+/// engine attaches these to the task's trace span as wall-domain args.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct StageWall {
+    /// Records → [`Batch`] conversion at the task's input boundary.
+    pub to_batch: u64,
+    /// Per-record operators (`FILTER`, `FOREACH`, `LIMIT`).
+    pub pipeline_ops: u64,
+    /// The blocking shuffle operator (`GROUP`, `JOIN`, `ORDER`,
+    /// `DISTINCT`, combiner merge).
+    pub shuffle_kernel: u64,
+    /// Canonical encoding and hashing at verification points.
+    pub digest: u64,
+    /// Routing map output to reduce partitions (rows materialize here).
+    pub partition: u64,
+    /// Stream → records at the output boundary of a reduce task or of a
+    /// map task without a shuffle.
+    pub to_records: u64,
+}
+
+impl StageWall {
+    /// `(trace arg name, nanoseconds)` per stage, in pipeline order.
+    pub fn named(&self) -> [(&'static str, u64); 6] {
+        [
+            ("to_batch_ns", self.to_batch),
+            ("pipeline_ops_ns", self.pipeline_ops),
+            ("shuffle_kernel_ns", self.shuffle_kernel),
+            ("digest_ns", self.digest),
+            ("partition_ns", self.partition),
+            ("to_records_ns", self.to_records),
+        ]
+    }
+}
+
+/// Runs `f`, adding its wall time to `slot`.
+fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    *slot += start.elapsed().as_nanos() as u64;
+    out
+}
+
+/// Result of a task.
+#[derive(Clone, Debug)]
+pub(crate) struct TaskOutput {
+    /// The records produced.
+    pub data: TaskData,
+    /// Digest summaries produced at the task's verification points.
+    pub digests: Vec<(VpSite, ChunkedSummary)>,
+    /// Work counters.
+    pub work: Work,
+    /// Wall time per stage (diagnostic; not part of the task's result).
+    pub stages: StageWall,
+}
+
+impl TaskOutput {
+    fn new(bytes_in: u64) -> TaskOutput {
+        TaskOutput {
+            data: TaskData::Records(Vec::new()),
+            digests: Vec::new(),
+            work: Work {
+                bytes_in,
+                ..Work::default()
+            },
+            stages: StageWall::default(),
+        }
+    }
+
+    /// Commitment digest over the task's output: every record (for a map
+    /// task, every `(partition, tag, record)` triple) framed canonically
+    /// into one chunked stream. Computed once when the engine captures a
+    /// sampled task and again by the trusted spot-checker after an honest
+    /// re-run; any divergence between the two localizes via the summary's
+    /// Merkle tree. Finished inline (never pool-fanned) so capture and
+    /// re-check hash the byte-identical stream regardless of which thread
+    /// runs them.
+    pub fn commitment(&self, granularity: usize) -> ChunkedSummary {
+        let mut cd = ChunkedDigest::new(granularity);
+        let mut buf = Vec::new();
+        let mut frame = |route: Option<(usize, usize)>, r: &Record| {
+            ChunkedDigest::begin_frame(&mut buf);
+            if let Some((partition, tag)) = route {
+                buf.extend_from_slice(&(partition as u64).to_be_bytes());
+                buf.extend_from_slice(&(tag as u64).to_be_bytes());
+            }
+            r.write_canonical(&mut buf);
+            ChunkedDigest::seal_frame(&mut buf);
+            cd.append_framed(&buf);
+        };
+        match &self.data {
+            TaskData::Partitions(parts) => {
+                for (p, part) in parts.iter().enumerate() {
+                    for (tag, r) in &part.0 {
+                        frame(Some((p, *tag)), r);
+                    }
+                }
+            }
+            TaskData::Records(records) => records.iter().for_each(|r| frame(None, r)),
+        }
+        cd.finish()
+    }
+}
+
+/// Executes one task: a map task over its split, or a reduce/collector
+/// task over its partition. The single entry point of the engine and of
+/// the spot-checker, so an honest re-run executes exactly the code the
+/// untrusted node ran.
+pub(crate) fn run_task(
+    job: &ExecJob,
+    input: TaskInput,
+    fate: TaskFate,
+    pool: &ComputePool,
+) -> TaskOutput {
+    match input {
+        TaskInput::Split {
+            input,
+            file,
+            start,
+            end,
+        } => run_map_task(job, input, &file[start..end], fate, pool),
+        TaskInput::Partition(incoming) => run_reduce_task(job, incoming, fate, pool),
+    }
+}
+
+/// Executes one map task: applies the input pipeline to a split, digests
+/// at map-side verification points, and partitions the result for the
+/// shuffle.
+///
+/// The split is borrowed (a window into the `Arc`-shared input file);
+/// records are cloned only where they must become owned — at the partition
+/// boundary, and only if the pipeline kept them borrowed until then.
+pub(crate) fn run_map_task(
+    job: &ExecJob,
+    input_index: usize,
+    records: &[Record],
+    fate: TaskFate,
+    pool: &ComputePool,
+) -> TaskOutput {
+    debug_assert_ne!(fate, TaskFate::Omitted, "omitted tasks never execute");
+    let plan = &job.plan;
+    let input = &job.inputs[input_index];
+    let mut out = TaskOutput::new(byte_size(records));
+    let mut stream = Stream::open_split(job, records, fate, &mut out.stages);
+
+    for (pos, &vid) in input.pipeline.iter().enumerate() {
+        stream = timed(&mut out.stages.pipeline_ops, || {
+            stream.apply(plan.vertex(vid).op(), &mut out.work)
+        });
+        let here = |vp: &VpSite| match vp.site {
+            Site::MapInput { input, pos: p, .. } => input == input_index && p == pos,
+            _ => false,
+        };
+        digest_where(job, here, &stream, &mut out, pool);
+    }
+
+    // The output boundary: partitions outlive the split borrow, so rows
+    // still borrowed from (or columnar images of) the split are cloned
+    // here — the single unavoidable copy on the map path.
+    let len = stream.len();
+    if !stream.is_owned() {
+        data_plane::count_records_cloned(len);
+    }
+    let work = &mut out.work;
+    let partitions = match job.shuffle.map(|sh| plan.vertex(sh).op()) {
+        Some(op) => timed(&mut out.stages.partition, || {
+            let n = job.reduce_task_count.max(1);
+            match &job.combiner {
+                // Map-side combining: one [key, partials...] record per
+                // local key, partitioned by the leading key (same hash as
+                // the raw records would have used).
+                Some(comb) => {
+                    work.record_ops += 2 * len;
+                    let partials = comb.partials(&stream.into_records());
+                    partition_records(ShuffleKey::Field(0), input.tag, partials, n, work)
+                }
+                None => {
+                    work.record_ops += len;
+                    stream.partition(ShuffleKey::of(op, input.tag), input.tag, n, work)
+                }
+            }
+        }),
+        None => timed(&mut out.stages.to_records, || {
+            let tagged = stream.into_records().into_iter().map(|r| {
+                work.bytes_out += r.byte_size();
+                (input.tag, r)
+            });
+            vec![Partition(tagged.collect())]
+        }),
+    };
+    out.data = TaskData::Partitions(partitions);
+    out
+}
+
+/// Executes one reduce (or collector) task over one partition. `pool`
+/// accelerates the shuffle-side sort; since the chunked parallel sort is
+/// pool-size-invariant, results are identical for every pool (the engine
+/// passes its own pool, standalone tests the inline default).
+pub(crate) fn run_reduce_task(
+    job: &ExecJob,
+    incoming: Partition,
+    fate: TaskFate,
+    pool: &ComputePool,
+) -> TaskOutput {
+    debug_assert_ne!(fate, TaskFate::Omitted, "omitted tasks never execute");
+    let plan = &job.plan;
+    let incoming = incoming.0;
+    let mut out = TaskOutput::new(incoming.iter().map(|(_, r)| r.byte_size()).sum());
+
+    // Under a combiner the shuffle step merges partials straight into the
+    // fused projection's output — identical, record for record, to group
+    // + project, so digest sites at reduce position 0 still correspond
+    // across replicas regardless of combining. A shuffle-site point
+    // cannot be served (no materialized bags); the caller must not
+    // combine in that case.
+    let combined = job.shuffle.is_some() && job.combiner.is_some();
+    debug_assert!(
+        !combined
+            || !job
+                .verification_points
+                .iter()
+                .any(|vp| matches!(vp.site, Site::Shuffle { .. })),
+        "combiner active with a shuffle verification point"
+    );
+    if job.shuffle.is_some() {
+        // Grouping/joining/sorting costs roughly two passes per record.
+        out.work.record_ops += 2 * incoming.len() as u64;
+    }
+    let mut stream = Stream::open_partition(job, incoming, fate, &mut out.stages, pool);
+    if let Some(shuffle) = job.shuffle {
+        let here = |vp: &VpSite| {
+            if combined {
+                matches!(vp.site, Site::Reduce { pos: 0, .. })
+            } else {
+                matches!(vp.site, Site::Shuffle { .. }) && vp.vertex == shuffle
+            }
+        };
+        digest_where(job, here, &stream, &mut out, pool);
+    }
+
+    for (pos, &vid) in job.reduce.iter().enumerate().skip(usize::from(combined)) {
+        stream = timed(&mut out.stages.pipeline_ops, || {
+            stream.apply(plan.vertex(vid).op(), &mut out.work)
+        });
+        let here = |vp: &VpSite| {
+            vp.vertex == vid && matches!(vp.site, Site::Reduce { pos: p, .. } if p == pos)
+        };
+        digest_where(job, here, &stream, &mut out, pool);
+    }
+
+    // The one place reduce-side rows (and any bags still nested in a
+    // columnar stream) become records.
+    let records = timed(&mut out.stages.to_records, || stream.into_records());
+    out.work.bytes_out = byte_size(&records);
+    out.data = TaskData::Records(records);
+    out
+}
+
+/// Digests `stream` once per verification point `here` selects — the one
+/// place a task matches its verification points.
+fn digest_where(
+    job: &ExecJob,
+    here: impl Fn(&VpSite) -> bool,
+    stream: &Stream<'_>,
+    out: &mut TaskOutput,
+    pool: &ComputePool,
+) {
+    for vp in job.verification_points.iter().filter(|vp| here(vp)) {
+        let summary = timed(&mut out.stages.digest, || {
+            stream.digest(job.digest_granularity, &mut out.work, pool)
+        });
+        out.digests.push((*vp, summary));
+    }
+}
+
+/// The rule that picks a [`Stream`] arm, as far as the job and the fate
+/// decide it: the columnar plane runs the hot case, a faithful task
+/// without a combiner. Corruption (a cold fault path) and combining keep
+/// the row plane. The input's shape decides the rest — see
+/// [`Stream::open_split`] and [`Stream::open_partition`].
+fn columnar(job: &ExecJob, fate: TaskFate) -> bool {
+    job.batch_records > 0 && fate == TaskFate::Faithful && job.combiner.is_none()
+}
+
+/// A stream of rows flowing through a task pipeline on the row plane.
 ///
 /// Map tasks read their split as a borrowed slice of the `Arc`-shared input
 /// file; per-record operators keep records borrowed as long as possible
@@ -75,348 +488,299 @@ impl<'a> RecordStream<'a> {
         }
     }
 
-    fn byte_size(&self) -> u64 {
-        self.iter().map(Record::byte_size).sum()
-    }
-
     /// Materializes the stream as owned records, cloning only when the
     /// records are still borrowed from the input split.
     fn into_owned(self) -> Vec<Record> {
         match self {
             RecordStream::Owned(v) => v,
-            RecordStream::Slice(s) => {
-                data_plane::count_records_cloned(s.len() as u64);
-                s.to_vec()
-            }
-            RecordStream::Refs(v) => {
-                data_plane::count_records_cloned(v.len() as u64);
-                v.into_iter().cloned().collect()
-            }
+            RecordStream::Slice(s) => s.to_vec(),
+            RecordStream::Refs(v) => v.into_iter().cloned().collect(),
         }
     }
 }
 
-/// Work performed by a task, in units the cost model can price.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct Work {
-    /// Record×operator applications.
-    pub record_ops: u64,
-    /// Bytes fed through digest functions.
-    pub digest_bytes: u64,
-    /// Bytes of records read by the task.
-    pub bytes_in: u64,
-    /// Bytes of records produced by the task.
-    pub bytes_out: u64,
+/// The records flowing through one task, on the plane chosen when the
+/// task opened its input. Batching is purely a host-side execution
+/// strategy: digests, partition assignments, output records and work
+/// counters are byte-identical on both arms, pinned by the `batched_*`
+/// and `planes_agree_*` task tests.
+enum Stream<'a> {
+    /// Row-at-a-time execution: `--batch-size 0`, and the fallback for
+    /// corrupt fates, combiners, ragged inputs and DISTINCT.
+    Rows(RecordStream<'a>),
+    /// Vectorized execution over batches of at most
+    /// [`ExecJob::batch_records`] rows.
+    Cols {
+        batches: Vec<Batch>,
+        /// Mirrors the row arm's borrow tracking: `false` while the rows
+        /// are still columnar images of the input split, `true` once a
+        /// projection (or a shuffle) produced fresh rows.
+        owned: bool,
+    },
 }
 
-/// Host wall time one task spent in each of its stages, in nanoseconds.
-///
-/// Carried beside [`Work`], never inside it: `Work` is compared for
-/// equality across planes and replicas, wall time never repeats. The
-/// engine attaches these to the task's trace span as wall-domain args.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct StageWall {
-    /// Records → [`Batch`] conversion at the task's input boundary.
-    pub to_batch: u64,
-    /// Per-record operators (`FILTER`, `FOREACH`, `LIMIT`).
-    pub pipeline_ops: u64,
-    /// The blocking shuffle operator (`GROUP`, `JOIN`, `ORDER`,
-    /// `DISTINCT`, combiner merge).
-    pub shuffle_kernel: u64,
-    /// Canonical encoding and hashing at verification points.
-    pub digest: u64,
-    /// Routing map output to reduce partitions (rows materialize here).
-    pub partition: u64,
-    /// [`Batch`] → records at the task's output boundary.
-    pub to_records: u64,
-}
-
-impl StageWall {
-    /// `(trace arg name, nanoseconds)` per stage, in pipeline order.
-    pub fn named(&self) -> [(&'static str, u64); 6] {
-        [
-            ("to_batch_ns", self.to_batch),
-            ("pipeline_ops_ns", self.pipeline_ops),
-            ("shuffle_kernel_ns", self.shuffle_kernel),
-            ("digest_ns", self.digest),
-            ("partition_ns", self.partition),
-            ("to_records_ns", self.to_records),
-        ]
-    }
-}
-
-/// Runs `f`, adding its wall time to `slot`.
-fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
-    let start = Instant::now();
-    let out = f();
-    *slot += start.elapsed().as_nanos() as u64;
-    out
-}
-
-/// Result of a map task.
-#[derive(Clone, Debug)]
-pub(crate) struct MapTaskOutput {
-    /// When the job has a shuffle: records per reduce partition.
-    /// Otherwise a single "partition 0" holding the task output.
-    pub partitions: Vec<Vec<Tagged>>,
-    /// Digest summaries produced at map-side verification points.
-    pub digests: Vec<(VpSite, ChunkedSummary)>,
-    /// Work counters.
-    pub work: Work,
-    /// Wall time per stage (diagnostic; not part of the task's result).
-    pub stages: StageWall,
-}
-
-/// Result of a reduce/collector task.
-#[derive(Clone, Debug)]
-pub(crate) struct ReduceTaskOutput {
-    /// Output records of the task.
-    pub records: Vec<Record>,
-    /// Digest summaries produced at shuffle/reduce verification points.
-    pub digests: Vec<(VpSite, ChunkedSummary)>,
-    /// Work counters.
-    pub work: Work,
-    /// Wall time per stage (diagnostic; not part of the task's result).
-    pub stages: StageWall,
-}
-
-/// Executes one map task: applies the input pipeline to a split, digests
-/// at map-side verification points, and partitions the result for the
-/// shuffle.
-///
-/// The split is borrowed (a window into the `Arc`-shared input file);
-/// records are cloned only where they must become owned — at the partition
-/// boundary, and only if the pipeline kept them borrowed until then.
-pub(crate) fn run_map_task(
-    job: &ExecJob,
-    input_index: usize,
-    records: &[Record],
-    fate: TaskFate,
-    pool: &ComputePool,
-) -> MapTaskOutput {
-    debug_assert_ne!(fate, TaskFate::Omitted, "omitted tasks never execute");
-    // The columnar path covers the hot case: a faithful task without a
-    // combiner. Corruption (a cold fault path) and combining keep the
-    // row path; a ragged split (mixed arity) falls back inside.
-    if job.batch_records > 0 && fate == TaskFate::Faithful && job.combiner.is_none() {
-        if let Some(out) = run_map_task_batched(job, input_index, records, pool) {
-            return out;
-        }
-    }
-    let plan = &job.plan;
-    let input = &job.inputs[input_index];
-    let mut work = Work {
-        bytes_in: byte_size(records),
-        ..Work::default()
-    };
-    let mut stream = if fate == TaskFate::Corrupt {
-        // A commission fault: the node processes a corrupted view of the
-        // data, so every downstream digest and output reflects it. The
-        // corrupting clone happens only on this (cold) fault path.
-        let mut owned = records.to_vec();
-        for r in &mut owned {
-            corrupt_record(r);
-        }
-        RecordStream::Owned(owned)
-    } else {
-        RecordStream::Slice(records)
-    };
-
-    let mut stages = StageWall::default();
-    let mut digests = Vec::new();
-    for (pos, &vid) in input.pipeline.iter().enumerate() {
-        stream = timed(&mut stages.pipeline_ops, || {
-            apply_op(plan, vid, stream, &mut work)
-        });
-        for vp in &job.verification_points {
-            if let Site::MapInput {
-                input: vi,
-                pos: vp_pos,
-                ..
-            } = vp.site
-            {
-                if vi == input_index && vp_pos == pos {
-                    let summary = timed(&mut stages.digest, || {
-                        digest_stream(stream.iter(), job.digest_granularity, &mut work, pool)
-                    });
-                    digests.push((*vp, summary));
-                }
-            }
-        }
-    }
-
-    let partition_start = Instant::now();
-    let partitions = if let Some(shuffle) = job.shuffle {
-        if let Some(comb) = &job.combiner {
-            // Map-side combining: one [key, partials...] record per local
-            // key; partition by the leading key (same hash as the raw
-            // records would have used).
-            work.record_ops += 2 * stream.len() as u64;
-            let owned = stream.into_owned();
-            let partials = comb.partials(&owned);
-            let n = job.reduce_task_count.max(1);
-            let mut parts: Vec<Vec<Tagged>> = vec![Vec::new(); n];
-            let mut key_buf = Vec::new();
-            for r in partials {
-                work.bytes_out += r.byte_size();
-                let p = key_partition(r.get(0), n, &mut key_buf);
-                parts[p].push((input.tag, r));
-            }
-            parts
-        } else {
-            partition_records(
-                plan,
-                shuffle,
-                input.tag,
-                stream,
-                job.reduce_task_count,
-                &mut work,
-            )
-        }
-    } else {
-        work.bytes_out = stream.byte_size();
-        vec![stream
-            .into_owned()
-            .into_iter()
-            .map(|r| (input.tag, r))
-            .collect()]
-    };
-    stages.partition = partition_start.elapsed().as_nanos() as u64;
-
-    MapTaskOutput {
-        partitions,
-        digests,
-        work,
-        stages,
-    }
-}
-
-/// Executes one reduce (or collector) task over one partition. `pool`
-/// accelerates the shuffle-side sort; since the chunked parallel sort is
-/// pool-size-invariant, results are identical for every pool (the engine
-/// passes its own pool, standalone tests the inline default).
-pub(crate) fn run_reduce_task(
-    job: &ExecJob,
-    incoming: Vec<Tagged>,
-    fate: TaskFate,
-    pool: &ComputePool,
-) -> ReduceTaskOutput {
-    debug_assert_ne!(fate, TaskFate::Omitted, "omitted tasks never execute");
-    // Same gate as the map side: the columnar path runs the hot
-    // (faithful, uncombined) case and hands the input back untouched
-    // when it cannot (ragged arity, DISTINCT's row sort).
-    let mut incoming =
-        if job.batch_records > 0 && fate == TaskFate::Faithful && job.combiner.is_none() {
-            match run_reduce_task_batched(job, incoming, pool) {
-                Ok(out) => return out,
-                Err(returned) => returned,
-            }
-        } else {
-            incoming
-        };
-    let plan = &job.plan;
-    let mut work = Work {
-        bytes_in: incoming.iter().map(|(_, r)| r.byte_size()).sum(),
-        ..Work::default()
-    };
-    if fate == TaskFate::Corrupt {
-        for (_, r) in &mut incoming {
-            corrupt_record(r);
-        }
-    }
-
-    let mut stages = StageWall::default();
-    let mut digests = Vec::new();
-    let mut start_pos = 0usize;
-    let mut records = match (&job.combiner, job.shuffle) {
-        (Some(comb), Some(_)) => {
-            // The merge produces the fused projection's output directly —
-            // identical, record for record, to group + project, so digest
-            // sites at reduce position 0 still correspond across replicas
-            // regardless of combining. A shuffle-site point cannot be
-            // served (no materialized bags); the caller must not combine
-            // in that case.
-            debug_assert!(
-                !job.verification_points
-                    .iter()
-                    .any(|vp| matches!(vp.site, Site::Shuffle { .. })),
-                "combiner active with a shuffle verification point"
-            );
-            let raw: Vec<Record> = incoming.into_iter().map(|(_, r)| r).collect();
-            work.record_ops += 2 * raw.len() as u64;
-            let merged = timed(&mut stages.shuffle_kernel, || comb.merge(&raw));
-            for vp in &job.verification_points {
-                if matches!(vp.site, Site::Reduce { pos: 0, .. }) {
-                    let summary = timed(&mut stages.digest, || {
-                        digest_stream(merged.iter(), job.digest_granularity, &mut work, pool)
-                    });
-                    digests.push((*vp, summary));
-                }
-            }
-            start_pos = 1;
-            merged
-        }
-        (None, Some(shuffle)) => {
-            let out = timed(&mut stages.shuffle_kernel, || {
-                materialize_shuffle(plan, shuffle, incoming, &mut work, pool)
+impl<'a> Stream<'a> {
+    /// Opens a map task's split. The columnar arm converts it to batches
+    /// at the storage boundary; a ragged split (mixed arity within a
+    /// batch) cannot be laid out columnar and falls back to rows before
+    /// any counter is touched.
+    fn open_split(
+        job: &ExecJob,
+        records: &'a [Record],
+        fate: TaskFate,
+        stages: &mut StageWall,
+    ) -> Stream<'a> {
+        if columnar(job, fate) {
+            let batches: Option<Vec<Batch>> = timed(&mut stages.to_batch, || {
+                records
+                    .chunks(job.batch_records)
+                    .map(Batch::from_records)
+                    .collect()
             });
-            for vp in &job.verification_points {
-                if matches!(vp.site, Site::Shuffle { .. }) && vp.vertex == shuffle {
-                    let summary = timed(&mut stages.digest, || {
-                        digest_stream(out.iter(), job.digest_granularity, &mut work, pool)
-                    });
-                    digests.push((*vp, summary));
+            if let Some(batches) = batches {
+                data_plane::count_batches_built(batches.len() as u64);
+                data_plane::count_batch_rows(records.len() as u64);
+                return Stream::Cols {
+                    batches,
+                    owned: false,
+                };
+            }
+        }
+        Stream::Rows(if fate == TaskFate::Corrupt {
+            // A commission fault: the node processes a corrupted view of
+            // the data, so every downstream digest and output reflects
+            // it. The corrupting clone happens only on this (cold) path.
+            let mut owned = records.to_vec();
+            owned.iter_mut().for_each(corrupt_record);
+            RecordStream::Owned(owned)
+        } else {
+            RecordStream::Slice(records)
+        })
+    }
+
+    /// Opens a reduce task's partition through the job's shuffle: the
+    /// blocking operator (or the combiner's merge, or nothing for a
+    /// collector) runs here, on the arm the partition admits. The
+    /// columnar arm takes uniform-arity partitions (per join side) of
+    /// GROUP, JOIN, ORDER and collector jobs; DISTINCT's whole-record
+    /// sort/dedup already runs on owned rows with the pool's chunked sort.
+    fn open_partition(
+        job: &ExecJob,
+        mut incoming: Vec<Tagged>,
+        fate: TaskFate,
+        stages: &mut StageWall,
+        pool: &ComputePool,
+    ) -> Stream<'static> {
+        let op = job.shuffle.map(|sh| job.plan.vertex(sh).op());
+        let untag = |tagged: Vec<Tagged>| tagged.into_iter().map(|(_, r)| r).collect::<Vec<_>>();
+        let by_side = |tagged: Vec<Tagged>| {
+            let (mut left, mut right) = (Vec::new(), Vec::new());
+            for (tag, r) in tagged {
+                if tag == 0 {
+                    left.push(r);
+                } else {
+                    right.push(r);
                 }
             }
-            out
-        }
-        (_, None) => incoming.into_iter().map(|(_, r)| r).collect(),
-    };
-
-    for (pos, &vid) in job.reduce.iter().enumerate().skip(start_pos) {
-        let applied = timed(&mut stages.pipeline_ops, || {
-            apply_op(plan, vid, RecordStream::Owned(records), &mut work)
-        });
-        records = match applied {
-            // The stream entered owned, and per-record operators never
-            // borrow an owned stream back out.
-            RecordStream::Owned(v) => v,
-            _ => unreachable!("owned streams stay owned through apply_op"),
+            (left, right)
         };
-        for vp in &job.verification_points {
-            if let Site::Reduce { pos: vp_pos, .. } = vp.site {
-                if vp.vertex == vid && vp_pos == pos {
-                    let summary = timed(&mut stages.digest, || {
-                        digest_stream(records.iter(), job.digest_granularity, &mut work, pool)
-                    });
-                    digests.push((*vp, summary));
+
+        if columnar(job, fate) && admits_columnar(op, &incoming) {
+            // Convert the partition once, then run the shuffle as a
+            // vectorized kernel: the post-shuffle stream is one batch
+            // (bags stay nested in it), or the collector input in batches
+            // of `batch_records` rows. Takes the records by value so they
+            // are freed before the kernel runs.
+            let mut to_batch = |records: Vec<Record>| {
+                timed(&mut stages.to_batch, || {
+                    Batch::from_records(&records).expect("arity checked above")
+                })
+            };
+            let batches = match op {
+                Some(Operator::Group { key }) => {
+                    let batch = to_batch(untag(incoming));
+                    vec![timed(&mut stages.shuffle_kernel, || {
+                        group_batch(&batch, *key)
+                    })]
+                }
+                Some(Operator::Join {
+                    left_key,
+                    right_key,
+                }) => {
+                    let (left, right) = by_side(incoming);
+                    let (lb, rb) = (to_batch(left), to_batch(right));
+                    vec![timed(&mut stages.shuffle_kernel, || {
+                        join_batch(&lb, *left_key, &rb, *right_key)
+                    })]
+                }
+                Some(Operator::Order { key, order }) => {
+                    let batch = to_batch(untag(incoming));
+                    vec![timed(&mut stages.shuffle_kernel, || {
+                        order_batch(&batch, *key, *order)
+                    })]
+                }
+                Some(_) => unreachable!("admits_columnar takes GROUP, JOIN and ORDER only"),
+                None => timed(&mut stages.to_batch, || {
+                    untag(incoming)
+                        .chunks(job.batch_records)
+                        .map(|rows| Batch::from_records(rows).expect("arity checked above"))
+                        .collect()
+                }),
+            };
+            data_plane::count_batches_built(batches.len() as u64);
+            data_plane::count_batch_rows(batches.iter().map(|b| b.len() as u64).sum());
+            return Stream::Cols {
+                batches,
+                owned: true,
+            };
+        }
+
+        if fate == TaskFate::Corrupt {
+            incoming.iter_mut().for_each(|(_, r)| corrupt_record(r));
+        }
+        let records = match (op, &job.combiner) {
+            (Some(_), Some(comb)) => {
+                let partials = untag(incoming);
+                timed(&mut stages.shuffle_kernel, || comb.merge(&partials))
+            }
+            (Some(op), None) => timed(&mut stages.shuffle_kernel, || match op {
+                Operator::Group { key } => group_records_owned(untag(incoming), *key),
+                Operator::Join {
+                    left_key,
+                    right_key,
+                } => {
+                    let (left, right) = by_side(incoming);
+                    join_records(&left, *left_key, &right, *right_key)
+                }
+                Operator::Distinct => {
+                    let mut records = untag(incoming);
+                    // Sorts the whole record, so ties are byte-identical
+                    // and instability (and chunked parallel merging)
+                    // cannot show.
+                    pool.par_sort_unstable(&mut records);
+                    records.dedup();
+                    records
+                }
+                Operator::Order { key, order } => {
+                    order_records_owned(untag(incoming), *key, *order)
+                }
+                other => {
+                    debug_assert!(false, "non-blocking shuffle {}", other.name());
+                    untag(incoming)
+                }
+            }),
+            (None, _) => untag(incoming),
+        };
+        Stream::Rows(RecordStream::Owned(records))
+    }
+
+    fn len(&self) -> u64 {
+        match self {
+            Stream::Rows(s) => s.len() as u64,
+            Stream::Cols { batches, .. } => batches.iter().map(|b| b.len() as u64).sum(),
+        }
+    }
+
+    /// False while the rows are still (images of) the borrowed input
+    /// split: materializing them at the output boundary is then a clone.
+    fn is_owned(&self) -> bool {
+        match self {
+            Stream::Rows(s) => matches!(s, RecordStream::Owned(_)),
+            Stream::Cols { owned, .. } => *owned,
+        }
+    }
+
+    /// Applies one per-record operator. `LOAD`, `UNION` and `STORE`
+    /// appear in pipelines only as pass-through markers.
+    fn apply(self, op: &Operator, work: &mut Work) -> Stream<'a> {
+        work.record_ops += self.len();
+        match self {
+            Stream::Rows(s) => Stream::Rows(apply_op(op, s)),
+            Stream::Cols { mut batches, owned } => {
+                apply_op_batched(op, &mut batches);
+                Stream::Cols {
+                    batches,
+                    owned: owned || matches!(op, Operator::Project { .. }),
                 }
             }
         }
     }
 
-    work.bytes_out = byte_size(&records);
-    ReduceTaskOutput {
-        records,
-        digests,
-        work,
-        stages,
+    /// Digests the stream at a verification point: every row canonically
+    /// encoded, length-prefix framed and chunk-hashed.
+    fn digest(&self, granularity: usize, work: &mut Work, pool: &ComputePool) -> ChunkedSummary {
+        let mut cd = ChunkedDigest::new(granularity);
+        let payload_bytes = match self {
+            Stream::Rows(s) => frame_rows(s.iter(), &mut cd),
+            Stream::Cols { batches, .. } => frame_batches(batches, granularity, &mut cd),
+        };
+        let count = self.len();
+        work.digest_bytes += payload_bytes;
+        // Intercepting each tuple costs about one operator pass (the
+        // paper's Penny agents sit between script stages), on top of the
+        // hash bytes.
+        work.record_ops += count;
+        data_plane::count_bytes_encoded(payload_bytes);
+        data_plane::count_digest_bytes(payload_bytes + 8 * count);
+        finish_chunked(cd, pool)
+    }
+
+    /// Routes a map task's output to `n` reduce partitions by shuffle
+    /// key, materializing each row as an owned record.
+    fn partition(self, key: ShuffleKey, tag: usize, n: usize, work: &mut Work) -> Vec<Partition> {
+        match self {
+            Stream::Rows(s) => partition_records(key, tag, s.into_owned(), n, work),
+            Stream::Cols { batches, .. } => partition_batches(key, tag, &batches, n, work),
+        }
+    }
+
+    /// Materializes the stream as owned records.
+    fn into_records(self) -> Vec<Record> {
+        match self {
+            Stream::Rows(s) => s.into_owned(),
+            Stream::Cols { batches, .. } => {
+                let mut records = Vec::with_capacity(batches.iter().map(Batch::len).sum());
+                for b in &batches {
+                    records.extend(b.to_records());
+                }
+                records
+            }
+        }
     }
 }
 
-/// Applies one per-record operator to a stream. `LOAD`, `UNION` and
-/// `STORE` appear in pipelines only as pass-through markers.
-///
-/// Borrowed streams stay borrowed through filters and limits; only
-/// projections materialize new (owned) records.
-fn apply_op<'a>(
-    plan: &LogicalPlan,
-    vid: VertexId,
-    records: RecordStream<'a>,
-    work: &mut Work,
-) -> RecordStream<'a> {
-    let op = plan.vertex(vid).op();
-    work.record_ops += records.len() as u64;
+/// Whether a reduce partition can be laid out columnar for shuffle `op`:
+/// the operator has a vectorized kernel and the records (per join side)
+/// share one arity — the only conversion [`Batch::from_records`] refuses.
+fn admits_columnar(op: Option<&Operator>, incoming: &[Tagged]) -> bool {
+    fn uniform<'r>(mut records: impl Iterator<Item = &'r Record>) -> bool {
+        match records.next() {
+            None => true,
+            Some(first) => {
+                let arity = first.arity();
+                records.all(|r| r.arity() == arity)
+            }
+        }
+    }
+    let side = |left: bool| {
+        incoming
+            .iter()
+            .filter(move |(tag, _)| (*tag == 0) == left)
+            .map(|(_, r)| r)
+    };
+    match op {
+        Some(Operator::Join { .. }) => uniform(side(true)) && uniform(side(false)),
+        Some(Operator::Group { .. } | Operator::Order { .. }) | None => {
+            uniform(incoming.iter().map(|(_, r)| r))
+        }
+        Some(_) => false,
+    }
+}
+
+/// Row kernel of [`Stream::apply`]. Borrowed streams stay borrowed
+/// through filters and limits; only projections materialize new (owned)
+/// records.
+fn apply_op<'a>(op: &Operator, records: RecordStream<'a>) -> RecordStream<'a> {
     match op {
         Operator::Load { .. } | Operator::Union | Operator::Store { .. } => records,
         Operator::Filter { predicate } => {
@@ -459,119 +823,140 @@ fn apply_op<'a>(
     }
 }
 
-/// Partitions a map task's output by shuffle key. Records still borrowed
-/// from the input split are cloned here — the single unavoidable copy on
-/// the map path, since partitions outlive the split borrow.
-fn partition_records(
-    plan: &LogicalPlan,
-    shuffle: VertexId,
-    tag: usize,
-    records: RecordStream<'_>,
-    n_partitions: usize,
-    work: &mut Work,
-) -> Vec<Vec<Tagged>> {
-    let n = n_partitions.max(1);
-    let mut parts: Vec<Vec<Tagged>> = vec![Vec::new(); n];
-    let op = plan.vertex(shuffle).op().clone();
-    work.record_ops += records.len() as u64;
-    let mut key_buf = Vec::new();
-    for r in records.into_owned() {
-        work.bytes_out += r.byte_size();
-        let p = match &op {
-            Operator::Group { key } => key_partition(r.get(*key), n, &mut key_buf),
+/// Vectorized kernel of [`Stream::apply`].
+fn apply_op_batched(op: &Operator, batches: &mut [Batch]) {
+    match op {
+        Operator::Load { .. } | Operator::Union | Operator::Store { .. } => {}
+        Operator::Filter { predicate } => {
+            for b in batches.iter_mut() {
+                *b = filter_batch(b, predicate);
+            }
+        }
+        Operator::Project { exprs, .. } => {
+            for b in batches.iter_mut() {
+                *b = project_batch(b, exprs);
+            }
+        }
+        Operator::Limit { count } => {
+            let mut remaining = *count as usize;
+            for b in batches.iter_mut() {
+                let take = remaining.min(b.len());
+                b.truncate(take);
+                remaining -= take;
+            }
+        }
+        blocking => {
+            debug_assert!(false, "blocking operator {} in a pipeline", blocking.name());
+        }
+    }
+}
+
+/// What a shuffle hashes to route a row to its reduce partition. Both
+/// partition kernels encode the same canonical bytes and hash them with
+/// the same [`fnv1a`], so the assignment cannot depend on the plane.
+#[derive(Clone, Copy)]
+enum ShuffleKey {
+    /// One field (`GROUP`'s key, `JOIN`'s key for this input's side).
+    Field(usize),
+    /// The whole row (`DISTINCT`).
+    Row,
+    /// Nothing: a single range partition (the engine forces one reduce
+    /// task for the global sort of `ORDER`).
+    Single,
+}
+
+impl ShuffleKey {
+    fn of(shuffle: &Operator, tag: usize) -> ShuffleKey {
+        match shuffle {
+            Operator::Group { key } => ShuffleKey::Field(*key),
             Operator::Join {
                 left_key,
                 right_key,
-            } => {
-                let key = if tag == 0 { *left_key } else { *right_key };
-                key_partition(r.get(key), n, &mut key_buf)
-            }
-            Operator::Distinct => {
-                key_buf.clear();
-                r.write_canonical(&mut key_buf);
-                (fnv1a(&key_buf) % n as u64) as usize
-            }
-            // Global sort: a single range partition (the engine forces one
-            // reduce task for ORDER).
-            Operator::Order { .. } => 0,
+            } => ShuffleKey::Field(if tag == 0 { *left_key } else { *right_key }),
+            Operator::Distinct => ShuffleKey::Row,
+            Operator::Order { .. } => ShuffleKey::Single,
             other => {
                 debug_assert!(false, "non-blocking shuffle {}", other.name());
-                0
+                ShuffleKey::Single
             }
+        }
+    }
+}
+
+fn bucket(key_bytes: &[u8], n: usize) -> usize {
+    (fnv1a(key_bytes) % n as u64) as usize
+}
+
+/// Row kernel of [`Stream::partition`] (and the router of combiner
+/// partials, keyed by their leading field).
+fn partition_records(
+    key: ShuffleKey,
+    tag: usize,
+    records: Vec<Record>,
+    n: usize,
+    work: &mut Work,
+) -> Vec<Partition> {
+    let mut parts = vec![Partition::default(); n];
+    let mut buf = Vec::new();
+    for r in records {
+        work.bytes_out += r.byte_size();
+        buf.clear();
+        let p = match key {
+            ShuffleKey::Field(k) => {
+                r.get(k).unwrap_or(&Value::Null).write_canonical(&mut buf);
+                bucket(&buf, n)
+            }
+            ShuffleKey::Row => {
+                r.write_canonical(&mut buf);
+                bucket(&buf, n)
+            }
+            ShuffleKey::Single => 0,
         };
-        parts[p].push((tag, r));
+        parts[p].0.push((tag, r));
     }
     parts
 }
 
-fn key_partition(key: Option<&Value>, n: usize, buf: &mut Vec<u8>) -> usize {
-    buf.clear();
-    key.unwrap_or(&Value::Null).write_canonical(buf);
-    (fnv1a(buf) % n as u64) as usize
-}
-
-/// Materializes the shuffle semantics for one partition.
-fn materialize_shuffle(
-    plan: &LogicalPlan,
-    shuffle: VertexId,
-    incoming: Vec<Tagged>,
+/// Vectorized kernel of [`Stream::partition`]: shuffle keys are encoded
+/// straight out of the columns and rows materialize as records only once
+/// their partition is known.
+fn partition_batches(
+    key: ShuffleKey,
+    tag: usize,
+    batches: &[Batch],
+    n: usize,
     work: &mut Work,
-    pool: &ComputePool,
-) -> Vec<Record> {
-    let op = plan.vertex(shuffle).op().clone();
-    // Grouping/joining/sorting costs roughly two passes per record.
-    work.record_ops += 2 * incoming.len() as u64;
-    match op {
-        Operator::Group { key } => {
-            let records: Vec<Record> = incoming.into_iter().map(|(_, r)| r).collect();
-            group_records_owned(records, key)
-        }
-        Operator::Join {
-            left_key,
-            right_key,
-        } => {
-            let (mut left, mut right) = (Vec::new(), Vec::new());
-            for (tag, r) in incoming {
-                if tag == 0 {
-                    left.push(r);
-                } else {
-                    right.push(r);
+) -> Vec<Partition> {
+    let mut parts = vec![Partition::default(); n];
+    let mut buf = Vec::new();
+    for b in batches {
+        for (row, r) in b.to_records().into_iter().enumerate() {
+            buf.clear();
+            let p = match key {
+                ShuffleKey::Field(k) => {
+                    b.write_value_canonical(row, k, &mut buf);
+                    bucket(&buf, n)
                 }
-            }
-            join_records(&left, left_key, &right, right_key)
-        }
-        Operator::Distinct => {
-            let mut records: Vec<Record> = incoming.into_iter().map(|(_, r)| r).collect();
-            // Sorts the whole record, so ties are byte-identical and
-            // instability (and chunked parallel merging) cannot show.
-            pool.par_sort_unstable(&mut records);
-            records.dedup();
-            records
-        }
-        Operator::Order { key, order } => {
-            let records: Vec<Record> = incoming.into_iter().map(|(_, r)| r).collect();
-            order_records_owned(records, key, order)
-        }
-        other => {
-            debug_assert!(false, "non-blocking shuffle {}", other.name());
-            incoming.into_iter().map(|(_, r)| r).collect()
+                ShuffleKey::Row => {
+                    b.write_row_canonical(row, &mut buf);
+                    bucket(&buf, n)
+                }
+                ShuffleKey::Single => 0,
+            };
+            work.bytes_out += r.byte_size();
+            parts[p].0.push((tag, r));
         }
     }
+    parts
 }
 
-/// Digests a record stream: each record is canonically encoded (with its
-/// length-prefix frame) into one reused buffer and fed to the hasher as a
-/// single contiguous slice — no per-record allocation, and whole blocks
-/// take the SHA-256 multi-block fast path.
-fn digest_stream<'a>(
-    records: impl Iterator<Item = &'a Record>,
-    granularity: usize,
-    work: &mut Work,
-    pool: &ComputePool,
-) -> ChunkedSummary {
-    let mut cd = ChunkedDigest::new(granularity);
+/// Row kernel of [`Stream::digest`]: each record is canonically encoded
+/// (with its length-prefix frame) into one reused buffer and fed to the
+/// hasher as a single contiguous slice — no per-record allocation, and
+/// whole blocks take the SHA-256 multi-block fast path. Returns the
+/// payload bytes framed.
+fn frame_rows<'r>(records: impl Iterator<Item = &'r Record>, cd: &mut ChunkedDigest) -> u64 {
     let mut buf = Vec::new();
-    let mut count = 0u64;
     let mut payload_bytes = 0u64;
     for r in records {
         ChunkedDigest::begin_frame(&mut buf);
@@ -579,15 +964,41 @@ fn digest_stream<'a>(
         ChunkedDigest::seal_frame(&mut buf);
         cd.append_framed(&buf);
         payload_bytes += (buf.len() - 8) as u64;
-        count += 1;
     }
-    work.digest_bytes += payload_bytes;
-    // Intercepting each tuple costs about one operator pass (the paper's
-    // Penny agents sit between script stages), on top of the hash bytes.
-    work.record_ops += count;
-    data_plane::count_bytes_encoded(payload_bytes);
-    data_plane::count_digest_bytes(payload_bytes + 8 * count);
-    finish_chunked(cd, pool)
+    payload_bytes
+}
+
+/// Vectorized kernel of [`Stream::digest`]: frames whole chunk-aligned
+/// runs of rows into one reused buffer per hasher update (byte-identical
+/// digests). Returns the payload bytes framed.
+fn frame_batches(batches: &[Batch], granularity: usize, cd: &mut ChunkedDigest) -> u64 {
+    let mut run = Vec::new();
+    let mut in_chunk = 0usize;
+    let mut payload_bytes = 0u64;
+    for b in batches {
+        let mut row = 0;
+        while row < b.len() {
+            let take = (granularity - in_chunk).min(b.len() - row);
+            run.clear();
+            let mut payload = 0u64;
+            for r in row..row + take {
+                let start = run.len();
+                run.extend_from_slice(&[0u8; 8]);
+                b.write_row_canonical(r, &mut run);
+                let len = (run.len() - start - 8) as u64;
+                run[start..start + 8].copy_from_slice(&len.to_be_bytes());
+                payload += len;
+            }
+            cd.append_run(&run, take, payload);
+            payload_bytes += payload;
+            in_chunk += take;
+            if in_chunk == granularity {
+                in_chunk = 0;
+            }
+            row += take;
+        }
+    }
+    payload_bytes
 }
 
 /// Finalizes a chunked digest, fanning the Merkle levels over the
@@ -619,440 +1030,8 @@ fn finish_chunked(cd: ChunkedDigest, pool: &ComputePool) -> ChunkedSummary {
     })
 }
 
-/// Columnar variant of [`run_map_task`]: the split is converted to
-/// [`Batch`]es of at most `job.batch_records` rows at the storage
-/// boundary and the pipeline runs vectorized kernels over them. Digests,
-/// partition assignments, output records and work counters are
-/// byte-identical to the row path — batching is purely a host-side
-/// execution strategy, pinned by the `batched_*` task tests.
-///
-/// Returns `None` — before any counter is touched — when the split is
-/// ragged (mixed arity) and cannot be laid out columnar.
-fn run_map_task_batched(
-    job: &ExecJob,
-    input_index: usize,
-    records: &[Record],
-    pool: &ComputePool,
-) -> Option<MapTaskOutput> {
-    debug_assert!(job.batch_records > 0 && job.combiner.is_none());
-    let plan = &job.plan;
-    let input = &job.inputs[input_index];
-
-    let mut stages = StageWall::default();
-    let mut batches: Vec<Batch> = timed(&mut stages.to_batch, || {
-        records
-            .chunks(job.batch_records)
-            .map(Batch::from_records)
-            .collect::<Option<_>>()
-    })?;
-    data_plane::count_batches_built(batches.len() as u64);
-    data_plane::count_batch_rows(records.len() as u64);
-
-    let mut work = Work {
-        bytes_in: byte_size(records),
-        ..Work::default()
-    };
-    // Mirrors the row path's borrow tracking: `false` while the rows are
-    // still (columnar images of) the input split, `true` once a
-    // projection produced fresh rows. The output boundary charges its
-    // materialization as clones exactly when the row path would.
-    let mut owned = false;
-
-    let mut digests = Vec::new();
-    for (pos, &vid) in input.pipeline.iter().enumerate() {
-        timed(&mut stages.pipeline_ops, || {
-            apply_op_batched(plan, vid, &mut batches, &mut owned, &mut work)
-        });
-        for vp in &job.verification_points {
-            if let Site::MapInput {
-                input: vi,
-                pos: vp_pos,
-                ..
-            } = vp.site
-            {
-                if vi == input_index && vp_pos == pos {
-                    let summary = timed(&mut stages.digest, || {
-                        digest_batches(&batches, job.digest_granularity, &mut work, pool)
-                    });
-                    digests.push((*vp, summary));
-                }
-            }
-        }
-    }
-
-    let total: u64 = batches.iter().map(|b| b.len() as u64).sum();
-    if !owned {
-        data_plane::count_records_cloned(total);
-    }
-    let partitions = if let Some(shuffle) = job.shuffle {
-        timed(&mut stages.partition, || {
-            partition_batches(
-                plan,
-                shuffle,
-                input.tag,
-                &batches,
-                job.reduce_task_count,
-                &mut work,
-            )
-        })
-    } else {
-        timed(&mut stages.to_records, || {
-            let mut out = Vec::with_capacity(total as usize);
-            for b in &batches {
-                for r in b.to_records() {
-                    work.bytes_out += r.byte_size();
-                    out.push((input.tag, r));
-                }
-            }
-            vec![out]
-        })
-    };
-
-    Some(MapTaskOutput {
-        partitions,
-        digests,
-        work,
-        stages,
-    })
-}
-
-/// Applies one per-record operator to a batch stream; the vectorized
-/// mirror of [`apply_op`], charging identical work.
-fn apply_op_batched(
-    plan: &LogicalPlan,
-    vid: VertexId,
-    batches: &mut [Batch],
-    owned: &mut bool,
-    work: &mut Work,
-) {
-    let op = plan.vertex(vid).op();
-    work.record_ops += batches.iter().map(|b| b.len() as u64).sum::<u64>();
-    match op {
-        Operator::Load { .. } | Operator::Union | Operator::Store { .. } => {}
-        Operator::Filter { predicate } => {
-            for b in batches.iter_mut() {
-                *b = filter_batch(b, predicate);
-            }
-        }
-        Operator::Project { exprs, .. } => {
-            for b in batches.iter_mut() {
-                *b = project_batch(b, exprs);
-            }
-            *owned = true;
-        }
-        Operator::Limit { count } => {
-            let mut remaining = *count as usize;
-            for b in batches.iter_mut() {
-                let take = remaining.min(b.len());
-                b.truncate(take);
-                remaining -= take;
-            }
-        }
-        blocking => {
-            debug_assert!(false, "blocking operator {} in a pipeline", blocking.name());
-        }
-    }
-}
-
-/// Vectorized mirror of [`partition_records`]: shuffle keys are encoded
-/// straight out of the columns (same canonical bytes, same [`fnv1a`], so
-/// the partition assignment is pinned to the row path's) and rows
-/// materialize as records only once their partition is known.
-fn partition_batches(
-    plan: &LogicalPlan,
-    shuffle: VertexId,
-    tag: usize,
-    batches: &[Batch],
-    n_partitions: usize,
-    work: &mut Work,
-) -> Vec<Vec<Tagged>> {
-    let n = n_partitions.max(1);
-    let mut parts: Vec<Vec<Tagged>> = vec![Vec::new(); n];
-    let op = plan.vertex(shuffle).op().clone();
-    let mut key_buf = Vec::new();
-    for b in batches {
-        work.record_ops += b.len() as u64;
-        for (row, r) in b.to_records().into_iter().enumerate() {
-            let p = match &op {
-                Operator::Group { key } => {
-                    key_buf.clear();
-                    b.write_value_canonical(row, *key, &mut key_buf);
-                    (fnv1a(&key_buf) % n as u64) as usize
-                }
-                Operator::Join {
-                    left_key,
-                    right_key,
-                } => {
-                    let key = if tag == 0 { *left_key } else { *right_key };
-                    key_buf.clear();
-                    b.write_value_canonical(row, key, &mut key_buf);
-                    (fnv1a(&key_buf) % n as u64) as usize
-                }
-                Operator::Distinct => {
-                    key_buf.clear();
-                    b.write_row_canonical(row, &mut key_buf);
-                    (fnv1a(&key_buf) % n as u64) as usize
-                }
-                // Global sort: a single range partition.
-                Operator::Order { .. } => 0,
-                other => {
-                    debug_assert!(false, "non-blocking shuffle {}", other.name());
-                    0
-                }
-            };
-            work.bytes_out += r.byte_size();
-            parts[p].push((tag, r));
-        }
-    }
-    parts
-}
-
-/// Columnar variant of [`run_reduce_task`]. Returns the untouched input
-/// back as `Err` when the partition cannot run columnar: mixed-arity
-/// records (per join side), or a DISTINCT shuffle — whose whole-record
-/// sort/dedup already runs on owned rows with the pool's chunked sort.
-fn run_reduce_task_batched(
-    job: &ExecJob,
-    incoming: Vec<Tagged>,
-    pool: &ComputePool,
-) -> Result<ReduceTaskOutput, Vec<Tagged>> {
-    debug_assert!(job.batch_records > 0 && job.combiner.is_none());
-    let plan = &job.plan;
-    let op = job.shuffle.map(|sh| plan.vertex(sh).op().clone());
-
-    if matches!(op, Some(Operator::Distinct)) {
-        return Err(incoming);
-    }
-    let ragged = match &op {
-        Some(Operator::Join { .. }) => {
-            !uniform_arity(incoming.iter().filter(|(t, _)| *t == 0).map(|(_, r)| r))
-                || !uniform_arity(incoming.iter().filter(|(t, _)| *t != 0).map(|(_, r)| r))
-        }
-        _ => !uniform_arity(incoming.iter().map(|(_, r)| r)),
-    };
-    if ragged {
-        return Err(incoming);
-    }
-
-    let mut work = Work {
-        bytes_in: incoming.iter().map(|(_, r)| r.byte_size()).sum(),
-        ..Work::default()
-    };
-    let mut digests = Vec::new();
-
-    // Convert the partition once, then run the shuffle as a vectorized
-    // kernel: the post-shuffle stream is one batch (bags stay nested in
-    // it), or the collector input in batches of `batch_records` rows.
-    let mut stages = StageWall::default();
-    // Takes the records by value so they are freed before the kernel runs.
-    let mut to_batch = |records: Vec<Record>| {
-        timed(&mut stages.to_batch, || {
-            Batch::from_records(&records).expect("arity checked above")
-        })
-    };
-    let mut batches = match &op {
-        Some(Operator::Group { key }) => {
-            work.record_ops += 2 * incoming.len() as u64;
-            let records: Vec<Record> = incoming.into_iter().map(|(_, r)| r).collect();
-            let batch = to_batch(records);
-            vec![timed(&mut stages.shuffle_kernel, || {
-                group_batch(&batch, *key)
-            })]
-        }
-        Some(Operator::Join {
-            left_key,
-            right_key,
-        }) => {
-            work.record_ops += 2 * incoming.len() as u64;
-            let (mut left, mut right) = (Vec::new(), Vec::new());
-            for (tag, r) in incoming {
-                if tag == 0 {
-                    left.push(r);
-                } else {
-                    right.push(r);
-                }
-            }
-            let lb = to_batch(left);
-            let rb = to_batch(right);
-            vec![timed(&mut stages.shuffle_kernel, || {
-                join_batch(&lb, *left_key, &rb, *right_key)
-            })]
-        }
-        Some(Operator::Order { key, order }) => {
-            work.record_ops += 2 * incoming.len() as u64;
-            let records: Vec<Record> = incoming.into_iter().map(|(_, r)| r).collect();
-            let batch = to_batch(records);
-            vec![timed(&mut stages.shuffle_kernel, || {
-                order_batch(&batch, *key, *order)
-            })]
-        }
-        Some(other) => {
-            debug_assert!(false, "non-blocking shuffle {}", other.name());
-            return Err(incoming);
-        }
-        None => {
-            let records: Vec<Record> = incoming.into_iter().map(|(_, r)| r).collect();
-            timed(&mut stages.to_batch, || {
-                rebatch(&records, job.batch_records)
-            })
-        }
-    };
-    data_plane::count_batches_built(batches.len() as u64);
-    data_plane::count_batch_rows(batches.iter().map(|b| b.len() as u64).sum());
-
-    if let Some(sh) = job.shuffle {
-        for vp in &job.verification_points {
-            if matches!(vp.site, Site::Shuffle { .. }) && vp.vertex == sh {
-                let summary = timed(&mut stages.digest, || {
-                    digest_batches(&batches, job.digest_granularity, &mut work, pool)
-                });
-                digests.push((*vp, summary));
-            }
-        }
-    }
-
-    // Reduce-side rows are always owned; the flag only exists for the
-    // map path's clone accounting.
-    let mut owned = true;
-    for (pos, &vid) in job.reduce.iter().enumerate() {
-        timed(&mut stages.pipeline_ops, || {
-            apply_op_batched(plan, vid, &mut batches, &mut owned, &mut work)
-        });
-        for vp in &job.verification_points {
-            if let Site::Reduce { pos: vp_pos, .. } = vp.site {
-                if vp.vertex == vid && vp_pos == pos {
-                    let summary = timed(&mut stages.digest, || {
-                        digest_batches(&batches, job.digest_granularity, &mut work, pool)
-                    });
-                    digests.push((*vp, summary));
-                }
-            }
-        }
-    }
-
-    // The one place reduce-side rows (and any bags still in them)
-    // become records.
-    let records = timed(&mut stages.to_records, || {
-        let mut records = Vec::with_capacity(batches.iter().map(Batch::len).sum());
-        for b in &batches {
-            records.extend(b.to_records());
-        }
-        records
-    });
-    work.bytes_out = byte_size(&records);
-    Ok(ReduceTaskOutput {
-        records,
-        digests,
-        work,
-        stages,
-    })
-}
-
-/// True when every record has the same arity (vacuously for an empty
-/// stream) — the only conversion [`Batch::from_records`] can refuse.
-fn uniform_arity<'a>(mut records: impl Iterator<Item = &'a Record>) -> bool {
-    match records.next() {
-        None => true,
-        Some(first) => {
-            let arity = first.arity();
-            records.all(|r| r.arity() == arity)
-        }
-    }
-}
-
-/// Slices the collector's (shuffle-less) input into batches of at most
-/// `batch_records` rows. Callers guarantee uniform arity.
-fn rebatch(records: &[Record], batch_records: usize) -> Vec<Batch> {
-    records
-        .chunks(batch_records.max(1))
-        .map(|rows| Batch::from_records(rows).expect("uniform arity"))
-        .collect()
-}
-
-/// Digests a batch stream: the vectorized mirror of [`digest_stream`],
-/// framing whole chunk-aligned runs of rows into one reused buffer per
-/// hasher update (byte-identical digests, same counters charged).
-fn digest_batches(
-    batches: &[Batch],
-    granularity: usize,
-    work: &mut Work,
-    pool: &ComputePool,
-) -> ChunkedSummary {
-    let mut cd = ChunkedDigest::new(granularity);
-    let mut run = Vec::new();
-    let mut in_chunk = 0usize;
-    let mut payload_bytes = 0u64;
-    let mut count = 0u64;
-    for b in batches {
-        let mut row = 0;
-        while row < b.len() {
-            let take = (granularity - in_chunk).min(b.len() - row);
-            run.clear();
-            let mut payload = 0u64;
-            for r in row..row + take {
-                let start = run.len();
-                run.extend_from_slice(&[0u8; 8]);
-                b.write_row_canonical(r, &mut run);
-                let len = (run.len() - start - 8) as u64;
-                run[start..start + 8].copy_from_slice(&len.to_be_bytes());
-                payload += len;
-            }
-            cd.append_run(&run, take, payload);
-            payload_bytes += payload;
-            count += take as u64;
-            in_chunk += take;
-            if in_chunk == granularity {
-                in_chunk = 0;
-            }
-            row += take;
-        }
-    }
-    work.digest_bytes += payload_bytes;
-    work.record_ops += count;
-    data_plane::count_bytes_encoded(payload_bytes);
-    data_plane::count_digest_bytes(payload_bytes + 8 * count);
-    finish_chunked(cd, pool)
-}
-
 fn byte_size(records: &[Record]) -> u64 {
     records.iter().map(Record::byte_size).sum()
-}
-
-/// Commitment digest over a map task's partitioned output: every
-/// `(partition, tag, record)` triple framed canonically into one chunked
-/// stream. Computed once when the engine captures a sampled task and
-/// again by the trusted spot-checker after an honest re-run; any
-/// divergence between the two localizes via the summary's Merkle tree.
-/// Finished inline (never pool-fanned) so capture and re-check hash the
-/// byte-identical stream regardless of which thread runs them.
-pub(crate) fn digest_map_outputs(partitions: &[Vec<Tagged>], granularity: usize) -> ChunkedSummary {
-    let mut cd = ChunkedDigest::new(granularity);
-    let mut buf = Vec::new();
-    for (p, part) in partitions.iter().enumerate() {
-        for (tag, r) in part {
-            ChunkedDigest::begin_frame(&mut buf);
-            buf.extend_from_slice(&(p as u64).to_be_bytes());
-            buf.extend_from_slice(&(*tag as u64).to_be_bytes());
-            r.write_canonical(&mut buf);
-            ChunkedDigest::seal_frame(&mut buf);
-            cd.append_framed(&buf);
-        }
-    }
-    cd.finish()
-}
-
-/// Commitment digest over a reduce/collector task's output records; the
-/// reduce-side mirror of [`digest_map_outputs`].
-pub(crate) fn digest_reduce_outputs(records: &[Record], granularity: usize) -> ChunkedSummary {
-    let mut cd = ChunkedDigest::new(granularity);
-    let mut buf = Vec::new();
-    for r in records {
-        ChunkedDigest::begin_frame(&mut buf);
-        r.write_canonical(&mut buf);
-        ChunkedDigest::seal_frame(&mut buf);
-        cd.append_framed(&buf);
-    }
-    cd.finish()
 }
 
 /// FNV-1a, used for deterministic, platform-independent partitioning and
@@ -1119,6 +1098,20 @@ mod tests {
             .collect()
     }
 
+    fn parts(out: &TaskOutput) -> &[Partition] {
+        match &out.data {
+            TaskData::Partitions(parts) => parts,
+            TaskData::Records(_) => panic!("map output expected"),
+        }
+    }
+
+    fn recs(out: &TaskOutput) -> &[Record] {
+        match &out.data {
+            TaskData::Records(records) => records,
+            TaskData::Partitions(_) => panic!("reduce output expected"),
+        }
+    }
+
     const FOLLOWER: &str = "raw = LOAD 'twitter' AS (user, follower);
          clean = FILTER raw BY follower IS NOT NULL;
          grp = GROUP clean BY user;
@@ -1137,21 +1130,21 @@ mod tests {
             TaskFate::Faithful,
             &ComputePool::default(),
         );
-        let total: usize = out.partitions.iter().map(Vec::len).sum();
+        let total: usize = parts(&out).iter().map(Partition::len).sum();
         assert_eq!(total, 3, "null follower filtered out");
-        assert_eq!(out.partitions.len(), 2);
+        assert_eq!(parts(&out).len(), 2);
         // Same user always lands in the same partition.
-        for part in &out.partitions {
+        for part in parts(&out) {
             let users: Vec<i64> = part
+                .0
                 .iter()
                 .filter_map(|(_, r)| r.get(0).and_then(Value::as_int))
                 .collect();
             for u in &users {
-                let home = out
-                    .partitions
+                let home = parts(&out)
                     .iter()
                     .position(|p| {
-                        p.iter()
+                        p.0.iter()
                             .any(|(_, r)| r.get(0).and_then(Value::as_int) == Some(*u))
                     })
                     .unwrap();
@@ -1168,8 +1161,13 @@ mod tests {
             .into_iter()
             .map(|r| (0, r))
             .collect();
-        let out = run_reduce_task(&job, incoming, TaskFate::Faithful, &ComputePool::default());
-        assert_eq!(out.records, ints(&[&[1, 2], &[2, 1]]));
+        let out = run_reduce_task(
+            &job,
+            Partition(incoming),
+            TaskFate::Faithful,
+            &ComputePool::default(),
+        );
+        assert_eq!(recs(&out), ints(&[&[1, 2], &[2, 1]]));
     }
 
     #[test]
@@ -1237,7 +1235,7 @@ mod tests {
             &ComputePool::default(),
         );
         assert!(a.digests[0].1.compare(&b.digests[0].1).is_match());
-        assert_eq!(a.partitions, b.partitions, "partitioning is deterministic");
+        assert_eq!(a.data, b.data, "partitioning is deterministic");
     }
 
     #[test]
@@ -1253,8 +1251,13 @@ mod tests {
             (0, Record::new(vec![Value::Int(1), Value::Int(2)])),
             (1, Record::new(vec![Value::Int(2), Value::Int(3)])),
         ];
-        let out = run_reduce_task(&job, incoming, TaskFate::Faithful, &ComputePool::default());
-        assert_eq!(out.records, ints(&[&[1, 2, 2, 3]]));
+        let out = run_reduce_task(
+            &job,
+            Partition(incoming),
+            TaskFate::Faithful,
+            &ComputePool::default(),
+        );
+        assert_eq!(recs(&out), ints(&[&[1, 2, 2, 3]]));
     }
 
     #[test]
@@ -1273,14 +1276,14 @@ mod tests {
             TaskFate::Faithful,
             &ComputePool::default(),
         );
-        assert_eq!(out.partitions.len(), 1);
+        assert_eq!(parts(&out).len(), 1);
         let reduced = run_reduce_task(
             &job,
-            out.partitions.into_iter().next().unwrap(),
+            out.data.into_partitions().into_iter().next().unwrap(),
             TaskFate::Faithful,
             &ComputePool::default(),
         );
-        assert_eq!(reduced.records, ints(&[&[3], &[2], &[1]]));
+        assert_eq!(recs(&reduced), ints(&[&[3], &[2], &[1]]));
     }
 
     #[test]
@@ -1294,7 +1297,12 @@ mod tests {
             },
         }];
         let incoming: Vec<Tagged> = ints(&[&[1, 10]]).into_iter().map(|r| (0, r)).collect();
-        let out = run_reduce_task(&job, incoming, TaskFate::Faithful, &ComputePool::default());
+        let out = run_reduce_task(
+            &job,
+            Partition(incoming),
+            TaskFate::Faithful,
+            &ComputePool::default(),
+        );
         assert_eq!(out.digests.len(), 1);
         assert_eq!(out.digests[0].0.vertex, shuffle);
     }
@@ -1315,23 +1323,12 @@ mod tests {
     }
 
     /// Asserts every observable of two task outputs is byte-identical:
-    /// partitions, work counters, and digest summaries down to the
-    /// combined fold and the Merkle root.
-    fn assert_map_identical(a: &MapTaskOutput, b: &MapTaskOutput, ctx: &str) {
-        assert_eq!(a.partitions, b.partitions, "{ctx}: partitions");
+    /// partitions or records, work counters, the commitment, and digest
+    /// summaries down to the combined fold and the Merkle root.
+    fn assert_identical(a: &TaskOutput, b: &TaskOutput, ctx: &str) {
+        assert_eq!(a.data, b.data, "{ctx}: data");
         assert_eq!(a.work, b.work, "{ctx}: work");
-        assert_eq!(a.digests.len(), b.digests.len(), "{ctx}: digest count");
-        for ((va, sa), (vb, sb)) in a.digests.iter().zip(&b.digests) {
-            assert_eq!(va, vb, "{ctx}: vp order");
-            assert_eq!(sa, sb, "{ctx}: summary");
-            assert_eq!(sa.combined(), sb.combined(), "{ctx}: combined");
-            assert_eq!(sa.merkle_root(), sb.merkle_root(), "{ctx}: root");
-        }
-    }
-
-    fn assert_reduce_identical(a: &ReduceTaskOutput, b: &ReduceTaskOutput, ctx: &str) {
-        assert_eq!(a.records, b.records, "{ctx}: records");
-        assert_eq!(a.work, b.work, "{ctx}: work");
+        assert_eq!(a.commitment(2), b.commitment(2), "{ctx}: commitment");
         assert_eq!(a.digests.len(), b.digests.len(), "{ctx}: digest count");
         for ((va, sa), (vb, sb)) in a.digests.iter().zip(&b.digests) {
             assert_eq!(va, vb, "{ctx}: vp order");
@@ -1380,7 +1377,7 @@ mod tests {
                 TaskFate::Faithful,
                 &ComputePool::default(),
             );
-            assert_map_identical(&batched, &row, &format!("batch_records {bs}"));
+            assert_identical(&batched, &row, &format!("batch_records {bs}"));
         }
     }
 
@@ -1406,18 +1403,28 @@ mod tests {
         for granularity in [1usize, 2, usize::MAX] {
             job.digest_granularity = granularity;
             job.batch_records = 0;
-            let row = run_reduce_task(&job, incoming.to_vec(), TaskFate::Faithful, &pool);
+            let row = run_reduce_task(
+                &job,
+                Partition(incoming.to_vec()),
+                TaskFate::Faithful,
+                &pool,
+            );
             assert_eq!(row.digests.len(), 1 + job.reduce.len());
             for bs in [1usize, 5, 1024] {
                 job.batch_records = bs;
-                let batched = run_reduce_task(&job, incoming.to_vec(), TaskFate::Faithful, &pool);
-                assert_reduce_identical(
+                let batched = run_reduce_task(
+                    &job,
+                    Partition(incoming.to_vec()),
+                    TaskFate::Faithful,
+                    &pool,
+                );
+                assert_identical(
                     &batched,
                     &row,
                     &format!("granularity {granularity} batch_records {bs}: {src}"),
                 );
             }
-            records = row.records;
+            records = recs(&row).to_vec();
         }
         records
     }
@@ -1494,13 +1501,9 @@ mod tests {
         let row = run_map_task(&next, 0, &grouped, TaskFate::Faithful, &pool);
         next.batch_records = 4;
         let batched = run_map_task(&next, 0, &grouped, TaskFate::Faithful, &pool);
-        assert_map_identical(&batched, &row, "stored bags");
-        let counts: Vec<Record> = row
-            .partitions
-            .concat()
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
+        assert_identical(&batched, &row, "stored bags");
+        let mut counts = Vec::new();
+        row.data.append_to(&mut counts);
         assert_eq!(counts.len(), 7);
         assert_eq!(counts[0], Record::new(vec![Value::Null, Value::Int(1)]));
     }
@@ -1512,11 +1515,11 @@ mod tests {
         let incoming = follower_partition();
         let pool = ComputePool::default(); // inline: the task runs on this thread
         let before = thread_rows_materialized();
-        let out = run_reduce_task(&job, incoming, TaskFate::Faithful, &pool);
-        assert_eq!(out.records.len(), 7);
+        let out = run_reduce_task(&job, Partition(incoming), TaskFate::Faithful, &pool);
+        assert_eq!(recs(&out).len(), 7);
         assert_eq!(
             thread_rows_materialized() - before,
-            out.records.len() as u64,
+            recs(&out).len() as u64,
             "no per-input-row or per-bag materialization"
         );
         assert!(out.stages.shuffle_kernel > 0 && out.stages.to_records > 0);
@@ -1546,17 +1549,17 @@ mod tests {
             .collect();
         let row = run_reduce_task(
             &join_job(0),
-            incoming.clone(),
+            Partition(incoming.clone()),
             TaskFate::Faithful,
             &ComputePool::default(),
         );
         let batched = run_reduce_task(
             &join_job(8),
-            incoming.clone(),
+            Partition(incoming.clone()),
             TaskFate::Faithful,
             &ComputePool::default(),
         );
-        assert_reduce_identical(&batched, &row, "join");
+        assert_identical(&batched, &row, "join");
 
         let order_job = |bs: usize| {
             let mut j = exec_job(
@@ -1573,17 +1576,17 @@ mod tests {
             .collect();
         let row = run_reduce_task(
             &order_job(0),
-            incoming.clone(),
+            Partition(incoming.clone()),
             TaskFate::Faithful,
             &ComputePool::default(),
         );
         let batched = run_reduce_task(
             &order_job(4),
-            incoming,
+            Partition(incoming),
             TaskFate::Faithful,
             &ComputePool::default(),
         );
-        assert_reduce_identical(&batched, &row, "order");
+        assert_identical(&batched, &row, "order");
     }
 
     #[test]
@@ -1615,7 +1618,7 @@ mod tests {
             TaskFate::Faithful,
             &ComputePool::default(),
         );
-        assert_map_identical(&batched, &row, "ragged fallback");
+        assert_identical(&batched, &row, "ragged fallback");
     }
 
     #[test]
@@ -1644,9 +1647,247 @@ mod tests {
         );
         let threaded = ComputePool::new(2);
         let pooled = run_map_task(&job, 0, &records, TaskFate::Faithful, &threaded);
-        assert_map_identical(&pooled, &inline, "pool merkle");
+        assert_identical(&pooled, &inline, "pool merkle");
         assert_eq!(inline.digests[0].1.chunks().len(), 2500);
         assert!(inline.digests[0].1.merkle().depth() > 10);
+    }
+
+    /// Runs every task of `job` over `rows` the way the engine would — two
+    /// splits per input, the shuffle gather, one reduce (or collector)
+    /// task per partition — and returns every task's output, maps first.
+    fn run_all_tasks(job: &ExecJob, rows: &[Record], fate: TaskFate) -> Vec<TaskOutput> {
+        let pool = ComputePool::default();
+        let mut outs = Vec::new();
+        for input in 0..job.inputs.len() {
+            let (front, back) = rows.split_at(rows.len() / 2);
+            for split in [front, back] {
+                outs.push(run_map_task(job, input, split, fate, &pool));
+            }
+        }
+        if job.is_map_only() {
+            return outs;
+        }
+        let n = if job.is_collector() {
+            1
+        } else {
+            job.reduce_task_count
+        };
+        let mut runs: Vec<Vec<Partition>> = vec![Vec::new(); n];
+        for out in &outs {
+            for (p, run) in out.data.clone().into_partitions().into_iter().enumerate() {
+                runs[if job.is_collector() { 0 } else { p }].push(run);
+            }
+        }
+        for part in runs {
+            outs.push(run_reduce_task(job, Partition::concat(part), fate, &pool));
+        }
+        outs
+    }
+
+    /// A single-job script over `in(k, v)`: optional map-side FILTER and
+    /// FOREACH, one of GROUP / JOIN / ORDER / DISTINCT / no shuffle, an
+    /// optional reduce-side FOREACH + FILTER (after GROUP) and LIMIT.
+    fn task_script(shuffle: usize, opts: [bool; 4], limit: u64) -> String {
+        let [map_filter, map_project, reduce_project, reduce_limit] = opts;
+        let mut src = "a = LOAD 'in' AS (k, v);\n".to_owned();
+        let mut cur = "a";
+        if map_filter {
+            src += "b = FILTER a BY v IS NOT NULL;\n";
+            cur = "b";
+        }
+        if map_project {
+            src += &format!("c = FOREACH {cur} GENERATE k, v;\n");
+            cur = "c";
+        }
+        match shuffle {
+            0 => {
+                src += &format!("g = GROUP {cur} BY k;\n");
+                if reduce_project {
+                    src += &format!("r = FOREACH g GENERATE group, COUNT({cur}) AS n;\n");
+                    src += "f = FILTER r BY n >= 2;\n";
+                    cur = "f";
+                } else {
+                    cur = "g";
+                }
+            }
+            1 => {
+                src += &format!("z = LOAD 'in' AS (k, v);\nj = JOIN {cur} BY k, z BY v;\n");
+                cur = "j";
+            }
+            2 => {
+                src += &format!("o = ORDER {cur} BY v DESC;\n");
+                cur = "o";
+            }
+            3 => {
+                src += &format!("d = DISTINCT {cur};\n");
+                cur = "d";
+            }
+            _ => {}
+        }
+        if reduce_limit {
+            src += &format!("l = LIMIT {cur} {limit};\n");
+            cur = "l";
+        }
+        src + &format!("STORE {cur} INTO 'out';")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(40))]
+
+        /// Plane equivalence at the task boundary: for random splits
+        /// (duplicate keys, nulls, strings, optionally ragged arity), a
+        /// random pipeline around each shuffle kind, both fates, combiner
+        /// on and off, a verification point at every eligible site and
+        /// chunk granularities 1, 2 and unchunked, every observable of
+        /// every task — partitions, records, digests, `Work`, commitment
+        /// — equals the `batch_records = 0` run at batch sizes 1, 3, 1024.
+        #[test]
+        fn planes_agree_on_every_task_observable(
+            cells in proptest::collection::vec((0i64..5, 0u8..9, 0u8..6), 0..40),
+            shape in 0usize..(5 * 64),
+            limit in 1u64..12,
+        ) {
+            let (shuffle, flags) = (shape % 5, shape / 5);
+            let flag = |bit: usize| flags >> bit & 1 == 1;
+            let (ragged, combine) = (flag(4), flag(5));
+            let rows: Vec<Record> = cells
+                .iter()
+                .map(|&(k, v, arity)| {
+                    let k = if k == 4 { Value::Null } else { Value::Int(k) };
+                    let v = match v {
+                        0 => Value::Null,
+                        1 => Value::str("a"),
+                        2 => Value::str("b"),
+                        n => Value::Int(n as i64),
+                    };
+                    Record::new(match arity {
+                        0 if ragged => vec![k],
+                        1 if ragged => vec![k, v, Value::Int(7)],
+                        _ => vec![k, v],
+                    })
+                })
+                .collect();
+
+            let src = task_script(shuffle, [flag(0), flag(1), flag(2), flag(3)], limit);
+            let mut job = exec_job(&src, vec![]);
+            if combine {
+                if let (Some(sh), Some(&first)) = (job.shuffle, job.reduce.first()) {
+                    job.combiner = cbft_dataflow::combiner::Combiner::for_job(
+                        job.plan.vertex(sh).op(),
+                        job.plan.vertex(first).op(),
+                    );
+                }
+            }
+            let jid = cbft_dataflow::compile::JobId(0);
+            let mut vps = Vec::new();
+            for (input, i) in job.inputs.iter().enumerate() {
+                vps.extend(i.pipeline.iter().enumerate().map(|(pos, &vertex)| VpSite {
+                    vertex,
+                    site: Site::MapInput { job: jid, input, pos },
+                }));
+            }
+            // Under a combiner the shuffle has no materialized bags to digest.
+            vps.extend(job.shuffle.filter(|_| job.combiner.is_none()).map(|vertex| VpSite {
+                vertex,
+                site: Site::Shuffle { job: jid },
+            }));
+            vps.extend(job.reduce.iter().enumerate().map(|(pos, &vertex)| VpSite {
+                vertex,
+                site: Site::Reduce { job: jid, pos },
+            }));
+            let armed = vps.len();
+            job.verification_points = vps;
+
+            for fate in [TaskFate::Faithful, TaskFate::Corrupt] {
+                for granularity in [1usize, 2, usize::MAX] {
+                    job.digest_granularity = granularity;
+                    job.batch_records = 0;
+                    let rows_plane = run_all_tasks(&job, &rows, fate);
+                    let digests: usize = rows_plane.iter().map(|o| o.digests.len()).sum();
+                    assert!(digests >= armed, "every site digested: {src}");
+                    for bs in [1usize, 3, 1024] {
+                        job.batch_records = bs;
+                        let cols_plane = run_all_tasks(&job, &rows, fate);
+                        assert_eq!(cols_plane.len(), rows_plane.len());
+                        for (task, (c, r)) in cols_plane.iter().zip(&rows_plane).enumerate() {
+                            let ctx = format!(
+                                "task {task} {fate:?} granularity {granularity} \
+                                 batch_records {bs} combiner {}:\n{src}",
+                                job.combiner.is_some()
+                            );
+                            assert_identical(c, r, &ctx);
+                            assert_eq!(
+                                c.commitment(granularity),
+                                r.commitment(granularity),
+                                "{ctx}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The engine's capture flow at the task boundary: capture the true
+    /// input, let the (possibly corrupt) task consume it, record its
+    /// commitment, then check. An honest task confirms; a corrupt one is
+    /// localized — on the row plane and on the columnar plane, where the
+    /// corrupt run and the honest re-run even execute on different arms.
+    #[test]
+    fn spot_check_round_trip_confirms_honest_and_localizes_corrupt_on_both_planes() {
+        use crate::spec::{RunHandle, TaskKind};
+        use crate::spotcheck::SpotCheckRecord;
+
+        let file: Arc<[Record]> = follower_partition().into_iter().map(|(_, r)| r).collect();
+        let pool = ComputePool::default();
+        for batch_records in [0usize, 1024] {
+            let mut job = exec_job(FOLLOWER, vec![]);
+            job.batch_records = batch_records;
+            job.digest_granularity = 2;
+            let spec = Arc::new(job);
+            for fate in [TaskFate::Faithful, TaskFate::Corrupt] {
+                let inputs = [
+                    (
+                        TaskKind::Map,
+                        TaskInput::Split {
+                            input: 0,
+                            file: Arc::clone(&file),
+                            start: 3,
+                            end: 33,
+                        },
+                    ),
+                    (
+                        TaskKind::Reduce,
+                        TaskInput::Partition(Partition(follower_partition())),
+                    ),
+                ];
+                for (kind, mut input) in inputs {
+                    let len = input.len() as u64;
+                    let captured = input.capture();
+                    let out = run_task(&spec, input.take(), fate, &pool);
+                    let record = SpotCheckRecord {
+                        handle: RunHandle::from_raw(0),
+                        sid: spec.sid.clone(),
+                        replica: 0,
+                        kind,
+                        task_index: 0,
+                        node: crate::fault::NodeId(0),
+                        recorded: out.commitment(spec.digest_granularity),
+                        spec: Arc::clone(&spec),
+                        input: captured,
+                    };
+                    let ctx = format!("{kind} task, {fate:?}, batch_records {batch_records}");
+                    assert_eq!(record.records_to_rerun(), len, "{ctx}");
+                    let verdict = record.check(&pool);
+                    assert_eq!(verdict.confirmed, fate == TaskFate::Faithful, "{ctx}");
+                    assert_eq!(
+                        verdict.divergence.is_some(),
+                        fate == TaskFate::Corrupt,
+                        "{ctx}: {verdict:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

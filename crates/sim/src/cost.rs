@@ -115,8 +115,10 @@ mod tests {
 
     #[test]
     fn zero_throughput_is_free_not_infinite() {
-        let mut c = CostModel::default();
-        c.disk_bytes_per_sec = 0;
+        let c = CostModel {
+            disk_bytes_per_sec: 0,
+            ..CostModel::default()
+        };
         assert_eq!(c.disk(123), SimDuration::ZERO);
     }
 

@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -18,11 +18,11 @@ use crate::dataflow::Script;
 use crate::flight::{self, Anomaly, BundleSpec};
 use crate::mapreduce::data_plane::{self, DataPlaneSnapshot};
 use crate::metrics::{
-    json_snapshot, names as metric_names, prometheus_text, Domain, HealthReport, Metrics, Snapshot,
+    json_snapshot, names as metric_names, prometheus_text, Domain, HealthReport, LabelValue,
+    Metrics, Snapshot,
 };
 use crate::trace::{
-    chrome_trace_json, FanoutSink, FlightRecorder, MemorySink, TraceEvent, TraceSink, TraceSummary,
-    Tracer,
+    chrome_trace_json, FanoutSink, FlightRecorder, MemorySink, TraceSink, TraceSummary, Tracer,
 };
 
 /// Parsed command-line options for one `cbft` invocation.
@@ -163,8 +163,9 @@ OPTIONS:
     --points N           marker-chosen verification points        [default: 2]
     --adversary A        strong | weak                  [default: strong]
     --granularity D      records per digest chunk       [default: whole stream]
-    --fault N:KIND[:P]   inject a fault on node N; KIND = commission | omission
-                         (with probability P, default 1.0) | crash
+    --fault N:KIND[:P]   inject a fault on node N (N < --nodes); KIND =
+                         commission | omission (with probability P in
+                         [0, 1], default 1.0) | crash
     --combiners          enable map-side combiners
     --optimize           run the logical-plan optimizer first
     --threads N          run replicas on N worker threads (0 = one per
@@ -275,16 +276,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
             }
             "--show" => opts.show_rows = parse_num(&need(&mut it, "--show")?, "--show")?,
             "--replication" => {
-                let v = need(&mut it, "--replication")?;
-                opts.replication = match v.as_str() {
-                    "optimistic" => Replication::Optimistic,
-                    "quorum" => Replication::Quorum,
-                    "full" => Replication::Full,
-                    n => Replication::Exact(positive(
-                        parse_num(n, "--replication")?,
-                        "--replication",
-                    )?),
-                };
+                opts.replication = parse_replication(&need(&mut it, "--replication")?)?
             }
             "--adversary" => {
                 let v = need(&mut it, "--adversary")?;
@@ -356,11 +348,23 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
             opts.verify_mode.name()
         )));
     }
+    // On the sequential path `--fault N` names a node of the one shared
+    // cluster, which must exist (with `--threads` it names a replica, and
+    // a replica that never runs is a documented no-op). Checked after
+    // every flag is read, so `--nodes` may follow `--fault`.
+    if opts.threads.is_none() {
+        if let Some((node, _)) = opts.faults.iter().find(|(n, _)| *n >= opts.nodes) {
+            return Err(UsageError(format!(
+                "--fault node {node} is out of range for --nodes {}",
+                opts.nodes
+            )));
+        }
+    }
     opts.seed = resolve_seed(seed_flag)?;
     Ok(opts)
 }
 
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, UsageError> {
+pub(crate) fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, UsageError> {
     s.parse()
         .map_err(|_| UsageError(format!("{flag}: '{s}' is not a valid number")))
 }
@@ -369,11 +373,21 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, UsageError>
 /// message (`--nodes 0`, `--slots 0`, `--granularity 0`) or silently
 /// clamp (`--replication 0`). Validation happens at parse time so the
 /// error names the flag, not an engine internals assertion.
-fn positive(n: usize, flag: &str) -> Result<usize, UsageError> {
+pub(crate) fn positive(n: usize, flag: &str) -> Result<usize, UsageError> {
     if n == 0 {
         return Err(UsageError(format!("{flag} must be at least 1")));
     }
     Ok(n)
+}
+
+/// Parses a `--replication` value: a named policy or an exact degree ≥ 1.
+pub(crate) fn parse_replication(v: &str) -> Result<Replication, UsageError> {
+    Ok(match v {
+        "optimistic" => Replication::Optimistic,
+        "quorum" => Replication::Quorum,
+        "full" => Replication::Full,
+        n => Replication::Exact(positive(parse_num(n, "--replication")?, "--replication")?),
+    })
 }
 
 /// Parses and bounds a `--batch-size` value. `0` is the documented
@@ -391,7 +405,9 @@ pub fn checked_batch_size(s: &str) -> Result<usize, UsageError> {
     Ok(n as usize)
 }
 
-/// Parses `N:KIND[:P]` fault specs.
+/// Parses `N:KIND[:P]` fault specs (also `cbftd`'s `fault:N:KIND[:P]`
+/// job tokens). A probability outside `[0, 1]` is rejected here rather
+/// than silently clamped by the fault draw.
 pub fn parse_fault(spec: &str) -> Result<(usize, Behavior), UsageError> {
     let mut parts = spec.split(':');
     let node: usize = parse_num(
@@ -407,6 +423,12 @@ pub fn parse_fault(spec: &str) -> Result<(usize, Behavior), UsageError> {
         Some(p) => parse_num(p, "--fault probability")?,
         None => 1.0,
     };
+    // NaN fails the range test too.
+    if !(0.0..=1.0).contains(&probability) {
+        return Err(UsageError(format!(
+            "--fault probability must be within [0, 1], got {probability}"
+        )));
+    }
     let behavior = match kind {
         "commission" => Behavior::Commission { probability },
         "omission" => Behavior::Omission { probability },
@@ -448,6 +470,228 @@ pub fn render_record(r: &Record) -> String {
         .join(",")
 }
 
+/// Reads a script file; the error names the path.
+pub(crate) fn read_script(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read script '{path}': {e}"))
+}
+
+/// Reads one input file into records ([`parse_record`] per non-blank
+/// line), returning the raw text alongside: forensic bundles ship exact
+/// copies of what was read. The error names the input and the path.
+pub(crate) fn load_input(name: &str, path: &str) -> Result<(Vec<Record>, String), String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read input '{name}' from '{path}': {e}"))?;
+    let records = text
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(parse_record)
+        .collect();
+    Ok((records, text))
+}
+
+/// Appends one published output to the report: a header and at most
+/// `show_rows` rows.
+fn render_output(out: &mut String, name: &str, records: &[Record], show_rows: usize) {
+    let _ = writeln!(out, "\n== {name} ({} records) ==", records.len());
+    for r in records.iter().take(show_rows) {
+        let _ = writeln!(out, "{}", render_record(r));
+    }
+    if records.len() > show_rows {
+        let _ = writeln!(out, "... ({} more)", records.len() - show_rows);
+    }
+}
+
+/// The executor configuration an invocation asks for on the `--threads`
+/// path (`cbftd` builds each job's configuration through the same
+/// function, from the job's projection onto [`CliOptions`]).
+pub(crate) fn executor_config(opts: &CliOptions) -> ExecutorConfig {
+    let f = opts.f;
+    let defaults = ExecutorConfig::default();
+    ExecutorConfig {
+        threads: opts.threads.unwrap_or(1),
+        compute_threads: opts.compute_threads.unwrap_or(defaults.compute_threads),
+        batch_records: opts.batch_size.unwrap_or(defaults.batch_records),
+        expected_failures: f,
+        // Start at the requested replication degree, escalate along the
+        // paper's schedule from there.
+        escalation: vec![opts.replication.replicas(f), 2 * f + 1, 3 * f + 1],
+        vp_policy: VpPolicy::Marked(opts.points),
+        adversary: opts.adversary,
+        digest_granularity: opts.granularity,
+        nodes: opts.nodes,
+        slots_per_node: opts.slots,
+        master_seed: opts.seed,
+        verify_mode: opts.verify_mode,
+        sample_rate: opts.sample_rate.unwrap_or(defaults.sample_rate),
+        ..defaults
+    }
+}
+
+/// The output flags `cbft` and `cbftd` share.
+pub(crate) struct ReportFlags<'a> {
+    pub trace: Option<&'a str>,
+    pub trace_summary: bool,
+    pub metrics: Option<&'a str>,
+    pub metrics_json: Option<&'a str>,
+    pub health_report: bool,
+}
+
+impl CliOptions {
+    fn report_flags(&self) -> ReportFlags<'_> {
+        ReportFlags {
+            trace: self.trace.as_deref(),
+            trace_summary: self.trace_summary,
+            metrics: self.metrics.as_deref(),
+            metrics_json: self.metrics_json.as_deref(),
+            health_report: self.health_report,
+        }
+    }
+}
+
+/// The observability handles of one `cbft` or `cbftd` run, and the tail
+/// of the report that drains them.
+pub(crate) struct Observability<'a> {
+    flags: ReportFlags<'a>,
+    pub tracer: Tracer,
+    sink: Option<Arc<MemorySink>>,
+    pub flight_rec: Arc<FlightRecorder>,
+    pub metrics: Metrics,
+    dp_before: DataPlaneSnapshot,
+}
+
+impl<'a> Observability<'a> {
+    /// Builds the handles for one run. The flight recorder is **always**
+    /// attached — its fixed-memory rings are the forensic context when an
+    /// anomaly fires — so the tracer is never disabled; a full-capture
+    /// [`MemorySink`] is teed in when either trace flag asks for it. The
+    /// metrics hub is a live registry when a metrics flag is set or the
+    /// caller has another consumer (`also_live`: a `--flight-dir`, whose
+    /// bundles embed a snapshot, or the daemon's snapshot series), the
+    /// zero-cost disabled handle otherwise.
+    pub fn start(flags: ReportFlags<'a>, also_live: bool) -> Self {
+        let flight_rec = Arc::new(FlightRecorder::with_default_capacity());
+        let sink =
+            (flags.trace.is_some() || flags.trace_summary).then(|| Arc::new(MemorySink::new()));
+        let tracer = match &sink {
+            Some(sink) => {
+                let tee: Vec<Arc<dyn TraceSink>> = vec![flight_rec.clone(), sink.clone()];
+                Tracer::new(Arc::new(FanoutSink::new(tee)))
+            }
+            None => Tracer::new(flight_rec.clone()),
+        };
+        let live = flags.metrics.is_some()
+            || flags.metrics_json.is_some()
+            || flags.health_report
+            || also_live;
+        Observability {
+            flags,
+            tracer,
+            sink,
+            flight_rec,
+            metrics: if live {
+                Metrics::new()
+            } else {
+                Metrics::disabled()
+            },
+            dp_before: data_plane::snapshot(),
+        }
+    }
+
+    /// Flight accounting: what the recorder's rings captured and
+    /// evicted. Lands in the wall domain (capture order is host
+    /// scheduling), like the two counters below.
+    pub fn count_flight_rings(&self) {
+        if self.metrics.enabled() {
+            let rec = &self.flight_rec;
+            self.metrics.add(
+                Domain::Wall,
+                metric_names::FLIGHT_EVENTS,
+                &[],
+                rec.captured(),
+            );
+            self.metrics.add(
+                Domain::Wall,
+                metric_names::FLIGHT_EVICTED,
+                &[],
+                rec.evicted(),
+            );
+        }
+    }
+
+    /// Flight accounting: one count per detected anomaly, by kind.
+    pub fn count_anomalies(&self, anomalies: &[Anomaly]) {
+        if self.metrics.enabled() {
+            for a in anomalies {
+                let label = [("kind", LabelValue::from(a.kind.name()))];
+                self.metrics
+                    .add(Domain::Wall, metric_names::FLIGHT_ANOMALIES, &label, 1);
+            }
+        }
+    }
+
+    /// Writes one forensic bundle under `dir` and reports its path.
+    pub fn write_bundle(
+        &self,
+        dir: &str,
+        name: &str,
+        spec: &BundleSpec<'_>,
+    ) -> Result<String, Box<dyn Error>> {
+        let path = flight::write_bundle(Path::new(dir), name, spec)?;
+        self.metrics
+            .add(Domain::Wall, metric_names::FLIGHT_BUNDLES, &[], 1);
+        Ok(format!("forensic bundle: {}", path.display()))
+    }
+
+    /// The tail of the report: writes the Chrome-trace JSON (`--trace`)
+    /// and appends the aggregated summary (`--trace-summary`), then
+    /// writes the Prometheus (`--metrics`) and JSON (`--metrics-json`)
+    /// dumps and appends the health report (`--health-report`). The
+    /// one-shot CLI builds the health report from the sim-domain slice
+    /// only, so it is identical for any worker/compute-pool thread count;
+    /// the daemon asks for the `full_health` snapshot, because the server
+    /// series are wall-domain.
+    pub fn finish(self, out: &mut String, full_health: bool) -> Result<(), Box<dyn Error>> {
+        if let Some(sink) = self.sink {
+            let events = sink.take();
+            if let Some(path) = self.flags.trace {
+                flight::write_output("--trace", path, &chrome_trace_json(&events))?;
+            }
+            if self.flags.trace_summary {
+                let d = data_plane::snapshot().since(&self.dp_before);
+                let summary = TraceSummary::from_events(&events)
+                    .with_counter("records_cloned", d.records_cloned)
+                    .with_counter("rows_materialized", d.rows_materialized)
+                    .with_counter("arcs_shared", d.arcs_shared)
+                    .with_counter("bytes_encoded", d.bytes_encoded)
+                    .with_counter("digest_bytes_hashed", d.digest_bytes_hashed)
+                    .with_counter("tasks_dispatched", d.tasks_dispatched)
+                    .with_counter("tasks_stolen", d.tasks_stolen)
+                    .with_counter("pool_queue_peak", d.pool_queue_peak);
+                let _ = writeln!(out, "\n{}", summary.render());
+            }
+        }
+        if !self.metrics.enabled() {
+            return Ok(());
+        }
+        let snap = self.metrics.snapshot();
+        if let Some(path) = self.flags.metrics {
+            flight::write_output("--metrics", path, &prometheus_text(&snap))?;
+        }
+        if let Some(path) = self.flags.metrics_json {
+            flight::write_output("--metrics-json", path, &json_snapshot(&snap))?;
+        }
+        if self.flags.health_report {
+            let report = if full_health {
+                HealthReport::from_snapshot(&snap)
+            } else {
+                HealthReport::from_snapshot(&snap.sim_only())
+            };
+            let _ = writeln!(out, "\n{}", report.render());
+        }
+        Ok(())
+    }
+}
+
 /// Executes a parsed invocation: loads inputs, runs the script through
 /// ClusterBFT and returns the human-readable report.
 ///
@@ -456,10 +700,7 @@ pub fn render_record(r: &Record) -> String {
 /// IO errors reading the script/input files, and any ClusterBFT submission
 /// error.
 pub fn run(opts: &CliOptions) -> Result<String, Box<dyn Error>> {
-    use std::fmt::Write as _;
-
-    let source = std::fs::read_to_string(&opts.script)
-        .map_err(|e| format!("cannot read script '{}': {e}", opts.script))?;
+    let source = read_script(&opts.script)?;
     if opts.emit_dot {
         let plan = Script::parse(&source)?.into_plan();
         return Ok(plan.to_dot(&[]));
@@ -469,27 +710,72 @@ pub fn run(opts: &CliOptions) -> Result<String, Box<dyn Error>> {
     // Raw input texts, retained only when a bundle could need them.
     let mut raw_inputs: Vec<(String, String)> = Vec::new();
     for (name, path) in &opts.inputs {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read input '{name}' from '{path}': {e}"))?;
-        let records: Vec<Record> = text
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(parse_record)
-            .collect();
+        let (records, text) = load_input(name, path)?;
         inputs.insert(name.clone(), records);
         if opts.flight_dir.is_some() {
             raw_inputs.push((name.clone(), text));
         }
     }
 
-    if opts.threads.is_some() {
-        return run_parallel(opts, &source, inputs, &raw_inputs);
+    let obs = Observability::start(opts.report_flags(), opts.flight_dir.is_some());
+    let mut out = String::new();
+    let anomalies = if opts.threads.is_some() {
+        run_parallel(opts, &source, inputs, &obs, &mut out)?
+    } else {
+        run_sequential(opts, &source, inputs, &obs, &mut out)?
+    };
+
+    // Report detected anomalies and, when `--flight-dir` is set, drain
+    // the flight recorder into a forensic bundle.
+    obs.count_flight_rings();
+    obs.count_anomalies(&anomalies);
+    if !anomalies.is_empty() {
+        let _ = writeln!(out, "\nanomalies detected:");
+        for a in &anomalies {
+            let _ = writeln!(out, "  {}: {}", a.kind, a.detail);
+        }
+        if let Some(dir) = &opts.flight_dir {
+            let snapshot = obs.metrics.enabled().then(|| obs.metrics.snapshot());
+            let mode = match opts.threads {
+                Some(n) => format!("parallel({n} threads)"),
+                None => "sequential".to_owned(),
+            };
+            let compute = opts.compute_threads;
+            let spec = BundleSpec {
+                anomalies: &anomalies,
+                script: &source,
+                inputs: &raw_inputs,
+                seed: opts.seed,
+                events: &obs.flight_rec.drain(),
+                snapshot: snapshot.as_ref(),
+                repro: flight::repro_command(opts),
+                context: vec![
+                    ("mode".to_owned(), mode),
+                    (
+                        "compute_threads".to_owned(),
+                        compute.map_or("inline".to_owned(), |n| n.to_string()),
+                    ),
+                    ("verify_mode".to_owned(), opts.verify_mode.name().to_owned()),
+                ],
+            };
+            let line = obs.write_bundle(dir, &format!("bundle-seed{}", opts.seed), &spec)?;
+            let _ = writeln!(out, "{line}");
+        }
     }
+    obs.finish(&mut out, false)?;
+    Ok(out)
+}
 
-    let (tracer, sink, flight_rec) = make_tracer(opts);
-    let metrics = make_metrics(opts);
-    let dp_before = data_plane::snapshot();
-
+/// The default path: `r` replicas of every job share one simulated
+/// cluster under the sequential [`ClusterBft`] pipeline, and `--fault N`
+/// names a node.
+fn run_sequential(
+    opts: &CliOptions,
+    source: &str,
+    inputs: HashMap<String, Vec<Record>>,
+    obs: &Observability<'_>,
+    out: &mut String,
+) -> Result<Vec<Anomaly>, Box<dyn Error>> {
     let mut builder = Cluster::builder()
         .nodes(opts.nodes)
         .slots_per_node(opts.slots)
@@ -511,16 +797,14 @@ pub fn run(opts: &CliOptions) -> Result<String, Box<dyn Error>> {
     if let Some(n) = opts.batch_size {
         config = config.batch_records(n);
     }
-    let config = config.build();
-    let mut cbft = ClusterBft::new(builder.build(), config);
-    cbft.set_tracer(tracer);
-    cbft.set_metrics(metrics.clone());
+    let mut cbft = ClusterBft::new(builder.build(), config.build());
+    cbft.set_tracer(obs.tracer.clone());
+    cbft.set_metrics(obs.metrics.clone());
     for (name, records) in inputs {
         cbft.load_input(&name, records)?;
     }
 
-    let outcome = cbft.submit_script(&source)?;
-    let mut out = String::new();
+    let outcome = cbft.submit_script(source)?;
     let _ = writeln!(out, "{outcome}");
     let _ = writeln!(
         out,
@@ -534,168 +818,14 @@ pub fn run(opts: &CliOptions) -> Result<String, Box<dyn Error>> {
             .storage()
             .peek(name)
             .ok_or_else(|| format!("published output '{name}' is missing from storage"))?;
-        let _ = writeln!(out, "\n== {name} ({} records) ==", records.len());
-        for r in records.iter().take(opts.show_rows) {
-            let _ = writeln!(out, "{}", render_record(r));
-        }
-        if records.len() > opts.show_rows {
-            let _ = writeln!(out, "... ({} more)", records.len() - opts.show_rows);
-        }
+        render_output(out, name, records, opts.show_rows);
     }
     if let Some(analyzer) = cbft.fault_analyzer() {
         if !analyzer.suspects().is_empty() {
             let _ = writeln!(out, "\nsuspect sets: {:?}", analyzer.suspects());
         }
     }
-    let anomalies = flight::detect_sequential_anomalies(&outcome);
-    finish_flight(
-        &mut out,
-        opts,
-        anomalies,
-        &flight_rec,
-        &metrics,
-        &source,
-        &raw_inputs,
-    )?;
-    finish_trace(&mut out, opts, sink, dp_before)?;
-    finish_metrics(&mut out, opts, &metrics)?;
-    Ok(out)
-}
-
-/// Builds the tracer for one run. The flight recorder is **always**
-/// attached — its fixed-memory rings are the forensic context when an
-/// anomaly fires — so the tracer is never disabled on the CLI path; a
-/// full-capture [`MemorySink`] is teed in when either trace flag asks
-/// for it.
-fn make_tracer(opts: &CliOptions) -> (Tracer, Option<Arc<MemorySink>>, Arc<FlightRecorder>) {
-    let flight_rec = Arc::new(FlightRecorder::with_default_capacity());
-    if opts.trace.is_some() || opts.trace_summary {
-        let sink = Arc::new(MemorySink::new());
-        let tee: Vec<Arc<dyn TraceSink>> = vec![flight_rec.clone(), sink.clone()];
-        (
-            Tracer::new(Arc::new(FanoutSink::new(tee))),
-            Some(sink),
-            flight_rec,
-        )
-    } else {
-        (Tracer::new(flight_rec.clone()), None, flight_rec)
-    }
-}
-
-/// Reports detected anomalies and, when `--flight-dir` is set, drains
-/// the flight recorder into a forensic bundle. Flight accounting lands
-/// in the wall domain (capture order is host scheduling).
-fn finish_flight(
-    out: &mut String,
-    opts: &CliOptions,
-    anomalies: Vec<Anomaly>,
-    flight_rec: &FlightRecorder,
-    metrics: &Metrics,
-    source: &str,
-    raw_inputs: &[(String, String)],
-) -> Result<(), Box<dyn Error>> {
-    use std::fmt::Write as _;
-
-    if metrics.enabled() {
-        metrics.add(
-            Domain::Wall,
-            metric_names::FLIGHT_EVENTS,
-            &[],
-            flight_rec.captured(),
-        );
-        metrics.add(
-            Domain::Wall,
-            metric_names::FLIGHT_EVICTED,
-            &[],
-            flight_rec.evicted(),
-        );
-        for a in &anomalies {
-            let label = [("kind", crate::metrics::LabelValue::from(a.kind.name()))];
-            metrics.add(Domain::Wall, metric_names::FLIGHT_ANOMALIES, &label, 1);
-        }
-    }
-    if anomalies.is_empty() {
-        return Ok(());
-    }
-    let _ = writeln!(out, "\nanomalies detected:");
-    for a in &anomalies {
-        let _ = writeln!(out, "  {}: {}", a.kind, a.detail);
-    }
-    let Some(dir) = &opts.flight_dir else {
-        return Ok(());
-    };
-    let snapshot = metrics.enabled().then(|| metrics.snapshot());
-    let spec = BundleSpec {
-        anomalies: &anomalies,
-        script: source,
-        inputs: raw_inputs,
-        seed: opts.seed,
-        events: &flight_rec.drain(),
-        snapshot: snapshot.as_ref(),
-        repro: flight::repro_command(opts),
-        context: bundle_context(opts),
-    };
-    let name = format!("bundle-seed{}", opts.seed);
-    let path = flight::write_bundle(Path::new(dir), &name, &spec)?;
-    if metrics.enabled() {
-        metrics.add(Domain::Wall, metric_names::FLIGHT_BUNDLES, &[], 1);
-    }
-    let _ = writeln!(out, "forensic bundle: {}", path.display());
-    Ok(())
-}
-
-/// Host-side manifest context for a CLI bundle.
-fn bundle_context(opts: &CliOptions) -> Vec<(String, String)> {
-    let mode = match opts.threads {
-        Some(n) => format!("parallel({n} threads)"),
-        None => "sequential".to_owned(),
-    };
-    vec![
-        ("mode".to_owned(), mode),
-        (
-            "compute_threads".to_owned(),
-            opts.compute_threads
-                .map_or("inline".to_owned(), |n| n.to_string()),
-        ),
-        ("verify_mode".to_owned(), opts.verify_mode.name().to_owned()),
-    ]
-}
-
-/// Drains the sink: writes the Chrome-trace JSON file (`--trace`) and
-/// appends the aggregated summary (`--trace-summary`) to the report.
-fn finish_trace(
-    out: &mut String,
-    opts: &CliOptions,
-    sink: Option<Arc<MemorySink>>,
-    dp_before: DataPlaneSnapshot,
-) -> Result<(), Box<dyn Error>> {
-    use std::fmt::Write as _;
-
-    let Some(sink) = sink else { return Ok(()) };
-    let events = sink.take();
-    if let Some(path) = &opts.trace {
-        flight::write_output("--trace", path, &chrome_trace_json(&events))?;
-    }
-    if opts.trace_summary {
-        let delta = data_plane::snapshot().since(&dp_before);
-        let summary = trace_summary(&events, &delta);
-        let _ = writeln!(out, "\n{}", summary.render());
-    }
-    Ok(())
-}
-
-/// The `--trace-summary` view (shared with `cbftd`): the recorded events
-/// plus the data-plane counter deltas of the run.
-pub(crate) fn trace_summary(events: &[TraceEvent], delta: &DataPlaneSnapshot) -> TraceSummary {
-    TraceSummary::from_events(events)
-        .with_counter("records_cloned", delta.records_cloned)
-        .with_counter("rows_materialized", delta.rows_materialized)
-        .with_counter("arcs_shared", delta.arcs_shared)
-        .with_counter("bytes_encoded", delta.bytes_encoded)
-        .with_counter("digest_bytes_hashed", delta.digest_bytes_hashed)
-        .with_counter("tasks_dispatched", delta.tasks_dispatched)
-        .with_counter("tasks_stolen", delta.tasks_stolen)
-        .with_counter("pool_queue_peak", delta.pool_queue_peak)
+    Ok(flight::detect_sequential_anomalies(&outcome))
 }
 
 /// The `--threads` path: replicas run on worker threads in isolated
@@ -705,36 +835,12 @@ fn run_parallel(
     opts: &CliOptions,
     source: &str,
     inputs: HashMap<String, Vec<Record>>,
-    raw_inputs: &[(String, String)],
-) -> Result<String, Box<dyn Error>> {
-    use std::fmt::Write as _;
-
-    let (tracer, sink, flight_rec) = make_tracer(opts);
-    let metrics = make_metrics(opts);
-    let dp_before = data_plane::snapshot();
-
-    let f = opts.f;
-    let default_exec = ExecutorConfig::default();
-    let mut exec = ParallelExecutor::new(ExecutorConfig {
-        threads: opts.threads.unwrap_or(1),
-        compute_threads: opts.compute_threads.unwrap_or(default_exec.compute_threads),
-        batch_records: opts.batch_size.unwrap_or(default_exec.batch_records),
-        expected_failures: f,
-        // Start at the requested replication degree, escalate along the
-        // paper's schedule from there.
-        escalation: vec![opts.replication.replicas(f), 2 * f + 1, 3 * f + 1],
-        vp_policy: VpPolicy::Marked(opts.points),
-        adversary: opts.adversary,
-        digest_granularity: opts.granularity,
-        nodes: opts.nodes,
-        slots_per_node: opts.slots,
-        master_seed: opts.seed,
-        verify_mode: opts.verify_mode,
-        sample_rate: opts.sample_rate.unwrap_or(default_exec.sample_rate),
-        ..ExecutorConfig::default()
-    });
-    exec.set_tracer(tracer);
-    exec.set_metrics(metrics.clone());
+    obs: &Observability<'_>,
+    out: &mut String,
+) -> Result<Vec<Anomaly>, Box<dyn Error>> {
+    let mut exec = ParallelExecutor::new(executor_config(opts));
+    exec.set_tracer(obs.tracer.clone());
+    exec.set_metrics(obs.metrics.clone());
     for (name, records) in inputs {
         exec.load_input(&name, records)?;
     }
@@ -749,7 +855,6 @@ fn run_parallel(
     };
     let outcome = exec.run_plan(plan)?;
 
-    let mut out = String::new();
     let _ = writeln!(
         out,
         "{}   replicas per round: {:?}   digest reports: {}",
@@ -791,72 +896,13 @@ fn run_parallel(
         let _ = writeln!(out, "omitted replicas: {:?}", outcome.omitted_replicas());
     }
     for (name, records) in outcome.outputs() {
-        let _ = writeln!(out, "\n== {name} ({} records) ==", records.len());
-        for r in records.iter().take(opts.show_rows) {
-            let _ = writeln!(out, "{}", render_record(r));
-        }
-        if records.len() > opts.show_rows {
-            let _ = writeln!(out, "... ({} more)", records.len() - opts.show_rows);
-        }
+        render_output(out, name, records, opts.show_rows);
     }
-    let snapshot: Option<Snapshot> = metrics.enabled().then(|| metrics.snapshot());
-    let anomalies = flight::detect_parallel_anomalies(&outcome, snapshot.as_ref());
-    finish_flight(
-        &mut out,
-        opts,
-        anomalies,
-        &flight_rec,
-        &metrics,
-        source,
-        raw_inputs,
-    )?;
-    finish_trace(&mut out, opts, sink, dp_before)?;
-    finish_metrics(&mut out, opts, &metrics)?;
-    Ok(out)
-}
-
-/// Builds the metrics hub for one run: a live registry when any metrics
-/// flag is set — `--flight-dir` counts, so forensic bundles always embed
-/// a snapshot — the zero-cost disabled handle otherwise.
-fn make_metrics(opts: &CliOptions) -> Metrics {
-    if opts.metrics.is_some()
-        || opts.metrics_json.is_some()
-        || opts.health_report
-        || opts.flight_dir.is_some()
-    {
-        Metrics::new()
-    } else {
-        Metrics::disabled()
-    }
-}
-
-/// Drains the metrics hub: writes the Prometheus (`--metrics`) and JSON
-/// (`--metrics-json`) dumps and appends the fault-forensics health report
-/// (`--health-report`) to the run report.
-fn finish_metrics(
-    out: &mut String,
-    opts: &CliOptions,
-    metrics: &Metrics,
-) -> Result<(), Box<dyn Error>> {
-    use std::fmt::Write as _;
-
-    if !metrics.enabled() {
-        return Ok(());
-    }
-    let snap = metrics.snapshot();
-    if let Some(path) = &opts.metrics {
-        flight::write_output("--metrics", path, &prometheus_text(&snap))?;
-    }
-    if let Some(path) = &opts.metrics_json {
-        flight::write_output("--metrics-json", path, &json_snapshot(&snap))?;
-    }
-    if opts.health_report {
-        // Built from the sim-domain slice only, so the report is identical
-        // for any worker/compute-pool thread count.
-        let report = HealthReport::from_snapshot(&snap.sim_only());
-        let _ = writeln!(out, "\n{}", report.render());
-    }
-    Ok(())
+    let snapshot: Option<Snapshot> = obs.metrics.enabled().then(|| obs.metrics.snapshot());
+    Ok(flight::detect_parallel_anomalies(
+        &outcome,
+        snapshot.as_ref(),
+    ))
 }
 
 #[cfg(test)]
@@ -1454,6 +1500,43 @@ mod tests {
             parse(&["s.pig", "--threads", "0"]).unwrap().threads,
             Some(0)
         );
+    }
+
+    #[test]
+    fn fault_on_a_missing_node_is_a_usage_error_not_a_panic() {
+        // Sequential path: `--fault N` names a node of the shared cluster.
+        let err = parse(&["s.pig", "--fault", "99:commission"]).unwrap_err();
+        assert!(err.0.contains("--fault node 99"), "{err}");
+        assert!(err.0.contains("--nodes 16"), "{err}");
+        let err = parse(&["s.pig", "--nodes", "4", "--fault", "4:crash"]).unwrap_err();
+        assert!(err.0.contains("--fault node 4"), "{err}");
+        // Checked after every flag is read: --nodes may follow --fault.
+        let opts = parse(&["s.pig", "--fault", "99:commission", "--nodes", "128"]).unwrap();
+        assert_eq!(opts.faults[0].0, 99);
+        assert!(parse(&["s.pig", "--nodes", "4", "--fault", "3:crash"]).is_ok());
+        // With --threads the index names a replica, and one that never
+        // runs stays the documented no-op.
+        assert!(parse(&["s.pig", "--threads", "2", "--fault", "99:commission"]).is_ok());
+    }
+
+    #[test]
+    fn fault_probability_outside_the_unit_interval_is_rejected() {
+        for spec in [
+            "0:commission:2.5",
+            "0:omission:-0.1",
+            "0:commission:nan",
+            "0:omission:inf",
+        ] {
+            let err = parse(&["s.pig", "--fault", spec]).unwrap_err();
+            assert!(
+                err.0.contains("--fault probability must be within [0, 1]"),
+                "{spec}: {err}"
+            );
+        }
+        for (spec, p) in [("0:commission:0", 0.0), ("0:commission:1", 1.0)] {
+            let opts = parse(&["s.pig", "--fault", spec]).unwrap();
+            assert_eq!(opts.faults[0].1, Behavior::Commission { probability: p });
+        }
     }
 
     #[test]

@@ -22,25 +22,20 @@
 
 use std::error::Error;
 use std::fmt::Write as _;
-use std::path::Path;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use crate::cli::{parse_record, CliOptions, UsageError};
-use crate::core::{ExecutorConfig, Replication, VpPolicy};
-use crate::flight::{self, Anomaly, AnomalyKind, BundleSpec, RejectionBurstDetector};
-use crate::mapreduce::data_plane;
-use crate::metrics::{
-    json_snapshot, names as metric_names, prometheus_text, Domain, HealthReport, LabelValue,
-    Metrics,
+use crate::cli::{
+    executor_config, load_input, parse_num, parse_replication, positive, read_script, CliOptions,
+    Observability, ReportFlags, UsageError,
 };
+use crate::core::{ExecutorConfig, Replication};
+use crate::flight::{self, Anomaly, AnomalyKind, BundleSpec, RejectionBurstDetector};
+use crate::metrics::{json_snapshot, Metrics};
 use crate::server::{
     JobError, JobResult, JobServer, JobSpec, RejectReason, ServerConfig, SubmitOutcome,
 };
-use crate::trace::{
-    chrome_trace_json, ArgValue, FanoutSink, FlightRecorder, MemorySink, TraceEvent, TraceSink,
-    Tracer,
-};
+use crate::trace::{ArgValue, TraceEvent};
 
 /// Parsed command-line options for one `cbftd` invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -178,18 +173,6 @@ Rejections are explicit backpressure: when the queue is full, cbftd waits
 briefly and retries the submission, counting every rejection it absorbed.
 A sustained rejection streak is itself an anomaly (rejection_burst).";
 
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, UsageError> {
-    s.parse()
-        .map_err(|_| UsageError(format!("{flag}: '{s}' is not a valid number")))
-}
-
-fn positive(n: usize, flag: &str) -> Result<usize, UsageError> {
-    if n == 0 {
-        return Err(UsageError(format!("{flag} must be at least 1")));
-    }
-    Ok(n)
-}
-
 /// Parses `cbftd` command-line arguments (excluding `argv[0]`).
 ///
 /// # Errors
@@ -253,16 +236,7 @@ pub fn parse_daemon_args<I: IntoIterator<Item = String>>(
             }
             "--f" => opts.f = parse_num(&need(&mut it, "--f")?, "--f")?,
             "--replication" => {
-                let v = need(&mut it, "--replication")?;
-                opts.replication = match v.as_str() {
-                    "optimistic" => Replication::Optimistic,
-                    "quorum" => Replication::Quorum,
-                    "full" => Replication::Full,
-                    n => Replication::Exact(positive(
-                        parse_num(n, "--replication")?,
-                        "--replication",
-                    )?),
-                };
+                opts.replication = parse_replication(&need(&mut it, "--replication")?)?
             }
             "--points" => opts.points = parse_num(&need(&mut it, "--points")?, "--points")?,
             "--granularity" => {
@@ -379,23 +353,13 @@ pub fn parse_job_line(line: &str) -> Result<Option<JobLine>, UsageError> {
     }))
 }
 
-/// Builds the per-job executor configuration from the daemon options.
-fn job_exec(opts: &DaemonOptions, seed: u64) -> ExecutorConfig {
-    let f = opts.f;
+/// Builds the per-job executor configuration: exactly what the one-shot
+/// `cbft` would build for the job's [`job_cli_options`] projection, except
+/// that payloads run on the server's shared pool instead of a private one.
+fn job_exec(opts: &DaemonOptions, line: &JobLine) -> ExecutorConfig {
     ExecutorConfig {
-        threads: opts.threads,
-        compute_threads: 1, // the server's shared pool is used instead
-        expected_failures: f,
-        escalation: vec![opts.replication.replicas(f), 2 * f + 1, 3 * f + 1],
-        vp_policy: VpPolicy::Marked(opts.points),
-        digest_granularity: opts.granularity,
-        batch_records: opts
-            .batch_size
-            .unwrap_or(ExecutorConfig::default().batch_records),
-        nodes: opts.nodes,
-        slots_per_node: opts.slots_per_node,
-        master_seed: seed,
-        ..ExecutorConfig::default()
+        compute_threads: 1,
+        ..executor_config(&job_cli_options(opts, line))
     }
 }
 
@@ -408,18 +372,11 @@ fn job_exec(opts: &DaemonOptions, seed: u64) -> ExecutorConfig {
 /// IO errors carry the path (and input name) that failed, so a typo in a
 /// thousand-line jobs file is findable.
 fn load_job(opts: &DaemonOptions, line: &JobLine) -> Result<(JobSpec, RawInputs), Box<dyn Error>> {
-    let script = std::fs::read_to_string(&line.script)
-        .map_err(|e| format!("cannot read script '{}': {e}", line.script))?;
-    let mut spec = JobSpec::new(&line.tenant, &script).exec(job_exec(opts, line.seed));
+    let script = read_script(&line.script)?;
+    let mut spec = JobSpec::new(&line.tenant, &script).exec(job_exec(opts, line));
     let mut raw = Vec::with_capacity(line.inputs.len());
     for (name, path) in &line.inputs {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read input '{name}' from '{path}': {e}"))?;
-        let records = text
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(parse_record)
-            .collect();
+        let (records, text) = load_input(name, path)?;
         spec = spec.input(name, records);
         raw.push((name.clone(), text));
     }
@@ -577,32 +534,19 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
         }
     }
 
-    let metrics = if opts.metrics.is_some()
-        || opts.metrics_json.is_some()
-        || opts.health_report
-        || opts.snapshot_series.is_some()
-        || opts.flight_dir.is_some()
-    {
-        Metrics::new()
-    } else {
-        Metrics::disabled()
+    // Same handles as the single-run CLI; the snapshot series is one
+    // more consumer that needs a live metrics hub.
+    let flags = ReportFlags {
+        trace: opts.trace.as_deref(),
+        trace_summary: opts.trace_summary,
+        metrics: opts.metrics.as_deref(),
+        metrics_json: opts.metrics_json.as_deref(),
+        health_report: opts.health_report,
     };
-
-    // The flight recorder is always attached, like the single-run CLI:
-    // its fixed-memory rings are the forensic context when a job trips
-    // the anomaly detector. A full-capture MemorySink is teed in only
-    // when a trace flag asks for one.
-    let flight_rec = Arc::new(FlightRecorder::with_default_capacity());
-    let mem_sink =
-        (opts.trace.is_some() || opts.trace_summary).then(|| Arc::new(MemorySink::new()));
-    let tracer = match &mem_sink {
-        Some(sink) => {
-            let tee: Vec<Arc<dyn TraceSink>> = vec![flight_rec.clone(), sink.clone()];
-            Tracer::new(Arc::new(FanoutSink::new(tee)))
-        }
-        None => Tracer::new(flight_rec.clone()),
-    };
-    let dp_before = data_plane::snapshot();
+    let obs = Observability::start(
+        flags,
+        opts.flight_dir.is_some() || opts.snapshot_series.is_some(),
+    );
 
     let server = JobServer::start(ServerConfig {
         slots: opts.slots,
@@ -611,8 +555,8 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
         default_weight: opts.default_weight,
         weights: opts.weights.clone(),
         max_inflight: opts.max_inflight.clone(),
-        metrics: metrics.clone(),
-        tracer,
+        metrics: obs.metrics.clone(),
+        tracer: obs.tracer.clone(),
         // Per-job metrics hubs feed the per-job bundle forensics.
         job_metrics: opts.flight_dir.is_some(),
     });
@@ -621,7 +565,7 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
         Some(path) => Some(SnapshotSeries::start(
             path,
             opts.snapshot_interval,
-            metrics.clone(),
+            obs.metrics.clone(),
         )?),
         None => None,
     };
@@ -733,15 +677,7 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
         );
     }
 
-    finish_flight(
-        &mut out,
-        opts,
-        &results,
-        server_anomalies,
-        &flight_rec,
-        &metrics,
-        &contexts,
-    )?;
+    finish_flight(&mut out, opts, &results, server_anomalies, &obs, &contexts)?;
 
     if let Some(series) = series {
         let written = series.finish()?;
@@ -752,32 +688,9 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
         );
     }
 
-    if let Some(sink) = mem_sink {
-        let events = sink.take();
-        if let Some(path) = &opts.trace {
-            flight::write_output("--trace", path, &chrome_trace_json(&events))?;
-        }
-        if opts.trace_summary {
-            let delta = data_plane::snapshot().since(&dp_before);
-            let summary = crate::cli::trace_summary(&events, &delta);
-            let _ = writeln!(out, "\n{}", summary.render());
-        }
-    }
-
-    if metrics.enabled() {
-        let snap = metrics.snapshot();
-        if let Some(path) = &opts.metrics {
-            flight::write_output("--metrics", path, &prometheus_text(&snap))?;
-        }
-        if let Some(path) = &opts.metrics_json {
-            flight::write_output("--metrics-json", path, &json_snapshot(&snap))?;
-        }
-        if opts.health_report {
-            // Full snapshot: the server series are wall-domain.
-            let report = HealthReport::from_snapshot(&snap);
-            let _ = writeln!(out, "\n{}", report.render());
-        }
-    }
+    // Full snapshot in the health report: the server series are
+    // wall-domain.
+    obs.finish(&mut out, true)?;
     Ok(out)
 }
 
@@ -789,40 +702,17 @@ fn finish_flight(
     opts: &DaemonOptions,
     results: &[JobResult],
     server_anomalies: Vec<Anomaly>,
-    flight_rec: &FlightRecorder,
-    metrics: &Metrics,
+    obs: &Observability<'_>,
     contexts: &JobContexts,
 ) -> Result<(), Box<dyn Error>> {
-    if metrics.enabled() {
-        metrics.add(
-            Domain::Wall,
-            metric_names::FLIGHT_EVENTS,
-            &[],
-            flight_rec.captured(),
-        );
-        metrics.add(
-            Domain::Wall,
-            metric_names::FLIGHT_EVICTED,
-            &[],
-            flight_rec.evicted(),
-        );
-    }
-
+    obs.count_flight_rings();
     // One drain serves every bundle: each job's events carry the `job`
     // arg its scoped sink stamped.
-    let drained = flight_rec.drain();
+    let drained = obs.flight_rec.drain();
     let mut anomaly_lines: Vec<String> = Vec::new();
     let mut bundle_lines: Vec<String> = Vec::new();
-    let record = |anomalies: &[Anomaly]| {
-        if metrics.enabled() {
-            for a in anomalies {
-                let label = [("kind", LabelValue::from(a.kind.name()))];
-                metrics.add(Domain::Wall, metric_names::FLIGHT_ANOMALIES, &label, 1);
-            }
-        }
-    };
 
-    record(&server_anomalies);
+    obs.count_anomalies(&server_anomalies);
     for a in &server_anomalies {
         anomaly_lines.push(format!("  server {}: {}", a.kind, a.detail));
     }
@@ -842,7 +732,7 @@ fn finish_flight(
         if anomalies.is_empty() {
             continue;
         }
-        record(&anomalies);
+        obs.count_anomalies(&anomalies);
         for a in &anomalies {
             anomaly_lines.push(format!(
                 "  job {} ({}) {}: {}",
@@ -872,11 +762,7 @@ fn finish_flight(
             ],
         };
         let name = format!("job{}-{}-seed{}", r.id, sanitize(&r.tenant), line.seed);
-        let path = flight::write_bundle(Path::new(dir), &name, &spec)?;
-        if metrics.enabled() {
-            metrics.add(Domain::Wall, metric_names::FLIGHT_BUNDLES, &[], 1);
-        }
-        bundle_lines.push(format!("forensic bundle: {}", path.display()));
+        bundle_lines.push(obs.write_bundle(dir, &name, &spec)?);
     }
 
     if !anomaly_lines.is_empty() {
@@ -1015,6 +901,26 @@ mod tests {
 
         let err = parse_job_line("acme 7 s.pig fault:zero:commission").unwrap_err();
         assert!(err.0.contains("fault"), "{err}");
+    }
+
+    #[test]
+    fn job_line_fault_probability_is_range_checked_and_names_its_line() {
+        let err = parse_job_line("acme 7 s.pig fault:0:commission:2.5").unwrap_err();
+        assert!(
+            err.0.contains("--fault probability must be within [0, 1]"),
+            "{err}"
+        );
+        assert!(parse_job_line("acme 7 s.pig fault:0:omission:nan").is_err());
+
+        let dir = std::env::temp_dir().join(format!("cbftd_badfault_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let jobs = dir.join("jobs.txt");
+        std::fs::write(&jobs, "# chaos\nacme 1 s.pig fault:0:commission:2.5\n").unwrap();
+        let msg = run_daemon(&parse(&[jobs.to_str().unwrap()]).unwrap())
+            .unwrap_err()
+            .to_string();
+        assert!(msg.starts_with("jobs line 2: --fault probability"), "{msg}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
