@@ -17,7 +17,10 @@
 //! zero-copy invariant on the real storage layer: seeding any number of
 //! replica reads from one file clones zero records, and a full
 //! `ParallelExecutor` run clones records only where the pipeline must
-//! own them (partition boundaries and output publication).
+//! own them (partition boundaries and output publication). The same run
+//! on both planes gives the rows built out of batches per input record: on
+//! the columnar plane a GROUP → aggregate job builds its output rows and
+//! nothing else, which the bench asserts.
 //!
 //! Results land in `bench_results/data_plane.json`.
 
@@ -202,31 +205,42 @@ fn main() {
     }
     let seeding = data_plane::snapshot().since(&before);
 
-    // Full pipeline context: a small parallel run. Records are cloned
-    // only where the pipeline must own them (partition boundaries,
-    // output publication) — never on the storage-read path measured
-    // above.
-    let before_run = data_plane::snapshot();
-    let workload = twitter::follower_analysis(3, 50_000);
-    let input_records = workload.records.len() as f64;
-    let mut exec = ParallelExecutor::new(ExecutorConfig {
-        threads: 2,
-        expected_failures: 1,
-        escalation: vec![2],
-        vp_policy: VpPolicy::Marked(1),
-        adversary: Adversary::Weak,
-        map_split_records: 5_000,
-        nodes: 8,
-        slots_per_node: 3,
-        master_seed: 5,
-        cost: pig_like_cost(),
-        ..ExecutorConfig::default()
-    });
-    exec.load_input(workload.input_name, workload.records)
-        .expect("fresh input");
-    let outcome = exec.run_script(workload.script).expect("runs");
-    assert!(outcome.verified(), "healthy run verifies");
-    let run = data_plane::snapshot().since(&before_run);
+    // Full pipeline context: a small parallel run of a GROUP → COUNT job,
+    // on the columnar plane (the default) and on the row plane. Records
+    // are cloned only where the pipeline must own them (partition
+    // boundaries, output publication) — never on the storage-read path
+    // measured above.
+    let full_run = |batch_records: usize| {
+        let before_run = data_plane::snapshot();
+        let workload = twitter::follower_analysis(3, 50_000);
+        let input_records = workload.records.len() as f64;
+        let mut exec = ParallelExecutor::new(ExecutorConfig {
+            threads: 2,
+            expected_failures: 1,
+            escalation: vec![2],
+            vp_policy: VpPolicy::Marked(1),
+            adversary: Adversary::Weak,
+            map_split_records: 5_000,
+            nodes: 8,
+            slots_per_node: 3,
+            master_seed: 5,
+            cost: pig_like_cost(),
+            batch_records,
+            ..ExecutorConfig::default()
+        });
+        exec.load_input(workload.input_name, workload.records)
+            .expect("fresh input");
+        let outcome = exec.run_script(workload.script).expect("runs");
+        assert!(outcome.verified(), "healthy run verifies");
+        let replicas: usize = outcome.replicas_per_round().iter().sum();
+        let output_records = outcome.output(workload.outputs[0]).expect("stored").len();
+        let run = data_plane::snapshot().since(&before_run);
+        (run, input_records, replicas as f64, output_records as f64)
+    };
+    let (rows_run, ..) = full_run(0);
+    let (run, input_records, replicas, output_records) =
+        full_run(ExecutorConfig::default().batch_records);
+    let materialized_per_input = |rows: u64| rows as f64 / (replicas * input_records);
 
     let mut record = ExperimentRecord::new(
         "data_plane",
@@ -337,6 +351,24 @@ fn main() {
         run.rows_materialized as f64,
     );
     record.push(
+        "rows materialized per input record, GROUP job end to end (row plane)",
+        "rows/record",
+        None,
+        materialized_per_input(rows_run.rows_materialized),
+    );
+    record.push(
+        "rows materialized per input record, GROUP job end to end (columnar)",
+        "rows/record",
+        None,
+        materialized_per_input(run.rows_materialized),
+    );
+    record.push(
+        "output rows per input record",
+        "rows/record",
+        None,
+        output_records / input_records,
+    );
+    record.push(
         "full run arcs shared",
         "handles",
         None,
@@ -360,6 +392,14 @@ fn main() {
         "the storage-read path must clone zero records"
     );
     assert_eq!(seeding.arcs_shared as usize, REPLICAS);
+    assert!(
+        materialized_per_input(run.rows_materialized) <= output_records / input_records,
+        "a columnar GROUP → aggregate job builds no row but its output: {} rows for {} \
+         replicas x {} output rows",
+        run.rows_materialized,
+        replicas,
+        output_records
+    );
 
     record.finish();
 }

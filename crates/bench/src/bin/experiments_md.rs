@@ -130,10 +130,12 @@ fn commentary(id: &str) -> &'static str {
                         summaries, and the data-plane counters prove the replica \
                         read path clones zero records. The rows-materialized \
                         counter covers what the clone counter cannot see: rows \
-                        built out of batches. With GROUP output nested in a \
-                        Bag column it equals map-side partition rows plus \
-                        reduce output rows — no bag is materialized for a \
-                        GROUP → aggregate job."
+                        built out of batches. With map→reduce partitions held as \
+                        batches and GROUP output nested in a Bag column, a \
+                        GROUP → aggregate job builds exactly its output rows \
+                        (asserted: rows materialized per input record ≤ output \
+                        rows per input record); the row plane builds no batch \
+                        and so materializes none."
         }
         "mismatch_localization" => {
             "Verification-cost check (§6.4's granularity/recomputation \

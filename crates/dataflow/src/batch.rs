@@ -336,6 +336,90 @@ impl Column {
         }
     }
 
+    /// The columns of `parts`, one after another. Typed columns of one
+    /// layout append (a part without a null mask fills its stretch of a
+    /// merged mask with `true`); parts that disagree on layout — an
+    /// all-null `Int` run next to a `Str` run, anything `Mixed` or `Bag` —
+    /// are rebuilt from their values by [`Column::from_values`].
+    fn concat(parts: Vec<Column>) -> Column {
+        let len: usize = parts.iter().map(Column::len).sum();
+        let nullable = parts.iter().any(|c| {
+            matches!(
+                c,
+                Column::Int {
+                    validity: Some(_),
+                    ..
+                } | Column::Str {
+                    validity: Some(_),
+                    ..
+                }
+            )
+        });
+        let mut mask = nullable.then(|| Vec::with_capacity(len));
+        let mut extend_mask = |validity: Option<Vec<bool>>, rows: usize| {
+            if let Some(m) = mask.as_mut() {
+                match validity {
+                    Some(part) => m.extend(part),
+                    None => m.resize(m.len() + rows, true),
+                }
+            }
+        };
+        if parts.iter().all(|c| matches!(c, Column::Int { .. })) {
+            let mut values = Vec::with_capacity(len);
+            for part in parts {
+                let Column::Int {
+                    values: v,
+                    validity,
+                } = part
+                else {
+                    unreachable!("layout checked above")
+                };
+                extend_mask(validity, v.len());
+                values.extend(v);
+            }
+            Column::Int {
+                values,
+                validity: mask,
+            }
+        } else if parts.iter().all(|c| matches!(c, Column::Str { .. })) {
+            let total = parts.iter().map(|c| match c {
+                Column::Str { bytes, .. } => bytes.len(),
+                _ => 0,
+            });
+            let mut bytes = Vec::with_capacity(total.sum());
+            let mut offsets = Vec::with_capacity(len + 1);
+            offsets.push(0);
+            for part in parts {
+                let Column::Str {
+                    bytes: b,
+                    offsets: o,
+                    validity,
+                } = part
+                else {
+                    unreachable!("layout checked above")
+                };
+                extend_mask(validity, o.len() - 1);
+                let base = bytes.len();
+                offsets.extend(o[1..].iter().map(|end| base + end));
+                bytes.extend(b);
+            }
+            Column::Str {
+                bytes,
+                offsets,
+                validity: mask,
+            }
+        } else {
+            let mut values = Vec::with_capacity(len);
+            for part in parts {
+                match part {
+                    Column::Mixed(v) => values.extend(v),
+                    typed => values.extend((0..typed.len()).map(|row| typed.value_at(row))),
+                }
+            }
+            Column::from_values(values)
+        }
+    }
+
     fn truncate(&mut self, n: usize) {
         match self {
             Column::Int { values, validity } => {
@@ -481,6 +565,35 @@ impl Batch {
             len: indices.len(),
             columns: self.columns.iter().map(|c| c.gather(indices)).collect(),
         }
+    }
+
+    /// The rows of `runs`, one run after another, as one batch —
+    /// observationally equal to [`Batch::from_records`] over all their
+    /// rows, without building one. Empty runs are skipped (a batch of no
+    /// rows has lost its schema: `from_records(&[])` and a `gather` of
+    /// nothing both have arity 0); a single non-empty run moves whole.
+    /// Returns `None` when the non-empty runs do not share one arity.
+    pub fn concat(runs: Vec<Batch>) -> Option<Batch> {
+        let mut runs: Vec<Batch> = runs.into_iter().filter(|b| !b.is_empty()).collect();
+        if runs.len() <= 1 {
+            return Some(runs.pop().unwrap_or(Batch::from_columns(Vec::new(), 0)));
+        }
+        let arity = runs[0].arity();
+        if runs.iter().any(|b| b.arity() != arity) {
+            return None;
+        }
+        let len = runs.iter().map(Batch::len).sum();
+        let mut parts: Vec<Vec<Column>> =
+            (0..arity).map(|_| Vec::with_capacity(runs.len())).collect();
+        for run in runs {
+            for (c, column) in run.columns.into_iter().enumerate() {
+                parts[c].push(column);
+            }
+        }
+        Some(Batch {
+            len,
+            columns: parts.into_iter().map(Column::concat).collect(),
+        })
     }
 
     /// Keeps only the first `n` rows (vectorized `LIMIT`).
@@ -1246,6 +1359,45 @@ mod tests {
             join_batch(&lb, 0, &rb, 9).to_records(),
             join_records(&left, 0, &right, 9)
         );
+    }
+
+    #[test]
+    fn concat_appends_typed_columns_and_skips_empty_runs() {
+        let records = sample_records();
+        let runs = |cuts: &[usize]| -> Vec<Batch> {
+            let mut bounds = vec![0];
+            bounds.extend(cuts);
+            bounds.push(records.len());
+            bounds
+                .windows(2)
+                .map(|w| Batch::from_records(&records[w[0]..w[1]]).unwrap())
+                .collect()
+        };
+        let whole = Batch::from_records(&records).unwrap();
+        // Column 2's runs are `Int`, all-null `Int` and `Mixed` (the bag).
+        for cuts in [&[][..], &[2], &[1, 1, 3], &[0, 2, 4, 5]] {
+            let joined = Batch::concat(runs(cuts)).expect("one arity");
+            assert_eq!(joined.to_records(), records, "cuts {cuts:?}");
+            assert_eq!(joined.canonical_bytes(), whole.canonical_bytes());
+            assert!(matches!(joined.column(0), Some(Column::Int { .. })));
+            assert!(matches!(joined.column(1), Some(Column::Str { .. })));
+        }
+        // No run has a mask: neither has the result.
+        let ints = |range: std::ops::Range<i64>| {
+            let rows: Vec<Record> = range.map(|i| Record::new(vec![Value::Int(i)])).collect();
+            Batch::from_records(&rows).unwrap()
+        };
+        assert_eq!(
+            Batch::concat(vec![ints(0..3), ints(3..6)]),
+            Some(ints(0..6))
+        );
+        // Nothing but empty runs is the empty batch; unequal arities refuse.
+        let empty = Batch::from_records(&[]).unwrap();
+        assert_eq!(
+            Batch::concat(vec![empty.clone(), empty.clone()]),
+            Some(empty)
+        );
+        assert_eq!(Batch::concat(vec![ints(0..3), whole]), None);
     }
 
     #[test]

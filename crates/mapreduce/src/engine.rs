@@ -1290,7 +1290,12 @@ mod tests {
          STORE cnt INTO 'counts';";
 
     fn follower_spec(sid: &str, replica: usize, out: &str, vps: Vec<VpSite>) -> ExecJob {
-        let plan = Arc::new(Script::parse(FOLLOWER).unwrap().into_plan());
+        spec_of(FOLLOWER, sid, replica, out, vps)
+    }
+
+    /// The spec of a single-job script over the `twitter` file.
+    fn spec_of(src: &str, sid: &str, replica: usize, out: &str, vps: Vec<VpSite>) -> ExecJob {
+        let plan = Arc::new(Script::parse(src).unwrap().into_plan());
         let graph = compile_plan(&plan);
         let job = &graph.jobs()[0];
         ExecJob {
@@ -1359,6 +1364,53 @@ mod tests {
         assert!(completed, "{events:?}");
         let out = cluster.storage().peek("counts").unwrap().to_vec();
         assert_eq!(sorted(out), expected_counts(20));
+    }
+
+    /// Where a whole job on the columnar plane still builds records (the
+    /// inline pool runs every task on this thread, so the per-thread
+    /// count is the job's): a GROUP → COUNT job only for its output — no
+    /// row is built between a split and the reduce task's output
+    /// boundary; a job that `STORE`s the grouped relation itself for its
+    /// output rows and the members of their bags; a DISTINCT job once per
+    /// shuffled row, when the reduce task takes its partition as records
+    /// for the whole-record sort. The row plane builds none.
+    #[test]
+    fn columnar_jobs_materialize_rows_only_where_they_must() {
+        use cbft_dataflow::stats::thread_rows_materialized;
+        let run = |src: &str, batch_records: usize| {
+            let mut cluster = Cluster::builder().nodes(4).seed(1).build();
+            cluster.storage_mut().write("twitter", edges(20)).unwrap();
+            let mut spec = spec_of(src, "s0", 0, "out", vec![]);
+            spec.batch_records = batch_records;
+            let before = thread_rows_materialized();
+            cluster.submit(spec).unwrap();
+            cluster.run_to_quiescence();
+            let materialized = thread_rows_materialized() - before;
+            (
+                materialized,
+                cluster.storage().peek("out").unwrap().len() as u64,
+            )
+        };
+        assert_eq!(run(FOLLOWER, 1024), (5, 5), "output rows only");
+        let stored_groups = "raw = LOAD 'twitter' AS (user, follower);
+             grp = GROUP raw BY user;
+             STORE grp INTO 'groups';";
+        assert_eq!(
+            run(stored_groups, 1024),
+            (5 + 20, 5),
+            "output rows and bag members"
+        );
+        let distinct = "raw = LOAD 'twitter' AS (user, follower);
+             d = DISTINCT raw;
+             STORE d INTO 'rows';";
+        assert_eq!(
+            run(distinct, 1024),
+            (20, 20),
+            "each shuffled row, at the reduce input"
+        );
+        for src in [FOLLOWER, stored_groups, distinct] {
+            assert_eq!(run(src, 0).0, 0, "row plane: {src}");
+        }
     }
 
     #[test]

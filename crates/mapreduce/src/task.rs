@@ -38,25 +38,109 @@ use crate::spec::{ExecJob, VpSite};
 type Tagged = (usize, Record);
 
 /// One reduce partition's share of map output — the data format between
-/// map and reduce tasks.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub(crate) struct Partition(Vec<Tagged>);
+/// map and reduce tasks. A faithful columnar map task hands its rows over
+/// as batches and the reduce task's kernels read them as batches; every
+/// other producer (the row plane, a ragged split, a corrupt fate, a
+/// combiner) hands over tagged records. Which form a partition has is
+/// decided by the data alone and is invisible outside this module: both
+/// hold the same `(tag, row)` sequence.
+#[derive(Clone, Debug)]
+pub(crate) enum Partition {
+    /// Tagged records, in row order.
+    Rows(Vec<Tagged>),
+    /// `(tag, batch)` runs, in row order; every run is non-empty.
+    Cols(Vec<(usize, Batch)>),
+}
+
+impl Default for Partition {
+    fn default() -> Self {
+        Partition::Rows(Vec::new())
+    }
+}
 
 impl Partition {
     /// Records in the partition.
     pub fn len(&self) -> usize {
-        self.0.len()
+        match self {
+            Partition::Rows(rows) => rows.len(),
+            Partition::Cols(runs) => runs.iter().map(|(_, b)| b.len()).sum(),
+        }
+    }
+
+    /// Σ [`Record::byte_size`] over the partition's rows, which for a
+    /// batch is [`Batch::canonical_bytes`].
+    fn byte_size(&self) -> u64 {
+        match self {
+            Partition::Rows(rows) => rows.iter().map(|(_, r)| r.byte_size()).sum(),
+            Partition::Cols(runs) => runs.iter().map(|(_, b)| b.canonical_bytes()).sum(),
+        }
     }
 
     /// The shuffle gather: concatenates one partition's per-map runs, in
-    /// map-task order, into a buffer pre-sized from the summed run
-    /// lengths. Records move, never clone.
+    /// map-task order. Batches and records move, never clone. The result
+    /// stays columnar unless some run holds records (its map task ran the
+    /// row arm); then the batch runs materialize too — the exact fallback.
     pub fn concat(runs: Vec<Partition>) -> Partition {
-        let mut buf = Vec::with_capacity(runs.iter().map(Partition::len).sum());
-        for run in runs {
-            buf.extend(run.0);
+        let any_rows = |run: &Partition| matches!(run, Partition::Rows(rows) if !rows.is_empty());
+        if runs.iter().any(any_rows) {
+            let mut buf = Vec::with_capacity(runs.iter().map(Partition::len).sum());
+            for run in runs {
+                buf.extend(run.into_tagged());
+            }
+            return Partition::Rows(buf);
         }
-        Partition(buf)
+        let batches = runs.into_iter().flat_map(|run| match run {
+            Partition::Cols(batches) => batches,
+            Partition::Rows(_) => Vec::new(),
+        });
+        Partition::Cols(batches.collect())
+    }
+
+    /// The partition as tagged records; batch runs materialize here.
+    fn into_tagged(self) -> Vec<Tagged> {
+        match self {
+            Partition::Rows(rows) => rows,
+            Partition::Cols(runs) => {
+                let mut rows = Vec::with_capacity(runs.iter().map(|(_, b)| b.len()).sum());
+                for (tag, b) in runs {
+                    rows.extend(b.to_records().into_iter().map(|r| (tag, r)));
+                }
+                rows
+            }
+        }
+    }
+
+    /// Lays the partition out as one batch per side: tag 0 and the rest
+    /// when `by_tag` (a join), everything in the first otherwise. Batch
+    /// runs are joined with [`Batch::concat`], records converted once
+    /// with [`Batch::from_records`]. A side whose rows disagree on arity
+    /// cannot be laid out, and the partition is handed back untouched.
+    fn into_sides(self, by_tag: bool) -> Result<[Batch; 2], Partition> {
+        let side = |tag: usize| usize::from(by_tag && tag != 0);
+        let mut arity = [None; 2];
+        let mut uniform = |tag: usize, a: usize| *arity[side(tag)].get_or_insert(a) == a;
+        let admitted = match &self {
+            Partition::Rows(rows) => rows.iter().all(|(tag, r)| uniform(*tag, r.arity())),
+            Partition::Cols(runs) => runs.iter().all(|(tag, b)| uniform(*tag, b.arity())),
+        };
+        if !admitted {
+            return Err(self);
+        }
+        fn split<T>(items: Vec<(usize, T)>, side: impl Fn(usize) -> usize) -> [Vec<T>; 2] {
+            let mut sides = [Vec::new(), Vec::new()];
+            for (tag, item) in items {
+                sides[side(tag)].push(item);
+            }
+            sides
+        }
+        Ok(match self {
+            Partition::Rows(rows) => {
+                split(rows, side).map(|s| Batch::from_records(&s).expect("arity checked above"))
+            }
+            Partition::Cols(runs) => {
+                split(runs, side).map(|s| Batch::concat(s).expect("arity checked above"))
+            }
+        })
     }
 }
 
@@ -101,7 +185,9 @@ impl TaskInput {
 
     /// The copy kept for the trusted spot-checker, made before the
     /// untrusted task (whose fate may corrupt its view) sees the input.
-    /// A split costs a handle clone; a partition is deep-copied.
+    /// A split costs a handle clone; a partition is copied whole — its
+    /// records deep-cloned, or its batches' columns copied — and charged
+    /// one `records_cloned` per row in either form.
     pub fn capture(&self) -> TaskInput {
         if let TaskInput::Partition(p) = self {
             data_plane::count_records_cloned(p.len() as u64);
@@ -111,7 +197,7 @@ impl TaskInput {
 }
 
 /// The records a task produced.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub(crate) enum TaskData {
     /// A map task's output per reduce partition; a single "partition 0"
     /// holds everything when the job has no shuffle.
@@ -124,9 +210,12 @@ impl TaskData {
     /// Moves the output records, in order, onto the end of `out`.
     pub fn append_to(self, out: &mut Vec<Record>) {
         match self {
-            TaskData::Partitions(parts) => {
-                out.extend(parts.into_iter().flat_map(|p| p.0).map(|(_, r)| r))
-            }
+            TaskData::Partitions(parts) => out.extend(
+                parts
+                    .into_iter()
+                    .flat_map(Partition::into_tagged)
+                    .map(|(_, r)| r),
+            ),
             TaskData::Records(mut records) => out.append(&mut records),
         }
     }
@@ -160,7 +249,9 @@ pub(crate) struct Work {
 /// engine attaches these to the task's trace span as wall-domain args.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct StageWall {
-    /// Records → [`Batch`] conversion at the task's input boundary.
+    /// Laying the task's input out as batches: records → [`Batch`] for a
+    /// split or a record partition, [`Batch::concat`] of the runs for a
+    /// columnar partition.
     pub to_batch: u64,
     /// Per-record operators (`FILTER`, `FOREACH`, `LIMIT`).
     pub pipeline_ops: u64,
@@ -169,7 +260,9 @@ pub(crate) struct StageWall {
     pub shuffle_kernel: u64,
     /// Canonical encoding and hashing at verification points.
     pub digest: u64,
-    /// Routing map output to reduce partitions (rows materialize here).
+    /// Routing map output to reduce partitions: hashing each row's
+    /// shuffle key and, on the columnar arm, gathering each partition's
+    /// rows into its run (on the row arm the records move).
     pub partition: u64,
     /// Stream → records at the output boundary of a reduce task or of a
     /// map task without a shuffle.
@@ -235,25 +328,42 @@ impl TaskOutput {
     pub fn commitment(&self, granularity: usize) -> ChunkedSummary {
         let mut cd = ChunkedDigest::new(granularity);
         let mut buf = Vec::new();
-        let mut frame = |route: Option<(usize, usize)>, r: &Record| {
+        // Frames one row: its route (map output only), then its
+        // canonical encoding as `row` writes it.
+        let mut frame = |route: Option<(usize, usize)>, row: &dyn Fn(&mut Vec<u8>)| {
             ChunkedDigest::begin_frame(&mut buf);
             if let Some((partition, tag)) = route {
                 buf.extend_from_slice(&(partition as u64).to_be_bytes());
                 buf.extend_from_slice(&(tag as u64).to_be_bytes());
             }
-            r.write_canonical(&mut buf);
+            row(&mut buf);
             ChunkedDigest::seal_frame(&mut buf);
             cd.append_framed(&buf);
         };
         match &self.data {
             TaskData::Partitions(parts) => {
                 for (p, part) in parts.iter().enumerate() {
-                    for (tag, r) in &part.0 {
-                        frame(Some((p, *tag)), r);
+                    match part {
+                        Partition::Rows(rows) => {
+                            for (tag, r) in rows {
+                                frame(Some((p, *tag)), &|buf| r.write_canonical(buf));
+                            }
+                        }
+                        Partition::Cols(runs) => {
+                            for (tag, b) in runs {
+                                for row in 0..b.len() {
+                                    frame(Some((p, *tag)), &|buf| b.write_row_canonical(row, buf));
+                                }
+                            }
+                        }
                     }
                 }
             }
-            TaskData::Records(records) => records.iter().for_each(|r| frame(None, r)),
+            TaskData::Records(records) => {
+                for r in records {
+                    frame(None, &|buf| r.write_canonical(buf));
+                }
+            }
         }
         cd.finish()
     }
@@ -285,7 +395,7 @@ pub(crate) fn run_task(
 /// shuffle.
 ///
 /// The split is borrowed (a window into the `Arc`-shared input file);
-/// records are cloned only where they must become owned — at the partition
+/// rows are copied only where they must become owned — at the partition
 /// boundary, and only if the pipeline kept them borrowed until then.
 pub(crate) fn run_map_task(
     job: &ExecJob,
@@ -338,11 +448,16 @@ pub(crate) fn run_map_task(
             }
         }),
         None => timed(&mut out.stages.to_records, || {
-            let tagged = stream.into_records().into_iter().map(|r| {
-                work.bytes_out += r.byte_size();
-                (input.tag, r)
-            });
-            vec![Partition(tagged.collect())]
+            // A map-only job's output is final and becomes records here,
+            // on the task's thread; a collector reads it as it is.
+            let stream = if job.is_map_only() {
+                Stream::Rows(RecordStream::Owned(stream.into_records()))
+            } else {
+                stream
+            };
+            let part = stream.into_partition(input.tag);
+            work.bytes_out += part.byte_size();
+            vec![part]
         }),
     };
     out.data = TaskData::Partitions(partitions);
@@ -361,8 +476,7 @@ pub(crate) fn run_reduce_task(
 ) -> TaskOutput {
     debug_assert_ne!(fate, TaskFate::Omitted, "omitted tasks never execute");
     let plan = &job.plan;
-    let incoming = incoming.0;
-    let mut out = TaskOutput::new(incoming.iter().map(|(_, r)| r.byte_size()).sum());
+    let mut out = TaskOutput::new(incoming.byte_size());
 
     // Under a combiner the shuffle step merges partials straight into the
     // fused projection's output — identical, record for record, to group
@@ -434,7 +548,8 @@ fn digest_where(
 /// decide it: the columnar plane runs the hot case, a faithful task
 /// without a combiner. Corruption (a cold fault path) and combining keep
 /// the row plane. The input's shape decides the rest — see
-/// [`Stream::open_split`] and [`Stream::open_partition`].
+/// [`Stream::open_split`] and [`Stream::open_partition`] — and the arm a
+/// map task ran on decides the form of the partitions it hands over.
 fn columnar(job: &ExecJob, fate: TaskFate) -> bool {
     job.batch_records > 0 && fate == TaskFate::Faithful && job.combiner.is_none()
 }
@@ -562,79 +677,63 @@ impl<'a> Stream<'a> {
     /// blocking operator (or the combiner's merge, or nothing for a
     /// collector) runs here, on the arm the partition admits. The
     /// columnar arm takes uniform-arity partitions (per join side) of
-    /// GROUP, JOIN, ORDER and collector jobs; DISTINCT's whole-record
-    /// sort/dedup already runs on owned rows with the pool's chunked sort.
+    /// GROUP, JOIN, ORDER and collector jobs, in either form: batch runs
+    /// are joined, records converted once. DISTINCT's whole-record
+    /// sort/dedup runs on owned rows with the pool's chunked sort, so it,
+    /// like a corrupt fate, a combiner and a ragged partition, takes the
+    /// partition as records — materializing it if it arrived as batches.
     fn open_partition(
         job: &ExecJob,
-        mut incoming: Vec<Tagged>,
+        mut incoming: Partition,
         fate: TaskFate,
         stages: &mut StageWall,
         pool: &ComputePool,
     ) -> Stream<'static> {
         let op = job.shuffle.map(|sh| job.plan.vertex(sh).op());
-        let untag = |tagged: Vec<Tagged>| tagged.into_iter().map(|(_, r)| r).collect::<Vec<_>>();
-        let by_side = |tagged: Vec<Tagged>| {
-            let (mut left, mut right) = (Vec::new(), Vec::new());
-            for (tag, r) in tagged {
-                if tag == 0 {
-                    left.push(r);
-                } else {
-                    right.push(r);
+        let vectorized = matches!(
+            op,
+            None | Some(Operator::Group { .. } | Operator::Join { .. } | Operator::Order { .. })
+        );
+        if columnar(job, fate) && vectorized {
+            let by_tag = matches!(op, Some(Operator::Join { .. }));
+            match timed(&mut stages.to_batch, || incoming.into_sides(by_tag)) {
+                // The post-shuffle stream is the kernel's one output
+                // batch (bags stay nested in it), or the collector input
+                // re-sliced into batches of `batch_records` rows.
+                Ok([all, right]) => {
+                    let batches = match op {
+                        Some(op) => vec![timed(&mut stages.shuffle_kernel, || match op {
+                            Operator::Group { key } => group_batch(&all, *key),
+                            Operator::Join {
+                                left_key,
+                                right_key,
+                            } => join_batch(&all, *left_key, &right, *right_key),
+                            Operator::Order { key, order } => order_batch(&all, *key, *order),
+                            _ => unreachable!("only GROUP, JOIN and ORDER are vectorized"),
+                        })],
+                        None => timed(&mut stages.to_batch, || {
+                            (0..all.len())
+                                .step_by(job.batch_records)
+                                .map(|start| {
+                                    let end = all.len().min(start + job.batch_records);
+                                    all.gather(&Vec::from_iter(start..end))
+                                })
+                                .collect()
+                        }),
+                    };
+                    data_plane::count_batches_built(batches.len() as u64);
+                    data_plane::count_batch_rows(batches.iter().map(|b| b.len() as u64).sum());
+                    return Stream::Cols {
+                        batches,
+                        owned: true,
+                    };
                 }
+                Err(ragged) => incoming = ragged,
             }
-            (left, right)
-        };
-
-        if columnar(job, fate) && admits_columnar(op, &incoming) {
-            // Convert the partition once, then run the shuffle as a
-            // vectorized kernel: the post-shuffle stream is one batch
-            // (bags stay nested in it), or the collector input in batches
-            // of `batch_records` rows. Takes the records by value so they
-            // are freed before the kernel runs.
-            let mut to_batch = |records: Vec<Record>| {
-                timed(&mut stages.to_batch, || {
-                    Batch::from_records(&records).expect("arity checked above")
-                })
-            };
-            let batches = match op {
-                Some(Operator::Group { key }) => {
-                    let batch = to_batch(untag(incoming));
-                    vec![timed(&mut stages.shuffle_kernel, || {
-                        group_batch(&batch, *key)
-                    })]
-                }
-                Some(Operator::Join {
-                    left_key,
-                    right_key,
-                }) => {
-                    let (left, right) = by_side(incoming);
-                    let (lb, rb) = (to_batch(left), to_batch(right));
-                    vec![timed(&mut stages.shuffle_kernel, || {
-                        join_batch(&lb, *left_key, &rb, *right_key)
-                    })]
-                }
-                Some(Operator::Order { key, order }) => {
-                    let batch = to_batch(untag(incoming));
-                    vec![timed(&mut stages.shuffle_kernel, || {
-                        order_batch(&batch, *key, *order)
-                    })]
-                }
-                Some(_) => unreachable!("admits_columnar takes GROUP, JOIN and ORDER only"),
-                None => timed(&mut stages.to_batch, || {
-                    untag(incoming)
-                        .chunks(job.batch_records)
-                        .map(|rows| Batch::from_records(rows).expect("arity checked above"))
-                        .collect()
-                }),
-            };
-            data_plane::count_batches_built(batches.len() as u64);
-            data_plane::count_batch_rows(batches.iter().map(|b| b.len() as u64).sum());
-            return Stream::Cols {
-                batches,
-                owned: true,
-            };
         }
 
+        let mut incoming = incoming.into_tagged();
+        let untag = |tagged: Vec<Tagged>| tagged.into_iter().map(|(_, r)| r).collect::<Vec<_>>();
         if fate == TaskFate::Corrupt {
             incoming.iter_mut().for_each(|(_, r)| corrupt_record(r));
         }
@@ -649,7 +748,14 @@ impl<'a> Stream<'a> {
                     left_key,
                     right_key,
                 } => {
-                    let (left, right) = by_side(incoming);
+                    let (mut left, mut right) = (Vec::new(), Vec::new());
+                    for (tag, r) in incoming {
+                        if tag == 0 {
+                            left.push(r);
+                        } else {
+                            right.push(r);
+                        }
+                    }
                     join_records(&left, *left_key, &right, *right_key)
                 }
                 Operator::Distinct => {
@@ -726,11 +832,25 @@ impl<'a> Stream<'a> {
     }
 
     /// Routes a map task's output to `n` reduce partitions by shuffle
-    /// key, materializing each row as an owned record.
+    /// key. Each arm hands its rows over in its own form: owned records,
+    /// or one gathered batch per (batch, partition).
     fn partition(self, key: ShuffleKey, tag: usize, n: usize, work: &mut Work) -> Vec<Partition> {
         match self {
             Stream::Rows(s) => partition_records(key, tag, s.into_owned(), n, work),
-            Stream::Cols { batches, .. } => partition_batches(key, tag, &batches, n, work),
+            Stream::Cols { batches, .. } => partition_batches(key, tag, batches, n, work),
+        }
+    }
+
+    /// The whole stream as one partition (a job without a shuffle).
+    fn into_partition(self, tag: usize) -> Partition {
+        match self {
+            Stream::Rows(s) => {
+                Partition::Rows(s.into_owned().into_iter().map(|r| (tag, r)).collect())
+            }
+            Stream::Cols { batches, .. } => {
+                let runs = batches.into_iter().filter(|b| !b.is_empty());
+                Partition::Cols(runs.map(|b| (tag, b)).collect())
+            }
         }
     }
 
@@ -746,34 +866,6 @@ impl<'a> Stream<'a> {
                 records
             }
         }
-    }
-}
-
-/// Whether a reduce partition can be laid out columnar for shuffle `op`:
-/// the operator has a vectorized kernel and the records (per join side)
-/// share one arity — the only conversion [`Batch::from_records`] refuses.
-fn admits_columnar(op: Option<&Operator>, incoming: &[Tagged]) -> bool {
-    fn uniform<'r>(mut records: impl Iterator<Item = &'r Record>) -> bool {
-        match records.next() {
-            None => true,
-            Some(first) => {
-                let arity = first.arity();
-                records.all(|r| r.arity() == arity)
-            }
-        }
-    }
-    let side = |left: bool| {
-        incoming
-            .iter()
-            .filter(move |(tag, _)| (*tag == 0) == left)
-            .map(|(_, r)| r)
-    };
-    match op {
-        Some(Operator::Join { .. }) => uniform(side(true)) && uniform(side(false)),
-        Some(Operator::Group { .. } | Operator::Order { .. }) | None => {
-            uniform(incoming.iter().map(|(_, r)| r))
-        }
-        Some(_) => false,
     }
 }
 
@@ -896,7 +988,7 @@ fn partition_records(
     n: usize,
     work: &mut Work,
 ) -> Vec<Partition> {
-    let mut parts = vec![Partition::default(); n];
+    let mut parts = vec![Vec::new(); n];
     let mut buf = Vec::new();
     for r in records {
         work.bytes_out += r.byte_size();
@@ -912,25 +1004,29 @@ fn partition_records(
             }
             ShuffleKey::Single => 0,
         };
-        parts[p].0.push((tag, r));
+        parts[p].push((tag, r));
     }
-    parts
+    parts.into_iter().map(Partition::Rows).collect()
 }
 
 /// Vectorized kernel of [`Stream::partition`]: shuffle keys are encoded
-/// straight out of the columns and rows materialize as records only once
-/// their partition is known.
+/// straight out of the columns into one selection vector per partition,
+/// and each partition's rows are gathered into its run — no record is
+/// built. A batch whose rows all land in one partition moves whole.
 fn partition_batches(
     key: ShuffleKey,
     tag: usize,
-    batches: &[Batch],
+    batches: Vec<Batch>,
     n: usize,
     work: &mut Work,
 ) -> Vec<Partition> {
-    let mut parts = vec![Partition::default(); n];
+    let mut parts = vec![Vec::new(); n];
+    let mut selected = vec![Vec::new(); n];
     let mut buf = Vec::new();
-    for b in batches {
-        for (row, r) in b.to_records().into_iter().enumerate() {
+    for b in batches.into_iter().filter(|b| !b.is_empty()) {
+        work.bytes_out += b.canonical_bytes();
+        selected.iter_mut().for_each(Vec::clear);
+        for row in 0..b.len() {
             buf.clear();
             let p = match key {
                 ShuffleKey::Field(k) => {
@@ -943,11 +1039,21 @@ fn partition_batches(
                 }
                 ShuffleKey::Single => 0,
             };
-            work.bytes_out += r.byte_size();
-            parts[p].0.push((tag, r));
+            selected[p].push(row);
+        }
+        if let Some(p) = selected.iter().position(|rows| rows.len() == b.len()) {
+            parts[p].push((tag, b));
+            continue;
+        }
+        for (p, rows) in selected
+            .iter()
+            .enumerate()
+            .filter(|(_, rows)| !rows.is_empty())
+        {
+            parts[p].push((tag, b.gather(rows)));
         }
     }
-    parts
+    parts.into_iter().map(Partition::Cols).collect()
 }
 
 /// Row kernel of [`Stream::digest`]: each record is canonically encoded
@@ -1105,6 +1211,21 @@ mod tests {
         }
     }
 
+    /// A task's output rows, whatever form they are held in: the
+    /// `(tag, record)` sequence of each partition, or the records of a
+    /// reduce task as one untagged sequence.
+    fn rows(out: &TaskOutput) -> (bool, Vec<Vec<Tagged>>) {
+        match out.data.clone() {
+            TaskData::Partitions(parts) => (
+                true,
+                parts.into_iter().map(Partition::into_tagged).collect(),
+            ),
+            TaskData::Records(records) => {
+                (false, vec![records.into_iter().map(|r| (0, r)).collect()])
+            }
+        }
+    }
+
     fn recs(out: &TaskOutput) -> &[Record] {
         match &out.data {
             TaskData::Records(records) => records,
@@ -1134,24 +1255,12 @@ mod tests {
         assert_eq!(total, 3, "null follower filtered out");
         assert_eq!(parts(&out).len(), 2);
         // Same user always lands in the same partition.
-        for part in parts(&out) {
-            let users: Vec<i64> = part
-                .0
-                .iter()
-                .filter_map(|(_, r)| r.get(0).and_then(Value::as_int))
-                .collect();
-            for u in &users {
-                let home = parts(&out)
-                    .iter()
-                    .position(|p| {
-                        p.0.iter()
-                            .any(|(_, r)| r.get(0).and_then(Value::as_int) == Some(*u))
-                    })
-                    .unwrap();
-                let _ = home;
-            }
-            let _ = users;
-        }
+        let (_, by_part) = rows(&out);
+        let users = |p: usize| -> Vec<i64> {
+            let user = |(_, r): &Tagged| r.get(0).and_then(Value::as_int);
+            by_part[p].iter().filter_map(user).collect()
+        };
+        assert!(users(0).iter().all(|u| !users(1).contains(u)));
     }
 
     #[test]
@@ -1163,7 +1272,7 @@ mod tests {
             .collect();
         let out = run_reduce_task(
             &job,
-            Partition(incoming),
+            Partition::Rows(incoming),
             TaskFate::Faithful,
             &ComputePool::default(),
         );
@@ -1235,7 +1344,7 @@ mod tests {
             &ComputePool::default(),
         );
         assert!(a.digests[0].1.compare(&b.digests[0].1).is_match());
-        assert_eq!(a.data, b.data, "partitioning is deterministic");
+        assert_eq!(rows(&a), rows(&b), "partitioning is deterministic");
     }
 
     #[test]
@@ -1253,7 +1362,7 @@ mod tests {
         ];
         let out = run_reduce_task(
             &job,
-            Partition(incoming),
+            Partition::Rows(incoming),
             TaskFate::Faithful,
             &ComputePool::default(),
         );
@@ -1299,7 +1408,7 @@ mod tests {
         let incoming: Vec<Tagged> = ints(&[&[1, 10]]).into_iter().map(|r| (0, r)).collect();
         let out = run_reduce_task(
             &job,
-            Partition(incoming),
+            Partition::Rows(incoming),
             TaskFate::Faithful,
             &ComputePool::default(),
         );
@@ -1323,10 +1432,12 @@ mod tests {
     }
 
     /// Asserts every observable of two task outputs is byte-identical:
-    /// partitions or records, work counters, the commitment, and digest
-    /// summaries down to the combined fold and the Merkle root.
+    /// partitions (as `(tag, record)` sequences — whether a partition is
+    /// held as records or as batches is not an observable) or records,
+    /// work counters, the commitment, and digest summaries down to the
+    /// combined fold and the Merkle root.
     fn assert_identical(a: &TaskOutput, b: &TaskOutput, ctx: &str) {
-        assert_eq!(a.data, b.data, "{ctx}: data");
+        assert_eq!(rows(a), rows(b), "{ctx}: data");
         assert_eq!(a.work, b.work, "{ctx}: work");
         assert_eq!(a.commitment(2), b.commitment(2), "{ctx}: commitment");
         assert_eq!(a.digests.len(), b.digests.len(), "{ctx}: digest count");
@@ -1405,7 +1516,7 @@ mod tests {
             job.batch_records = 0;
             let row = run_reduce_task(
                 &job,
-                Partition(incoming.to_vec()),
+                Partition::Rows(incoming.to_vec()),
                 TaskFate::Faithful,
                 &pool,
             );
@@ -1414,7 +1525,7 @@ mod tests {
                 job.batch_records = bs;
                 let batched = run_reduce_task(
                     &job,
-                    Partition(incoming.to_vec()),
+                    Partition::Rows(incoming.to_vec()),
                     TaskFate::Faithful,
                     &pool,
                 );
@@ -1515,7 +1626,7 @@ mod tests {
         let incoming = follower_partition();
         let pool = ComputePool::default(); // inline: the task runs on this thread
         let before = thread_rows_materialized();
-        let out = run_reduce_task(&job, Partition(incoming), TaskFate::Faithful, &pool);
+        let out = run_reduce_task(&job, Partition::Rows(incoming), TaskFate::Faithful, &pool);
         assert_eq!(recs(&out).len(), 7);
         assert_eq!(
             thread_rows_materialized() - before,
@@ -1549,13 +1660,13 @@ mod tests {
             .collect();
         let row = run_reduce_task(
             &join_job(0),
-            Partition(incoming.clone()),
+            Partition::Rows(incoming.clone()),
             TaskFate::Faithful,
             &ComputePool::default(),
         );
         let batched = run_reduce_task(
             &join_job(8),
-            Partition(incoming.clone()),
+            Partition::Rows(incoming.clone()),
             TaskFate::Faithful,
             &ComputePool::default(),
         );
@@ -1576,13 +1687,13 @@ mod tests {
             .collect();
         let row = run_reduce_task(
             &order_job(0),
-            Partition(incoming.clone()),
+            Partition::Rows(incoming.clone()),
             TaskFate::Faithful,
             &ComputePool::default(),
         );
         let batched = run_reduce_task(
             &order_job(4),
-            Partition(incoming),
+            Partition::Rows(incoming),
             TaskFate::Faithful,
             &ComputePool::default(),
         );
@@ -1655,13 +1766,18 @@ mod tests {
     /// Runs every task of `job` over `rows` the way the engine would — two
     /// splits per input, the shuffle gather, one reduce (or collector)
     /// task per partition — and returns every task's output, maps first.
-    fn run_all_tasks(job: &ExecJob, rows: &[Record], fate: TaskFate) -> Vec<TaskOutput> {
+    /// `fate` gives each task's fate by its position in that order.
+    fn run_all_tasks(
+        job: &ExecJob,
+        rows: &[Record],
+        fate: impl Fn(usize) -> TaskFate,
+    ) -> Vec<TaskOutput> {
         let pool = ComputePool::default();
         let mut outs = Vec::new();
         for input in 0..job.inputs.len() {
             let (front, back) = rows.split_at(rows.len() / 2);
             for split in [front, back] {
-                outs.push(run_map_task(job, input, split, fate, &pool));
+                outs.push(run_map_task(job, input, split, fate(outs.len()), &pool));
             }
         }
         if job.is_map_only() {
@@ -1679,9 +1795,175 @@ mod tests {
             }
         }
         for part in runs {
+            let fate = fate(outs.len());
             outs.push(run_reduce_task(job, Partition::concat(part), fate, &pool));
         }
         outs
+    }
+
+    /// Arms a verification point at every site of `job` (a shuffle site
+    /// only without a combiner: under one the shuffle has no materialized
+    /// bags to digest) and returns how many.
+    fn arm_every_site(job: &mut ExecJob) -> usize {
+        let jid = cbft_dataflow::compile::JobId(0);
+        let mut vps = Vec::new();
+        for (input, i) in job.inputs.iter().enumerate() {
+            vps.extend(i.pipeline.iter().enumerate().map(|(pos, &vertex)| VpSite {
+                vertex,
+                site: Site::MapInput {
+                    job: jid,
+                    input,
+                    pos,
+                },
+            }));
+        }
+        let shuffle = job.shuffle.filter(|_| job.combiner.is_none());
+        vps.extend(shuffle.map(|vertex| VpSite {
+            vertex,
+            site: Site::Shuffle { job: jid },
+        }));
+        vps.extend(job.reduce.iter().enumerate().map(|(pos, &vertex)| VpSite {
+            vertex,
+            site: Site::Reduce { job: jid, pos },
+        }));
+        job.verification_points = vps;
+        job.verification_points.len()
+    }
+
+    /// Runs every task of `job` over `rows` on the row plane and on the
+    /// columnar plane at batch sizes 1, 3 and 1024, at chunk granularities
+    /// 1, 2 and unchunked; every observable of every task must be
+    /// identical. Returns the columnar plane's outputs (batch size 1024,
+    /// unchunked).
+    fn assert_planes_agree(
+        job: &mut ExecJob,
+        rows: &[Record],
+        fate: impl Fn(usize) -> TaskFate,
+        ctx: &str,
+    ) -> Vec<TaskOutput> {
+        let mut last = Vec::new();
+        for granularity in [1usize, 2, usize::MAX] {
+            job.digest_granularity = granularity;
+            job.batch_records = 0;
+            let rows_plane = run_all_tasks(job, rows, &fate);
+            let digests: usize = rows_plane.iter().map(|o| o.digests.len()).sum();
+            assert!(
+                digests >= job.verification_points.len(),
+                "every site digested: {ctx}"
+            );
+            for bs in [1usize, 3, 1024] {
+                job.batch_records = bs;
+                let cols_plane = run_all_tasks(job, rows, &fate);
+                assert_eq!(cols_plane.len(), rows_plane.len());
+                for (task, (c, r)) in cols_plane.iter().zip(&rows_plane).enumerate() {
+                    let ctx = format!(
+                        "task {task} granularity {granularity} batch_records {bs} \
+                         combiner {}: {ctx}",
+                        job.combiner.is_some()
+                    );
+                    assert_identical(c, r, &ctx);
+                    assert_eq!(
+                        c.commitment(granularity),
+                        r.commitment(granularity),
+                        "{ctx}"
+                    );
+                }
+                last = cols_plane;
+            }
+        }
+        last
+    }
+
+    fn is_columnar(part: &Partition) -> bool {
+        matches!(part, Partition::Cols(_))
+    }
+
+    /// The batches of no rows the columnar shuffle can meet — a `gather`
+    /// of nothing and `from_records(&[])` have both lost their schema —
+    /// never reach a kernel: a FILTER that empties a whole map task, a
+    /// reduce partition no row is routed to, and a JOIN partition that
+    /// holds one side only all equal the row plane record for record.
+    #[test]
+    fn empty_runs_keep_the_planes_equal() {
+        let pair = |k: Value, v: Value| Record::new(vec![k, v]);
+
+        // The front split holds only null values, which the map-side
+        // FILTER drops; every surviving row has key 7.
+        let mut rows: Vec<Record> = (0..6).map(|i| pair(Value::Int(i), Value::Null)).collect();
+        rows.extend((0..6).map(|i| pair(Value::Int(7), Value::Int(i))));
+        let src = task_script(0, [true, false, true, false], 1);
+        let mut job = exec_job(&src, vec![]);
+        arm_every_site(&mut job);
+        let outs = assert_planes_agree(&mut job, &rows, |_| TaskFate::Faithful, &src);
+        let (maps, reduces) = outs.split_at(2);
+        assert_eq!(parts(&maps[0]).iter().map(Partition::len).sum::<usize>(), 0);
+        assert!(parts(&maps[1]).iter().all(is_columnar));
+        let reduced: Vec<usize> = reduces.iter().map(|o| recs(o).len()).collect();
+        assert!(reduced.contains(&0) && reduced.contains(&1), "{reduced:?}");
+
+        // Every left key is 1 and every right key some `x` that hashes to
+        // the other reduce partition: each partition holds one side only.
+        let canonical = |v: i64| Value::Int(v).to_canonical_bytes();
+        let x = (2..).find(|x| bucket(&canonical(*x), 2) != bucket(&canonical(1), 2));
+        let rows: Vec<Record> = (0..8)
+            .map(|_| pair(Value::Int(1), Value::Int(x.unwrap())))
+            .collect();
+        let src = task_script(1, [false; 4], 1);
+        let mut job = exec_job(&src, vec![]);
+        arm_every_site(&mut job);
+        let outs = assert_planes_agree(&mut job, &rows, |_| TaskFate::Faithful, &src);
+        for reduce in &outs[4..] {
+            assert!(reduce.work.bytes_in > 0 && recs(reduce).is_empty());
+        }
+
+        // The same with nothing to read at all, through every shuffle.
+        for shuffle in 0..5 {
+            let src = task_script(shuffle, [true, true, true, true], 3);
+            let mut job = exec_job(&src, vec![]);
+            arm_every_site(&mut job);
+            assert_planes_agree(&mut job, &[], |_| TaskFate::Faithful, &src);
+        }
+    }
+
+    /// One map task off the columnar arm — a corrupt fate, or a ragged
+    /// split — among faithful ones: it hands its rows over as records, so
+    /// the gather materializes the batch runs of every partition it feeds
+    /// (the exact fallback, chosen from the data), and no observable of
+    /// any task differs from the row plane's.
+    #[test]
+    fn a_record_run_among_batch_runs_falls_back_to_rows_at_the_gather() {
+        let uniform: Vec<Record> = (0..24i64)
+            .map(|i| Record::new(vec![Value::Int(i % 5), Value::Int(i)]))
+            .collect();
+        let mut ragged = uniform.clone();
+        ragged[20] = Record::new(vec![Value::Int(0), Value::Int(20), Value::Int(7)]);
+        // Task 1 is the map task over the back split.
+        let cases = [
+            ("corrupt back split", &uniform, Some(1)),
+            ("ragged back split", &ragged, None),
+        ];
+        for (name, rows, corrupt) in cases {
+            let fate = |task: usize| match corrupt {
+                Some(t) if t == task => TaskFate::Corrupt,
+                _ => TaskFate::Faithful,
+            };
+            // GROUP, ORDER, DISTINCT and a collector (LIMIT, no shuffle).
+            for shuffle in [0, 2, 3, 4] {
+                let src = task_script(shuffle, [true, false, true, true], 50);
+                let ctx = format!("{name}: {src}");
+                let mut job = exec_job(&src, vec![]);
+                arm_every_site(&mut job);
+                let outs = assert_planes_agree(&mut job, rows, fate, &ctx);
+                let (front, back) = (parts(&outs[0]), parts(&outs[1]));
+                assert!(front.iter().all(is_columnar), "{ctx}");
+                assert!(!back.iter().any(is_columnar), "{ctx}");
+                for (f, b) in front.iter().zip(back) {
+                    let gathered = Partition::concat(vec![f.clone(), b.clone()]);
+                    assert_eq!(is_columnar(&gathered), b.len() == 0, "{ctx}");
+                    assert_eq!(gathered.len(), f.len() + b.len(), "{ctx}");
+                }
+            }
+        }
     }
 
     /// A single-job script over `in(k, v)`: optional map-side FILTER and
@@ -1778,52 +2060,9 @@ mod tests {
                     );
                 }
             }
-            let jid = cbft_dataflow::compile::JobId(0);
-            let mut vps = Vec::new();
-            for (input, i) in job.inputs.iter().enumerate() {
-                vps.extend(i.pipeline.iter().enumerate().map(|(pos, &vertex)| VpSite {
-                    vertex,
-                    site: Site::MapInput { job: jid, input, pos },
-                }));
-            }
-            // Under a combiner the shuffle has no materialized bags to digest.
-            vps.extend(job.shuffle.filter(|_| job.combiner.is_none()).map(|vertex| VpSite {
-                vertex,
-                site: Site::Shuffle { job: jid },
-            }));
-            vps.extend(job.reduce.iter().enumerate().map(|(pos, &vertex)| VpSite {
-                vertex,
-                site: Site::Reduce { job: jid, pos },
-            }));
-            let armed = vps.len();
-            job.verification_points = vps;
-
+            arm_every_site(&mut job);
             for fate in [TaskFate::Faithful, TaskFate::Corrupt] {
-                for granularity in [1usize, 2, usize::MAX] {
-                    job.digest_granularity = granularity;
-                    job.batch_records = 0;
-                    let rows_plane = run_all_tasks(&job, &rows, fate);
-                    let digests: usize = rows_plane.iter().map(|o| o.digests.len()).sum();
-                    assert!(digests >= armed, "every site digested: {src}");
-                    for bs in [1usize, 3, 1024] {
-                        job.batch_records = bs;
-                        let cols_plane = run_all_tasks(&job, &rows, fate);
-                        assert_eq!(cols_plane.len(), rows_plane.len());
-                        for (task, (c, r)) in cols_plane.iter().zip(&rows_plane).enumerate() {
-                            let ctx = format!(
-                                "task {task} {fate:?} granularity {granularity} \
-                                 batch_records {bs} combiner {}:\n{src}",
-                                job.combiner.is_some()
-                            );
-                            assert_identical(c, r, &ctx);
-                            assert_eq!(
-                                c.commitment(granularity),
-                                r.commitment(granularity),
-                                "{ctx}"
-                            );
-                        }
-                    }
-                }
+                assert_planes_agree(&mut job, &rows, |_| fate, &format!("{fate:?}:\n{src}"));
             }
         }
     }
@@ -1832,7 +2071,8 @@ mod tests {
     /// input, let the (possibly corrupt) task consume it, record its
     /// commitment, then check. An honest task confirms; a corrupt one is
     /// localized — on the row plane and on the columnar plane, where the
-    /// corrupt run and the honest re-run even execute on different arms.
+    /// corrupt run and the honest re-run even execute on different arms
+    /// and the reduce task's captured input is a partition of batch runs.
     #[test]
     fn spot_check_round_trip_confirms_honest_and_localizes_corrupt_on_both_planes() {
         use crate::spec::{RunHandle, TaskKind};
@@ -1845,6 +2085,12 @@ mod tests {
             job.batch_records = batch_records;
             job.digest_granularity = 2;
             let spec = Arc::new(job);
+            // The reduce input as the engine builds it: partition 0 of a
+            // faithful map task's output, gathered.
+            let mapped = run_map_task(&spec, 0, &file, TaskFate::Faithful, &pool);
+            let gathered = Partition::concat(vec![parts(&mapped)[0].clone()]);
+            assert!(gathered.len() > 0);
+            assert_eq!(is_columnar(&gathered), batch_records > 0);
             for fate in [TaskFate::Faithful, TaskFate::Corrupt] {
                 let inputs = [
                     (
@@ -1858,8 +2104,9 @@ mod tests {
                     ),
                     (
                         TaskKind::Reduce,
-                        TaskInput::Partition(Partition(follower_partition())),
+                        TaskInput::Partition(Partition::Rows(follower_partition())),
                     ),
+                    (TaskKind::Reduce, TaskInput::Partition(gathered.clone())),
                 ];
                 for (kind, mut input) in inputs {
                     let len = input.len() as u64;

@@ -909,7 +909,15 @@ fn run_parallel(
 mod tests {
     use super::*;
 
+    /// Held for writing by the one test that mutates `CBFT_SEED`, for
+    /// reading by every `parse`: a seedless parse racing that test would
+    /// otherwise read its invalid value and fail.
+    static ENV: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
     fn parse(args: &[&str]) -> Result<CliOptions, UsageError> {
+        let _env = ENV
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         parse_args(args.iter().map(|s| (*s).to_owned()))
     }
 
@@ -1410,6 +1418,10 @@ mod tests {
     /// test harness.
     #[test]
     fn seed_resolution_precedence_and_round_trip() {
+        let _env = ENV
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let parse = |args: &[&str]| parse_args(args.iter().map(|s| (*s).to_owned()));
         // Precedence, via resolve_seed directly.
         std::env::remove_var("CBFT_SEED");
         assert_eq!(resolve_seed(None).unwrap(), 1, "default");

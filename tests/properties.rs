@@ -834,6 +834,86 @@ proptest! {
         prop_assert_eq!(encode_batch(&truncated), encode_rows(&grouped_rows[..n]));
     }
 
+    /// `Batch::concat` is indistinguishable from converting all the rows
+    /// at once, whatever layouts the runs chose: each run's column is
+    /// drawn from one kind — integers, strings, all null, either with
+    /// nulls mixed in, both types mixed, bags as values — so runs of one
+    /// column disagree (`Int` next to `Str`, masked next to unmasked, an
+    /// all-null `Int` run next to strings, `Mixed`), and empty runs, which
+    /// have lost their arity, sit among them. Also the identity the
+    /// shuffle's `bytes_in` / `bytes_out` rest on: `canonical_bytes()` of
+    /// any batch is the sum of its rows' `Record::byte_size`.
+    #[test]
+    fn batch_concat_matches_from_records_over_all_rows(
+        arity in 1usize..4,
+        runs in proptest::collection::vec(
+            (0usize..6, proptest::collection::vec(0u8..7, 3..4), any::<u64>()),
+            0..6,
+        ),
+    ) {
+        // Column kinds: 0 integers, 1 strings, 2 all null, 3 / 4 the
+        // first two with nulls, 5 both types and nulls, 6 bags.
+        let cell = |kind: u8, n: u64| {
+            let int = Value::Int((n % 5) as i64 - 2);
+            let string = Value::str(["", "a", "bc"][(n % 3) as usize]);
+            match (kind, n % 4) {
+                (2, _) | (3..=5, 0) => Value::Null,
+                (0 | 3, _) | (5, 1) => int,
+                (1 | 4 | 5, _) => string,
+                _ => Value::Bag(vec![Record::new(vec![int, Value::Null])]),
+            }
+        };
+        let runs: Vec<Vec<Record>> = runs
+            .iter()
+            .map(|(len, kinds, seed)| {
+                (0..*len as u64)
+                    .map(|r| {
+                        (0..arity)
+                            .map(|c| {
+                                let n = seed.wrapping_mul(31).wrapping_add(r * 7 + c as u64);
+                                cell(kinds[c], n.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33)
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let all: Vec<Record> = runs.concat();
+        let batches: Vec<Batch> = runs
+            .iter()
+            .map(|rows| Batch::from_records(rows).expect("uniform arity"))
+            .collect();
+        for (b, rows) in batches.iter().zip(&runs) {
+            let bytes: u64 = rows.iter().map(Record::byte_size).sum();
+            prop_assert_eq!(b.canonical_bytes(), bytes);
+        }
+        let joined = Batch::concat(batches).expect("one arity");
+        let whole = Batch::from_records(&all).expect("uniform arity");
+        prop_assert_eq!(joined.len(), all.len());
+        prop_assert_eq!(&joined.to_records(), &all);
+        prop_assert_eq!(encode_batch(&joined), encode_rows(&all));
+        prop_assert_eq!(joined.canonical_bytes(), whole.canonical_bytes());
+        prop_assert_eq!(
+            joined.canonical_bytes(),
+            all.iter().map(Record::byte_size).sum::<u64>()
+        );
+        for a in 0..all.len() {
+            for b in 0..all.len() {
+                prop_assert_eq!(joined.cmp_rows(a, b), all[a].cmp(&all[b]));
+            }
+        }
+        // Runs that disagree on arity cannot be joined; empty ones do not count.
+        if let Some(first) = all.first() {
+            let wider: Record = first.fields().iter().cloned().chain([Value::Null]).collect();
+            let ragged = vec![
+                Batch::from_records(&all).expect("uniform arity"),
+                Batch::from_records(&[]).expect("empty"),
+                Batch::from_records(&[wider]).expect("one row"),
+            ];
+            prop_assert!(Batch::concat(ragged).is_none());
+        }
+    }
+
     /// `join_batch` gathers exactly the rows `join_records` concatenates.
     #[test]
     fn join_batch_matches_join_records(
