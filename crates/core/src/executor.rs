@@ -41,8 +41,8 @@ use cbft_dataflow::analyze::Adversary;
 use cbft_dataflow::compile::{compile_plan, DataSource, JobGraph, JobId, JobOutput, Site};
 use cbft_dataflow::{LogicalPlan, Record, Script};
 use cbft_mapreduce::{
-    data_plane, default_compute_threads, Behavior, Cluster, ComputePool, EngineEvent, JobOutcome,
-    RunHandle, SamplePlan, SpotCheck, SpotCheckRecord, Storage, Ticket, VpSite,
+    data_plane, default_compute_threads, Behavior, Cluster, ComputePool, EngineEvent, FileData,
+    JobOutcome, RunHandle, SamplePlan, SpotCheck, SpotCheckRecord, Ticket, VpSite,
 };
 use cbft_metrics::{names as metric_names, Domain, Metrics};
 use cbft_sim::{CostModel, SeedSpawner};
@@ -406,9 +406,9 @@ impl ParallelOutcome {
 #[derive(Clone, Debug, Default)]
 pub struct ParallelExecutor {
     config: ExecutorConfig,
-    /// Write-once inputs behind `Arc`s: every replica cluster is seeded
-    /// with shared handles to the same record allocations.
-    inputs: BTreeMap<String, Arc<[Record]>>,
+    /// Write-once inputs behind shared, already-sized handles: every
+    /// replica cluster is seeded with handles to the same allocations.
+    inputs: BTreeMap<String, FileData>,
     faults: BTreeMap<usize, Behavior>,
     tracer: Tracer,
     metrics: Metrics,
@@ -469,13 +469,13 @@ impl ParallelExecutor {
     ///
     /// Returns an error when `name` was already loaded (inputs are
     /// write-once, like trusted storage).
-    pub fn load_input(&mut self, name: &str, records: Vec<Record>) -> Result<(), SubmitError> {
+    pub fn load_input(&mut self, name: &str, data: impl Into<FileData>) -> Result<(), SubmitError> {
         if self.inputs.contains_key(name) {
             return Err(SubmitError::Engine(format!(
                 "input '{name}' already loaded"
             )));
         }
-        self.inputs.insert(name.to_owned(), records.into());
+        self.inputs.insert(name.to_owned(), data.into());
         Ok(())
     }
 
@@ -522,13 +522,11 @@ impl ParallelExecutor {
 
         // Identical instrumentation to the sequential pipeline: same
         // marker, same seeds, same sites — digests stay comparable.
-        let sizes = {
-            let mut sizing = Storage::new();
-            for (name, records) in &self.inputs {
-                let _ = sizing.write_shared(name, Arc::clone(records));
-            }
-            sizing.sizes()
-        };
+        let sizes = self
+            .inputs
+            .iter()
+            .map(|(name, data)| (name.clone(), data.byte_size()))
+            .collect();
         let vps = choose_points(
             &plan,
             &graph,
@@ -1081,12 +1079,12 @@ impl ParallelExecutor {
             }
         }
         let mut cluster = builder.build();
-        for (name, records) in &self.inputs {
+        for (name, data) in &self.inputs {
             // Every replica's storage holds a handle to the same write-once
             // allocation — r replicas share one copy of each input.
             cluster
                 .storage_mut()
-                .write_shared(name, Arc::clone(records))
+                .write_shared(name, data.clone())
                 .expect("fresh replica storage accepts every input once");
         }
 

@@ -83,4 +83,4 @@ pub use verifier::{DigestKey, KeyVerdict, StreamedReport, Verifier};
 // every substrate crate.
 pub use cbft_dataflow::analyze::Adversary;
 pub use cbft_dataflow::{LogicalPlan, PlanBuilder, Record, Schema, Script, Value, VertexId};
-pub use cbft_mapreduce::{Behavior, Cluster, JobMetrics, NodeId};
+pub use cbft_mapreduce::{Behavior, Cluster, FileData, JobMetrics, NodeId};

@@ -189,9 +189,9 @@ impl ClusterBft {
     pub fn load_input(
         &mut self,
         name: &str,
-        records: Vec<cbft_dataflow::Record>,
+        data: impl Into<cbft_mapreduce::FileData>,
     ) -> Result<(), SubmitError> {
-        self.cluster.storage_mut().write(name, records)?;
+        self.cluster.storage_mut().write_shared(name, data)?;
         Ok(())
     }
 

@@ -33,6 +33,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use crate::expr::{eval_agg, AggFunc, Expr};
 use crate::op::SortOrder;
@@ -88,62 +89,22 @@ pub enum Column {
 impl Column {
     /// Builds the best-fitting column for `values` (typed when every value
     /// is of one type or null, `Mixed` otherwise). The choice is a pure
-    /// function of the values, so replicas always agree on layout.
+    /// function of the values, so replicas always agree on layout; it is
+    /// [`ColumnBuilder`]'s, which a bag alone is outside of.
     pub fn from_values(values: Vec<Value>) -> Column {
-        let mut all_int = true;
-        let mut all_str = true;
-        let mut any_null = false;
+        let mut builder = ColumnBuilder::with_capacity(values.len());
         for v in &values {
             match v {
-                Value::Null => any_null = true,
-                Value::Int(_) => all_str = false,
-                Value::Str(_) => all_int = false,
-                Value::Bag(_) => {
-                    all_int = false;
-                    all_str = false;
-                }
+                Value::Null => builder.push(Cell::Null),
+                Value::Int(i) => builder.push(Cell::Int(*i)),
+                Value::Str(s) => builder.push(Cell::Str(s)),
+                Value::Bag(_) => return Column::Mixed(values),
             }
-            if !all_int && !all_str {
+            if builder.is_mixed() {
                 return Column::Mixed(values);
             }
         }
-        // All-null columns take the Int layout (arbitrarily but
-        // deterministically); every accessor consults the mask first.
-        if all_int {
-            let mut ints = Vec::with_capacity(values.len());
-            let mut mask = any_null.then(|| Vec::with_capacity(values.len()));
-            for v in &values {
-                if let Some(m) = mask.as_mut() {
-                    m.push(!v.is_null());
-                }
-                ints.push(v.as_int().unwrap_or(0));
-            }
-            Column::Int {
-                values: ints,
-                validity: mask,
-            }
-        } else {
-            debug_assert!(all_str);
-            let total: usize = values.iter().map(|v| v.as_str().map_or(0, str::len)).sum();
-            let mut bytes = Vec::with_capacity(total);
-            let mut offsets = Vec::with_capacity(values.len() + 1);
-            offsets.push(0);
-            let mut mask = any_null.then(|| Vec::with_capacity(values.len()));
-            for v in &values {
-                if let Some(m) = mask.as_mut() {
-                    m.push(!v.is_null());
-                }
-                if let Some(s) = v.as_str() {
-                    bytes.extend_from_slice(s.as_bytes());
-                }
-                offsets.push(bytes.len());
-            }
-            Column::Str {
-                bytes,
-                offsets,
-                validity: mask,
-            }
-        }
+        builder.finish()
     }
 
     fn len(&self) -> usize {
@@ -336,6 +297,48 @@ impl Column {
         }
     }
 
+    /// Rows `rows` of this column, in the layout [`Column::from_values`]
+    /// would pick for them: typed windows are copied slice-wise and keep
+    /// a null mask only if the window holds a null, an all-null window
+    /// takes the all-null layout, anything else is rebuilt from its values.
+    fn slice(&self, rows: Range<usize>) -> Column {
+        /// The window of a null mask, if the window holds a null.
+        fn window_mask(validity: &Option<Vec<bool>>, rows: Range<usize>) -> Option<&[bool]> {
+            let window = validity.as_ref().map(|m| &m[rows]);
+            window.filter(|m| m.contains(&false))
+        }
+        let nulls_in = |validity| window_mask(validity, rows.clone());
+        match self {
+            Column::Int { validity, .. } | Column::Str { validity, .. }
+                if nulls_in(validity).is_some_and(|m| !m.contains(&true)) =>
+            {
+                all_null(rows.len())
+            }
+            Column::Int { values, validity } => Column::Int {
+                values: values[rows.clone()].to_vec(),
+                validity: nulls_in(validity).map(<[bool]>::to_vec),
+            },
+            Column::Str {
+                bytes,
+                offsets,
+                validity,
+            } => {
+                let base = offsets[rows.start];
+                Column::Str {
+                    bytes: bytes[base..offsets[rows.end]].to_vec(),
+                    offsets: offsets[rows.start..=rows.end]
+                        .iter()
+                        .map(|end| end - base)
+                        .collect(),
+                    validity: nulls_in(validity).map(<[bool]>::to_vec),
+                }
+            }
+            Column::Bag { .. } | Column::Mixed(_) => {
+                Column::from_values(rows.map(|row| self.value_at(row)).collect())
+            }
+        }
+    }
+
     /// The columns of `parts`, one after another. Typed columns of one
     /// layout append (a part without a null mask fills its stretch of a
     /// merged mask with `true`); parts that disagree on layout — an
@@ -445,6 +448,133 @@ impl Column {
             }
             Column::Mixed(values) => values.truncate(n),
         }
+    }
+}
+
+/// One flat field on its way into a column: a CSV field, or a [`Value`]
+/// that is not a bag.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Cell<'a> {
+    /// Missing / undefined.
+    Null,
+    /// 64-bit signed integer.
+    Int(i64),
+    /// UTF-8 string.
+    Str(&'a str),
+}
+
+impl From<Cell<'_>> for Value {
+    fn from(cell: Cell<'_>) -> Value {
+        match cell {
+            Cell::Null => Value::Null,
+            Cell::Int(i) => Value::Int(i),
+            Cell::Str(s) => Value::str(s),
+        }
+    }
+}
+
+/// Builds one column cell by cell — the one place a column's layout is
+/// decided. Nulls alone are an `Int` column; the first non-null cell
+/// fixes the type (`Int`, or `Str` with the nulls so far carried over);
+/// a later cell of the other type demotes the column to `Mixed`. A null
+/// mask exists once a null was pushed. Strings are appended to the arena
+/// straight from the borrowed cell.
+#[derive(Clone, Debug)]
+pub struct ColumnBuilder(Column);
+
+impl ColumnBuilder {
+    /// A builder that expects about `rows` cells.
+    pub fn with_capacity(rows: usize) -> ColumnBuilder {
+        ColumnBuilder(Column::Int {
+            values: Vec::with_capacity(rows),
+            validity: None,
+        })
+    }
+
+    /// Appends one cell.
+    #[inline]
+    pub fn push(&mut self, cell: Cell<'_>) {
+        /// The column's null mask, created (all valid so far) on demand.
+        fn mask(validity: &mut Option<Vec<bool>>, len: usize) -> &mut Vec<bool> {
+            validity.get_or_insert_with(|| vec![true; len])
+        }
+        match (&mut self.0, cell) {
+            (Column::Int { values, validity }, Cell::Null) => {
+                mask(validity, values.len()).push(false);
+                values.push(0);
+            }
+            (Column::Int { values, validity }, Cell::Int(i)) => {
+                if let Some(m) = validity {
+                    m.push(true);
+                }
+                values.push(i);
+            }
+            (
+                Column::Str {
+                    offsets, validity, ..
+                },
+                Cell::Null,
+            ) => {
+                mask(validity, offsets.len() - 1).push(false);
+                offsets.push(offsets[offsets.len() - 1]);
+            }
+            (
+                Column::Str {
+                    bytes,
+                    offsets,
+                    validity,
+                },
+                Cell::Str(s),
+            ) => {
+                if let Some(m) = validity {
+                    m.push(true);
+                }
+                bytes.extend_from_slice(s.as_bytes());
+                offsets.push(bytes.len());
+            }
+            (Column::Mixed(values), cell) => values.push(cell.into()),
+            (_, cell) => self.push_retyped(cell),
+        }
+    }
+
+    /// Appends a cell the column's layout cannot hold, changing the
+    /// layout: nulls alone (and their mask) carry over into the `Str`
+    /// layout as empty ranges; a second type is the exact fallback.
+    #[cold]
+    fn push_retyped(&mut self, cell: Cell<'_>) {
+        match &mut self.0 {
+            Column::Int { values, validity }
+                if validity
+                    .as_ref()
+                    .map_or(values.is_empty(), |m| !m.contains(&true)) =>
+            {
+                let mut offsets = Vec::with_capacity(values.capacity() + 1);
+                offsets.resize(values.len() + 1, 0);
+                self.0 = Column::Str {
+                    bytes: Vec::new(),
+                    offsets,
+                    validity: validity.take(),
+                };
+                self.push(cell);
+            }
+            typed => {
+                let mut values = Vec::with_capacity(typed.len() + 1);
+                values.extend((0..typed.len()).map(|row| typed.value_at(row)));
+                values.push(cell.into());
+                self.0 = Column::Mixed(values);
+            }
+        }
+    }
+
+    /// True once cells of two types were pushed: the column is `Mixed`
+    /// and stays so.
+    pub fn is_mixed(&self) -> bool {
+        matches!(self.0, Column::Mixed(_))
+    }
+
+    /// The finished column.
+    pub fn finish(self) -> Column {
+        self.0
     }
 }
 
@@ -564,6 +694,24 @@ impl Batch {
         Batch {
             len: indices.len(),
             columns: self.columns.iter().map(|c| c.gather(indices)).collect(),
+        }
+    }
+
+    /// Rows `rows` as a new batch, copied column-wise — equal, layouts
+    /// included, to [`Batch::from_records`] over those rows, without
+    /// building one. An empty window has lost its schema (arity 0), like
+    /// `from_records(&[])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` reaches past the batch.
+    pub fn slice(&self, rows: Range<usize>) -> Batch {
+        if rows.is_empty() {
+            return Batch::from_columns(Vec::new(), 0);
+        }
+        Batch {
+            len: rows.len(),
+            columns: self.columns.iter().map(|c| c.slice(rows.clone())).collect(),
         }
     }
 

@@ -56,7 +56,7 @@ mod plan;
 pub mod stats;
 mod value;
 
-pub use batch::{Batch, Column};
+pub use batch::{Batch, Cell, Column, ColumnBuilder};
 pub use error::{ParseError, PlanError};
 pub use expr::{AggFunc, ArithOp, CmpOp, EvalContext, Expr};
 pub use op::{Operator, SortOrder};

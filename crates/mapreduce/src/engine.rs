@@ -598,7 +598,7 @@ impl Cluster {
                 map_task_homes.push(NodeId((crate::task::fnv1a(&key) % node_count) as usize));
                 map_task_inputs.push(TaskInput::Split {
                     input: i,
-                    file: Arc::clone(&records),
+                    file: records.clone(),
                     start,
                     end,
                 });
@@ -1279,8 +1279,9 @@ impl std::fmt::Debug for Cluster {
 mod tests {
     use super::*;
     use crate::spec::{ExecInput, VpSite};
+    use crate::storage::FileData;
     use cbft_dataflow::compile::{compile_plan, DataSource, Site};
-    use cbft_dataflow::{Script, Value};
+    use cbft_dataflow::{Batch, Script, Value};
     use std::sync::Arc;
 
     const FOLLOWER: &str = "raw = LOAD 'twitter' AS (user, follower);
@@ -1373,13 +1374,19 @@ mod tests {
     /// boundary; a job that `STORE`s the grouped relation itself for its
     /// output rows and the members of their bags; a DISTINCT job once per
     /// shuffled row, when the reduce task takes its partition as records
-    /// for the whole-record sort. The row plane builds none.
+    /// for the whole-record sort. The row plane builds none. A columnar
+    /// input file changes nothing on the columnar plane — its map tasks
+    /// window it without building a row — while the row plane must build
+    /// each input row once to read it.
     #[test]
     fn columnar_jobs_materialize_rows_only_where_they_must() {
         use cbft_dataflow::stats::thread_rows_materialized;
-        let run = |src: &str, batch_records: usize| {
+        let run_from = |input: FileData, src: &str, batch_records: usize| {
             let mut cluster = Cluster::builder().nodes(4).seed(1).build();
-            cluster.storage_mut().write("twitter", edges(20)).unwrap();
+            cluster
+                .storage_mut()
+                .write_shared("twitter", input)
+                .unwrap();
             let mut spec = spec_of(src, "s0", 0, "out", vec![]);
             spec.batch_records = batch_records;
             let before = thread_rows_materialized();
@@ -1391,6 +1398,7 @@ mod tests {
                 cluster.storage().peek("out").unwrap().len() as u64,
             )
         };
+        let run = |src: &str, batch_records: usize| run_from(edges(20).into(), src, batch_records);
         assert_eq!(run(FOLLOWER, 1024), (5, 5), "output rows only");
         let stored_groups = "raw = LOAD 'twitter' AS (user, follower);
              grp = GROUP raw BY user;
@@ -1410,6 +1418,76 @@ mod tests {
         );
         for src in [FOLLOWER, stored_groups, distinct] {
             assert_eq!(run(src, 0).0, 0, "row plane: {src}");
+        }
+        let columnar = || FileData::from(Batch::from_records(&edges(20)).unwrap());
+        assert_eq!(
+            run_from(columnar(), FOLLOWER, 1024),
+            (5, 5),
+            "columnar file: output rows only, none on the map side"
+        );
+        assert_eq!(
+            run_from(columnar(), FOLLOWER, 0),
+            (20, 5),
+            "columnar file on the row plane: each input row once"
+        );
+    }
+
+    /// The form an input file is stored in is not an observable of a job:
+    /// resource usage, the simulated clock, the nodes used and the output
+    /// are equal from a record file and from a columnar one, on either
+    /// plane, with and without a combiner and under a commission fault.
+    #[test]
+    fn a_job_runs_alike_from_a_record_and_from_a_columnar_input() {
+        let run = |input: FileData, batch_records: usize, combine: bool, corrupt: bool| {
+            let mut builder = Cluster::builder().nodes(4).seed(1);
+            if corrupt {
+                builder = builder.node_behavior(2, Behavior::Commission { probability: 1.0 });
+            }
+            let mut cluster = builder.build();
+            cluster
+                .storage_mut()
+                .write_shared("twitter", input)
+                .unwrap();
+            let mut spec = follower_spec("s0", 0, "out", vec![]);
+            spec.batch_records = batch_records;
+            spec.verification_points = vec![VpSite {
+                vertex: spec.shuffle.unwrap(),
+                site: Site::Shuffle {
+                    job: cbft_dataflow::compile::JobId(0),
+                },
+            }];
+            if combine {
+                spec.verification_points.clear();
+                spec.combiner = cbft_dataflow::combiner::Combiner::for_job(
+                    spec.plan.vertex(spec.shuffle.unwrap()).op(),
+                    spec.plan.vertex(spec.reduce[0]).op(),
+                );
+                assert!(spec.combiner.is_some());
+            }
+            cluster.submit(spec).unwrap();
+            let events: Vec<String> = cluster
+                .run_to_quiescence()
+                .iter()
+                .map(|e| format!("{e:?}"))
+                .collect();
+            let out = cluster.storage().peek("out").unwrap().to_vec();
+            (events, cluster.now(), out)
+        };
+        for batch_records in [0, 7, 1024] {
+            for (combine, corrupt) in [(false, false), (true, false), (false, true)] {
+                let rows = run(edges(40).into(), batch_records, combine, corrupt);
+                let cols = run(
+                    Batch::from_records(&edges(40)).unwrap().into(),
+                    batch_records,
+                    combine,
+                    corrupt,
+                );
+                assert!(rows.0.iter().any(|e| e.contains("Success")));
+                assert_eq!(
+                    rows, cols,
+                    "batch_records {batch_records} combine {combine} corrupt {corrupt}"
+                );
+            }
         }
     }
 

@@ -10,7 +10,8 @@
 //! [`cbft_sim::CostModel`].
 //!
 //! * [`Storage`] — the trusted storage layer (HDFS stand-in): named,
-//!   write-once files of records with byte accounting.
+//!   write-once files of records (held as records or as one columnar
+//!   batch, see [`FileData`]) with byte accounting.
 //! * [`Behavior`] / [`WorkerNode`] — worker nodes with task slots and
 //!   Byzantine fault injection (commission / omission / crash).
 //! * [`ExecJob`] — one executable MapReduce job: map inputs with operator
@@ -42,4 +43,4 @@ pub use metrics::{data_plane, JobMetrics};
 pub use scheduler::{FifoScheduler, OverlapScheduler, SchedContext, Scheduler, TaskChoice};
 pub use spec::{DigestReport, ExecInput, ExecJob, RunHandle, SamplePlan, TaskKind, VpSite};
 pub use spotcheck::{SpotCheck, SpotCheckRecord};
-pub use storage::{Storage, StorageError};
+pub use storage::{FileData, Storage, StorageError};

@@ -9,9 +9,9 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use cbft_dataflow::Record;
+use cbft_dataflow::{Batch, Record};
 
 use crate::metrics::data_plane;
 
@@ -40,13 +40,96 @@ impl fmt::Display for StorageError {
 
 impl Error for StorageError {}
 
+/// The write-once payload of one stored file, behind shared handles:
+/// readers and replicated clusters seeded from the same handle share one
+/// allocation. A file is held in the form it was written in — records,
+/// or one columnar [`Batch`] that map tasks window straight into their
+/// kernels — and carries its byte size (Σ [`Record::byte_size`], which
+/// for a batch is [`Batch::canonical_bytes`]), summed once, when the
+/// handle is made.
 #[derive(Clone, Debug)]
-struct StoredFile {
-    /// Write-once payload behind an [`Arc`]: readers get cheap shared
-    /// handles instead of cloning record vectors, and replicated clusters
-    /// seeded from the same file share one allocation.
-    records: Arc<[Record]>,
+pub struct FileData {
+    form: Form,
     bytes: u64,
+}
+
+#[derive(Clone, Debug)]
+enum Form {
+    Rows(Arc<[Record]>),
+    Cols(Arc<ColumnarFile>),
+}
+
+#[derive(Debug)]
+struct ColumnarFile {
+    batch: Batch,
+    /// The row image, for the record-typed views ([`Storage::peek`],
+    /// [`Storage::share`]) the harness inspects files through. Built on
+    /// first request, once for every handle to the file; no task asks.
+    rows: OnceLock<Arc<[Record]>>,
+}
+
+impl FileData {
+    /// Records in the file.
+    pub fn len(&self) -> usize {
+        match &self.form {
+            Form::Rows(rows) => rows.len(),
+            Form::Cols(file) => file.batch.len(),
+        }
+    }
+
+    /// True when the file holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Size of the file in bytes.
+    pub fn byte_size(&self) -> u64 {
+        self.bytes
+    }
+
+    /// The file as one batch, if it is stored columnar.
+    pub fn batch(&self) -> Option<&Batch> {
+        match &self.form {
+            Form::Rows(_) => None,
+            Form::Cols(file) => Some(&file.batch),
+        }
+    }
+
+    /// The file as records. A columnar file materializes its row image
+    /// on the first call.
+    pub fn rows(&self) -> &Arc<[Record]> {
+        match &self.form {
+            Form::Rows(rows) => rows,
+            Form::Cols(file) => file.rows.get_or_init(|| file.batch.to_records().into()),
+        }
+    }
+}
+
+impl From<Arc<[Record]>> for FileData {
+    fn from(rows: Arc<[Record]>) -> FileData {
+        FileData {
+            bytes: rows.iter().map(Record::byte_size).sum(),
+            form: Form::Rows(rows),
+        }
+    }
+}
+
+impl From<Vec<Record>> for FileData {
+    fn from(rows: Vec<Record>) -> FileData {
+        FileData::from(Arc::<[Record]>::from(rows))
+    }
+}
+
+impl From<Batch> for FileData {
+    fn from(batch: Batch) -> FileData {
+        FileData {
+            bytes: batch.canonical_bytes(),
+            form: Form::Cols(Arc::new(ColumnarFile {
+                batch,
+                rows: OnceLock::new(),
+            })),
+        }
+    }
 }
 
 /// The trusted storage layer: named, write-once files of records.
@@ -65,7 +148,7 @@ struct StoredFile {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Storage {
-    files: HashMap<String, StoredFile>,
+    files: HashMap<String, FileData>,
     read_bytes: u64,
     written_bytes: u64,
 }
@@ -85,13 +168,13 @@ impl Storage {
     /// out ("in many cloud storage systems data modification is replaced
     /// with data creation").
     pub fn write(&mut self, name: &str, records: Vec<Record>) -> Result<u64, StorageError> {
-        self.write_shared(name, records.into())
+        self.write_shared(name, records)
     }
 
-    /// Writes a new file from an already-shared payload without copying it.
-    /// All storages seeded with clones of the same `Arc` share one record
-    /// allocation — how the executor gives every replica cluster the same
-    /// write-once inputs for free.
+    /// Writes a new file from an already-shared payload without copying
+    /// (or, given a [`FileData`], re-sizing) it. All storages seeded with
+    /// clones of the same handle share one allocation — how the executor
+    /// gives every replica cluster the same write-once inputs for free.
     ///
     /// # Errors
     ///
@@ -99,30 +182,30 @@ impl Storage {
     pub fn write_shared(
         &mut self,
         name: &str,
-        records: Arc<[Record]>,
+        data: impl Into<FileData>,
     ) -> Result<u64, StorageError> {
         if self.files.contains_key(name) {
             return Err(StorageError::AlreadyExists(name.to_owned()));
         }
-        let bytes: u64 = records.iter().map(Record::byte_size).sum();
+        let data = data.into();
+        let bytes = data.bytes;
         self.written_bytes += bytes;
-        self.files
-            .insert(name.to_owned(), StoredFile { records, bytes });
+        self.files.insert(name.to_owned(), data);
         Ok(bytes)
     }
 
-    /// Reads a file's records, returning a shared handle to the write-once
-    /// payload (no records are copied).
+    /// Reads a file, returning a shared handle to the write-once payload
+    /// (no records are copied).
     ///
     /// # Errors
     ///
     /// Returns [`StorageError::NotFound`] for missing files.
-    pub fn read(&mut self, name: &str) -> Result<Arc<[Record]>, StorageError> {
+    pub fn read(&mut self, name: &str) -> Result<FileData, StorageError> {
         match self.files.get(name) {
             Some(f) => {
                 self.read_bytes += f.bytes;
                 data_plane::count_arcs_shared(1);
-                Ok(Arc::clone(&f.records))
+                Ok(f.clone())
             }
             None => Err(StorageError::NotFound(name.to_owned())),
         }
@@ -131,15 +214,15 @@ impl Storage {
     /// Like [`Storage::read`] but without charging read bytes — for
     /// harness/verifier inspection that would not exist on a real cluster.
     pub fn peek(&self, name: &str) -> Option<&[Record]> {
-        self.files.get(name).map(|f| &*f.records)
+        self.files.get(name).map(|f| &**f.rows())
     }
 
-    /// A free (uncharged) shared handle to a file's payload, for harness
+    /// A free (uncharged) shared handle to a file's records, for harness
     /// plumbing that republishes data rather than reading it.
     pub fn share(&self, name: &str) -> Option<Arc<[Record]>> {
         self.files.get(name).map(|f| {
             data_plane::count_arcs_shared(1);
-            Arc::clone(&f.records)
+            Arc::clone(f.rows())
         })
     }
 

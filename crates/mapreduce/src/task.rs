@@ -16,6 +16,7 @@
 //! and between map and reduce ([`Partition`]) is known to this module
 //! alone.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,6 +34,7 @@ use crate::compute::ComputePool;
 use crate::fault::{corrupt_record, TaskFate};
 use crate::metrics::data_plane;
 use crate::spec::{ExecJob, VpSite};
+use crate::storage::FileData;
 
 /// A record tagged with its join side.
 type Tagged = (usize, Record);
@@ -147,14 +149,14 @@ impl Partition {
 /// What a task runs on.
 #[derive(Clone, Debug)]
 pub(crate) enum TaskInput {
-    /// A map task's split: a window into the `Arc`-shared write-once
-    /// input file. Splitting a file across tasks costs only handle
-    /// clones; the records themselves are never copied.
+    /// A map task's split: a window into the shared write-once input
+    /// file, whichever form it is stored in. Splitting a file across
+    /// tasks costs only handle clones; the file itself is never copied.
     Split {
         /// Index into [`ExecJob::inputs`].
         input: usize,
         /// Shared handle to the whole input file.
-        file: Arc<[Record]>,
+        file: FileData,
         /// Split window `[start, end)` within `file`.
         start: usize,
         /// Split window end.
@@ -249,9 +251,10 @@ pub(crate) struct Work {
 /// engine attaches these to the task's trace span as wall-domain args.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct StageWall {
-    /// Laying the task's input out as batches: records → [`Batch`] for a
-    /// split or a record partition, [`Batch::concat`] of the runs for a
-    /// columnar partition.
+    /// Laying the task's input out as batches: [`Batch::slice`] windows
+    /// of a columnar file's split, records → [`Batch`] for a record
+    /// file's split or a record partition, [`Batch::concat`] of the runs
+    /// for a columnar partition.
     pub to_batch: u64,
     /// Per-record operators (`FILTER`, `FOREACH`, `LIMIT`).
     pub pipeline_ops: u64,
@@ -385,7 +388,7 @@ pub(crate) fn run_task(
             file,
             start,
             end,
-        } => run_map_task(job, input, &file[start..end], fate, pool),
+        } => run_map_task(job, input, &file, start..end, fate, pool),
         TaskInput::Partition(incoming) => run_reduce_task(job, incoming, fate, pool),
     }
 }
@@ -394,21 +397,34 @@ pub(crate) fn run_task(
 /// at map-side verification points, and partitions the result for the
 /// shuffle.
 ///
-/// The split is borrowed (a window into the `Arc`-shared input file);
-/// rows are copied only where they must become owned — at the partition
-/// boundary, and only if the pipeline kept them borrowed until then.
+/// The split is borrowed (`window` of the shared input `file`); rows are
+/// copied only where they must become owned — at the partition boundary,
+/// and only if the pipeline kept them borrowed until then.
 pub(crate) fn run_map_task(
     job: &ExecJob,
     input_index: usize,
-    records: &[Record],
+    file: &FileData,
+    window: Range<usize>,
     fate: TaskFate,
     pool: &ComputePool,
 ) -> TaskOutput {
     debug_assert_ne!(fate, TaskFate::Omitted, "omitted tasks never execute");
     let plan = &job.plan;
     let input = &job.inputs[input_index];
-    let mut out = TaskOutput::new(byte_size(records));
-    let mut stream = Stream::open_split(job, records, fate, &mut out.stages);
+    // The row arm reads records: a columnar file's window becomes records
+    // once, here, and is borrowed from then on like a record file's — so
+    // the task charges the same whichever form the file is stored in.
+    let image: Vec<Record>;
+    let split = match file.batch() {
+        Some(batch) if columnar(job, fate) => Split::Cols(batch, window),
+        Some(batch) => {
+            image = window.map(|row| batch.row(row)).collect();
+            Split::Rows(&image)
+        }
+        None => Split::Rows(&file.rows()[window]),
+    };
+    let mut out = TaskOutput::new(0);
+    let mut stream = Stream::open_split(job, split, fate, &mut out);
 
     for (pos, &vid) in input.pipeline.iter().enumerate() {
         stream = timed(&mut out.stages.pipeline_ops, || {
@@ -554,6 +570,14 @@ fn columnar(job: &ExecJob, fate: TaskFate) -> bool {
     job.batch_records > 0 && fate == TaskFate::Faithful && job.combiner.is_none()
 }
 
+/// A map task's window into its input file, in the form its arm reads.
+enum Split<'a> {
+    /// Records: a record file, or the row arm's image of a columnar one.
+    Rows(&'a [Record]),
+    /// A row range of a columnar file.
+    Cols(&'a Batch, Range<usize>),
+}
+
 /// A stream of rows flowing through a task pipeline on the row plane.
 ///
 /// Map tasks read their split as a borrowed slice of the `Arc`-shared input
@@ -635,32 +659,52 @@ enum Stream<'a> {
 }
 
 impl<'a> Stream<'a> {
-    /// Opens a map task's split. The columnar arm converts it to batches
-    /// at the storage boundary; a ragged split (mixed arity within a
-    /// batch) cannot be laid out columnar and falls back to rows before
+    /// Opens a map task's split and charges the bytes it reads. The
+    /// columnar arm lays the split out as batches of `batch_records` rows
+    /// at the storage boundary: a columnar file's window is cut column by
+    /// column, records are converted. A ragged split (mixed arity within
+    /// a batch) cannot be laid out columnar and falls back to rows before
     /// any counter is touched.
     fn open_split(
         job: &ExecJob,
-        records: &'a [Record],
+        split: Split<'a>,
         fate: TaskFate,
-        stages: &mut StageWall,
+        out: &mut TaskOutput,
     ) -> Stream<'a> {
+        let columnar_over = |batches: Vec<Batch>, out: &mut TaskOutput| {
+            out.work.bytes_in = batches.iter().map(Batch::canonical_bytes).sum();
+            data_plane::count_batches_built(batches.len() as u64);
+            data_plane::count_batch_rows(batches.iter().map(|b| b.len() as u64).sum());
+            Stream::Cols {
+                batches,
+                owned: false,
+            }
+        };
+        let records = match split {
+            Split::Cols(file, window) => {
+                let batches = timed(&mut out.stages.to_batch, || {
+                    window
+                        .clone()
+                        .step_by(job.batch_records)
+                        .map(|start| file.slice(start..window.end.min(start + job.batch_records)))
+                        .collect()
+                });
+                return columnar_over(batches, out);
+            }
+            Split::Rows(records) => records,
+        };
         if columnar(job, fate) {
-            let batches: Option<Vec<Batch>> = timed(&mut stages.to_batch, || {
+            let batches: Option<Vec<Batch>> = timed(&mut out.stages.to_batch, || {
                 records
                     .chunks(job.batch_records)
                     .map(Batch::from_records)
                     .collect()
             });
             if let Some(batches) = batches {
-                data_plane::count_batches_built(batches.len() as u64);
-                data_plane::count_batch_rows(records.len() as u64);
-                return Stream::Cols {
-                    batches,
-                    owned: false,
-                };
+                return columnar_over(batches, out);
             }
         }
+        out.work.bytes_in = byte_size(records);
         Stream::Rows(if fate == TaskFate::Corrupt {
             // A commission fault: the node processes a corrupted view of
             // the data, so every downstream digest and output reflects
@@ -715,8 +759,7 @@ impl<'a> Stream<'a> {
                             (0..all.len())
                                 .step_by(job.batch_records)
                                 .map(|start| {
-                                    let end = all.len().min(start + job.batch_records);
-                                    all.gather(&Vec::from_iter(start..end))
+                                    all.slice(start..all.len().min(start + job.batch_records))
                                 })
                                 .collect()
                         }),
@@ -1204,6 +1247,14 @@ mod tests {
             .collect()
     }
 
+    /// One map task over all of `records`, held as a record file, on the
+    /// inline pool.
+    fn map_task(job: &ExecJob, input: usize, records: &[Record], fate: TaskFate) -> TaskOutput {
+        let file = FileData::from(records.to_vec());
+        let pool = ComputePool::default();
+        run_map_task(job, input, &file, 0..records.len(), fate, &pool)
+    }
+
     fn parts(out: &TaskOutput) -> &[Partition] {
         match &out.data {
             TaskData::Partitions(parts) => parts,
@@ -1244,13 +1295,7 @@ mod tests {
         let job = exec_job(FOLLOWER, vec![]);
         let mut records = ints(&[&[1, 10], &[2, 20], &[1, 30]]);
         records.push(Record::new(vec![Value::Int(9), Value::Null]));
-        let out = run_map_task(
-            &job,
-            0,
-            &records,
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
+        let out = map_task(&job, 0, &records, TaskFate::Faithful);
         let total: usize = parts(&out).iter().map(Partition::len).sum();
         assert_eq!(total, 3, "null follower filtered out");
         assert_eq!(parts(&out).len(), 2);
@@ -1295,20 +1340,8 @@ mod tests {
         let mut job = exec_job(FOLLOWER, vec![]);
         job.verification_points = plan_vps(&job);
         let records = ints(&[&[1, 10], &[2, 20]]);
-        let honest = run_map_task(
-            &job,
-            0,
-            &records,
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
-        let corrupt = run_map_task(
-            &job,
-            0,
-            &records,
-            TaskFate::Corrupt,
-            &ComputePool::default(),
-        );
+        let honest = map_task(&job, 0, &records, TaskFate::Faithful);
+        let corrupt = map_task(&job, 0, &records, TaskFate::Corrupt);
         assert_eq!(honest.digests.len(), 1);
         assert_eq!(corrupt.digests.len(), 1);
         assert!(!honest.digests[0]
@@ -1329,20 +1362,8 @@ mod tests {
             },
         }];
         let records = ints(&[&[1, 10], &[2, 20], &[3, 30]]);
-        let a = run_map_task(
-            &job,
-            0,
-            &records,
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
-        let b = run_map_task(
-            &job,
-            0,
-            &records,
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
+        let a = map_task(&job, 0, &records, TaskFate::Faithful);
+        let b = map_task(&job, 0, &records, TaskFate::Faithful);
         assert!(a.digests[0].1.compare(&b.digests[0].1).is_match());
         assert_eq!(rows(&a), rows(&b), "partitioning is deterministic");
     }
@@ -1378,13 +1399,7 @@ mod tests {
             vec![],
         );
         assert_eq!(job.reduce_task_count, 1);
-        let out = run_map_task(
-            &job,
-            0,
-            &ints(&[&[1], &[3], &[2]]),
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
+        let out = map_task(&job, 0, &ints(&[&[1], &[3], &[2]]), TaskFate::Faithful);
         assert_eq!(parts(&out).len(), 1);
         let reduced = run_reduce_task(
             &job,
@@ -1419,13 +1434,7 @@ mod tests {
     #[test]
     fn work_counters_are_filled() {
         let job = exec_job(FOLLOWER, vec![]);
-        let out = run_map_task(
-            &job,
-            0,
-            &ints(&[&[1, 2], &[3, 4]]),
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
+        let out = map_task(&job, 0, &ints(&[&[1, 2], &[3, 4]]), TaskFate::Faithful);
         assert!(out.work.bytes_in > 0);
         assert!(out.work.bytes_out > 0);
         assert!(out.work.record_ops > 0);
@@ -1472,22 +1481,10 @@ mod tests {
             })
             .collect();
         job.batch_records = 0;
-        let row = run_map_task(
-            &job,
-            0,
-            &records,
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
+        let row = map_task(&job, 0, &records, TaskFate::Faithful);
         for bs in [1usize, 7, 1024] {
             job.batch_records = bs;
-            let batched = run_map_task(
-                &job,
-                0,
-                &records,
-                TaskFate::Faithful,
-                &ComputePool::default(),
-            );
+            let batched = map_task(&job, 0, &records, TaskFate::Faithful);
             assert_identical(&batched, &row, &format!("batch_records {bs}"));
         }
     }
@@ -1607,11 +1604,10 @@ mod tests {
              STORE cnt INTO 'counts';",
             vec![],
         );
-        let pool = ComputePool::default();
         next.batch_records = 0;
-        let row = run_map_task(&next, 0, &grouped, TaskFate::Faithful, &pool);
+        let row = map_task(&next, 0, &grouped, TaskFate::Faithful);
         next.batch_records = 4;
-        let batched = run_map_task(&next, 0, &grouped, TaskFate::Faithful, &pool);
+        let batched = map_task(&next, 0, &grouped, TaskFate::Faithful);
         assert_identical(&batched, &row, "stored bags");
         let mut counts = Vec::new();
         row.data.append_to(&mut counts);
@@ -1714,21 +1710,9 @@ mod tests {
             Record::new(vec![Value::Null]),
         ];
         job.batch_records = 1024;
-        let batched = run_map_task(
-            &job,
-            0,
-            &records,
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
+        let batched = map_task(&job, 0, &records, TaskFate::Faithful);
         job.batch_records = 0;
-        let row = run_map_task(
-            &job,
-            0,
-            &records,
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
+        let row = map_task(&job, 0, &records, TaskFate::Faithful);
         assert_identical(&batched, &row, "ragged fallback");
     }
 
@@ -1749,35 +1733,31 @@ mod tests {
         let records: Vec<Record> = (0..2500i64)
             .map(|i| Record::new(vec![Value::Int(i % 9), Value::Int(i)]))
             .collect();
-        let inline = run_map_task(
-            &job,
-            0,
-            &records,
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
+        let inline = map_task(&job, 0, &records, TaskFate::Faithful);
         let threaded = ComputePool::new(2);
-        let pooled = run_map_task(&job, 0, &records, TaskFate::Faithful, &threaded);
+        let file = FileData::from(records);
+        let pooled = run_map_task(&job, 0, &file, 0..2500, TaskFate::Faithful, &threaded);
         assert_identical(&pooled, &inline, "pool merkle");
         assert_eq!(inline.digests[0].1.chunks().len(), 2500);
         assert!(inline.digests[0].1.merkle().depth() > 10);
     }
 
-    /// Runs every task of `job` over `rows` the way the engine would — two
+    /// Runs every task of `job` over `file` the way the engine would — two
     /// splits per input, the shuffle gather, one reduce (or collector)
     /// task per partition — and returns every task's output, maps first.
     /// `fate` gives each task's fate by its position in that order.
     fn run_all_tasks(
         job: &ExecJob,
-        rows: &[Record],
+        file: &FileData,
         fate: impl Fn(usize) -> TaskFate,
     ) -> Vec<TaskOutput> {
         let pool = ComputePool::default();
         let mut outs = Vec::new();
         for input in 0..job.inputs.len() {
-            let (front, back) = rows.split_at(rows.len() / 2);
-            for split in [front, back] {
-                outs.push(run_map_task(job, input, split, fate(outs.len()), &pool));
+            let mid = file.len() / 2;
+            for split in [0..mid, mid..file.len()] {
+                let fate = fate(outs.len());
+                outs.push(run_map_task(job, input, file, split, fate, &pool));
             }
         }
         if job.is_map_only() {
@@ -1832,43 +1812,49 @@ mod tests {
 
     /// Runs every task of `job` over `rows` on the row plane and on the
     /// columnar plane at batch sizes 1, 3 and 1024, at chunk granularities
-    /// 1, 2 and unchunked; every observable of every task must be
-    /// identical. Returns the columnar plane's outputs (batch size 1024,
-    /// unchunked).
+    /// 1, 2 and unchunked, with the input held as a record file and (when
+    /// `rows` share one arity) as a columnar file, which the row plane
+    /// reads too; every observable of every task must equal the row
+    /// plane's over the record file. Returns the columnar plane's outputs
+    /// (batch size 1024, unchunked) over the last file form.
     fn assert_planes_agree(
         job: &mut ExecJob,
         rows: &[Record],
         fate: impl Fn(usize) -> TaskFate,
         ctx: &str,
     ) -> Vec<TaskOutput> {
+        let mut files = vec![("record", FileData::from(rows.to_vec()))];
+        files.extend(Batch::from_records(rows).map(|b| ("columnar", b.into())));
         let mut last = Vec::new();
         for granularity in [1usize, 2, usize::MAX] {
             job.digest_granularity = granularity;
             job.batch_records = 0;
-            let rows_plane = run_all_tasks(job, rows, &fate);
+            let rows_plane = run_all_tasks(job, &files[0].1, &fate);
             let digests: usize = rows_plane.iter().map(|o| o.digests.len()).sum();
             assert!(
                 digests >= job.verification_points.len(),
                 "every site digested: {ctx}"
             );
-            for bs in [1usize, 3, 1024] {
-                job.batch_records = bs;
-                let cols_plane = run_all_tasks(job, rows, &fate);
-                assert_eq!(cols_plane.len(), rows_plane.len());
-                for (task, (c, r)) in cols_plane.iter().zip(&rows_plane).enumerate() {
-                    let ctx = format!(
-                        "task {task} granularity {granularity} batch_records {bs} \
-                         combiner {}: {ctx}",
-                        job.combiner.is_some()
-                    );
-                    assert_identical(c, r, &ctx);
-                    assert_eq!(
-                        c.commitment(granularity),
-                        r.commitment(granularity),
-                        "{ctx}"
-                    );
+            for (form, file) in &files {
+                for bs in [0usize, 1, 3, 1024] {
+                    job.batch_records = bs;
+                    let plane = run_all_tasks(job, file, &fate);
+                    assert_eq!(plane.len(), rows_plane.len());
+                    for (task, (c, r)) in plane.iter().zip(&rows_plane).enumerate() {
+                        let ctx = format!(
+                            "task {task} granularity {granularity} batch_records {bs} \
+                             {form} file combiner {}: {ctx}",
+                            job.combiner.is_some()
+                        );
+                        assert_identical(c, r, &ctx);
+                        assert_eq!(
+                            c.commitment(granularity),
+                            r.commitment(granularity),
+                            "{ctx}"
+                        );
+                    }
+                    last = plane;
                 }
-                last = cols_plane;
             }
         }
         last
@@ -2022,7 +2008,8 @@ mod tests {
         /// on and off, a verification point at every eligible site and
         /// chunk granularities 1, 2 and unchunked, every observable of
         /// every task — partitions, records, digests, `Work`, commitment
-        /// — equals the `batch_records = 0` run at batch sizes 1, 3, 1024.
+        /// — equals the `batch_records = 0` run over the record file at
+        /// batch sizes 1, 3, 1024, and at all four from a columnar file.
         #[test]
         fn planes_agree_on_every_task_observable(
             cells in proptest::collection::vec((0i64..5, 0u8..9, 0u8..6), 0..40),
@@ -2071,14 +2058,17 @@ mod tests {
     /// input, let the (possibly corrupt) task consume it, record its
     /// commitment, then check. An honest task confirms; a corrupt one is
     /// localized — on the row plane and on the columnar plane, where the
-    /// corrupt run and the honest re-run even execute on different arms
-    /// and the reduce task's captured input is a partition of batch runs.
+    /// corrupt run and the honest re-run even execute on different arms,
+    /// the map task's captured split may be a window of a columnar file
+    /// and the reduce task's captured input a partition of batch runs.
     #[test]
     fn spot_check_round_trip_confirms_honest_and_localizes_corrupt_on_both_planes() {
         use crate::spec::{RunHandle, TaskKind};
         use crate::spotcheck::SpotCheckRecord;
 
-        let file: Arc<[Record]> = follower_partition().into_iter().map(|(_, r)| r).collect();
+        let rows: Vec<Record> = follower_partition().into_iter().map(|(_, r)| r).collect();
+        let columnar_file = FileData::from(Batch::from_records(&rows).unwrap());
+        let file = FileData::from(rows);
         let pool = ComputePool::default();
         for batch_records in [0usize, 1024] {
             let mut job = exec_job(FOLLOWER, vec![]);
@@ -2087,21 +2077,20 @@ mod tests {
             let spec = Arc::new(job);
             // The reduce input as the engine builds it: partition 0 of a
             // faithful map task's output, gathered.
-            let mapped = run_map_task(&spec, 0, &file, TaskFate::Faithful, &pool);
+            let mapped = run_map_task(&spec, 0, &file, 0..file.len(), TaskFate::Faithful, &pool);
             let gathered = Partition::concat(vec![parts(&mapped)[0].clone()]);
             assert!(gathered.len() > 0);
             assert_eq!(is_columnar(&gathered), batch_records > 0);
             for fate in [TaskFate::Faithful, TaskFate::Corrupt] {
+                let split = |file: &FileData| TaskInput::Split {
+                    input: 0,
+                    file: file.clone(),
+                    start: 3,
+                    end: 33,
+                };
                 let inputs = [
-                    (
-                        TaskKind::Map,
-                        TaskInput::Split {
-                            input: 0,
-                            file: Arc::clone(&file),
-                            start: 3,
-                            end: 33,
-                        },
-                    ),
+                    (TaskKind::Map, split(&file)),
+                    (TaskKind::Map, split(&columnar_file)),
                     (
                         TaskKind::Reduce,
                         TaskInput::Partition(Partition::Rows(follower_partition())),

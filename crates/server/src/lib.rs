@@ -69,8 +69,7 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use cbft_dataflow::Record;
-use cbft_mapreduce::{Behavior, ComputePool};
+use cbft_mapreduce::{Behavior, ComputePool, FileData};
 use cbft_metrics::{names as metric_names, Domain, LabelValue, Metrics, Snapshot};
 use cbft_trace::Tracer;
 use clusterbft::{ExecutorConfig, ParallelExecutor, ParallelOutcome, SubmitError};
@@ -140,7 +139,7 @@ pub struct JobSpec {
     /// Script source text.
     pub script: String,
     /// Input data sets by name.
-    pub inputs: Vec<(String, Vec<Record>)>,
+    pub inputs: Vec<(String, FileData)>,
     /// Replica faults to inject, `(replica uid, behavior)` — chaos jobs
     /// ride through the server like healthy ones.
     pub faults: Vec<(usize, Behavior)>,
@@ -168,8 +167,8 @@ impl JobSpec {
 
     /// Adds an input data set.
     #[must_use]
-    pub fn input(mut self, name: &str, records: Vec<Record>) -> Self {
-        self.inputs.push((name.to_owned(), records));
+    pub fn input(mut self, name: &str, data: impl Into<FileData>) -> Self {
+        self.inputs.push((name.to_owned(), data.into()));
         self
     }
 
@@ -715,7 +714,7 @@ fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbft_dataflow::Value;
+    use cbft_dataflow::{Record, Value};
 
     const SCRIPT: &str = "
         a = LOAD 'in' AS (k, v);

@@ -376,8 +376,8 @@ fn load_job(opts: &DaemonOptions, line: &JobLine) -> Result<(JobSpec, RawInputs)
     let mut spec = JobSpec::new(&line.tenant, &script).exec(job_exec(opts, line));
     let mut raw = Vec::with_capacity(line.inputs.len());
     for (name, path) in &line.inputs {
-        let (records, text) = load_input(name, path)?;
-        spec = spec.input(name, records);
+        let (data, text) = load_input(name, path, opts.batch_size != Some(0))?;
+        spec = spec.input(name, data);
         raw.push((name.clone(), text));
     }
     for &(uid, behavior) in &line.faults {

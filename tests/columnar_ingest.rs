@@ -1,0 +1,132 @@
+//! The form an input file is stored in — records, or the one columnar
+//! batch `cbft` parses CSV into — changes no count the data plane keeps:
+//! what a map task charges when it opens a columnar file's window
+//! (batches built, rows laid out) and at its output boundary (records
+//! cloned) is what it charges over a record file, on either plane, under
+//! a combiner and under a commission fault.
+//!
+//! The counters are process-global, so this file holds one test: nothing
+//! else runs in its process.
+
+use clusterbft_repro::core::{
+    Behavior, Cluster, ClusterBft, ExecutorConfig, FileData, JobConfig, ParallelExecutor,
+    Replication,
+};
+use clusterbft_repro::dataflow::{Batch, Record, Value};
+use clusterbft_repro::mapreduce::data_plane::{self, DataPlaneSnapshot};
+
+const SCRIPT: &str = "
+    edges = LOAD 'edges' AS (user, follower);
+    clean = FILTER edges BY follower IS NOT NULL;
+    grp = GROUP clean BY user;
+    cnt = FOREACH grp GENERATE group, COUNT(clean) AS n;
+    STORE cnt INTO 'counts';
+";
+
+fn edges() -> Vec<Record> {
+    (0..3000i64)
+        .map(|i| {
+            let follower = if i % 11 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i)
+            };
+            Record::new(vec![Value::Int(i * 7 % 97), follower])
+        })
+        .collect()
+}
+
+/// The sim-domain counters (functions of the deterministic simulation)
+/// and the rows built out of batches, accumulated over `run`.
+fn counted<T>(run: impl FnOnce() -> T) -> (T, DataPlaneSnapshot) {
+    let before = data_plane::snapshot();
+    let out = run();
+    let mut delta = data_plane::snapshot().since(&before);
+    // Host scheduling, not the data plane.
+    (delta.tasks_dispatched, delta.tasks_stolen) = (0, 0);
+    delta.pool_queue_peak = 0;
+    (out, delta)
+}
+
+#[test]
+fn a_columnar_input_file_moves_no_data_plane_count() {
+    let forms = || -> [(&str, FileData); 2] {
+        [
+            ("record", edges().into()),
+            (
+                "columnar",
+                Batch::from_records(&edges()).expect("one arity").into(),
+            ),
+        ]
+    };
+
+    for batch_records in [0usize, 256] {
+        for fault in [None, Some(Behavior::Commission { probability: 1.0 })] {
+            let runs = forms().map(|(form, input)| {
+                counted(|| {
+                    let mut exec = ParallelExecutor::new(ExecutorConfig {
+                        threads: 2,
+                        batch_records,
+                        map_split_records: 700,
+                        expected_failures: 1,
+                        escalation: vec![2, 3],
+                        master_seed: 2013,
+                        ..ExecutorConfig::default()
+                    });
+                    exec.load_input("edges", input).unwrap();
+                    if let Some(behavior) = fault {
+                        exec.inject_fault(0, behavior);
+                    }
+                    let outcome = exec.run_script(SCRIPT).unwrap();
+                    assert!(outcome.verified(), "{form}");
+                    outcome
+                })
+            });
+            let [(rows_outcome, mut rows), (cols_outcome, mut cols)] = runs;
+            let ctx = format!("executor, batch_records {batch_records}, fault {fault:?}");
+            assert_eq!(rows_outcome, cols_outcome, "{ctx}");
+            // The one count that tells the forms apart, and only off the
+            // columnar arm: a task of the row plane, and a corrupt task
+            // on any plane, reads a row image of its window.
+            let images = cols.rows_materialized - rows.rows_materialized;
+            (rows.rows_materialized, cols.rows_materialized) = (0, 0);
+            assert_eq!(rows, cols, "{ctx}");
+            assert!(rows.records_cloned > 0 && rows.bytes_encoded > 0, "{ctx}");
+            let replicas: usize = rows_outcome.replicas_per_round().iter().sum();
+            let reading_rows = match (batch_records, fault) {
+                (0, _) => replicas,
+                (_, Some(_)) => 1,
+                (_, None) => 0,
+            };
+            assert_eq!(images, (reading_rows * edges().len()) as u64, "{ctx}");
+        }
+    }
+
+    // The sequential pipeline under a combiner: every map task of the
+    // combinable job takes the row arm, whatever the file's form.
+    let runs = forms().map(|(form, input)| {
+        counted(|| {
+            let cluster = Cluster::builder().nodes(8).seed(42).build();
+            let config = JobConfig::builder()
+                .expected_failures(1)
+                .replication(Replication::Optimistic)
+                .combiners(true)
+                .build();
+            let mut cbft = ClusterBft::new(cluster, config);
+            cbft.load_input("edges", input).unwrap();
+            let outcome = cbft.submit_script(SCRIPT).unwrap();
+            assert!(outcome.verified(), "{form}");
+            let counts = cbft.cluster().storage().peek("counts").unwrap().to_vec();
+            (format!("{outcome}"), counts)
+        })
+    });
+    let [(rows_report, mut rows), (cols_report, mut cols)] = runs;
+    assert_eq!(rows_report, cols_report, "combiner");
+    assert_eq!(
+        cols.rows_materialized - rows.rows_materialized,
+        2 * edges().len() as u64,
+        "each of the two replicas reads a row image of the file"
+    );
+    (rows.rows_materialized, cols.rows_materialized) = (0, 0);
+    assert_eq!(rows, cols, "combiner");
+}

@@ -6,9 +6,10 @@
 //! the discrete-event sim keeps sole authority over scheduling, fault
 //! draws and clocks (DESIGN.md §5e).
 
+use clusterbft_repro::cli;
 use clusterbft_repro::core::{
-    Behavior, Cluster, ClusterBft, ExecutorConfig, JobConfig, ParallelExecutor, ParallelOutcome,
-    Replication,
+    Behavior, Cluster, ClusterBft, ExecutorConfig, FileData, JobConfig, ParallelExecutor,
+    ParallelOutcome, Replication,
 };
 use clusterbft_repro::dataflow::{Record, Value};
 use clusterbft_repro::mapreduce::data_plane;
@@ -212,6 +213,28 @@ fn run_batched(
     compute_threads: usize,
     fault: Option<(usize, Behavior)>,
 ) -> ParallelOutcome {
+    let inputs = [users(40).into(), clicks(600).into()];
+    run_batched_from(inputs, batch_records, threads, compute_threads, fault)
+}
+
+/// The inputs of [`run_batched`] as `cbft` loads them on the columnar
+/// plane: rendered to CSV text and parsed straight into one batch each.
+fn csv_loaded_inputs() -> [FileData; 2] {
+    [users(40), clicks(600)].map(|records| {
+        let lines: Vec<String> = records.iter().map(cli::render_record).collect();
+        let batch = cli::parse_columns(&lines.join("\n")).expect("one field count");
+        assert_eq!(batch.to_records(), records, "the CSV round trip is exact");
+        batch.into()
+    })
+}
+
+fn run_batched_from(
+    [users, clicks]: [FileData; 2],
+    batch_records: usize,
+    threads: usize,
+    compute_threads: usize,
+    fault: Option<(usize, Behavior)>,
+) -> ParallelOutcome {
     let mut exec = ParallelExecutor::new(ExecutorConfig {
         threads,
         compute_threads,
@@ -221,8 +244,8 @@ fn run_batched(
         master_seed: 2013,
         ..ExecutorConfig::default()
     });
-    exec.load_input("users", users(40)).unwrap();
-    exec.load_input("clicks", clicks(600)).unwrap();
+    exec.load_input("users", users).unwrap();
+    exec.load_input("clicks", clicks).unwrap();
     if let Some((uid, behavior)) = fault {
         exec.inject_fault(uid, behavior);
     }
@@ -246,6 +269,21 @@ fn batch_size_never_changes_the_outcome() {
             serde_json::to_string(&outcome).unwrap(),
             "batch_records={batch_records} threads={threads} compute_threads={compute_threads}"
         );
+        // The same from columnar input files: map tasks window them
+        // instead of converting (or, at batch size 0, read a row image).
+        let outcome = run_batched_from(
+            csv_loaded_inputs(),
+            batch_records,
+            threads,
+            compute_threads,
+            None,
+        );
+        assert_eq!(
+            canon,
+            serde_json::to_string(&outcome).unwrap(),
+            "columnar inputs, batch_records={batch_records} threads={threads} \
+             compute_threads={compute_threads}"
+        );
     }
 }
 
@@ -263,6 +301,15 @@ fn batch_size_invariance_holds_under_faults() {
             baseline,
             run_batched(batch_records, 2, 4, fault),
             "batch_records={batch_records}"
+        );
+    }
+    // From columnar input files the deviant replica's corrupt tasks read
+    // a row image of their window while its siblings window the columns.
+    for batch_records in [0, 1, 1024] {
+        assert_eq!(
+            baseline,
+            run_batched_from(csv_loaded_inputs(), batch_records, 2, 4, fault),
+            "columnar inputs, batch_records={batch_records}"
         );
     }
 }

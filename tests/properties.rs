@@ -587,7 +587,7 @@ proptest! {
 use clusterbft_repro::dataflow::batch::{
     eval_column, filter_batch, group_batch, join_batch, order_batch,
 };
-use clusterbft_repro::dataflow::{AggFunc, Batch, CmpOp, EvalContext, SortOrder};
+use clusterbft_repro::dataflow::{AggFunc, Batch, CmpOp, Column, EvalContext, SortOrder};
 use clusterbft_repro::digest::{parent_level, MerkleTree};
 
 proptest! {
@@ -935,6 +935,180 @@ proptest! {
         );
         prop_assert_eq!(joined.to_records(), join_records(&left, left_key, &right, right_key));
     }
+
+    /// The columnar CSV loader builds exactly the batch the record loader's
+    /// rows convert to — rows, encodings, byte size and column layouts —
+    /// over the whole field grammar (spacing, `null` spellings, integer
+    /// spellings and overflow, empty fields), columns that change type
+    /// part-way, blank lines, both line ends; and declines exactly the
+    /// ragged files `Batch::from_records` declines.
+    #[test]
+    fn columnar_csv_parse_equals_the_record_parse(
+        arity in 1usize..4,
+        kinds in proptest::collection::vec(0usize..4, 3..4),
+        lines in proptest::collection::vec(
+            (proptest::collection::vec(0usize..64, 1..5), 0u8..12),
+            0..30,
+        ),
+        ragged in any::<bool>(),
+    ) {
+        const FIELDS: [&[&str]; 4] = [
+            &["1", " 2", "+3", "-0", "007", "-9223372036854775808", "null"],
+            &["a", " a b ", "", "nul", "9223372036854775808", "1_0", "NULL"],
+            &["null", "Null", " NULL\t"],
+            &["5", "x", "null", "", " ", "0x7", "- 1"],
+        ];
+        let mut text = String::new();
+        for (picks, flag) in &lines {
+            let width = if ragged && *flag == 0 { picks.len() } else { arity };
+            let fields: Vec<&str> = (0..width)
+                .map(|c| {
+                    let vocabulary = FIELDS[kinds[c % 3]];
+                    vocabulary[picks[c % picks.len()] % vocabulary.len()]
+                })
+                .collect();
+            text += &fields.join(",");
+            text += match flag {
+                1 => "\r\n",
+                2 => "\n \t\n",
+                3 => "\n\n",
+                _ => "\n",
+            };
+        }
+        if lines.len() % 2 == 1 {
+            text.pop(); // no line end after the last line
+        }
+        let rows: Vec<Record> = text
+            .lines()
+            .filter(|l| !l.trim().is_empty())
+            .map(clusterbft_repro::cli::parse_record)
+            .collect();
+        let parsed = clusterbft_repro::cli::parse_columns(&text);
+        let converted = Batch::from_records(&rows);
+        prop_assert_eq!(parsed.is_some(), converted.is_some(), "{:?}", text);
+        if let (Some(parsed), Some(converted)) = (parsed, converted) {
+            assert_same_batch(&parsed, &converted, &rows);
+        }
+    }
+
+    /// A slice of a batch is the batch `from_records` builds over those
+    /// rows — rows, encodings, byte size and column layouts — for windows
+    /// that drop a column's nulls, or all its non-nulls, or one of its two
+    /// types, for nested bags (which arrive in `from_records` as values),
+    /// and for the empty window, which has lost its schema.
+    #[test]
+    fn batch_slice_equals_from_records_over_the_window(
+        arity in 1usize..4,
+        kinds in proptest::collection::vec(0u8..7, 3..4),
+        len in 0usize..24,
+        seed in any::<u64>(),
+        windows in proptest::collection::vec((0usize..25, 0usize..25), 1..6),
+    ) {
+        // Column kinds as in `batch_concat_matches_from_records_over_all_rows`,
+        // in stretches of four rows so that windows see one-kind runs.
+        let rows: Vec<Record> = (0..len as u64)
+            .map(|r| {
+                (0..arity)
+                    .map(|c| {
+                        let n = seed.wrapping_add(r * 7 + c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33;
+                        let int = Value::Int((n % 5) as i64 - 2);
+                        let string = Value::str(["", "a", "bc"][(n % 3) as usize]);
+                        match (kinds[c], (r / 4 + n % 2) % 4) {
+                            (2, _) | (3..=5, 0) => Value::Null,
+                            (0 | 3, _) | (5, 1) => int,
+                            (1 | 4 | 5, _) => string,
+                            _ => Value::Bag(vec![Record::new(vec![int, Value::Null])]),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let flat = Batch::from_records(&rows).expect("uniform arity");
+        let grouped = group_batch(&flat, 0);
+        for batch in [&flat, &grouped] {
+            let rows = batch.to_records();
+            for (a, b) in &windows {
+                let (start, end) = (a.min(b) % (rows.len() + 1), a.max(b) % (rows.len() + 1));
+                let window = start.min(end)..start.max(end);
+                let expected = Batch::from_records(&rows[window.clone()]).expect("uniform arity");
+                assert_same_batch(&batch.slice(window.clone()), &expected, &rows[window]);
+            }
+            assert_eq!(batch.slice(3..3).arity(), 0);
+        }
+    }
+
+    /// The layout rule, stated independently of the builder that applies
+    /// it: a column is `Int` when every value is an integer or null
+    /// (all-null included), `Str` when every value is a string or null
+    /// and one is a string, `Mixed` otherwise; a typed column has a null
+    /// mask exactly when it holds a null, zeros and empty ranges under it.
+    #[test]
+    fn column_layout_is_a_function_of_the_value_types(
+        values in proptest::collection::vec(
+            prop_oneof![
+                small_value_strategy(),
+                small_value_strategy(),
+                Just(Value::Bag(vec![])),
+            ],
+            0..12,
+        ),
+        kind in 0u8..4,
+    ) {
+        // Bias towards single-type columns: drop what the kind excludes.
+        let values: Vec<Value> = values
+            .into_iter()
+            .filter(|v| match kind {
+                0 => !matches!(v, Value::Str(_) | Value::Bag(_)),
+                1 => !matches!(v, Value::Int(_) | Value::Bag(_)),
+                2 => v.is_null(),
+                _ => true,
+            })
+            .collect();
+        let any_null = values.iter().any(Value::is_null);
+        let mask: Vec<bool> = values.iter().map(|v| !v.is_null()).collect();
+        let only = |typed: fn(&Value) -> bool| values.iter().all(|v| v.is_null() || typed(v));
+        match Column::from_values(values.clone()) {
+            Column::Int { values: ints, validity } => {
+                prop_assert!(only(|v| v.as_int().is_some()));
+                let expected: Vec<i64> = values.iter().map(|v| v.as_int().unwrap_or(0)).collect();
+                prop_assert_eq!(ints, expected);
+                prop_assert_eq!(validity, any_null.then_some(mask));
+            }
+            Column::Str { bytes, offsets, validity } => {
+                prop_assert!(only(|v| v.as_str().is_some()));
+                prop_assert!(values.iter().any(|v| v.as_str().is_some()));
+                let strings: Vec<&str> = values.iter().map(|v| v.as_str().unwrap_or("")).collect();
+                prop_assert_eq!(bytes, strings.concat().into_bytes());
+                let mut ends = vec![0];
+                ends.extend(strings.iter().scan(0, |end, s| { *end += s.len(); Some(*end) }));
+                prop_assert_eq!(offsets, ends);
+                prop_assert_eq!(validity, any_null.then_some(mask));
+            }
+            Column::Mixed(kept) => {
+                prop_assert!(!only(|v| v.as_int().is_some()) && !only(|v| v.as_str().is_some()));
+                prop_assert_eq!(kept, values);
+            }
+            Column::Bag { .. } => prop_assert!(false, "values never build a nested column"),
+        }
+    }
+}
+
+/// Asserts `batch` is `expected` in every way a batch can be observed —
+/// its rows, each row's canonical encoding, its byte size — and in its
+/// column layouts, which kernels dispatch on.
+fn assert_same_batch(batch: &Batch, expected: &Batch, rows: &[Record]) {
+    assert_eq!(batch.to_records(), rows);
+    assert_eq!(expected.to_records(), rows);
+    for (r, row) in rows.iter().enumerate() {
+        let mut encoded = Vec::new();
+        batch.write_row_canonical(r, &mut encoded);
+        assert_eq!(encoded, row.to_canonical_bytes(), "row {r}");
+    }
+    assert_eq!(
+        batch.canonical_bytes(),
+        rows.iter().map(Record::byte_size).sum::<u64>()
+    );
+    assert_eq!(batch, expected, "column layouts");
 }
 
 // ---------------------------------------------------------------------------
