@@ -54,7 +54,7 @@ use crate::config::VpPolicy;
 use crate::outcome::SubmitError;
 use crate::pipeline::{choose_points, job_output_sites, vp_sites_by_job, ReplicaJobs};
 use crate::suspicion::{SuspicionBand, SuspicionTable};
-use crate::verifier::{DigestKey, StreamedReport, Verifier};
+use crate::verifier::{StreamedReport, Verifier};
 
 /// The executor's verification tier: how much redundant computation buys
 /// how much assurance.
@@ -220,10 +220,11 @@ struct ReplicaRun {
     /// Whether every job of the graph completed (wedging on omission or
     /// crash faults leaves this false — the replica simply never reports).
     complete: bool,
-    /// Store-name → records for every STORE job the replica completed,
-    /// as shared handles into the replica's storage (no copy until one
-    /// replica's output is actually published).
-    outputs: BTreeMap<String, Arc<[Record]>>,
+    /// Store-name → file for every STORE job the replica completed, as
+    /// shared handles into the replica's storage in the form the job
+    /// stored it (no row is built or copied until one replica's output is
+    /// actually published).
+    outputs: BTreeMap<String, FileData>,
     /// Map and reduce tasks the replica ran to completion.
     tasks_done: u64,
 }
@@ -1012,9 +1013,8 @@ impl ParallelExecutor {
         }
     }
 
-    /// Publishes iff every STORE job's output keys are quorum-verified and
-    /// a completed replica agrees with the quorum at all of them. Winner
-    /// selection scans ascending uid, so the decision is deterministic.
+    /// Publishes iff [`Verifier::winner`] names a replica for every STORE
+    /// job's output.
     fn decide(
         &self,
         store_sites: &BTreeMap<JobId, (String, Vec<Site>)>,
@@ -1023,22 +1023,20 @@ impl ParallelExecutor {
     ) -> Option<BTreeMap<String, Vec<Record>>> {
         let mut out = BTreeMap::new();
         for (name, sites) in store_sites.values() {
-            let keys: Vec<DigestKey> = verifier
-                .keys()
-                .filter(|k| sites.contains(&k.1))
-                .copied()
-                .collect();
-            if keys.is_empty() || !keys.iter().all(|k| verifier.verdict(k).is_verified()) {
-                return None;
-            }
-            let winner = runs.values().find(|run| {
-                run.outputs.contains_key(name) && verifier.replica_verified_at(run.uid, keys.iter())
-            })?;
-            // Publication is the one deep copy on the output path: the
-            // winning replica's records leave its private storage.
-            let records = &winner.outputs[name];
-            data_plane::count_records_cloned(records.len() as u64);
-            out.insert(name.clone(), records.to_vec());
+            let holders = runs.values().filter(|run| run.outputs.contains_key(name));
+            let winner = verifier.winner(sites, holders.map(|run| run.uid))?;
+            // Publication is where the output's rows are built, once and
+            // for the winning replica only: out of its columnar file, or
+            // as the one deep copy of a record file.
+            let file = &runs[&winner].outputs[name];
+            let records = match file.batch() {
+                Some(batch) => batch.to_records(),
+                None => {
+                    data_plane::count_records_cloned(file.len() as u64);
+                    file.rows().to_vec()
+                }
+            };
+            out.insert(name.clone(), records);
         }
         Some(out)
     }
@@ -1171,8 +1169,8 @@ impl ParallelExecutor {
         for job in graph.jobs() {
             if let JobOutput::Store(name) = &job.output {
                 if let Some(file) = jobs.files.get(&job.id()) {
-                    if let Some(records) = cluster.storage().share(file) {
-                        outputs.insert(name.clone(), records);
+                    if let Some(data) = cluster.storage().handle(file) {
+                        outputs.insert(name.clone(), data);
                     }
                 }
             }

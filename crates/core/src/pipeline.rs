@@ -39,7 +39,7 @@ use crate::config::{JobConfig, VpPolicy};
 use crate::isolation::FaultAnalyzer;
 use crate::outcome::{ScriptOutcome, SubmitError};
 use crate::suspicion::SuspicionTable;
-use crate::verifier::{DigestKey, Verifier};
+use crate::verifier::Verifier;
 
 /// The ClusterBFT system: owns the untrusted-tier cluster and the trusted
 /// control-tier state (verifier, suspicion table, fault analyzer).
@@ -550,20 +550,9 @@ impl ClusterBft {
                 if trusted.contains_key(&job) {
                     continue;
                 }
-                let sites = &output_sites[&job];
-                let keys: Vec<DigestKey> = verifier
-                    .keys()
-                    .filter(|k| sites.contains(&k.1))
-                    .copied()
-                    .collect();
-                if keys.is_empty() || !keys.iter().all(|k| verifier.verdict(k).is_verified()) {
-                    continue;
-                }
-                let winner = (0..total_uids).find(|&uid| {
-                    completed_by_uid.contains_key(&(uid, job))
-                        && verifier.replica_verified_at(uid, keys.iter())
-                });
-                if let Some(w) = winner {
+                let holders =
+                    (0..total_uids).filter(|&uid| completed_by_uid.contains_key(&(uid, job)));
+                if let Some(w) = verifier.winner(&output_sites[&job], holders) {
                     trusted.insert(job, completed_by_uid[&(w, job)].file.clone());
                 }
             }
@@ -814,13 +803,13 @@ impl ClusterBft {
                 continue;
             };
             // Publication republishes the verified replica file under its
-            // STORE name by sharing the write-once payload — no records
-            // are copied.
-            let records =
-                self.cluster.storage().share(&file).ok_or_else(|| {
+            // STORE name by sharing the write-once payload, in the form
+            // the job stored it — no row is copied or built.
+            let data =
+                self.cluster.storage().handle(&file).ok_or_else(|| {
                     SubmitError::Engine(format!("verified file '{file}' vanished"))
                 })?;
-            self.cluster.storage_mut().write_shared(name, records)?;
+            self.cluster.storage_mut().write_shared(name, data)?;
             outputs.push(name.clone());
         }
         Ok(outputs)

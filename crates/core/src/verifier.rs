@@ -481,17 +481,31 @@ impl Verifier {
         Some(quorum.since(first))
     }
 
-    /// True when replica `r` agrees with a verified quorum at every key in
-    /// `keys` (all of which must be verified).
-    pub fn replica_verified_at<'a>(
+    /// The publication rule, stated once for both orchestrators: the
+    /// replica whose copy of an output may be trusted. `sites` are the
+    /// digest sites covering the output stream and `completed` the
+    /// replicas holding a copy, in ascending uid order. A copy is
+    /// published only if every recorded key at those sites is verified
+    /// and its replica agrees with the quorum at all of them; the lowest
+    /// such uid wins, so the choice is deterministic. `None` while no key
+    /// was recorded, a key is unverified, or every holder deviates.
+    pub fn winner(
         &self,
-        r: usize,
-        keys: impl IntoIterator<Item = &'a DigestKey>,
-    ) -> bool {
-        keys.into_iter().all(|k| match self.verdict(k) {
-            KeyVerdict::Verified { matching, .. } => matching.contains(&r),
-            _ => false,
-        })
+        sites: &[Site],
+        completed: impl IntoIterator<Item = usize>,
+    ) -> Option<usize> {
+        let mut quorums = Vec::new();
+        for key in self.keys().filter(|k| sites.contains(&k.1)) {
+            let KeyVerdict::Verified { matching, .. } = self.verdict(key) else {
+                return None;
+            };
+            quorums.push(matching);
+        }
+        if quorums.is_empty() {
+            return None;
+        }
+        let agrees = |uid: &usize| quorums.iter().all(|matching| matching.contains(uid));
+        completed.into_iter().find(agrees)
     }
 
     /// Whether every recorded key is verified.
@@ -661,16 +675,73 @@ mod tests {
         assert_eq!(v.verdict(&key()), KeyVerdict::Pending);
     }
 
+    /// The winner rule as both orchestrators used to spell it out.
+    fn winner_by_hand(v: &Verifier, sites: &[Site], completed: &[usize]) -> Option<usize> {
+        let keys: Vec<DigestKey> = v.keys().filter(|k| sites.contains(&k.1)).copied().collect();
+        if keys.is_empty() || !keys.iter().all(|k| v.verdict(k).is_verified()) {
+            return None;
+        }
+        let agrees_at = |uid: usize, k: &DigestKey| match v.verdict(k) {
+            KeyVerdict::Verified { matching, .. } => matching.contains(&uid),
+            _ => false,
+        };
+        let agrees = |uid: &&usize| keys.iter().all(|k| agrees_at(**uid, k));
+        completed.iter().find(agrees).copied()
+    }
+
     #[test]
-    fn replica_verified_at_requires_membership() {
-        let mut v = Verifier::new(1, 3);
-        v.record(&report(0, b"x"));
-        v.record(&report(1, b"x"));
-        v.record(&report(2, b"y"));
-        let k = key();
-        assert!(v.replica_verified_at(0, [&k]));
-        assert!(!v.replica_verified_at(2, [&k]));
-        assert!(v.all_keys_verified());
+    fn winner_is_the_lowest_completed_replica_agreeing_at_every_output_key() {
+        let output = [Site::Shuffle { job: JobId(0) }];
+        let task = |replica: usize, payload: &[u8], task_index: usize| DigestReport {
+            task_index,
+            ..report(replica, payload)
+        };
+        let check = |v: &Verifier, completed: &[usize], expected: Option<usize>, why: &str| {
+            assert_eq!(
+                v.winner(&output, completed.iter().copied()),
+                expected,
+                "{why}"
+            );
+            assert_eq!(winner_by_hand(v, &output, completed), expected, "{why}");
+        };
+
+        let mut v = Verifier::new(1, 4);
+        check(&v, &[0, 1], None, "no key recorded");
+        v.record(&DigestReport {
+            site: Site::Shuffle { job: JobId(9) },
+            ..report(0, b"x")
+        });
+        check(&v, &[0, 1], None, "no key at the output's sites");
+
+        // Task 0: replica 0 deviates from the quorum of 1, 2 and 3.
+        v.record(&task(0, b"bad", 0));
+        for replica in 1..4 {
+            v.record(&task(replica, b"good", 0));
+        }
+        check(
+            &v,
+            &[0, 1, 2, 3],
+            Some(1),
+            "a completed but deviant uid is skipped",
+        );
+        check(
+            &v,
+            &[0, 3],
+            Some(3),
+            "an agreeing uid that holds no copy is skipped",
+        );
+        check(&v, &[0], None, "every holder deviates");
+
+        // Task 1 of the same output: one report, no quorum yet.
+        v.record(&task(2, b"good", 1));
+        check(&v, &[0, 1, 2, 3], None, "an output key is unverified");
+        v.record(&task(3, b"good", 1));
+        check(
+            &v,
+            &[0, 1, 2, 3],
+            Some(2),
+            "replica 1 never reported task 1",
+        );
     }
 
     #[test]

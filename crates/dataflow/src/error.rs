@@ -69,6 +69,16 @@ pub enum PlanError {
     },
     /// The plan has no STORE vertex, so it computes nothing observable.
     NoStore,
+    /// Two STORE vertices write the same output; an output file is
+    /// written once.
+    DuplicateStore {
+        /// The output both name.
+        output: String,
+        /// Id of the vertex that stores it first.
+        first: usize,
+        /// Id the rejected vertex would have had.
+        second: usize,
+    },
     /// A cycle was detected (should be unreachable via the builder API).
     Cyclic,
 }
@@ -97,6 +107,15 @@ impl fmt::Display for PlanError {
                 write!(f, "union inputs have differing arities ({left} vs {right})")
             }
             PlanError::NoStore => write!(f, "plan has no STORE vertex"),
+            PlanError::DuplicateStore {
+                output,
+                first,
+                second,
+            } => write!(
+                f,
+                "output '{output}' is stored twice, by vertex {first} and by vertex {second}: \
+                 an output is written once"
+            ),
             PlanError::Cyclic => write!(f, "plan contains a cycle"),
         }
     }

@@ -388,18 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_output_is_an_error() {
-        let plan = Script::parse(
-            "a = LOAD 'i' AS (x); STORE a INTO 'o'; b = FILTER a BY x > 0; STORE b INTO 'o';",
-        )
-        .unwrap()
-        .into_plan();
-        let inputs = HashMap::from([("i".to_owned(), ints(&[&[1]]))]);
-        let err = interpret(&plan, &inputs).unwrap_err();
-        assert_eq!(err, InterpError::DuplicateOutput("o".to_owned()));
-    }
-
-    #[test]
     fn vertex_streams_are_recorded() {
         let plan = Script::parse("a = LOAD 'i' AS (x); b = FILTER a BY x > 1; STORE b INTO 'o';")
             .unwrap()

@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use crate::error::ParseError;
+use crate::error::{ParseError, PlanError};
 use crate::expr::{AggFunc, ArithOp, CmpOp, Expr};
 use crate::op::SortOrder;
 use crate::plan::{LogicalPlan, PlanBuilder, VertexId};
@@ -67,6 +67,7 @@ impl Script {
             pos: 0,
             builder: PlanBuilder::new(),
             bag_elem: HashMap::new(),
+            store_lines: HashMap::new(),
         };
         p.parse_script()?;
         let plan = p
@@ -299,6 +300,8 @@ struct Parser {
     /// For GROUP vertices: the element schema of the bag column, needed to
     /// resolve `SUM(alias.field)` in a downstream FOREACH.
     bag_elem: HashMap<VertexId, Schema>,
+    /// Source line of each STORE statement, by vertex id.
+    store_lines: HashMap<usize, usize>,
 }
 
 impl Parser {
@@ -310,14 +313,22 @@ impl Parser {
     }
 
     fn parse_statement(&mut self) -> Result<(), ParseError> {
+        let line = self.tokens[self.pos].line;
         if self.eat_kw(Kw::Store) {
             let src = self.expect_alias()?;
             self.expect_kw(Kw::Into)?;
             let output = self.expect_str()?;
             self.expect_sym(";")?;
-            self.builder
-                .add_store(src, &output)
-                .map_err(|e| self.err(e.to_string()))?;
+            let id = self.builder.add_store(src, &output).map_err(|e| {
+                let mut message = e.to_string();
+                if let PlanError::DuplicateStore { first, .. } = &e {
+                    if let Some(first) = self.store_lines.get(first) {
+                        message += &format!(" (the STORE statements on lines {first} and {line})");
+                    }
+                }
+                ParseError::new(message, Some(line))
+            })?;
+            self.store_lines.insert(id.0, line);
             return Ok(());
         }
         let alias = self.expect_ident()?;
@@ -1009,6 +1020,21 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("GROUP"), "{err}");
+    }
+
+    #[test]
+    fn a_second_store_into_one_output_fails_naming_both_statements() {
+        let err = Script::parse(
+            "a = LOAD 'e' AS (u, f);
+             STORE a INTO 'x';
+             b = FILTER a BY f IS NOT NULL;
+             STORE b INTO 'x';",
+        )
+        .unwrap_err();
+        assert_eq!(err.line(), Some(4));
+        let text = err.to_string();
+        assert!(text.contains("output 'x' is stored twice"), "{text}");
+        assert!(text.contains("lines 2 and 4"), "{text}");
     }
 
     #[test]

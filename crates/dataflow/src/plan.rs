@@ -389,7 +389,21 @@ impl PlanBuilder {
     }
 
     /// Adds a `STORE` sink vertex.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlanError::DuplicateStore`] when an earlier vertex already
+    /// stores `output`: output files are write-once, so the second store
+    /// could only fail (or be dropped) once its job had run.
     pub fn add_store(&mut self, parent: VertexId, output: &str) -> Result<VertexId, PlanError> {
+        let stores_it = |v: &&Vertex| matches!(&v.op, Operator::Store { output: o } if o == output);
+        if let Some(first) = self.vertices.iter().find(stores_it) {
+            return Err(PlanError::DuplicateStore {
+                output: output.to_owned(),
+                first: first.id.0,
+                second: self.vertices.len(),
+            });
+        }
         let schema = self.schema_of(parent)?.clone();
         self.push(
             Operator::Store {
@@ -580,6 +594,25 @@ mod tests {
             err,
             PlanError::UnionArityMismatch { left: 1, right: 2 }
         ));
+    }
+
+    #[test]
+    fn a_repeated_store_name_is_rejected_naming_both_vertices() {
+        let mut b = PlanBuilder::new();
+        let l = b.add_load("f", &["a"]).unwrap();
+        b.add_store(l, "x").unwrap();
+        let kept = b.add_filter(l, Expr::IntLit(1)).unwrap();
+        let err = b.add_store(kept, "x").unwrap_err();
+        let expected = PlanError::DuplicateStore {
+            output: "x".to_owned(),
+            first: 1,
+            second: 3,
+        };
+        assert_eq!(err, expected);
+        let text = err.to_string();
+        assert!(text.contains("'x'") && text.contains("vertex 1") && text.contains("vertex 3"));
+        // The rejected vertex was not added; another name is accepted.
+        assert_eq!(b.add_store(kept, "y").unwrap(), VertexId(3));
     }
 
     #[test]

@@ -18,7 +18,6 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use cbft_dataflow::Record;
 use cbft_metrics::{names as metric_names, Domain, Metrics};
 use cbft_sim::{CostModel, EventQueue, SeedSpawner, SimDuration, SimTime};
 use cbft_trace::{TraceEvent, Tracer};
@@ -31,7 +30,7 @@ use crate::scheduler::{FifoScheduler, SchedContext, Scheduler, TaskChoice};
 use crate::spec::{DigestReport, ExecJob, RunHandle, TaskKind};
 use crate::spotcheck::SpotCheckRecord;
 use crate::storage::{Storage, StorageError};
-use crate::task::{run_task, Partition, TaskData, TaskInput, TaskOutput};
+use crate::task::{run_task, Partition, TaskInput, TaskOutput};
 
 // The parallel replica executor gives every replica its own `Cluster` and
 // moves it (plus the jobs submitted to it and the events it emits) onto a
@@ -148,14 +147,16 @@ impl TaskSt {
 struct Phase {
     inputs: Vec<TaskInput>,
     states: Vec<TaskSt>,
-    outputs: Vec<Option<TaskData>>,
+    /// The partitions each completed task handed over; moved out whole
+    /// when the phase is done.
+    outputs: Vec<Vec<Partition>>,
 }
 
 impl Phase {
     fn new(inputs: Vec<TaskInput>) -> Self {
         Phase {
             states: inputs.iter().map(|_| TaskSt::Pending).collect(),
-            outputs: inputs.iter().map(|_| None).collect(),
+            outputs: vec![Vec::new(); inputs.len()],
             inputs,
         }
     }
@@ -163,17 +164,6 @@ impl Phase {
     /// True once the phase exists and every task in it completed.
     fn is_done(&self) -> bool {
         !self.states.is_empty() && self.states.iter().all(TaskSt::is_done)
-    }
-
-    /// Moves every task's output records, in task order, into one vector.
-    fn collect_outputs(&mut self) -> Vec<Record> {
-        let mut records = Vec::new();
-        for out in &mut self.outputs {
-            out.take()
-                .expect("done task has output")
-                .append_to(&mut records);
-        }
-        records
     }
 }
 
@@ -1131,7 +1121,7 @@ impl Cluster {
                 kind,
                 task_index: index,
                 node,
-                recorded: result.commitment(job.spec.digest_granularity),
+                recorded: result.commitment(kind, job.spec.digest_granularity),
                 spec: Arc::clone(&job.spec),
                 input,
             }))
@@ -1162,38 +1152,37 @@ impl Cluster {
             }));
         }
         self.outbox.extend(spot);
-        job.phase_mut(kind).outputs[index] = Some(data);
+        job.phase_mut(kind).outputs[index] = data;
 
-        // Phase transitions.
-        let mut completed: Option<Vec<Record>> = None;
-        if kind == TaskKind::Map && job.map.is_done() {
-            if job.spec.is_map_only() {
-                completed = Some(job.map.collect_outputs());
+        // Phase transitions. A finished phase's outputs are gathered in
+        // task order, run by run with `Partition::concat`: the map
+        // phase's per reduce partition into the reduce tasks' inputs, the
+        // last phase's into the one partition that becomes the job's
+        // output file. First transpose ownership — collect each
+        // partition's per-task runs, moving handles only. Records and
+        // batches move, never clone, so the zero-copy invariant
+        // (`records_cloned == 0` on the replica read path) is preserved.
+        let mut completed: Option<Partition> = None;
+        if job.phase(kind).is_done() {
+            let last = kind == TaskKind::Reduce || job.spec.is_map_only();
+            // Without a shuffle every task hands over one partition.
+            let n_partitions = if last || job.spec.is_collector() {
+                1
             } else {
-                let n_partitions = if job.spec.is_collector() {
-                    1
-                } else {
-                    job.spec.reduce_task_count.max(1)
-                };
-                // Shuffle gather. First transpose ownership — collect
-                // each partition's per-map runs, moving handles only —
-                // then concatenate the partitions concurrently on the
-                // compute pool. Records move, never clone, so the
-                // zero-copy invariant (`records_cloned == 0` on the
-                // replica read path) is preserved; per-partition outputs
-                // are independent of the pool, keeping the gather
-                // deterministic.
-                let mut per_part: Vec<Vec<Partition>> =
-                    (0..n_partitions).map(|_| Vec::new()).collect();
-                for out in job.map.outputs.iter_mut() {
-                    let parts = out.take().expect("done map has output").into_partitions();
-                    for (p, run) in parts.into_iter().enumerate() {
-                        // Collector jobs concatenate everything into one
-                        // partition; shuffled jobs keep partition indices.
-                        let target = if job.spec.is_collector() { 0 } else { p };
-                        per_part[target].push(run);
-                    }
+                job.spec.reduce_task_count.max(1)
+            };
+            let mut per_part = vec![Vec::new(); n_partitions];
+            for parts in std::mem::take(&mut job.phase_mut(kind).outputs) {
+                for (p, run) in parts.into_iter().enumerate() {
+                    per_part[p].push(run);
                 }
+            }
+            if last {
+                completed = per_part.pop().map(Partition::concat);
+            } else {
+                // Concatenate the partitions concurrently on the compute
+                // pool; per-partition outputs are independent of the
+                // pool, keeping the gather deterministic.
                 let gathers: Vec<Ticket<Partition>> = per_part
                     .into_iter()
                     .map(|runs| self.pool.dispatch(move || Partition::concat(runs)))
@@ -1215,20 +1204,21 @@ impl Cluster {
                     );
                 }
             }
-        } else if kind == TaskKind::Reduce && job.reduce.is_done() {
-            completed = Some(job.reduce.collect_outputs());
         }
-        if let Some(records) = completed {
-            self.complete_job(handle, records);
+        if let Some(output) = completed {
+            self.complete_job(handle, output);
         }
 
         self.wake_nodes(SimDuration::ZERO);
     }
 
-    fn complete_job(&mut self, handle: RunHandle, records: Vec<Record>) {
+    fn complete_job(&mut self, handle: RunHandle, output: Partition) {
         let mut job = self.jobs.remove(&handle).expect("completing a live job");
         job.metrics.observe_span(job.submitted_at, self.now());
-        let outcome = match self.storage.write(&job.spec.output_file, records) {
+        let written = self
+            .storage
+            .write_shared(&job.spec.output_file, output.into_file());
+        let outcome = match written {
             Ok(_) => JobOutcome::Success {
                 metrics: job.metrics,
                 nodes: job.nodes_used.clone(),
@@ -1280,8 +1270,9 @@ mod tests {
     use super::*;
     use crate::spec::{ExecInput, VpSite};
     use crate::storage::FileData;
-    use cbft_dataflow::compile::{compile_plan, DataSource, Site};
-    use cbft_dataflow::{Batch, Script, Value};
+    use cbft_dataflow::compile::{compile_plan, DataSource, JobId, JobOutput, MrJob, Site};
+    use cbft_dataflow::{Batch, Operator, Record, Script, Value};
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     const FOLLOWER: &str = "raw = LOAD 'twitter' AS (user, follower);
@@ -1296,10 +1287,20 @@ mod tests {
 
     /// The spec of a single-job script over the `twitter` file.
     fn spec_of(src: &str, sid: &str, replica: usize, out: &str, vps: Vec<VpSite>) -> ExecJob {
+        let mut spec = chain_specs(src, sid).remove(0);
+        spec.sid = sid.to_owned();
+        spec.replica = replica;
+        spec.output_file = out.to_owned();
+        spec.verification_points = vps;
+        spec
+    }
+
+    /// Every job of `src`, in graph order, as the engine runs it: a
+    /// STORE writes its own name, an intermediate `{ns}/j{index}`.
+    fn chain_specs(src: &str, ns: &str) -> Vec<ExecJob> {
         let plan = Arc::new(Script::parse(src).unwrap().into_plan());
-        let graph = compile_plan(&plan);
-        let job = &graph.jobs()[0];
-        ExecJob {
+        let file_of = |j: JobId| format!("{ns}/j{}", j.index());
+        let lower = |job: &MrJob| ExecJob {
             plan: plan.clone(),
             inputs: job
                 .inputs
@@ -1307,7 +1308,7 @@ mod tests {
                 .map(|i| ExecInput {
                     file: match &i.source {
                         DataSource::Hdfs(f) => f.clone(),
-                        DataSource::Intermediate(_) => unreachable!(),
+                        DataSource::Intermediate(j) => file_of(*j),
                     },
                     pipeline: i.pipeline.clone(),
                     tag: i.tag,
@@ -1315,17 +1316,21 @@ mod tests {
                 .collect(),
             shuffle: job.shuffle,
             reduce: job.reduce.clone(),
-            output_file: out.to_owned(),
-            reduce_task_count: 2,
+            output_file: match &job.output {
+                JobOutput::Store(name) => name.clone(),
+                JobOutput::Intermediate => file_of(job.id()),
+            },
+            reduce_task_count: if job.single_reduce { 1 } else { 2 },
             map_split_records: 3,
-            verification_points: vps,
+            verification_points: vec![],
             digest_granularity: usize::MAX,
             batch_records: 1024,
-            sid: sid.to_owned(),
-            replica,
+            sid: format!("{ns}{}", job.id().index()),
+            replica: 0,
             combiner: None,
             sample: None,
-        }
+        };
+        compile_plan(&plan).jobs().iter().map(lower).collect()
     }
 
     fn edges(n: i64) -> Vec<Record> {
@@ -1367,22 +1372,28 @@ mod tests {
         assert_eq!(sorted(out), expected_counts(20));
     }
 
-    /// Where a whole job on the columnar plane still builds records (the
-    /// inline pool runs every task on this thread, so the per-thread
-    /// count is the job's): a GROUP → COUNT job only for its output — no
-    /// row is built between a split and the reduce task's output
-    /// boundary; a job that `STORE`s the grouped relation itself for its
-    /// output rows and the members of their bags; a DISTINCT job once per
-    /// shuffled row, when the reduce task takes its partition as records
-    /// for the whole-record sort. The row plane builds none. A columnar
-    /// input file changes nothing on the columnar plane — its map tasks
-    /// window it without building a row — while the row plane must build
-    /// each input row once to read it.
+    /// Where a whole job on the columnar plane builds records (an inline
+    /// pool runs every task on this thread, so the per-thread count is
+    /// the job's), while it runs and then when its output is `peek`ed: a
+    /// GROUP → COUNT job builds none while it runs — every task hands
+    /// over batches and the output file is their gather — and its output
+    /// rows at the `peek`; a job that `STORE`s the grouped relation itself
+    /// also builds the members of its bags, once; a DISTINCT job builds
+    /// each shuffled row, when the reduce task takes its partition as
+    /// records for the whole-record sort, and stores them as records. The
+    /// row plane builds none. A columnar input file changes nothing on
+    /// the columnar plane — its map tasks window it without building a
+    /// row — while the row plane must build each input row once to read
+    /// it.
     #[test]
     fn columnar_jobs_materialize_rows_only_where_they_must() {
         use cbft_dataflow::stats::thread_rows_materialized;
         let run_from = |input: FileData, src: &str, batch_records: usize| {
-            let mut cluster = Cluster::builder().nodes(4).seed(1).build();
+            let mut cluster = Cluster::builder()
+                .nodes(4)
+                .seed(1)
+                .compute_threads(1)
+                .build();
             cluster
                 .storage_mut()
                 .write_shared("twitter", input)
@@ -1392,19 +1403,19 @@ mod tests {
             let before = thread_rows_materialized();
             cluster.submit(spec).unwrap();
             cluster.run_to_quiescence();
-            let materialized = thread_rows_materialized() - before;
-            (
-                materialized,
-                cluster.storage().peek("out").unwrap().len() as u64,
-            )
+            let running = thread_rows_materialized() - before;
+            let published = cluster.storage().peek("out").unwrap().len() as u64;
+            let peeking = thread_rows_materialized() - before - running;
+            (running, peeking, published)
         };
         let run = |src: &str, batch_records: usize| run_from(edges(20).into(), src, batch_records);
-        assert_eq!(run(FOLLOWER, 1024), (5, 5), "output rows only");
+        assert_eq!(run(FOLLOWER, 1024), (0, 5, 5), "the published rows only");
         let stored_groups = "raw = LOAD 'twitter' AS (user, follower);
              grp = GROUP raw BY user;
              STORE grp INTO 'groups';";
+        let (running, peeking, published) = run(stored_groups, 1024);
         assert_eq!(
-            run(stored_groups, 1024),
+            (running + peeking, published),
             (5 + 20, 5),
             "output rows and bag members"
         );
@@ -1413,21 +1424,21 @@ mod tests {
              STORE d INTO 'rows';";
         assert_eq!(
             run(distinct, 1024),
-            (20, 20),
+            (20, 0, 20),
             "each shuffled row, at the reduce input"
         );
         for src in [FOLLOWER, stored_groups, distinct] {
-            assert_eq!(run(src, 0).0, 0, "row plane: {src}");
+            assert_eq!(run(src, 0), (0, 0, run(src, 1024).2), "row plane: {src}");
         }
         let columnar = || FileData::from(Batch::from_records(&edges(20)).unwrap());
         assert_eq!(
             run_from(columnar(), FOLLOWER, 1024),
-            (5, 5),
-            "columnar file: output rows only, none on the map side"
+            (0, 5, 5),
+            "columnar file: the published rows only, none on the map side"
         );
         assert_eq!(
             run_from(columnar(), FOLLOWER, 0),
-            (20, 5),
+            (20, 0, 5),
             "columnar file on the row plane: each input row once"
         );
     }
@@ -1488,6 +1499,215 @@ mod tests {
                     "batch_records {batch_records} combine {combine} corrupt {corrupt}"
                 );
             }
+        }
+    }
+
+    /// Everything one run of a chain of scripts can be told apart by.
+    #[derive(Debug, PartialEq)]
+    struct ChainRun {
+        /// Every engine event, `JobMetrics` included, in order.
+        events: Vec<String>,
+        clock: SimTime,
+        written_bytes: u64,
+        /// Every STORE output: stored size and `peek`ed records.
+        stored: Vec<(String, u64, Vec<Record>)>,
+    }
+
+    /// Runs every job of every script of `scripts`, in order, through
+    /// [`Cluster::submit`] on one cluster of four one-slot nodes, each
+    /// with a verification point at its first map-side operator and at
+    /// its shuffle. With `corrupt_a_reduce`, node 2 turns
+    /// commission-faulty for the reduce phase of the first job alone:
+    /// with four reduce tasks and one slot per node it runs exactly one
+    /// of them. Returns the run and whether each job's output file is
+    /// held columnar.
+    fn run_chain(
+        inputs: &[(&str, Vec<Record>)],
+        scripts: &[&str],
+        batch_records: usize,
+        corrupt_a_reduce: bool,
+    ) -> (ChainRun, Vec<bool>) {
+        let mut cluster = Cluster::builder()
+            .nodes(4)
+            .slots_per_node(1)
+            .seed(1)
+            .build();
+        for (name, records) in inputs {
+            cluster.storage_mut().write(name, records.clone()).unwrap();
+        }
+        let mut events = Vec::new();
+        let mut outputs = Vec::new();
+        let mut to_corrupt = corrupt_a_reduce;
+        for (s, src) in scripts.iter().enumerate() {
+            for mut spec in chain_specs(src, &format!("c{s}")) {
+                spec.batch_records = batch_records;
+                let jid = JobId(0);
+                let first_op = spec.inputs[0].pipeline.first();
+                let map_side = first_op.map(|&vertex| VpSite {
+                    vertex,
+                    site: Site::MapInput {
+                        job: jid,
+                        input: 0,
+                        pos: 0,
+                    },
+                });
+                let shuffle_side = spec.shuffle.map(|vertex| VpSite {
+                    vertex,
+                    site: Site::Shuffle { job: jid },
+                });
+                spec.verification_points = map_side.into_iter().chain(shuffle_side).collect();
+                outputs.push(spec.output_file.clone());
+                if !(spec.is_map_only() || spec.reduce_task_count == 1) {
+                    spec.reduce_task_count = 4;
+                }
+                let handle = cluster.submit(spec).unwrap();
+                while let Some(event) = cluster.step() {
+                    events.push(format!("{event:?}"));
+                    // The last map task's digest is handed out before any
+                    // reduce task is assigned.
+                    let reducing = |j: &RunningJob| j.in_reduce_phase;
+                    if to_corrupt && cluster.jobs.get(&handle).is_some_and(reducing) {
+                        to_corrupt = false;
+                        let faulty = Behavior::Commission { probability: 1.0 };
+                        cluster.set_node_behavior(NodeId(2), faulty);
+                    }
+                }
+                cluster.set_node_behavior(NodeId(2), Behavior::Honest);
+            }
+        }
+        let storage = cluster.storage();
+        let columnar = |name: &String| storage.handle(name).unwrap().batch().is_some();
+        let run = ChainRun {
+            events,
+            clock: cluster.now(),
+            written_bytes: storage.total_written_bytes(),
+            stored: outputs
+                .iter()
+                .filter(|name| !name.contains('/'))
+                .map(|name| {
+                    let records = storage.peek(name).unwrap().to_vec();
+                    (name.clone(), storage.size_bytes(name).unwrap(), records)
+                })
+                .collect(),
+        };
+        (run, outputs.iter().map(columnar).collect())
+    }
+
+    /// The chain's outputs by the reference interpreter, each script
+    /// reading what the earlier ones stored.
+    fn interpret_chain(inputs: &[(&str, Vec<Record>)], scripts: &[&str]) -> Vec<Vec<Record>> {
+        let mut files: HashMap<String, Vec<Record>> = inputs
+            .iter()
+            .map(|(name, records)| ((*name).to_owned(), records.clone()))
+            .collect();
+        let mut outputs = Vec::new();
+        for src in scripts {
+            let plan = Script::parse(src).unwrap().into_plan();
+            let result = cbft_dataflow::interp::interpret(&plan, &files).unwrap();
+            for store in plan.stores() {
+                let Operator::Store { output } = plan.vertex(store).op() else {
+                    continue;
+                };
+                let records = result.output(output).unwrap().to_vec();
+                files.insert(output.clone(), records.clone());
+                outputs.push(records);
+            }
+        }
+        outputs
+    }
+
+    /// The form a job's output is handed over and stored in is not an
+    /// observable either: a chain of jobs — each reading what the one
+    /// before stored — reports the same events, `JobMetrics`, simulated
+    /// clock, stored bytes and records on the row plane and at every
+    /// batch size, and the records the reference interpreter computes.
+    #[test]
+    fn job_chains_run_alike_at_every_batch_size_and_match_the_interpreter() {
+        // User `u` has `2 (u + 1)` followers, all distinct; the first
+        // five edges appear twice.
+        let mut twitter: Vec<Record> = (0..5i64)
+            .flat_map(|u| (0..2 * (u + 1)).map(move |k| (u, 100 * u + k)))
+            .map(|(u, f)| Record::new(vec![Value::Int(u), Value::Int(f)]))
+            .collect();
+        twitter.extend(twitter[..5].to_vec());
+        let wide: Vec<Record> = (0..7i64)
+            .map(|i| Record::new(vec![Value::Int(i % 3), Value::Int(i), Value::Int(7)]))
+            .collect();
+        let inputs = [("twitter", twitter), ("wide", wide)];
+        let top = "raw = LOAD 'twitter' AS (user, follower);
+             grp = GROUP raw BY user;
+             cnt = FOREACH grp GENERATE group, COUNT(raw) AS n;
+             ord = ORDER cnt BY n DESC;
+             top = LIMIT ord 3;
+             STORE top INTO 'top';";
+        let chains: [(&str, &[&str], bool); 4] = [
+            ("GROUP → COUNT, then ORDER → LIMIT", &[top], true),
+            (
+                "a stored grouped relation, read back by a FOREACH over its bags",
+                &[
+                    "raw = LOAD 'twitter' AS (user, follower);
+                     grp = GROUP raw BY user;
+                     STORE grp INTO 'groups';",
+                    "grp = LOAD 'groups' AS (user, members);
+                     cnt = FOREACH grp GENERATE user, COUNT(members) AS n;
+                     STORE cnt INTO 'counts';",
+                ],
+                true,
+            ),
+            (
+                "a map-only UNION of unequal arities, then a GROUP over it",
+                &[
+                    "a = LOAD 'twitter' AS (user, follower);
+                     b = LOAD 'wide' AS (user, follower);
+                     u = UNION a, b;
+                     STORE u INTO 'all';",
+                    "x = LOAD 'all' AS (user, follower);
+                     g = GROUP x BY user;
+                     c = FOREACH g GENERATE group, COUNT(x) AS n;
+                     STORE c INTO 'counts';",
+                ],
+                false,
+            ),
+            (
+                "DISTINCT, then ORDER → LIMIT",
+                &["raw = LOAD 'twitter' AS (user, follower);
+                   d = DISTINCT raw;
+                   o = ORDER d BY follower DESC;
+                   l = LIMIT o 4;
+                   STORE l INTO 'latest';"],
+                true,
+            ),
+        ];
+        for (name, scripts, last_is_columnar) in chains {
+            let (rows, _) = run_chain(&inputs, scripts, 0, false);
+            assert!(rows.events.iter().any(|e| e.contains("Success")), "{name}");
+            let stored = rows
+                .stored
+                .iter()
+                .map(|(_, _, records)| sorted(records.clone()));
+            let reference = interpret_chain(&inputs, scripts).into_iter().map(sorted);
+            assert!(stored.eq(reference), "{name}: {:?}", rows.stored);
+            for batch_records in [1, 7, 1024] {
+                let (cols, columnar) = run_chain(&inputs, scripts, batch_records, false);
+                assert_eq!(cols, rows, "{name}: batch_records {batch_records}");
+                assert_eq!(columnar.last(), Some(&last_is_columnar), "{name}");
+            }
+        }
+
+        // One corrupt reduce task among faithful ones hands records over
+        // among their batches: the gather falls back to records for the
+        // whole file, and the next job reads it as it would any other.
+        let (rows, _) = run_chain(&inputs, &[top], 0, true);
+        assert_ne!(rows.events, run_chain(&inputs, &[top], 0, false).0.events);
+        for batch_records in [1, 7, 1024] {
+            let (cols, columnar) = run_chain(&inputs, &[top], batch_records, true);
+            assert_eq!(
+                cols, rows,
+                "corrupt reduce task: batch_records {batch_records}"
+            );
+            assert_eq!(columnar, [false, true], "batch_records {batch_records}");
+            let (_, columnar) = run_chain(&inputs, &[top], batch_records, false);
+            assert_eq!(columnar, [true, true], "batch_records {batch_records}");
         }
     }
 
@@ -1587,6 +1807,41 @@ mod tests {
         }
         assert!(!nodes0.is_empty() && !nodes1.is_empty());
         assert!(nodes0.is_disjoint(&nodes1), "{nodes0:?} vs {nodes1:?}");
+    }
+
+    /// The fault-free verifier timeout of DESIGN.md §5b, pinned, not
+    /// fixed: a node stays bound to the replica of a sub-graph it first
+    /// ran until *no* run of that sub-graph remains. Once every node is
+    /// bound to one of a replica's siblings, that replica cannot get a
+    /// task — not even after the siblings have completed and every slot
+    /// is free, because its own pending run keeps the bindings alive.
+    #[test]
+    fn a_replica_starves_once_every_node_is_bound_to_a_sibling() {
+        let mut cluster = Cluster::builder().nodes(3).seed(1).build();
+        cluster.storage_mut().write("twitter", edges(20)).unwrap();
+        for replica in 0..4 {
+            let out = format!("r{replica}/c");
+            cluster
+                .submit(follower_spec("s0", replica, &out, vec![]))
+                .unwrap();
+        }
+        let events = cluster.run_to_quiescence();
+        let done = |e: &&EngineEvent| matches!(e, EngineEvent::JobCompleted { outcome, .. } if outcome.is_success());
+        assert_eq!(events.iter().filter(done).count(), 3);
+        let starved = cluster.incomplete_jobs();
+        assert_eq!(starved.len(), 1, "the fourth replica never finishes");
+        assert_eq!(
+            cluster.running_nodes(starved[0]),
+            Some(BTreeSet::new()),
+            "it was never given a task"
+        );
+        for node in &cluster.nodes {
+            assert_eq!(node.free_slots, node.worker.slots(), "every slot is free");
+            assert!(node.bindings.contains_key("s0"), "yet every node is bound");
+        }
+        // Only removing the starved run releases the nodes.
+        assert!(cluster.cancel(starved[0]));
+        assert!(cluster.nodes.iter().all(|n| n.bindings.is_empty()));
     }
 
     #[test]

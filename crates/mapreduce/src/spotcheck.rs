@@ -73,7 +73,7 @@ impl SpotCheckRecord {
         // The same entry point the untrusted node ran, with a faithful
         // fate; the two runs are compared by their output commitments.
         let honest = run_task(&self.spec, self.input.clone(), TaskFate::Faithful, pool)
-            .commitment(self.spec.digest_granularity);
+            .commitment(self.kind, self.spec.digest_granularity);
         let confirmed = honest.combined() == self.recorded.combined();
         SpotCheck {
             sid: self.sid.clone(),

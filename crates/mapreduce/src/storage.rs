@@ -62,9 +62,9 @@ enum Form {
 #[derive(Debug)]
 struct ColumnarFile {
     batch: Batch,
-    /// The row image, for the record-typed views ([`Storage::peek`],
-    /// [`Storage::share`]) the harness inspects files through. Built on
-    /// first request, once for every handle to the file; no task asks.
+    /// The row image, for the record-typed view ([`Storage::peek`]) the
+    /// harness inspects files through. Built on first request, once for
+    /// every handle to the file; no task and no publication asks.
     rows: OnceLock<Arc<[Record]>>,
 }
 
@@ -217,12 +217,13 @@ impl Storage {
         self.files.get(name).map(|f| &**f.rows())
     }
 
-    /// A free (uncharged) shared handle to a file's records, for harness
-    /// plumbing that republishes data rather than reading it.
-    pub fn share(&self, name: &str) -> Option<Arc<[Record]>> {
+    /// A free (uncharged) shared handle to a file in the form it is
+    /// stored in, for harness plumbing that republishes data rather than
+    /// reading it.
+    pub fn handle(&self, name: &str) -> Option<FileData> {
         self.files.get(name).map(|f| {
             data_plane::count_arcs_shared(1);
-            Arc::clone(f.rows())
+            f.clone()
         })
     }
 

@@ -33,19 +33,21 @@ use cbft_digest::{
 use crate::compute::ComputePool;
 use crate::fault::{corrupt_record, TaskFate};
 use crate::metrics::data_plane;
-use crate::spec::{ExecJob, VpSite};
+use crate::spec::{ExecJob, TaskKind, VpSite};
 use crate::storage::FileData;
 
 /// A record tagged with its join side.
 type Tagged = (usize, Record);
 
-/// One reduce partition's share of map output — the data format between
-/// map and reduce tasks. A faithful columnar map task hands its rows over
-/// as batches and the reduce task's kernels read them as batches; every
-/// other producer (the row plane, a ragged split, a corrupt fate, a
-/// combiner) hands over tagged records. Which form a partition has is
-/// decided by the data alone and is invisible outside this module: both
-/// hold the same `(tag, row)` sequence.
+/// The rows a task hands over — the one data format between tasks and
+/// out of them: a map task's share of one reduce partition, and the
+/// whole output of a reduce, collector or shuffle-less map task. A
+/// faithful columnar task hands its rows over as batches, which the
+/// reduce kernels read as batches and a job's output file keeps as one;
+/// every other producer (the row plane, a ragged split, a corrupt fate,
+/// a combiner, DISTINCT) hands over tagged records. Which form a
+/// partition has is decided by the data alone and is invisible outside
+/// this module: both hold the same `(tag, row)` sequence.
 #[derive(Clone, Debug)]
 pub(crate) enum Partition {
     /// Tagged records, in row order.
@@ -78,10 +80,11 @@ impl Partition {
         }
     }
 
-    /// The shuffle gather: concatenates one partition's per-map runs, in
-    /// map-task order. Batches and records move, never clone. The result
-    /// stays columnar unless some run holds records (its map task ran the
-    /// row arm); then the batch runs materialize too — the exact fallback.
+    /// The gather, of a shuffle partition's per-map runs and of a job's
+    /// output alike: concatenates the runs in task order. Batches and
+    /// records move, never clone. The result stays columnar unless some
+    /// run holds records (its task ran the row arm); then the batch runs
+    /// materialize too — the exact fallback.
     pub fn concat(runs: Vec<Partition>) -> Partition {
         let any_rows = |run: &Partition| matches!(run, Partition::Rows(rows) if !rows.is_empty());
         if runs.iter().any(any_rows) {
@@ -144,6 +147,25 @@ impl Partition {
             }
         })
     }
+
+    /// The partition as a stored file, tags dropped: the gather of a
+    /// job's last phase becomes the job's output this way. Batch runs are
+    /// joined into one columnar file; records, runs that disagree on
+    /// arity (a UNION of unequal inputs) and a partition of no rows,
+    /// which has no schema to keep, are stored as records.
+    pub fn into_file(self) -> FileData {
+        let tagged = match self {
+            Partition::Cols(runs) if !runs.is_empty() => {
+                match Partition::Cols(runs).into_sides(false) {
+                    Ok([batch, _]) => return batch.into(),
+                    Err(ragged) => ragged.into_tagged(),
+                }
+            }
+            other => other.into_tagged(),
+        };
+        let records: Vec<Record> = tagged.into_iter().map(|(_, r)| r).collect();
+        records.into()
+    }
 }
 
 /// What a task runs on.
@@ -198,39 +220,6 @@ impl TaskInput {
     }
 }
 
-/// The records a task produced.
-#[derive(Clone, Debug)]
-pub(crate) enum TaskData {
-    /// A map task's output per reduce partition; a single "partition 0"
-    /// holds everything when the job has no shuffle.
-    Partitions(Vec<Partition>),
-    /// A reduce or collector task's output.
-    Records(Vec<Record>),
-}
-
-impl TaskData {
-    /// Moves the output records, in order, onto the end of `out`.
-    pub fn append_to(self, out: &mut Vec<Record>) {
-        match self {
-            TaskData::Partitions(parts) => out.extend(
-                parts
-                    .into_iter()
-                    .flat_map(Partition::into_tagged)
-                    .map(|(_, r)| r),
-            ),
-            TaskData::Records(mut records) => out.append(&mut records),
-        }
-    }
-
-    /// A map task's output, one entry per reduce partition.
-    pub fn into_partitions(self) -> Vec<Partition> {
-        match self {
-            TaskData::Partitions(parts) => parts,
-            TaskData::Records(_) => unreachable!("only map tasks feed a shuffle"),
-        }
-    }
-}
-
 /// Work performed by a task, in units the cost model can price.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Work {
@@ -265,23 +254,20 @@ pub(crate) struct StageWall {
     pub digest: u64,
     /// Routing map output to reduce partitions: hashing each row's
     /// shuffle key and, on the columnar arm, gathering each partition's
-    /// rows into its run (on the row arm the records move).
+    /// rows into its run (on the row arm the records move). Without a
+    /// shuffle, handing the stream over as the one partition.
     pub partition: u64,
-    /// Stream → records at the output boundary of a reduce task or of a
-    /// map task without a shuffle.
-    pub to_records: u64,
 }
 
 impl StageWall {
     /// `(trace arg name, nanoseconds)` per stage, in pipeline order.
-    pub fn named(&self) -> [(&'static str, u64); 6] {
+    pub fn named(&self) -> [(&'static str, u64); 5] {
         [
             ("to_batch_ns", self.to_batch),
             ("pipeline_ops_ns", self.pipeline_ops),
             ("shuffle_kernel_ns", self.shuffle_kernel),
             ("digest_ns", self.digest),
             ("partition_ns", self.partition),
-            ("to_records_ns", self.to_records),
         ]
     }
 }
@@ -297,8 +283,11 @@ fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
 /// Result of a task.
 #[derive(Clone, Debug)]
 pub(crate) struct TaskOutput {
-    /// The records produced.
-    pub data: TaskData,
+    /// The rows produced: a map task's output per reduce partition, or
+    /// the one partition that holds everything — of a map task when the
+    /// job has no shuffle, of every reduce and collector task — in the
+    /// form the task's stream had.
+    pub data: Vec<Partition>,
     /// Digest summaries produced at the task's verification points.
     pub digests: Vec<(VpSite, ChunkedSummary)>,
     /// Work counters.
@@ -310,7 +299,7 @@ pub(crate) struct TaskOutput {
 impl TaskOutput {
     fn new(bytes_in: u64) -> TaskOutput {
         TaskOutput {
-            data: TaskData::Records(Vec::new()),
+            data: Vec::new(),
             digests: Vec::new(),
             work: Work {
                 bytes_in,
@@ -328,14 +317,14 @@ impl TaskOutput {
     /// Merkle tree. Finished inline (never pool-fanned) so capture and
     /// re-check hash the byte-identical stream regardless of which thread
     /// runs them.
-    pub fn commitment(&self, granularity: usize) -> ChunkedSummary {
+    pub fn commitment(&self, kind: TaskKind, granularity: usize) -> ChunkedSummary {
         let mut cd = ChunkedDigest::new(granularity);
         let mut buf = Vec::new();
         // Frames one row: its route (map output only), then its
         // canonical encoding as `row` writes it.
-        let mut frame = |route: Option<(usize, usize)>, row: &dyn Fn(&mut Vec<u8>)| {
+        let mut frame = |partition: usize, tag: usize, row: &dyn Fn(&mut Vec<u8>)| {
             ChunkedDigest::begin_frame(&mut buf);
-            if let Some((partition, tag)) = route {
+            if kind == TaskKind::Map {
                 buf.extend_from_slice(&(partition as u64).to_be_bytes());
                 buf.extend_from_slice(&(tag as u64).to_be_bytes());
             }
@@ -343,28 +332,19 @@ impl TaskOutput {
             ChunkedDigest::seal_frame(&mut buf);
             cd.append_framed(&buf);
         };
-        match &self.data {
-            TaskData::Partitions(parts) => {
-                for (p, part) in parts.iter().enumerate() {
-                    match part {
-                        Partition::Rows(rows) => {
-                            for (tag, r) in rows {
-                                frame(Some((p, *tag)), &|buf| r.write_canonical(buf));
-                            }
-                        }
-                        Partition::Cols(runs) => {
-                            for (tag, b) in runs {
-                                for row in 0..b.len() {
-                                    frame(Some((p, *tag)), &|buf| b.write_row_canonical(row, buf));
-                                }
-                            }
-                        }
+        for (p, part) in self.data.iter().enumerate() {
+            match part {
+                Partition::Rows(rows) => {
+                    for (tag, r) in rows {
+                        frame(p, *tag, &|buf| r.write_canonical(buf));
                     }
                 }
-            }
-            TaskData::Records(records) => {
-                for r in records {
-                    frame(None, &|buf| r.write_canonical(buf));
+                Partition::Cols(runs) => {
+                    for (tag, b) in runs {
+                        for row in 0..b.len() {
+                            frame(p, *tag, &|buf| b.write_row_canonical(row, buf));
+                        }
+                    }
                 }
             }
         }
@@ -445,38 +425,32 @@ pub(crate) fn run_map_task(
         data_plane::count_records_cloned(len);
     }
     let work = &mut out.work;
-    let partitions = match job.shuffle.map(|sh| plan.vertex(sh).op()) {
-        Some(op) => timed(&mut out.stages.partition, || {
-            let n = job.reduce_task_count.max(1);
-            match &job.combiner {
-                // Map-side combining: one [key, partials...] record per
-                // local key, partitioned by the leading key (same hash as
-                // the raw records would have used).
-                Some(comb) => {
-                    work.record_ops += 2 * len;
-                    let partials = comb.partials(&stream.into_records());
-                    partition_records(ShuffleKey::Field(0), input.tag, partials, n, work)
-                }
-                None => {
-                    work.record_ops += len;
-                    stream.partition(ShuffleKey::of(op, input.tag), input.tag, n, work)
+    out.data = timed(&mut out.stages.partition, || {
+        match job.shuffle.map(|sh| plan.vertex(sh).op()) {
+            Some(op) => {
+                let n = job.reduce_task_count.max(1);
+                match &job.combiner {
+                    // Map-side combining: one [key, partials...] record
+                    // per local key, partitioned by the leading key (same
+                    // hash as the raw records would have used).
+                    Some(comb) => {
+                        work.record_ops += 2 * len;
+                        let partials = comb.partials(&stream.into_records());
+                        partition_records(ShuffleKey::Field(0), input.tag, partials, n, work)
+                    }
+                    None => {
+                        work.record_ops += len;
+                        stream.partition(ShuffleKey::of(op, input.tag), input.tag, n, work)
+                    }
                 }
             }
-        }),
-        None => timed(&mut out.stages.to_records, || {
-            // A map-only job's output is final and becomes records here,
-            // on the task's thread; a collector reads it as it is.
-            let stream = if job.is_map_only() {
-                Stream::Rows(RecordStream::Owned(stream.into_records()))
-            } else {
-                stream
-            };
-            let part = stream.into_partition(input.tag);
-            work.bytes_out += part.byte_size();
-            vec![part]
-        }),
-    };
-    out.data = TaskData::Partitions(partitions);
+            None => {
+                let part = stream.into_partition(input.tag);
+                work.bytes_out += part.byte_size();
+                vec![part]
+            }
+        }
+    });
     out
 }
 
@@ -535,11 +509,9 @@ pub(crate) fn run_reduce_task(
         digest_where(job, here, &stream, &mut out, pool);
     }
 
-    // The one place reduce-side rows (and any bags still nested in a
-    // columnar stream) become records.
-    let records = timed(&mut out.stages.to_records, || stream.into_records());
-    out.work.bytes_out = byte_size(&records);
-    out.data = TaskData::Records(records);
+    let part = stream.into_partition(0);
+    out.work.bytes_out = part.byte_size();
+    out.data = vec![part];
     out
 }
 
@@ -704,7 +676,7 @@ impl<'a> Stream<'a> {
                 return columnar_over(batches, out);
             }
         }
-        out.work.bytes_in = byte_size(records);
+        out.work.bytes_in = records.iter().map(Record::byte_size).sum();
         Stream::Rows(if fate == TaskFate::Corrupt {
             // A commission fault: the node processes a corrupted view of
             // the data, so every downstream digest and output reflects
@@ -884,7 +856,8 @@ impl<'a> Stream<'a> {
         }
     }
 
-    /// The whole stream as one partition (a job without a shuffle).
+    /// The whole stream as one partition: a reduce or collector task's
+    /// output, or a map task's when the job has no shuffle.
     fn into_partition(self, tag: usize) -> Partition {
         match self {
             Stream::Rows(s) => {
@@ -897,17 +870,11 @@ impl<'a> Stream<'a> {
         }
     }
 
-    /// Materializes the stream as owned records.
+    /// Materializes the stream as owned records, for the combiner.
     fn into_records(self) -> Vec<Record> {
         match self {
             Stream::Rows(s) => s.into_owned(),
-            Stream::Cols { batches, .. } => {
-                let mut records = Vec::with_capacity(batches.iter().map(Batch::len).sum());
-                for b in &batches {
-                    records.extend(b.to_records());
-                }
-                records
-            }
+            Stream::Cols { batches, .. } => batches.iter().flat_map(Batch::to_records).collect(),
         }
     }
 }
@@ -1179,10 +1146,6 @@ fn finish_chunked(cd: ChunkedDigest, pool: &ComputePool) -> ChunkedSummary {
     })
 }
 
-fn byte_size(records: &[Record]) -> u64 {
-    records.iter().map(Record::byte_size).sum()
-}
-
 /// FNV-1a, used for deterministic, platform-independent partitioning and
 /// split placement.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
@@ -1256,32 +1219,21 @@ mod tests {
     }
 
     fn parts(out: &TaskOutput) -> &[Partition] {
-        match &out.data {
-            TaskData::Partitions(parts) => parts,
-            TaskData::Records(_) => panic!("map output expected"),
-        }
+        &out.data
     }
 
     /// A task's output rows, whatever form they are held in: the
-    /// `(tag, record)` sequence of each partition, or the records of a
-    /// reduce task as one untagged sequence.
-    fn rows(out: &TaskOutput) -> (bool, Vec<Vec<Tagged>>) {
-        match out.data.clone() {
-            TaskData::Partitions(parts) => (
-                true,
-                parts.into_iter().map(Partition::into_tagged).collect(),
-            ),
-            TaskData::Records(records) => {
-                (false, vec![records.into_iter().map(|r| (0, r)).collect()])
-            }
-        }
+    /// `(tag, record)` sequence of each partition.
+    fn rows(out: &TaskOutput) -> Vec<Vec<Tagged>> {
+        let parts = out.data.iter().cloned();
+        parts.map(Partition::into_tagged).collect()
     }
 
-    fn recs(out: &TaskOutput) -> &[Record] {
-        match &out.data {
-            TaskData::Records(records) => records,
-            TaskData::Partitions(_) => panic!("reduce output expected"),
-        }
+    /// The records of a reduce (or shuffle-less map) task's one partition.
+    fn recs(out: &TaskOutput) -> Vec<Record> {
+        assert_eq!(out.data.len(), 1, "one output partition expected");
+        let tagged = out.data[0].clone().into_tagged();
+        tagged.into_iter().map(|(_, r)| r).collect()
     }
 
     const FOLLOWER: &str = "raw = LOAD 'twitter' AS (user, follower);
@@ -1300,7 +1252,7 @@ mod tests {
         assert_eq!(total, 3, "null follower filtered out");
         assert_eq!(parts(&out).len(), 2);
         // Same user always lands in the same partition.
-        let (_, by_part) = rows(&out);
+        let by_part = rows(&out);
         let users = |p: usize| -> Vec<i64> {
             let user = |(_, r): &Tagged| r.get(0).and_then(Value::as_int);
             by_part[p].iter().filter_map(user).collect()
@@ -1403,7 +1355,7 @@ mod tests {
         assert_eq!(parts(&out).len(), 1);
         let reduced = run_reduce_task(
             &job,
-            out.data.into_partitions().into_iter().next().unwrap(),
+            out.data.into_iter().next().unwrap(),
             TaskFate::Faithful,
             &ComputePool::default(),
         );
@@ -1440,6 +1392,11 @@ mod tests {
         assert!(out.work.record_ops > 0);
     }
 
+    /// The commitment under a map task's framing and under a reduce task's.
+    fn commitments(out: &TaskOutput, granularity: usize) -> [ChunkedSummary; 2] {
+        [TaskKind::Map, TaskKind::Reduce].map(|kind| out.commitment(kind, granularity))
+    }
+
     /// Asserts every observable of two task outputs is byte-identical:
     /// partitions (as `(tag, record)` sequences — whether a partition is
     /// held as records or as batches is not an observable) or records,
@@ -1448,7 +1405,7 @@ mod tests {
     fn assert_identical(a: &TaskOutput, b: &TaskOutput, ctx: &str) {
         assert_eq!(rows(a), rows(b), "{ctx}: data");
         assert_eq!(a.work, b.work, "{ctx}: work");
-        assert_eq!(a.commitment(2), b.commitment(2), "{ctx}: commitment");
+        assert_eq!(commitments(a, 2), commitments(b, 2), "{ctx}: commitment");
         assert_eq!(a.digests.len(), b.digests.len(), "{ctx}: digest count");
         for ((va, sa), (vb, sb)) in a.digests.iter().zip(&b.digests) {
             assert_eq!(va, vb, "{ctx}: vp order");
@@ -1532,7 +1489,7 @@ mod tests {
                     &format!("granularity {granularity} batch_records {bs}: {src}"),
                 );
             }
-            records = recs(&row).to_vec();
+            records = recs(&row);
         }
         records
     }
@@ -1609,27 +1566,27 @@ mod tests {
         next.batch_records = 4;
         let batched = map_task(&next, 0, &grouped, TaskFate::Faithful);
         assert_identical(&batched, &row, "stored bags");
-        let mut counts = Vec::new();
-        row.data.append_to(&mut counts);
+        let counts = recs(&row);
         assert_eq!(counts.len(), 7);
         assert_eq!(counts[0], Record::new(vec![Value::Null, Value::Int(1)]));
     }
 
     #[test]
-    fn group_aggregate_reduce_materializes_only_its_output_rows() {
+    fn group_aggregate_reduce_hands_over_a_batch_and_builds_no_row() {
         use cbft_dataflow::stats::thread_rows_materialized;
         let job = exec_job(FOLLOWER, vec![]);
         let incoming = follower_partition();
         let pool = ComputePool::default(); // inline: the task runs on this thread
         let before = thread_rows_materialized();
         let out = run_reduce_task(&job, Partition::Rows(incoming), TaskFate::Faithful, &pool);
-        assert_eq!(recs(&out).len(), 7);
         assert_eq!(
             thread_rows_materialized() - before,
-            recs(&out).len() as u64,
-            "no per-input-row or per-bag materialization"
+            0,
+            "no per-input-row, per-bag or per-output-row materialization"
         );
-        assert!(out.stages.shuffle_kernel > 0 && out.stages.to_records > 0);
+        assert!(parts(&out).iter().all(is_columnar));
+        assert_eq!(recs(&out).len(), 7);
+        assert!(out.stages.shuffle_kernel > 0);
         assert_eq!(out.stages.partition, 0, "reduce tasks do not partition");
     }
 
@@ -1770,7 +1727,7 @@ mod tests {
         };
         let mut runs: Vec<Vec<Partition>> = vec![Vec::new(); n];
         for out in &outs {
-            for (p, run) in out.data.clone().into_partitions().into_iter().enumerate() {
+            for (p, run) in out.data.iter().cloned().enumerate() {
                 runs[if job.is_collector() { 0 } else { p }].push(run);
             }
         }
@@ -1848,8 +1805,8 @@ mod tests {
                         );
                         assert_identical(c, r, &ctx);
                         assert_eq!(
-                            c.commitment(granularity),
-                            r.commitment(granularity),
+                            commitments(c, granularity),
+                            commitments(r, granularity),
                             "{ctx}"
                         );
                     }
@@ -2063,7 +2020,7 @@ mod tests {
     /// and the reduce task's captured input a partition of batch runs.
     #[test]
     fn spot_check_round_trip_confirms_honest_and_localizes_corrupt_on_both_planes() {
-        use crate::spec::{RunHandle, TaskKind};
+        use crate::spec::RunHandle;
         use crate::spotcheck::SpotCheckRecord;
 
         let rows: Vec<Record> = follower_partition().into_iter().map(|(_, r)| r).collect();
@@ -2108,7 +2065,7 @@ mod tests {
                         kind,
                         task_index: 0,
                         node: crate::fault::NodeId(0),
-                        recorded: out.commitment(spec.digest_granularity),
+                        recorded: out.commitment(kind, spec.digest_granularity),
                         spec: Arc::clone(&spec),
                         input: captured,
                     };

@@ -1241,6 +1241,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Runs a script with two `STORE … INTO 'x'` over a two-line input
+    /// with `flags` and returns the error `run` reports.
+    fn repeated_store_error(flags: &[&str]) -> String {
+        let dir = std::env::temp_dir().join(format!(
+            "cbft_cli_dup_store_{}_{}",
+            std::process::id(),
+            flags.len()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let script = dir.join("s.pig");
+        let source = "a = LOAD 'e' AS (u, f);\nSTORE a INTO 'x';\n\
+                      b = FILTER a BY f IS NOT NULL;\nSTORE b INTO 'x';";
+        std::fs::write(&script, source).unwrap();
+        let data = dir.join("e.csv");
+        std::fs::write(&data, "1,2\n3,4\n").unwrap();
+        let input = format!("e={}", data.to_str().unwrap());
+        let mut args = vec![script.to_str().unwrap(), "--input", &input, "--seed", "1"];
+        args.extend(flags);
+        let err = run(&parse(&args).unwrap()).unwrap_err().to_string();
+        std::fs::remove_dir_all(&dir).ok();
+        err
+    }
+
+    const REPEATED_STORE: &str = "parse error on line 4: output 'x' is stored twice, \
+        by vertex 1 and by vertex 3: an output is written once \
+        (the STORE statements on lines 2 and 4)";
+
+    #[test]
+    fn a_repeated_store_name_is_rejected_on_the_sequential_path() {
+        assert_eq!(repeated_store_error(&[]), REPEATED_STORE);
+    }
+
+    #[test]
+    fn a_repeated_store_name_is_rejected_on_the_parallel_path() {
+        assert_eq!(repeated_store_error(&["--threads", "2"]), REPEATED_STORE);
+    }
+
     #[test]
     fn threads_flag_parses() {
         assert_eq!(parse(&["s.pig"]).unwrap().threads, None);

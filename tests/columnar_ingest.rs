@@ -5,6 +5,13 @@
 //! cloned) is what it charges over a record file, on either plane, under
 //! a combiner and under a commission fault.
 //!
+//! The count the form does move is `rows_materialized`, and by a fixed
+//! rule: on the default plane a faithful run without a combiner builds no
+//! row until its output is published or `peek`ed, and exactly the
+//! published rows then; a task off the columnar arm (the row plane, a
+//! corrupt fate, a combiner) builds a row image of a columnar window to
+//! read it.
+//!
 //! The counters are process-global, so this file holds one test: nothing
 //! else runs in its process.
 
@@ -85,9 +92,19 @@ fn a_columnar_input_file_moves_no_data_plane_count() {
             let [(rows_outcome, mut rows), (cols_outcome, mut cols)] = runs;
             let ctx = format!("executor, batch_records {batch_records}, fault {fault:?}");
             assert_eq!(rows_outcome, cols_outcome, "{ctx}");
-            // The one count that tells the forms apart, and only off the
-            // columnar arm: a task of the row plane, and a corrupt task
-            // on any plane, reads a row image of its window.
+            // From a record file, rows are built out of batches at
+            // publication alone: the published rows, once, out of the
+            // winning replica's columnar output. The row plane holds no
+            // batch, and a corrupt replica's output is records.
+            let published = rows_outcome.output("counts").unwrap().len() as u64;
+            match (batch_records, fault) {
+                (0, _) => assert_eq!(rows.rows_materialized, 0, "{ctx}"),
+                (_, None) => assert_eq!(rows.rows_materialized, published, "{ctx}"),
+                (_, Some(_)) => assert!(rows.rows_materialized <= published, "{ctx}"),
+            }
+            // A columnar file adds, only off the columnar arm, one row
+            // image of its window per task that reads rows: every task
+            // of the row plane, and a corrupt task on any plane.
             let images = cols.rows_materialized - rows.rows_materialized;
             (rows.rows_materialized, cols.rows_materialized) = (0, 0);
             assert_eq!(rows, cols, "{ctx}");
@@ -122,6 +139,10 @@ fn a_columnar_input_file_moves_no_data_plane_count() {
     });
     let [(rows_report, mut rows), (cols_report, mut cols)] = runs;
     assert_eq!(rows_report, cols_report, "combiner");
+    assert_eq!(
+        rows.rows_materialized, 0,
+        "a combined job's output is records"
+    );
     assert_eq!(
         cols.rows_materialized - rows.rows_materialized,
         2 * edges().len() as u64,

@@ -68,6 +68,25 @@ fn logical_plans_round_trip() {
     assert_eq!(a, b);
 }
 
+/// A plan that did not come from the builder — which rejects a repeated
+/// STORE name — is still checked by the reference interpreter.
+#[test]
+fn a_restored_plan_with_a_repeated_store_is_an_interpreter_error() {
+    use clusterbft_repro::dataflow::interp::{interpret, InterpError};
+    let plan = Script::parse(
+        "a = LOAD 'i' AS (x); STORE a INTO 'o'; b = FILTER a BY x > 0; STORE b INTO 'p';",
+    )
+    .unwrap()
+    .into_plan();
+    let json = serde_json::to_string(&plan)
+        .unwrap()
+        .replace("\"p\"", "\"o\"");
+    let forged: LogicalPlan = serde_json::from_str(&json).unwrap();
+    let inputs = [("i".to_owned(), vec![Record::new(vec![Value::Int(1)])])];
+    let err = interpret(&forged, &inputs.into()).unwrap_err();
+    assert_eq!(err, InterpError::DuplicateOutput("o".to_owned()));
+}
+
 #[test]
 fn configs_and_metrics_round_trip() {
     let config = JobConfig::builder()
