@@ -28,13 +28,23 @@
 //! column-wise window and nothing is converted. The bench asserts it
 //! digests at least as fast as the zero-copy row pass.
 //!
+//! The `group kernel` rows run the reduce-side sort alone, on the follower
+//! workload's Zipf-keyed edges after its `FILTER`: `group_batch` with the
+//! bags in canonical order, and grouped by key alone — what a reduce task
+//! runs when only `COUNT/SUM/MIN/MAX/AVG` read the bags and no
+//! verification point digests them. Both must project to exactly the
+//! `FOREACH … COUNT, SUM` the row kernel computes, and the key-only pass
+//! may not be the slower one.
+//!
 //! Results land in `bench_results/data_plane.json`.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use cbft_bench::{pig_like_cost, ExperimentRecord};
-use cbft_dataflow::{Batch, Record, Value};
+use cbft_dataflow::batch::{filter_batch, group_batch, group_batch_unordered, project_batch};
+use cbft_dataflow::interp::{group_records, project_record};
+use cbft_dataflow::{AggFunc, Batch, Expr, Record, Value};
 use cbft_digest::{hardware_accelerated, ChunkedDigest, ChunkedSummary};
 use cbft_mapreduce::{data_plane, FileData, Storage};
 use cbft_workloads::twitter;
@@ -216,6 +226,34 @@ fn main() {
     let speedup = wall_base / wall_zero;
     let batch_speedup = wall_base / wall_batch;
 
+    // Group kernel: the follower script's reduce side without the engine.
+    let edges = Batch::from_records(&twitter::generate(3, RECORDS)).expect("uniform arity");
+    let edges = filter_batch(&edges, &Expr::is_not_null(Expr::Col(1)));
+    let aggregate = |func, field| Expr::Agg {
+        func,
+        bag_col: 1,
+        field,
+    };
+    let generates = [
+        Expr::Col(0),
+        aggregate(AggFunc::Count, None),
+        aggregate(AggFunc::Sum, Some(1)),
+    ];
+    let by_rows: Vec<Record> = group_records(&edges.to_records(), 0)
+        .iter()
+        .map(|group| project_record(group, &generates))
+        .collect();
+    let (canonical, wall_group) = measure(|| group_batch(&edges, 0));
+    let (key_only, wall_group_key_only) = measure(|| group_batch_unordered(&edges, 0));
+    for (name, grouped) in [("canonical", &canonical), ("key-only", &key_only)] {
+        assert_eq!(
+            project_batch(grouped, &generates).to_records(),
+            by_rows,
+            "{name} grouping must aggregate to the row kernel's output"
+        );
+    }
+    let grouped_mrec = edges.len() as f64 / 1e6;
+
     // Zero-copy invariant on the real storage layer: seeding REPLICAS
     // worth of reads from one write-once file clones no records.
     let before = data_plane::snapshot();
@@ -284,7 +322,9 @@ fn main() {
              single hasher update per {GRANULARITY}-record chunk (append_run), the \
              engine's batch_records data plane; the native columnar file rows read the \
              same data stored as one Batch, each split a column-wise window of it \
-             (Batch::slice), with nothing to convert."
+             (Batch::slice), with nothing to convert. The group kernel rows group \
+             {RECORDS} Zipf-keyed follower edges (nulls filtered) by user with the bags in \
+             canonical order and by key alone; both aggregate to the row kernel's output."
         ),
     );
     record.set_flag("digests_byte_identical", true);
@@ -333,6 +373,24 @@ fn main() {
         "Mrec/s",
         None,
         mrec / wall_native,
+    );
+    record.push(
+        "group kernel throughput (canonical bags)",
+        "Mrec/s",
+        None,
+        grouped_mrec / wall_group,
+    );
+    record.push(
+        "group kernel throughput (key only)",
+        "Mrec/s",
+        None,
+        grouped_mrec / wall_group_key_only,
+    );
+    record.push(
+        "group kernel key-only speedup over canonical",
+        "x",
+        None,
+        wall_group / wall_group_key_only,
     );
     record.push("digest throughput speedup", "x", Some(2.0), speedup);
     record.push(
@@ -436,6 +494,13 @@ fn main() {
         wall_native <= wall_zero,
         "a columnar file must digest at least as fast as zero-copy rows: \
          {wall_native:.4} s against {wall_zero:.4} s"
+    );
+    // Best of three each, measured ~2x apart; the tenth is for a shared
+    // runner's timing noise, which is not a regression.
+    assert!(
+        wall_group_key_only <= 1.1 * wall_group,
+        "grouping by key alone must not be slower than ordering the bags too: \
+         {wall_group_key_only:.4} s against {wall_group:.4} s"
     );
     assert!(
         materialized_per_input(run.rows_materialized) <= output_records / input_records,

@@ -135,7 +135,14 @@ fn commentary(id: &str) -> &'static str {
                         GROUP → aggregate job builds exactly its output rows \
                         (asserted: rows materialized per input record ≤ output \
                         rows per input record); the row plane builds no batch \
-                        and so materializes none."
+                        and so materializes none. The group kernel rows time the \
+                        reduce-side sort alone on Zipf-keyed follower edges: \
+                        grouping by key alone (what a reduce task runs when only \
+                        COUNT/SUM/MIN/MAX/AVG read the bags and no verification \
+                        point digests them) is asserted no slower than grouping \
+                        with canonical bags (best of three each, a tenth of \
+                        slack for timing noise), and both aggregate to the row \
+                        kernel's output."
         }
         "mismatch_localization" => {
             "Verification-cost check (§6.4's granularity/recomputation \

@@ -252,9 +252,7 @@ impl Column {
         match self {
             Column::Int { values, validity } => Column::Int {
                 values: indices.iter().map(|&i| values[i]).collect(),
-                validity: validity
-                    .as_ref()
-                    .map(|m| indices.iter().map(|&i| m[i]).collect()),
+                validity: gather_mask(validity, indices),
             },
             Column::Str {
                 bytes,
@@ -272,9 +270,7 @@ impl Column {
                 Column::Str {
                     bytes: out_bytes,
                     offsets: out_offsets,
-                    validity: validity
-                        .as_ref()
-                        .map(|m| indices.iter().map(|&i| m[i]).collect()),
+                    validity: gather_mask(validity, indices),
                 }
             }
             Column::Bag { offsets, rows } => {
@@ -302,10 +298,8 @@ impl Column {
     /// a null mask only if the window holds a null, an all-null window
     /// takes the all-null layout, anything else is rebuilt from its values.
     fn slice(&self, rows: Range<usize>) -> Column {
-        /// The window of a null mask, if the window holds a null.
         fn window_mask(validity: &Option<Vec<bool>>, rows: Range<usize>) -> Option<&[bool]> {
-            let window = validity.as_ref().map(|m| &m[rows]);
-            window.filter(|m| m.contains(&false))
+            holding_a_null(validity.as_deref().map(|m| &m[rows]))
         }
         let nulls_in = |validity| window_mask(validity, rows.clone());
         match self {
@@ -346,90 +340,81 @@ impl Column {
     /// are rebuilt from their values by [`Column::from_values`].
     fn concat(parts: Vec<Column>) -> Column {
         let len: usize = parts.iter().map(Column::len).sum();
-        let nullable = parts.iter().any(|c| {
-            matches!(
-                c,
-                Column::Int {
-                    validity: Some(_),
-                    ..
-                } | Column::Str {
-                    validity: Some(_),
-                    ..
+        /// The masks of typed parts, one after another; a part without
+        /// one fills its stretch with `true`, and none has one, no mask.
+        fn concat_masks<'a>(
+            masks: impl Iterator<Item = (Option<&'a [bool]>, usize)> + Clone,
+            len: usize,
+        ) -> Option<Vec<bool>> {
+            masks.clone().any(|(m, _)| m.is_some()).then(|| {
+                let mut mask = Vec::with_capacity(len);
+                for (part, rows) in masks {
+                    match part {
+                        Some(part) => mask.extend_from_slice(part),
+                        None => mask.resize(mask.len() + rows, true),
+                    }
                 }
-            )
-        });
-        let mut mask = nullable.then(|| Vec::with_capacity(len));
-        let mut extend_mask = |validity: Option<Vec<bool>>, rows: usize| {
-            if let Some(m) = mask.as_mut() {
-                match validity {
-                    Some(part) => m.extend(part),
-                    None => m.resize(m.len() + rows, true),
-                }
-            }
-        };
-        if parts.iter().all(|c| matches!(c, Column::Int { .. })) {
+                mask
+            })
+        }
+        let ints: Option<Vec<_>> = parts
+            .iter()
+            .map(|c| match c {
+                Column::Int { values, validity } => Some((values, validity.as_deref())),
+                _ => None,
+            })
+            .collect();
+        if let Some(ints) = ints {
             let mut values = Vec::with_capacity(len);
-            for part in parts {
-                let Column::Int {
-                    values: v,
-                    validity,
-                } = part
-                else {
-                    unreachable!("layout checked above")
-                };
-                extend_mask(validity, v.len());
-                values.extend(v);
+            for (v, _) in &ints {
+                values.extend_from_slice(v);
             }
-            Column::Int {
+            return Column::Int {
                 values,
-                validity: mask,
-            }
-        } else if parts.iter().all(|c| matches!(c, Column::Str { .. })) {
-            let total = parts.iter().map(|c| match c {
-                Column::Str { bytes, .. } => bytes.len(),
-                _ => 0,
-            });
-            let mut bytes = Vec::with_capacity(total.sum());
+                validity: concat_masks(ints.iter().map(|(v, m)| (*m, v.len())), len),
+            };
+        }
+        let strs: Option<Vec<_>> = parts
+            .iter()
+            .map(|c| match c {
+                Column::Str {
+                    bytes,
+                    offsets,
+                    validity,
+                } => Some((bytes, offsets, validity.as_deref())),
+                _ => None,
+            })
+            .collect();
+        if let Some(strs) = strs {
+            let mut bytes = Vec::with_capacity(strs.iter().map(|(b, ..)| b.len()).sum());
             let mut offsets = Vec::with_capacity(len + 1);
             offsets.push(0);
-            for part in parts {
-                let Column::Str {
-                    bytes: b,
-                    offsets: o,
-                    validity,
-                } = part
-                else {
-                    unreachable!("layout checked above")
-                };
-                extend_mask(validity, o.len() - 1);
+            for (b, o, _) in &strs {
                 let base = bytes.len();
                 offsets.extend(o[1..].iter().map(|end| base + end));
-                bytes.extend(b);
+                bytes.extend_from_slice(b);
             }
-            Column::Str {
+            return Column::Str {
                 bytes,
                 offsets,
-                validity: mask,
-            }
-        } else {
-            let mut values = Vec::with_capacity(len);
-            for part in parts {
-                match part {
-                    Column::Mixed(v) => values.extend(v),
-                    typed => values.extend((0..typed.len()).map(|row| typed.value_at(row))),
-                }
-            }
-            Column::from_values(values)
+                validity: concat_masks(strs.iter().map(|(_, o, m)| (*m, o.len() - 1)), len),
+            };
         }
+        let mut values = Vec::with_capacity(len);
+        for part in parts {
+            match part {
+                Column::Mixed(v) => values.extend(v),
+                typed => values.extend((0..typed.len()).map(|row| typed.value_at(row))),
+            }
+        }
+        Column::from_values(values)
     }
 
     fn truncate(&mut self, n: usize) {
         match self {
             Column::Int { values, validity } => {
                 values.truncate(n);
-                if let Some(m) = validity {
-                    m.truncate(n);
-                }
+                truncate_mask(validity, n);
             }
             Column::Str {
                 bytes,
@@ -438,9 +423,7 @@ impl Column {
             } => {
                 offsets.truncate(n + 1);
                 bytes.truncate(*offsets.last().expect("offsets non-empty"));
-                if let Some(m) = validity {
-                    m.truncate(n);
-                }
+                truncate_mask(validity, n);
             }
             Column::Bag { offsets, rows } => {
                 offsets.truncate(n + 1);
@@ -449,6 +432,25 @@ impl Column {
             Column::Mixed(values) => values.truncate(n),
         }
     }
+}
+
+/// The layout rule for the null mask of a selection — a window, a gather,
+/// a prefix: a mask exists only where a null does, so a selected mask
+/// that holds no `false` is dropped.
+fn holding_a_null<M: AsRef<[bool]>>(mask: Option<M>) -> Option<M> {
+    mask.filter(|m| m.as_ref().contains(&false))
+}
+
+fn gather_mask(validity: &Option<Vec<bool>>, indices: &[usize]) -> Option<Vec<bool>> {
+    let selected = |m: &Vec<bool>| indices.iter().map(|&i| m[i]).collect::<Vec<bool>>();
+    holding_a_null(validity.as_ref().map(selected))
+}
+
+fn truncate_mask(validity: &mut Option<Vec<bool>>, n: usize) {
+    if let Some(m) = validity {
+        m.truncate(n);
+    }
+    *validity = holding_a_null(validity.take());
 }
 
 /// One flat field on its way into a column: a CSV field, or a [`Value`]
@@ -837,50 +839,102 @@ pub fn project_batch(batch: &Batch, exprs: &[Expr]) -> Batch {
 /// ascending, mirroring [`Value`]'s order) with the whole row as the
 /// tie-break. Output equals [`crate::interp::order_records_owned`].
 pub fn order_batch(batch: &Batch, key: usize, order: SortOrder) -> Batch {
-    batch.gather(&sorted_indices(batch, key, order))
+    batch.gather(&sorted_indices(batch, key, order, true).0)
 }
 
-/// Row indices of `batch` sorted by the key column in `order`, the whole
-/// row (always ascending) as the tie-break. The comparator only reports
-/// equality for byte-identical rows, so the unstable sort is safe.
-fn sorted_indices(batch: &Batch, key: usize, order: SortOrder) -> Vec<usize> {
-    let directed = |ord: Ordering| match order {
-        SortOrder::Asc => ord,
-        SortOrder::Desc => ord.reverse(),
-    };
-    // Rows that tie on the key are equal in the key column, so the
-    // whole-row tie-break can skip it.
-    let tie_break = |a: usize, b: usize| {
-        batch
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(c, _)| *c != key)
-            .map(|(_, c)| c.cmp_rows(a, b))
-            .find(|ord| *ord != Ordering::Equal)
-            .unwrap_or(Ordering::Equal)
-    };
-    match batch.column(key) {
-        // Integer keys ride along with their row index, so the primary
-        // comparison touches no column; only ties look rows up.
-        Some(c @ Column::Int { .. }) => {
-            let mut keyed: Vec<(Option<i64>, usize)> =
-                (0..batch.len).map(|i| (c.int_at(i), i)).collect();
-            keyed.sort_unstable_by(|&(ka, a), &(kb, b)| {
-                directed(ka.cmp(&kb)).then_with(|| tie_break(a, b))
-            });
-            keyed.into_iter().map(|(_, i)| i).collect()
+/// Row indices of `batch` sorted by the key column in `order` and, when
+/// `tie_break`, by every other column (always ascending) among rows that
+/// tie — with the position at which each run of equal keys starts.
+///
+/// A refinement, one column at a time: the permutation starts as one run
+/// of all rows; each pass sorts every still-tied run by one column alone
+/// and splits it into its sub-runs of equal cells, and only runs of more
+/// than one row go on to the next column. Rows still tied after the last
+/// column are byte-identical, so the unstable sorts cannot show. Without
+/// `tie_break` the rows of a key run are in no particular order.
+fn sorted_indices(
+    batch: &Batch,
+    key: usize,
+    order: SortOrder,
+    tie_break: bool,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut perm: Vec<usize> = (0..batch.len).collect();
+    let mut tied: Vec<Range<usize>> = Vec::from_iter((batch.len > 0).then_some(0..batch.len));
+    // An out-of-range key column means every key is null: one run.
+    if let Some(c) = batch.column(key) {
+        tied = c.refine(order, &mut perm, &tied);
+    }
+    let key_runs = tied.iter().map(|run| run.start).collect();
+    if tie_break {
+        for (_, c) in batch.columns.iter().enumerate().filter(|(c, _)| *c != key) {
+            tied.retain(|run| run.len() > 1);
+            if tied.is_empty() {
+                break;
+            }
+            tied = c.refine(SortOrder::Asc, &mut perm, &tied);
         }
-        key_col => {
-            let mut indices: Vec<usize> = (0..batch.len).collect();
-            indices.sort_unstable_by(|&a, &b| {
-                // Out-of-range key: every key is null, ties decide
-                // everything.
-                let primary = key_col.map_or(Ordering::Equal, |c| directed(c.cmp_rows(a, b)));
-                primary.then_with(|| tie_break(a, b))
-            });
-            indices
+    }
+    (perm, key_runs)
+}
+
+impl Column {
+    /// One pass of [`sorted_indices`]: sorts each of `runs` (non-empty
+    /// position ranges of `perm`) by this column alone, in [`Value`]'s
+    /// total order, and returns their sub-runs of equal cells.
+    fn refine(
+        &self,
+        order: SortOrder,
+        perm: &mut [usize],
+        runs: &[Range<usize>],
+    ) -> Vec<Range<usize>> {
+        /// Splits `run` before every position (relative to its start)
+        /// whose row `differs` from the one before it.
+        fn split(run: &Range<usize>, differs: impl Fn(usize) -> bool, out: &mut Vec<Range<usize>>) {
+            let mut start = run.start;
+            for cut in (1..run.len()).filter(|&i| differs(i)) {
+                out.push(start..run.start + cut);
+                start = run.start + cut;
+            }
+            out.push(start..run.end);
         }
+        let mut sub_runs = Vec::new();
+        match self {
+            // Integers without a null ride along with their row index as
+            // order-preserving `u64` images (sign bit flipped; every bit
+            // flipped to descend), so the comparison touches no column.
+            Column::Int {
+                values,
+                validity: None,
+            } => {
+                let flip = match order {
+                    SortOrder::Asc => 1 << 63,
+                    SortOrder::Desc => !(1u64 << 63),
+                };
+                let mut keyed: Vec<(u64, usize)> = Vec::new();
+                for run in runs {
+                    keyed.clear();
+                    let rows = &mut perm[run.clone()];
+                    keyed.extend(rows.iter().map(|&row| (values[row] as u64 ^ flip, row)));
+                    keyed.sort_unstable_by_key(|&(image, _)| image);
+                    for (slot, &(_, row)) in rows.iter_mut().zip(&keyed) {
+                        *slot = row;
+                    }
+                    split(run, |i| keyed[i].0 != keyed[i - 1].0, &mut sub_runs);
+                }
+            }
+            _ => {
+                for run in runs {
+                    let rows = &mut perm[run.clone()];
+                    rows.sort_unstable_by(|&a, &b| match order {
+                        SortOrder::Asc => self.cmp_rows(a, b),
+                        SortOrder::Desc => self.cmp_rows(b, a),
+                    });
+                    let differs = |i: usize| self.cmp_rows(rows[i - 1], rows[i]) != Ordering::Equal;
+                    split(run, differs, &mut sub_runs);
+                }
+            }
+        }
+        sub_runs
     }
 }
 
@@ -889,32 +943,26 @@ fn sorted_indices(batch: &Batch, key: usize, order: SortOrder) -> Vec<usize> {
 /// [`Column::Bag`] — no record is built. `to_records()` of the result
 /// equals [`crate::interp::group_records`].
 pub fn group_batch(batch: &Batch, key: usize) -> Batch {
-    // Sort row indices by (key, whole row): groups become runs, and each
-    // run is already in canonical bag order.
-    let key_col = batch.column(key);
-    let indices = sorted_indices(batch, key, SortOrder::Asc);
-    // Run boundaries become the bag offsets; the first row of each run
-    // supplies the group key. An out-of-range key column means every key
-    // is null: one group.
-    let mut offsets = vec![0];
-    let mut firsts = Vec::new();
-    for (pos, &row) in indices.iter().enumerate() {
-        let new_run = match (pos, key_col) {
-            (0, _) => true,
-            (_, Some(c)) => c.cmp_rows(indices[pos - 1], row) != Ordering::Equal,
-            (_, None) => false,
-        };
-        if new_run {
-            if pos > 0 {
-                offsets.push(pos);
-            }
-            firsts.push(row);
-        }
-    }
-    if !indices.is_empty() {
-        offsets.push(indices.len());
-    }
-    let keys = match key_col {
+    group_by(batch, key, true)
+}
+
+/// [`group_batch`] without the order inside a bag: the same groups under
+/// the same keys, each bag the same multiset of rows in no particular
+/// order. For a caller that reads the bags only through aggregates, all
+/// of which fold in any order, and lets nothing else observe them.
+pub fn group_batch_unordered(batch: &Batch, key: usize) -> Batch {
+    group_by(batch, key, false)
+}
+
+fn group_by(batch: &Batch, key: usize, canonical_bags: bool) -> Batch {
+    // Sorted by (key, whole row), groups are runs, each already in
+    // canonical bag order; sorted by key alone, they are runs still. The
+    // run starts are the bag offsets, and the first row of each run
+    // supplies the group key.
+    let (indices, mut offsets) = sorted_indices(batch, key, SortOrder::Asc, canonical_bags);
+    let firsts: Vec<usize> = offsets.iter().map(|&start| indices[start]).collect();
+    offsets.push(indices.len());
+    let keys = match batch.column(key) {
         Some(c) => c.gather(&firsts),
         None => all_null(firsts.len()),
     };

@@ -147,6 +147,10 @@ pub mod data_plane {
         pub const TASKS_STOLEN: &str = "cbft_data_plane_tasks_stolen_total";
         /// Gauge (wall): high-water mark of the pool queue depth.
         pub const POOL_QUEUE_PEAK: &str = "cbft_data_plane_pool_queue_peak";
+        /// Counter (wall): reduce tasks that grouped without in-bag
+        /// order. Wall, not sim: it describes how the host ran the task,
+        /// and the row plane, which orders every bag, never counts.
+        pub const GROUPS_UNORDERED: &str = "cbft_data_plane_groups_unordered_total";
     }
 
     /// Records that were physically deep-copied (e.g. when publishing final
@@ -197,6 +201,12 @@ pub mod data_plane {
         global().gauge_max(Domain::Wall, names::POOL_QUEUE_PEAK, &[], depth);
     }
 
+    /// Reduce tasks whose GROUP left its bags unordered because only
+    /// order-independent aggregates read them.
+    pub fn count_groups_unordered(n: u64) {
+        global().add(Domain::Wall, names::GROUPS_UNORDERED, &[], n);
+    }
+
     /// A point-in-time copy of the cumulative counters.
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
     pub struct DataPlaneSnapshot {
@@ -214,6 +224,8 @@ pub mod data_plane {
         pub digest_bytes_hashed: u64,
         /// Batch rows materialized as records (bag members included).
         pub rows_materialized: u64,
+        /// Reduce tasks that grouped without in-bag order.
+        pub groups_unordered: u64,
         /// Payloads handed to the compute pool.
         pub tasks_dispatched: u64,
         /// Payloads stolen between pool workers.
@@ -236,6 +248,7 @@ pub mod data_plane {
                 batch_rows: self.batch_rows - earlier.batch_rows,
                 digest_bytes_hashed: self.digest_bytes_hashed - earlier.digest_bytes_hashed,
                 rows_materialized: self.rows_materialized - earlier.rows_materialized,
+                groups_unordered: self.groups_unordered - earlier.groups_unordered,
                 tasks_dispatched: self.tasks_dispatched - earlier.tasks_dispatched,
                 tasks_stolen: self.tasks_stolen - earlier.tasks_stolen,
                 pool_queue_peak: self.pool_queue_peak,
@@ -255,6 +268,7 @@ pub mod data_plane {
             batch_rows: read(names::BATCH_ROWS),
             digest_bytes_hashed: read(names::DIGEST_BYTES),
             rows_materialized: cbft_dataflow::stats::rows_materialized(),
+            groups_unordered: read(names::GROUPS_UNORDERED),
             tasks_dispatched: read(names::TASKS_DISPATCHED),
             tasks_stolen: read(names::TASKS_STOLEN),
             pool_queue_peak: read(names::POOL_QUEUE_PEAK),

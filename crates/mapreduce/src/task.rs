@@ -20,7 +20,10 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cbft_dataflow::batch::{filter_batch, group_batch, join_batch, order_batch, project_batch};
+use cbft_dataflow::batch::{
+    filter_batch, group_batch, group_batch_unordered, join_batch, order_batch, project_batch,
+};
+use cbft_dataflow::combiner::Combiner;
 use cbft_dataflow::compile::Site;
 use cbft_dataflow::interp::{
     group_records_owned, join_records, order_records_owned, project_record,
@@ -542,6 +545,25 @@ fn columnar(job: &ExecJob, fate: TaskFate) -> bool {
     job.batch_records > 0 && fate == TaskFate::Faithful && job.combiner.is_none()
 }
 
+/// The rule under which a GROUP's bags need no canonical order, evaluated
+/// like the arm rule from what the job states: what is digested or stored
+/// is what must be canonical. When the first reduce operator is a
+/// projection that reads the bag only through `COUNT/SUM/MIN/MAX/AVG` —
+/// the condition under which a combiner may replace the bags altogether —
+/// and no verification point digests the shuffle's output, nothing can
+/// observe the order of a bag's members: every one of those folds is
+/// order-independent, and whatever is digested or handed over after the
+/// projection holds `[key, aggregate…]` only.
+fn bags_unobserved(job: &ExecJob) -> bool {
+    let op = |vertex| job.plan.vertex(vertex).op();
+    let algebraic = match (job.shuffle, job.reduce.first()) {
+        (Some(shuffle), Some(&first)) => Combiner::for_job(op(shuffle), op(first)).is_some(),
+        _ => false,
+    };
+    let digested = |vp: &VpSite| matches!(vp.site, Site::Shuffle { .. });
+    algebraic && !job.verification_points.iter().any(digested)
+}
+
 /// A map task's window into its input file, in the form its arm reads.
 enum Split<'a> {
     /// Records: a record file, or the row arm's image of a columnar one.
@@ -694,10 +716,12 @@ impl<'a> Stream<'a> {
     /// collector) runs here, on the arm the partition admits. The
     /// columnar arm takes uniform-arity partitions (per join side) of
     /// GROUP, JOIN, ORDER and collector jobs, in either form: batch runs
-    /// are joined, records converted once. DISTINCT's whole-record
-    /// sort/dedup runs on owned rows with the pool's chunked sort, so it,
-    /// like a corrupt fate, a combiner and a ragged partition, takes the
-    /// partition as records — materializing it if it arrived as batches.
+    /// are joined, records converted once; a GROUP whose bags nothing
+    /// observes ([`bags_unobserved`]) groups by key alone. DISTINCT's
+    /// whole-record sort/dedup runs on owned rows with the pool's chunked
+    /// sort, so it, like a corrupt fate, a combiner and a ragged
+    /// partition, takes the partition as records — materializing it if it
+    /// arrived as batches.
     fn open_partition(
         job: &ExecJob,
         mut incoming: Partition,
@@ -706,44 +730,60 @@ impl<'a> Stream<'a> {
         pool: &ComputePool,
     ) -> Stream<'static> {
         let op = job.shuffle.map(|sh| job.plan.vertex(sh).op());
-        let vectorized = matches!(
-            op,
-            None | Some(Operator::Group { .. } | Operator::Join { .. } | Operator::Order { .. })
-        );
-        if columnar(job, fate) && vectorized {
-            let by_tag = matches!(op, Some(Operator::Join { .. }));
-            match timed(&mut stages.to_batch, || incoming.into_sides(by_tag)) {
-                // The post-shuffle stream is the kernel's one output
-                // batch (bags stay nested in it), or the collector input
-                // re-sliced into batches of `batch_records` rows.
-                Ok([all, right]) => {
-                    let batches = match op {
-                        Some(op) => vec![timed(&mut stages.shuffle_kernel, || match op {
-                            Operator::Group { key } => group_batch(&all, *key),
-                            Operator::Join {
-                                left_key,
-                                right_key,
-                            } => join_batch(&all, *left_key, &right, *right_key),
-                            Operator::Order { key, order } => order_batch(&all, *key, *order),
-                            _ => unreachable!("only GROUP, JOIN and ORDER are vectorized"),
-                        })],
-                        None => timed(&mut stages.to_batch, || {
-                            (0..all.len())
-                                .step_by(job.batch_records)
-                                .map(|start| {
-                                    all.slice(start..all.len().min(start + job.batch_records))
-                                })
-                                .collect()
-                        }),
-                    };
-                    data_plane::count_batches_built(batches.len() as u64);
-                    data_plane::count_batch_rows(batches.iter().map(|b| b.len() as u64).sum());
-                    return Stream::Cols {
-                        batches,
-                        owned: true,
-                    };
-                }
-                Err(ragged) => incoming = ragged,
+        if columnar(job, fate) {
+            let StageWall {
+                to_batch,
+                shuffle_kernel,
+                ..
+            } = stages;
+            // The partition as one batch per side (only a JOIN has two);
+            // a ragged one is put back for the row arm.
+            let mut sides = |by_tag: bool| {
+                let sides = timed(to_batch, || {
+                    std::mem::take(&mut incoming).into_sides(by_tag)
+                });
+                sides.map_err(|ragged| incoming = ragged).ok()
+            };
+            // The one match that decides whether the shuffle has a
+            // vectorized kernel and runs it. The post-shuffle stream is
+            // the kernel's one output batch (bags stay nested in it), or
+            // the collector input re-sliced into batches of
+            // `batch_records` rows.
+            let batches = match op {
+                None => sides(false).map(|[all, _]| {
+                    let starts = (0..all.len()).step_by(job.batch_records);
+                    let end = |start: usize| all.len().min(start + job.batch_records);
+                    timed(to_batch, || starts.map(|s| all.slice(s..end(s))).collect())
+                }),
+                Some(&Operator::Group { key }) => sides(false).map(|[all, _]| {
+                    vec![timed(shuffle_kernel, || {
+                        if bags_unobserved(job) {
+                            data_plane::count_groups_unordered(1);
+                            group_batch_unordered(&all, key)
+                        } else {
+                            group_batch(&all, key)
+                        }
+                    })]
+                }),
+                Some(&Operator::Join {
+                    left_key,
+                    right_key,
+                }) => sides(true).map(|[left, right]| {
+                    vec![timed(shuffle_kernel, || {
+                        join_batch(&left, left_key, &right, right_key)
+                    })]
+                }),
+                Some(&Operator::Order { key, order }) => sides(false)
+                    .map(|[all, _]| vec![timed(shuffle_kernel, || order_batch(&all, key, order))]),
+                Some(_) => None,
+            };
+            if let Some(batches) = batches {
+                data_plane::count_batches_built(batches.len() as u64);
+                data_plane::count_batch_rows(batches.iter().map(|b| b.len() as u64).sum());
+                return Stream::Cols {
+                    batches,
+                    owned: true,
+                };
             }
         }
 
@@ -1738,14 +1778,42 @@ mod tests {
         outs
     }
 
-    /// Arms a verification point at every site of `job` (a shuffle site
-    /// only without a combiner: under one the shuffle has no materialized
-    /// bags to digest) and returns how many.
-    fn arm_every_site(job: &mut ExecJob) -> usize {
+    /// Which of a job's sites get a verification point.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Sites {
+        /// Every map-side, shuffle and reduce-side site.
+        Every,
+        /// None at all.
+        None,
+        /// The shuffle's output.
+        Shuffle,
+        /// The first reduce operator's output.
+        Reduce0,
+        /// The shuffle's output and the first reduce operator's.
+        ShuffleAndReduce0,
+    }
+
+    const SITES: [Sites; 5] = [
+        Sites::Every,
+        Sites::None,
+        Sites::Shuffle,
+        Sites::Reduce0,
+        Sites::ShuffleAndReduce0,
+    ];
+
+    /// Arms a verification point at the `sites` of `job` it has (a
+    /// shuffle site only without a combiner: under one the shuffle has
+    /// no materialized bags to digest).
+    fn arm_sites(job: &mut ExecJob, sites: Sites) {
         let jid = cbft_dataflow::compile::JobId(0);
         let mut vps = Vec::new();
         for (input, i) in job.inputs.iter().enumerate() {
-            vps.extend(i.pipeline.iter().enumerate().map(|(pos, &vertex)| VpSite {
+            let every = i
+                .pipeline
+                .iter()
+                .enumerate()
+                .filter(|_| sites == Sites::Every);
+            vps.extend(every.map(|(pos, &vertex)| VpSite {
                 vertex,
                 site: Site::MapInput {
                     job: jid,
@@ -1754,17 +1822,26 @@ mod tests {
                 },
             }));
         }
-        let shuffle = job.shuffle.filter(|_| job.combiner.is_none());
+        let at_shuffle = matches!(
+            sites,
+            Sites::Every | Sites::Shuffle | Sites::ShuffleAndReduce0
+        );
+        let shuffle = job.shuffle.filter(|_| at_shuffle && job.combiner.is_none());
         vps.extend(shuffle.map(|vertex| VpSite {
             vertex,
             site: Site::Shuffle { job: jid },
         }));
-        vps.extend(job.reduce.iter().enumerate().map(|(pos, &vertex)| VpSite {
+        let reduce_sites = match sites {
+            Sites::Every => job.reduce.len(),
+            Sites::Reduce0 | Sites::ShuffleAndReduce0 => 1,
+            Sites::None | Sites::Shuffle => 0,
+        };
+        let reduce = job.reduce.iter().enumerate().take(reduce_sites);
+        vps.extend(reduce.map(|(pos, &vertex)| VpSite {
             vertex,
             site: Site::Reduce { job: jid, pos },
         }));
         job.verification_points = vps;
-        job.verification_points.len()
     }
 
     /// Runs every task of `job` over `rows` on the row plane and on the
@@ -1834,9 +1911,9 @@ mod tests {
         // FILTER drops; every surviving row has key 7.
         let mut rows: Vec<Record> = (0..6).map(|i| pair(Value::Int(i), Value::Null)).collect();
         rows.extend((0..6).map(|i| pair(Value::Int(7), Value::Int(i))));
-        let src = task_script(0, [true, false, true, false], 1);
+        let src = task_script(0, [true, false, false], 1, 1);
         let mut job = exec_job(&src, vec![]);
-        arm_every_site(&mut job);
+        arm_sites(&mut job, Sites::Every);
         let outs = assert_planes_agree(&mut job, &rows, |_| TaskFate::Faithful, &src);
         let (maps, reduces) = outs.split_at(2);
         assert_eq!(parts(&maps[0]).iter().map(Partition::len).sum::<usize>(), 0);
@@ -1851,9 +1928,9 @@ mod tests {
         let rows: Vec<Record> = (0..8)
             .map(|_| pair(Value::Int(1), Value::Int(x.unwrap())))
             .collect();
-        let src = task_script(1, [false; 4], 1);
+        let src = task_script(1, [false; 3], 0, 1);
         let mut job = exec_job(&src, vec![]);
-        arm_every_site(&mut job);
+        arm_sites(&mut job, Sites::Every);
         let outs = assert_planes_agree(&mut job, &rows, |_| TaskFate::Faithful, &src);
         for reduce in &outs[4..] {
             assert!(reduce.work.bytes_in > 0 && recs(reduce).is_empty());
@@ -1861,9 +1938,9 @@ mod tests {
 
         // The same with nothing to read at all, through every shuffle.
         for shuffle in 0..5 {
-            let src = task_script(shuffle, [true, true, true, true], 3);
+            let src = task_script(shuffle, [true, true, true], 1, 3);
             let mut job = exec_job(&src, vec![]);
-            arm_every_site(&mut job);
+            arm_sites(&mut job, Sites::Every);
             assert_planes_agree(&mut job, &[], |_| TaskFate::Faithful, &src);
         }
     }
@@ -1892,10 +1969,10 @@ mod tests {
             };
             // GROUP, ORDER, DISTINCT and a collector (LIMIT, no shuffle).
             for shuffle in [0, 2, 3, 4] {
-                let src = task_script(shuffle, [true, false, true, true], 50);
+                let src = task_script(shuffle, [true, false, true], 1, 50);
                 let ctx = format!("{name}: {src}");
                 let mut job = exec_job(&src, vec![]);
-                arm_every_site(&mut job);
+                arm_sites(&mut job, Sites::Every);
                 let outs = assert_planes_agree(&mut job, rows, fate, &ctx);
                 let (front, back) = (parts(&outs[0]), parts(&outs[1]));
                 assert!(front.iter().all(is_columnar), "{ctx}");
@@ -1910,10 +1987,13 @@ mod tests {
     }
 
     /// A single-job script over `in(k, v)`: optional map-side FILTER and
-    /// FOREACH, one of GROUP / JOIN / ORDER / DISTINCT / no shuffle, an
-    /// optional reduce-side FOREACH + FILTER (after GROUP) and LIMIT.
-    fn task_script(shuffle: usize, opts: [bool; 4], limit: u64) -> String {
-        let [map_filter, map_project, reduce_project, reduce_limit] = opts;
+    /// FOREACH, one of GROUP / JOIN / ORDER / DISTINCT / no shuffle, and
+    /// an optional LIMIT. What follows a GROUP is picked by `after_group`:
+    /// nothing; a FOREACH of algebraic aggregates alone, then a FILTER; a
+    /// FOREACH that emits the bag beside an aggregate; or a FILTER before
+    /// the all-algebraic FOREACH.
+    fn task_script(shuffle: usize, opts: [bool; 3], after_group: usize, limit: u64) -> String {
+        let [map_filter, map_project, reduce_limit] = opts;
         let mut src = "a = LOAD 'in' AS (k, v);\n".to_owned();
         let mut cur = "a";
         if map_filter {
@@ -1927,12 +2007,29 @@ mod tests {
         match shuffle {
             0 => {
                 src += &format!("g = GROUP {cur} BY k;\n");
-                if reduce_project {
-                    src += &format!("r = FOREACH g GENERATE group, COUNT({cur}) AS n;\n");
-                    src += "f = FILTER r BY n >= 2;\n";
-                    cur = "f";
-                } else {
-                    cur = "g";
+                let aggregates = format!(
+                    "group, COUNT({cur}) AS n, SUM({cur}.v) AS s, MIN({cur}.v) AS lo, \
+                     MAX({cur}.v) AS hi, AVG({cur}.v) AS mean"
+                );
+                match after_group {
+                    1 => {
+                        src += &format!("r = FOREACH g GENERATE {aggregates};\n");
+                        src += "f = FILTER r BY n >= 2;\n";
+                        cur = "f";
+                    }
+                    2 => {
+                        src +=
+                            &format!("r = FOREACH g GENERATE group, {cur}, COUNT({cur}) AS n;\n");
+                        cur = "r";
+                    }
+                    3 => {
+                        src += "f = FILTER g BY group IS NOT NULL;\n";
+                        // (A FILTER's output has lost the member schema
+                        // field aggregates resolve against.)
+                        src += &format!("r = FOREACH f GENERATE group, COUNT({cur}) AS n;\n");
+                        cur = "r";
+                    }
+                    _ => cur = "g",
                 }
             }
             1 => {
@@ -1961,21 +2058,26 @@ mod tests {
 
         /// Plane equivalence at the task boundary: for random splits
         /// (duplicate keys, nulls, strings, optionally ragged arity), a
-        /// random pipeline around each shuffle kind, both fates, combiner
-        /// on and off, a verification point at every eligible site and
-        /// chunk granularities 1, 2 and unchunked, every observable of
-        /// every task — partitions, records, digests, `Work`, commitment
-        /// — equals the `batch_records = 0` run over the record file at
-        /// batch sizes 1, 3, 1024, and at all four from a columnar file.
+        /// random pipeline around each shuffle kind — after a GROUP:
+        /// nothing, an all-algebraic FOREACH, one that emits the bag, a
+        /// FILTER first — both fates, combiner on and off, verification
+        /// points at every site, none, the shuffle, the first reduce
+        /// operator or both, and chunk granularities 1, 2 and unchunked,
+        /// every observable of every task — partitions, records, digests,
+        /// `Work`, commitment — equals the `batch_records = 0` run over
+        /// the record file at batch sizes 1, 3, 1024, and at all four
+        /// from a columnar file.
         #[test]
         fn planes_agree_on_every_task_observable(
             cells in proptest::collection::vec((0i64..5, 0u8..9, 0u8..6), 0..40),
-            shape in 0usize..(5 * 64),
+            shape in 0usize..(5 * 32),
+            after_group in 0usize..4,
+            sites in 0usize..SITES.len(),
             limit in 1u64..12,
         ) {
             let (shuffle, flags) = (shape % 5, shape / 5);
             let flag = |bit: usize| flags >> bit & 1 == 1;
-            let (ragged, combine) = (flag(4), flag(5));
+            let (ragged, combine) = (flag(3), flag(4));
             let rows: Vec<Record> = cells
                 .iter()
                 .map(|&(k, v, arity)| {
@@ -1994,7 +2096,7 @@ mod tests {
                 })
                 .collect();
 
-            let src = task_script(shuffle, [flag(0), flag(1), flag(2), flag(3)], limit);
+            let src = task_script(shuffle, [flag(0), flag(1), flag(2)], after_group, limit);
             let mut job = exec_job(&src, vec![]);
             if combine {
                 if let (Some(sh), Some(&first)) = (job.shuffle, job.reduce.first()) {
@@ -2004,9 +2106,50 @@ mod tests {
                     );
                 }
             }
-            arm_every_site(&mut job);
+            arm_sites(&mut job, SITES[sites]);
             for fate in [TaskFate::Faithful, TaskFate::Corrupt] {
-                assert_planes_agree(&mut job, &rows, |_| fate, &format!("{fate:?}:\n{src}"));
+                let ctx = format!("{fate:?}, {:?}:\n{src}", SITES[sites]);
+                assert_planes_agree(&mut job, &rows, |_| fate, &ctx);
+            }
+        }
+    }
+
+    /// The one rule under which a bag's order is not canonical, over the
+    /// whole matrix it is decided on: what follows the GROUP × where the
+    /// verification points sit. The bags go unordered exactly when the
+    /// first reduce operator is an all-algebraic FOREACH and no point
+    /// digests the shuffle — and every observable of every task equals the
+    /// row plane's either way, over rows whose gather order is the reverse
+    /// of the canonical one: a bag left unordered where a shuffle-site
+    /// point digests it, or where the FOREACH emits it, shows as a digest,
+    /// a record or a commitment that differs.
+    #[test]
+    fn a_group_leaves_its_bags_unordered_only_where_nothing_observes_them() {
+        let rows: Vec<Record> = (0..60i64)
+            .rev()
+            .map(|i| {
+                let v = match i % 7 {
+                    0 => Value::Null,
+                    1 => Value::str("s"),
+                    _ => Value::Int(i),
+                };
+                Record::new(vec![Value::Int(i % 4), v])
+            })
+            .collect();
+        for after_group in 0..4 {
+            for sites in SITES {
+                let src = task_script(0, [false; 3], after_group, 1);
+                let mut job = exec_job(&src, vec![]);
+                arm_sites(&mut job, sites);
+                let ctx = format!("{sites:?}:\n{src}");
+                let unobserved = after_group == 1 && matches!(sites, Sites::None | Sites::Reduce0);
+                assert_eq!(bags_unobserved(&job), unobserved, "{ctx}");
+                let before = data_plane::snapshot().groups_unordered;
+                assert_planes_agree(&mut job, &rows, |_| TaskFate::Faithful, &ctx);
+                // Other tests of this process count too, so only a floor
+                // can be asserted: one per columnar reduce task here.
+                let counted = data_plane::snapshot().groups_unordered - before;
+                assert!(!unobserved || counted >= 2 * 3 * 2 * 3, "{ctx}: {counted}");
             }
         }
     }

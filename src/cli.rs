@@ -739,6 +739,7 @@ impl<'a> Observability<'a> {
                 let summary = TraceSummary::from_events(&events)
                     .with_counter("records_cloned", d.records_cloned)
                     .with_counter("rows_materialized", d.rows_materialized)
+                    .with_counter("groups_unordered", d.groups_unordered)
                     .with_counter("arcs_shared", d.arcs_shared)
                     .with_counter("bytes_encoded", d.bytes_encoded)
                     .with_counter("digest_bytes_hashed", d.digest_bytes_hashed)

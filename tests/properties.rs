@@ -585,7 +585,8 @@ proptest! {
 // --- columnar data plane & merkle digest trees ------------------------------
 
 use clusterbft_repro::dataflow::batch::{
-    eval_column, filter_batch, group_batch, join_batch, order_batch,
+    eval_column, filter_batch, group_batch, group_batch_unordered, join_batch, order_batch,
+    project_batch,
 };
 use clusterbft_repro::dataflow::{AggFunc, Batch, CmpOp, Column, EvalContext, SortOrder};
 use clusterbft_repro::digest::{parent_level, MerkleTree};
@@ -745,11 +746,150 @@ const AGG_FUNCS: [AggFunc; 5] = [
     AggFunc::Max,
 ];
 
+/// The column layouts a kernel can meet, as [`layout_of`] names them.
+const LAYOUTS: [&str; 8] = [
+    "int",
+    "int+null",
+    "all-null",
+    "str",
+    "str+null",
+    "mixed",
+    "bags as values",
+    "nested bags",
+];
+
+fn layout_of(column: &Column) -> &'static str {
+    match column {
+        Column::Int { validity: None, .. } => "int",
+        Column::Int {
+            validity: Some(m), ..
+        } if m.contains(&true) => "int+null",
+        Column::Int { .. } => "all-null",
+        Column::Str { validity: None, .. } => "str",
+        Column::Str { .. } => "str+null",
+        Column::Mixed(values) if values.iter().any(|v| v.as_bag().is_some()) => "bags as values",
+        Column::Mixed(_) => "mixed",
+        Column::Bag { .. } => "nested bags",
+    }
+}
+
+/// A column of `n >= 2` rows in `layout` (one of [`LAYOUTS`]), whatever the
+/// seed: cells come from a small domain, so rows tie; row `r` repeats row
+/// `r % period`; and rows 0 and 1 hold the cells that force the layout (a
+/// null and a non-null, an integer and a string).
+fn layout_column(layout: &str, n: usize, period: usize, seed: u64) -> Column {
+    let cell = |r: usize| {
+        let r = r % period;
+        let h = seed
+            .wrapping_add(r as u64 * 7)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            >> 33;
+        let int = Value::Int((h % 4) as i64 - 1);
+        let string = Value::str(["", "a", "b"][(h % 3) as usize]);
+        let member = |m: u64| Record::new(vec![Value::Int(((h >> 3) + m) as i64 % 3), Value::Null]);
+        match (layout, r, h % 4) {
+            ("all-null", ..) | ("int+null" | "str+null", 0, _) => Value::Null,
+            ("int", ..) | ("int+null", 1, _) | ("mixed", 0, _) => int,
+            ("str", ..) | ("str+null" | "mixed", 1, _) => string,
+            ("int+null" | "str+null" | "mixed", _, 0) => Value::Null,
+            ("int+null", ..) | ("mixed", _, 1) => int,
+            ("str+null" | "mixed", ..) => string,
+            _ => Value::Bag((0..h % 3).map(member).collect()),
+        }
+    };
+    let values: Vec<Value> = (0..n).map(cell).collect();
+    let column = if layout == "nested bags" {
+        let bags: Vec<&[Record]> = values.iter().map(|v| v.as_bag().expect("a bag")).collect();
+        let ends = bags.iter().scan(0, |end, bag| {
+            *end += bag.len();
+            Some(*end)
+        });
+        Column::Bag {
+            offsets: [0].into_iter().chain(ends).collect(),
+            rows: Box::new(Batch::from_records(&bags.concat()).expect("members of arity 2")),
+        }
+    } else {
+        Column::from_values(values)
+    };
+    assert_eq!(layout_of(&column), layout, "seed {seed}");
+    column
+}
+
+/// Runs `check` on batches of `n` rows over every layout alone (arity 1),
+/// every pair of layouts — the first column the sort key or the
+/// tie-break of the other — and every pair followed by a third and a
+/// fourth column (each layout in each place as the pairs go by), where a
+/// chain of two or more tie-break columns refines runs the one before
+/// left tied; so that every arm of every kernel is reached in every case
+/// rather than by luck. `duplicates` makes every row a copy of another,
+/// and ties outlast the last column.
+fn for_every_layout_pair(
+    n: usize,
+    duplicates: bool,
+    seed: u64,
+    mut check: impl FnMut(&Batch, &str),
+) {
+    let period = if duplicates { n / 2 + 1 } else { n };
+    let column = |layout: &str, place: u32| {
+        layout_column(
+            layout,
+            n,
+            period,
+            seed.rotate_left(17 * place) ^ u64::from(place),
+        )
+    };
+    for (i, first) in LAYOUTS.into_iter().enumerate() {
+        check(&Batch::from_columns(vec![column(first, 0)], n), first);
+        for (j, second) in LAYOUTS.into_iter().enumerate() {
+            let (third, fourth) = (LAYOUTS[(i + j) % 8], LAYOUTS[(i + 3 * j + 5) % 8]);
+            let mut columns = vec![column(first, 0), column(second, 1)];
+            check(
+                &Batch::from_columns(columns.clone(), n),
+                &format!("{first} | {second}"),
+            );
+            columns.extend([column(third, 2), column(fourth, 3)]);
+            check(
+                &Batch::from_columns(columns, n),
+                &format!("{first} | {second} | {third} | {fourth}"),
+            );
+        }
+    }
+}
+
+/// `group_batch` materializes to exactly `group_records` and encodes to
+/// the same canonical bytes without materializing.
+fn assert_group_batch_is_group_records(batch: &Batch, rows: &[Record], key: usize, ctx: &str) {
+    let expected = group_records(rows, key);
+    let grouped = group_batch(batch, key);
+    assert_eq!(grouped.len(), expected.len(), "{ctx}, key {key}");
+    assert_eq!(grouped.to_records(), expected, "{ctx}, key {key}");
+    let bytes = encode_rows(&expected);
+    assert_eq!(
+        grouped.canonical_bytes(),
+        bytes.len() as u64,
+        "{ctx}, key {key}"
+    );
+    assert_eq!(encode_batch(&grouped), bytes, "{ctx}, key {key}");
+}
+
+/// `order_batch` equals `order_records` record for record, both ways.
+fn assert_order_batch_is_order_records(batch: &Batch, rows: &[Record], key: usize, ctx: &str) {
+    for order in [SortOrder::Asc, SortOrder::Desc] {
+        assert_eq!(
+            order_batch(batch, key, order).to_records(),
+            order_records(rows, key, order),
+            "{ctx}, key {key} {order:?}"
+        );
+    }
+}
+
 proptest! {
     /// The nested bag layout is indistinguishable from the rows it stands
     /// for: `group_batch` materializes to exactly `group_records` (null,
     /// duplicate and out-of-range keys included) and encodes to the same
-    /// canonical bytes without materializing.
+    /// canonical bytes without materializing; `order_batch` over the same
+    /// rows is `order_records`. Random rows of up to four columns from a
+    /// small domain, so tie-break chains run to the last column.
     #[test]
     fn group_batch_matches_group_records_and_their_encoding(
         arity in 1usize..5,
@@ -759,15 +899,78 @@ proptest! {
     ) {
         let rows = uniform_rows(arity, n_rows, &seed_values);
         let batch = Batch::from_records(&rows).expect("uniform arity");
-        let expected = group_records(&rows, key);
-        let grouped = group_batch(&batch, key);
-        prop_assert_eq!(grouped.len(), expected.len());
-        prop_assert_eq!(&grouped.to_records(), &expected);
-        let bytes = encode_rows(&expected);
-        prop_assert_eq!(grouped.canonical_bytes(), bytes.len() as u64);
-        prop_assert_eq!(encode_batch(&grouped), bytes);
+        assert_group_batch_is_group_records(&batch, &rows, key, "random rows");
+        assert_order_batch_is_order_records(&batch, &rows, key, "random rows");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same two equalities with coverage by layout rather than by
+    /// luck: over every pair of column layouts (nullable and all-null
+    /// `Int`, `Str`, `Mixed`, bags as values and nested, each as key and as
+    /// tie-break) alone and ahead of two more tie-break columns, duplicate
+    /// rows, arity 1 and an out-of-range key.
+    #[test]
+    fn group_and_order_batch_match_the_row_kernels_on_every_layout(
+        n in 2usize..20,
+        duplicates in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        for_every_layout_pair(n, duplicates, seed, |batch, ctx| {
+            let rows = batch.to_records();
+            for key in 0..=batch.arity() {
+                assert_group_batch_is_group_records(batch, &rows, key, ctx);
+                assert_order_batch_is_order_records(batch, &rows, key, ctx);
+            }
+        });
     }
 
+    /// Grouping without in-bag order differs from `group_batch` in that
+    /// order alone: the same keys, the same offsets, each bag the same
+    /// multiset of rows — and so every all-algebraic generate list (the
+    /// five aggregates, over integer, string, null and past-the-arity
+    /// fields and none) projects both to the same batch.
+    #[test]
+    fn grouping_by_key_alone_changes_nothing_an_aggregate_can_read(
+        n in 2usize..20,
+        duplicates in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let fields = [None, Some(0), Some(1), Some(2)];
+        let mut generates = vec![Expr::Col(0)];
+        generates.extend(AGG_FUNCS.iter().flat_map(|&func| {
+            fields.map(|field| Expr::Agg { func, bag_col: 1, field })
+        }));
+        for_every_layout_pair(n, duplicates, seed, |batch, ctx| {
+            for key in 0..=batch.arity() {
+                let canonical = group_batch(batch, key);
+                let loose = group_batch_unordered(batch, key);
+                assert_eq!(loose.column(0), canonical.column(0), "{ctx}, key {key}: keys");
+                let offsets = |grouped: &Batch| match grouped.column(1) {
+                    Some(Column::Bag { offsets, .. }) => offsets.clone(),
+                    other => panic!("{ctx}: no nested bag column: {other:?}"),
+                };
+                assert_eq!(offsets(&loose), offsets(&canonical), "{ctx}, key {key}: offsets");
+                let sorted_bags = |grouped: &Batch| -> Vec<Vec<Record>> {
+                    let bag = |r: Record| r.get(1).and_then(Value::as_bag).expect("a bag").to_vec();
+                    let mut bags: Vec<_> = grouped.to_records().into_iter().map(bag).collect();
+                    bags.iter_mut().for_each(|bag| bag.sort());
+                    bags
+                };
+                assert_eq!(sorted_bags(&loose), sorted_bags(&canonical), "{ctx}, key {key}: bags");
+                assert_eq!(
+                    project_batch(&loose, &generates),
+                    project_batch(&canonical, &generates),
+                    "{ctx}, key {key}: aggregates"
+                );
+            }
+        });
+    }
+}
+
+proptest! {
     /// Every aggregate over a nested bag column equals row-wise
     /// `Expr::eval` on the materialized bags: valid, all-null, string and
     /// past-the-arity fields, and no field at all.
@@ -1042,6 +1245,9 @@ proptest! {
     /// (all-null included), `Str` when every value is a string or null
     /// and one is a string, `Mixed` otherwise; a typed column has a null
     /// mask exactly when it holds a null, zeros and empty ranges under it.
+    /// A selection out of a column — `gather`, `filter_batch`, `truncate`
+    /// — keeps the column's type and obeys the mask half of the rule: it
+    /// has a mask exactly when it selected a null.
     #[test]
     fn column_layout_is_a_function_of_the_value_types(
         values in proptest::collection::vec(
@@ -1053,6 +1259,8 @@ proptest! {
             0..12,
         ),
         kind in 0u8..4,
+        picks in proptest::collection::vec(any::<proptest::sample::Index>(), 0..12),
+        cut in any::<proptest::sample::Index>(),
     ) {
         // Bias towards single-type columns: drop what the kind excludes.
         let values: Vec<Value> = values
@@ -1089,6 +1297,37 @@ proptest! {
                 prop_assert_eq!(kept, values);
             }
             Column::Bag { .. } => prop_assert!(false, "values never build a nested column"),
+        }
+
+        let batch = Batch::from_columns(vec![Column::from_values(values.clone())], values.len());
+        let picks: Vec<usize> = picks
+            .iter()
+            .filter(|_| !values.is_empty())
+            .map(|i| i.index(values.len()))
+            .collect();
+        let mut prefix = batch.clone();
+        prefix.truncate(cut.index(values.len() + 1));
+        let is_null = Expr::IsNull(Box::new(Expr::Col(0)));
+        let not_null = Expr::is_not_null(Expr::Col(0));
+        let kept = |keep: fn(&Value) -> bool| values.iter().filter(|v| keep(v)).cloned().collect();
+        let selections: [(Batch, Vec<Value>); 4] = [
+            (batch.gather(&picks), picks.iter().map(|&i| values[i].clone()).collect()),
+            (prefix.clone(), values[..prefix.len()].to_vec()),
+            (filter_batch(&batch, &not_null), kept(|v| !v.is_null())),
+            (filter_batch(&batch, &is_null), kept(Value::is_null)),
+        ];
+        for (selected, expected) in selections {
+            let rows: Vec<Record> = expected.iter().map(|v| Record::new(vec![v.clone()])).collect();
+            prop_assert_eq!(selected.to_records(), rows);
+            let any_null = expected.iter().any(Value::is_null);
+            match selected.column(0) {
+                Some(Column::Int { validity, .. } | Column::Str { validity, .. }) => {
+                    let mask: Vec<bool> = expected.iter().map(|v| !v.is_null()).collect();
+                    prop_assert_eq!(validity, &any_null.then_some(mask));
+                }
+                Some(Column::Mixed(_)) => {}
+                other => prop_assert!(false, "selection changed the layout: {:?}", other),
+            }
         }
     }
 }
