@@ -36,6 +36,14 @@
 //! `FOREACH … COUNT, SUM` the row kernel computes, and the key-only pass
 //! may not be the slower one.
 //!
+//! The `corrupt pass` rows price the commission fault itself, on a split a
+//! Byzantine task owns a corrupted copy of: the row arm clones the split's
+//! records and runs `corrupt_record` over them, the columnar arm cuts the
+//! split's window out of the columnar file and runs `corrupt_batch` over
+//! it in place, over weather readings (integer `station` first, as every
+//! shipped workload leads with an integer); both arms must digest
+//! identically.
+//!
 //! Results land in `bench_results/data_plane.json`.
 
 use std::sync::Arc;
@@ -46,8 +54,8 @@ use cbft_dataflow::batch::{filter_batch, group_batch, group_batch_unordered, pro
 use cbft_dataflow::interp::{group_records, project_record};
 use cbft_dataflow::{AggFunc, Batch, Expr, Record, Value};
 use cbft_digest::{hardware_accelerated, ChunkedDigest, ChunkedSummary};
-use cbft_mapreduce::{data_plane, FileData, Storage};
-use cbft_workloads::twitter;
+use cbft_mapreduce::{corrupt_batch, corrupt_record, data_plane, FileData, Storage};
+use cbft_workloads::{twitter, weather};
 use clusterbft::{Adversary, ExecutorConfig, ParallelExecutor, VpPolicy};
 
 /// Records in the digested file.
@@ -133,12 +141,15 @@ fn batched_pass(file: &Arc<[Record]>) -> (Vec<ChunkedSummary>, u64) {
 /// of the file's one batch, cut column by column — no record exists to
 /// convert.
 fn columnar_file_pass(file: &FileData) -> (Vec<ChunkedSummary>, u64) {
-    let batch = file.batch().expect("stored columnar");
-    let batches: Vec<Batch> = (0..batch.len())
+    digest_batches(&file_windows(file.batch().expect("stored columnar")))
+}
+
+/// The `SPLIT`-row windows of a columnar file, each cut column by column.
+fn file_windows(file: &Batch) -> Vec<Batch> {
+    (0..file.len())
         .step_by(SPLIT)
-        .map(|start| batch.slice(start..batch.len().min(start + SPLIT)))
-        .collect();
-    digest_batches(&batches)
+        .map(|start| file.slice(start..file.len().min(start + SPLIT)))
+        .collect()
 }
 
 /// The digest half of the batch path alone, over pre-built batches — the
@@ -171,6 +182,35 @@ fn digest_batches(batches: &[Batch]) -> (Vec<ChunkedSummary>, u64) {
         summaries.push(cd.finish());
     }
     (summaries, payload_bytes)
+}
+
+/// The commission fault over every split of `rows`, on both arms: wall of
+/// the row arm (`to_vec` + `corrupt_record`) and of the columnar arm
+/// (`Batch::slice` + `corrupt_batch`). The corrupted splits must digest
+/// byte-identically.
+fn corrupt_passes(rows: Vec<Record>) -> (f64, f64) {
+    let file = Batch::from_records(&rows).expect("uniform arity");
+    let (by_rows, wall_rows) = measure(|| {
+        let mut corrupted = Vec::with_capacity(rows.len());
+        for split in rows.chunks(SPLIT) {
+            let mut owned = split.to_vec();
+            owned.iter_mut().for_each(corrupt_record);
+            corrupted.extend(owned);
+        }
+        corrupted
+    });
+    let (by_batch, wall_batch) = measure(|| {
+        let mut batches = file_windows(&file);
+        batches.iter_mut().for_each(corrupt_batch);
+        batches
+    });
+    assert_ne!(by_rows, rows, "the fault is visible");
+    assert_eq!(
+        zero_copy_pass(&by_rows.into()),
+        digest_batches(&by_batch),
+        "both arms must corrupt to byte-identical digest streams"
+    );
+    (wall_rows, wall_batch)
 }
 
 /// Best-of-three wall time of `pass`, returning its last output too.
@@ -254,6 +294,9 @@ fn main() {
     }
     let grouped_mrec = edges.len() as f64 / 1e6;
 
+    // The commission fault, over weather's integer leading column.
+    let (wall_corrupt_rows, wall_corrupt_batch) = corrupt_passes(weather::generate(3, RECORDS));
+
     // Zero-copy invariant on the real storage layer: seeding REPLICAS
     // worth of reads from one write-once file clones no records.
     let before = data_plane::snapshot();
@@ -324,7 +367,11 @@ fn main() {
              same data stored as one Batch, each split a column-wise window of it \
              (Batch::slice), with nothing to convert. The group kernel rows group \
              {RECORDS} Zipf-keyed follower edges (nulls filtered) by user with the bags in \
-             canonical order and by key alone; both aggregate to the row kernel's output."
+             canonical order and by key alone; both aggregate to the row kernel's output. \
+             The corrupt pass rows apply the commission fault to every {SPLIT}-record split \
+             of {RECORDS} weather readings (integer station first): the row arm clones each \
+             split and runs corrupt_record, the columnar arm slices it out of the columnar \
+             file and runs corrupt_batch in place; both digest byte-identically."
         ),
     );
     record.set_flag("digests_byte_identical", true);
@@ -391,6 +438,18 @@ fn main() {
         "x",
         None,
         wall_group / wall_group_key_only,
+    );
+    record.push(
+        "corrupt pass throughput (weather, Int column, rows)",
+        "Mrec/s",
+        None,
+        mrec / wall_corrupt_rows,
+    );
+    record.push(
+        "corrupt pass throughput (weather, Int column, columnar)",
+        "Mrec/s",
+        None,
+        mrec / wall_corrupt_batch,
     );
     record.push("digest throughput speedup", "x", Some(2.0), speedup);
     record.push(

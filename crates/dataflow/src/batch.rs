@@ -107,6 +107,15 @@ impl Column {
         builder.finish()
     }
 
+    /// The column's cells as values, in row order; inverse of
+    /// [`Column::from_values`]. A `Mixed` column's values move.
+    pub fn into_values(self) -> Vec<Value> {
+        match self {
+            Column::Mixed(values) => values,
+            typed => (0..typed.len()).map(|row| typed.value_at(row)).collect(),
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             Column::Int { values, .. } => values.len(),
@@ -402,10 +411,7 @@ impl Column {
         }
         let mut values = Vec::with_capacity(len);
         for part in parts {
-            match part {
-                Column::Mixed(v) => values.extend(v),
-                typed => values.extend((0..typed.len()).map(|row| typed.value_at(row))),
-            }
+            values.extend(part.into_values());
         }
         Column::from_values(values)
     }
@@ -640,6 +646,18 @@ impl Batch {
     /// Column `c`, if present.
     pub fn column(&self, c: usize) -> Option<&Column> {
         self.columns.get(c)
+    }
+
+    /// Replaces column `c` with `f` of it; the column moves through `f`,
+    /// so a same-layout edit happens in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of range or `f` changes the column's length.
+    pub fn map_column(&mut self, c: usize, f: impl FnOnce(Column) -> Column) {
+        let column = std::mem::replace(&mut self.columns[c], Column::Mixed(Vec::new()));
+        self.columns[c] = f(column);
+        assert_eq!(self.columns[c].len(), self.len, "column length mismatch");
     }
 
     /// Materializes row `row` as a [`Record`].

@@ -1694,9 +1694,9 @@ mod tests {
             }
         }
 
-        // One corrupt reduce task among faithful ones hands records over
-        // among their batches: the gather falls back to records for the
-        // whole file, and the next job reads it as it would any other.
+        // One corrupt reduce task among faithful ones hands batches over
+        // like them: the gathered file stays columnar, and the next job
+        // reads it as it would any other.
         let (rows, _) = run_chain(&inputs, &[top], 0, true);
         assert_ne!(rows.events, run_chain(&inputs, &[top], 0, false).0.events);
         for batch_records in [1, 7, 1024] {
@@ -1705,7 +1705,7 @@ mod tests {
                 cols, rows,
                 "corrupt reduce task: batch_records {batch_records}"
             );
-            assert_eq!(columnar, [false, true], "batch_records {batch_records}");
+            assert_eq!(columnar, [true, true], "batch_records {batch_records}");
             let (_, columnar) = run_chain(&inputs, &[top], batch_records, false);
             assert_eq!(columnar, [true, true], "batch_records {batch_records}");
         }

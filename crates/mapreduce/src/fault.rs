@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use cbft_dataflow::{Record, Value};
+use cbft_dataflow::{Batch, Column, Record, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -138,26 +138,78 @@ impl WorkerNode {
     }
 }
 
-/// Deterministically corrupts a record in place: the canonical commission
-/// fault applied to every record a corrupt task touches. Integers are
-/// perturbed, strings defaced, nulls materialized — any of which changes
-/// the canonical encoding and therefore the digest.
-pub(crate) fn corrupt_record(r: &mut Record) {
+/// The canonical commission fault on one value: integers are perturbed,
+/// strings defaced, nulls materialized, a bag's first member corrupted (an
+/// empty bag gains one) — any of which changes the canonical encoding and
+/// therefore the digest. The one statement of the rule; [`corrupt_record`]
+/// and [`corrupt_batch`] apply it to the leading field of every row.
+pub(crate) fn corrupt_value(v: &mut Value) {
+    match v {
+        Value::Int(i) => *i = i.wrapping_add(1),
+        Value::Str(s) => s.push('!'),
+        Value::Null => *v = Value::Int(0),
+        Value::Bag(bag) => match bag.first_mut() {
+            Some(first) => corrupt_record(first),
+            None => bag.push(Record::new(vec![Value::Int(0)])),
+        },
+    }
+}
+
+/// Deterministically corrupts a record in place: the commission fault
+/// (`corrupt_value`: an integer +1 wrapping, a string gains `!`, a null
+/// becomes `Int(0)`, a bag's first member is corrupted in turn and an
+/// empty bag gains `[0]`) on its leading field; a record of no fields
+/// gains an `Int(0)`.
+pub fn corrupt_record(r: &mut Record) {
     let mut fields = std::mem::replace(r, Record::new(Vec::new())).into_fields();
     match fields.first_mut() {
-        Some(Value::Int(i)) => *i = i.wrapping_add(1),
-        Some(Value::Str(s)) => s.push('!'),
-        Some(v @ Value::Null) => *v = Value::Int(0),
-        Some(Value::Bag(bag)) => {
-            if let Some(first) = bag.first_mut() {
-                corrupt_record(first);
-            } else {
-                bag.push(Record::new(vec![Value::Int(0)]));
-            }
-        }
+        Some(v) => corrupt_value(v),
         None => fields.push(Value::Int(0)),
     }
     *r = Record::new(fields);
+}
+
+/// [`corrupt_record`] on every row of a batch, without building one: the
+/// result equals, column layouts included, [`Batch::from_records`] over
+/// the corrupted rows. An `Int` column is perturbed in place and loses its
+/// null mask (a null becomes a valid `0`); everything else — strings (a
+/// null among them becoming an `Int(0)`), bags, mixed values, a batch of
+/// no columns gaining one of zeros — is rebuilt by [`Column::from_values`]
+/// over the `corrupt_value`d values, the exact fallback. A batch of no
+/// rows has no row to corrupt.
+pub fn corrupt_batch(batch: &mut Batch) {
+    if batch.is_empty() {
+        return;
+    }
+    if batch.arity() == 0 {
+        let zeros = Column::from_values(vec![Value::Int(0); batch.len()]);
+        *batch = Batch::from_columns(vec![zeros], batch.len());
+        return;
+    }
+    batch.map_column(0, |column| match column {
+        Column::Int {
+            mut values,
+            validity,
+        } => {
+            match &validity {
+                None => values.iter_mut().for_each(|v| *v = v.wrapping_add(1)),
+                Some(mask) => {
+                    for (v, &valid) in values.iter_mut().zip(mask) {
+                        *v = if valid { v.wrapping_add(1) } else { 0 };
+                    }
+                }
+            }
+            Column::Int {
+                values,
+                validity: None,
+            }
+        }
+        other => {
+            let mut values = other.into_values();
+            values.iter_mut().for_each(corrupt_value);
+            Column::from_values(values)
+        }
+    });
 }
 
 #[cfg(test)]
@@ -234,6 +286,126 @@ mod tests {
                 TaskFate::Faithful
             );
         }
+    }
+
+    #[test]
+    fn corrupt_value_states_the_rule_for_every_variant() {
+        let bag = |members: Vec<Record>| Value::Bag(members);
+        let one = |v: Value| Record::new(vec![v]);
+        let cases = [
+            (Value::Int(5), Value::Int(6)),
+            (Value::Int(-1), Value::Int(0)),
+            (Value::Int(i64::MAX), Value::Int(i64::MIN)),
+            (Value::str("abc"), Value::str("abc!")),
+            (Value::str(""), Value::str("!")),
+            (Value::Null, Value::Int(0)),
+            (bag(vec![]), bag(vec![one(Value::Int(0))])),
+            (
+                bag(vec![one(Value::Int(1)), one(Value::Int(1))]),
+                bag(vec![one(Value::Int(2)), one(Value::Int(1))]),
+            ),
+            // Recursively: the first member's own leading field, and a
+            // member of no fields gains one.
+            (
+                bag(vec![one(bag(vec![one(Value::str("x"))]))]),
+                bag(vec![one(bag(vec![one(Value::str("x!"))]))]),
+            ),
+            (
+                bag(vec![Record::new(vec![])]),
+                bag(vec![one(Value::Int(0))]),
+            ),
+        ];
+        for (mut value, expected) in cases {
+            let original = value.clone();
+            corrupt_value(&mut value);
+            assert_eq!(value, expected, "{original:?}");
+            // The record wrapper touches the leading field alone.
+            let mut record = Record::new(vec![original.clone(), original.clone()]);
+            corrupt_record(&mut record);
+            assert_eq!(record, Record::new(vec![expected, original]));
+        }
+        let mut empty = Record::new(vec![]);
+        corrupt_record(&mut empty);
+        assert_eq!(empty, one(Value::Int(0)));
+    }
+
+    /// `corrupt_batch` equals, column layouts included, `from_records`
+    /// over the `corrupt_record`ed rows — on each layout column 0 can
+    /// have, the `Int` arm and the exact fallback alike.
+    #[test]
+    fn corrupt_batch_equals_the_batch_of_the_corrupted_rows() {
+        let member = |v: i64| Record::new(vec![Value::Int(v)]);
+        let columns: Vec<(&str, Vec<Value>)> = vec![
+            (
+                "Int",
+                vec![Value::Int(1), Value::Int(i64::MAX), Value::Int(-7)],
+            ),
+            (
+                "Int holding a null",
+                vec![Value::Int(1), Value::Null, Value::Int(i64::MAX)],
+            ),
+            ("all null", vec![Value::Null, Value::Null]),
+            (
+                "Str",
+                vec![Value::str("a"), Value::str(""), Value::str("é")],
+            ),
+            (
+                "Str holding a null",
+                vec![Value::str("a"), Value::Null, Value::str("c")],
+            ),
+            ("Mixed", vec![Value::Int(1), Value::str("b"), Value::Null]),
+            (
+                "stored bags",
+                vec![Value::Bag(vec![member(1), member(2)]), Value::Bag(vec![])],
+            ),
+        ];
+        for (name, leading) in columns {
+            let rows: Vec<Record> = leading
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| Record::new(vec![v, Value::Int(i as i64), Value::Null]))
+                .collect();
+            let mut batch = Batch::from_records(&rows).unwrap();
+            corrupt_batch(&mut batch);
+            let mut corrupted = rows.clone();
+            corrupted.iter_mut().for_each(corrupt_record);
+            assert_eq!(batch, Batch::from_records(&corrupted).unwrap(), "{name}");
+            assert_eq!(batch.to_records(), corrupted, "{name}");
+        }
+
+        // Hand-built columns off the layout rule — garbage under an
+        // `Int` mask, a `Str` mask that hides nothing, `Mixed` values of
+        // one type — come out in the layout the rule picks.
+        let off_rule = [
+            Column::Int {
+                values: vec![7, 99, i64::MAX],
+                validity: Some(vec![true, false, true]),
+            },
+            Column::Str {
+                bytes: b"abc".to_vec(),
+                offsets: vec![0, 1, 1, 3],
+                validity: Some(vec![true; 3]),
+            },
+            Column::Mixed(vec![Value::Int(1), Value::Null, Value::Int(3)]),
+        ];
+        for column in off_rule {
+            let mut batch = Batch::from_columns(vec![column.clone()], 3);
+            let mut corrupted = batch.to_records();
+            corrupted.iter_mut().for_each(corrupt_record);
+            corrupt_batch(&mut batch);
+            let expected = Batch::from_records(&corrupted).unwrap();
+            assert_eq!(batch, expected, "{column:?}");
+        }
+
+        // Rows of no fields gain a column of zeros; no rows, nothing.
+        let mut no_fields = Batch::from_records(&vec![Record::new(vec![]); 3]).unwrap();
+        assert_eq!((no_fields.len(), no_fields.arity()), (3, 0));
+        corrupt_batch(&mut no_fields);
+        let zeros = vec![Record::new(vec![Value::Int(0)]); 3];
+        assert_eq!(no_fields, Batch::from_records(&zeros).unwrap());
+        let mut no_rows = Batch::from_records(&[]).unwrap();
+        corrupt_batch(&mut no_rows);
+        assert_eq!(no_rows, Batch::from_records(&[]).unwrap());
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod task;
 
 pub use compute::{default_compute_threads, ComputePool, Ticket};
 pub use engine::{Cluster, ClusterBuilder, EngineEvent, JobOutcome, TimerToken};
-pub use fault::{Behavior, NodeId, WorkerNode};
+pub use fault::{corrupt_batch, corrupt_record, Behavior, NodeId, WorkerNode};
 pub use metrics::{data_plane, JobMetrics};
 pub use scheduler::{FifoScheduler, OverlapScheduler, SchedContext, Scheduler, TaskChoice};
 pub use spec::{DigestReport, ExecInput, ExecJob, RunHandle, SamplePlan, TaskKind, VpSite};

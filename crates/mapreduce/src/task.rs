@@ -34,7 +34,7 @@ use cbft_digest::{
 };
 
 use crate::compute::ComputePool;
-use crate::fault::{corrupt_record, TaskFate};
+use crate::fault::{corrupt_batch, corrupt_record, TaskFate};
 use crate::metrics::data_plane;
 use crate::spec::{ExecJob, TaskKind, VpSite};
 use crate::storage::FileData;
@@ -45,10 +45,10 @@ type Tagged = (usize, Record);
 /// The rows a task hands over — the one data format between tasks and
 /// out of them: a map task's share of one reduce partition, and the
 /// whole output of a reduce, collector or shuffle-less map task. A
-/// faithful columnar task hands its rows over as batches, which the
-/// reduce kernels read as batches and a job's output file keeps as one;
-/// every other producer (the row plane, a ragged split, a corrupt fate,
-/// a combiner, DISTINCT) hands over tagged records. Which form a
+/// columnar task, faithful or corrupt, hands its rows over as batches,
+/// which the reduce kernels read as batches and a job's output file keeps
+/// as one; every other producer (the row plane, a ragged split, a
+/// combiner, DISTINCT) hands over tagged records. Which form a
 /// partition has is decided by the data alone and is invisible outside
 /// this module: both hold the same `(tag, row)` sequence.
 #[derive(Clone, Debug)]
@@ -243,10 +243,12 @@ pub(crate) struct Work {
 /// engine attaches these to the task's trace span as wall-domain args.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct StageWall {
-    /// Laying the task's input out as batches: [`Batch::slice`] windows
-    /// of a columnar file's split, records → [`Batch`] for a record
-    /// file's split or a record partition, [`Batch::concat`] of the runs
-    /// for a columnar partition.
+    /// Laying the task's input out in the form its arm reads:
+    /// [`Batch::slice`] windows of a columnar file's split, records →
+    /// [`Batch`] for a record file's split or a record partition,
+    /// [`Batch::concat`] of the runs for a columnar partition; on the row
+    /// arm, the row image of a columnar split — and a corrupt fate's pass
+    /// over that input, on either arm.
     pub to_batch: u64,
     /// Per-record operators (`FILTER`, `FOREACH`, `LIMIT`).
     pub pipeline_ops: u64,
@@ -394,19 +396,21 @@ pub(crate) fn run_map_task(
     debug_assert_ne!(fate, TaskFate::Omitted, "omitted tasks never execute");
     let plan = &job.plan;
     let input = &job.inputs[input_index];
+    let mut out = TaskOutput::new(0);
     // The row arm reads records: a columnar file's window becomes records
     // once, here, and is borrowed from then on like a record file's — so
     // the task charges the same whichever form the file is stored in.
     let image: Vec<Record>;
     let split = match file.batch() {
-        Some(batch) if columnar(job, fate) => Split::Cols(batch, window),
+        Some(batch) if columnar(job) => Split::Cols(batch, window),
         Some(batch) => {
-            image = window.map(|row| batch.row(row)).collect();
+            image = timed(&mut out.stages.to_batch, || {
+                window.map(|row| batch.row(row)).collect()
+            });
             Split::Rows(&image)
         }
         None => Split::Rows(&file.rows()[window]),
     };
-    let mut out = TaskOutput::new(0);
     let mut stream = Stream::open_split(job, split, fate, &mut out);
 
     for (pos, &vid) in input.pipeline.iter().enumerate() {
@@ -535,14 +539,14 @@ fn digest_where(
     }
 }
 
-/// The rule that picks a [`Stream`] arm, as far as the job and the fate
-/// decide it: the columnar plane runs the hot case, a faithful task
-/// without a combiner. Corruption (a cold fault path) and combining keep
-/// the row plane. The input's shape decides the rest — see
-/// [`Stream::open_split`] and [`Stream::open_partition`] — and the arm a
-/// map task ran on decides the form of the partitions it hands over.
-fn columnar(job: &ExecJob, fate: TaskFate) -> bool {
-    job.batch_records > 0 && fate == TaskFate::Faithful && job.combiner.is_none()
+/// The rule that picks a [`Stream`] arm, as far as the job decides it:
+/// the columnar plane runs every task of a job without a combiner,
+/// whatever its fate — a Byzantine replica costs what an honest one does.
+/// Combining keeps the row plane. The input's shape decides the rest —
+/// see [`Stream::open_split`] and [`Stream::open_partition`] — and the arm
+/// a map task ran on decides the form of the partitions it hands over.
+fn columnar(job: &ExecJob) -> bool {
+    job.batch_records > 0 && job.combiner.is_none()
 }
 
 /// The rule under which a GROUP's bags need no canonical order, evaluated
@@ -639,7 +643,7 @@ impl<'a> RecordStream<'a> {
 /// and `planes_agree_*` task tests.
 enum Stream<'a> {
     /// Row-at-a-time execution: `--batch-size 0`, and the fallback for
-    /// corrupt fates, combiners, ragged inputs and DISTINCT.
+    /// combiners, ragged inputs and DISTINCT.
     Rows(RecordStream<'a>),
     /// Vectorized execution over batches of at most
     /// [`ExecJob::batch_records`] rows.
@@ -647,7 +651,7 @@ enum Stream<'a> {
         batches: Vec<Batch>,
         /// Mirrors the row arm's borrow tracking: `false` while the rows
         /// are still columnar images of the input split, `true` once a
-        /// projection (or a shuffle) produced fresh rows.
+        /// projection, a shuffle or a corrupt fate produced fresh rows.
         owned: bool,
     },
 }
@@ -658,20 +662,29 @@ impl<'a> Stream<'a> {
     /// at the storage boundary: a columnar file's window is cut column by
     /// column, records are converted. A ragged split (mixed arity within
     /// a batch) cannot be laid out columnar and falls back to rows before
-    /// any counter is touched.
+    /// any counter is touched. Under a commission fault the node
+    /// processes a corrupted view of the split — corrupted after
+    /// `bytes_in` is charged for the true data — so every downstream
+    /// digest and output reflects it.
     fn open_split(
         job: &ExecJob,
         split: Split<'a>,
         fate: TaskFate,
         out: &mut TaskOutput,
     ) -> Stream<'a> {
-        let columnar_over = |batches: Vec<Batch>, out: &mut TaskOutput| {
+        let corrupt = fate == TaskFate::Corrupt;
+        let columnar_over = |mut batches: Vec<Batch>, out: &mut TaskOutput| {
             out.work.bytes_in = batches.iter().map(Batch::canonical_bytes).sum();
             data_plane::count_batches_built(batches.len() as u64);
             data_plane::count_batch_rows(batches.iter().map(|b| b.len() as u64).sum());
+            if corrupt {
+                timed(&mut out.stages.to_batch, || {
+                    batches.iter_mut().for_each(corrupt_batch)
+                });
+            }
             Stream::Cols {
                 batches,
-                owned: false,
+                owned: corrupt,
             }
         };
         let records = match split {
@@ -687,7 +700,7 @@ impl<'a> Stream<'a> {
             }
             Split::Rows(records) => records,
         };
-        if columnar(job, fate) {
+        if columnar(job) {
             let batches: Option<Vec<Batch>> = timed(&mut out.stages.to_batch, || {
                 records
                     .chunks(job.batch_records)
@@ -699,13 +712,12 @@ impl<'a> Stream<'a> {
             }
         }
         out.work.bytes_in = records.iter().map(Record::byte_size).sum();
-        Stream::Rows(if fate == TaskFate::Corrupt {
-            // A commission fault: the node processes a corrupted view of
-            // the data, so every downstream digest and output reflects
-            // it. The corrupting clone happens only on this (cold) path.
-            let mut owned = records.to_vec();
-            owned.iter_mut().for_each(corrupt_record);
-            RecordStream::Owned(owned)
+        Stream::Rows(if corrupt {
+            RecordStream::Owned(timed(&mut out.stages.to_batch, || {
+                let mut owned = records.to_vec();
+                owned.iter_mut().for_each(corrupt_record);
+                owned
+            }))
         } else {
             RecordStream::Slice(records)
         })
@@ -719,9 +731,9 @@ impl<'a> Stream<'a> {
     /// are joined, records converted once; a GROUP whose bags nothing
     /// observes ([`bags_unobserved`]) groups by key alone. DISTINCT's
     /// whole-record sort/dedup runs on owned rows with the pool's chunked
-    /// sort, so it, like a corrupt fate, a combiner and a ragged
-    /// partition, takes the partition as records — materializing it if it
-    /// arrived as batches.
+    /// sort, so it, like a combiner and a ragged partition, takes the
+    /// partition as records — materializing it if it arrived as batches.
+    /// A corrupt fate corrupts what the shuffle reads, in either form.
     fn open_partition(
         job: &ExecJob,
         mut incoming: Partition,
@@ -730,17 +742,24 @@ impl<'a> Stream<'a> {
         pool: &ComputePool,
     ) -> Stream<'static> {
         let op = job.shuffle.map(|sh| job.plan.vertex(sh).op());
-        if columnar(job, fate) {
+        let corrupt = fate == TaskFate::Corrupt;
+        if columnar(job) {
             let StageWall {
                 to_batch,
                 shuffle_kernel,
                 ..
             } = stages;
             // The partition as one batch per side (only a JOIN has two);
-            // a ragged one is put back for the row arm.
+            // a ragged one is put back, untouched, for the row arm.
             let mut sides = |by_tag: bool| {
                 let sides = timed(to_batch, || {
-                    std::mem::take(&mut incoming).into_sides(by_tag)
+                    let sides = std::mem::take(&mut incoming).into_sides(by_tag);
+                    sides.map(|mut sides| {
+                        if corrupt {
+                            sides.iter_mut().for_each(corrupt_batch);
+                        }
+                        sides
+                    })
                 });
                 sides.map_err(|ragged| incoming = ragged).ok()
             };
@@ -788,10 +807,12 @@ impl<'a> Stream<'a> {
         }
 
         let mut incoming = incoming.into_tagged();
-        let untag = |tagged: Vec<Tagged>| tagged.into_iter().map(|(_, r)| r).collect::<Vec<_>>();
-        if fate == TaskFate::Corrupt {
-            incoming.iter_mut().for_each(|(_, r)| corrupt_record(r));
+        if corrupt {
+            timed(&mut stages.to_batch, || {
+                incoming.iter_mut().for_each(|(_, r)| corrupt_record(r))
+            });
         }
+        let untag = |tagged: Vec<Tagged>| tagged.into_iter().map(|(_, r)| r).collect::<Vec<_>>();
         let records = match (op, &job.combiner) {
             (Some(_), Some(comb)) => {
                 let partials = untag(incoming);
@@ -1945,11 +1966,14 @@ mod tests {
         }
     }
 
-    /// One map task off the columnar arm — a corrupt fate, or a ragged
-    /// split — among faithful ones: it hands its rows over as records, so
-    /// the gather materializes the batch runs of every partition it feeds
-    /// (the exact fallback, chosen from the data), and no observable of
-    /// any task differs from the row plane's.
+    /// One map task among faithful ones draws a corrupt fate, or reads a
+    /// ragged split. The corrupt task stays on the columnar arm and hands
+    /// its rows over as batches, so every partition it feeds stays
+    /// columnar through the gather. The ragged one is off the arm: it
+    /// hands over records, so the gather materializes the batch runs of
+    /// every partition it feeds (the exact fallback, chosen from the
+    /// data). Either way no observable of any task differs from the row
+    /// plane's.
     #[test]
     fn a_record_run_among_batch_runs_falls_back_to_rows_at_the_gather() {
         let uniform: Vec<Record> = (0..24i64)
@@ -1976,14 +2000,42 @@ mod tests {
                 let outs = assert_planes_agree(&mut job, rows, fate, &ctx);
                 let (front, back) = (parts(&outs[0]), parts(&outs[1]));
                 assert!(front.iter().all(is_columnar), "{ctx}");
-                assert!(!back.iter().any(is_columnar), "{ctx}");
+                let columnar_runs = back.iter().filter(|p| is_columnar(p)).count();
+                let expected = if corrupt.is_some() { back.len() } else { 0 };
+                assert_eq!(columnar_runs, expected, "{ctx}");
                 for (f, b) in front.iter().zip(back) {
                     let gathered = Partition::concat(vec![f.clone(), b.clone()]);
-                    assert_eq!(is_columnar(&gathered), b.len() == 0, "{ctx}");
+                    let stays_columnar = corrupt.is_some() || b.len() == 0;
+                    assert_eq!(is_columnar(&gathered), stays_columnar, "{ctx}");
                     assert_eq!(gathered.len(), f.len() + b.len(), "{ctx}");
                 }
             }
         }
+    }
+
+    /// A corrupt reduce task of a JOIN corrupts both sides it reads, on
+    /// both planes — over keys that still match after the fault shifts
+    /// the left one, so every joined row carries each side's corrupted
+    /// leading field and a side left alone would show.
+    #[test]
+    fn a_corrupt_join_task_corrupts_both_sides_on_both_planes() {
+        let rows: Vec<Record> = (0..36i64)
+            .map(|i| Record::new(vec![Value::Int(i % 6), Value::Int(i / 6)]))
+            .collect();
+        let src = task_script(1, [false; 3], 0, 1);
+        let mut job = exec_job(&src, vec![]);
+        // One partition: a shifted key finds its match in it.
+        job.reduce_task_count = 1;
+        arm_sites(&mut job, Sites::Every);
+        // Tasks 0–3 are the map tasks of the two inputs, task 4 the join.
+        let reduce_fate = |task: usize| match task {
+            0..=3 => TaskFate::Faithful,
+            _ => TaskFate::Corrupt,
+        };
+        let faithful = assert_planes_agree(&mut job, &rows, |_| TaskFate::Faithful, &src);
+        let corrupt = assert_planes_agree(&mut job, &rows, reduce_fate, &src);
+        assert!(!recs(&corrupt[4]).is_empty(), "shifted keys still match");
+        assert_ne!(recs(&corrupt[4]), recs(&faithful[4]));
     }
 
     /// A single-job script over `in(k, v)`: optional map-side FILTER and
@@ -2107,9 +2159,16 @@ mod tests {
                 }
             }
             arm_sites(&mut job, SITES[sites]);
+            let uniform = Batch::from_records(&rows).is_some();
             for fate in [TaskFate::Faithful, TaskFate::Corrupt] {
                 let ctx = format!("{fate:?}, {:?}:\n{src}", SITES[sites]);
-                assert_planes_agree(&mut job, &rows, |_| fate, &ctx);
+                let outs = assert_planes_agree(&mut job, &rows, |_| fate, &ctx);
+                // The comparison is one of two planes under either fate:
+                // only a combiner takes a columnar file's map task off
+                // the columnar arm.
+                let maps = &outs[..2 * job.inputs.len()];
+                let columnar = maps.iter().flat_map(parts).all(is_columnar);
+                assert!(!uniform || columnar == job.combiner.is_none(), "{ctx}");
             }
         }
     }
@@ -2158,9 +2217,9 @@ mod tests {
     /// input, let the (possibly corrupt) task consume it, record its
     /// commitment, then check. An honest task confirms; a corrupt one is
     /// localized — on the row plane and on the columnar plane, where the
-    /// corrupt run and the honest re-run even execute on different arms,
-    /// the map task's captured split may be a window of a columnar file
-    /// and the reduce task's captured input a partition of batch runs.
+    /// corrupt run and the honest re-run execute on the same arm, the
+    /// map task's captured split may be a window of a columnar file and
+    /// the reduce task's captured input a partition of batch runs.
     #[test]
     fn spot_check_round_trip_confirms_honest_and_localizes_corrupt_on_both_planes() {
         use crate::spec::RunHandle;

@@ -6,11 +6,10 @@
 //! a combiner and under a commission fault.
 //!
 //! The count the form does move is `rows_materialized`, and by a fixed
-//! rule: on the default plane a faithful run without a combiner builds no
-//! row until its output is published or `peek`ed, and exactly the
-//! published rows then; a task off the columnar arm (the row plane, a
-//! corrupt fate, a combiner) builds a row image of a columnar window to
-//! read it.
+//! rule: on the default plane a run without a combiner, fault or no
+//! fault, builds no row until its output is published or `peek`ed, and
+//! exactly the published rows then; a task off the columnar arm (the row
+//! plane, a combiner) builds a row image of a columnar window to read it.
 //!
 //! The counters are process-global, so this file holds one test: nothing
 //! else runs in its process.
@@ -67,6 +66,9 @@ fn a_columnar_input_file_moves_no_data_plane_count() {
         ]
     };
 
+    // `records_cloned` of each run on the row plane, to hold the columnar
+    // plane's against: `[fault-free, faulty]`.
+    let mut cloned_by_rows = [0u64; 2];
     for batch_records in [0usize, 256] {
         for fault in [None, Some(Behavior::Commission { probability: 1.0 })] {
             let runs = forms().map(|(form, input)| {
@@ -94,28 +96,34 @@ fn a_columnar_input_file_moves_no_data_plane_count() {
             assert_eq!(rows_outcome, cols_outcome, "{ctx}");
             // From a record file, rows are built out of batches at
             // publication alone: the published rows, once, out of the
-            // winning replica's columnar output. The row plane holds no
-            // batch, and a corrupt replica's output is records.
+            // winning replica's columnar output — a corrupt replica's
+            // tasks run the columnar arm like a faithful one's and build
+            // no row. The row plane holds no batch.
             let published = rows_outcome.output("counts").unwrap().len() as u64;
-            match (batch_records, fault) {
-                (0, _) => assert_eq!(rows.rows_materialized, 0, "{ctx}"),
-                (_, None) => assert_eq!(rows.rows_materialized, published, "{ctx}"),
-                (_, Some(_)) => assert!(rows.rows_materialized <= published, "{ctx}"),
-            }
+            let expected = if batch_records == 0 { 0 } else { published };
+            assert_eq!(rows.rows_materialized, expected, "{ctx}");
             // A columnar file adds, only off the columnar arm, one row
             // image of its window per task that reads rows: every task
-            // of the row plane, and a corrupt task on any plane.
+            // of the row plane, and none of the columnar plane, whatever
+            // its fate.
             let images = cols.rows_materialized - rows.rows_materialized;
             (rows.rows_materialized, cols.rows_materialized) = (0, 0);
             assert_eq!(rows, cols, "{ctx}");
             assert!(rows.records_cloned > 0 && rows.bytes_encoded > 0, "{ctx}");
             let replicas: usize = rows_outcome.replicas_per_round().iter().sum();
-            let reading_rows = match (batch_records, fault) {
-                (0, _) => replicas,
-                (_, Some(_)) => 1,
-                (_, None) => 0,
-            };
+            let reading_rows = if batch_records == 0 { replicas } else { 0 };
             assert_eq!(images, (reading_rows * edges().len()) as u64, "{ctx}");
+            // Between the planes `records_cloned` differs by the
+            // publication copy alone (a record file is cloned, a batch
+            // materialized), fault or no fault: a corrupt map task owns
+            // its corrupted split on either plane, so neither charges a
+            // clone at its output boundary.
+            let by_rows = &mut cloned_by_rows[usize::from(fault.is_some())];
+            if batch_records == 0 {
+                *by_rows = rows.records_cloned;
+            } else {
+                assert_eq!(*by_rows - rows.records_cloned, published, "{ctx}");
+            }
         }
     }
 

@@ -590,6 +590,7 @@ use clusterbft_repro::dataflow::batch::{
 };
 use clusterbft_repro::dataflow::{AggFunc, Batch, CmpOp, Column, EvalContext, SortOrder};
 use clusterbft_repro::digest::{parent_level, MerkleTree};
+use clusterbft_repro::mapreduce::{corrupt_batch, corrupt_record};
 
 proptest! {
     /// The Merkle tree is a *derived* structure: for an arbitrary stream
@@ -1240,6 +1241,65 @@ proptest! {
         }
     }
 
+    /// The commission fault is the same fault on both planes:
+    /// `corrupt_batch` over a batch is the batch `from_records` builds
+    /// over the `corrupt_record`ed rows — rows, encodings, byte size and
+    /// column layouts — whatever column 0 holds: integers (wrapping at
+    /// `i64::MAX`) or strings, with or without nulls, nulls alone, mixed
+    /// types, bags stored as values, no column at all, and for the batch
+    /// of no rows. Over a `GROUP`'s output, whose nested bags
+    /// `from_records` would flatten into values, the corrupted column
+    /// alone takes that layout and the others are left as they were.
+    #[test]
+    fn corrupt_batch_equals_from_records_over_the_corrupted_rows(
+        arity in 0usize..3,
+        kinds in proptest::collection::vec(0u8..7, 2..3),
+        len in 0usize..24,
+        seed in any::<u64>(),
+    ) {
+        // Column kinds as in `batch_concat_matches_from_records_over_all_rows`.
+        let rows: Vec<Record> = (0..len as u64)
+            .map(|r| {
+                (0..arity)
+                    .map(|c| {
+                        let n = seed.wrapping_add(r * 7 + c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33;
+                        let int = Value::Int([i64::MAX, -1, 0, 3][(n % 4) as usize]);
+                        let string = Value::str(["", "a", "bc"][(n % 3) as usize]);
+                        match (kinds[c], n % 4) {
+                            (2, _) | (3..=5, 0) => Value::Null,
+                            (0 | 3, _) | (5, 1) => int,
+                            (1 | 4 | 5, _) => string,
+                            (_, 1) => Value::Bag(vec![]),
+                            _ => Value::Bag(vec![Record::new(vec![int, Value::Null])]),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let flat = Batch::from_records(&rows).expect("uniform arity");
+        let corrupted = |batch: &Batch| {
+            let mut rows = batch.to_records();
+            rows.iter_mut().for_each(corrupt_record);
+            let expected = Batch::from_records(&rows).expect("uniform arity");
+            let mut batch = batch.clone();
+            corrupt_batch(&mut batch);
+            (batch, expected, rows)
+        };
+        let (batch, expected, rows) = corrupted(&flat);
+        assert_same_batch(&batch, &expected, &rows);
+        if arity > 0 && len > 0 {
+            // `[key, bag]`, and the nested bag column in front.
+            let grouped = group_batch(&flat, 0);
+            let bags_first = project_batch(&grouped, &[Expr::Col(1), Expr::Col(0)]);
+            for nested in [grouped, bags_first] {
+                let (batch, expected, rows) = corrupted(&nested);
+                assert_batch_holds(&batch, &rows);
+                prop_assert_eq!(batch.column(0), expected.column(0));
+                prop_assert_eq!(batch.column(1), nested.column(1));
+            }
+        }
+    }
+
     /// The layout rule, stated independently of the builder that applies
     /// it: a column is `Int` when every value is an integer or null
     /// (all-null included), `Str` when every value is a string or null
@@ -1336,8 +1396,15 @@ proptest! {
 /// its rows, each row's canonical encoding, its byte size — and in its
 /// column layouts, which kernels dispatch on.
 fn assert_same_batch(batch: &Batch, expected: &Batch, rows: &[Record]) {
-    assert_eq!(batch.to_records(), rows);
+    assert_batch_holds(batch, rows);
     assert_eq!(expected.to_records(), rows);
+    assert_eq!(batch, expected, "column layouts");
+}
+
+/// Asserts `batch` is observed as `rows`: its rows, each row's canonical
+/// encoding, its byte size.
+fn assert_batch_holds(batch: &Batch, rows: &[Record]) {
+    assert_eq!(batch.to_records(), rows);
     for (r, row) in rows.iter().enumerate() {
         let mut encoded = Vec::new();
         batch.write_row_canonical(r, &mut encoded);
@@ -1347,7 +1414,6 @@ fn assert_same_batch(batch: &Batch, expected: &Batch, rows: &[Record]) {
         batch.canonical_bytes(),
         rows.iter().map(Record::byte_size).sum::<u64>()
     );
-    assert_eq!(batch, expected, "column layouts");
 }
 
 // ---------------------------------------------------------------------------
