@@ -44,6 +44,17 @@
 //! shipped workload leads with an integer); both arms must digest
 //! identically.
 //!
+//! The `csv ingest` rows price the trusted tier's loader alone, text in
+//! memory → one columnar `Batch`, on four shapes: follower edges (two
+//! integers, 2% `null`), weather readings (three integers, eight-digit
+//! dates, negatives), flights (three short integers) and a string-keyed
+//! file whose first column never takes the integer recogniser. The
+//! `split-then-classify` rows reproduce the loader `csv::parse_columns`
+//! replaced (lines cut and trimmed, fields cut, every field through
+//! `classify`) over the same text, so the ratio is taken on one host in
+//! one run; both must build the batch `from_records` builds over
+//! `parse_record` of every line, and the scan may not be the slower one.
+//!
 //! Results land in `bench_results/data_plane.json`.
 
 use std::sync::Arc;
@@ -52,10 +63,10 @@ use std::time::Instant;
 use cbft_bench::{pig_like_cost, ExperimentRecord};
 use cbft_dataflow::batch::{filter_batch, group_batch, group_batch_unordered, project_batch};
 use cbft_dataflow::interp::{group_records, project_record};
-use cbft_dataflow::{AggFunc, Batch, Expr, Record, Value};
+use cbft_dataflow::{csv, AggFunc, Batch, ColumnBuilder, Expr, Record, Value};
 use cbft_digest::{hardware_accelerated, ChunkedDigest, ChunkedSummary};
 use cbft_mapreduce::{corrupt_batch, corrupt_record, data_plane, FileData, Storage};
-use cbft_workloads::{twitter, weather};
+use cbft_workloads::{airline, twitter, weather};
 use clusterbft::{Adversary, ExecutorConfig, ParallelExecutor, VpPolicy};
 
 /// Records in the digested file.
@@ -66,6 +77,8 @@ const SPLIT: usize = 5_000;
 const GRANULARITY: usize = 64;
 /// Replica clusters seeded from the same input file.
 const REPLICAS: usize = 4;
+/// Lines per CSV ingest shape (the follower benchmark input's size).
+const INGEST_ROWS: usize = 400_000;
 
 /// A record shaped like real workload rows: two integers plus a string
 /// key, so cloning costs a heap allocation (as it does for any workload
@@ -213,6 +226,80 @@ fn corrupt_passes(rows: Vec<Record>) -> (f64, f64) {
     (wall_rows, wall_batch)
 }
 
+/// `records` as the CSV text `cbft` reads: one line each, `null` spelled
+/// out.
+fn csv_text(records: &[Record]) -> String {
+    use std::fmt::Write;
+    let mut text = String::new();
+    for r in records {
+        for (i, v) in r.fields().iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            write!(text, "{sep}{v}").expect("writing to a String");
+        }
+        text.push('\n');
+    }
+    text
+}
+
+/// The loader `csv::parse_columns` replaced, reproduced faithfully: lines
+/// cut at `\n` and trimmed to drop the blank ones, the first line split to
+/// count the columns, then every field cut at its `,` and classified.
+fn split_then_classify(text: &str) -> Option<Batch> {
+    fn split_ascii(s: &str, sep: u8) -> impl Iterator<Item = &str> {
+        let mut rest = Some(s);
+        std::iter::from_fn(move || {
+            let s = rest?;
+            let (piece, tail) = match s.bytes().position(|b| b == sep) {
+                Some(i) => (&s[..i], Some(&s[i + 1..])),
+                None => (s, None),
+            };
+            rest = tail;
+            Some(piece)
+        })
+    }
+    let rows = text.bytes().filter(|b| *b == b'\n').count() + 1;
+    let mut lines = split_ascii(text, b'\n')
+        .filter(|l| !l.trim().is_empty())
+        .peekable();
+    let arity = lines
+        .peek()
+        .map_or(0, |first| split_ascii(first, b',').count());
+    let mut columns: Vec<ColumnBuilder> = (0..arity)
+        .map(|_| ColumnBuilder::with_capacity(rows))
+        .collect();
+    let mut len = 0;
+    for line in lines {
+        let mut fields = split_ascii(line, b',');
+        for column in &mut columns {
+            column.push(csv::classify(fields.next()?));
+        }
+        if fields.next().is_some() {
+            return None;
+        }
+        len += 1;
+    }
+    let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
+    Some(Batch::from_columns(columns, len))
+}
+
+/// Wall of both loaders over `records` as CSV text, `(split, scan)`, and
+/// the text's size. Both must build the batch the record loader's rows
+/// convert to.
+fn csv_ingest_passes(records: &[Record]) -> (f64, f64, usize) {
+    let text = csv_text(records);
+    let by_records: Vec<Record> = text.lines().map(csv::parse_record).collect();
+    assert_eq!(by_records, records, "the text spells the records");
+    let expected = Batch::from_records(&by_records);
+    let (split, wall_split) = measure(|| split_then_classify(&text));
+    let (scanned, wall_scan) = measure(|| csv::parse_columns(&text));
+    assert_eq!(
+        split, expected,
+        "split-then-classify builds from_records' batch"
+    );
+    assert_eq!(scanned, expected, "the scan builds from_records' batch");
+    (wall_split, wall_scan, text.len())
+}
+
 /// Best-of-three wall time of `pass`, returning its last output too.
 fn measure<T>(mut pass: impl FnMut() -> T) -> (T, f64) {
     let mut best = f64::INFINITY;
@@ -297,6 +384,21 @@ fn main() {
     // The commission fault, over weather's integer leading column.
     let (wall_corrupt_rows, wall_corrupt_batch) = corrupt_passes(weather::generate(3, RECORDS));
 
+    // The loader alone, on the shapes of the shipped inputs and on one the
+    // integer recogniser never serves.
+    let string_keyed: Vec<Record> = (0..INGEST_ROWS as i64)
+        .map(|i| Record::new(vec![Value::Str(format!("user-{}", i % 997)), Value::Int(i)]))
+        .collect();
+    let ingest: Vec<(&str, (f64, f64, usize))> = [
+        ("follower", twitter::generate(3, INGEST_ROWS)),
+        ("weather", weather::generate(3, INGEST_ROWS)),
+        ("airline", airline::generate(3, INGEST_ROWS)),
+        ("string-keyed", string_keyed),
+    ]
+    .into_iter()
+    .map(|(shape, records)| (shape, csv_ingest_passes(&records)))
+    .collect();
+
     // Zero-copy invariant on the real storage layer: seeding REPLICAS
     // worth of reads from one write-once file clones no records.
     let before = data_plane::snapshot();
@@ -371,7 +473,13 @@ fn main() {
              The corrupt pass rows apply the commission fault to every {SPLIT}-record split \
              of {RECORDS} weather readings (integer station first): the row arm clones each \
              split and runs corrupt_record, the columnar arm slices it out of the columnar \
-             file and runs corrupt_batch in place; both digest byte-identically."
+             file and runs corrupt_batch in place; both digest byte-identically. The csv \
+             ingest rows parse {INGEST_ROWS} lines of CSV text in memory into one columnar \
+             Batch, on follower edges (two integers, 2% null), weather readings (three \
+             integers, eight-digit dates, negatives), flights (three short integers) and a \
+             string-keyed file (user-N,i): csv::parse_columns' one-pass scan against the \
+             split-then-classify loader it replaced, reproduced in the bench; both build \
+             the batch from_records builds over parse_record of every line."
         ),
     );
     record.set_flag("digests_byte_identical", true);
@@ -451,6 +559,29 @@ fn main() {
         None,
         mrec / wall_corrupt_batch,
     );
+    let ingest_mrec = INGEST_ROWS as f64 / 1e6;
+    for (shape, (wall_split, wall_scan, bytes)) in &ingest {
+        for (loader, wall) in [("split-then-classify", wall_split), ("scan", wall_scan)] {
+            record.push(
+                format!("csv ingest throughput ({shape}, {loader})"),
+                "Mrec/s",
+                None,
+                ingest_mrec / wall,
+            );
+        }
+        record.push(
+            format!("csv ingest bandwidth ({shape}, scan)"),
+            "MB/s",
+            None,
+            *bytes as f64 / 1e6 / wall_scan,
+        );
+        record.push(
+            format!("csv ingest scan speedup over split-then-classify ({shape})"),
+            "x",
+            None,
+            wall_split / wall_scan,
+        );
+    }
     record.push("digest throughput speedup", "x", Some(2.0), speedup);
     record.push(
         "batched speedup over baseline",
@@ -561,6 +692,13 @@ fn main() {
         "grouping by key alone must not be slower than ordering the bags too: \
          {wall_group_key_only:.4} s against {wall_group:.4} s"
     );
+    for (shape, (wall_split, wall_scan, _)) in &ingest {
+        assert!(
+            *wall_scan <= 1.1 * wall_split,
+            "the one-pass scan must not be slower than split-then-classify on the {shape} \
+             shape: {wall_scan:.4} s against {wall_split:.4} s"
+        );
+    }
     assert!(
         materialized_per_input(run.rows_materialized) <= output_records / input_records,
         "a columnar GROUP → aggregate job builds no row but its output: {} rows for {} \

@@ -574,6 +574,14 @@ impl ColumnBuilder {
         }
     }
 
+    /// Expects about `n` bytes of text: sizes the arena of a column that
+    /// is `Str` by now once, where appends would regrow it by doubling.
+    pub fn reserve_str_bytes(&mut self, n: usize) {
+        if let Column::Str { bytes, .. } = &mut self.0 {
+            bytes.reserve(n);
+        }
+    }
+
     /// True once cells of two types were pushed: the column is `Mixed`
     /// and stays so.
     pub fn is_mixed(&self) -> bool {

@@ -18,6 +18,8 @@
 //!   jobs split at shuffle boundaries, mirroring Pig's MR compiler.
 //! * [`interp`] — a single-node reference interpreter used as the oracle
 //!   for the distributed engine and for digest ground truth.
+//! * [`csv`] — the CSV-ish input grammar and the one-pass loaders that
+//!   read a file's text into a columnar [`Batch`] or into [`Record`]s.
 //! * [`optimize`] — semantics-preserving plan rewrites (constant folding,
 //!   filter fusion, dead-code elimination), applied before verification
 //!   points are placed so replicas stay digest-compatible.
@@ -46,6 +48,7 @@ pub mod analyze;
 pub mod batch;
 pub mod combiner;
 pub mod compile;
+pub mod csv;
 mod error;
 mod expr;
 pub mod interp;

@@ -9,12 +9,15 @@ use std::error::Error;
 use std::fmt::{self, Write as _};
 use std::path::Path;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crate::core::{
     Adversary, Behavior, Cluster, ClusterBft, ExecutorConfig, FileData, JobConfig,
-    ParallelExecutor, Record, Replication, Value, VerifyMode, VpPolicy,
+    ParallelExecutor, Record, Replication, VerifyMode, VpPolicy,
 };
-use crate::dataflow::{Batch, Cell, ColumnBuilder, Script};
+use crate::dataflow::csv;
+pub use crate::dataflow::csv::{parse_columns, parse_record};
+use crate::dataflow::Script;
 use crate::flight::{self, Anomaly, BundleSpec};
 use crate::mapreduce::data_plane::{self, DataPlaneSnapshot};
 use crate::metrics::{
@@ -193,8 +196,9 @@ OPTIONS:
     --show N             rows of each output to print   [default: 10]
     --trace FILE         record a Chrome-trace-format JSON trace of the run
                          (load it in Perfetto or chrome://tracing)
-    --trace-summary      print per-phase timings, per-key verification lag
-                         and data-plane counters after the report
+    --trace-summary      print per-phase timings, per-key verification lag,
+                         data-plane counters and what loading each input
+                         took (rows, bytes, plane, wall ms) after the report
     --metrics FILE       write run metrics in Prometheus text exposition
                          format (counters, gauges, log2-bucket histograms;
                          every sample carries a domain=\"sim\"|\"wall\" label)
@@ -442,53 +446,6 @@ pub fn parse_fault(spec: &str) -> Result<(usize, Behavior), UsageError> {
     Ok((node, behavior))
 }
 
-/// The CSV-ish field grammar, shared by the record and the columnar
-/// loader: surrounding whitespace is dropped, `null` (any case) is null,
-/// an integer where `i64` parses one, everything else text.
-fn classify(field: &str) -> Cell<'_> {
-    let field = field.trim();
-    if field.eq_ignore_ascii_case("null") {
-        Cell::Null
-    } else if let Ok(i) = field.parse::<i64>() {
-        Cell::Int(i)
-    } else {
-        Cell::Str(field)
-    }
-}
-
-/// `s.split(sep)` for an ASCII `sep`, by a plain byte scan: lines and
-/// fields are a few bytes long, and the searcher `str::split` sets up
-/// per piece costs more than scanning them (a fifth of the columnar
-/// loader's time on two-integer lines).
-fn split_ascii(s: &str, sep: u8) -> impl Iterator<Item = &str> {
-    debug_assert!(sep.is_ascii());
-    let mut rest = Some(s);
-    std::iter::from_fn(move || {
-        let s = rest?;
-        let (piece, tail) = match s.bytes().position(|b| b == sep) {
-            Some(i) => (&s[..i], Some(&s[i + 1..])),
-            None => (s, None),
-        };
-        rest = tail;
-        Some(piece)
-    })
-}
-
-/// The lines of an input file that hold a record. A `\r` before the line
-/// end stays on the line: it is whitespace to [`classify`].
-fn non_blank_lines(text: &str) -> impl Iterator<Item = &str> {
-    split_ascii(text, b'\n').filter(|l| !l.trim().is_empty())
-}
-
-/// Parses one CSV-ish line into a record: integers where possible,
-/// `null` as null, everything else as text. Empty lines are skipped by
-/// the caller.
-pub fn parse_record(line: &str) -> Record {
-    split_ascii(line, b',')
-        .map(|field| Value::from(classify(field)))
-        .collect()
-}
-
 /// Appends one record as a CSV-ish line, without the line end.
 fn write_record(out: &mut String, r: &Record) {
     for (i, v) in r.fields().iter().enumerate() {
@@ -512,58 +469,76 @@ pub(crate) fn read_script(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read script '{path}': {e}"))
 }
 
+/// What the loader read: one line of `--trace-summary`'s `inputs:`
+/// section, for one input (`cbft`) or summed over a run's (`cbftd` loads
+/// a file per job, and a line each would drown the summary).
+#[derive(Default)]
+pub(crate) struct InputLoad {
+    pub files: usize,
+    rows: usize,
+    bytes: usize,
+    columnar: usize,
+    /// Why the first ragged file was loaded as records.
+    ragged: Option<String>,
+    wall: Duration,
+}
+
+impl InputLoad {
+    /// Adds the load of input `name` to this total.
+    pub fn add(&mut self, name: &str, load: InputLoad) {
+        self.files += load.files;
+        self.rows += load.rows;
+        self.bytes += load.bytes;
+        self.columnar += load.columnar;
+        let named = load.ragged.map(|why| format!("{name} {why}"));
+        self.ragged = self.ragged.take().or(named);
+        self.wall += load.wall;
+    }
+
+    /// The line, under `label`: an input's name, or a file count.
+    pub fn line(&self, label: &str) -> String {
+        let plane = match (self.columnar, self.files - self.columnar) {
+            (_, 0) => "columnar".to_owned(),
+            (0, _) => "rows".to_owned(),
+            (columnar, rows) => format!("{columnar} columnar, {rows} rows"),
+        };
+        let why: String = self.ragged.iter().map(|why| format!(" ({why})")).collect();
+        let (rows, bytes, ms) = (self.rows, self.bytes, self.wall.as_secs_f64() * 1e3);
+        format!("{label}: {rows} rows, {bytes} bytes, {plane}{why}, load {ms:.1} ms")
+    }
+}
+
 /// Reads one input file (one record per non-blank line), returning the
-/// raw text alongside: forensic bundles ship exact copies of what was
-/// read. The error names the input and the path.
+/// raw text (forensic bundles ship exact copies of what was read) and
+/// what the load took alongside. The error names the input and the path.
 ///
 /// With `columnar` set — the job runs the columnar data plane — a file
 /// whose lines all have one field count is parsed straight into one
-/// [`Batch`], which map tasks window without building a record; a ragged
-/// file, which no batch can hold, is loaded as records ([`parse_record`]
-/// per line), like every file when `columnar` is off.
+/// `Batch`, which map tasks window without building a record; a ragged
+/// file, which no batch can hold, is loaded as records, like every file
+/// when `columnar` is off, and the load says why.
 pub(crate) fn load_input(
     name: &str,
     path: &str,
     columnar: bool,
-) -> Result<(FileData, String), String> {
+) -> Result<(FileData, String, InputLoad), String> {
+    let started = Instant::now();
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read input '{name}' from '{path}': {e}"))?;
-    let data = match columnar.then(|| parse_columns(&text)).flatten() {
-        Some(batch) => batch.into(),
-        None => non_blank_lines(&text)
-            .map(parse_record)
-            .collect::<Vec<_>>()
-            .into(),
+    let (data, ragged): (FileData, _) = match columnar.then(|| csv::scan_columns(&text)) {
+        Some(Ok(batch)) => (batch.into(), None),
+        Some(Err(ragged)) => (csv::parse_records(&text).into(), Some(ragged.to_string())),
+        None => (csv::parse_records(&text).into(), None),
     };
-    Ok((data, text))
-}
-
-/// Parses CSV-ish text column-wise: equal, layouts included, to
-/// [`Batch::from_records`] over [`parse_record`] of every non-blank
-/// line. `None` when two lines disagree on their field count.
-pub fn parse_columns(text: &str) -> Option<Batch> {
-    // An upper bound on the rows, to size the columns once.
-    let rows = text.bytes().filter(|b| *b == b'\n').count() + 1;
-    let mut lines = non_blank_lines(text).peekable();
-    let arity = lines
-        .peek()
-        .map_or(0, |first| split_ascii(first, b',').count());
-    let mut columns: Vec<ColumnBuilder> = (0..arity)
-        .map(|_| ColumnBuilder::with_capacity(rows))
-        .collect();
-    let mut len = 0;
-    for line in lines {
-        let mut fields = split_ascii(line, b',');
-        for column in &mut columns {
-            column.push(classify(fields.next()?));
-        }
-        if fields.next().is_some() {
-            return None;
-        }
-        len += 1;
-    }
-    let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
-    Some(Batch::from_columns(columns, len))
+    let load = InputLoad {
+        files: 1,
+        rows: data.len(),
+        bytes: text.len(),
+        columnar: usize::from(data.batch().is_some()),
+        ragged,
+        wall: started.elapsed(),
+    };
+    Ok((data, text, load))
 }
 
 /// Appends one published output to the report: a header and at most
@@ -721,14 +696,20 @@ impl<'a> Observability<'a> {
     }
 
     /// The tail of the report: writes the Chrome-trace JSON (`--trace`)
-    /// and appends the aggregated summary (`--trace-summary`), then
+    /// and appends the aggregated summary (`--trace-summary`) closed by
+    /// `inputs`, the [`InputLoad`] lines (wall times: not in the trace), then
     /// writes the Prometheus (`--metrics`) and JSON (`--metrics-json`)
     /// dumps and appends the health report (`--health-report`). The
     /// one-shot CLI builds the health report from the sim-domain slice
     /// only, so it is identical for any worker/compute-pool thread count;
     /// the daemon asks for the `full_health` snapshot, because the server
     /// series are wall-domain.
-    pub fn finish(self, out: &mut String, full_health: bool) -> Result<(), Box<dyn Error>> {
+    pub fn finish(
+        self,
+        out: &mut String,
+        full_health: bool,
+        inputs: &[String],
+    ) -> Result<(), Box<dyn Error>> {
         if let Some(sink) = self.sink {
             let events = sink.take();
             if let Some(path) = self.flags.trace {
@@ -746,7 +727,11 @@ impl<'a> Observability<'a> {
                     .with_counter("tasks_dispatched", d.tasks_dispatched)
                     .with_counter("tasks_stolen", d.tasks_stolen)
                     .with_counter("pool_queue_peak", d.pool_queue_peak);
-                let _ = writeln!(out, "\n{}", summary.render());
+                let _ = write!(out, "\n{}", summary.render());
+                if !inputs.is_empty() {
+                    let _ = writeln!(out, "  inputs:\n    {}", inputs.join("\n    "));
+                }
+                out.push('\n');
             }
         }
         if !self.metrics.enabled() {
@@ -788,8 +773,10 @@ pub fn run(opts: &CliOptions) -> Result<String, Box<dyn Error>> {
     let mut inputs: HashMap<String, FileData> = HashMap::new();
     // Raw input texts, retained only when a bundle could need them.
     let mut raw_inputs: Vec<(String, String)> = Vec::new();
+    let mut input_lines = Vec::new();
     for (name, path) in &opts.inputs {
-        let (data, text) = load_input(name, path, opts.batch_size != Some(0))?;
+        let (data, text, load) = load_input(name, path, opts.batch_size != Some(0))?;
+        input_lines.push(load.line(name));
         inputs.insert(name.clone(), data);
         if opts.flight_dir.is_some() {
             raw_inputs.push((name.clone(), text));
@@ -841,7 +828,7 @@ pub fn run(opts: &CliOptions) -> Result<String, Box<dyn Error>> {
             let _ = writeln!(out, "{line}");
         }
     }
-    obs.finish(&mut out, false)?;
+    obs.finish(&mut out, false, &input_lines)?;
     Ok(out)
 }
 
@@ -987,6 +974,8 @@ fn run_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::Value;
+    use crate::dataflow::Batch;
 
     /// Held for writing by the one test that mutates `CBFT_SEED`, for
     /// reading by every `parse`: a seedless parse racing that test would
@@ -1154,8 +1143,15 @@ mod tests {
             std::fs::write(&data, text).unwrap();
             let path = data.to_str().unwrap();
 
-            let (loaded, raw) = load_input("in", path, true).unwrap();
+            let (loaded, raw, load) = load_input("in", path, true).unwrap();
             assert_eq!(raw, text, "{name}");
+            let ragged = "bytes, rows (ragged: line 2 has 1 fields, line 1 has 2), load ";
+            let plane = if name == "ragged" {
+                ragged
+            } else {
+                "bytes, columnar, load "
+            };
+            assert!(load.line("in").contains(plane), "{name}");
             let rows: Vec<Record> = text
                 .lines()
                 .filter(|l| !l.trim().is_empty())
@@ -1168,7 +1164,8 @@ mod tests {
                 Batch::from_records(&rows).as_ref(),
                 "{name}"
             );
-            assert!(load_input("in", path, false).unwrap().0.batch().is_none());
+            let (by_records, _, load) = load_input("in", path, false).unwrap();
+            assert!(by_records.batch().is_none() && load.line("in").contains("bytes, rows, load "));
 
             for path_flags in [&[][..], &["--threads", "2"], &["--combiners"]] {
                 let report = |loader_flags: &[&str]| {
@@ -1555,6 +1552,8 @@ mod tests {
             assert!(report.contains("VERIFIED"), "{report}");
             assert!(report.contains("verification lag"), "{report}");
             assert!(report.contains("digest_bytes_hashed"), "{report}");
+            let line = "  inputs:\n    edges: 50 rows, 239 bytes, columnar, load ";
+            assert!(report.contains(line), "{report}");
 
             let json = std::fs::read_to_string(&trace_file).unwrap();
             assert!(json.starts_with("{\"traceEvents\":["), "{json}");

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use crate::cli::{
     executor_config, load_input, parse_num, parse_replication, positive, read_script, CliOptions,
-    Observability, ReportFlags, UsageError,
+    InputLoad, Observability, ReportFlags, UsageError,
 };
 use crate::core::{ExecutorConfig, Replication};
 use crate::flight::{self, Anomaly, AnomalyKind, BundleSpec, RejectionBurstDetector};
@@ -161,7 +161,9 @@ OPTIONS:
                          latency quantiles)
     --trace FILE         write a Chrome-trace JSON of every job (per-job
                          scoped tracks; load in Perfetto)
-    --trace-summary      append the aggregated trace summary
+    --trace-summary      append the aggregated trace summary; its inputs:
+                         line totals what the submitter loaded (files,
+                         rows, bytes, columnar or rows, wall ms)
     --flight-dir DIR     write per-job forensic bundles under DIR when a
                          job trips the anomaly detector (mismatch,
                          escalation, withheld output, lost worker, ...)
@@ -371,12 +373,17 @@ fn job_exec(opts: &DaemonOptions, line: &JobLine) -> ExecutorConfig {
 ///
 /// IO errors carry the path (and input name) that failed, so a typo in a
 /// thousand-line jobs file is findable.
-fn load_job(opts: &DaemonOptions, line: &JobLine) -> Result<(JobSpec, RawInputs), Box<dyn Error>> {
+fn load_job(
+    opts: &DaemonOptions,
+    line: &JobLine,
+    loads: &mut InputLoad,
+) -> Result<(JobSpec, RawInputs), Box<dyn Error>> {
     let script = read_script(&line.script)?;
     let mut spec = JobSpec::new(&line.tenant, &script).exec(job_exec(opts, line));
     let mut raw = Vec::with_capacity(line.inputs.len());
     for (name, path) in &line.inputs {
-        let (data, text) = load_input(name, path, opts.batch_size != Some(0))?;
+        let (data, text, load) = load_input(name, path, opts.batch_size != Some(0))?;
+        loads.add(name, load);
         spec = spec.input(name, data);
         raw.push((name.clone(), text));
     }
@@ -581,9 +588,10 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
     let mut quota_waits = 0u64;
     let mut burst = RejectionBurstDetector::new(REJECTION_BURST_THRESHOLD);
     let mut server_anomalies: Vec<Anomaly> = Vec::new();
+    let mut loads = InputLoad::default();
     for (lineno, line) in &lines {
         let (spec, raw_inputs) =
-            load_job(opts, line).map_err(|e| format!("jobs line {lineno}: {e}"))?;
+            load_job(opts, line, &mut loads).map_err(|e| format!("jobs line {lineno}: {e}"))?;
         let script_text = spec.script.clone();
         let handle = loop {
             match server.submit(spec.clone()) {
@@ -690,7 +698,11 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
 
     // Full snapshot in the health report: the server series are
     // wall-domain.
-    obs.finish(&mut out, true)?;
+    obs.finish(
+        &mut out,
+        true,
+        &[loads.line(&format!("{} files", loads.files))],
+    )?;
     Ok(out)
 }
 
@@ -1137,6 +1149,14 @@ mod tests {
         // The Chrome trace landed and the summary rendered.
         assert!(std::fs::read_to_string(&trace).unwrap().contains("\"pid\""));
         assert!(report.contains("trace summary"), "{report}");
+        // One aggregate line for the two loads of the 40-row, 209-byte file.
+        let bytes = 2 * rows.join("\n").len();
+        assert!(
+            report.contains(&format!(
+                "  inputs:\n    2 files: 80 rows, {bytes} bytes, columnar, load "
+            )),
+            "{report}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1140,61 +1140,6 @@ proptest! {
         prop_assert_eq!(joined.to_records(), join_records(&left, left_key, &right, right_key));
     }
 
-    /// The columnar CSV loader builds exactly the batch the record loader's
-    /// rows convert to — rows, encodings, byte size and column layouts —
-    /// over the whole field grammar (spacing, `null` spellings, integer
-    /// spellings and overflow, empty fields), columns that change type
-    /// part-way, blank lines, both line ends; and declines exactly the
-    /// ragged files `Batch::from_records` declines.
-    #[test]
-    fn columnar_csv_parse_equals_the_record_parse(
-        arity in 1usize..4,
-        kinds in proptest::collection::vec(0usize..4, 3..4),
-        lines in proptest::collection::vec(
-            (proptest::collection::vec(0usize..64, 1..5), 0u8..12),
-            0..30,
-        ),
-        ragged in any::<bool>(),
-    ) {
-        const FIELDS: [&[&str]; 4] = [
-            &["1", " 2", "+3", "-0", "007", "-9223372036854775808", "null"],
-            &["a", " a b ", "", "nul", "9223372036854775808", "1_0", "NULL"],
-            &["null", "Null", " NULL\t"],
-            &["5", "x", "null", "", " ", "0x7", "- 1"],
-        ];
-        let mut text = String::new();
-        for (picks, flag) in &lines {
-            let width = if ragged && *flag == 0 { picks.len() } else { arity };
-            let fields: Vec<&str> = (0..width)
-                .map(|c| {
-                    let vocabulary = FIELDS[kinds[c % 3]];
-                    vocabulary[picks[c % picks.len()] % vocabulary.len()]
-                })
-                .collect();
-            text += &fields.join(",");
-            text += match flag {
-                1 => "\r\n",
-                2 => "\n \t\n",
-                3 => "\n\n",
-                _ => "\n",
-            };
-        }
-        if lines.len() % 2 == 1 {
-            text.pop(); // no line end after the last line
-        }
-        let rows: Vec<Record> = text
-            .lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(clusterbft_repro::cli::parse_record)
-            .collect();
-        let parsed = clusterbft_repro::cli::parse_columns(&text);
-        let converted = Batch::from_records(&rows);
-        prop_assert_eq!(parsed.is_some(), converted.is_some(), "{:?}", text);
-        if let (Some(parsed), Some(converted)) = (parsed, converted) {
-            assert_same_batch(&parsed, &converted, &rows);
-        }
-    }
-
     /// A slice of a batch is the batch `from_records` builds over those
     /// rows — rows, encodings, byte size and column layouts — for windows
     /// that drop a column's nulls, or all its non-nulls, or one of its two
@@ -1414,6 +1359,143 @@ fn assert_batch_holds(batch: &Batch, rows: &[Record]) {
         batch.canonical_bytes(),
         rows.iter().map(Record::byte_size).sum::<u64>()
     );
+}
+
+// ---------------------------------------------------------------------------
+// CSV ingest: the one-pass scan against a reference that shares no code
+// ---------------------------------------------------------------------------
+
+/// The input grammar restated with `str` methods alone — `lines`, `trim`,
+/// `split`, `eq_ignore_ascii_case`, `parse::<i64>` — so that the loaders,
+/// which all run one integer recogniser, are checked against code they do
+/// not share.
+fn naive_csv_rows(text: &str) -> Vec<Record> {
+    text.lines()
+        .filter(|line| !line.trim().is_empty())
+        .map(|line| {
+            line.split(',')
+                .map(|field| {
+                    let field = field.trim();
+                    if field.eq_ignore_ascii_case("null") {
+                        Value::Null
+                    } else if let Ok(i) = field.parse::<i64>() {
+                        Value::Int(i)
+                    } else {
+                        Value::str(field)
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Asserts every loader reads `text` as the naive reference does: the
+/// record loaders row for row, the columnar one as the batch those rows
+/// convert to — rows, encodings, byte size and column layouts — and as
+/// nothing exactly when they are ragged.
+fn assert_csv_loads_like_the_reference(text: &str) {
+    use clusterbft_repro::dataflow::csv;
+    let rows = naive_csv_rows(text);
+    assert_eq!(csv::parse_records(text), rows, "{text:?}");
+    for (line, row) in text.lines().filter(|l| !l.trim().is_empty()).zip(&rows) {
+        assert_eq!(&clusterbft_repro::cli::parse_record(line), row, "{line:?}");
+    }
+    let parsed = clusterbft_repro::cli::parse_columns(text);
+    let converted = Batch::from_records(&rows);
+    assert_eq!(parsed.is_some(), converted.is_some(), "{text:?}");
+    if let (Some(parsed), Some(converted)) = (parsed, converted) {
+        assert_same_batch(&parsed, &converted, &rows);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The CSV loaders against the naive reference over the whole field
+    /// grammar and every edge of the integer recogniser — digit runs
+    /// around its eight-byte word and its 18-digit cap, the ends of `i64`,
+    /// signs, ASCII and Unicode padding, `null` spellings, empty and
+    /// multi-byte fields — in columns that change type part-way, with
+    /// blank, whitespace-only and lone-`\r` lines, both line ends, a blank
+    /// first line, texts shorter than the word and a last field inside the
+    /// text's final bytes; ragged files are declined exactly.
+    #[test]
+    fn columnar_csv_parse_equals_the_record_parse(
+        arity in 1usize..4,
+        kinds in proptest::collection::vec(0usize..5, 3..4),
+        lines in proptest::collection::vec(
+            (proptest::collection::vec(0usize..64, 1..5), 0u8..14),
+            0..30,
+        ),
+        ragged in any::<bool>(),
+        blank_first in any::<bool>(),
+    ) {
+        const FIELDS: [&[&str]; 5] = [
+            // Integers by the recogniser's word, loop and cap.
+            &[
+                "1", "-0", "007", "1234567", "12345678", "123456789", "-1234567", "-12345678",
+                "12345678901234567", "123456789012345678", "1234567890123456789",
+                "12345678901234567890", "9223372036854775807", "-9223372036854775808",
+                "00000000000000000001", "999999999999999999", "-999999999999999999",
+                "18446744073709551617", "99999999999999999999", "-36893488147419103233",
+            ],
+            // Integers only `classify` reads, and near-integers it does not.
+            &[
+                " 2", "+3", "+12345678", "5\r", "5 ", "5\t", "12345678 ", "\u{a0}7", "7\u{a0}",
+                "\u{2003}12\u{2003}", "\u{3000}-3", "4\u{3000}", "9223372036854775808",
+                "-9223372036854775809", "-", "--1", "- 1", "0x7", "1_0", "12a", "12345678a",
+            ],
+            &["null", "Null", " NULL\t", "nUlL", "1", "null"],
+            &["a", " a b ", "", " ", "nul", "nulls", "é7", "7é", "1234567é", "x", "NULL"],
+            &["5", "x", "null", "", "-12", "20200101", "é"],
+        ];
+        let mut text = String::from(if blank_first { " \n" } else { "" });
+        for (picks, flag) in &lines {
+            let width = if ragged && *flag == 0 { picks.len() } else { arity };
+            let fields: Vec<&str> = (0..width)
+                .map(|c| {
+                    let vocabulary = FIELDS[kinds[c % 3]];
+                    vocabulary[picks[c % picks.len()] % vocabulary.len()]
+                })
+                .collect();
+            text += &fields.join(",");
+            text += match flag {
+                1 => "\r\n",
+                2 => "\n \t\n",
+                3 => "\n\n",
+                4 => "\n\r\n",
+                5 => "\n\u{3000}\n",
+                _ => "\n",
+            };
+        }
+        if lines.len() % 2 == 1 {
+            text.pop(); // no line end after the last line
+        }
+        assert_csv_loads_like_the_reference(&text);
+    }
+}
+
+/// The shipped inputs, as `cbft` reads them from disk, scan to the batch
+/// their naive rows convert to — the generated records themselves.
+#[test]
+fn shipped_inputs_scan_to_the_batch_their_rows_convert_to() {
+    use clusterbft_repro::workloads::{airline, twitter, weather};
+    for seed in [7, 11, 23] {
+        for records in [
+            twitter::generate(seed, 20_000),
+            weather::generate(seed, 20_000),
+            airline::generate(seed, 20_000),
+        ] {
+            let lines: Vec<String> = records
+                .iter()
+                .map(clusterbft_repro::cli::render_record)
+                .collect();
+            for text in [lines.join("\n"), lines.join("\n") + "\n"] {
+                assert_eq!(naive_csv_rows(&text), records);
+                assert_csv_loads_like_the_reference(&text);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
