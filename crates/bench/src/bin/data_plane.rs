@@ -55,13 +55,30 @@
 //! one run; both must build the batch `from_records` builds over
 //! `parse_record` of every line, and the scan may not be the slower one.
 //!
+//! The `map side` rows price a columnar map task from its split to its
+//! reduce partitions, without the engine, on the three shipped shapes
+//! (follower: `FILTER` + integer key; weather: `FILTER` + three columns;
+//! airline: `FOREACH` + integer key) and on a string-keyed one. The
+//! `copying` rows reproduce the pipeline the in-place one replaced, from
+//! the public kernels: the split cut into `Batch::slice`s, each run
+//! through `filter_batch` / `project_batch`, every key encoded into a
+//! buffer and hashed, and one `gather` per (batch, partition). The
+//! `in place` rows read the split through selections (`select` /
+//! `project` / `shuffle_buckets`) and gather each partition once per
+//! task (`Batch::gather_parts`) — what `mapreduce::task` runs. Both must
+//! route the same rows to the same partitions, and reading in place may
+//! not be the slower one.
+//!
 //! Results land in `bench_results/data_plane.json`.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use cbft_bench::{pig_like_cost, ExperimentRecord};
-use cbft_dataflow::batch::{filter_batch, group_batch, group_batch_unordered, project_batch};
+use cbft_dataflow::batch::{
+    filter_batch, fnv1a, group_batch, group_batch_unordered, project, project_batch, select,
+    shuffle_buckets, Selection,
+};
 use cbft_dataflow::interp::{group_records, project_record};
 use cbft_dataflow::{csv, AggFunc, Batch, ColumnBuilder, Expr, Record, Value};
 use cbft_digest::{hardware_accelerated, ChunkedDigest, ChunkedSummary};
@@ -79,6 +96,11 @@ const GRANULARITY: usize = 64;
 const REPLICAS: usize = 4;
 /// Lines per CSV ingest shape (the follower benchmark input's size).
 const INGEST_ROWS: usize = 400_000;
+/// Rows per map task of the `map side` passes (the follower benchmark's
+/// split), rows per chunk (`--batch-size`'s default) and reduce partitions.
+const MAP_SPLIT: usize = 10_000;
+const MAP_BATCH: usize = 1024;
+const MAP_PARTITIONS: usize = 4;
 
 /// A record shaped like real workload rows: two integers plus a string
 /// key, so cloning costs a heap allocation (as it does for any workload
@@ -224,6 +246,118 @@ fn corrupt_passes(rows: Vec<Record>) -> (f64, f64) {
         "both arms must corrupt to byte-identical digest streams"
     );
     (wall_rows, wall_batch)
+}
+
+/// What a map task's pipeline does ahead of the shuffle.
+enum MapOp {
+    Filter(Expr),
+    Project(Vec<Expr>),
+}
+
+/// The map side the in-place one replaced, from the public kernels: per
+/// task, `Batch::slice` windows of `MAP_BATCH` rows, the operator's dense
+/// kernel over each, every key cell encoded and hashed, one `gather` per
+/// (batch, partition) — a batch bound for one partition moves whole.
+/// Returns each partition's runs.
+fn map_side_copying(file: &Batch, op: &MapOp, key: usize) -> Vec<Vec<Batch>> {
+    let mut parts = vec![Vec::new(); MAP_PARTITIONS];
+    let mut selected = vec![Vec::new(); MAP_PARTITIONS];
+    let mut buf = Vec::new();
+    for task in (0..file.len()).step_by(MAP_SPLIT) {
+        let end = file.len().min(task + MAP_SPLIT);
+        let batches: Vec<Batch> = (task..end)
+            .step_by(MAP_BATCH)
+            .map(|start| file.slice(start..end.min(start + MAP_BATCH)))
+            .collect();
+        for b in batches {
+            let b = match op {
+                MapOp::Filter(predicate) => filter_batch(&b, predicate),
+                MapOp::Project(exprs) => project_batch(&b, exprs),
+            };
+            selected.iter_mut().for_each(Vec::clear);
+            for row in 0..b.len() {
+                buf.clear();
+                b.write_value_canonical(row, key, &mut buf);
+                selected[(fnv1a(&buf) % MAP_PARTITIONS as u64) as usize].push(row);
+            }
+            if let Some(p) = selected.iter().position(|rows| rows.len() == b.len()) {
+                parts[p].push(b);
+                continue;
+            }
+            for (p, rows) in selected.iter().enumerate() {
+                if !rows.is_empty() {
+                    parts[p].push(b.gather(rows));
+                }
+            }
+        }
+    }
+    parts
+}
+
+/// The map side as `mapreduce::task` runs it: per task, the split read
+/// in place `MAP_BATCH` rows at a time — a filter narrows the selection,
+/// a projection evaluates over it — the bucket of every live row hashed
+/// out of its column, and one gather per partition. Returns each
+/// partition's runs.
+fn map_side_in_place(file: &Batch, op: &MapOp, key: usize) -> Vec<Vec<Batch>> {
+    let mut parts = vec![Vec::new(); MAP_PARTITIONS];
+    for task in (0..file.len()).step_by(MAP_SPLIT) {
+        let end = file.len().min(task + MAP_SPLIT);
+        let windows = (task..end)
+            .step_by(MAP_BATCH)
+            .map(|start| Selection::Range(start..end.min(start + MAP_BATCH)));
+        let chunks: Vec<(std::borrow::Cow<'_, Batch>, Selection)> = windows
+            .map(|rows| match op {
+                MapOp::Filter(predicate) => {
+                    let kept = Selection::Rows(select(file, &rows, predicate));
+                    (std::borrow::Cow::Borrowed(file), kept)
+                }
+                MapOp::Project(exprs) => {
+                    let dense = project(file, &rows, exprs);
+                    let all = Selection::Range(0..dense.len());
+                    (std::borrow::Cow::Owned(dense), all)
+                }
+            })
+            .collect();
+        let mut picks = vec![Vec::new(); MAP_PARTITIONS];
+        let mut cuts = vec![Vec::new(); MAP_PARTITIONS];
+        for (batch, rows) in &chunks {
+            let buckets = shuffle_buckets(batch, rows, key, MAP_PARTITIONS);
+            rows.for_each(|i, row| picks[buckets[i]].push(row));
+            for (cuts, picks) in cuts.iter_mut().zip(&picks) {
+                cuts.push(picks.len());
+            }
+        }
+        for (p, (picks, cuts)) in picks.iter().zip(&cuts).enumerate() {
+            let starts = [0].into_iter().chain(cuts.iter().copied());
+            let stretches = starts.zip(cuts).map(|(start, &end)| &picks[start..end]);
+            let sources = chunks.iter().map(|(batch, _)| &**batch);
+            let run: Vec<(&Batch, &[usize])> = sources.zip(stretches).collect();
+            if !picks.is_empty() {
+                parts[p].push(Batch::gather_parts(&run));
+            }
+        }
+    }
+    parts
+}
+
+/// Wall of both map sides over `records`, `(copying, in place)`, after
+/// asserting that they hand every reduce partition the same rows.
+fn map_side_passes(records: &[Record], op: &MapOp, key: usize) -> (f64, f64) {
+    let file = Batch::from_records(records).expect("uniform arity");
+    let (copied, wall_copying) = measure(|| map_side_copying(&file, op, key));
+    let (in_place, wall_in_place) = measure(|| map_side_in_place(&file, op, key));
+    let rows =
+        |runs: Vec<Batch>| -> Vec<Record> { runs.iter().flat_map(Batch::to_records).collect() };
+    for (p, (copied, in_place)) in copied.into_iter().zip(in_place).enumerate() {
+        let (copied, in_place) = (rows(copied), rows(in_place));
+        assert!(!copied.is_empty(), "partition {p} receives rows");
+        assert_eq!(
+            copied, in_place,
+            "partition {p} holds the same rows in the same order"
+        );
+    }
+    (wall_copying, wall_in_place)
 }
 
 /// `records` as the CSV text `cbft` reads: one line each, `null` spelled
@@ -399,6 +533,38 @@ fn main() {
     .map(|(shape, records)| (shape, csv_ingest_passes(&records)))
     .collect();
 
+    // The map side, split to partitions, on the same four shapes.
+    let string_keyed_edges: Vec<Record> = (0..INGEST_ROWS as i64)
+        .map(|i| {
+            let follower = if i % 50 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i)
+            };
+            Record::new(vec![Value::Str(format!("user-{}", i % 997)), follower])
+        })
+        .collect();
+    let not_null = |c| MapOp::Filter(Expr::is_not_null(Expr::Col(c)));
+    let map_side: Vec<(&str, (f64, f64))> = [
+        (
+            "follower",
+            twitter::generate(3, INGEST_ROWS),
+            not_null(1),
+            0,
+        ),
+        ("weather", weather::generate(3, INGEST_ROWS), not_null(2), 0),
+        (
+            "airline",
+            airline::generate(3, INGEST_ROWS),
+            MapOp::Project(vec![Expr::Col(0)]),
+            0,
+        ),
+        ("string-keyed", string_keyed_edges, not_null(1), 0),
+    ]
+    .into_iter()
+    .map(|(shape, records, op, key)| (shape, map_side_passes(&records, &op, key)))
+    .collect();
+
     // Zero-copy invariant on the real storage layer: seeding REPLICAS
     // worth of reads from one write-once file clones no records.
     let before = data_plane::snapshot();
@@ -479,7 +645,16 @@ fn main() {
              integers, eight-digit dates, negatives), flights (three short integers) and a \
              string-keyed file (user-N,i): csv::parse_columns' one-pass scan against the \
              split-then-classify loader it replaced, reproduced in the bench; both build \
-             the batch from_records builds over parse_record of every line."
+             the batch from_records builds over parse_record of every line. The map side \
+             rows run a columnar map task from its split to {MAP_PARTITIONS} reduce partitions on \
+             {INGEST_ROWS} rows per shape in {MAP_SPLIT}-row tasks and {MAP_BATCH}-row chunks \
+             (follower: FILTER + integer key; weather: FILTER + three columns; airline: FOREACH + \
+             integer key; string-keyed: FILTER + string key): the copying pipeline the in-place \
+             one replaced (Batch::slice, filter_batch / project_batch, each key encoded and \
+             hashed, one gather per batch and partition — with the current kernels, which are \
+             themselves the selection kernels over a whole batch) against selections (select / \
+             project / shuffle_buckets, one Batch::gather_parts per partition per task); both \
+             route the same rows to the same partitions."
         ),
     );
     record.set_flag("digests_byte_identical", true);
@@ -580,6 +755,22 @@ fn main() {
             "x",
             None,
             wall_split / wall_scan,
+        );
+    }
+    for (shape, (wall_copying, wall_in_place)) in &map_side {
+        for (path, wall) in [("copying", wall_copying), ("in place", wall_in_place)] {
+            record.push(
+                format!("map side throughput ({shape}, {path})"),
+                "Mrec/s",
+                None,
+                ingest_mrec / wall,
+            );
+        }
+        record.push(
+            format!("map side in-place speedup over copying ({shape})"),
+            "x",
+            None,
+            wall_copying / wall_in_place,
         );
     }
     record.push("digest throughput speedup", "x", Some(2.0), speedup);
@@ -697,6 +888,13 @@ fn main() {
             *wall_scan <= 1.1 * wall_split,
             "the one-pass scan must not be slower than split-then-classify on the {shape} \
              shape: {wall_scan:.4} s against {wall_split:.4} s"
+        );
+    }
+    for (shape, (wall_copying, wall_in_place)) in &map_side {
+        assert!(
+            *wall_in_place <= 1.1 * wall_copying,
+            "reading a split in place must not be slower than copying it on the {shape} \
+             shape: {wall_in_place:.4} s against {wall_copying:.4} s"
         );
     }
     assert!(

@@ -31,6 +31,7 @@
 //! the member columns directly and a `Value::Bag` exists only when a row
 //! is materialized — at the task's output boundary, never in between.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -86,6 +87,57 @@ pub enum Column {
     Mixed(Vec<Value>),
 }
 
+/// The live rows of a batch, ascending: a window, or the listed ones. A
+/// map task reads its split through one instead of copying the window
+/// out — [`select`] narrows it, [`project`] evaluates over it — and a
+/// row is copied once, by [`Batch::gather_parts`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Selection {
+    /// Every row of the window.
+    Range(Range<usize>),
+    /// The listed rows.
+    Rows(Vec<usize>),
+}
+
+impl Selection {
+    /// Number of selected rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Selection::Range(rows) => rows.len(),
+            Selection::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// True when no row is selected.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Keeps only the first `n` selected rows (`LIMIT`).
+    pub fn truncate(&mut self, n: usize) {
+        match self {
+            Selection::Range(rows) => rows.end = rows.end.min(rows.start.saturating_add(n)),
+            Selection::Rows(rows) => rows.truncate(n),
+        }
+    }
+
+    /// Calls `f(position, row)` for every selected row, in order.
+    pub fn for_each(&self, mut f: impl FnMut(usize, usize)) {
+        match self {
+            Selection::Range(rows) => rows.clone().enumerate().for_each(|(i, r)| f(i, r)),
+            Selection::Rows(rows) => rows.iter().enumerate().for_each(|(i, &r)| f(i, r)),
+        }
+    }
+
+    /// `f(position, row)` of every selected row, in order: the loop of
+    /// every kernel that reads a batch in place.
+    pub fn map<T>(&self, mut f: impl FnMut(usize, usize) -> T) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.len());
+        self.for_each(|i, row| out.push(f(i, row)));
+        out
+    }
+}
+
 impl Column {
     /// Builds the best-fitting column for `values` (typed when every value
     /// is of one type or null, `Mixed` otherwise). The choice is a pure
@@ -124,13 +176,19 @@ impl Column {
         }
     }
 
+    /// A typed column's null mask; `None` when it has none, and for the
+    /// layouts that keep none.
+    fn mask(&self) -> Option<&[bool]> {
+        match self {
+            Column::Int { validity, .. } | Column::Str { validity, .. } => validity.as_deref(),
+            Column::Bag { .. } | Column::Mixed(_) => None,
+        }
+    }
+
     fn is_valid(&self, row: usize) -> bool {
         match self {
-            Column::Int { validity, .. } | Column::Str { validity, .. } => {
-                validity.as_ref().is_none_or(|m| m[row])
-            }
-            Column::Bag { .. } => true,
             Column::Mixed(values) => !values[row].is_null(),
+            other => other.mask().is_none_or(|m| m[row]),
         }
     }
 
@@ -258,84 +316,135 @@ impl Column {
 
     /// Rows of this column selected by `indices`, in order.
     fn gather(&self, indices: &[usize]) -> Column {
-        match self {
-            Column::Int { values, validity } => Column::Int {
-                values: indices.iter().map(|&i| values[i]).collect(),
-                validity: gather_mask(validity, indices),
-            },
-            Column::Str {
+        Column::gather_parts(&[(self, indices)])
+    }
+
+    /// The cells of `parts` — each a column and the rows of it to take, in
+    /// order — one part after another, copied once. Parts of one layout
+    /// append and keep it (with a null mask only if a taken cell is null);
+    /// parts that disagree on layout are rebuilt from their values by
+    /// [`Column::from_values`], like [`Column::concat`]'s.
+    fn gather_parts(parts: &[(&Column, &[usize])]) -> Column {
+        let len: usize = parts.iter().map(|(_, rows)| rows.len()).sum();
+        let all = |layout: fn(&Column) -> bool| parts.iter().all(|(c, _)| layout(c));
+        // The taken cells' mask, if one of them is null.
+        let mask = || {
+            let null_taken = |(c, rows): &(&Column, &[usize])| {
+                c.mask().is_some_and(|m| rows.iter().any(|&i| !m[i]))
+            };
+            parts.iter().any(null_taken).then(|| {
+                let mut mask = Vec::with_capacity(len);
+                for (c, rows) in parts {
+                    match c.mask() {
+                        Some(m) => mask.extend(rows.iter().map(|&i| m[i])),
+                        None => mask.resize(mask.len() + rows.len(), true),
+                    }
+                }
+                mask
+            })
+        };
+        if all(|c| matches!(c, Column::Int { .. })) {
+            let mut values = Vec::with_capacity(len);
+            for (c, rows) in parts {
+                let Column::Int { values: v, .. } = c else {
+                    continue;
+                };
+                values.extend(rows.iter().map(|&i| v[i]));
+            }
+            let validity = mask();
+            return Column::Int { values, validity };
+        }
+        if all(|c| matches!(c, Column::Str { .. })) {
+            let (mut bytes, mut offsets) = (Vec::new(), Vec::with_capacity(len + 1));
+            offsets.push(0);
+            for (c, rows) in parts {
+                let Column::Str {
+                    bytes: b,
+                    offsets: o,
+                    ..
+                } = c
+                else {
+                    continue;
+                };
+                bytes.reserve(rows.iter().map(|&i| o[i + 1] - o[i]).sum());
+                for &i in *rows {
+                    bytes.extend_from_slice(&b[o[i]..o[i + 1]]);
+                    offsets.push(bytes.len());
+                }
+            }
+            let validity = mask();
+            return Column::Str {
                 bytes,
                 offsets,
                 validity,
-            } => {
-                let total: usize = indices.iter().map(|&i| offsets[i + 1] - offsets[i]).sum();
-                let mut out_bytes = Vec::with_capacity(total);
-                let mut out_offsets = Vec::with_capacity(indices.len() + 1);
-                out_offsets.push(0);
-                for &i in indices {
-                    out_bytes.extend_from_slice(&bytes[offsets[i]..offsets[i + 1]]);
-                    out_offsets.push(out_bytes.len());
+            };
+        }
+        if all(|c| matches!(c, Column::Bag { .. })) {
+            let (mut offsets, mut members) = (vec![0], Vec::with_capacity(parts.len()));
+            for (c, rows) in parts {
+                let Column::Bag {
+                    offsets: o,
+                    rows: all,
+                } = c
+                else {
+                    continue;
+                };
+                let (base, mut taken) = (offsets[offsets.len() - 1], Vec::new());
+                for &i in *rows {
+                    taken.extend(o[i]..o[i + 1]);
+                    offsets.push(base + taken.len());
                 }
+                members.push((&**all, taken));
+            }
+            let members: Vec<_> = members.iter().map(|(b, taken)| (*b, &taken[..])).collect();
+            let rows = Box::new(Batch::gather_parts(&members));
+            return Column::Bag { offsets, rows };
+        }
+        let cells = parts
+            .iter()
+            .flat_map(|(c, rows)| rows.iter().map(|&i| c.value_at(i)));
+        if all(|c| matches!(c, Column::Mixed(_))) {
+            return Column::Mixed(cells.collect());
+        }
+        Column::from_values(cells.collect())
+    }
+
+    /// The selected rows of this column, in the layout [`Column::gather`]
+    /// keeps; a window of a typed column is copied slice-wise.
+    fn select(&self, rows: &Selection) -> Column {
+        let window = match rows {
+            Selection::Rows(rows) => return self.gather(rows),
+            Selection::Range(window) => window.clone(),
+        };
+        let mask = || holding_a_null(self.mask().map(|m| &m[window.clone()])).map(<[bool]>::to_vec);
+        match self {
+            Column::Int { values, .. } => Column::Int {
+                values: values[window.clone()].to_vec(),
+                validity: mask(),
+            },
+            Column::Str { bytes, offsets, .. } => {
+                let base = offsets[window.start];
+                let ends = &offsets[window.start..=window.end];
                 Column::Str {
-                    bytes: out_bytes,
-                    offsets: out_offsets,
-                    validity: gather_mask(validity, indices),
+                    bytes: bytes[base..offsets[window.end]].to_vec(),
+                    offsets: ends.iter().map(|end| end - base).collect(),
+                    validity: mask(),
                 }
             }
-            Column::Bag { offsets, rows } => {
-                let total: usize = indices.iter().map(|&i| offsets[i + 1] - offsets[i]).sum();
-                let mut members = Vec::with_capacity(total);
-                let mut out_offsets = Vec::with_capacity(indices.len() + 1);
-                out_offsets.push(0);
-                for &i in indices {
-                    members.extend(offsets[i]..offsets[i + 1]);
-                    out_offsets.push(members.len());
-                }
-                Column::Bag {
-                    offsets: out_offsets,
-                    rows: Box::new(rows.gather(&members)),
-                }
-            }
-            Column::Mixed(values) => {
-                Column::Mixed(indices.iter().map(|&i| values[i].clone()).collect())
-            }
+            Column::Bag { .. } | Column::Mixed(_) => self.gather(&window.collect::<Vec<_>>()),
         }
     }
 
-    /// Rows `rows` of this column, in the layout [`Column::from_values`]
-    /// would pick for them: typed windows are copied slice-wise and keep
-    /// a null mask only if the window holds a null, an all-null window
-    /// takes the all-null layout, anything else is rebuilt from its values.
+    /// Rows `rows` (not empty) of this column, in the layout
+    /// [`Column::from_values`] would pick for them: a typed window keeps
+    /// its type ([`Column::select`]), an all-null one takes the all-null
+    /// layout, anything else is rebuilt from its values.
     fn slice(&self, rows: Range<usize>) -> Column {
-        fn window_mask(validity: &Option<Vec<bool>>, rows: Range<usize>) -> Option<&[bool]> {
-            holding_a_null(validity.as_deref().map(|m| &m[rows]))
-        }
-        let nulls_in = |validity| window_mask(validity, rows.clone());
         match self {
-            Column::Int { validity, .. } | Column::Str { validity, .. }
-                if nulls_in(validity).is_some_and(|m| !m.contains(&true)) =>
-            {
-                all_null(rows.len())
-            }
-            Column::Int { values, validity } => Column::Int {
-                values: values[rows.clone()].to_vec(),
-                validity: nulls_in(validity).map(<[bool]>::to_vec),
+            Column::Int { .. } | Column::Str { .. } => match self.mask() {
+                Some(m) if !m[rows.clone()].contains(&true) => all_null(rows.len()),
+                _ => self.select(&Selection::Range(rows)),
             },
-            Column::Str {
-                bytes,
-                offsets,
-                validity,
-            } => {
-                let base = offsets[rows.start];
-                Column::Str {
-                    bytes: bytes[base..offsets[rows.end]].to_vec(),
-                    offsets: offsets[rows.start..=rows.end]
-                        .iter()
-                        .map(|end| end - base)
-                        .collect(),
-                    validity: nulls_in(validity).map(<[bool]>::to_vec),
-                }
-            }
             Column::Bag { .. } | Column::Mixed(_) => {
                 Column::from_values(rows.map(|row| self.value_at(row)).collect())
             }
@@ -415,48 +524,13 @@ impl Column {
         }
         Column::from_values(values)
     }
-
-    fn truncate(&mut self, n: usize) {
-        match self {
-            Column::Int { values, validity } => {
-                values.truncate(n);
-                truncate_mask(validity, n);
-            }
-            Column::Str {
-                bytes,
-                offsets,
-                validity,
-            } => {
-                offsets.truncate(n + 1);
-                bytes.truncate(*offsets.last().expect("offsets non-empty"));
-                truncate_mask(validity, n);
-            }
-            Column::Bag { offsets, rows } => {
-                offsets.truncate(n + 1);
-                rows.truncate(*offsets.last().expect("offsets non-empty"));
-            }
-            Column::Mixed(values) => values.truncate(n),
-        }
-    }
 }
 
-/// The layout rule for the null mask of a selection — a window, a gather,
-/// a prefix: a mask exists only where a null does, so a selected mask
-/// that holds no `false` is dropped.
+/// The layout rule for the null mask of a selection — a window, a
+/// gather: a mask exists only where a null does, so a selected mask that
+/// holds no `false` is dropped.
 fn holding_a_null<M: AsRef<[bool]>>(mask: Option<M>) -> Option<M> {
     mask.filter(|m| m.as_ref().contains(&false))
-}
-
-fn gather_mask(validity: &Option<Vec<bool>>, indices: &[usize]) -> Option<Vec<bool>> {
-    let selected = |m: &Vec<bool>| indices.iter().map(|&i| m[i]).collect::<Vec<bool>>();
-    holding_a_null(validity.as_ref().map(selected))
-}
-
-fn truncate_mask(validity: &mut Option<Vec<bool>>, n: usize) {
-    if let Some(m) = validity {
-        m.truncate(n);
-    }
-    *validity = holding_a_null(validity.take());
 }
 
 /// One flat field on its way into a column: a CSV field, or a [`Value`]
@@ -719,9 +793,25 @@ impl Batch {
 
     /// Rows selected by `indices`, in order, as a new batch.
     pub fn gather(&self, indices: &[usize]) -> Batch {
+        Batch::gather_parts(&[(self, indices)])
+    }
+
+    /// The rows of `parts` — each a batch and the rows of it to take, in
+    /// order — one part after another, as one new batch: what
+    /// [`Batch::concat`] of each part's [`Batch::gather`] holds, copied
+    /// once. The parts share one arity (the first part's is taken).
+    pub fn gather_parts(parts: &[(&Batch, &[usize])]) -> Batch {
+        let arity = parts.first().map_or(0, |(b, _)| b.arity());
+        debug_assert!(parts.iter().all(|(b, _)| b.arity() == arity));
+        let column = |c: usize| {
+            let cells = parts
+                .iter()
+                .filter_map(|(b, rows)| Some((b.column(c)?, *rows)));
+            Column::gather_parts(&cells.collect::<Vec<_>>())
+        };
         Batch {
-            len: indices.len(),
-            columns: self.columns.iter().map(|c| c.gather(indices)).collect(),
+            len: parts.iter().map(|(_, rows)| rows.len()).sum(),
+            columns: (0..arity).map(column).collect(),
         }
     }
 
@@ -772,42 +862,40 @@ impl Batch {
         })
     }
 
-    /// Keeps only the first `n` rows (vectorized `LIMIT`).
-    pub fn truncate(&mut self, n: usize) {
-        if n >= self.len {
-            return;
-        }
-        for c in &mut self.columns {
-            c.truncate(n);
-        }
-        self.len = n;
-    }
-
     /// Total payload bytes of the canonical encodings of all rows
     /// (`sum of Record::to_canonical_bytes().len()`), computed from the
     /// arenas without encoding.
     pub fn canonical_bytes(&self) -> u64 {
-        let mut total = 8 * self.len as u64; // arity prefix per row
+        self.canonical_bytes_in(0..self.len)
+    }
+
+    /// [`Batch::canonical_bytes`] of rows `rows` alone — equal to
+    /// `slice(rows).canonical_bytes()` without the copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` reaches past the batch.
+    pub fn canonical_bytes_in(&self, rows: Range<usize>) -> u64 {
+        let n = rows.len() as u64;
+        // A valid typed cell is a tag and 8 bytes, a null one the tag.
+        let typed = |c: &Column| {
+            let nulls = |m: &[bool]| m[rows.clone()].iter().filter(|v| !**v).count() as u64;
+            9 * n - 8 * c.mask().map_or(0, nulls)
+        };
+        let mut total = 8 * n; // arity prefix per row
         for c in &self.columns {
             total += match c {
-                Column::Int { validity, .. } => {
-                    let nulls = validity
-                        .as_ref()
-                        .map_or(0, |m| m.iter().filter(|v| !**v).count());
-                    (self.len - nulls) as u64 * 9 + nulls as u64
-                }
-                Column::Str {
-                    bytes, validity, ..
-                } => {
-                    let nulls = validity
-                        .as_ref()
-                        .map_or(0, |m| m.iter().filter(|v| !**v).count());
-                    (self.len - nulls) as u64 * 9 + nulls as u64 + bytes.len() as u64
-                        - null_str_bytes(c)
+                Column::Int { .. } => typed(c),
+                // Invalid rows hold empty ranges of the arena.
+                Column::Str { offsets, .. } => {
+                    typed(c) + (offsets[rows.end] - offsets[rows.start]) as u64
                 }
                 // Tag and member count per bag, plus every member row.
-                Column::Bag { rows, .. } => 9 * self.len as u64 + rows.canonical_bytes(),
-                Column::Mixed(values) => values
+                Column::Bag {
+                    offsets,
+                    rows: members,
+                } => 9 * n + members.canonical_bytes_in(offsets[rows.start]..offsets[rows.end]),
+                Column::Mixed(values) => values[rows.clone()]
                     .iter()
                     .map(|v| v.to_canonical_bytes().len() as u64)
                     .sum(),
@@ -817,47 +905,127 @@ impl Batch {
     }
 }
 
-/// Bytes the arena holds for invalid rows of a Str column (always 0 by
-/// construction — invalid rows get empty ranges — kept as a checked helper
-/// so `canonical_bytes` stays obviously correct).
-fn null_str_bytes(c: &Column) -> u64 {
-    let Column::Str {
-        offsets, validity, ..
-    } = c
-    else {
-        return 0;
-    };
-    let Some(mask) = validity else { return 0 };
-    mask.iter()
-        .enumerate()
-        .filter(|(_, valid)| !**valid)
-        .map(|(i, _)| (offsets[i + 1] - offsets[i]) as u64)
-        .sum()
-}
-
 // ---------------------------------------------------------------------------
 // Vectorized kernels
 // ---------------------------------------------------------------------------
 
-/// Vectorized `FILTER`: rows where `predicate` is truthy, in input order.
-/// Output equals filtering the materialized rows with `Expr::eval`.
-pub fn filter_batch(batch: &Batch, predicate: &Expr) -> Batch {
-    let mask = eval_truthy(predicate, batch);
-    let indices: Vec<usize> = mask
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &keep)| keep.then_some(i))
-        .collect();
-    batch.gather(&indices)
+/// `FILTER` over a selection, in place: the rows of `rows` where
+/// `predicate` is truthy, in order. Nothing is copied; the answer equals
+/// filtering the materialized rows with `Expr::eval`.
+pub fn select(batch: &Batch, rows: &Selection, predicate: &Expr) -> Vec<usize> {
+    let keep = eval_truthy(predicate, batch, rows);
+    let mut kept = Vec::with_capacity(rows.len());
+    rows.for_each(|i, row| {
+        if keep[i] {
+            kept.push(row);
+        }
+    });
+    kept
 }
 
-/// Vectorized `FOREACH ... GENERATE` (projection): evaluates each
-/// expression into a full output column. Output equals
-/// [`crate::interp::project_record`] applied row-wise.
-pub fn project_batch(batch: &Batch, exprs: &[Expr]) -> Batch {
+/// `FOREACH ... GENERATE` over a selection: each expression evaluated
+/// over the selected rows into a dense output column — equal to
+/// [`project_batch`] of the gathered rows, reading only the columns the
+/// expressions name.
+pub fn project(batch: &Batch, rows: &Selection, exprs: &[Expr]) -> Batch {
     Batch {
-        len: batch.len,
-        columns: exprs.iter().map(|e| eval_column(e, batch)).collect(),
+        len: rows.len(),
+        columns: exprs.iter().map(|e| eval_column(e, batch, rows)).collect(),
+    }
+}
+
+/// Vectorized `FILTER`: rows where `predicate` is truthy, in input order —
+/// [`select`] over the whole batch, gathered. Output equals filtering the
+/// materialized rows with `Expr::eval`.
+pub fn filter_batch(batch: &Batch, predicate: &Expr) -> Batch {
+    batch.gather(&select(batch, &Selection::Range(0..batch.len), predicate))
+}
+
+/// Vectorized `FOREACH ... GENERATE` (projection): [`project`] over the
+/// whole batch. Output equals [`crate::interp::project_record`] applied
+/// row-wise.
+pub fn project_batch(batch: &Batch, exprs: &[Expr]) -> Batch {
+    project(batch, &Selection::Range(0..batch.len), exprs)
+}
+
+/// FNV-1a over `bytes`: the hash of shuffle partitioning and split
+/// placement, deterministic and platform-independent.
+pub const fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// [`fnv1a`] continued from state `h`.
+const fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        i += 1;
+    }
+    h
+}
+
+/// [`fnv1a`]'s states after a tag byte alone, then four zero bytes, then
+/// six: the rounds the tag and the leading zero bytes of a small
+/// big-endian integer cost, as constants.
+const fn fnv1a_zeros(tag: u8) -> [u64; 3] {
+    [
+        fnv1a(&[tag]),
+        fnv1a(&[tag, 0, 0, 0, 0]),
+        fnv1a(&[tag, 0, 0, 0, 0, 0, 0]),
+    ]
+}
+
+/// [`fnv1a`] of `tag` and the eight big-endian bytes of `v` — a canonical
+/// integer, or a string's length prefix — from `fnv1a_zeros(tag)`.
+fn fnv1a_tagged([tag, four_zeros, six_zeros]: [u64; 3], v: u64) -> u64 {
+    if v >> 16 == 0 {
+        fnv1a_from(six_zeros, &(v as u16).to_be_bytes())
+    } else if v >> 32 == 0 {
+        fnv1a_from(four_zeros, &(v as u32).to_be_bytes())
+    } else {
+        fnv1a_from(tag, &v.to_be_bytes())
+    }
+}
+
+/// The reduce partition, of `n`, of each selected row under a shuffle on
+/// column `key`: `fnv1a` of the key cell's canonical encoding
+/// ([`Batch::write_value_canonical`]), modulo `n`. A typed key is hashed
+/// straight out of its column — the rounds of the tag byte and of an
+/// integer's leading zero bytes are constants — and every other layout,
+/// like a key past the arity, through the encoding itself.
+pub fn shuffle_buckets(batch: &Batch, rows: &Selection, key: usize, n: usize) -> Vec<usize> {
+    const NULL: u64 = fnv1a(&[0]);
+    const INT: [u64; 3] = fnv1a_zeros(1);
+    const STR: [u64; 3] = fnv1a_zeros(2);
+    // `h % n` without the division where `n` is a power of two.
+    let low_bits = n.is_power_of_two().then(|| n as u64 - 1);
+    let bucket = |h: u64| low_bits.map_or_else(|| h % n as u64, |bits| h & bits) as usize;
+    // A null cell (whose slot holds a zero, or no text) hashes as its tag.
+    let nulls = batch.column(key).and_then(Column::mask);
+    let cell = |row: usize, h: u64| {
+        bucket(if nulls.is_none_or(|m| m[row]) {
+            h
+        } else {
+            NULL
+        })
+    };
+    match batch.column(key) {
+        Some(Column::Int { values, .. }) => {
+            rows.map(|_, row| cell(row, fnv1a_tagged(INT, values[row] as u64)))
+        }
+        Some(Column::Str { bytes, offsets, .. }) => rows.map(|_, row| {
+            let text = &bytes[offsets[row]..offsets[row + 1]];
+            cell(row, fnv1a_from(fnv1a_tagged(STR, text.len() as u64), text))
+        }),
+        _ => {
+            let mut buf = Vec::new();
+            rows.map(|_, row| {
+                buf.clear();
+                batch.write_value_canonical(row, key, &mut buf);
+                bucket(fnv1a(&buf))
+            })
+        }
     }
 }
 
@@ -1048,162 +1216,171 @@ pub fn join_batch(left: &Batch, left_key: usize, right: &Batch, right_key: usize
 // Vectorized expression evaluation
 // ---------------------------------------------------------------------------
 
-/// Evaluates `expr` over every row of `batch`, producing the output
-/// column. Equal to evaluating row-wise with [`Expr::eval`] and collecting
-/// (pinned by tests); comparisons, arithmetic and logic over typed columns
-/// run as monomorphic loops.
-pub fn eval_column(expr: &Expr, batch: &Batch) -> Column {
-    let n = batch.len;
+/// Evaluates `expr` over the selected rows of `batch`, producing a dense
+/// output column of `rows.len()` cells. Equal to evaluating row-wise with
+/// [`Expr::eval`] and collecting (pinned by tests); only the columns the
+/// expression names are read, in place, and comparisons, arithmetic and
+/// logic over typed columns run as monomorphic loops.
+pub fn eval_column(expr: &Expr, batch: &Batch, rows: &Selection) -> Column {
+    let n = rows.len();
     match expr {
-        Expr::Col(i) => batch.column(*i).cloned().unwrap_or_else(|| all_null(n)),
+        Expr::Col(i) => batch
+            .column(*i)
+            .map_or_else(|| all_null(n), |c| c.select(rows)),
         Expr::IntLit(v) => Column::Int {
             values: vec![*v; n],
             validity: None,
         },
         Expr::NullLit => all_null(n),
-        Expr::StrLit(s) => {
-            let mut offsets = Vec::with_capacity(n + 1);
-            offsets.push(0);
-            let mut bytes = Vec::with_capacity(s.len() * n);
-            for _ in 0..n {
-                bytes.extend_from_slice(s.as_bytes());
-                offsets.push(bytes.len());
-            }
-            Column::Str {
-                bytes,
-                offsets,
-                validity: None,
-            }
-        }
-        Expr::Cmp(op, l, r) => {
-            let lc = eval_column(l, batch);
-            let rc = eval_column(r, batch);
-            let out = match (&lc, &rc) {
-                (Column::Int { .. }, Column::Int { .. }) => (0..n)
-                    .map(|i| op.apply_ord(lc.int_at(i).cmp(&rc.int_at(i))) as i64)
-                    .collect(),
-                (Column::Str { .. }, Column::Str { .. }) => (0..n)
-                    .map(|i| op.apply_ord(lc.str_bytes_at(i).cmp(&rc.str_bytes_at(i))) as i64)
-                    .collect(),
-                _ => (0..n)
-                    .map(|i| {
-                        lc.with_value(i, |a| rc.with_value(i, |b| op.apply_ord(a.cmp(b)))) as i64
-                    })
-                    .collect(),
-            };
-            Column::Int {
-                values: out,
-                validity: None,
-            }
-        }
+        Expr::StrLit(s) => Column::Str {
+            bytes: s.as_bytes().repeat(n),
+            offsets: (0..=n).map(|i| i * s.len()).collect(),
+            validity: None,
+        },
         Expr::Arith(op, l, r) => {
-            let lc = eval_column(l, batch);
-            let rc = eval_column(r, batch);
-            let mut values = Vec::with_capacity(n);
-            let mut validity = Vec::with_capacity(n);
-            for i in 0..n {
-                match (lc.int_at(i), rc.int_at(i)) {
-                    (Some(a), Some(b)) => match op.apply_ints(a, b) {
-                        Some(v) => {
-                            values.push(v);
-                            validity.push(true);
-                        }
-                        None => {
-                            values.push(0);
-                            validity.push(false);
-                        }
-                    },
-                    _ => {
-                        values.push(0);
-                        validity.push(false);
-                    }
-                }
-            }
-            let all_valid = validity.iter().all(|&v| v);
+            let (lc, rc) = (Cells::of(l, batch, rows), Cells::of(r, batch, rows));
+            int_column(rows.map(|i, row| op.apply_ints(lc.int_at(i, row)?, rc.int_at(i, row)?)))
+        }
+        Expr::Cmp(..) | Expr::And(..) | Expr::Or(..) | Expr::Not(_) | Expr::IsNull(_) => {
             Column::Int {
-                values,
-                validity: (!all_valid).then_some(validity),
+                values: eval_truthy(expr, batch, rows)
+                    .into_iter()
+                    .map(i64::from)
+                    .collect(),
+                validity: None,
             }
-        }
-        Expr::And(l, r) => {
-            let lm = eval_truthy(l, batch);
-            let rm = eval_truthy(r, batch);
-            bool_column(lm.iter().zip(&rm).map(|(&a, &b)| a && b))
-        }
-        Expr::Or(l, r) => {
-            let lm = eval_truthy(l, batch);
-            let rm = eval_truthy(r, batch);
-            bool_column(lm.iter().zip(&rm).map(|(&a, &b)| a || b))
-        }
-        Expr::Not(e) => bool_column(eval_truthy(e, batch).into_iter().map(|v| !v)),
-        Expr::IsNull(e) => {
-            let c = eval_column(e, batch);
-            bool_column((0..n).map(|i| !c.is_valid(i)))
         }
         Expr::Agg {
             func,
             bag_col,
             field,
         } => match batch.column(*bag_col) {
-            Some(Column::Bag { offsets, rows }) => agg_bags(*func, offsets, rows, *field),
+            Some(Column::Bag {
+                offsets,
+                rows: members,
+            }) => agg_bags(*func, offsets, members, *field, rows),
             // Bags that arrived as values: aggregate each cell in place.
             Some(c) => Column::from_values(
-                (0..n)
-                    .map(|i| c.with_value(i, |cell| eval_agg(*func, cell, *field)))
-                    .collect(),
+                rows.map(|_, row| c.with_value(row, |cell| eval_agg(*func, cell, *field))),
             ),
             None => all_null(n),
         },
     }
 }
 
-/// Aggregates every bag of a [`Column::Bag`] straight from the member
-/// batch; equal, row for row, to [`Expr::eval`] on the materialized bags.
-fn agg_bags(func: AggFunc, offsets: &[usize], rows: &Batch, field: Option<usize>) -> Column {
+/// Aggregates the selected bags of a [`Column::Bag`] straight from the
+/// member batch; equal, row for row, to [`Expr::eval`] on the
+/// materialized bags.
+fn agg_bags(
+    func: AggFunc,
+    offsets: &[usize],
+    members: &Batch,
+    field: Option<usize>,
+    rows: &Selection,
+) -> Column {
     if func == AggFunc::Count {
         return Column::Int {
-            values: offsets.windows(2).map(|w| (w[1] - w[0]) as i64).collect(),
+            values: rows.map(|_, row| (offsets[row + 1] - offsets[row]) as i64),
             validity: None,
         };
     }
-    let n = offsets.len() - 1;
     let Some(field) = field else {
-        return all_null(n);
+        return all_null(rows.len());
     };
     // A field past the member arity contributes no integers, like a
     // string or null field.
-    let member = rows.column(field);
-    let mut values = Vec::with_capacity(n);
-    let mut validity = Vec::with_capacity(n);
-    for w in offsets.windows(2) {
-        let ints = (w[0]..w[1]).filter_map(|i| member.and_then(|c| c.int_at(i)));
-        let folded = func.fold_ints(ints);
-        values.push(folded.unwrap_or(0));
-        validity.push(folded.is_some());
+    let member = members.column(field);
+    int_column(rows.map(|_, row| {
+        let bag = offsets[row]..offsets[row + 1];
+        func.fold_ints(bag.filter_map(|i| member.and_then(|c| c.int_at(i))))
+    }))
+}
+
+/// An operand read cell by cell: a column of the batch, in place at the
+/// selected rows, or a computed one, by position.
+struct Cells<'a> {
+    column: Cow<'a, Column>,
+    in_place: bool,
+}
+
+impl<'a> Cells<'a> {
+    fn of(expr: &Expr, batch: &'a Batch, rows: &Selection) -> Cells<'a> {
+        let named = match expr {
+            Expr::Col(c) => batch.column(*c),
+            _ => None,
+        };
+        Cells {
+            column: named.map_or_else(|| Cow::Owned(eval_column(expr, batch, rows)), Cow::Borrowed),
+            in_place: named.is_some(),
+        }
     }
-    let all_valid = validity.iter().all(|&v| v);
-    Column::Int {
-        values,
-        validity: (!all_valid).then_some(validity),
+
+    /// Where the cell of the `i`-th selected row, `row`, is.
+    fn at(&self, i: usize, row: usize) -> usize {
+        if self.in_place {
+            row
+        } else {
+            i
+        }
+    }
+
+    fn int_at(&self, i: usize, row: usize) -> Option<i64> {
+        self.column.int_at(self.at(i, row))
     }
 }
 
-/// The truthiness mask of `expr` over `batch` (non-zero integers).
-fn eval_truthy(expr: &Expr, batch: &Batch) -> Vec<bool> {
-    let c = eval_column(expr, batch);
-    match &c {
-        Column::Int { values, .. } => (0..batch.len)
-            .map(|i| c.is_valid(i) && values[i] != 0)
-            .collect(),
-        Column::Str { .. } | Column::Bag { .. } => vec![false; batch.len],
-        Column::Mixed(values) => values.iter().map(Value::is_truthy).collect(),
+/// The truthiness mask of `expr` over the selected rows of `batch`
+/// (non-zero integers), one flag per selected row.
+fn eval_truthy(expr: &Expr, batch: &Batch, rows: &Selection) -> Vec<bool> {
+    let both = |l: &Expr, r: &Expr, f: fn(bool, bool) -> bool| -> Vec<bool> {
+        let (lm, rm) = (eval_truthy(l, batch, rows), eval_truthy(r, batch, rows));
+        lm.into_iter().zip(rm).map(|(a, b)| f(a, b)).collect()
+    };
+    match expr {
+        Expr::Cmp(op, l, r) => {
+            let (lc, rc) = (Cells::of(l, batch, rows), Cells::of(r, batch, rows));
+            match (&*lc.column, &*rc.column) {
+                (Column::Int { .. }, Column::Int { .. }) => {
+                    rows.map(|i, row| op.apply_ord(lc.int_at(i, row).cmp(&rc.int_at(i, row))))
+                }
+                (Column::Str { .. }, Column::Str { .. }) => rows.map(|i, row| {
+                    let (a, b) = (lc.at(i, row), rc.at(i, row));
+                    op.apply_ord(lc.column.str_bytes_at(a).cmp(&rc.column.str_bytes_at(b)))
+                }),
+                _ => rows.map(|i, row| {
+                    let (a, b) = (lc.at(i, row), rc.at(i, row));
+                    (lc.column)
+                        .with_value(a, |a| rc.column.with_value(b, |b| op.apply_ord(a.cmp(b))))
+                }),
+            }
+        }
+        Expr::And(l, r) => both(l, r, |a, b| a && b),
+        Expr::Or(l, r) => both(l, r, |a, b| a || b),
+        Expr::Not(e) => {
+            let mut mask = eval_truthy(e, batch, rows);
+            mask.iter_mut().for_each(|v| *v = !*v);
+            mask
+        }
+        Expr::IsNull(e) => {
+            let c = Cells::of(e, batch, rows);
+            match c.column.mask() {
+                // A typed column's nulls are its mask.
+                Some(mask) => rows.map(|i, row| !mask[c.at(i, row)]),
+                None => rows.map(|i, row| !c.column.is_valid(c.at(i, row))),
+            }
+        }
+        _ => {
+            let c = Cells::of(expr, batch, rows);
+            rows.map(|i, row| c.int_at(i, row).is_some_and(|v| v != 0))
+        }
     }
 }
 
-fn bool_column(bits: impl Iterator<Item = bool>) -> Column {
+/// An `Int` column of `cells`, `None` a null; masked only if one is.
+fn int_column(cells: Vec<Option<i64>>) -> Column {
     Column::Int {
-        values: bits.map(|b| b as i64).collect(),
-        validity: None,
+        values: cells.iter().map(|c| c.unwrap_or(0)).collect(),
+        validity: holding_a_null(Some(cells.iter().map(Option::is_some).collect())),
     }
 }
 
@@ -1219,6 +1396,10 @@ mod tests {
     use super::*;
     use crate::expr::{CmpOp, EvalContext};
     use crate::interp::{group_records, join_records, order_records, project_record};
+
+    fn whole(batch: &Batch) -> Selection {
+        Selection::Range(0..batch.len())
+    }
 
     fn sample_records() -> Vec<Record> {
         vec![
@@ -1397,6 +1578,7 @@ mod tests {
                 field: None,
             },
             &grouped,
+            &whole(&grouped),
         );
         assert_eq!(stats::thread_rows_materialized(), before, "no row built");
         let _ = grouped.to_records();
@@ -1468,13 +1650,14 @@ mod tests {
             join_batch(&grouped, 1, &grouped, 1).to_records(),
             join_records(&rows, 1, &rows, 1)
         );
-        // gather (reversed, with a repeat) and truncate.
+        // gather (reversed, with a repeat) and a LIMIT's prefix.
         let picks = [3usize, 1, 1, 0];
         let expected: Vec<Record> = picks.iter().map(|&i| rows[i].clone()).collect();
         assert_eq!(grouped.gather(&picks).to_records(), expected);
         for n in 0..=rows.len() {
-            let mut cut = grouped.clone();
-            cut.truncate(n);
+            let mut live = whole(&grouped);
+            live.truncate(n);
+            let cut = grouped.gather(&live.map(|_, row| row));
             assert_eq!(cut.to_records(), rows[..n].to_vec(), "truncate {n}");
             assert_eq!(
                 cut.canonical_bytes(),
@@ -1520,7 +1703,7 @@ mod tests {
                         let expected: Vec<Value> =
                             rows.iter().map(|r| e.eval(&EvalContext::new(r))).collect();
                         for (name, b) in [("nested", &grouped), ("values", &as_values)] {
-                            let col = eval_column(&e, b);
+                            let col = eval_column(&e, b, &whole(b));
                             let got: Vec<Value> = (0..b.len()).map(|i| col.value_at(i)).collect();
                             assert_eq!(
                                 got, expected,
@@ -1549,7 +1732,7 @@ mod tests {
                 bag_col: 1,
                 field: Some(1),
             };
-            let col = eval_column(&e, &grouped);
+            let col = eval_column(&e, &grouped, &whole(&grouped));
             for (i, r) in rows.iter().enumerate() {
                 assert_eq!(col.value_at(i), e.eval(&EvalContext::new(r)), "{func:?}");
             }
@@ -1625,11 +1808,16 @@ mod tests {
     #[test]
     fn limit_truncates() {
         let records = sample_records();
-        let mut batch = Batch::from_records(&records).unwrap();
-        batch.truncate(2);
-        assert_eq!(batch.to_records(), records[..2].to_vec());
-        batch.truncate(10); // no-op past the end
-        assert_eq!(batch.len(), 2);
+        let batch = Batch::from_records(&records).unwrap();
+        for mut live in [whole(&batch), Selection::Rows(vec![0, 2, 3, 4])] {
+            let first = live.map(|_, row| row)[..2].to_vec();
+            live.truncate(2);
+            assert_eq!(live.map(|_, row| row), first);
+            live.truncate(10); // no-op past the end
+            assert_eq!(live.len(), 2);
+            live.truncate(0);
+            assert!(live.is_empty());
+        }
     }
 
     #[test]
@@ -1667,7 +1855,7 @@ mod tests {
             },
         ];
         for (k, e) in exprs.iter().enumerate() {
-            let col = eval_column(e, &batch);
+            let col = eval_column(e, &batch, &whole(&batch));
             for (i, r) in records.iter().enumerate() {
                 assert_eq!(
                     col.value_at(i),

@@ -133,9 +133,10 @@ pub mod data_plane {
         pub const ARCS_SHARED: &str = "cbft_data_plane_arcs_shared_total";
         /// Counter (sim): bytes through canonical record encoding.
         pub const BYTES_ENCODED: &str = "cbft_data_plane_bytes_encoded_total";
-        /// Counter (sim): columnar batches built at task boundaries.
+        /// Counter (sim): batches tasks allocated to lay their input out
+        /// (a window read in place builds none).
         pub const BATCHES_BUILT: &str = "cbft_data_plane_batches_built_total";
-        /// Counter (sim): rows converted into columnar batches.
+        /// Counter (sim): rows of those batches.
         pub const BATCH_ROWS: &str = "cbft_data_plane_batch_rows_total";
         /// Counter (sim): bytes absorbed by digest hashers.
         pub const DIGEST_BYTES: &str = "cbft_data_plane_digest_bytes_hashed_total";
@@ -169,13 +170,14 @@ pub mod data_plane {
         global().add(Domain::Sim, names::BYTES_ENCODED, &[], n);
     }
 
-    /// Columnar batches built at task boundaries (split/shuffle
-    /// conversion on the batched data plane).
+    /// Batches a task allocated to lay its input out: a record split's
+    /// conversion, a corrupt task's copy of its window, a reduce
+    /// partition's layout. A columnar split read in place builds none.
     pub fn count_batches_built(n: u64) {
         global().add(Domain::Sim, names::BATCHES_BUILT, &[], n);
     }
 
-    /// Rows converted into columnar batches.
+    /// Rows of the batches [`count_batches_built`] counts.
     pub fn count_batch_rows(n: u64) {
         global().add(Domain::Sim, names::BATCH_ROWS, &[], n);
     }
@@ -216,9 +218,9 @@ pub mod data_plane {
         pub arcs_shared: u64,
         /// Bytes written through canonical record encoding.
         pub bytes_encoded: u64,
-        /// Columnar batches built at task boundaries.
+        /// Batches tasks allocated to lay their input out.
         pub batches_built: u64,
-        /// Rows converted into columnar batches.
+        /// Rows of those batches.
         pub batch_rows: u64,
         /// Bytes absorbed by digest hashers.
         pub digest_bytes_hashed: u64,

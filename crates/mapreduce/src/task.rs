@@ -7,8 +7,8 @@
 //!
 //! There is one map skeleton ([`run_map_task`]) and one reduce skeleton
 //! ([`run_reduce_task`]). Both drive a private [`Stream`] whose two arms —
-//! borrowed-or-owned rows, or columnar batches — dispatch to the row and
-//! vectorized kernels; the arm is chosen once, when the task opens its
+//! borrowed-or-owned rows, or selections of columnar batches — dispatch to
+//! the row and vectorized kernels; the arm is chosen once, when the task opens its
 //! input, and every work charge, clone count, stage timer and
 //! verification-point match lives in the skeleton, not in the arm. The
 //! engine and the spot-checker run tasks through [`run_task`] over
@@ -16,12 +16,15 @@
 //! and between map and reduce ([`Partition`]) is known to this module
 //! alone.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
+pub(crate) use cbft_dataflow::batch::fnv1a;
 use cbft_dataflow::batch::{
-    filter_batch, group_batch, group_batch_unordered, join_batch, order_batch, project_batch,
+    group_batch, group_batch_unordered, join_batch, order_batch, project, select, shuffle_buckets,
+    Selection,
 };
 use cbft_dataflow::combiner::Combiner;
 use cbft_dataflow::compile::Site;
@@ -84,7 +87,9 @@ impl Partition {
     }
 
     /// The gather, of a shuffle partition's per-map runs and of a job's
-    /// output alike: concatenates the runs in task order. Batches and
+    /// output alike: concatenates the runs in task order — a columnar map
+    /// task hands each reduce partition one run, so a partition holds as
+    /// many runs as the job has map tasks. Batches and
     /// records move, never clone. The result stays columnar unless some
     /// run holds records (its task ran the row arm); then the batch runs
     /// materialize too — the exact fallback.
@@ -213,8 +218,9 @@ impl TaskInput {
     /// The copy kept for the trusted spot-checker, made before the
     /// untrusted task (whose fate may corrupt its view) sees the input.
     /// A split costs a handle clone; a partition is copied whole — its
-    /// records deep-cloned, or its batches' columns copied — and charged
-    /// one `records_cloned` per row in either form.
+    /// records deep-cloned, or the columns of its runs (one per map task
+    /// that fed it) copied — and charged one `records_cloned` per row in
+    /// either form.
     pub fn capture(&self) -> TaskInput {
         if let TaskInput::Partition(p) = self {
             data_plane::count_records_cloned(p.len() as u64);
@@ -243,12 +249,14 @@ pub(crate) struct Work {
 /// engine attaches these to the task's trace span as wall-domain args.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct StageWall {
-    /// Laying the task's input out in the form its arm reads:
-    /// [`Batch::slice`] windows of a columnar file's split, records →
-    /// [`Batch`] for a record file's split or a record partition,
-    /// [`Batch::concat`] of the runs for a columnar partition; on the row
-    /// arm, the row image of a columnar split — and a corrupt fate's pass
-    /// over that input, on either arm.
+    /// Laying the task's input out in the form its arm reads, where that
+    /// takes a copy: records → [`Batch`] for a record file's split or a
+    /// record partition, [`Batch::concat`] of the runs for a columnar
+    /// partition, the row arm's row image of a columnar split — and a
+    /// corrupt fate's copy of its input (a columnar split's window,
+    /// materialized once and flipped in place) on either arm. A faithful
+    /// columnar task over a columnar file reads its window in place and
+    /// spends nothing here.
     pub to_batch: u64,
     /// Per-record operators (`FILTER`, `FOREACH`, `LIMIT`).
     pub pipeline_ops: u64,
@@ -259,8 +267,9 @@ pub(crate) struct StageWall {
     pub digest: u64,
     /// Routing map output to reduce partitions: hashing each row's
     /// shuffle key and, on the columnar arm, gathering each partition's
-    /// rows into its run (on the row arm the records move). Without a
-    /// shuffle, handing the stream over as the one partition.
+    /// rows into its one run — the copy of a row out of the split (on the
+    /// row arm the records move). Without a shuffle, handing the stream
+    /// over as the one partition.
     pub partition: u64,
 }
 
@@ -382,9 +391,9 @@ pub(crate) fn run_task(
 /// at map-side verification points, and partitions the result for the
 /// shuffle.
 ///
-/// The split is borrowed (`window` of the shared input `file`); rows are
-/// copied only where they must become owned — at the partition boundary,
-/// and only if the pipeline kept them borrowed until then.
+/// The split is borrowed (`window` of the shared input `file`); a row is
+/// copied only where it must become owned — at the partition boundary,
+/// and only if the pipeline kept it borrowed until then.
 pub(crate) fn run_map_task(
     job: &ExecJob,
     input_index: usize,
@@ -397,10 +406,13 @@ pub(crate) fn run_map_task(
     let plan = &job.plan;
     let input = &job.inputs[input_index];
     let mut out = TaskOutput::new(0);
-    // The row arm reads records: a columnar file's window becomes records
-    // once, here, and is borrowed from then on like a record file's — so
-    // the task charges the same whichever form the file is stored in.
-    let image: Vec<Record>;
+    // Each arm reads one form. A window in the other form is converted
+    // once, here — a columnar file's into records for the row arm, a
+    // record file's into a batch for the columnar arm (unless it is
+    // ragged: then it stays rows) — and is borrowed from this frame from
+    // then on like a window of the file, so the task charges the same
+    // whichever form the file is stored in.
+    let (image, converted): (Vec<Record>, Batch);
     let split = match file.batch() {
         Some(batch) if columnar(job) => Split::Cols(batch, window),
         Some(batch) => {
@@ -409,7 +421,19 @@ pub(crate) fn run_map_task(
             });
             Split::Rows(&image)
         }
-        None => Split::Rows(&file.rows()[window]),
+        None => {
+            let records = &file.rows()[window];
+            let batch = columnar(job)
+                .then(|| timed(&mut out.stages.to_batch, || Batch::from_records(records)));
+            match batch.flatten() {
+                Some(batch) => {
+                    count_batch_built(&batch);
+                    converted = batch;
+                    Split::Cols(&converted, 0..converted.len())
+                }
+                None => Split::Rows(records),
+            }
+        }
     };
     let mut stream = Stream::open_split(job, split, fate, &mut out);
 
@@ -425,7 +449,7 @@ pub(crate) fn run_map_task(
     }
 
     // The output boundary: partitions outlive the split borrow, so rows
-    // still borrowed from (or columnar images of) the split are cloned
+    // still borrowed from (or selected in place in) the split are copied
     // here — the single unavoidable copy on the map path.
     let len = stream.len();
     if !stream.is_owned() {
@@ -443,21 +467,18 @@ pub(crate) fn run_map_task(
                     Some(comb) => {
                         work.record_ops += 2 * len;
                         let partials = comb.partials(&stream.into_records());
-                        partition_records(ShuffleKey::Field(0), input.tag, partials, n, work)
+                        partition_records(ShuffleKey::Field(0), input.tag, partials, n)
                     }
                     None => {
                         work.record_ops += len;
-                        stream.partition(ShuffleKey::of(op, input.tag), input.tag, n, work)
+                        stream.partition(ShuffleKey::of(op, input.tag), input.tag, n)
                     }
                 }
             }
-            None => {
-                let part = stream.into_partition(input.tag);
-                work.bytes_out += part.byte_size();
-                vec![part]
-            }
+            None => vec![stream.into_partition(input.tag)],
         }
     });
+    out.work.bytes_out += out.data.iter().map(Partition::byte_size).sum::<u64>();
     out
 }
 
@@ -572,8 +593,34 @@ fn bags_unobserved(job: &ExecJob) -> bool {
 enum Split<'a> {
     /// Records: a record file, or the row arm's image of a columnar one.
     Rows(&'a [Record]),
-    /// A row range of a columnar file.
+    /// A row range of a columnar file, or of the columnar arm's image of
+    /// a record one.
     Cols(&'a Batch, Range<usize>),
+}
+
+/// One stretch of the columnar arm's stream: a batch — borrowed while
+/// its rows are the split's, owned once a projection, a shuffle kernel or
+/// a corrupt fate produced it — and the rows of it that are live. `FILTER`
+/// and `LIMIT` narrow the selection and copy nothing.
+struct Chunk<'a> {
+    batch: Cow<'a, Batch>,
+    rows: Selection,
+}
+
+impl Chunk<'_> {
+    /// Every row of a batch the task built.
+    fn owned(batch: Batch) -> Chunk<'static> {
+        Chunk {
+            rows: Selection::Range(0..batch.len()),
+            batch: Cow::Owned(batch),
+        }
+    }
+}
+
+/// Counts a batch a task built to lay its input out.
+fn count_batch_built(batch: &Batch) {
+    data_plane::count_batches_built(1);
+    data_plane::count_batch_rows(batch.len() as u64);
 }
 
 /// A stream of rows flowing through a task pipeline on the row plane.
@@ -645,25 +692,18 @@ enum Stream<'a> {
     /// Row-at-a-time execution: `--batch-size 0`, and the fallback for
     /// combiners, ragged inputs and DISTINCT.
     Rows(RecordStream<'a>),
-    /// Vectorized execution over batches of at most
-    /// [`ExecJob::batch_records`] rows.
-    Cols {
-        batches: Vec<Batch>,
-        /// Mirrors the row arm's borrow tracking: `false` while the rows
-        /// are still columnar images of the input split, `true` once a
-        /// projection, a shuffle or a corrupt fate produced fresh rows.
-        owned: bool,
-    },
+    /// Vectorized execution over selections: a split is read in place,
+    /// [`ExecJob::batch_records`] rows per chunk, and a shuffle kernel's
+    /// output is one chunk.
+    Cols(Vec<Chunk<'a>>),
 }
 
 impl<'a> Stream<'a> {
     /// Opens a map task's split and charges the bytes it reads. The
-    /// columnar arm lays the split out as batches of `batch_records` rows
-    /// at the storage boundary: a columnar file's window is cut column by
-    /// column, records are converted. A ragged split (mixed arity within
-    /// a batch) cannot be laid out columnar and falls back to rows before
-    /// any counter is touched. Under a commission fault the node
-    /// processes a corrupted view of the split — corrupted after
+    /// columnar arm borrows the split's batch and copies nothing: each
+    /// chunk is a window of at most `batch_records` rows of it. Under a
+    /// commission fault the node processes a corrupted view of the split
+    /// — its window materialized once and flipped in place, after
     /// `bytes_in` is charged for the true data — so every downstream
     /// digest and output reflects it.
     fn open_split(
@@ -673,54 +713,38 @@ impl<'a> Stream<'a> {
         out: &mut TaskOutput,
     ) -> Stream<'a> {
         let corrupt = fate == TaskFate::Corrupt;
-        let columnar_over = |mut batches: Vec<Batch>, out: &mut TaskOutput| {
-            out.work.bytes_in = batches.iter().map(Batch::canonical_bytes).sum();
-            data_plane::count_batches_built(batches.len() as u64);
-            data_plane::count_batch_rows(batches.iter().map(|b| b.len() as u64).sum());
-            if corrupt {
-                timed(&mut out.stages.to_batch, || {
-                    batches.iter_mut().for_each(corrupt_batch)
-                });
+        match split {
+            Split::Cols(batch, window) => {
+                out.work.bytes_in = batch.canonical_bytes_in(window.clone());
+                if corrupt {
+                    let owned = timed(&mut out.stages.to_batch, || {
+                        let mut owned = batch.slice(window);
+                        corrupt_batch(&mut owned);
+                        owned
+                    });
+                    count_batch_built(&owned);
+                    return Stream::Cols(vec![Chunk::owned(owned)]);
+                }
+                let starts = window.clone().step_by(job.batch_records);
+                let chunk = |start: usize| Chunk {
+                    batch: Cow::Borrowed(batch),
+                    rows: Selection::Range(start..window.end.min(start + job.batch_records)),
+                };
+                Stream::Cols(starts.map(chunk).collect())
             }
-            Stream::Cols {
-                batches,
-                owned: corrupt,
-            }
-        };
-        let records = match split {
-            Split::Cols(file, window) => {
-                let batches = timed(&mut out.stages.to_batch, || {
-                    window
-                        .clone()
-                        .step_by(job.batch_records)
-                        .map(|start| file.slice(start..window.end.min(start + job.batch_records)))
-                        .collect()
-                });
-                return columnar_over(batches, out);
-            }
-            Split::Rows(records) => records,
-        };
-        if columnar(job) {
-            let batches: Option<Vec<Batch>> = timed(&mut out.stages.to_batch, || {
-                records
-                    .chunks(job.batch_records)
-                    .map(Batch::from_records)
-                    .collect()
-            });
-            if let Some(batches) = batches {
-                return columnar_over(batches, out);
+            Split::Rows(records) => {
+                out.work.bytes_in = records.iter().map(Record::byte_size).sum();
+                Stream::Rows(if corrupt {
+                    RecordStream::Owned(timed(&mut out.stages.to_batch, || {
+                        let mut owned = records.to_vec();
+                        owned.iter_mut().for_each(corrupt_record);
+                        owned
+                    }))
+                } else {
+                    RecordStream::Slice(records)
+                })
             }
         }
-        out.work.bytes_in = records.iter().map(Record::byte_size).sum();
-        Stream::Rows(if corrupt {
-            RecordStream::Owned(timed(&mut out.stages.to_batch, || {
-                let mut owned = records.to_vec();
-                owned.iter_mut().for_each(corrupt_record);
-                owned
-            }))
-        } else {
-            RecordStream::Slice(records)
-        })
     }
 
     /// Opens a reduce task's partition through the job's shuffle: the
@@ -765,44 +789,35 @@ impl<'a> Stream<'a> {
             };
             // The one match that decides whether the shuffle has a
             // vectorized kernel and runs it. The post-shuffle stream is
-            // the kernel's one output batch (bags stay nested in it), or
-            // the collector input re-sliced into batches of
-            // `batch_records` rows.
-            let batches = match op {
-                None => sides(false).map(|[all, _]| {
-                    let starts = (0..all.len()).step_by(job.batch_records);
-                    let end = |start: usize| all.len().min(start + job.batch_records);
-                    timed(to_batch, || starts.map(|s| all.slice(s..end(s))).collect())
-                }),
+            // one chunk: the kernel's output batch (bags stay nested in
+            // it), or the collector's input as laid out.
+            let batch = match op {
+                None => sides(false).map(|[all, _]| all),
                 Some(&Operator::Group { key }) => sides(false).map(|[all, _]| {
-                    vec![timed(shuffle_kernel, || {
+                    timed(shuffle_kernel, || {
                         if bags_unobserved(job) {
                             data_plane::count_groups_unordered(1);
                             group_batch_unordered(&all, key)
                         } else {
                             group_batch(&all, key)
                         }
-                    })]
+                    })
                 }),
                 Some(&Operator::Join {
                     left_key,
                     right_key,
                 }) => sides(true).map(|[left, right]| {
-                    vec![timed(shuffle_kernel, || {
+                    timed(shuffle_kernel, || {
                         join_batch(&left, left_key, &right, right_key)
-                    })]
+                    })
                 }),
                 Some(&Operator::Order { key, order }) => sides(false)
-                    .map(|[all, _]| vec![timed(shuffle_kernel, || order_batch(&all, key, order))]),
+                    .map(|[all, _]| timed(shuffle_kernel, || order_batch(&all, key, order))),
                 Some(_) => None,
             };
-            if let Some(batches) = batches {
-                data_plane::count_batches_built(batches.len() as u64);
-                data_plane::count_batch_rows(batches.iter().map(|b| b.len() as u64).sum());
-                return Stream::Cols {
-                    batches,
-                    owned: true,
-                };
+            if let Some(batch) = batch {
+                count_batch_built(&batch);
+                return Stream::Cols(vec![Chunk::owned(batch)]);
             }
         }
 
@@ -859,16 +874,16 @@ impl<'a> Stream<'a> {
     fn len(&self) -> u64 {
         match self {
             Stream::Rows(s) => s.len() as u64,
-            Stream::Cols { batches, .. } => batches.iter().map(|b| b.len() as u64).sum(),
+            Stream::Cols(chunks) => chunks.iter().map(|c| c.rows.len() as u64).sum(),
         }
     }
 
-    /// False while the rows are still (images of) the borrowed input
-    /// split: materializing them at the output boundary is then a clone.
+    /// False while the rows are still the borrowed input split's:
+    /// handing them over at the output boundary is then a clone.
     fn is_owned(&self) -> bool {
         match self {
             Stream::Rows(s) => matches!(s, RecordStream::Owned(_)),
-            Stream::Cols { owned, .. } => *owned,
+            Stream::Cols(chunks) => chunks.iter().all(|c| matches!(c.batch, Cow::Owned(_))),
         }
     }
 
@@ -878,12 +893,9 @@ impl<'a> Stream<'a> {
         work.record_ops += self.len();
         match self {
             Stream::Rows(s) => Stream::Rows(apply_op(op, s)),
-            Stream::Cols { mut batches, owned } => {
-                apply_op_batched(op, &mut batches);
-                Stream::Cols {
-                    batches,
-                    owned: owned || matches!(op, Operator::Project { .. }),
-                }
+            Stream::Cols(mut chunks) => {
+                apply_op_selected(op, &mut chunks);
+                Stream::Cols(chunks)
             }
         }
     }
@@ -894,7 +906,7 @@ impl<'a> Stream<'a> {
         let mut cd = ChunkedDigest::new(granularity);
         let payload_bytes = match self {
             Stream::Rows(s) => frame_rows(s.iter(), &mut cd),
-            Stream::Cols { batches, .. } => frame_batches(batches, granularity, &mut cd),
+            Stream::Cols(chunks) => frame_chunks(chunks, granularity, &mut cd),
         };
         let count = self.len();
         work.digest_bytes += payload_bytes;
@@ -909,33 +921,44 @@ impl<'a> Stream<'a> {
 
     /// Routes a map task's output to `n` reduce partitions by shuffle
     /// key. Each arm hands its rows over in its own form: owned records,
-    /// or one gathered batch per (batch, partition).
-    fn partition(self, key: ShuffleKey, tag: usize, n: usize, work: &mut Work) -> Vec<Partition> {
+    /// or one gathered batch per partition.
+    fn partition(self, key: ShuffleKey, tag: usize, n: usize) -> Vec<Partition> {
         match self {
-            Stream::Rows(s) => partition_records(key, tag, s.into_owned(), n, work),
-            Stream::Cols { batches, .. } => partition_batches(key, tag, batches, n, work),
+            Stream::Rows(s) => partition_records(key, tag, s.into_owned(), n),
+            Stream::Cols(chunks) => partition_chunks(key, tag, &chunks, n),
         }
     }
 
     /// The whole stream as one partition: a reduce or collector task's
-    /// output, or a map task's when the job has no shuffle.
+    /// output, or a map task's when the job has no shuffle. Batches the
+    /// task built move; rows still selected in place are gathered.
     fn into_partition(self, tag: usize) -> Partition {
         match self {
             Stream::Rows(s) => {
                 Partition::Rows(s.into_owned().into_iter().map(|r| (tag, r)).collect())
             }
-            Stream::Cols { batches, .. } => {
-                let runs = batches.into_iter().filter(|b| !b.is_empty());
-                Partition::Cols(runs.map(|b| (tag, b)).collect())
+            Stream::Cols(mut chunks) => {
+                chunks.retain(|c| !c.rows.is_empty());
+                let built =
+                    |c: &Chunk| matches!(c.batch, Cow::Owned(_)) && c.rows.len() == c.batch.len();
+                if chunks.iter().all(built) {
+                    let runs = chunks.into_iter().map(|c| (tag, c.batch.into_owned()));
+                    return Partition::Cols(runs.collect());
+                }
+                partition_chunks(ShuffleKey::Single, tag, &chunks, 1).swap_remove(0)
             }
         }
     }
 
-    /// Materializes the stream as owned records, for the combiner.
+    /// Materializes the stream as owned records, for the combiner (whose
+    /// jobs take the row arm).
     fn into_records(self) -> Vec<Record> {
         match self {
             Stream::Rows(s) => s.into_owned(),
-            Stream::Cols { batches, .. } => batches.iter().flat_map(Batch::to_records).collect(),
+            cols => {
+                let tagged = cols.into_partition(0).into_tagged();
+                tagged.into_iter().map(|(_, r)| r).collect()
+            }
         }
     }
 }
@@ -986,26 +1009,27 @@ fn apply_op<'a>(op: &Operator, records: RecordStream<'a>) -> RecordStream<'a> {
     }
 }
 
-/// Vectorized kernel of [`Stream::apply`].
-fn apply_op_batched(op: &Operator, batches: &mut [Batch]) {
+/// Vectorized kernel of [`Stream::apply`], chunk by chunk: a filter
+/// narrows the selection, a projection evaluates over it into a batch of
+/// its own, a limit cuts it.
+fn apply_op_selected(op: &Operator, chunks: &mut [Chunk<'_>]) {
     match op {
         Operator::Load { .. } | Operator::Union | Operator::Store { .. } => {}
         Operator::Filter { predicate } => {
-            for b in batches.iter_mut() {
-                *b = filter_batch(b, predicate);
+            for c in chunks.iter_mut() {
+                c.rows = Selection::Rows(select(&c.batch, &c.rows, predicate));
             }
         }
         Operator::Project { exprs, .. } => {
-            for b in batches.iter_mut() {
-                *b = project_batch(b, exprs);
+            for c in chunks.iter_mut() {
+                *c = Chunk::owned(project(&c.batch, &c.rows, exprs));
             }
         }
         Operator::Limit { count } => {
             let mut remaining = *count as usize;
-            for b in batches.iter_mut() {
-                let take = remaining.min(b.len());
-                b.truncate(take);
-                remaining -= take;
+            for c in chunks.iter_mut() {
+                c.rows.truncate(remaining);
+                remaining -= c.rows.len();
             }
         }
         blocking => {
@@ -1057,12 +1081,10 @@ fn partition_records(
     tag: usize,
     records: Vec<Record>,
     n: usize,
-    work: &mut Work,
 ) -> Vec<Partition> {
     let mut parts = vec![Vec::new(); n];
     let mut buf = Vec::new();
     for r in records {
-        work.bytes_out += r.byte_size();
         buf.clear();
         let p = match key {
             ShuffleKey::Field(k) => {
@@ -1080,51 +1102,44 @@ fn partition_records(
     parts.into_iter().map(Partition::Rows).collect()
 }
 
-/// Vectorized kernel of [`Stream::partition`]: shuffle keys are encoded
-/// straight out of the columns into one selection vector per partition,
-/// and each partition's rows are gathered into its run — no record is
-/// built. A batch whose rows all land in one partition moves whole.
-fn partition_batches(
-    key: ShuffleKey,
-    tag: usize,
-    batches: Vec<Batch>,
-    n: usize,
-    work: &mut Work,
-) -> Vec<Partition> {
-    let mut parts = vec![Vec::new(); n];
-    let mut selected = vec![Vec::new(); n];
+/// Vectorized kernel of [`Stream::partition`], and the one place the
+/// columnar arm copies a row: the bucket of every live row is hashed
+/// straight out of its chunk's columns into one row list per partition,
+/// and each partition's rows are gathered from all the chunks into its
+/// one run — no record is built, nothing is copied twice.
+fn partition_chunks(key: ShuffleKey, tag: usize, chunks: &[Chunk<'_>], n: usize) -> Vec<Partition> {
+    // `picks[p]` lists partition `p`'s rows chunk after chunk (one list,
+    // not one per chunk: a list that starts empty regrows as it fills);
+    // `cuts[p][c]` is where chunk `c`'s stretch of it ends.
+    let mut picks = vec![Vec::new(); n];
+    let mut cuts = vec![Vec::with_capacity(chunks.len()); n];
     let mut buf = Vec::new();
-    for b in batches.into_iter().filter(|b| !b.is_empty()) {
-        work.bytes_out += b.canonical_bytes();
-        selected.iter_mut().for_each(Vec::clear);
-        for row in 0..b.len() {
-            buf.clear();
-            let p = match key {
-                ShuffleKey::Field(k) => {
-                    b.write_value_canonical(row, k, &mut buf);
-                    bucket(&buf, n)
-                }
-                ShuffleKey::Row => {
-                    b.write_row_canonical(row, &mut buf);
-                    bucket(&buf, n)
-                }
-                ShuffleKey::Single => 0,
-            };
-            selected[p].push(row);
-        }
-        if let Some(p) = selected.iter().position(|rows| rows.len() == b.len()) {
-            parts[p].push((tag, b));
-            continue;
-        }
-        for (p, rows) in selected
-            .iter()
-            .enumerate()
-            .filter(|(_, rows)| !rows.is_empty())
-        {
-            parts[p].push((tag, b.gather(rows)));
+    for chunk in chunks {
+        let buckets = match key {
+            ShuffleKey::Field(k) => shuffle_buckets(&chunk.batch, &chunk.rows, k, n),
+            ShuffleKey::Row => chunk.rows.map(|_, row| {
+                buf.clear();
+                chunk.batch.write_row_canonical(row, &mut buf);
+                bucket(&buf, n)
+            }),
+            ShuffleKey::Single => vec![0; chunk.rows.len()],
+        };
+        chunk.rows.for_each(|i, row| picks[buckets[i]].push(row));
+        for (cuts, picks) in cuts.iter_mut().zip(&picks) {
+            cuts.push(picks.len());
         }
     }
-    parts.into_iter().map(Partition::Cols).collect()
+    let run = |(picks, cuts): (&Vec<usize>, &Vec<usize>)| {
+        let starts = [0].into_iter().chain(cuts.iter().copied());
+        let stretches = starts.zip(cuts).map(|(start, &end)| &picks[start..end]);
+        let sources = chunks.iter().map(|c| &*c.batch);
+        let parts: Vec<(&Batch, &[usize])> = sources.zip(stretches).collect();
+        let routed = !picks.is_empty();
+        Partition::Cols(Vec::from_iter(
+            routed.then(|| (tag, Batch::gather_parts(&parts))),
+        ))
+    };
+    picks.iter().zip(&cuts).map(run).collect()
 }
 
 /// Row kernel of [`Stream::digest`]: each record is canonically encoded
@@ -1145,35 +1160,34 @@ fn frame_rows<'r>(records: impl Iterator<Item = &'r Record>, cd: &mut ChunkedDig
     payload_bytes
 }
 
-/// Vectorized kernel of [`Stream::digest`]: frames whole chunk-aligned
-/// runs of rows into one reused buffer per hasher update (byte-identical
-/// digests). Returns the payload bytes framed.
-fn frame_batches(batches: &[Batch], granularity: usize, cd: &mut ChunkedDigest) -> u64 {
+/// Vectorized kernel of [`Stream::digest`]: frames the live rows of each
+/// chunk into one reused buffer per hasher update — a run ends where the
+/// digest chunk or the stream chunk does (byte-identical digests).
+/// Returns the payload bytes framed.
+fn frame_chunks(chunks: &[Chunk<'_>], granularity: usize, cd: &mut ChunkedDigest) -> u64 {
     let mut run = Vec::new();
-    let mut in_chunk = 0usize;
-    let mut payload_bytes = 0u64;
-    for b in batches {
-        let mut row = 0;
-        while row < b.len() {
-            let take = (granularity - in_chunk).min(b.len() - row);
-            run.clear();
-            let mut payload = 0u64;
-            for r in row..row + take {
-                let start = run.len();
-                run.extend_from_slice(&[0u8; 8]);
-                b.write_row_canonical(r, &mut run);
-                let len = (run.len() - start - 8) as u64;
-                run[start..start + 8].copy_from_slice(&len.to_be_bytes());
-                payload += len;
+    let (mut framed, mut payload, mut payload_bytes) = (0usize, 0u64, 0u64);
+    let mut room = granularity;
+    for chunk in chunks {
+        chunk.rows.for_each(|i, row| {
+            let start = run.len();
+            run.extend_from_slice(&[0u8; 8]);
+            chunk.batch.write_row_canonical(row, &mut run);
+            let len = (run.len() - start - 8) as u64;
+            run[start..start + 8].copy_from_slice(&len.to_be_bytes());
+            (framed, payload) = (framed + 1, payload + len);
+            if framed == room || i + 1 == chunk.rows.len() {
+                cd.append_run(&run, framed, payload);
+                payload_bytes += payload;
+                room = if framed == room {
+                    granularity
+                } else {
+                    room - framed
+                };
+                run.clear();
+                (framed, payload) = (0, 0);
             }
-            cd.append_run(&run, take, payload);
-            payload_bytes += payload;
-            in_chunk += take;
-            if in_chunk == granularity {
-                in_chunk = 0;
-            }
-            row += take;
-        }
+        });
     }
     payload_bytes
 }
@@ -1205,17 +1219,6 @@ fn finish_chunked(cd: ChunkedDigest, pool: &ComputePool) -> ChunkedSummary {
             })
             .concat()
     })
-}
-
-/// FNV-1a, used for deterministic, platform-independent partitioning and
-/// split placement.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -1932,7 +1935,7 @@ mod tests {
         // FILTER drops; every surviving row has key 7.
         let mut rows: Vec<Record> = (0..6).map(|i| pair(Value::Int(i), Value::Null)).collect();
         rows.extend((0..6).map(|i| pair(Value::Int(7), Value::Int(i))));
-        let src = task_script(0, [true, false, false], 1, 1);
+        let src = task_script(0, [true, false, false, false], 1, 1);
         let mut job = exec_job(&src, vec![]);
         arm_sites(&mut job, Sites::Every);
         let outs = assert_planes_agree(&mut job, &rows, |_| TaskFate::Faithful, &src);
@@ -1949,7 +1952,7 @@ mod tests {
         let rows: Vec<Record> = (0..8)
             .map(|_| pair(Value::Int(1), Value::Int(x.unwrap())))
             .collect();
-        let src = task_script(1, [false; 3], 0, 1);
+        let src = task_script(1, [false; 4], 0, 1);
         let mut job = exec_job(&src, vec![]);
         arm_sites(&mut job, Sites::Every);
         let outs = assert_planes_agree(&mut job, &rows, |_| TaskFate::Faithful, &src);
@@ -1958,8 +1961,8 @@ mod tests {
         }
 
         // The same with nothing to read at all, through every shuffle.
-        for shuffle in 0..5 {
-            let src = task_script(shuffle, [true, true, true], 1, 3);
+        for shuffle in 0..7 {
+            let src = task_script(shuffle, [true, true, true, true], 1, 3);
             let mut job = exec_job(&src, vec![]);
             arm_sites(&mut job, Sites::Every);
             assert_planes_agree(&mut job, &[], |_| TaskFate::Faithful, &src);
@@ -1993,7 +1996,7 @@ mod tests {
             };
             // GROUP, ORDER, DISTINCT and a collector (LIMIT, no shuffle).
             for shuffle in [0, 2, 3, 4] {
-                let src = task_script(shuffle, [true, false, true], 1, 50);
+                let src = task_script(shuffle, [true, false, false, true], 1, 50);
                 let ctx = format!("{name}: {src}");
                 let mut job = exec_job(&src, vec![]);
                 arm_sites(&mut job, Sites::Every);
@@ -2022,7 +2025,7 @@ mod tests {
         let rows: Vec<Record> = (0..36i64)
             .map(|i| Record::new(vec![Value::Int(i % 6), Value::Int(i / 6)]))
             .collect();
-        let src = task_script(1, [false; 3], 0, 1);
+        let src = task_script(1, [false; 4], 0, 1);
         let mut job = exec_job(&src, vec![]);
         // One partition: a shifted key finds its match in it.
         job.reduce_task_count = 1;
@@ -2038,14 +2041,16 @@ mod tests {
         assert_ne!(recs(&corrupt[4]), recs(&faithful[4]));
     }
 
-    /// A single-job script over `in(k, v)`: optional map-side FILTER and
-    /// FOREACH, one of GROUP / JOIN / ORDER / DISTINCT / no shuffle, and
-    /// an optional LIMIT. What follows a GROUP is picked by `after_group`:
+    /// A single-job script over `in(k, v)`: an optional map-side FILTER,
+    /// FOREACH and second FILTER (over what the FOREACH built), one of
+    /// GROUP / JOIN / ORDER / DISTINCT / no shuffle / GROUP of a UNION /
+    /// JOIN of a UNION (three inputs, the tags 0, 0 and 1), and an
+    /// optional LIMIT. What follows a GROUP is picked by `after_group`:
     /// nothing; a FOREACH of algebraic aggregates alone, then a FILTER; a
     /// FOREACH that emits the bag beside an aggregate; or a FILTER before
     /// the all-algebraic FOREACH.
-    fn task_script(shuffle: usize, opts: [bool; 3], after_group: usize, limit: u64) -> String {
-        let [map_filter, map_project, reduce_limit] = opts;
+    fn task_script(shuffle: usize, opts: [bool; 4], after_group: usize, limit: u64) -> String {
+        let [map_filter, map_project, map_filter_again, reduce_limit] = opts;
         let mut src = "a = LOAD 'in' AS (k, v);\n".to_owned();
         let mut cur = "a";
         if map_filter {
@@ -2056,8 +2061,17 @@ mod tests {
             src += &format!("c = FOREACH {cur} GENERATE k, v;\n");
             cur = "c";
         }
+        if map_filter_again {
+            src += &format!("e = FILTER {cur} BY k IS NOT NULL;\n");
+            cur = "e";
+        }
+        if shuffle >= 5 {
+            // The other UNION input reads the file through no operator.
+            src += &format!("y = LOAD 'in' AS (k, v);\nu = UNION {cur}, y;\n");
+            cur = "u";
+        }
         match shuffle {
-            0 => {
+            0 | 5 => {
                 src += &format!("g = GROUP {cur} BY k;\n");
                 let aggregates = format!(
                     "group, COUNT({cur}) AS n, SUM({cur}.v) AS s, MIN({cur}.v) AS lo, \
@@ -2084,7 +2098,7 @@ mod tests {
                     _ => cur = "g",
                 }
             }
-            1 => {
+            1 | 6 => {
                 src += &format!("z = LOAD 'in' AS (k, v);\nj = JOIN {cur} BY k, z BY v;\n");
                 cur = "j";
             }
@@ -2109,36 +2123,48 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(40))]
 
         /// Plane equivalence at the task boundary: for random splits
-        /// (duplicate keys, nulls, strings, optionally ragged arity), a
-        /// random pipeline around each shuffle kind — after a GROUP:
-        /// nothing, an all-algebraic FOREACH, one that emits the bag, a
-        /// FILTER first — both fates, combiner on and off, verification
-        /// points at every site, none, the shuffle, the first reduce
-        /// operator or both, and chunk granularities 1, 2 and unchunked,
-        /// every observable of every task — partitions, records, digests,
-        /// `Work`, commitment — equals the `batch_records = 0` run over
-        /// the record file at batch sizes 1, 3, 1024, and at all four
-        /// from a columnar file.
+        /// (duplicate keys, integer or string, nulls, strings, optionally
+        /// ragged arity; windows of which the map-side FILTER keeps some
+        /// rows, every row or none), a random pipeline — FILTER, FOREACH
+        /// and a FILTER over what it built, in every combination — around
+        /// each shuffle kind, a UNION ahead of a GROUP and of a JOIN among
+        /// them; after a GROUP: nothing, an all-algebraic FOREACH, one
+        /// that emits the bag, a FILTER first; a LIMIT that cuts inside
+        /// the reduce side's chunk — both fates, combiner on and off,
+        /// verification points at every site (so after each map-side
+        /// filter), none, the shuffle, the first reduce operator or both,
+        /// and chunk granularities 1, 2 and unchunked, every observable
+        /// of every task — partitions, records, digests, `Work`,
+        /// commitment — equals the `batch_records = 0` run over the
+        /// record file at batch sizes 1, 3, 1024, and at all four from a
+        /// columnar file.
         #[test]
         fn planes_agree_on_every_task_observable(
             cells in proptest::collection::vec((0i64..5, 0u8..9, 0u8..6), 0..40),
-            shape in 0usize..(5 * 32),
+            shape in 0usize..(7 * 128),
             after_group in 0usize..4,
             sites in 0usize..SITES.len(),
             limit in 1u64..12,
+            survivors in 0u8..4,
         ) {
-            let (shuffle, flags) = (shape % 5, shape / 5);
+            let (shuffle, flags) = (shape % 7, shape / 7);
             let flag = |bit: usize| flags >> bit & 1 == 1;
-            let (ragged, combine) = (flag(3), flag(4));
+            let (ragged, combine, string_keys) = (flag(4), flag(5), flag(6));
             let rows: Vec<Record> = cells
                 .iter()
                 .map(|&(k, v, arity)| {
-                    let k = if k == 4 { Value::Null } else { Value::Int(k) };
-                    let v = match v {
-                        0 => Value::Null,
-                        1 => Value::str("a"),
-                        2 => Value::str("b"),
-                        n => Value::Int(n as i64),
+                    let k = match (k, string_keys) {
+                        (4, _) => Value::Null,
+                        (k, false) => Value::Int(k),
+                        (k, true) => Value::str(["", "x", "xy", "y"][k as usize]),
+                    };
+                    // What `v IS NOT NULL` keeps: some rows, all or none.
+                    let v = match (survivors, v) {
+                        (1, _) => Value::Int(v as i64),
+                        (2, _) | (_, 0) => Value::Null,
+                        (_, 1) => Value::str("a"),
+                        (_, 2) => Value::str("b"),
+                        (_, n) => Value::Int(n as i64),
                     };
                     Record::new(match arity {
                         0 if ragged => vec![k],
@@ -2148,7 +2174,8 @@ mod tests {
                 })
                 .collect();
 
-            let src = task_script(shuffle, [flag(0), flag(1), flag(2)], after_group, limit);
+            let opts = [flag(0), flag(1), flag(2), flag(3)];
+            let src = task_script(shuffle, opts, after_group, limit);
             let mut job = exec_job(&src, vec![]);
             if combine {
                 if let (Some(sh), Some(&first)) = (job.shuffle, job.reduce.first()) {
@@ -2197,7 +2224,7 @@ mod tests {
             .collect();
         for after_group in 0..4 {
             for sites in SITES {
-                let src = task_script(0, [false; 3], after_group, 1);
+                let src = task_script(0, [false; 4], after_group, 1);
                 let mut job = exec_job(&src, vec![]);
                 arm_sites(&mut job, sites);
                 let ctx = format!("{sites:?}:\n{src}");

@@ -21,7 +21,12 @@ pub struct SpanStats {
     pub count: u64,
     /// Total virtual time across completed pairs, microseconds.
     pub sim_us_total: u64,
-    /// Total wall time across completed pairs, nanoseconds.
+    /// Total wall time across completed pairs, nanoseconds: End stamp
+    /// minus Begin stamp — except for a span whose End carries stage
+    /// timings (a task: its Begin is stamped at dispatch and its End when
+    /// the *simulated* completion event fires, so the stamps bracket the
+    /// event loop, not the task), whose wall time is the sum of its
+    /// stages, the time its payload ran.
     pub wall_ns_total: u64,
 }
 
@@ -90,10 +95,11 @@ impl TraceSummary {
                             let s = spans.entry(e.name).or_default();
                             s.count += 1;
                             s.sim_us_total += e.sim_us.saturating_sub(begin.sim_us);
-                            s.wall_ns_total += e.wall_ns.saturating_sub(begin.wall_ns);
-                            if !e.wall_args.is_empty() {
-                                add_stages(&mut task_stages, begin, e);
-                            }
+                            s.wall_ns_total += if e.wall_args.is_empty() {
+                                e.wall_ns.saturating_sub(begin.wall_ns)
+                            } else {
+                                add_stages(&mut task_stages, begin, e)
+                            };
                         }
                     }
                 }
@@ -208,12 +214,13 @@ impl TraceSummary {
     }
 }
 
-/// Adds the stage timings on span End `end` to its job's totals.
+/// Adds the stage timings on span End `end` to its job's totals; returns
+/// their sum, the span's own wall time.
 fn add_stages(
     task_stages: &mut BTreeMap<(String, &'static str), StageTotals>,
     begin: &TraceEvent,
     end: &TraceEvent,
-) {
+) -> u64 {
     let job = begin
         .args
         .iter()
@@ -224,13 +231,16 @@ fn add_stages(
         .unwrap_or_default();
     let totals = task_stages.entry((job, end.name)).or_default();
     totals.spans += 1;
+    let mut span_ns = 0;
     for (stage, v) in &end.wall_args {
         let ArgValue::Uint(ns) = v else { continue };
+        span_ns += ns;
         match totals.stage_ns.iter_mut().find(|(s, _)| s == stage) {
             Some((_, total)) => *total += ns,
             None => totals.stage_ns.push((stage, *ns)),
         }
     }
+    span_ns
 }
 
 fn key_lag_from(e: &TraceEvent) -> Option<KeyLag> {
@@ -301,6 +311,59 @@ mod tests {
         assert!(s
             .render()
             .contains("j0 reduce_task: 2 x; digest 3.000 shuffle_kernel 0.750"));
+    }
+
+    /// A task span's stamps bracket the event loop (Begin at dispatch, End
+    /// when the simulated completion fires): its wall time is the sum of
+    /// its stage timings. A span without them keeps the stamp difference.
+    #[test]
+    fn a_span_with_stage_timings_takes_their_sum_as_its_wall_time() {
+        let at = |mut e: TraceEvent, wall_ns: u64| {
+            e.wall_ns = wall_ns;
+            e
+        };
+        let events = vec![
+            at(TraceEvent::begin("replica", "executor").on(0, 0), 1_000),
+            at(
+                TraceEvent::begin("map_task", "engine")
+                    .on(1, 0)
+                    .arg("sid", "j0"),
+                2_000,
+            ),
+            at(
+                TraceEvent::begin("map_task", "engine")
+                    .on(1, 1)
+                    .arg("sid", "j0"),
+                3_000,
+            ),
+            at(
+                TraceEvent::end("map_task", "engine")
+                    .on(1, 0)
+                    .wall_arg("pipeline_ops_ns", 400u64)
+                    .wall_arg("partition_ns", 600u64),
+                900_000,
+            ),
+            at(
+                TraceEvent::end("map_task", "engine")
+                    .on(1, 1)
+                    .wall_arg("pipeline_ops_ns", 50u64)
+                    .wall_arg("partition_ns", 0u64),
+                950_000,
+            ),
+            at(TraceEvent::end("replica", "executor").on(0, 0), 1_000_000),
+        ];
+        let s = TraceSummary::from_events(&events);
+        assert_eq!(s.spans["map_task"].count, 2);
+        assert_eq!(s.spans["map_task"].wall_ns_total, 400 + 600 + 50);
+        assert_eq!(s.spans["replica"].wall_ns_total, 999_000);
+        let stages = &s.task_stages[&("j0".to_owned(), "map_task")];
+        assert_eq!(
+            stages.stage_ns,
+            vec![("pipeline_ops_ns", 450), ("partition_ns", 600)]
+        );
+        assert!(s
+            .render()
+            .contains("map_task: 2 x, 0 us sim, 0.001 ms wall"));
     }
 
     #[test]

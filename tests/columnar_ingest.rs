@@ -1,15 +1,20 @@
 //! The form an input file is stored in — records, or the one columnar
-//! batch `cbft` parses CSV into — changes no count the data plane keeps:
-//! what a map task charges when it opens a columnar file's window
-//! (batches built, rows laid out) and at its output boundary (records
-//! cloned) is what it charges over a record file, on either plane, under
-//! a combiner and under a commission fault.
+//! batch `cbft` parses CSV into — changes no count of the work the data
+//! plane does: what a map task charges at its output boundary (records
+//! cloned) and at its verification points (bytes encoded and hashed) is
+//! what it charges over a record file, on either plane, under a combiner
+//! and under a commission fault.
 //!
-//! The count the form does move is `rows_materialized`, and by a fixed
-//! rule: on the default plane a run without a combiner, fault or no
-//! fault, builds no row until its output is published or `peek`ed, and
-//! exactly the published rows then; a task off the columnar arm (the row
-//! plane, a combiner) builds a row image of a columnar window to read it.
+//! The counts the form does move are of the copies made to read it, each
+//! by a fixed rule. `batches_built` / `batch_rows` count the batches a
+//! task allocates to lay its input out: a columnar task reads a columnar
+//! file's window in place and builds none (a corrupt one materializes its
+//! window, once), and converts a record file's window, once per map task.
+//! `rows_materialized`: on the default plane a run without a combiner,
+//! fault or no fault, builds no row until its output is published or
+//! `peek`ed, and exactly the published rows then; a task off the columnar
+//! arm (the row plane, a combiner) builds a row image of a columnar
+//! window to read it.
 //!
 //! The counters are process-global, so this file holds one test: nothing
 //! else runs in its process.
@@ -108,11 +113,30 @@ fn a_columnar_input_file_moves_no_data_plane_count() {
             // its fate.
             let images = cols.rows_materialized - rows.rows_materialized;
             (rows.rows_materialized, cols.rows_materialized) = (0, 0);
+            // A record file adds, only on the columnar arm, one batch
+            // per map task: its window, converted. A columnar file's
+            // window is read in place (a corrupt task's copy of it, and
+            // every reduce task's layout of its partition, are built
+            // from either form).
+            let converted = (
+                rows.batches_built - cols.batches_built,
+                rows.batch_rows - cols.batch_rows,
+            );
+            (rows.batches_built, rows.batch_rows) = (cols.batches_built, cols.batch_rows);
             assert_eq!(rows, cols, "{ctx}");
             assert!(rows.records_cloned > 0 && rows.bytes_encoded > 0, "{ctx}");
             let replicas: usize = rows_outcome.replicas_per_round().iter().sum();
-            let reading_rows = if batch_records == 0 { replicas } else { 0 };
+            let (reading_rows, reading_cols) = match batch_records {
+                0 => (replicas, 0),
+                _ => (0, replicas),
+            };
             assert_eq!(images, (reading_rows * edges().len()) as u64, "{ctx}");
+            let map_tasks = reading_cols * edges().len().div_ceil(700);
+            let expected = (map_tasks as u64, (reading_cols * edges().len()) as u64);
+            assert_eq!(converted, expected, "{ctx}");
+            if batch_records == 0 {
+                assert_eq!((cols.batches_built, cols.batch_rows), (0, 0), "{ctx}");
+            }
             // Between the planes `records_cloned` differs by the
             // publication copy alone (a record file is cloned, a batch
             // materialized), fault or no fault: a corrupt map task owns

@@ -585,8 +585,8 @@ proptest! {
 // --- columnar data plane & merkle digest trees ------------------------------
 
 use clusterbft_repro::dataflow::batch::{
-    eval_column, filter_batch, group_batch, group_batch_unordered, join_batch, order_batch,
-    project_batch,
+    eval_column, filter_batch, fnv1a, group_batch, group_batch_unordered, join_batch, order_batch,
+    project, project_batch, select, shuffle_buckets, Selection,
 };
 use clusterbft_repro::dataflow::{AggFunc, Batch, CmpOp, Column, EvalContext, SortOrder};
 use clusterbft_repro::digest::{parent_level, MerkleTree};
@@ -992,7 +992,7 @@ proptest! {
                 .iter()
                 .map(|r| Record::new(vec![e.eval(&EvalContext::new(r))]))
                 .collect();
-            let col = eval_column(&e, &grouped);
+            let col = eval_column(&e, &grouped, &Selection::Range(0..grouped.len()));
             let got = Batch::from_columns(vec![col], grouped.len()).to_records();
             prop_assert_eq!(got, expected, "{:?} field {:?}", func, field);
         }
@@ -1032,8 +1032,9 @@ proptest! {
         let picked: Vec<Record> = picks.iter().map(|&i| grouped_rows[i].clone()).collect();
         prop_assert_eq!(grouped.gather(&picks).to_records(), picked);
         let n = cut.index(grouped_rows.len() + 1);
-        let mut truncated = grouped.clone();
-        truncated.truncate(n);
+        let mut live = Selection::Range(0..grouped.len());
+        live.truncate(n);
+        let truncated = grouped.gather(&live.map(|_, row| row));
         prop_assert_eq!(&truncated.to_records(), &grouped_rows[..n].to_vec());
         prop_assert_eq!(encode_batch(&truncated), encode_rows(&grouped_rows[..n]));
     }
@@ -1310,8 +1311,9 @@ proptest! {
             .filter(|_| !values.is_empty())
             .map(|i| i.index(values.len()))
             .collect();
-        let mut prefix = batch.clone();
-        prefix.truncate(cut.index(values.len() + 1));
+        let mut live = Selection::Range(0..batch.len());
+        live.truncate(cut.index(values.len() + 1));
+        let prefix = batch.gather(&live.map(|_, row| row));
         let is_null = Expr::IsNull(Box::new(Expr::Col(0)));
         let not_null = Expr::is_not_null(Expr::Col(0));
         let kept = |keep: fn(&Value) -> bool| values.iter().filter(|v| keep(v)).cloned().collect();
@@ -1332,6 +1334,223 @@ proptest! {
                 }
                 Some(Column::Mixed(_)) => {}
                 other => prop_assert!(false, "selection changed the layout: {:?}", other),
+            }
+        }
+    }
+}
+
+/// Every `Expr` shape, over columns 0 and 1 and one past the arity: the
+/// predicates and generate lists of the selection-kernel tests.
+fn every_expr_shape() -> Vec<Expr> {
+    use clusterbft_repro::dataflow::ArithOp;
+    let col = Expr::Col;
+    let boxed = |e: Expr| Box::new(e);
+    let agg = |func, bag_col, field| Expr::Agg {
+        func,
+        bag_col,
+        field,
+    };
+    vec![
+        col(0),
+        col(1),
+        col(9),
+        Expr::IntLit(1),
+        Expr::StrLit("a".into()),
+        Expr::NullLit,
+        Expr::cmp(CmpOp::Lt, col(0), col(1)),
+        Expr::cmp(CmpOp::Ge, col(0), Expr::IntLit(0)),
+        Expr::cmp(CmpOp::Ne, col(1), Expr::StrLit("a".into())),
+        Expr::cmp(CmpOp::Eq, col(9), Expr::NullLit),
+        Expr::arith(ArithOp::Add, col(0), col(1)),
+        Expr::arith(ArithOp::Mod, Expr::IntLit(7), col(0)),
+        Expr::And(boxed(Expr::is_not_null(col(0))), boxed(col(1))),
+        Expr::Or(boxed(Expr::IsNull(boxed(col(1)))), boxed(col(0))),
+        Expr::Not(boxed(Expr::cmp(CmpOp::Eq, col(0), Expr::IntLit(1)))),
+        Expr::IsNull(boxed(col(0))),
+        Expr::is_not_null(col(1)),
+        Expr::IsNull(boxed(Expr::arith(ArithOp::Div, col(1), col(0)))),
+        agg(AggFunc::Count, 0, None),
+        agg(AggFunc::Sum, 1, Some(0)),
+        agg(AggFunc::Max, 1, Some(5)),
+    ]
+}
+
+/// The layout of each column, by kind alone.
+fn column_kinds(batch: &Batch) -> Vec<std::mem::Discriminant<Column>> {
+    let column = |c| batch.column(c).expect("within the arity");
+    (0..batch.arity())
+        .map(|c| std::mem::discriminant(column(c)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Reading a window in place is reading a copy of it. Over every pair
+    /// of column layouts (nullable and all-null `Int`, `Str`, `Mixed`,
+    /// bags as values and nested), windows that are empty, mid-file and
+    /// to the end, and every `Expr` shape as predicate and as generate
+    /// list: select-then-gather holds the rows `filter_batch` keeps of
+    /// the window's `slice` — and is that batch, layouts included,
+    /// wherever the slice kept the file's layouts (it re-derives an
+    /// all-null `Str` window, `Mixed` and bags from their values) — also
+    /// when a second filter narrows a selection that is already a row
+    /// list; `project` over a selection is `project_batch` of the
+    /// gathered rows; the range form of `canonical_bytes` is the slice's;
+    /// and `shuffle_buckets` is `fnv1a` of the key's canonical encoding
+    /// modulo `n`, for every key column and one past the arity.
+    #[test]
+    fn selection_kernels_match_the_dense_kernels_over_a_copy(
+        n in 2usize..20,
+        duplicates in any::<bool>(),
+        seed in any::<u64>(),
+        cuts in (0usize..21, 0usize..21),
+    ) {
+        let exprs = every_expr_shape();
+        for_every_layout_pair(n, duplicates, seed, |batch, ctx| {
+            let (a, b) = (cuts.0 % (n + 1), cuts.1 % (n + 1));
+            for window in [a..a, a.min(b)..a.max(b), a.min(b)..n, 0..n] {
+                let ctx = format!("{ctx}, window {window:?}");
+                let live = Selection::Range(window.clone());
+                let copy = batch.slice(window.clone());
+                assert_eq!(
+                    batch.canonical_bytes_in(window.clone()),
+                    copy.canonical_bytes(),
+                    "{ctx}"
+                );
+                let same_layouts = !window.is_empty() && column_kinds(&copy) == column_kinds(batch);
+                for (k, predicate) in exprs.iter().enumerate() {
+                    let kept = select(batch, &live, predicate);
+                    assert!(kept.is_sorted() && kept.iter().all(|row| window.contains(row)));
+                    let gathered = batch.gather(&kept);
+                    let dense = filter_batch(&copy, predicate);
+                    assert_eq!(gathered.to_records(), dense.to_records(), "{ctx}, predicate {k}");
+                    assert_eq!(gathered.canonical_bytes(), dense.canonical_bytes());
+                    if same_layouts {
+                        assert_eq!(gathered, dense, "{ctx}, predicate {k}: layouts");
+                    }
+                    // A filter over what a filter kept.
+                    let kept = Selection::Rows(kept);
+                    let again = &exprs[(k + 7) % exprs.len()];
+                    assert_eq!(
+                        batch.gather(&select(batch, &kept, again)).to_records(),
+                        filter_batch(&dense, again).to_records(),
+                        "{ctx}, predicates {k} then {}",
+                        (k + 7) % exprs.len()
+                    );
+                    for rows in [&live, &kept] {
+                        assert_eq!(
+                            project(batch, rows, &exprs),
+                            project_batch(&batch.gather(&rows.map(|_, row| row)), &exprs),
+                            "{ctx}, after predicate {k}: projection"
+                        );
+                        for key in 0..=batch.arity() {
+                            for parts in [1usize, 3, 4, 7] {
+                                let expected = rows.map(|_, row| {
+                                    let mut cell = Vec::new();
+                                    batch.write_value_canonical(row, key, &mut cell);
+                                    (fnv1a(&cell) % parts as u64) as usize
+                                });
+                                assert_eq!(
+                                    shuffle_buckets(batch, rows, key, parts),
+                                    expected,
+                                    "{ctx}, key {key}, {parts} partitions"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    /// One gather over many sources is the `concat` of one gather each:
+    /// the same rows in the same order, whatever layouts the sources'
+    /// columns have — and the same batch where they are typed.
+    #[test]
+    fn gather_parts_is_the_concat_of_the_gathers(
+        n in 2usize..12,
+        seed in any::<u64>(),
+        picks in proptest::collection::vec(
+            proptest::collection::vec(any::<proptest::sample::Index>(), 0..8),
+            1..4,
+        ),
+    ) {
+        let mut sources: Vec<(Batch, String)> = Vec::new();
+        for_every_layout_pair(n, false, seed, |batch, ctx| {
+            if batch.arity() == 2 {
+                sources.push((batch.clone(), ctx.to_owned()));
+            }
+        });
+        for (s, (first, ctx)) in sources.iter().enumerate() {
+            // This source, then others of other layouts, each with its picks.
+            let parts: Vec<(&Batch, Vec<usize>)> = picks
+                .iter()
+                .enumerate()
+                .map(|(k, rows)| {
+                    let source = if k == 0 { first } else { &sources[(s + 5 * k) % sources.len()].0 };
+                    (source, rows.iter().map(|i| i.index(n)).collect())
+                })
+                .collect();
+            let borrowed: Vec<(&Batch, &[usize])> = parts.iter().map(|(b, rows)| (*b, &rows[..])).collect();
+            let once = Batch::gather_parts(&borrowed);
+            let gathers: Vec<Batch> = parts.iter().map(|(b, rows)| b.gather(rows)).collect();
+            let typed = gathers.iter().all(|g| {
+                (0..2).all(|c| matches!(g.column(c), Some(Column::Int { .. } | Column::Str { .. })))
+            });
+            let rows: Vec<Record> = gathers.iter().flat_map(Batch::to_records).collect();
+            assert_batch_holds(&once, &rows);
+            let joined = Batch::concat(gathers).expect("one arity");
+            if typed && !rows.is_empty() {
+                assert_eq!(once, joined, "{ctx}: layouts");
+            }
+        }
+    }
+}
+
+/// The typed arms of `shuffle_buckets` skip the rounds of an integer's
+/// leading zero bytes; the edges of that — 0, one bit either side of the
+/// two- and four-byte boundaries, the extremes, negatives, a null — and
+/// of a string's length prefix hash to what their encoding does.
+#[test]
+fn shuffle_buckets_hash_the_canonical_encoding_at_every_width() {
+    let ints = [
+        0,
+        1,
+        0xFFFF,
+        0x1_0000,
+        0xFFFF_FFFF,
+        0x1_0000_0000,
+        i64::MAX,
+        -1,
+        i64::MIN,
+    ];
+    let mut int_cells: Vec<Value> = ints.into_iter().map(Value::Int).collect();
+    int_cells.push(Value::Null);
+    let texts = [
+        "",
+        "a",
+        &"b".repeat(255),
+        &"c".repeat(256),
+        &"d".repeat(70_000),
+    ];
+    let mut str_cells: Vec<Value> = texts.into_iter().map(Value::str).collect();
+    str_cells.push(Value::Null);
+    for cells in [int_cells, str_cells] {
+        let len = cells.len();
+        let batch = Batch::from_columns(vec![Column::from_values(cells)], len);
+        assert!(!matches!(batch.column(0), Some(Column::Mixed(_))));
+        for rows in [
+            Selection::Range(0..len),
+            Selection::Rows((0..len).step_by(2).collect()),
+        ] {
+            for parts in [1usize, 3, 4, 7, 1 << 20] {
+                let expected = rows.map(|_, row| {
+                    let mut cell = Vec::new();
+                    batch.write_value_canonical(row, 0, &mut cell);
+                    (fnv1a(&cell) % parts as u64) as usize
+                });
+                assert_eq!(shuffle_buckets(&batch, &rows, 0, parts), expected);
             }
         }
     }
