@@ -28,13 +28,19 @@
 //! column-wise window and nothing is converted. The bench asserts it
 //! digests at least as fast as the zero-copy row pass.
 //!
-//! The `group kernel` rows run the reduce-side sort alone, on the follower
-//! workload's Zipf-keyed edges after its `FILTER`: `group_batch` with the
-//! bags in canonical order, and grouped by key alone — what a reduce task
-//! runs when only `COUNT/SUM/MIN/MAX/AVG` read the bags and no
-//! verification point digests them. Both must project to exactly the
-//! `FOREACH … COUNT, SUM` the row kernel computes, and the key-only pass
-//! may not be the slower one.
+//! The `group kernel` row runs `group_batch` — the reduce-side sort with
+//! the bags in canonical order — alone, on the follower workload's
+//! Zipf-keyed edges after its `FILTER`. The `aggregate group` rows price a
+//! reduce task whose bags nothing observes (only `COUNT/SUM/MIN/MAX/AVG`
+//! read them, no verification point digests them), over a partition of
+//! 40 runs on three shapes: follower (`COUNT`, integer key), weather
+//! (`AVG`, integer key) and a string-keyed `COUNT` + `SUM`. The `replaced`
+//! rows reproduce the pipeline the fused kernel replaced — `Batch::concat`
+//! of the runs, a grouping by key alone (a faithful copy of the deleted
+//! `group_batch_unordered`, kept here), `project_batch` over the bags —
+//! and the `fused` rows run `group_aggregate` over the runs in place. Both
+//! must build the same batch, and the fused kernel may not be the slower
+//! one.
 //!
 //! The `corrupt pass` rows price the commission fault itself, on a split a
 //! Byzantine task owns a corrupted copy of: the row arm clones the split's
@@ -76,11 +82,12 @@ use std::time::Instant;
 
 use cbft_bench::{pig_like_cost, ExperimentRecord};
 use cbft_dataflow::batch::{
-    filter_batch, fnv1a, group_batch, group_batch_unordered, project, project_batch, select,
+    filter_batch, fnv1a, group_aggregate, group_batch, project, project_batch, select,
     shuffle_buckets, Selection,
 };
+use cbft_dataflow::combiner::Combiner;
 use cbft_dataflow::interp::{group_records, project_record};
-use cbft_dataflow::{csv, AggFunc, Batch, ColumnBuilder, Expr, Record, Value};
+use cbft_dataflow::{csv, AggFunc, Batch, Column, ColumnBuilder, Expr, Record, Value};
 use cbft_digest::{hardware_accelerated, ChunkedDigest, ChunkedSummary};
 use cbft_mapreduce::{corrupt_batch, corrupt_record, data_plane, FileData, Storage};
 use cbft_workloads::{airline, twitter, weather};
@@ -434,6 +441,74 @@ fn csv_ingest_passes(records: &[Record]) -> (f64, f64, usize) {
     (wall_split, wall_scan, text.len())
 }
 
+/// Runs of the `aggregate group` passes: a reduce partition of the
+/// follower benchmark holds one run per map task.
+const GROUP_RUNS: usize = 40;
+
+/// `GROUP` by `key` alone, the bags in no particular order: a faithful
+/// copy of the `group_batch_unordered` the fused kernel replaced — the
+/// rows sorted by key (a null-free `Int` key as order-preserving `u64`
+/// images beside their row, every other layout by comparing cells), runs
+/// of equal keys the groups, every row gathered into a nested bag column.
+fn group_key_only(batch: &Batch, key: usize) -> Batch {
+    let column = batch.column(key).expect("the key is a column");
+    let (indices, mut offsets): (Vec<usize>, Vec<usize>) = match column {
+        Column::Int {
+            values,
+            validity: None,
+        } => {
+            let mut keyed: Vec<(u64, usize)> = (0..batch.len())
+                .map(|row| (values[row] as u64 ^ 1 << 63, row))
+                .collect();
+            keyed.sort_unstable_by_key(|&(image, _)| image);
+            let starts = (0..keyed.len()).filter(|&i| i == 0 || keyed[i].0 != keyed[i - 1].0);
+            (
+                keyed.iter().map(|&(_, row)| row).collect(),
+                starts.collect(),
+            )
+        }
+        other => {
+            let keys = Batch::from_columns(vec![other.clone()], batch.len());
+            let mut rows: Vec<usize> = (0..batch.len()).collect();
+            rows.sort_unstable_by(|&a, &b| keys.cmp_rows(a, b));
+            let differs = |i: usize| keys.cmp_rows(rows[i - 1], rows[i]).is_ne();
+            let starts = (0..rows.len()).filter(|&i| i == 0 || differs(i)).collect();
+            (rows, starts)
+        }
+    };
+    let firsts: Vec<usize> = offsets.iter().map(|&start| indices[start]).collect();
+    offsets.push(indices.len());
+    let bags = Column::Bag {
+        offsets,
+        rows: Box::new(batch.gather(&indices)),
+    };
+    let keys = batch.gather(&firsts).column(key).expect("gathered").clone();
+    Batch::from_columns(vec![keys, bags], firsts.len())
+}
+
+/// Wall of an aggregate-only GROUP's reduce task over `rows` cut into
+/// [`GROUP_RUNS`] runs, `(replaced pipeline, fused kernel)`, after
+/// asserting that both build the same batch.
+fn aggregate_group_passes(rows: &Batch, key: usize, generates: &[Expr]) -> (f64, f64) {
+    let per_run = rows.len().div_ceil(GROUP_RUNS);
+    let runs: Vec<Batch> = (0..rows.len())
+        .step_by(per_run)
+        .map(|start| rows.slice(start..rows.len().min(start + per_run)))
+        .collect();
+    let runs: Vec<&Batch> = runs.iter().collect();
+    let plan = Combiner::for_group_projection(key, generates).expect("all-algebraic generates");
+    let (replaced, wall_replaced) = measure(|| {
+        let joined = Batch::concat(&runs).expect("one arity");
+        project_batch(&group_key_only(&joined, key), generates)
+    });
+    let (fused, wall_fused) = measure(|| group_aggregate(&runs, &plan));
+    assert_eq!(
+        fused, replaced,
+        "the fused kernel builds the batch it replaced"
+    );
+    (wall_replaced, wall_fused)
+}
+
 /// Best-of-three wall time of `pass`, returning its last output too.
 fn measure<T>(mut pass: impl FnMut() -> T) -> (T, f64) {
     let mut best = f64::INFINITY;
@@ -505,15 +580,46 @@ fn main() {
         .map(|group| project_record(group, &generates))
         .collect();
     let (canonical, wall_group) = measure(|| group_batch(&edges, 0));
-    let (key_only, wall_group_key_only) = measure(|| group_batch_unordered(&edges, 0));
-    for (name, grouped) in [("canonical", &canonical), ("key-only", &key_only)] {
-        assert_eq!(
-            project_batch(grouped, &generates).to_records(),
-            by_rows,
-            "{name} grouping must aggregate to the row kernel's output"
-        );
-    }
+    assert_eq!(
+        project_batch(&canonical, &generates).to_records(),
+        by_rows,
+        "canonical grouping must aggregate to the row kernel's output"
+    );
     let grouped_mrec = edges.len() as f64 / 1e6;
+
+    // An aggregate-only GROUP's reduce task, replaced pipeline and fused
+    // kernel, on the two shipped integer-keyed shapes and a string-keyed one.
+    let readings = Batch::from_records(&weather::generate(3, RECORDS)).expect("uniform arity");
+    let readings = filter_batch(&readings, &Expr::is_not_null(Expr::Col(2)));
+    let named: Vec<Record> = (0..RECORDS as i64)
+        .map(|i| {
+            let user = Value::Str(format!("user-{}", i * 7919 % 8191));
+            Record::new(vec![user, Value::Int(i)])
+        })
+        .collect();
+    let named = Batch::from_records(&named).expect("uniform arity");
+    let aggregate_group: Vec<(&str, usize, (f64, f64))> = [
+        (
+            "follower",
+            &edges,
+            vec![Expr::Col(0), aggregate(AggFunc::Count, None)],
+        ),
+        (
+            "weather",
+            &readings,
+            vec![Expr::Col(0), aggregate(AggFunc::Avg, Some(2))],
+        ),
+        ("string-keyed", &named, generates.to_vec()),
+    ]
+    .into_iter()
+    .map(|(shape, rows, generates)| {
+        (
+            shape,
+            rows.len(),
+            aggregate_group_passes(rows, 0, &generates),
+        )
+    })
+    .collect();
 
     // The commission fault, over weather's integer leading column.
     let (wall_corrupt_rows, wall_corrupt_batch) = corrupt_passes(weather::generate(3, RECORDS));
@@ -633,9 +739,16 @@ fn main() {
              single hasher update per {GRANULARITY}-record chunk (append_run), the \
              engine's batch_records data plane; the native columnar file rows read the \
              same data stored as one Batch, each split a column-wise window of it \
-             (Batch::slice), with nothing to convert. The group kernel rows group \
+             (Batch::slice), with nothing to convert. The group kernel row groups \
              {RECORDS} Zipf-keyed follower edges (nulls filtered) by user with the bags in \
-             canonical order and by key alone; both aggregate to the row kernel's output. \
+             canonical order, and aggregates to the row kernel's output. The aggregate group \
+             rows run the reduce task of a GROUP whose bags only COUNT/SUM/MIN/MAX/AVG read, \
+             over {RECORDS} rows (nulls filtered) in {GROUP_RUNS} runs, on follower edges (COUNT, \
+             integer key), weather readings (AVG, integer key) and a string-keyed file (user-N,i: \
+             COUNT + SUM, 8191 keys): the replaced pipeline (Batch::concat of the runs, grouping \
+             by key alone with every row gathered into a bag column, project_batch over the bags \
+             — reproduced in the bench) against group_aggregate over the runs in place; both \
+             build the same batch. \
              The corrupt pass rows apply the commission fault to every {SPLIT}-record split \
              of {RECORDS} weather readings (integer station first): the row arm clones each \
              split and runs corrupt_record, the columnar arm slices it out of the columnar \
@@ -710,18 +823,22 @@ fn main() {
         None,
         grouped_mrec / wall_group,
     );
-    record.push(
-        "group kernel throughput (key only)",
-        "Mrec/s",
-        None,
-        grouped_mrec / wall_group_key_only,
-    );
-    record.push(
-        "group kernel key-only speedup over canonical",
-        "x",
-        None,
-        wall_group / wall_group_key_only,
-    );
+    for (shape, rows, (wall_replaced, wall_fused)) in &aggregate_group {
+        for (path, wall) in [("replaced", wall_replaced), ("fused", wall_fused)] {
+            record.push(
+                format!("aggregate group throughput ({shape}, {path})"),
+                "Mrec/s",
+                None,
+                *rows as f64 / 1e6 / wall,
+            );
+        }
+        record.push(
+            format!("aggregate group fused speedup over replaced ({shape})"),
+            "x",
+            None,
+            wall_replaced / wall_fused,
+        );
+    }
     record.push(
         "corrupt pass throughput (weather, Int column, rows)",
         "Mrec/s",
@@ -876,13 +993,15 @@ fn main() {
         "a columnar file must digest at least as fast as zero-copy rows: \
          {wall_native:.4} s against {wall_zero:.4} s"
     );
-    // Best of three each, measured ~2x apart; the tenth is for a shared
-    // runner's timing noise, which is not a regression.
-    assert!(
-        wall_group_key_only <= 1.1 * wall_group,
-        "grouping by key alone must not be slower than ordering the bags too: \
-         {wall_group_key_only:.4} s against {wall_group:.4} s"
-    );
+    // Best of three each; the tenth is for a shared runner's timing
+    // noise, which is not a regression.
+    for (shape, _, (wall_replaced, wall_fused)) in &aggregate_group {
+        assert!(
+            *wall_fused <= 1.1 * wall_replaced,
+            "folding the runs in place must not be slower than joining them and building \
+             bags on the {shape} shape: {wall_fused:.4} s against {wall_replaced:.4} s"
+        );
+    }
     for (shape, (wall_split, wall_scan, _)) in &ingest {
         assert!(
             *wall_scan <= 1.1 * wall_split,

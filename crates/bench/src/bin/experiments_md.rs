@@ -135,14 +135,20 @@ fn commentary(id: &str) -> &'static str {
                         GROUP → aggregate job builds exactly its output rows \
                         (asserted: rows materialized per input record ≤ output \
                         rows per input record); the row plane builds no batch \
-                        and so materializes none. The group kernel rows time the \
-                        reduce-side sort alone on Zipf-keyed follower edges: \
-                        grouping by key alone (what a reduce task runs when only \
-                        COUNT/SUM/MIN/MAX/AVG read the bags and no verification \
-                        point digests them) is asserted no slower than grouping \
-                        with canonical bags (best of three each, a tenth of \
-                        slack for timing noise), and both aggregate to the row \
-                        kernel's output."
+                        and so materializes none. The group kernel row times the \
+                        reduce-side sort with canonical bags alone on Zipf-keyed \
+                        follower edges. The aggregate group rows time what a \
+                        reduce task runs when only COUNT/SUM/MIN/MAX/AVG read \
+                        the bags and no verification point digests them, over a \
+                        partition of 40 runs: the fused kernel (the runs read \
+                        in place, one hash probe per row of an integer key, one \
+                        accumulator per group and aggregate, no bag) builds \
+                        the batch the pipeline it replaced built (the runs \
+                        joined, grouped by key alone into a bag column, the \
+                        bags projected) and is asserted no slower on any shape \
+                        (best of three each, a tenth of slack for timing \
+                        noise); a string key takes the kernel's exact path, a \
+                        sort of the joined key column alone."
         }
         "mismatch_localization" => {
             "Verification-cost check (§6.4's granularity/recomputation \

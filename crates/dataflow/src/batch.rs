@@ -31,11 +31,12 @@
 //! the member columns directly and a `Value::Bag` exists only when a row
 //! is materialized — at the task's output boundary, never in between.
 
-use std::borrow::Cow;
+use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
+use crate::combiner::{CombineSlot, Combiner};
 use crate::expr::{eval_agg, AggFunc, Expr};
 use crate::op::SortOrder;
 use crate::stats;
@@ -451,13 +452,13 @@ impl Column {
         }
     }
 
-    /// The columns of `parts`, one after another. Typed columns of one
-    /// layout append (a part without a null mask fills its stretch of a
-    /// merged mask with `true`); parts that disagree on layout — an
-    /// all-null `Int` run next to a `Str` run, anything `Mixed` or `Bag` —
-    /// are rebuilt from their values by [`Column::from_values`].
-    fn concat(parts: Vec<Column>) -> Column {
-        let len: usize = parts.iter().map(Column::len).sum();
+    /// The columns of `parts`, one after another, copied once. Typed
+    /// columns of one layout append (a part without a null mask fills its
+    /// stretch of a merged mask with `true`); parts that disagree on
+    /// layout — an all-null `Int` run next to a `Str` run, anything `Mixed`
+    /// or `Bag` — are rebuilt from their values by [`Column::from_values`].
+    fn concat(parts: &[&Column]) -> Column {
+        let len: usize = parts.iter().map(|c| c.len()).sum();
         /// The masks of typed parts, one after another; a part without
         /// one fills its stretch with `true`, and none has one, no mask.
         fn concat_masks<'a>(
@@ -518,11 +519,10 @@ impl Column {
                 validity: concat_masks(strs.iter().map(|(_, o, m)| (*m, o.len() - 1)), len),
             };
         }
-        let mut values = Vec::with_capacity(len);
-        for part in parts {
-            values.extend(part.into_values());
-        }
-        Column::from_values(values)
+        let cells = parts
+            .iter()
+            .flat_map(|c| (0..c.len()).map(|row| c.value_at(row)));
+        Column::from_values(cells.collect())
     }
 }
 
@@ -672,14 +672,19 @@ impl Batch {
     /// Converts rows to columns. Returns `None` when the records do not
     /// share one arity (the row path handles ragged data).
     pub fn from_records(records: &[Record]) -> Option<Batch> {
+        Batch::from_rows(records)
+    }
+
+    /// [`Batch::from_records`] over records or references to them.
+    pub fn from_rows<R: Borrow<Record>>(records: &[R]) -> Option<Batch> {
         let Some(first) = records.first() else {
             return Some(Batch {
                 len: 0,
                 columns: Vec::new(),
             });
         };
-        let arity = first.arity();
-        if records.iter().any(|r| r.arity() != arity) {
+        let arity = first.borrow().arity();
+        if records.iter().any(|r| r.borrow().arity() != arity) {
             return None;
         }
         let columns = (0..arity)
@@ -687,7 +692,7 @@ impl Batch {
                 Column::from_values(
                     records
                         .iter()
-                        .map(|r| r.get(c).expect("arity checked").clone())
+                        .map(|r| r.borrow().get(c).expect("arity checked").clone())
                         .collect(),
                 )
             })
@@ -833,32 +838,29 @@ impl Batch {
         }
     }
 
-    /// The rows of `runs`, one run after another, as one batch —
+    /// The rows of `runs`, one run after another, as one new batch —
     /// observationally equal to [`Batch::from_records`] over all their
-    /// rows, without building one. Empty runs are skipped (a batch of no
+    /// rows, without building one; the runs are read where they are and
+    /// each row is copied once. Empty runs are skipped (a batch of no
     /// rows has lost its schema: `from_records(&[])` and a `gather` of
-    /// nothing both have arity 0); a single non-empty run moves whole.
+    /// nothing both have arity 0); a single non-empty run is cloned whole.
     /// Returns `None` when the non-empty runs do not share one arity.
-    pub fn concat(runs: Vec<Batch>) -> Option<Batch> {
-        let mut runs: Vec<Batch> = runs.into_iter().filter(|b| !b.is_empty()).collect();
-        if runs.len() <= 1 {
-            return Some(runs.pop().unwrap_or(Batch::from_columns(Vec::new(), 0)));
-        }
-        let arity = runs[0].arity();
+    pub fn concat(runs: &[&Batch]) -> Option<Batch> {
+        let runs: Vec<&Batch> = runs.iter().copied().filter(|b| !b.is_empty()).collect();
+        let arity = runs.first().map_or(0, |b| b.arity());
         if runs.iter().any(|b| b.arity() != arity) {
             return None;
         }
-        let len = runs.iter().map(Batch::len).sum();
-        let mut parts: Vec<Vec<Column>> =
-            (0..arity).map(|_| Vec::with_capacity(runs.len())).collect();
-        for run in runs {
-            for (c, column) in run.columns.into_iter().enumerate() {
-                parts[c].push(column);
-            }
+        if let [run] = runs[..] {
+            return Some(run.clone());
         }
+        let column = |c: usize| {
+            let parts: Vec<&Column> = runs.iter().map(|b| &b.columns[c]).collect();
+            Column::concat(&parts)
+        };
         Some(Batch {
-            len,
-            columns: parts.into_iter().map(Column::concat).collect(),
+            len: runs.iter().map(|b| b.len).sum(),
+            columns: (0..arity).map(column).collect(),
         })
     }
 
@@ -1137,23 +1139,10 @@ impl Column {
 /// [`Column::Bag`] — no record is built. `to_records()` of the result
 /// equals [`crate::interp::group_records`].
 pub fn group_batch(batch: &Batch, key: usize) -> Batch {
-    group_by(batch, key, true)
-}
-
-/// [`group_batch`] without the order inside a bag: the same groups under
-/// the same keys, each bag the same multiset of rows in no particular
-/// order. For a caller that reads the bags only through aggregates, all
-/// of which fold in any order, and lets nothing else observe them.
-pub fn group_batch_unordered(batch: &Batch, key: usize) -> Batch {
-    group_by(batch, key, false)
-}
-
-fn group_by(batch: &Batch, key: usize, canonical_bags: bool) -> Batch {
     // Sorted by (key, whole row), groups are runs, each already in
-    // canonical bag order; sorted by key alone, they are runs still. The
-    // run starts are the bag offsets, and the first row of each run
-    // supplies the group key.
-    let (indices, mut offsets) = sorted_indices(batch, key, SortOrder::Asc, canonical_bags);
+    // canonical bag order. The run starts are the bag offsets, and the
+    // first row of each run supplies the group key.
+    let (indices, mut offsets) = sorted_indices(batch, key, SortOrder::Asc, true);
     let firsts: Vec<usize> = offsets.iter().map(|&start| indices[start]).collect();
     offsets.push(indices.len());
     let keys = match batch.column(key) {
@@ -1169,6 +1158,178 @@ fn group_by(batch: &Batch, key: usize, canonical_bags: bool) -> Batch {
                 rows: Box::new(batch.gather(&indices)),
             },
         ],
+    }
+}
+
+/// What one group has seen of one integer field: enough to answer `SUM`,
+/// `MIN`, `MAX` and `AVG` as [`AggFunc::fold_ints`] does.
+#[derive(Clone, Copy, Default)]
+struct IntFold {
+    seen: i64,
+    sum: i64,
+    min: i64,
+    max: i64,
+}
+
+impl IntFold {
+    fn feed(&mut self, v: i64) {
+        (self.min, self.max) = match self.seen {
+            0 => (v, v),
+            _ => (self.min.min(v), self.max.max(v)),
+        };
+        self.seen += 1;
+        self.sum = self.sum.wrapping_add(v);
+    }
+}
+
+/// `GROUP` by `plan.key` and the all-algebraic `FOREACH` after it, fused:
+/// one `[slot…]` row per distinct key of `runs` (which share one arity;
+/// empty ones are skipped), ordered by key — equal, column layouts
+/// included, to [`project_batch`] of [`group_batch`] of [`Batch::concat`]
+/// of the runs, with no run joined and no bag built: the runs are read in
+/// place, once ([`fold_groups`]). Where the key column is `Int` without a
+/// null in every run, a row finds its group by one hash probe
+/// ([`IntGroups`]) and nothing the size of the partition is allocated; the
+/// distinct keys are sorted at the end, so the output's order is the key
+/// sort's, never the table's. Every other layout (`Str`, `Mixed`, a null
+/// mask, runs that disagree, a key past the arity) takes the exact path:
+/// the key columns alone are joined, and the groups are the runs of equal
+/// keys [`sorted_indices`] finds.
+pub fn group_aggregate(runs: &[&Batch], plan: &Combiner) -> Batch {
+    let runs: Vec<&Batch> = runs.iter().copied().filter(|b| !b.is_empty()).collect();
+    let int_keys = runs.iter().map(|b| match b.column(plan.key) {
+        Some(c @ Column::Int { values, .. }) if c.mask().is_none() => Some(&values[..]),
+        _ => None,
+    });
+    // The key column in key order, the groups (numbered as `fold_groups`
+    // was told them) listed in that order, and what each counted and folded.
+    let (keys, order, (counts, folds)) = match int_keys.collect::<Option<Vec<_>>>() {
+        Some(parts) => {
+            let mut groups = IntGroups::default();
+            let ids = parts.iter().copied().flatten().map(|&key| groups.of(key));
+            let folded = fold_groups(ids, &runs, plan);
+            let mut order: Vec<usize> = (0..groups.keys.len()).collect();
+            order.sort_unstable_by_key(|&g| groups.keys[g]);
+            let keys = Column::Int {
+                values: order.iter().map(|&g| groups.keys[g]).collect(),
+                validity: None,
+            };
+            (keys, order, folded)
+        }
+        None => {
+            let parts: Vec<&Column> = runs.iter().filter_map(|b| b.column(plan.key)).collect();
+            let joined = Batch {
+                len: runs.iter().map(|b| b.len).sum(),
+                columns: Vec::from_iter((!parts.is_empty()).then(|| Column::concat(&parts))),
+            };
+            let (perm, mut starts) = sorted_indices(&joined, 0, SortOrder::Asc, false);
+            let firsts: Vec<usize> = starts.iter().map(|&start| perm[start]).collect();
+            starts.push(joined.len);
+            let mut ids = vec![0; joined.len];
+            for (g, run) in starts.windows(2).enumerate() {
+                perm[run[0]..run[1]].iter().for_each(|&row| ids[row] = g);
+            }
+            let keys = match joined.column(0) {
+                Some(c) => c.gather(&firsts),
+                None => int_column(vec![None; firsts.len()]),
+            };
+            let order = (0..firsts.len()).collect();
+            (keys, order, fold_groups(ids.into_iter(), &runs, plan))
+        }
+    };
+    let column = |(slot, fold): (&CombineSlot, &Vec<IntFold>)| {
+        let read = |f: fn(&IntFold) -> Option<i64>| {
+            int_column(order.iter().map(|&g| f(&fold[g])).collect())
+        };
+        match slot {
+            CombineSlot::Key => keys.clone(),
+            CombineSlot::Count => Column::Int {
+                values: order.iter().map(|&g| counts[g]).collect(),
+                validity: None,
+            },
+            CombineSlot::Sum { .. } => read(|f| Some(f.sum)),
+            CombineSlot::Min { .. } => read(|f| (f.seen > 0).then_some(f.min)),
+            CombineSlot::Max { .. } => read(|f| (f.seen > 0).then_some(f.max)),
+            CombineSlot::Avg { .. } => read(|f| (f.seen > 0).then(|| f.sum / f.seen)),
+        }
+    };
+    Batch {
+        len: order.len(),
+        columns: plan.slots.iter().zip(&folds).map(column).collect(),
+    }
+}
+
+/// One pass over the rows of `runs`, whose groups `ids` yields run after
+/// run: per group its rows counted and, per slot of `plan` that aggregates
+/// a field (the other slots' lists stay empty), that field folded. A field
+/// past the arity, like a string or null cell, feeds nothing.
+fn fold_groups(
+    mut ids: impl Iterator<Item = usize>,
+    runs: &[&Batch],
+    plan: &Combiner,
+) -> (Vec<i64>, Vec<Vec<IntFold>>) {
+    let (mut counts, mut folds) = (Vec::new(), vec![Vec::new(); plan.slots.len()]);
+    for run in runs {
+        let fed = folds.iter_mut().zip(&plan.slots);
+        let fed = fed.filter_map(|(fold, slot)| Some((fold, run.column(slot.field()?))));
+        let mut fed: Vec<(&mut Vec<IntFold>, Option<&Column>)> = fed.collect();
+        for (row, g) in (0..run.len).zip(&mut ids) {
+            if g >= counts.len() {
+                counts.resize(g + 1, 0);
+                fed.iter_mut()
+                    .for_each(|(fold, _)| fold.resize(g + 1, IntFold::default()));
+            }
+            counts[g] += 1;
+            for (fold, column) in &mut fed {
+                if let Some(v) = column.and_then(|c| c.int_at(row)) {
+                    fold[g].feed(v);
+                }
+            }
+        }
+    }
+    (counts, folds)
+}
+
+/// Integer keys numbered as first seen, by one probe per key of an
+/// open-addressing table (linear probing, at most half full, a slot holding
+/// a group's number) that grows with the groups, not the rows.
+#[derive(Default)]
+struct IntGroups {
+    slots: Vec<usize>,
+    keys: Vec<i64>,
+}
+
+impl IntGroups {
+    /// A slot no group is in. Not zero: a table filled with it is written
+    /// when it is made, and a page first written costs one fault where a
+    /// zeroed page first read and then written costs two.
+    const FREE: usize = usize::MAX;
+
+    /// The slot `key` is in, or the free one it goes to.
+    fn slot_of(&self, key: i64) -> usize {
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mut i = ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        while self.slots[i] != Self::FREE && self.keys[self.slots[i]] != key {
+            i = (i + 1) & (self.slots.len() - 1);
+        }
+        i
+    }
+
+    /// The group of `key`, a new one if it is the first of its kind.
+    fn of(&mut self, key: i64) -> usize {
+        if 2 * self.keys.len() >= self.slots.len() {
+            self.slots = vec![Self::FREE; (2 * self.slots.len()).max(1024)];
+            for g in 0..self.keys.len() {
+                let i = self.slot_of(self.keys[g]);
+                self.slots[i] = g;
+            }
+        }
+        let i = self.slot_of(key);
+        if self.slots[i] == Self::FREE {
+            self.slots[i] = self.keys.len();
+            self.keys.push(key);
+        }
+        self.slots[i]
     }
 }
 
@@ -1781,7 +1942,8 @@ mod tests {
         let whole = Batch::from_records(&records).unwrap();
         // Column 2's runs are `Int`, all-null `Int` and `Mixed` (the bag).
         for cuts in [&[][..], &[2], &[1, 1, 3], &[0, 2, 4, 5]] {
-            let joined = Batch::concat(runs(cuts)).expect("one arity");
+            let runs = runs(cuts);
+            let joined = Batch::concat(&runs.iter().collect::<Vec<_>>()).expect("one arity");
             assert_eq!(joined.to_records(), records, "cuts {cuts:?}");
             assert_eq!(joined.canonical_bytes(), whole.canonical_bytes());
             assert!(matches!(joined.column(0), Some(Column::Int { .. })));
@@ -1792,17 +1954,11 @@ mod tests {
             let rows: Vec<Record> = range.map(|i| Record::new(vec![Value::Int(i)])).collect();
             Batch::from_records(&rows).unwrap()
         };
-        assert_eq!(
-            Batch::concat(vec![ints(0..3), ints(3..6)]),
-            Some(ints(0..6))
-        );
+        assert_eq!(Batch::concat(&[&ints(0..3), &ints(3..6)]), Some(ints(0..6)));
         // Nothing but empty runs is the empty batch; unequal arities refuse.
         let empty = Batch::from_records(&[]).unwrap();
-        assert_eq!(
-            Batch::concat(vec![empty.clone(), empty.clone()]),
-            Some(empty)
-        );
-        assert_eq!(Batch::concat(vec![ints(0..3), whole]), None);
+        assert_eq!(Batch::concat(&[&empty, &empty]), Some(empty.clone()));
+        assert_eq!(Batch::concat(&[&ints(0..3), &whole]), None);
     }
 
     #[test]

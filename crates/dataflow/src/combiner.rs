@@ -51,6 +51,17 @@ pub enum CombineSlot {
 }
 
 impl CombineSlot {
+    /// The field of the bag's records the slot aggregates, if it reads one.
+    pub fn field(&self) -> Option<usize> {
+        match *self {
+            CombineSlot::Key | CombineSlot::Count => None,
+            CombineSlot::Sum { field }
+            | CombineSlot::Min { field }
+            | CombineSlot::Max { field }
+            | CombineSlot::Avg { field } => Some(field),
+        }
+    }
+
     fn partial_width(&self) -> usize {
         match self {
             CombineSlot::Key => 1,

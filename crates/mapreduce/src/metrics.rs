@@ -148,9 +148,11 @@ pub mod data_plane {
         pub const TASKS_STOLEN: &str = "cbft_data_plane_tasks_stolen_total";
         /// Gauge (wall): high-water mark of the pool queue depth.
         pub const POOL_QUEUE_PEAK: &str = "cbft_data_plane_pool_queue_peak";
-        /// Counter (wall): reduce tasks that grouped without in-bag
-        /// order. Wall, not sim: it describes how the host ran the task,
-        /// and the row plane, which orders every bag, never counts.
+        /// Counter (wall): reduce tasks that aggregated their GROUP
+        /// without building a bag (the name is from when they built one
+        /// and left it unordered). Wall, not sim: it describes how the
+        /// host ran the task, and the row plane, which builds and orders
+        /// every bag, never counts.
         pub const GROUPS_UNORDERED: &str = "cbft_data_plane_groups_unordered_total";
     }
 
@@ -203,8 +205,9 @@ pub mod data_plane {
         global().gauge_max(Domain::Wall, names::POOL_QUEUE_PEAK, &[], depth);
     }
 
-    /// Reduce tasks whose GROUP left its bags unordered because only
-    /// order-independent aggregates read them.
+    /// Reduce tasks that aggregated their GROUP without building a bag:
+    /// only order-independent aggregates would have read it, so the task
+    /// folded its partition's runs in place.
     pub fn count_groups_unordered(n: u64) {
         global().add(Domain::Wall, names::GROUPS_UNORDERED, &[], n);
     }
@@ -226,7 +229,7 @@ pub mod data_plane {
         pub digest_bytes_hashed: u64,
         /// Batch rows materialized as records (bag members included).
         pub rows_materialized: u64,
-        /// Reduce tasks that grouped without in-bag order.
+        /// Reduce tasks that aggregated their GROUP without building a bag.
         pub groups_unordered: u64,
         /// Payloads handed to the compute pool.
         pub tasks_dispatched: u64,

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 pub(crate) use cbft_dataflow::batch::fnv1a;
 use cbft_dataflow::batch::{
-    group_batch, group_batch_unordered, join_batch, order_batch, project, select, shuffle_buckets,
+    group_aggregate, group_batch, join_batch, order_batch, project, select, shuffle_buckets,
     Selection,
 };
 use cbft_dataflow::combiner::Combiner;
@@ -87,12 +87,15 @@ impl Partition {
     }
 
     /// The gather, of a shuffle partition's per-map runs and of a job's
-    /// output alike: concatenates the runs in task order — a columnar map
-    /// task hands each reduce partition one run, so a partition holds as
-    /// many runs as the job has map tasks. Batches and
-    /// records move, never clone. The result stays columnar unless some
-    /// run holds records (its task ran the row arm); then the batch runs
-    /// materialize too — the exact fallback.
+    /// output alike: lists the runs in task order — a columnar map task
+    /// hands each reduce partition one run, so a partition holds as many
+    /// runs as the job has map tasks. Batches and records move, never
+    /// clone, and no batch is joined here: an aggregate-only GROUP reads
+    /// the runs where they are ([`bags_unobserved`]), every other reduce
+    /// task and a job's output file join them once ([`Partition::lay_out`]).
+    /// The result stays columnar unless some run holds records (its task
+    /// ran the row arm); then the batch runs materialize too — the exact
+    /// fallback.
     pub fn concat(runs: Vec<Partition>) -> Partition {
         let any_rows = |run: &Partition| matches!(run, Partition::Rows(rows) if !rows.is_empty());
         if runs.iter().any(any_rows) {
@@ -123,56 +126,66 @@ impl Partition {
         }
     }
 
-    /// Lays the partition out as one batch per side: tag 0 and the rest
-    /// when `by_tag` (a join), everything in the first otherwise. Batch
-    /// runs are joined with [`Batch::concat`], records converted once
-    /// with [`Batch::from_records`]. A side whose rows disagree on arity
-    /// cannot be laid out, and the partition is handed back untouched.
-    fn into_sides(self, by_tag: bool) -> Result<[Batch; 2], Partition> {
-        let side = |tag: usize| usize::from(by_tag && tag != 0);
-        let mut arity = [None; 2];
-        let mut uniform = |tag: usize, a: usize| *arity[side(tag)].get_or_insert(a) == a;
-        let admitted = match &self {
-            Partition::Rows(rows) => rows.iter().all(|(tag, r)| uniform(*tag, r.arity())),
-            Partition::Cols(runs) => runs.iter().all(|(tag, b)| uniform(*tag, b.arity())),
-        };
-        if !admitted {
-            return Err(self);
+    /// The commission fault on every row, in whichever form it is held:
+    /// [`corrupt_batch`] is [`corrupt_record`] on each row of a run.
+    fn corrupt(&mut self) {
+        match self {
+            Partition::Rows(rows) => rows.iter_mut().for_each(|(_, r)| corrupt_record(r)),
+            Partition::Cols(runs) => runs.iter_mut().for_each(|(_, b)| corrupt_batch(b)),
         }
-        fn split<T>(items: Vec<(usize, T)>, side: impl Fn(usize) -> usize) -> [Vec<T>; 2] {
+    }
+
+    /// Lays the partition out as one new batch per side — tag 0 and the
+    /// rest when `by_tag` (a join), everything in the first otherwise —
+    /// and leaves it empty. Batch runs are joined with [`Batch::concat`],
+    /// records converted once with [`Batch::from_records`]; the layout is
+    /// the check: a side whose rows disagree on arity has none, and the
+    /// partition stays as it was.
+    fn lay_out(&mut self, by_tag: bool) -> Option<[Batch; 2]> {
+        fn split<T>(items: &[(usize, T)], by_tag: bool) -> [Vec<&T>; 2] {
             let mut sides = [Vec::new(), Vec::new()];
             for (tag, item) in items {
-                sides[side(tag)].push(item);
+                sides[usize::from(by_tag && *tag != 0)].push(item);
             }
             sides
         }
-        Ok(match self {
-            Partition::Rows(rows) => {
-                split(rows, side).map(|s| Batch::from_records(&s).expect("arity checked above"))
-            }
+        let [left, right] = match &*self {
+            Partition::Rows(rows) => split(rows, by_tag).map(|s| Batch::from_rows(&s)),
+            Partition::Cols(runs) => split(runs, by_tag).map(|s| Batch::concat(&s)),
+        };
+        let sides = [left?, right?];
+        *self = Partition::default();
+        Some(sides)
+    }
+
+    /// The partition as batches of one arity, to be read where they are,
+    /// leaving it empty: a columnar partition's own runs, moved; a record
+    /// partition laid out as one run, that copy timed into `to_batch`. A
+    /// ragged partition has none and stays as it was.
+    fn take_runs(&mut self, to_batch: &mut u64) -> Option<Vec<Batch>> {
+        match self {
+            Partition::Rows(_) => timed(to_batch, || self.lay_out(false)).map(|[all, _]| vec![all]),
             Partition::Cols(runs) => {
-                split(runs, side).map(|s| Batch::concat(s).expect("arity checked above"))
+                let uniform = runs.windows(2).all(|w| w[0].1.arity() == w[1].1.arity());
+                uniform.then(|| std::mem::take(runs).into_iter().map(|(_, b)| b).collect())
             }
-        })
+        }
     }
 
     /// The partition as a stored file, tags dropped: the gather of a
     /// job's last phase becomes the job's output this way. Batch runs are
-    /// joined into one columnar file; records, runs that disagree on
-    /// arity (a UNION of unequal inputs) and a partition of no rows,
-    /// which has no schema to keep, are stored as records.
-    pub fn into_file(self) -> FileData {
-        let tagged = match self {
-            Partition::Cols(runs) if !runs.is_empty() => {
-                match Partition::Cols(runs).into_sides(false) {
-                    Ok([batch, _]) => return batch.into(),
-                    Err(ragged) => ragged.into_tagged(),
-                }
-            }
-            other => other.into_tagged(),
+    /// joined into one columnar file (a single run moves whole); records,
+    /// runs that disagree on arity (a UNION of unequal inputs) and a
+    /// partition of no rows, which has no schema to keep, are stored as
+    /// records.
+    pub fn into_file(mut self) -> FileData {
+        let batch = match &mut self {
+            Partition::Rows(_) => None,
+            Partition::Cols(runs) if runs.len() <= 1 => runs.pop().map(|(_, run)| run),
+            columnar => columnar.lay_out(false).map(|[all, _]| all),
         };
-        let records: Vec<Record> = tagged.into_iter().map(|(_, r)| r).collect();
-        records.into()
+        let records = || Vec::from_iter(self.into_tagged().into_iter().map(|(_, r)| r));
+        batch.map_or_else(|| records().into(), FileData::from)
     }
 }
 
@@ -253,15 +266,20 @@ pub(crate) struct StageWall {
     /// takes a copy: records → [`Batch`] for a record file's split or a
     /// record partition, [`Batch::concat`] of the runs for a columnar
     /// partition, the row arm's row image of a columnar split — and a
-    /// corrupt fate's copy of its input (a columnar split's window,
-    /// materialized once and flipped in place) on either arm. A faithful
-    /// columnar task over a columnar file reads its window in place and
-    /// spends nothing here.
+    /// corrupt fate's edit of its input (a columnar split's window,
+    /// materialized once and flipped in place; a partition's rows, flipped
+    /// where they are) on either arm. A faithful columnar task over a
+    /// columnar file reads its window in place and spends nothing here,
+    /// and neither does an aggregate-only GROUP's reduce task over
+    /// columnar runs: nothing is joined.
     pub to_batch: u64,
-    /// Per-record operators (`FILTER`, `FOREACH`, `LIMIT`).
+    /// Per-record operators (`FILTER`, `FOREACH`, `LIMIT`) — but not the
+    /// first projection of a reduce task whose shuffle step already
+    /// produced its output (a combiner's merge, the aggregate kernel).
     pub pipeline_ops: u64,
     /// The blocking shuffle operator (`GROUP`, `JOIN`, `ORDER`,
-    /// `DISTINCT`, combiner merge).
+    /// `DISTINCT`, combiner merge); for an aggregate-only GROUP, the
+    /// grouping and the fold of its aggregates both.
     pub shuffle_kernel: u64,
     /// Canonical encoding and hashing at verification points.
     pub digest: u64,
@@ -496,15 +514,8 @@ pub(crate) fn run_reduce_task(
     let plan = &job.plan;
     let mut out = TaskOutput::new(incoming.byte_size());
 
-    // Under a combiner the shuffle step merges partials straight into the
-    // fused projection's output — identical, record for record, to group
-    // + project, so digest sites at reduce position 0 still correspond
-    // across replicas regardless of combining. A shuffle-site point
-    // cannot be served (no materialized bags); the caller must not
-    // combine in that case.
-    let combined = job.shuffle.is_some() && job.combiner.is_some();
     debug_assert!(
-        !combined
+        job.combiner.is_none()
             || !job
                 .verification_points
                 .iter()
@@ -515,10 +526,22 @@ pub(crate) fn run_reduce_task(
         // Grouping/joining/sorting costs roughly two passes per record.
         out.work.record_ops += 2 * incoming.len() as u64;
     }
-    let mut stream = Stream::open_partition(job, incoming, fate, &mut out.stages, pool);
+    // The shuffle step may hand over the first projection's output
+    // already — a combiner's merge of partials does, and so does the
+    // aggregate kernel of a GROUP whose bags nothing observes: identical,
+    // record for record, to group + project, so digest sites at reduce
+    // position 0 still correspond across replicas and planes. A
+    // shuffle-site point cannot be served then (no materialized bags);
+    // the caller must not combine in that case, and the kernel never runs
+    // in it. The kernel is charged the projection's pass it stood for.
+    let (mut stream, projected) =
+        Stream::open_partition(job, incoming, fate, &mut out.stages, pool);
+    if projected && job.combiner.is_none() {
+        out.work.record_ops += stream.len();
+    }
     if let Some(shuffle) = job.shuffle {
         let here = |vp: &VpSite| {
-            if combined {
+            if projected {
                 matches!(vp.site, Site::Reduce { pos: 0, .. })
             } else {
                 matches!(vp.site, Site::Shuffle { .. }) && vp.vertex == shuffle
@@ -527,7 +550,7 @@ pub(crate) fn run_reduce_task(
         digest_where(job, here, &stream, &mut out, pool);
     }
 
-    for (pos, &vid) in job.reduce.iter().enumerate().skip(usize::from(combined)) {
+    for (pos, &vid) in job.reduce.iter().enumerate().skip(usize::from(projected)) {
         stream = timed(&mut out.stages.pipeline_ops, || {
             stream.apply(plan.vertex(vid).op(), &mut out.work)
         });
@@ -570,23 +593,26 @@ fn columnar(job: &ExecJob) -> bool {
     job.batch_records > 0 && job.combiner.is_none()
 }
 
-/// The rule under which a GROUP's bags need no canonical order, evaluated
-/// like the arm rule from what the job states: what is digested or stored
-/// is what must be canonical. When the first reduce operator is a
-/// projection that reads the bag only through `COUNT/SUM/MIN/MAX/AVG` —
-/// the condition under which a combiner may replace the bags altogether —
-/// and no verification point digests the shuffle's output, nothing can
-/// observe the order of a bag's members: every one of those folds is
-/// order-independent, and whatever is digested or handed over after the
-/// projection holds `[key, aggregate…]` only.
-fn bags_unobserved(job: &ExecJob) -> bool {
+/// The rule under which a GROUP builds no bag at all, evaluated like the
+/// arm rule from what the job states: what is digested or stored is what
+/// must exist. When the first reduce operator is a projection that reads
+/// the bag only through `COUNT/SUM/MIN/MAX/AVG` — the condition under
+/// which a combiner may replace the bags altogether, whose plan this
+/// returns — and no verification point digests the shuffle's output,
+/// nothing can observe a bag or the order of its members: every one of
+/// those folds is order-independent, and whatever is digested or handed
+/// over after the projection holds `[key, aggregate…]` only. The reduce
+/// tasks of such a job read their partition's runs in place and fold them
+/// ([`group_aggregate`]); every other job's join them first.
+fn bags_unobserved(job: &ExecJob) -> Option<Combiner> {
     let op = |vertex| job.plan.vertex(vertex).op();
-    let algebraic = match (job.shuffle, job.reduce.first()) {
-        (Some(shuffle), Some(&first)) => Combiner::for_job(op(shuffle), op(first)).is_some(),
-        _ => false,
-    };
     let digested = |vp: &VpSite| matches!(vp.site, Site::Shuffle { .. });
-    algebraic && !job.verification_points.iter().any(digested)
+    match (job.shuffle, job.reduce.first()) {
+        (Some(shuffle), Some(&first)) if !job.verification_points.iter().any(digested) => {
+            Combiner::for_job(op(shuffle), op(first))
+        }
+        _ => None,
+    }
 }
 
 /// A map task's window into its input file, in the form its arm reads.
@@ -749,60 +775,56 @@ impl<'a> Stream<'a> {
 
     /// Opens a reduce task's partition through the job's shuffle: the
     /// blocking operator (or the combiner's merge, or nothing for a
-    /// collector) runs here, on the arm the partition admits. The
+    /// collector) runs here, on the arm the partition admits; the flag
+    /// says whether that step applied the first reduce operator too. The
     /// columnar arm takes uniform-arity partitions (per join side) of
-    /// GROUP, JOIN, ORDER and collector jobs, in either form: batch runs
-    /// are joined, records converted once; a GROUP whose bags nothing
-    /// observes ([`bags_unobserved`]) groups by key alone. DISTINCT's
-    /// whole-record sort/dedup runs on owned rows with the pool's chunked
-    /// sort, so it, like a combiner and a ragged partition, takes the
-    /// partition as records — materializing it if it arrived as batches.
-    /// A corrupt fate corrupts what the shuffle reads, in either form.
+    /// GROUP, JOIN, ORDER and collector jobs, in either form: a GROUP
+    /// whose bags nothing observes ([`bags_unobserved`]) reads the batch
+    /// runs in place — records are converted once, into one run — and
+    /// folds them into its projection's output; for every other job the
+    /// runs are joined, or the records converted, into one batch per
+    /// side. DISTINCT's whole-record sort/dedup runs on owned rows with
+    /// the pool's chunked sort, so it, like a combiner and a ragged
+    /// partition, takes the partition as records — materializing it if it
+    /// arrived as batches. A corrupt fate corrupts what the shuffle reads,
+    /// where it is, in either form.
     fn open_partition(
         job: &ExecJob,
         mut incoming: Partition,
         fate: TaskFate,
         stages: &mut StageWall,
         pool: &ComputePool,
-    ) -> Stream<'static> {
+    ) -> (Stream<'static>, bool) {
         let op = job.shuffle.map(|sh| job.plan.vertex(sh).op());
-        let corrupt = fate == TaskFate::Corrupt;
+        let StageWall {
+            to_batch,
+            shuffle_kernel,
+            ..
+        } = stages;
+        if fate == TaskFate::Corrupt {
+            timed(to_batch, || incoming.corrupt());
+        }
         if columnar(job) {
-            let StageWall {
-                to_batch,
-                shuffle_kernel,
-                ..
-            } = stages;
-            // The partition as one batch per side (only a JOIN has two);
-            // a ragged one is put back, untouched, for the row arm.
-            let mut sides = |by_tag: bool| {
-                let sides = timed(to_batch, || {
-                    let sides = std::mem::take(&mut incoming).into_sides(by_tag);
-                    sides.map(|mut sides| {
-                        if corrupt {
-                            sides.iter_mut().for_each(corrupt_batch);
-                        }
-                        sides
-                    })
-                });
-                sides.map_err(|ragged| incoming = ragged).ok()
-            };
             // The one match that decides whether the shuffle has a
-            // vectorized kernel and runs it. The post-shuffle stream is
-            // one chunk: the kernel's output batch (bags stay nested in
-            // it), or the collector's input as laid out.
+            // vectorized kernel and runs it, over the partition as one
+            // batch per side (only a JOIN has two) or, fused, as its runs;
+            // a ragged partition stays whole for the row arm. The
+            // post-shuffle stream is one chunk: the kernel's output batch
+            // (bags stay nested in it), or the collector's input as laid
+            // out.
+            let mut sides = |by_tag: bool| timed(to_batch, || incoming.lay_out(by_tag));
+            let fused = bags_unobserved(job);
             let batch = match op {
                 None => sides(false).map(|[all, _]| all),
-                Some(&Operator::Group { key }) => sides(false).map(|[all, _]| {
-                    timed(shuffle_kernel, || {
-                        if bags_unobserved(job) {
-                            data_plane::count_groups_unordered(1);
-                            group_batch_unordered(&all, key)
-                        } else {
-                            group_batch(&all, key)
-                        }
-                    })
-                }),
+                Some(&Operator::Group { key }) => match &fused {
+                    Some(plan) => incoming.take_runs(to_batch).map(|runs| {
+                        data_plane::count_groups_unordered(1);
+                        let runs: Vec<&Batch> = runs.iter().collect();
+                        timed(shuffle_kernel, || group_aggregate(&runs, plan))
+                    }),
+                    None => sides(false)
+                        .map(|[all, _]| timed(shuffle_kernel, || group_batch(&all, key))),
+                },
                 Some(&Operator::Join {
                     left_key,
                     right_key,
@@ -817,23 +839,18 @@ impl<'a> Stream<'a> {
             };
             if let Some(batch) = batch {
                 count_batch_built(&batch);
-                return Stream::Cols(vec![Chunk::owned(batch)]);
+                return (Stream::Cols(vec![Chunk::owned(batch)]), fused.is_some());
             }
         }
 
-        let mut incoming = incoming.into_tagged();
-        if corrupt {
-            timed(&mut stages.to_batch, || {
-                incoming.iter_mut().for_each(|(_, r)| corrupt_record(r))
-            });
-        }
+        let incoming = incoming.into_tagged();
         let untag = |tagged: Vec<Tagged>| tagged.into_iter().map(|(_, r)| r).collect::<Vec<_>>();
         let records = match (op, &job.combiner) {
             (Some(_), Some(comb)) => {
                 let partials = untag(incoming);
-                timed(&mut stages.shuffle_kernel, || comb.merge(&partials))
+                timed(shuffle_kernel, || comb.merge(&partials))
             }
-            (Some(op), None) => timed(&mut stages.shuffle_kernel, || match op {
+            (Some(op), None) => timed(shuffle_kernel, || match op {
                 Operator::Group { key } => group_records_owned(untag(incoming), *key),
                 Operator::Join {
                     left_key,
@@ -868,7 +885,8 @@ impl<'a> Stream<'a> {
             }),
             (None, _) => untag(incoming),
         };
-        Stream::Rows(RecordStream::Owned(records))
+        let merged = op.is_some() && job.combiner.is_some();
+        (Stream::Rows(RecordStream::Owned(records)), merged)
     }
 
     fn len(&self) -> u64 {
@@ -2123,8 +2141,8 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(40))]
 
         /// Plane equivalence at the task boundary: for random splits
-        /// (duplicate keys, integer or string, nulls, strings, optionally
-        /// ragged arity; windows of which the map-side FILTER keeps some
+        /// (duplicate keys — integer, string or both in one column — null
+        /// keys, strings, optionally ragged arity; windows of which the map-side FILTER keeps some
         /// rows, every row or none), a random pipeline — FILTER, FOREACH
         /// and a FILTER over what it built, in every combination — around
         /// each shuffle kind, a UNION ahead of a GROUP and of a JOIN among
@@ -2141,7 +2159,7 @@ mod tests {
         #[test]
         fn planes_agree_on_every_task_observable(
             cells in proptest::collection::vec((0i64..5, 0u8..9, 0u8..6), 0..40),
-            shape in 0usize..(7 * 128),
+            shape in 0usize..(7 * 256),
             after_group in 0usize..4,
             sites in 0usize..SITES.len(),
             limit in 1u64..12,
@@ -2155,6 +2173,8 @@ mod tests {
                 .map(|&(k, v, arity)| {
                     let k = match (k, string_keys) {
                         (4, _) => Value::Null,
+                        // Integers and strings in one key column.
+                        (3, _) if flag(7) => Value::Int(i64::MIN),
                         (k, false) => Value::Int(k),
                         (k, true) => Value::str(["", "x", "xy", "y"][k as usize]),
                     };
@@ -2200,43 +2220,114 @@ mod tests {
         }
     }
 
-    /// The one rule under which a bag's order is not canonical, over the
-    /// whole matrix it is decided on: what follows the GROUP × where the
-    /// verification points sit. The bags go unordered exactly when the
-    /// first reduce operator is an all-algebraic FOREACH and no point
-    /// digests the shuffle — and every observable of every task equals the
-    /// row plane's either way, over rows whose gather order is the reverse
-    /// of the canonical one: a bag left unordered where a shuffle-site
-    /// point digests it, or where the FOREACH emits it, shows as a digest,
-    /// a record or a commitment that differs.
+    /// The one rule under which a GROUP builds no bag, over the whole
+    /// matrix it is decided on: what follows the GROUP × where the
+    /// verification points sit, over integer, string and null-laced keys.
+    /// The reduce tasks fold their runs in place exactly when the first
+    /// reduce operator is an all-algebraic FOREACH and no point digests
+    /// the shuffle — they join nothing then (`to_batch` is 0) — and every
+    /// observable of every task (`Work`, digests, commitment, records)
+    /// equals the row plane's either way, over rows whose gather order is
+    /// the reverse of the canonical one: a bag left unbuilt or unordered
+    /// where a shuffle-site point digests it, or where the FOREACH emits
+    /// it, shows as a digest, a record or a commitment that differs.
     #[test]
     fn a_group_leaves_its_bags_unordered_only_where_nothing_observes_them() {
-        let rows: Vec<Record> = (0..60i64)
-            .rev()
-            .map(|i| {
-                let v = match i % 7 {
-                    0 => Value::Null,
-                    1 => Value::str("s"),
-                    _ => Value::Int(i),
-                };
-                Record::new(vec![Value::Int(i % 4), v])
-            })
-            .collect();
-        for after_group in 0..4 {
+        let keys: [fn(i64) -> Value; 3] = [
+            |k| Value::Int(k),
+            |k| Value::str(["", "x", "xy", "y"][k as usize]),
+            |k| {
+                [
+                    Value::Null,
+                    Value::Int(i64::MIN),
+                    Value::str("k"),
+                    Value::Int(3),
+                ][k as usize]
+                    .clone()
+            },
+        ];
+        for (key, after_group) in keys.iter().flat_map(|k| (0..4).map(move |a| (k, a))) {
+            let rows: Vec<Record> = (0..60i64)
+                .rev()
+                .map(|i| {
+                    let v = match i % 7 {
+                        0 => Value::Null,
+                        1 => Value::str("s"),
+                        _ => Value::Int(i),
+                    };
+                    Record::new(vec![key(i % 4), v])
+                })
+                .collect();
             for sites in SITES {
                 let src = task_script(0, [false; 4], after_group, 1);
                 let mut job = exec_job(&src, vec![]);
                 arm_sites(&mut job, sites);
-                let ctx = format!("{sites:?}:\n{src}");
+                let ctx = format!("{sites:?}, keys like {:?}:\n{src}", key(2));
                 let unobserved = after_group == 1 && matches!(sites, Sites::None | Sites::Reduce0);
-                assert_eq!(bags_unobserved(&job), unobserved, "{ctx}");
+                assert_eq!(bags_unobserved(&job).is_some(), unobserved, "{ctx}");
                 let before = data_plane::snapshot().groups_unordered;
-                assert_planes_agree(&mut job, &rows, |_| TaskFate::Faithful, &ctx);
+                let outs = assert_planes_agree(&mut job, &rows, |_| TaskFate::Faithful, &ctx);
                 // Other tests of this process count too, so only a floor
                 // can be asserted: one per columnar reduce task here.
                 let counted = data_plane::snapshot().groups_unordered - before;
                 assert!(!unobserved || counted >= 2 * 3 * 2 * 3, "{ctx}: {counted}");
+                for reduce in &outs[2..] {
+                    assert!(parts(reduce).iter().all(is_columnar), "{ctx}");
+                    assert!(!unobserved || reduce.stages.to_batch == 0, "{ctx}");
+                    assert!(reduce.stages.shuffle_kernel > 0, "{ctx}");
+                }
             }
+        }
+    }
+
+    /// A corrupt fate on a fused reduce task flips its runs where they
+    /// are, and the fold then reads what `corrupt_batch` of the joined
+    /// runs holds: the task's records and digests are those of a faithful
+    /// task handed that batch — on both planes, whose every observable
+    /// agrees — over integer, string and null leading keys.
+    #[test]
+    fn a_corrupt_fused_task_equals_a_faithful_one_over_the_corrupted_join() {
+        let src = task_script(0, [false; 4], 1, 1);
+        let mut job = exec_job(&src, vec![]);
+        arm_sites(&mut job, Sites::Reduce0);
+        let plan = bags_unobserved(&job).expect("an aggregate-only GROUP");
+        assert_eq!(plan.key, 0);
+        let key = |i: i64| match i % 5 {
+            0 => Value::Null,
+            1 => Value::str("k"),
+            k => Value::Int([i64::MAX, i64::MIN, -1][(k - 2) as usize]),
+        };
+        let pool = ComputePool::default();
+        for keys in [
+            (|i| Value::Int(i % 5)) as fn(i64) -> Value,
+            |i| Value::str(["a", "b"][(i % 2) as usize]),
+            key,
+        ] {
+            let input: Vec<Record> = (0..40i64)
+                .map(|i| Record::new(vec![keys(i), Value::Int(i)]))
+                .collect();
+            let runs: Vec<(usize, Batch)> = input
+                .chunks(9)
+                .map(|run| (0, Batch::from_records(run).unwrap()))
+                .collect();
+            let mut joined =
+                Batch::concat(&runs.iter().map(|(_, b)| b).collect::<Vec<_>>()).unwrap();
+            corrupt_batch(&mut joined);
+            let corrupt = run_reduce_task(&job, Partition::Cols(runs), TaskFate::Corrupt, &pool);
+            let over_corrupted = run_reduce_task(
+                &job,
+                Partition::Cols(vec![(0, joined)]),
+                TaskFate::Faithful,
+                &pool,
+            );
+            assert_eq!(rows(&corrupt), rows(&over_corrupted));
+            assert_eq!(corrupt.digests, over_corrupted.digests);
+            assert_eq!(commitments(&corrupt, 2), commitments(&over_corrupted, 2));
+            assert_eq!(corrupt.digests.len(), 1, "the point at reduce position 0");
+            assert!(corrupt.stages.to_batch > 0 && over_corrupted.stages.to_batch == 0);
+            let faithful = Partition::Rows(input.iter().cloned().map(|r| (0, r)).collect());
+            let honest = run_reduce_task(&job, faithful, TaskFate::Faithful, &pool);
+            assert_ne!(rows(&honest), rows(&corrupt));
         }
     }
 
@@ -2246,7 +2337,8 @@ mod tests {
     /// localized — on the row plane and on the columnar plane, where the
     /// corrupt run and the honest re-run execute on the same arm, the
     /// map task's captured split may be a window of a columnar file and
-    /// the reduce task's captured input a partition of batch runs.
+    /// the reduce task's captured input a partition of batch runs, which
+    /// both runs of this aggregate-only GROUP fold in place.
     #[test]
     fn spot_check_round_trip_confirms_honest_and_localizes_corrupt_on_both_planes() {
         use crate::spec::RunHandle;
@@ -2260,6 +2352,8 @@ mod tests {
             let mut job = exec_job(FOLLOWER, vec![]);
             job.batch_records = batch_records;
             job.digest_granularity = 2;
+            assert!(bags_unobserved(&job).is_some());
+            let fused_before = data_plane::snapshot().groups_unordered;
             let spec = Arc::new(job);
             // The reduce input as the engine builds it: partition 0 of a
             // faithful map task's output, gathered.
@@ -2309,6 +2403,11 @@ mod tests {
                     );
                 }
             }
+            // Two fates × two reduce inputs, each run and re-run: eight
+            // fused tasks on the columnar plane (a floor: other tests of
+            // this process count too), none on the row plane's account.
+            let fused = data_plane::snapshot().groups_unordered - fused_before;
+            assert!(batch_records == 0 || fused >= 8, "{fused}");
         }
     }
 

@@ -9,7 +9,9 @@
 //! by a fixed rule. `batches_built` / `batch_rows` count the batches a
 //! task allocates to lay its input out: a columnar task reads a columnar
 //! file's window in place and builds none (a corrupt one materializes its
-//! window, once), and converts a record file's window, once per map task.
+//! window, once), and converts a record file's window, once per map task;
+//! a reduce task of an aggregate-only GROUP folds its partition's runs in
+//! place and builds one batch, its output of one row per group.
 //! `rows_materialized`: on the default plane a run without a combiner,
 //! fault or no fault, builds no row until its output is published or
 //! `peek`ed, and exactly the published rows then; a task off the columnar
@@ -136,6 +138,14 @@ fn a_columnar_input_file_moves_no_data_plane_count() {
             assert_eq!(converted, expected, "{ctx}");
             if batch_records == 0 {
                 assert_eq!((cols.batches_built, cols.batch_rows), (0, 0), "{ctx}");
+            } else if fault.is_none() {
+                // Each reduce task of the aggregate-only GROUP folds its
+                // runs in place and builds one batch — its output, a row
+                // per group — and every key is one task's.
+                let reduce_tasks = (replicas * ExecutorConfig::default().reduce_tasks) as u64;
+                assert_eq!(cols.groups_unordered, reduce_tasks, "{ctx}");
+                assert_eq!(cols.batches_built, reduce_tasks, "{ctx}");
+                assert_eq!(cols.batch_rows, replicas as u64 * published, "{ctx}");
             }
             // Between the planes `records_cloned` differs by the
             // publication copy alone (a record file is cloned, a batch

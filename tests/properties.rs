@@ -4,7 +4,9 @@ use std::collections::{BTreeSet, HashMap};
 
 use clusterbft_repro::core::{FaultAnalyzer, NodeId, Record, SuspicionTable, Value};
 use clusterbft_repro::dataflow::analyze::{analyze_plan, eligible_under, mark, Adversary};
-use clusterbft_repro::dataflow::interp::{group_records, join_records, order_records};
+use clusterbft_repro::dataflow::interp::{
+    group_records, join_records, order_records, project_record,
+};
 use clusterbft_repro::dataflow::{Expr, PlanBuilder, Script};
 use clusterbft_repro::digest::{quorum_digest, ChunkedDigest, Digest};
 use proptest::prelude::*;
@@ -585,9 +587,10 @@ proptest! {
 // --- columnar data plane & merkle digest trees ------------------------------
 
 use clusterbft_repro::dataflow::batch::{
-    eval_column, filter_batch, fnv1a, group_batch, group_batch_unordered, join_batch, order_batch,
+    eval_column, filter_batch, fnv1a, group_aggregate, group_batch, join_batch, order_batch,
     project, project_batch, select, shuffle_buckets, Selection,
 };
+use clusterbft_repro::dataflow::combiner::Combiner;
 use clusterbft_repro::dataflow::{AggFunc, Batch, CmpOp, Column, EvalContext, SortOrder};
 use clusterbft_repro::digest::{parent_level, MerkleTree};
 use clusterbft_repro::mapreduce::{corrupt_batch, corrupt_record};
@@ -928,47 +931,126 @@ proptest! {
         });
     }
 
-    /// Grouping without in-bag order differs from `group_batch` in that
-    /// order alone: the same keys, the same offsets, each bag the same
-    /// multiset of rows — and so every all-algebraic generate list (the
-    /// five aggregates, over integer, string, null and past-the-arity
-    /// fields and none) projects both to the same batch.
+    /// The fused aggregate kernel against the bag it replaced: over the
+    /// rows of every layout pair cut into one to five runs at random
+    /// points (empty runs among them, and a run whose key column took
+    /// another layout than its neighbours': a typed stretch of a `Mixed`
+    /// column, an unmasked one of a masked column), for every key up to
+    /// one past the arity and an all-algebraic generate list in a seeded
+    /// order — `group` repeated or absent, the five aggregates over
+    /// integer, string, null and past-the-arity fields, `COUNT` with no
+    /// field — `group_aggregate` over the runs in place builds, column
+    /// layouts included, the batch `project_batch` builds over
+    /// `group_batch` of the joined runs.
     #[test]
     fn grouping_by_key_alone_changes_nothing_an_aggregate_can_read(
         n in 2usize..20,
         duplicates in any::<bool>(),
         seed in any::<u64>(),
+        cuts in proptest::collection::vec(any::<proptest::sample::Index>(), 0..5),
     ) {
-        let fields = [None, Some(0), Some(1), Some(2)];
-        let mut generates = vec![Expr::Col(0)];
+        let mut generates = vec![Expr::Col(0), Expr::Agg { func: AggFunc::Count, bag_col: 1, field: None }];
         generates.extend(AGG_FUNCS.iter().flat_map(|&func| {
-            fields.map(|field| Expr::Agg { func, bag_col: 1, field })
+            (0..=4).map(move |field| Expr::Agg { func, bag_col: 1, field: Some(field) })
         }));
+        // A seeded order, and a seeded sub-list of it with `group` twice,
+        // once or not at all.
+        generates.sort_by_key(|e| fnv1a(format!("{seed}{e:?}").as_bytes()));
+        let some = |keep: u64| -> Vec<Expr> {
+            let picked = |e: &&Expr| fnv1a(format!("{e:?}{seed}").as_bytes()) % 3 < keep;
+            let group = (seed % 3) as usize;
+            generates.iter().filter(picked).chain(&vec![Expr::Col(0); group][..]).cloned().collect()
+        };
         for_every_layout_pair(n, duplicates, seed, |batch, ctx| {
+            let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut.index(n + 1)).collect();
+            cuts.extend([0, n]);
+            cuts.sort_unstable();
+            let runs: Vec<Batch> = cuts.windows(2).map(|w| batch.slice(w[0]..w[1])).collect();
+            let runs: Vec<&Batch> = runs.iter().collect();
+            let joined = Batch::concat(&runs).expect("one arity");
+            assert_eq!(joined.to_records(), batch.to_records(), "{ctx}: the runs hold the rows");
             for key in 0..=batch.arity() {
-                let canonical = group_batch(batch, key);
-                let loose = group_batch_unordered(batch, key);
-                assert_eq!(loose.column(0), canonical.column(0), "{ctx}, key {key}: keys");
-                let offsets = |grouped: &Batch| match grouped.column(1) {
-                    Some(Column::Bag { offsets, .. }) => offsets.clone(),
-                    other => panic!("{ctx}: no nested bag column: {other:?}"),
-                };
-                assert_eq!(offsets(&loose), offsets(&canonical), "{ctx}, key {key}: offsets");
-                let sorted_bags = |grouped: &Batch| -> Vec<Vec<Record>> {
-                    let bag = |r: Record| r.get(1).and_then(Value::as_bag).expect("a bag").to_vec();
-                    let mut bags: Vec<_> = grouped.to_records().into_iter().map(bag).collect();
-                    bags.iter_mut().for_each(|bag| bag.sort());
-                    bags
-                };
-                assert_eq!(sorted_bags(&loose), sorted_bags(&canonical), "{ctx}, key {key}: bags");
-                assert_eq!(
-                    project_batch(&loose, &generates),
-                    project_batch(&canonical, &generates),
-                    "{ctx}, key {key}: aggregates"
-                );
+                let grouped = group_batch(&joined, key);
+                for generates in [generates.clone(), some(1), some(2)] {
+                    let plan = Combiner::for_group_projection(key, &generates).expect("all algebraic");
+                    assert_eq!(
+                        group_aggregate(&runs, &plan),
+                        project_batch(&grouped, &generates),
+                        "{ctx}, key {key}, cuts {cuts:?}, generates {generates:?}"
+                    );
+                }
             }
         });
     }
+}
+
+/// The edges of the fused kernel's folds and of its hashed keys: keys and
+/// values at `i64::MIN` / `MAX` (a wrapping `SUM`, a truncating `AVG`,
+/// `MIN` / `MAX` null where a group holds no integer), enough distinct
+/// keys that the table grows more than once, and a non-algebraic generate
+/// list, which has no plan.
+#[test]
+fn group_aggregate_matches_the_bag_pipeline_at_the_integer_edges() {
+    let agg = |func, field| Expr::Agg {
+        func,
+        bag_col: 1,
+        field,
+    };
+    let generates = vec![
+        agg(AggFunc::Sum, Some(1)),
+        agg(AggFunc::Avg, Some(1)),
+        Expr::Col(0),
+        agg(AggFunc::Min, Some(1)),
+        agg(AggFunc::Max, Some(1)),
+        agg(AggFunc::Count, Some(1)),
+        agg(AggFunc::Avg, Some(0)),
+    ];
+    let edge = [i64::MIN, i64::MAX, -1, 0, 1, i64::MAX - 1, i64::MIN + 1];
+    let rows: Vec<Record> = (0..6000i64)
+        .map(|i| {
+            let key = match i % 5 {
+                0 => edge[(i / 5 % 7) as usize],
+                _ => i.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64) % 2500,
+            };
+            let value = match i % 11 {
+                0 => Value::Null,
+                1 => Value::str("text"),
+                k => Value::Int(edge[(k % 7) as usize].wrapping_sub(i % 3)),
+            };
+            Record::new(vec![Value::Int(key), value])
+        })
+        .collect();
+    let plan = Combiner::for_group_projection(0, &generates).expect("all algebraic");
+    for run_rows in [6000, 1500, 7] {
+        let runs: Vec<Batch> = rows
+            .chunks(run_rows)
+            .map(|run| Batch::from_records(run).expect("uniform arity"))
+            .collect();
+        let runs: Vec<&Batch> = runs.iter().collect();
+        let joined = Batch::concat(&runs).expect("one arity");
+        let expected = project_batch(&group_batch(&joined, 0), &generates);
+        assert!(
+            expected.len() > 2048,
+            "the table grows twice: {} groups",
+            expected.len()
+        );
+        assert_eq!(
+            group_aggregate(&runs, &plan),
+            expected,
+            "{run_rows} rows a run"
+        );
+        // The same through the row kernels, to the record.
+        let by_rows: Vec<Record> = group_records(&rows, 0)
+            .iter()
+            .map(|group| project_record(group, &generates))
+            .collect();
+        assert_eq!(expected.to_records(), by_rows);
+    }
+    assert_eq!(group_aggregate(&[], &plan).len(), 0);
+    assert_eq!(group_aggregate(&[], &plan).arity(), generates.len());
+    let no_field = [agg(AggFunc::Sum, None)];
+    assert!(Combiner::for_group_projection(0, &no_field).is_none());
+    assert!(Combiner::for_group_projection(0, &[Expr::Col(1)]).is_none());
 }
 
 proptest! {
@@ -1092,7 +1174,7 @@ proptest! {
             let bytes: u64 = rows.iter().map(Record::byte_size).sum();
             prop_assert_eq!(b.canonical_bytes(), bytes);
         }
-        let joined = Batch::concat(batches).expect("one arity");
+        let joined = Batch::concat(&batches.iter().collect::<Vec<_>>()).expect("one arity");
         let whole = Batch::from_records(&all).expect("uniform arity");
         prop_assert_eq!(joined.len(), all.len());
         prop_assert_eq!(&joined.to_records(), &all);
@@ -1110,12 +1192,12 @@ proptest! {
         // Runs that disagree on arity cannot be joined; empty ones do not count.
         if let Some(first) = all.first() {
             let wider: Record = first.fields().iter().cloned().chain([Value::Null]).collect();
-            let ragged = vec![
+            let ragged = [
                 Batch::from_records(&all).expect("uniform arity"),
                 Batch::from_records(&[]).expect("empty"),
                 Batch::from_records(&[wider]).expect("one row"),
             ];
-            prop_assert!(Batch::concat(ragged).is_none());
+            prop_assert!(Batch::concat(&ragged.iter().collect::<Vec<_>>()).is_none());
         }
     }
 
@@ -1500,7 +1582,7 @@ proptest! {
             });
             let rows: Vec<Record> = gathers.iter().flat_map(Batch::to_records).collect();
             assert_batch_holds(&once, &rows);
-            let joined = Batch::concat(gathers).expect("one arity");
+            let joined = Batch::concat(&gathers.iter().collect::<Vec<_>>()).expect("one arity");
             if typed && !rows.is_empty() {
                 assert_eq!(once, joined, "{ctx}: layouts");
             }
