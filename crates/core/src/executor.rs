@@ -35,14 +35,14 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cbft_dataflow::analyze::Adversary;
 use cbft_dataflow::compile::{compile_plan, DataSource, JobGraph, JobId, JobOutput, Site};
 use cbft_dataflow::{LogicalPlan, Record, Script};
 use cbft_mapreduce::{
-    data_plane, default_compute_threads, Behavior, Cluster, ComputePool, EngineEvent, FileData,
-    JobOutcome, RunHandle, SamplePlan, SpotCheck, SpotCheckRecord, Ticket, VpSite,
+    default_compute_threads, Behavior, Cluster, ComputePool, EngineEvent, FileData, JobOutcome,
+    RunHandle, SamplePlan, SpotCheck, SpotCheckRecord, Ticket, VpSite,
 };
 use cbft_metrics::{names as metric_names, Domain, Metrics};
 use cbft_sim::{CostModel, SeedSpawner};
@@ -280,13 +280,64 @@ pub struct ReexecSummary {
     pub escalated: bool,
 }
 
+/// The published outputs: the winning replica's file for each store name,
+/// as the handle its storage holds, and a record view of them built on
+/// first request. Outcomes compare and serialize as that view, so an
+/// outcome means the same whichever plane produced its files.
+#[derive(Clone, Debug)]
+struct Publication {
+    files: BTreeMap<String, FileData>,
+    records: OnceLock<BTreeMap<String, Vec<Record>>>,
+}
+
+impl Publication {
+    /// The record view, built once: this is where a published file's
+    /// rows are built or copied, and charged as such.
+    fn records(&self) -> &BTreeMap<String, Vec<Record>> {
+        self.records.get_or_init(|| {
+            self.files
+                .iter()
+                .map(|(name, file)| (name.clone(), file.to_records()))
+                .collect()
+        })
+    }
+}
+
+impl PartialEq for Publication {
+    fn eq(&self, other: &Self) -> bool {
+        self.records() == other.records()
+    }
+}
+
+// Hand-written against the vendored serde stub's `Content` model (see
+// vendor/README.md): the JSON is the record view's, as before handles.
+impl Serialize for Publication {
+    fn to_content(&self) -> serde::Content {
+        self.records().to_content()
+    }
+}
+
+impl Deserialize for Publication {
+    fn from_content(content: &serde::Content) -> Result<Self, serde::Error> {
+        let records = BTreeMap::<String, Vec<Record>>::from_content(content)?;
+        let files = records
+            .iter()
+            .map(|(name, rows)| (name.clone(), FileData::from(rows.clone())))
+            .collect();
+        Ok(Publication {
+            files,
+            records: OnceLock::from(records),
+        })
+    }
+}
+
 /// The result of one parallel, streamed-verification execution.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ParallelOutcome {
     verified: bool,
     replicas_per_round: Vec<usize>,
     transcript: Vec<StreamedReport>,
-    outputs: BTreeMap<String, Vec<Record>>,
+    outputs: Publication,
     deviant_replicas: BTreeSet<usize>,
     clean_replicas: BTreeSet<usize>,
     omitted_replicas: BTreeSet<usize>,
@@ -318,14 +369,24 @@ impl ParallelOutcome {
         &self.transcript
     }
 
-    /// Published outputs by store name (empty when unverified).
-    pub fn outputs(&self) -> &BTreeMap<String, Vec<Record>> {
-        &self.outputs
+    /// Published outputs by store name (empty when unverified): each the
+    /// winning replica's file, in the form its job stored it. Nothing is
+    /// copied to publish one.
+    pub fn published(&self) -> &BTreeMap<String, FileData> {
+        &self.outputs.files
     }
 
-    /// One published output, if verified.
+    /// Published outputs by store name as records (empty when
+    /// unverified): a view built on the first call — the one place a
+    /// published file's rows are built or copied.
+    pub fn outputs(&self) -> &BTreeMap<String, Vec<Record>> {
+        self.outputs.records()
+    }
+
+    /// One published output as records, if verified (see
+    /// [`ParallelOutcome::outputs`]).
     pub fn output(&self, name: &str) -> Option<&[Record]> {
-        self.outputs.get(name).map(Vec::as_slice)
+        self.outputs().get(name).map(Vec::as_slice)
     }
 
     /// Replicas whose digests contradicted an established quorum.
@@ -807,8 +868,8 @@ impl ParallelExecutor {
         &self,
         prep: &Prepared,
         state: &mut RoundState,
-    ) -> Result<Option<BTreeMap<String, Vec<Record>>>, SubmitError> {
-        let mut published: Option<BTreeMap<String, Vec<Record>>> = None;
+    ) -> Result<Option<BTreeMap<String, FileData>>, SubmitError> {
+        let mut published: Option<BTreeMap<String, FileData>> = None;
         for target in self.config.escalation_targets() {
             if state.total_uids >= target {
                 continue; // targets are strictly increasing; defensive
@@ -909,7 +970,7 @@ impl ParallelExecutor {
     /// Emits the round-end trace event and the escalation-cost metrics
     /// for the round that just finished (the last entry of
     /// `state.replicas_per_round`, 1-indexed for the health report).
-    fn note_round(&self, state: &RoundState, published: Option<&BTreeMap<String, Vec<Record>>>) {
+    fn note_round(&self, state: &RoundState, published: Option<&BTreeMap<String, FileData>>) {
         let round = state.replicas_per_round.len() as u64;
         let fresh = state.replicas_per_round.last().copied().unwrap_or(0);
         if self.tracer.enabled() {
@@ -939,7 +1000,7 @@ impl ParallelExecutor {
             let records: u64 = published
                 .iter()
                 .flat_map(|outs| outs.values())
-                .map(|recs| recs.len() as u64)
+                .map(|file| file.len() as u64)
                 .sum();
             if records > 0 {
                 self.metrics
@@ -953,7 +1014,7 @@ impl ParallelExecutor {
     fn finish_outcome(
         &self,
         state: RoundState,
-        published: Option<BTreeMap<String, Vec<Record>>>,
+        published: Option<BTreeMap<String, FileData>>,
         verify_mode: VerifyMode,
         reexec: ReexecSummary,
     ) -> ParallelOutcome {
@@ -1003,7 +1064,10 @@ impl ParallelExecutor {
             verified: published.is_some(),
             replicas_per_round,
             transcript,
-            outputs: published.unwrap_or_default(),
+            outputs: Publication {
+                files: published.unwrap_or_default(),
+                records: OnceLock::new(),
+            },
             deviant_replicas: verifier.deviant_replicas(),
             clean_replicas: verifier.clean_replicas(),
             omitted_replicas: omitted,
@@ -1014,29 +1078,20 @@ impl ParallelExecutor {
     }
 
     /// Publishes iff [`Verifier::winner`] names a replica for every STORE
-    /// job's output.
+    /// job's output. The publication is the winning replica's file handle,
+    /// the one its storage holds: nothing is built or copied here, for
+    /// either plane.
     fn decide(
         &self,
         store_sites: &BTreeMap<JobId, (String, Vec<Site>)>,
         verifier: &Verifier,
         runs: &BTreeMap<usize, ReplicaRun>,
-    ) -> Option<BTreeMap<String, Vec<Record>>> {
+    ) -> Option<BTreeMap<String, FileData>> {
         let mut out = BTreeMap::new();
         for (name, sites) in store_sites.values() {
             let holders = runs.values().filter(|run| run.outputs.contains_key(name));
             let winner = verifier.winner(sites, holders.map(|run| run.uid))?;
-            // Publication is where the output's rows are built, once and
-            // for the winning replica only: out of its columnar file, or
-            // as the one deep copy of a record file.
-            let file = &runs[&winner].outputs[name];
-            let records = match file.batch() {
-                Some(batch) => batch.to_records(),
-                None => {
-                    data_plane::count_records_cloned(file.len() as u64);
-                    file.rows().to_vec()
-                }
-            };
-            out.insert(name.clone(), records);
+            out.insert(name.clone(), runs[&winner].outputs[name].clone());
         }
         Some(out)
     }

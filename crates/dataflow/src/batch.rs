@@ -21,6 +21,9 @@
 //! * **Encoding equivalence** — [`Batch::write_row_canonical`] emits the
 //!   same bytes as [`Record::write_canonical`] on the corresponding row,
 //!   so digests computed over a batch equal digests computed over rows.
+//! * **Text equivalence** — [`Batch::write_row_text`] writes the report
+//!   line that formatting the corresponding row's fields would, so a
+//!   published columnar file is printed without building its rows.
 //!
 //! Batches require a uniform arity: ragged record sets (possible only via
 //! hand-built inputs; plan-produced streams are rectangular) make
@@ -34,6 +37,7 @@
 use std::borrow::{Borrow, Cow};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::ops::Range;
 
 use crate::combiner::{CombineSlot, Combiner};
@@ -315,6 +319,25 @@ impl Column {
         }
     }
 
+    /// Appends the cell at `row` as [`Value`]'s `Display` writes it: a
+    /// typed cell straight from its column, a bag or mixed one through
+    /// the value.
+    fn write_text(&self, row: usize, out: &mut String) {
+        match self {
+            Column::Int { values, .. } if self.is_valid(row) => write_int(values[row], out),
+            Column::Str { bytes, offsets, .. } if self.is_valid(row) => {
+                // The arena holds UTF-8, so this borrows and never replaces.
+                out.push_str(&String::from_utf8_lossy(
+                    &bytes[offsets[row]..offsets[row + 1]],
+                ));
+            }
+            Column::Int { .. } | Column::Str { .. } => out.push_str("null"),
+            Column::Bag { .. } | Column::Mixed(_) => self.with_value(row, |v| {
+                let _ = write!(out, "{v}");
+            }),
+        }
+    }
+
     /// Rows of this column selected by `indices`, in order.
     fn gather(&self, indices: &[usize]) -> Column {
         Column::gather_parts(&[(self, indices)])
@@ -524,6 +547,26 @@ impl Column {
             .flat_map(|c| (0..c.len()).map(|row| c.value_at(row)));
         Column::from_values(cells.collect())
     }
+}
+
+/// Appends the decimal digits of `i`, as its `Display` writes them,
+/// without a formatter.
+fn write_int(i: i64, out: &mut String) {
+    // `i64::MIN` has 19 digits.
+    let mut digits = [0u8; 19];
+    let (mut at, mut n) = (digits.len(), i.unsigned_abs());
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// The layout rule for the null mask of a selection — a window, a
@@ -771,6 +814,19 @@ impl Batch {
         out.extend_from_slice(&(self.columns.len() as u64).to_be_bytes());
         for c in &self.columns {
             c.write_canonical(row, out);
+        }
+    }
+
+    /// Appends row `row` as a report line without its line end: the
+    /// cells as [`Value`]'s `Display` writes them, comma-separated —
+    /// byte-identical to formatting [`Batch::row`], without building it
+    /// (a bag cell alone builds its members).
+    pub fn write_row_text(&self, row: usize, out: &mut String) {
+        for (i, c) in self.columns.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            c.write_text(row, out);
         }
     }
 

@@ -205,17 +205,17 @@ impl fmt::Display for Ragged {
 }
 
 /// The builder of a record's field `col`. The first record (`growing`)
-/// makes a column per field; after it a field past the last column has
-/// none, and is only counted, for the error.
+/// makes a column per field, empty: columns grow as the scan goes, so the
+/// text is walked once. After it a field past the last column has none,
+/// and is only counted, for the error.
 #[inline(always)]
 fn column_at(
     columns: &mut Vec<ColumnBuilder>,
     col: usize,
     growing: bool,
-    rows: usize,
 ) -> Option<&mut ColumnBuilder> {
     if growing && col == columns.len() {
-        columns.push(ColumnBuilder::with_capacity(rows));
+        columns.push(ColumnBuilder::with_capacity(0));
     }
     columns.get_mut(col)
 }
@@ -228,8 +228,6 @@ fn column_at(
 /// [`Ragged`], naming the first odd line, when two records disagree on
 /// their field count: no batch holds them.
 pub fn scan_columns(text: &str) -> Result<Batch, Ragged> {
-    // An upper bound on the rows, to size the columns once.
-    let rows = text.bytes().filter(|b| *b == b'\n').count() + 1;
     let mut columns: Vec<ColumnBuilder> = Vec::new();
     // The line and field count of the first record, once it has ended.
     let mut first: Option<(usize, usize)> = None;
@@ -242,7 +240,7 @@ pub fn scan_columns(text: &str) -> Result<Batch, Ragged> {
         // longer.
         match fields.int() {
             Some(i) => {
-                if let Some(column) = column_at(&mut columns, col, growing, rows) {
+                if let Some(column) = column_at(&mut columns, col, growing) {
                     column.push(Cell::Int(i));
                 }
                 col += 1;
@@ -250,7 +248,7 @@ pub fn scan_columns(text: &str) -> Result<Batch, Ragged> {
             None => {
                 let cell = fields.classified();
                 if !is_blank_line(cell, col, fields.ended_line()) {
-                    if let Some(column) = column_at(&mut columns, col, growing, rows) {
+                    if let Some(column) = column_at(&mut columns, col, growing) {
                         column.push(cell);
                     }
                     col += 1;

@@ -103,6 +103,13 @@ impl JobMetrics {
 /// clone, so only this counter sees it. It is counted by the batch
 /// kernels themselves ([`cbft_dataflow::stats`]) and read through here.
 ///
+/// Publication counts on neither: a verified output is published as the
+/// winning replica's file handle, and `cbft` writes a columnar file's
+/// report straight from its columns. A record view of a published file
+/// (`ParallelOutcome::outputs`, `Storage::peek`) is charged when someone
+/// asks for it — its rows to `rows_materialized` for a columnar file, its
+/// copy to `records_cloned` for a record file.
+///
 /// Counters are cumulative; callers interested in one region take a
 /// [`data_plane::snapshot`] before and after and subtract.
 ///
@@ -156,8 +163,8 @@ pub mod data_plane {
         pub const GROUPS_UNORDERED: &str = "cbft_data_plane_groups_unordered_total";
     }
 
-    /// Records that were physically deep-copied (e.g. when publishing final
-    /// outputs out of a replica's storage).
+    /// Records that were physically deep-copied (e.g. at a task's output
+    /// boundary, or for the record view of a published record file).
     pub fn count_records_cloned(n: u64) {
         global().add(Domain::Sim, names::RECORDS_CLONED, &[], n);
     }

@@ -64,7 +64,8 @@ struct ColumnarFile {
     batch: Batch,
     /// The row image, for the record-typed view ([`Storage::peek`]) the
     /// harness inspects files through. Built on first request, once for
-    /// every handle to the file; no task and no publication asks.
+    /// every handle to the file; no task, no publication and no report
+    /// asks.
     rows: OnceLock<Arc<[Record]>>,
 }
 
@@ -101,6 +102,20 @@ impl FileData {
         match &self.form {
             Form::Rows(rows) => rows,
             Form::Cols(file) => file.rows.get_or_init(|| file.batch.to_records().into()),
+        }
+    }
+
+    /// An owned copy of the file's records: built out of a columnar file
+    /// (counted as materialized rows), or deep-copied from a record file
+    /// (counted as cloned records). What a record-typed view of a
+    /// published file costs, charged when someone asks for one.
+    pub fn to_records(&self) -> Vec<Record> {
+        match &self.form {
+            Form::Rows(rows) => {
+                data_plane::count_records_cloned(rows.len() as u64);
+                rows.to_vec()
+            }
+            Form::Cols(file) => file.batch.to_records(),
         }
     }
 }
@@ -211,8 +226,10 @@ impl Storage {
         }
     }
 
-    /// Like [`Storage::read`] but without charging read bytes — for
-    /// harness/verifier inspection that would not exist on a real cluster.
+    /// Like [`Storage::read`] but without charging read bytes, as records —
+    /// for harness/verifier inspection that would not exist on a real
+    /// cluster. A columnar file's row image is built on the first peek and
+    /// cached; [`Storage::handle`] reads the file as it is stored.
     pub fn peek(&self, name: &str) -> Option<&[Record]> {
         self.files.get(name).map(|f| &**f.rows())
     }

@@ -197,8 +197,10 @@ OPTIONS:
     --trace FILE         record a Chrome-trace-format JSON trace of the run
                          (load it in Perfetto or chrome://tracing)
     --trace-summary      print per-phase timings, per-key verification lag,
-                         data-plane counters and what loading each input
-                         took (rows, bytes, plane, wall ms) after the report
+                         data-plane counters, what loading each input took
+                         (rows, bytes, plane, wall ms) and what rendering
+                         each output took (rows, plane, wall ms) after the
+                         report
     --metrics FILE       write run metrics in Prometheus text exposition
                          format (counters, gauges, log2-bucket histograms;
                          every sample carries a domain=\"sim\"|\"wall\" label)
@@ -497,14 +499,19 @@ impl InputLoad {
 
     /// The line, under `label`: an input's name, or a file count.
     pub fn line(&self, label: &str) -> String {
-        let plane = match (self.columnar, self.files - self.columnar) {
-            (_, 0) => "columnar".to_owned(),
-            (0, _) => "rows".to_owned(),
-            (columnar, rows) => format!("{columnar} columnar, {rows} rows"),
-        };
+        let plane = plane(self.columnar, self.files);
         let why: String = self.ragged.iter().map(|why| format!(" ({why})")).collect();
         let (rows, bytes, ms) = (self.rows, self.bytes, self.wall.as_secs_f64() * 1e3);
         format!("{label}: {rows} rows, {bytes} bytes, {plane}{why}, load {ms:.1} ms")
+    }
+}
+
+/// The plane `files` files were held on, `columnar` of them as batches.
+fn plane(columnar: usize, files: usize) -> String {
+    match (columnar, files - columnar) {
+        (_, 0) => "columnar".to_owned(),
+        (0, _) => "rows".to_owned(),
+        (columnar, rows) => format!("{columnar} columnar, {rows} rows"),
     }
 }
 
@@ -542,16 +549,75 @@ pub(crate) fn load_input(
 }
 
 /// Appends one published output to the report: a header and at most
-/// `show_rows` rows.
-fn render_output(out: &mut String, name: &str, records: &[Record], show_rows: usize) {
-    let _ = writeln!(out, "\n== {name} ({} records) ==", records.len());
-    for r in records.iter().take(show_rows) {
-        write_record(out, r);
-        out.push('\n');
+/// `show_rows` rows, written from the file as it is stored — a columnar
+/// file straight from its columns ([`Batch::write_row_text`]), a record
+/// file record by record. Both `cbft` paths report through this one
+/// function, and the bytes do not depend on the file's form.
+///
+/// [`Batch::write_row_text`]: crate::dataflow::Batch::write_row_text
+pub fn render_output(out: &mut String, name: &str, file: &FileData, show_rows: usize) {
+    let _ = writeln!(out, "\n== {name} ({} records) ==", file.len());
+    let shown = file.len().min(show_rows);
+    match file.batch() {
+        Some(batch) => {
+            for row in 0..shown {
+                batch.write_row_text(row, out);
+                out.push('\n');
+            }
+        }
+        None => {
+            for r in &file.rows()[..shown] {
+                write_record(out, r);
+                out.push('\n');
+            }
+        }
     }
-    if records.len() > show_rows {
-        let _ = writeln!(out, "... ({} more)", records.len() - show_rows);
+    if file.len() > show_rows {
+        let _ = writeln!(out, "... ({} more)", file.len() - show_rows);
     }
+}
+
+/// What rendering the published outputs took: one line of
+/// `--trace-summary`'s `outputs:` section, for one output (`cbft`) or
+/// summed over a run's (`cbftd`, which prints no row and so renders none).
+#[derive(Default)]
+pub(crate) struct OutputRender {
+    pub files: usize,
+    rows: usize,
+    columnar: usize,
+    wall: Duration,
+}
+
+impl OutputRender {
+    /// Adds one published `file`, rendered in `wall`.
+    pub fn add(&mut self, file: &FileData, wall: Duration) {
+        self.files += 1;
+        self.rows += file.len();
+        self.columnar += usize::from(file.batch().is_some());
+        self.wall += wall;
+    }
+
+    /// The line, under `label`: an output's name, or an output count.
+    pub fn line(&self, label: &str) -> String {
+        let plane = plane(self.columnar, self.files);
+        let (rows, ms) = (self.rows, self.wall.as_secs_f64() * 1e3);
+        format!("{label}: {rows} rows, {plane}, render {ms:.1} ms")
+    }
+}
+
+/// Renders `file` with [`render_output`] and adds it to `renders`' lines.
+fn render_timed(
+    out: &mut String,
+    renders: &mut Vec<String>,
+    name: &str,
+    file: &FileData,
+    show_rows: usize,
+) {
+    let started = Instant::now();
+    render_output(out, name, file, show_rows);
+    let mut render = OutputRender::default();
+    render.add(file, started.elapsed());
+    renders.push(render.line(name));
 }
 
 /// The executor configuration an invocation asks for on the `--threads`
@@ -697,7 +763,8 @@ impl<'a> Observability<'a> {
 
     /// The tail of the report: writes the Chrome-trace JSON (`--trace`)
     /// and appends the aggregated summary (`--trace-summary`) closed by
-    /// `inputs`, the [`InputLoad`] lines (wall times: not in the trace), then
+    /// `inputs`, the [`InputLoad`] lines, and `outputs`, the
+    /// [`OutputRender`] lines (wall times both: not in the trace), then
     /// writes the Prometheus (`--metrics`) and JSON (`--metrics-json`)
     /// dumps and appends the health report (`--health-report`). The
     /// one-shot CLI builds the health report from the sim-domain slice
@@ -709,6 +776,7 @@ impl<'a> Observability<'a> {
         out: &mut String,
         full_health: bool,
         inputs: &[String],
+        outputs: &[String],
     ) -> Result<(), Box<dyn Error>> {
         if let Some(sink) = self.sink {
             let events = sink.take();
@@ -728,8 +796,10 @@ impl<'a> Observability<'a> {
                     .with_counter("tasks_stolen", d.tasks_stolen)
                     .with_counter("pool_queue_peak", d.pool_queue_peak);
                 let _ = write!(out, "\n{}", summary.render());
-                if !inputs.is_empty() {
-                    let _ = writeln!(out, "  inputs:\n    {}", inputs.join("\n    "));
+                for (section, lines) in [("inputs", inputs), ("outputs", outputs)] {
+                    if !lines.is_empty() {
+                        let _ = writeln!(out, "  {section}:\n    {}", lines.join("\n    "));
+                    }
                 }
                 out.push('\n');
             }
@@ -785,10 +855,11 @@ pub fn run(opts: &CliOptions) -> Result<String, Box<dyn Error>> {
 
     let obs = Observability::start(opts.report_flags(), opts.flight_dir.is_some());
     let mut out = String::new();
+    let mut output_lines = Vec::new();
     let anomalies = if opts.threads.is_some() {
-        run_parallel(opts, &source, inputs, &obs, &mut out)?
+        run_parallel(opts, &source, inputs, &obs, &mut out, &mut output_lines)?
     } else {
-        run_sequential(opts, &source, inputs, &obs, &mut out)?
+        run_sequential(opts, &source, inputs, &obs, &mut out, &mut output_lines)?
     };
 
     // Report detected anomalies and, when `--flight-dir` is set, drain
@@ -828,19 +899,21 @@ pub fn run(opts: &CliOptions) -> Result<String, Box<dyn Error>> {
             let _ = writeln!(out, "{line}");
         }
     }
-    obs.finish(&mut out, false, &input_lines)?;
+    obs.finish(&mut out, false, &input_lines, &output_lines)?;
     Ok(out)
 }
 
 /// The default path: `r` replicas of every job share one simulated
 /// cluster under the sequential [`ClusterBft`] pipeline, and `--fault N`
-/// names a node.
+/// names a node. Each published output is rendered from the file its
+/// name holds in storage, and its `outputs:` line pushed on `renders`.
 fn run_sequential(
     opts: &CliOptions,
     source: &str,
     inputs: HashMap<String, FileData>,
     obs: &Observability<'_>,
     out: &mut String,
+    renders: &mut Vec<String>,
 ) -> Result<Vec<Anomaly>, Box<dyn Error>> {
     let mut builder = Cluster::builder()
         .nodes(opts.nodes)
@@ -879,12 +952,12 @@ fn run_sequential(
         outcome.digest_reports()
     );
     for name in outcome.outputs() {
-        let records = cbft
+        let file = cbft
             .cluster()
             .storage()
-            .peek(name)
+            .handle(name)
             .ok_or_else(|| format!("published output '{name}' is missing from storage"))?;
-        render_output(out, name, records, opts.show_rows);
+        render_timed(out, renders, name, &file, opts.show_rows);
     }
     if let Some(analyzer) = cbft.fault_analyzer() {
         if !analyzer.suspects().is_empty() {
@@ -896,13 +969,16 @@ fn run_sequential(
 
 /// The `--threads` path: replicas run on worker threads in isolated
 /// clusters, digests stream into the verifier live, and faults target
-/// replicas rather than nodes.
+/// replicas rather than nodes. Each published output is rendered from
+/// the winning replica's file, and its `outputs:` line pushed on
+/// `renders`.
 fn run_parallel(
     opts: &CliOptions,
     source: &str,
     inputs: HashMap<String, FileData>,
     obs: &Observability<'_>,
     out: &mut String,
+    renders: &mut Vec<String>,
 ) -> Result<Vec<Anomaly>, Box<dyn Error>> {
     let mut exec = ParallelExecutor::new(executor_config(opts));
     exec.set_tracer(obs.tracer.clone());
@@ -961,8 +1037,8 @@ fn run_parallel(
     if !outcome.omitted_replicas().is_empty() {
         let _ = writeln!(out, "omitted replicas: {:?}", outcome.omitted_replicas());
     }
-    for (name, records) in outcome.outputs() {
-        render_output(out, name, records, opts.show_rows);
+    for (name, file) in outcome.published() {
+        render_timed(out, renders, name, file, opts.show_rows);
     }
     let snapshot: Option<Snapshot> = obs.metrics.enabled().then(|| obs.metrics.snapshot());
     Ok(flight::detect_parallel_anomalies(
@@ -981,6 +1057,10 @@ mod tests {
     /// reading by every `parse`: a seedless parse racing that test would
     /// otherwise read its invalid value and fail.
     static ENV: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+    /// Held by the test that counts `rows_materialized` process-wide, and
+    /// by the one test here that builds rows (the loader edge cases).
+    static ROWS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn parse(args: &[&str]) -> Result<CliOptions, UsageError> {
         let _env = ENV
@@ -1084,7 +1164,7 @@ mod tests {
             parse_record("only"),
         ];
         let mut out = String::new();
-        render_output(&mut out, "o", &rows, 3);
+        render_output(&mut out, "o", &FileData::from(rows.clone()), 3);
         let lines: Vec<String> = rows.iter().map(render_record).collect();
         assert_eq!(lines[0], "3,hello,null,-42");
         assert_eq!(lines[1], r#"null,{(1, "a"), (null, "")}"#);
@@ -1104,6 +1184,9 @@ mod tests {
     /// loader builds the batch the record loader's rows convert to.
     #[test]
     fn loader_edge_cases_print_the_same_report_from_columns_and_from_records() {
+        let _rows = ROWS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let cases = [
             ("empty", ""),
             ("blank only", "\n  \n\t\n"),
@@ -1196,6 +1279,51 @@ mod tests {
                 );
                 assert_eq!(columnar, report(&["--batch-size", "0"]), "{name}");
             }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Publication hands over the winning file and the report is written
+    /// from its columns: a GROUP → COUNT run builds no row on either path,
+    /// and prints the bytes the row plane prints.
+    #[test]
+    fn a_published_report_builds_no_row_on_either_path() {
+        let _rows = ROWS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let dir = std::env::temp_dir().join(format!("cbft_cli_publish_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let script = dir.join("s.pig");
+        std::fs::write(
+            &script,
+            "a = LOAD 'edges' AS (u, f);
+             g = GROUP a BY u;
+             c = FOREACH g GENERATE group, COUNT(a) AS n;
+             STORE c INTO 'counts';",
+        )
+        .unwrap();
+        let data = dir.join("edges.csv");
+        let lines: Vec<String> = (0..50).map(|i| format!("{},{}", i % 5, i)).collect();
+        std::fs::write(&data, lines.join("\n")).unwrap();
+        let input = format!("edges={}", data.to_str().unwrap());
+
+        for path_flags in [&[][..], &["--threads", "2"]] {
+            let report = |plane_flags: &[&str]| {
+                let mut args = vec![script.to_str().unwrap(), "--input", &input];
+                args.extend(["--seed", "1", "--show", "100"]);
+                args.extend(path_flags);
+                args.extend(plane_flags);
+                run(&parse(&args).unwrap()).unwrap()
+            };
+            let before = data_plane::snapshot();
+            let columnar = report(&[]);
+            let built = data_plane::snapshot().since(&before).rows_materialized;
+            assert_eq!(built, 0, "{path_flags:?}: {columnar}");
+            assert!(
+                columnar.contains("== counts (5 records) ==\n"),
+                "{columnar}"
+            );
+            assert_eq!(columnar, report(&["--batch-size", "0"]), "{path_flags:?}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1553,6 +1681,8 @@ mod tests {
             assert!(report.contains("verification lag"), "{report}");
             assert!(report.contains("digest_bytes_hashed"), "{report}");
             let line = "  inputs:\n    edges: 50 rows, 239 bytes, columnar, load ";
+            assert!(report.contains(line), "{report}");
+            let line = "  outputs:\n    counts: 5 rows, columnar, render ";
             assert!(report.contains(line), "{report}");
 
             let json = std::fs::read_to_string(&trace_file).unwrap();

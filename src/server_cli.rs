@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use crate::cli::{
     executor_config, load_input, parse_num, parse_replication, positive, read_script, CliOptions,
-    InputLoad, Observability, ReportFlags, UsageError,
+    InputLoad, Observability, OutputRender, ReportFlags, UsageError,
 };
 use crate::core::{ExecutorConfig, Replication};
 use crate::flight::{self, Anomaly, AnomalyKind, BundleSpec, RejectionBurstDetector};
@@ -163,7 +163,9 @@ OPTIONS:
                          scoped tracks; load in Perfetto)
     --trace-summary      append the aggregated trace summary; its inputs:
                          line totals what the submitter loaded (files,
-                         rows, bytes, columnar or rows, wall ms)
+                         rows, bytes, columnar or rows, wall ms), its
+                         outputs: line what the jobs published (outputs,
+                         rows, plane; cbftd renders no row)
     --flight-dir DIR     write per-job forensic bundles under DIR when a
                          job trips the anomaly detector (mismatch,
                          escalation, withheld output, lost worker, ...)
@@ -698,10 +700,21 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
 
     // Full snapshot in the health report: the server series are
     // wall-domain.
+    // `cbftd` prints verdicts, not rows: its outputs are published as
+    // handles and rendered by nobody.
+    let mut renders = OutputRender::default();
+    for r in &results {
+        if let Ok(o) = &r.outcome {
+            o.published()
+                .values()
+                .for_each(|file| renders.add(file, Duration::ZERO));
+        }
+    }
     obs.finish(
         &mut out,
         true,
         &[loads.line(&format!("{} files", loads.files))],
+        &[renders.line(&format!("{} outputs", renders.files))],
     )?;
     Ok(out)
 }
@@ -1155,6 +1168,12 @@ mod tests {
             report.contains(&format!(
                 "  inputs:\n    2 files: 80 rows, {bytes} bytes, columnar, load "
             )),
+            "{report}"
+        );
+        // And one for what the jobs published, none of it rendered.
+        assert!(report.contains("  outputs:\n    "), "{report}");
+        assert!(
+            report.contains(" rows, columnar, render 0.0 ms\n"),
             "{report}"
         );
         std::fs::remove_dir_all(&dir).ok();

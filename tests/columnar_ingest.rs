@@ -13,10 +13,11 @@
 //! a reduce task of an aggregate-only GROUP folds its partition's runs in
 //! place and builds one batch, its output of one row per group.
 //! `rows_materialized`: on the default plane a run without a combiner,
-//! fault or no fault, builds no row until its output is published or
-//! `peek`ed, and exactly the published rows then; a task off the columnar
-//! arm (the row plane, a combiner) builds a row image of a columnar
-//! window to read it.
+//! fault or no fault, builds no row at all — publication hands over the
+//! winning replica's file — until its output is `peek`ed or read through
+//! the outcome's record view, and exactly the published rows then; a task
+//! off the columnar arm (the row plane, a combiner) builds a row image of
+//! a columnar window to read it.
 //!
 //! The counters are process-global, so this file holds one test: nothing
 //! else runs in its process.
@@ -100,15 +101,15 @@ fn a_columnar_input_file_moves_no_data_plane_count() {
             });
             let [(rows_outcome, mut rows), (cols_outcome, mut cols)] = runs;
             let ctx = format!("executor, batch_records {batch_records}, fault {fault:?}");
-            assert_eq!(rows_outcome, cols_outcome, "{ctx}");
-            // From a record file, rows are built out of batches at
-            // publication alone: the published rows, once, out of the
-            // winning replica's columnar output — a corrupt replica's
-            // tasks run the columnar arm like a faithful one's and build
-            // no row. The row plane holds no batch.
-            let published = rows_outcome.output("counts").unwrap().len() as u64;
+            // From a record file no row is built out of a batch: a
+            // corrupt replica's tasks run the columnar arm like a faithful
+            // one's, and publication is the winning replica's file. The
+            // record view builds the published rows, once, when asked.
+            assert_eq!(rows.rows_materialized, 0, "{ctx}");
+            let (published, view) = counted(|| rows_outcome.output("counts").unwrap().len() as u64);
             let expected = if batch_records == 0 { 0 } else { published };
-            assert_eq!(rows.rows_materialized, expected, "{ctx}");
+            assert_eq!(view.rows_materialized, expected, "{ctx}");
+            assert_eq!(rows_outcome, cols_outcome, "{ctx}");
             // A columnar file adds, only off the columnar arm, one row
             // image of its window per task that reads rows: every task
             // of the row plane, and none of the columnar plane, whatever
@@ -147,16 +148,18 @@ fn a_columnar_input_file_moves_no_data_plane_count() {
                 assert_eq!(cols.batches_built, reduce_tasks, "{ctx}");
                 assert_eq!(cols.batch_rows, replicas as u64 * published, "{ctx}");
             }
-            // Between the planes `records_cloned` differs by the
-            // publication copy alone (a record file is cloned, a batch
-            // materialized), fault or no fault: a corrupt map task owns
-            // its corrupted split on either plane, so neither charges a
-            // clone at its output boundary.
+            // Between the planes `records_cloned` is the same, fault or
+            // no fault: publication copies nothing on either, and a
+            // corrupt map task owns its corrupted split on either plane,
+            // so neither charges a clone at its output boundary. The
+            // record view of a record file is the copy, when asked.
             let by_rows = &mut cloned_by_rows[usize::from(fault.is_some())];
             if batch_records == 0 {
                 *by_rows = rows.records_cloned;
+                assert_eq!(view.records_cloned, published, "{ctx}");
             } else {
-                assert_eq!(*by_rows - rows.records_cloned, published, "{ctx}");
+                assert_eq!(*by_rows, rows.records_cloned, "{ctx}");
+                assert_eq!(view.records_cloned, 0, "{ctx}");
             }
         }
     }

@@ -1855,3 +1855,150 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Publication: the report written from columns, and the outcome's record view
+// ---------------------------------------------------------------------------
+
+use clusterbft_repro::cli::{render_output, render_record};
+use clusterbft_repro::core::FileData;
+
+/// Asserts the text writer writes each row of `batch` as `render_record`
+/// formats the built row, and that a report of the batch's file is the
+/// report of its records' file at every cut of `--show`.
+fn assert_written_like_the_rows(batch: &Batch, ctx: &str) {
+    for r in 0..batch.len() {
+        let mut line = String::new();
+        batch.write_row_text(r, &mut line);
+        assert_eq!(line, render_record(&batch.row(r)), "{ctx}, row {r}");
+    }
+    let columnar = FileData::from(batch.clone());
+    let records = FileData::from(batch.to_records());
+    assert!(columnar.batch().is_some() && records.batch().is_none());
+    let n = batch.len();
+    for show in [0, 1, n.saturating_sub(1), n, usize::MAX] {
+        let report = |file: &FileData| {
+            let mut out = String::new();
+            render_output(&mut out, "o", file, show);
+            out
+        };
+        assert_eq!(report(&columnar), report(&records), "{ctx}, --show {show}");
+    }
+}
+
+#[test]
+fn the_text_writer_writes_every_layout_as_its_rows_print() {
+    for (n, duplicates) in [(2, false), (9, true)] {
+        for_every_layout_pair(n, duplicates, 31, assert_written_like_the_rows);
+    }
+    let ints = [i64::MIN, i64::MAX, 0, -1, 7, -1_000_000_007, 10, -10];
+    let texts = ["", "é", "a,b", "日本語", " padded ", "null", "-3", "\"q\""];
+    let int = |null: bool| {
+        let cells = ints.iter().map(|&i| Value::Int(i));
+        Column::from_values(cells.chain(null.then_some(Value::Null)).collect())
+    };
+    let text = |null: bool| {
+        let cells = texts.iter().map(|&s| Value::str(s));
+        let nulls = null.then_some(Value::Null);
+        Column::from_values(nulls.into_iter().chain(cells).collect())
+    };
+    let mixed = Column::from_values(vec![
+        Value::Int(i64::MIN),
+        Value::str("a,b"),
+        Value::Null,
+        Value::Int(i64::MAX),
+        Value::str(""),
+        Value::Bag(vec![Record::new(vec![Value::str("x"), Value::Null])]),
+        Value::Int(0),
+        Value::str("é"),
+        Value::Null,
+    ]);
+    for null in [false, true] {
+        let columns = vec![int(null), text(null)];
+        let batch = Batch::from_columns(columns.clone(), ints.len() + usize::from(null));
+        let layouts: Vec<&str> = columns.iter().map(layout_of).collect();
+        assert_eq!(
+            layouts,
+            if null {
+                ["int+null", "str+null"]
+            } else {
+                ["int", "str"]
+            }
+        );
+        assert_written_like_the_rows(&batch, &format!("edges, nulls {null}"));
+    }
+    // A stored GROUP without FOREACH: its bag column is printed.
+    for columns in [vec![int(true), mixed.clone()], vec![text(true), int(true)]] {
+        let grouped = group_batch(&Batch::from_columns(columns, 9), 0);
+        assert!(matches!(grouped.column(1), Some(Column::Bag { .. })));
+        assert_written_like_the_rows(&grouped, "stored group");
+    }
+    assert_eq!(layout_of(&mixed), "bags as values");
+    assert_written_like_the_rows(&Batch::from_columns(vec![mixed], 9), "mixed");
+    assert_written_like_the_rows(&Batch::from_columns(Vec::new(), 3), "arity 0");
+    assert_written_like_the_rows(&Batch::from_columns(Vec::new(), 0), "empty");
+}
+
+const PUBLISHED_SCRIPT: &str = "
+    a = LOAD 'edges' AS (u, f);
+    g = GROUP a BY u;
+    c = FOREACH g GENERATE group, COUNT(a) AS n;
+    STORE c INTO 'counts';
+";
+
+/// [`PUBLISHED_SCRIPT`] on the `--threads` path over 60 edges of 3 users,
+/// the input in the form `cbft` loads it at `batch_records`.
+fn published_run(batch_records: usize, fault: Option<usize>) -> ParallelOutcome {
+    let mut exec = ParallelExecutor::new(ExecutorConfig {
+        threads: 2,
+        batch_records,
+        escalation: vec![2],
+        master_seed: 25,
+        ..ExecutorConfig::default()
+    });
+    let edges: Vec<Record> = (0..60)
+        .map(|i| Record::new(vec![Value::Int(i % 3), Value::Int(i)]))
+        .collect();
+    let input: FileData = match batch_records {
+        0 => edges.into(),
+        _ => Batch::from_records(&edges).expect("one arity").into(),
+    };
+    exec.load_input("edges", input).unwrap();
+    if let Some(uid) = fault {
+        exec.inject_fault(
+            uid,
+            clusterbft_repro::core::Behavior::Commission { probability: 1.0 },
+        );
+    }
+    exec.run_plan(Script::parse(PUBLISHED_SCRIPT).unwrap().into_plan())
+        .unwrap()
+}
+
+#[test]
+fn an_outcome_means_its_record_view_whatever_form_its_files_take() {
+    let (rows, cols) = (published_run(0, None), published_run(1024, None));
+    assert!(rows.verified() && cols.verified());
+    // The winner's file is published in the form its job stored it.
+    assert!(rows.published()["counts"].batch().is_none());
+    assert!(cols.published()["counts"].batch().is_some());
+    assert_eq!(rows, cols, "outcomes compare as their records");
+
+    // The JSON every determinism and server test compares is the record
+    // view's, as when outcomes held records.
+    const COUNTS: &str = r#""outputs":{"counts":[[{"Int":0},{"Int":20}],[{"Int":2},{"Int":20}],[{"Int":1},{"Int":20}]]}"#;
+    for outcome in [&rows, &cols] {
+        let json = serde_json::to_string(outcome).unwrap();
+        assert!(json.contains(COUNTS), "{json}");
+        let view = serde_json::to_string(outcome.outputs()).unwrap();
+        assert_eq!(COUNTS, format!("\"outputs\":{view}"));
+        let back: ParallelOutcome = serde_json::from_str(&json).unwrap();
+        assert_eq!(&back, outcome);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    // An unverified run publishes nothing, in either view.
+    let withheld = published_run(1024, Some(0));
+    assert!(!withheld.verified());
+    assert!(withheld.published().is_empty() && withheld.outputs().is_empty());
+    assert_eq!(withheld.output("counts"), None);
+}
