@@ -66,17 +66,18 @@
 //! (follower: `FILTER` + integer key; weather: `FILTER` + three columns;
 //! airline: `FOREACH` + integer key) and on a string-keyed one. The
 //! `copying` rows reproduce the pipeline the in-place one replaced, from
-//! the public kernels: the split cut into `Batch::slice`s, each run
-//! through `filter_batch` / `project_batch`, every key encoded into a
-//! buffer and hashed, and one `gather` per (batch, partition). The
-//! `in place` rows read the split through selections (`select` /
-//! `project` / `shuffle_buckets`) and gather each partition once per
-//! task (`Batch::gather_parts`) — what `mapreduce::task` runs. Both must
-//! route the same rows to the same partitions, and reading in place may
-//! not be the slower one.
+//! the public kernels: the split copied out in batches of `MAP_BATCH`
+//! rows, each run through `filter_batch` / `project_batch`, every key
+//! encoded into a buffer and hashed, and one `gather` per (batch,
+//! partition). The `in place` rows read the split as one selection
+//! (`select` / `project` / `shuffle_buckets`) and gather each partition
+//! once per task (`Batch::gather`) — what `mapreduce::task` runs. Both
+//! must route the same rows to the same partitions, and reading in place
+//! may not be the slower one.
 //!
 //! Results land in `bench_results/data_plane.json`.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,7 +105,8 @@ const REPLICAS: usize = 4;
 /// Lines per CSV ingest shape (the follower benchmark input's size).
 const INGEST_ROWS: usize = 400_000;
 /// Rows per map task of the `map side` passes (the follower benchmark's
-/// split), rows per chunk (`--batch-size`'s default) and reduce partitions.
+/// split), rows per batch the copying pipeline cuts (what `--batch-size`
+/// sized when each batch was a copy) and reduce partitions.
 const MAP_SPLIT: usize = 10_000;
 const MAP_BATCH: usize = 1024;
 const MAP_PARTITIONS: usize = 4;
@@ -190,7 +192,7 @@ fn columnar_file_pass(file: &FileData) -> (Vec<ChunkedSummary>, u64) {
 fn file_windows(file: &Batch) -> Vec<Batch> {
     (0..file.len())
         .step_by(SPLIT)
-        .map(|start| file.slice(start..file.len().min(start + SPLIT)))
+        .map(|start| file.select_rows(&Selection::Range(start..file.len().min(start + SPLIT))))
         .collect()
 }
 
@@ -228,7 +230,7 @@ fn digest_batches(batches: &[Batch]) -> (Vec<ChunkedSummary>, u64) {
 
 /// The commission fault over every split of `rows`, on both arms: wall of
 /// the row arm (`to_vec` + `corrupt_record`) and of the columnar arm
-/// (`Batch::slice` + `corrupt_batch`). The corrupted splits must digest
+/// (`Batch::select_rows` + `corrupt_batch`). The corrupted splits must digest
 /// byte-identically.
 fn corrupt_passes(rows: Vec<Record>) -> (f64, f64) {
     let file = Batch::from_records(&rows).expect("uniform arity");
@@ -262,7 +264,7 @@ enum MapOp {
 }
 
 /// The map side the in-place one replaced, from the public kernels: per
-/// task, `Batch::slice` windows of `MAP_BATCH` rows, the operator's dense
+/// task, copied windows of `MAP_BATCH` rows, the operator's dense
 /// kernel over each, every key cell encoded and hashed, one `gather` per
 /// (batch, partition) — a batch bound for one partition moves whole.
 /// Returns each partition's runs.
@@ -274,7 +276,7 @@ fn map_side_copying(file: &Batch, op: &MapOp, key: usize) -> Vec<Vec<Batch>> {
         let end = file.len().min(task + MAP_SPLIT);
         let batches: Vec<Batch> = (task..end)
             .step_by(MAP_BATCH)
-            .map(|start| file.slice(start..end.min(start + MAP_BATCH)))
+            .map(|start| file.select_rows(&Selection::Range(start..end.min(start + MAP_BATCH))))
             .collect();
         for b in batches {
             let b = match op {
@@ -302,46 +304,30 @@ fn map_side_copying(file: &Batch, op: &MapOp, key: usize) -> Vec<Vec<Batch>> {
 }
 
 /// The map side as `mapreduce::task` runs it: per task, the split read
-/// in place `MAP_BATCH` rows at a time — a filter narrows the selection,
-/// a projection evaluates over it — the bucket of every live row hashed
-/// out of its column, and one gather per partition. Returns each
-/// partition's runs.
+/// in place as one selection — a filter narrows it, a projection
+/// evaluates over it — the bucket of every live row hashed out of its
+/// column, and one gather per partition. Returns each partition's runs.
 fn map_side_in_place(file: &Batch, op: &MapOp, key: usize) -> Vec<Vec<Batch>> {
     let mut parts = vec![Vec::new(); MAP_PARTITIONS];
     for task in (0..file.len()).step_by(MAP_SPLIT) {
-        let end = file.len().min(task + MAP_SPLIT);
-        let windows = (task..end)
-            .step_by(MAP_BATCH)
-            .map(|start| Selection::Range(start..end.min(start + MAP_BATCH)));
-        let chunks: Vec<(std::borrow::Cow<'_, Batch>, Selection)> = windows
-            .map(|rows| match op {
-                MapOp::Filter(predicate) => {
-                    let kept = Selection::Rows(select(file, &rows, predicate));
-                    (std::borrow::Cow::Borrowed(file), kept)
-                }
-                MapOp::Project(exprs) => {
-                    let dense = project(file, &rows, exprs);
-                    let all = Selection::Range(0..dense.len());
-                    (std::borrow::Cow::Owned(dense), all)
-                }
-            })
-            .collect();
-        let mut picks = vec![Vec::new(); MAP_PARTITIONS];
-        let mut cuts = vec![Vec::new(); MAP_PARTITIONS];
-        for (batch, rows) in &chunks {
-            let buckets = shuffle_buckets(batch, rows, key, MAP_PARTITIONS);
-            rows.for_each(|i, row| picks[buckets[i]].push(row));
-            for (cuts, picks) in cuts.iter_mut().zip(&picks) {
-                cuts.push(picks.len());
+        let window = Selection::Range(task..file.len().min(task + MAP_SPLIT));
+        let (batch, rows) = match op {
+            MapOp::Filter(predicate) => {
+                let kept = Selection::Rows(select(file, &window, predicate));
+                (Cow::Borrowed(file), kept)
             }
-        }
-        for (p, (picks, cuts)) in picks.iter().zip(&cuts).enumerate() {
-            let starts = [0].into_iter().chain(cuts.iter().copied());
-            let stretches = starts.zip(cuts).map(|(start, &end)| &picks[start..end]);
-            let sources = chunks.iter().map(|(batch, _)| &**batch);
-            let run: Vec<(&Batch, &[usize])> = sources.zip(stretches).collect();
+            MapOp::Project(exprs) => {
+                let dense = project(file, &window, exprs);
+                let all = Selection::Range(0..dense.len());
+                (Cow::Owned(dense), all)
+            }
+        };
+        let buckets = shuffle_buckets(&batch, &rows, key, MAP_PARTITIONS);
+        let mut picks = vec![Vec::new(); MAP_PARTITIONS];
+        rows.for_each(|i, row| picks[buckets[i]].push(row));
+        for (p, picks) in picks.iter().enumerate() {
             if !picks.is_empty() {
-                parts[p].push(Batch::gather_parts(&run));
+                parts[p].push(batch.gather(picks));
             }
         }
     }
@@ -493,7 +479,7 @@ fn aggregate_group_passes(rows: &Batch, key: usize, generates: &[Expr]) -> (f64,
     let per_run = rows.len().div_ceil(GROUP_RUNS);
     let runs: Vec<Batch> = (0..rows.len())
         .step_by(per_run)
-        .map(|start| rows.slice(start..rows.len().min(start + per_run)))
+        .map(|start| rows.select_rows(&Selection::Range(start..rows.len().min(start + per_run))))
         .collect();
     let runs: Vec<&Batch> = runs.iter().collect();
     let plan = Combiner::for_group_projection(key, generates).expect("all-algebraic generates");
@@ -739,7 +725,7 @@ fn main() {
              single hasher update per {GRANULARITY}-record chunk (append_run), the \
              engine's batch_records data plane; the native columnar file rows read the \
              same data stored as one Batch, each split a column-wise window of it \
-             (Batch::slice), with nothing to convert. The group kernel row groups \
+             (Batch::select_rows), with nothing to convert. The group kernel row groups \
              {RECORDS} Zipf-keyed follower edges (nulls filtered) by user with the bags in \
              canonical order, and aggregates to the row kernel's output. The aggregate group \
              rows run the reduce task of a GROUP whose bags only COUNT/SUM/MIN/MAX/AVG read, \
@@ -751,7 +737,7 @@ fn main() {
              build the same batch. \
              The corrupt pass rows apply the commission fault to every {SPLIT}-record split \
              of {RECORDS} weather readings (integer station first): the row arm clones each \
-             split and runs corrupt_record, the columnar arm slices it out of the columnar \
+             split and runs corrupt_record, the columnar arm copies it out of the columnar \
              file and runs corrupt_batch in place; both digest byte-identically. The csv \
              ingest rows parse {INGEST_ROWS} lines of CSV text in memory into one columnar \
              Batch, on follower edges (two integers, 2% null), weather readings (three \
@@ -760,14 +746,14 @@ fn main() {
              split-then-classify loader it replaced, reproduced in the bench; both build \
              the batch from_records builds over parse_record of every line. The map side \
              rows run a columnar map task from its split to {MAP_PARTITIONS} reduce partitions on \
-             {INGEST_ROWS} rows per shape in {MAP_SPLIT}-row tasks and {MAP_BATCH}-row chunks \
-             (follower: FILTER + integer key; weather: FILTER + three columns; airline: FOREACH + \
-             integer key; string-keyed: FILTER + string key): the copying pipeline the in-place \
-             one replaced (Batch::slice, filter_batch / project_batch, each key encoded and \
-             hashed, one gather per batch and partition — with the current kernels, which are \
-             themselves the selection kernels over a whole batch) against selections (select / \
-             project / shuffle_buckets, one Batch::gather_parts per partition per task); both \
-             route the same rows to the same partitions."
+             {INGEST_ROWS} rows per shape in {MAP_SPLIT}-row tasks (follower: FILTER + integer \
+             key; weather: FILTER + three columns; airline: FOREACH + integer key; string-keyed: \
+             FILTER + string key): the copying pipeline the in-place one replaced ({MAP_BATCH}-row \
+             copies of the split, filter_batch / project_batch, each key encoded and hashed, one \
+             gather per batch and partition — with the current kernels, which are themselves \
+             the selection kernels over a whole batch) against one selection per task (select / \
+             project / shuffle_buckets, one Batch::gather per partition per task); both route \
+             the same rows to the same partitions."
         ),
     );
     record.set_flag("digests_byte_identical", true);

@@ -99,10 +99,11 @@ pub struct JobConfig {
     /// `1` runs payloads inline; `0` sizes the pool to the host's cores.
     /// Verdicts and canonical traces are bit-identical for any value.
     pub compute_threads: usize,
-    /// Rows per columnar batch on the task data plane; `0` keeps the
-    /// historical row-at-a-time execution. Purely a host-side execution
-    /// strategy: digests, partitions, outputs and work counters are
-    /// byte-identical either way, so replicas need not agree on it.
+    /// The task data plane: `0` keeps the historical row-at-a-time
+    /// execution, any other value runs the columnar plane (no width is
+    /// read). Purely a host-side execution strategy: digests, partitions,
+    /// outputs and work counters are byte-identical either way, so
+    /// replicas need not agree on it.
     pub batch_records: usize,
     /// Verifier timeout per attempt; doubles on each re-execution
     /// (§6.2 case 2: "scheduled again with higher timeout value").
@@ -248,7 +249,8 @@ impl JobConfigBuilder {
         self
     }
 
-    /// Sets rows per columnar batch (`0` = row-at-a-time execution).
+    /// Sets the data plane (`0` = row-at-a-time execution, any other
+    /// value = columnar).
     pub fn batch_records(mut self, n: usize) -> Self {
         self.config.batch_records = n;
         self

@@ -144,8 +144,9 @@ pub struct ExecutorConfig {
     pub reduce_tasks: usize,
     /// Records per map split.
     pub map_split_records: usize,
-    /// Rows per columnar batch on the task data plane (`0` = row path).
-    /// Host-side only: digests and transcripts are identical either way.
+    /// The task data plane: `0` = row plane, any other value = columnar
+    /// plane (no width is read). Host-side only: digests and transcripts
+    /// are identical either way.
     pub batch_records: usize,
     /// Nodes in each replica's isolated cluster.
     pub nodes: usize,

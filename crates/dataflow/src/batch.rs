@@ -95,7 +95,7 @@ pub enum Column {
 /// The live rows of a batch, ascending: a window, or the listed ones. A
 /// map task reads its split through one instead of copying the window
 /// out — [`select`] narrows it, [`project`] evaluates over it — and a
-/// row is copied once, by [`Batch::gather_parts`].
+/// row is copied once, by [`Batch::gather`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Selection {
     /// Every row of the window.
@@ -338,99 +338,49 @@ impl Column {
         }
     }
 
-    /// Rows of this column selected by `indices`, in order.
+    /// Rows of this column selected by `indices`, in order, copied once in
+    /// the column's layout (with a null mask only if a taken cell is
+    /// null); a bag column gathers its members from its one member batch.
     fn gather(&self, indices: &[usize]) -> Column {
-        Column::gather_parts(&[(self, indices)])
-    }
-
-    /// The cells of `parts` — each a column and the rows of it to take, in
-    /// order — one part after another, copied once. Parts of one layout
-    /// append and keep it (with a null mask only if a taken cell is null);
-    /// parts that disagree on layout are rebuilt from their values by
-    /// [`Column::from_values`], like [`Column::concat`]'s.
-    fn gather_parts(parts: &[(&Column, &[usize])]) -> Column {
-        let len: usize = parts.iter().map(|(_, rows)| rows.len()).sum();
-        let all = |layout: fn(&Column) -> bool| parts.iter().all(|(c, _)| layout(c));
-        // The taken cells' mask, if one of them is null.
         let mask = || {
-            let null_taken = |(c, rows): &(&Column, &[usize])| {
-                c.mask().is_some_and(|m| rows.iter().any(|&i| !m[i]))
-            };
-            parts.iter().any(null_taken).then(|| {
-                let mut mask = Vec::with_capacity(len);
-                for (c, rows) in parts {
-                    match c.mask() {
-                        Some(m) => mask.extend(rows.iter().map(|&i| m[i])),
-                        None => mask.resize(mask.len() + rows.len(), true),
-                    }
-                }
-                mask
-            })
+            let m = self.mask().filter(|m| indices.iter().any(|&i| !m[i]))?;
+            Some(indices.iter().map(|&i| m[i]).collect())
         };
-        if all(|c| matches!(c, Column::Int { .. })) {
-            let mut values = Vec::with_capacity(len);
-            for (c, rows) in parts {
-                let Column::Int { values: v, .. } = c else {
-                    continue;
-                };
-                values.extend(rows.iter().map(|&i| v[i]));
-            }
-            let validity = mask();
-            return Column::Int { values, validity };
-        }
-        if all(|c| matches!(c, Column::Str { .. })) {
-            let (mut bytes, mut offsets) = (Vec::new(), Vec::with_capacity(len + 1));
-            offsets.push(0);
-            for (c, rows) in parts {
-                let Column::Str {
-                    bytes: b,
-                    offsets: o,
-                    ..
-                } = c
-                else {
-                    continue;
-                };
-                bytes.reserve(rows.iter().map(|&i| o[i + 1] - o[i]).sum());
-                for &i in *rows {
-                    bytes.extend_from_slice(&b[o[i]..o[i + 1]]);
-                    offsets.push(bytes.len());
+        match self {
+            Column::Int { values, .. } => Column::Int {
+                values: indices.iter().map(|&i| values[i]).collect(),
+                validity: mask(),
+            },
+            Column::Str { bytes, offsets, .. } => {
+                let text = |i: usize| &bytes[offsets[i]..offsets[i + 1]];
+                let mut taken = Vec::with_capacity(indices.iter().map(|&i| text(i).len()).sum());
+                let mut ends = Vec::with_capacity(indices.len() + 1);
+                ends.push(0);
+                for &i in indices {
+                    taken.extend_from_slice(text(i));
+                    ends.push(taken.len());
+                }
+                Column::Str {
+                    bytes: taken,
+                    offsets: ends,
+                    validity: mask(),
                 }
             }
-            let validity = mask();
-            return Column::Str {
-                bytes,
-                offsets,
-                validity,
-            };
-        }
-        if all(|c| matches!(c, Column::Bag { .. })) {
-            let (mut offsets, mut members) = (vec![0], Vec::with_capacity(parts.len()));
-            for (c, rows) in parts {
-                let Column::Bag {
-                    offsets: o,
-                    rows: all,
-                } = c
-                else {
-                    continue;
-                };
-                let (base, mut taken) = (offsets[offsets.len() - 1], Vec::new());
-                for &i in *rows {
-                    taken.extend(o[i]..o[i + 1]);
-                    offsets.push(base + taken.len());
+            Column::Bag { offsets, rows } => {
+                let (mut ends, mut members) = (vec![0], Vec::new());
+                for &i in indices {
+                    members.extend(offsets[i]..offsets[i + 1]);
+                    ends.push(members.len());
                 }
-                members.push((&**all, taken));
+                Column::Bag {
+                    offsets: ends,
+                    rows: Box::new(rows.gather(&members)),
+                }
             }
-            let members: Vec<_> = members.iter().map(|(b, taken)| (*b, &taken[..])).collect();
-            let rows = Box::new(Batch::gather_parts(&members));
-            return Column::Bag { offsets, rows };
+            Column::Mixed(values) => {
+                Column::Mixed(indices.iter().map(|&i| values[i].clone()).collect())
+            }
         }
-        let cells = parts
-            .iter()
-            .flat_map(|(c, rows)| rows.iter().map(|&i| c.value_at(i)));
-        if all(|c| matches!(c, Column::Mixed(_))) {
-            return Column::Mixed(cells.collect());
-        }
-        Column::from_values(cells.collect())
     }
 
     /// The selected rows of this column, in the layout [`Column::gather`]
@@ -456,22 +406,6 @@ impl Column {
                 }
             }
             Column::Bag { .. } | Column::Mixed(_) => self.gather(&window.collect::<Vec<_>>()),
-        }
-    }
-
-    /// Rows `rows` (not empty) of this column, in the layout
-    /// [`Column::from_values`] would pick for them: a typed window keeps
-    /// its type ([`Column::select`]), an all-null one takes the all-null
-    /// layout, anything else is rebuilt from its values.
-    fn slice(&self, rows: Range<usize>) -> Column {
-        match self {
-            Column::Int { .. } | Column::Str { .. } => match self.mask() {
-                Some(m) if !m[rows.clone()].contains(&true) => all_null(rows.len()),
-                _ => self.select(&Selection::Range(rows)),
-            },
-            Column::Bag { .. } | Column::Mixed(_) => {
-                Column::from_values(rows.map(|row| self.value_at(row)).collect())
-            }
         }
     }
 
@@ -854,43 +788,18 @@ impl Batch {
 
     /// Rows selected by `indices`, in order, as a new batch.
     pub fn gather(&self, indices: &[usize]) -> Batch {
-        Batch::gather_parts(&[(self, indices)])
-    }
-
-    /// The rows of `parts` — each a batch and the rows of it to take, in
-    /// order — one part after another, as one new batch: what
-    /// [`Batch::concat`] of each part's [`Batch::gather`] holds, copied
-    /// once. The parts share one arity (the first part's is taken).
-    pub fn gather_parts(parts: &[(&Batch, &[usize])]) -> Batch {
-        let arity = parts.first().map_or(0, |(b, _)| b.arity());
-        debug_assert!(parts.iter().all(|(b, _)| b.arity() == arity));
-        let column = |c: usize| {
-            let cells = parts
-                .iter()
-                .filter_map(|(b, rows)| Some((b.column(c)?, *rows)));
-            Column::gather_parts(&cells.collect::<Vec<_>>())
-        };
         Batch {
-            len: parts.iter().map(|(_, rows)| rows.len()).sum(),
-            columns: (0..arity).map(column).collect(),
+            len: indices.len(),
+            columns: self.columns.iter().map(|c| c.gather(indices)).collect(),
         }
     }
 
-    /// Rows `rows` as a new batch, copied column-wise — equal, layouts
-    /// included, to [`Batch::from_records`] over those rows, without
-    /// building one. An empty window has lost its schema (arity 0), like
-    /// `from_records(&[])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` reaches past the batch.
-    pub fn slice(&self, rows: Range<usize>) -> Batch {
-        if rows.is_empty() {
-            return Batch::from_columns(Vec::new(), 0);
-        }
+    /// The selected rows as a new batch, in the layouts [`Batch::gather`]
+    /// keeps: a window of a typed column is copied slice-wise.
+    pub fn select_rows(&self, rows: &Selection) -> Batch {
         Batch {
             len: rows.len(),
-            columns: self.columns.iter().map(|c| c.slice(rows.clone())).collect(),
+            columns: self.columns.iter().map(|c| c.select(rows)).collect(),
         }
     }
 
@@ -928,7 +837,8 @@ impl Batch {
     }
 
     /// [`Batch::canonical_bytes`] of rows `rows` alone — equal to
-    /// `slice(rows).canonical_bytes()` without the copy.
+    /// `select_rows(&Selection::Range(rows)).canonical_bytes()` without
+    /// the copy.
     ///
     /// # Panics
     ///

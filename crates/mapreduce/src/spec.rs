@@ -160,13 +160,14 @@ pub struct ExecJob {
     pub verification_points: Vec<VpSite>,
     /// Records per digest chunk (`d` in §6.4).
     pub digest_granularity: usize,
-    /// Rows per columnar batch on the task data plane. Tasks convert
-    /// their record streams to [`cbft_dataflow::Batch`]es of at most this
-    /// many rows at the storage boundary and run vectorized kernels over
-    /// them; `0` keeps the historical row-at-a-time execution. Purely a
-    /// host-side execution strategy: digests, partition assignments,
-    /// outputs and work counters are byte-identical either way (pinned by
-    /// the task tests), so replicas need not even agree on it.
+    /// The task data plane: `0` keeps the historical row-at-a-time
+    /// execution, any other value runs the vectorized kernels over
+    /// [`cbft_dataflow::Batch`]es — a map task's whole split as one
+    /// selection. Only the comparison with `0` is read; the width itself
+    /// sizes nothing. Purely a host-side execution strategy: digests,
+    /// partition assignments, outputs and work counters are byte-identical
+    /// either way (pinned by the task tests), so replicas need not even
+    /// agree on it.
     pub batch_records: usize,
     /// Sub-graph identifier shared by all replicas of this job
     /// (`sub.graph.id` in the prototype, §5.3).

@@ -7,7 +7,7 @@
 //!
 //! There is one map skeleton ([`run_map_task`]) and one reduce skeleton
 //! ([`run_reduce_task`]). Both drive a private [`Stream`] whose two arms —
-//! borrowed-or-owned rows, or selections of columnar batches — dispatch to
+//! borrowed-or-owned rows, or a selection of a columnar batch — dispatch to
 //! the row and vectorized kernels; the arm is chosen once, when the task opens its
 //! input, and every work charge, clone count, stage timer and
 //! verification-point match lives in the skeleton, not in the arm. The
@@ -453,7 +453,7 @@ pub(crate) fn run_map_task(
             }
         }
     };
-    let mut stream = Stream::open_split(job, split, fate, &mut out);
+    let mut stream = Stream::open_split(split, fate, &mut out);
 
     for (pos, &vid) in input.pipeline.iter().enumerate() {
         stream = timed(&mut out.stages.pipeline_ops, || {
@@ -624,10 +624,10 @@ enum Split<'a> {
     Cols(&'a Batch, Range<usize>),
 }
 
-/// One stretch of the columnar arm's stream: a batch — borrowed while
-/// its rows are the split's, owned once a projection, a shuffle kernel or
-/// a corrupt fate produced it — and the rows of it that are live. `FILTER`
-/// and `LIMIT` narrow the selection and copy nothing.
+/// The columnar arm's stream: a batch — borrowed while its rows are the
+/// split's, owned once a projection, a shuffle kernel or a corrupt fate
+/// produced it — and the rows of it that are live. `FILTER` and `LIMIT`
+/// narrow the selection and copy nothing.
 struct Chunk<'a> {
     batch: Cow<'a, Batch>,
     rows: Selection,
@@ -718,45 +718,38 @@ enum Stream<'a> {
     /// Row-at-a-time execution: `--batch-size 0`, and the fallback for
     /// combiners, ragged inputs and DISTINCT.
     Rows(RecordStream<'a>),
-    /// Vectorized execution over selections: a split is read in place,
-    /// [`ExecJob::batch_records`] rows per chunk, and a shuffle kernel's
-    /// output is one chunk.
-    Cols(Vec<Chunk<'a>>),
+    /// Vectorized execution over a selection: a split is read in place,
+    /// its whole window selected, and a shuffle kernel's output is the
+    /// batch it built.
+    Cols(Chunk<'a>),
 }
 
 impl<'a> Stream<'a> {
     /// Opens a map task's split and charges the bytes it reads. The
-    /// columnar arm borrows the split's batch and copies nothing: each
-    /// chunk is a window of at most `batch_records` rows of it. Under a
-    /// commission fault the node processes a corrupted view of the split
-    /// — its window materialized once and flipped in place, after
-    /// `bytes_in` is charged for the true data — so every downstream
-    /// digest and output reflects it.
-    fn open_split(
-        job: &ExecJob,
-        split: Split<'a>,
-        fate: TaskFate,
-        out: &mut TaskOutput,
-    ) -> Stream<'a> {
+    /// columnar arm borrows the split's batch and copies nothing: the
+    /// stream is the window, selected. Under a commission fault the node
+    /// processes a corrupted view of the split — its window copied once
+    /// and flipped in place, after `bytes_in` is charged for the true data
+    /// — so every downstream digest and output reflects it.
+    fn open_split(split: Split<'a>, fate: TaskFate, out: &mut TaskOutput) -> Stream<'a> {
         let corrupt = fate == TaskFate::Corrupt;
         match split {
             Split::Cols(batch, window) => {
                 out.work.bytes_in = batch.canonical_bytes_in(window.clone());
+                let rows = Selection::Range(window);
                 if corrupt {
                     let owned = timed(&mut out.stages.to_batch, || {
-                        let mut owned = batch.slice(window);
+                        let mut owned = batch.select_rows(&rows);
                         corrupt_batch(&mut owned);
                         owned
                     });
                     count_batch_built(&owned);
-                    return Stream::Cols(vec![Chunk::owned(owned)]);
+                    return Stream::Cols(Chunk::owned(owned));
                 }
-                let starts = window.clone().step_by(job.batch_records);
-                let chunk = |start: usize| Chunk {
+                Stream::Cols(Chunk {
                     batch: Cow::Borrowed(batch),
-                    rows: Selection::Range(start..window.end.min(start + job.batch_records)),
-                };
-                Stream::Cols(starts.map(chunk).collect())
+                    rows,
+                })
             }
             Split::Rows(records) => {
                 out.work.bytes_in = records.iter().map(Record::byte_size).sum();
@@ -809,9 +802,8 @@ impl<'a> Stream<'a> {
             // vectorized kernel and runs it, over the partition as one
             // batch per side (only a JOIN has two) or, fused, as its runs;
             // a ragged partition stays whole for the row arm. The
-            // post-shuffle stream is one chunk: the kernel's output batch
-            // (bags stay nested in it), or the collector's input as laid
-            // out.
+            // post-shuffle stream is the kernel's output batch (bags stay
+            // nested in it), or the collector's input as laid out.
             let mut sides = |by_tag: bool| timed(to_batch, || incoming.lay_out(by_tag));
             let fused = bags_unobserved(job);
             let batch = match op {
@@ -839,7 +831,7 @@ impl<'a> Stream<'a> {
             };
             if let Some(batch) = batch {
                 count_batch_built(&batch);
-                return (Stream::Cols(vec![Chunk::owned(batch)]), fused.is_some());
+                return (Stream::Cols(Chunk::owned(batch)), fused.is_some());
             }
         }
 
@@ -892,7 +884,7 @@ impl<'a> Stream<'a> {
     fn len(&self) -> u64 {
         match self {
             Stream::Rows(s) => s.len() as u64,
-            Stream::Cols(chunks) => chunks.iter().map(|c| c.rows.len() as u64).sum(),
+            Stream::Cols(chunk) => chunk.rows.len() as u64,
         }
     }
 
@@ -901,7 +893,7 @@ impl<'a> Stream<'a> {
     fn is_owned(&self) -> bool {
         match self {
             Stream::Rows(s) => matches!(s, RecordStream::Owned(_)),
-            Stream::Cols(chunks) => chunks.iter().all(|c| matches!(c.batch, Cow::Owned(_))),
+            Stream::Cols(chunk) => matches!(chunk.batch, Cow::Owned(_)),
         }
     }
 
@@ -911,10 +903,7 @@ impl<'a> Stream<'a> {
         work.record_ops += self.len();
         match self {
             Stream::Rows(s) => Stream::Rows(apply_op(op, s)),
-            Stream::Cols(mut chunks) => {
-                apply_op_selected(op, &mut chunks);
-                Stream::Cols(chunks)
-            }
+            Stream::Cols(chunk) => Stream::Cols(apply_op_selected(op, chunk)),
         }
     }
 
@@ -924,7 +913,7 @@ impl<'a> Stream<'a> {
         let mut cd = ChunkedDigest::new(granularity);
         let payload_bytes = match self {
             Stream::Rows(s) => frame_rows(s.iter(), &mut cd),
-            Stream::Cols(chunks) => frame_chunks(chunks, granularity, &mut cd),
+            Stream::Cols(chunk) => frame_chunk(chunk, granularity, &mut cd),
         };
         let count = self.len();
         work.digest_bytes += payload_bytes;
@@ -943,27 +932,25 @@ impl<'a> Stream<'a> {
     fn partition(self, key: ShuffleKey, tag: usize, n: usize) -> Vec<Partition> {
         match self {
             Stream::Rows(s) => partition_records(key, tag, s.into_owned(), n),
-            Stream::Cols(chunks) => partition_chunks(key, tag, &chunks, n),
+            Stream::Cols(chunk) => partition_chunk(key, tag, &chunk, n),
         }
     }
 
     /// The whole stream as one partition: a reduce or collector task's
-    /// output, or a map task's when the job has no shuffle. Batches the
-    /// task built move; rows still selected in place are gathered.
+    /// output, or a map task's when the job has no shuffle. A batch the
+    /// task built moves whole; rows still selected are copied out.
     fn into_partition(self, tag: usize) -> Partition {
         match self {
             Stream::Rows(s) => {
                 Partition::Rows(s.into_owned().into_iter().map(|r| (tag, r)).collect())
             }
-            Stream::Cols(mut chunks) => {
-                chunks.retain(|c| !c.rows.is_empty());
-                let built =
-                    |c: &Chunk| matches!(c.batch, Cow::Owned(_)) && c.rows.len() == c.batch.len();
-                if chunks.iter().all(built) {
-                    let runs = chunks.into_iter().map(|c| (tag, c.batch.into_owned()));
-                    return Partition::Cols(runs.collect());
-                }
-                partition_chunks(ShuffleKey::Single, tag, &chunks, 1).swap_remove(0)
+            Stream::Cols(Chunk { batch, rows }) => {
+                let run = match batch {
+                    _ if rows.is_empty() => None,
+                    Cow::Owned(built) if rows.len() == built.len() => Some(built),
+                    batch => Some(batch.select_rows(&rows)),
+                };
+                Partition::Cols(Vec::from_iter(run.map(|run| (tag, run))))
             }
         }
     }
@@ -1027,33 +1014,24 @@ fn apply_op<'a>(op: &Operator, records: RecordStream<'a>) -> RecordStream<'a> {
     }
 }
 
-/// Vectorized kernel of [`Stream::apply`], chunk by chunk: a filter
-/// narrows the selection, a projection evaluates over it into a batch of
-/// its own, a limit cuts it.
-fn apply_op_selected(op: &Operator, chunks: &mut [Chunk<'_>]) {
+/// Vectorized kernel of [`Stream::apply`]: a filter narrows the
+/// selection, a projection evaluates over it into a batch of its own, a
+/// limit cuts it.
+fn apply_op_selected<'a>(op: &Operator, mut chunk: Chunk<'a>) -> Chunk<'a> {
     match op {
         Operator::Load { .. } | Operator::Union | Operator::Store { .. } => {}
         Operator::Filter { predicate } => {
-            for c in chunks.iter_mut() {
-                c.rows = Selection::Rows(select(&c.batch, &c.rows, predicate));
-            }
+            chunk.rows = Selection::Rows(select(&chunk.batch, &chunk.rows, predicate));
         }
         Operator::Project { exprs, .. } => {
-            for c in chunks.iter_mut() {
-                *c = Chunk::owned(project(&c.batch, &c.rows, exprs));
-            }
+            return Chunk::owned(project(&chunk.batch, &chunk.rows, exprs));
         }
-        Operator::Limit { count } => {
-            let mut remaining = *count as usize;
-            for c in chunks.iter_mut() {
-                c.rows.truncate(remaining);
-                remaining -= c.rows.len();
-            }
-        }
+        Operator::Limit { count } => chunk.rows.truncate(*count as usize),
         blocking => {
             debug_assert!(false, "blocking operator {} in a pipeline", blocking.name());
         }
     }
+    chunk
 }
 
 /// What a shuffle hashes to route a row to its reduce partition. Both
@@ -1122,42 +1100,30 @@ fn partition_records(
 
 /// Vectorized kernel of [`Stream::partition`], and the one place the
 /// columnar arm copies a row: the bucket of every live row is hashed
-/// straight out of its chunk's columns into one row list per partition,
-/// and each partition's rows are gathered from all the chunks into its
-/// one run — no record is built, nothing is copied twice.
-fn partition_chunks(key: ShuffleKey, tag: usize, chunks: &[Chunk<'_>], n: usize) -> Vec<Partition> {
-    // `picks[p]` lists partition `p`'s rows chunk after chunk (one list,
-    // not one per chunk: a list that starts empty regrows as it fills);
-    // `cuts[p][c]` is where chunk `c`'s stretch of it ends.
-    let mut picks = vec![Vec::new(); n];
-    let mut cuts = vec![Vec::with_capacity(chunks.len()); n];
-    let mut buf = Vec::new();
-    for chunk in chunks {
-        let buckets = match key {
-            ShuffleKey::Field(k) => shuffle_buckets(&chunk.batch, &chunk.rows, k, n),
-            ShuffleKey::Row => chunk.rows.map(|_, row| {
+/// straight out of the batch's columns, and each partition's rows are
+/// gathered into its one run — no record is built, nothing is copied
+/// twice.
+fn partition_chunk(key: ShuffleKey, tag: usize, chunk: &Chunk<'_>, n: usize) -> Vec<Partition> {
+    let Chunk { batch, rows } = chunk;
+    let buckets = match key {
+        ShuffleKey::Field(k) => shuffle_buckets(batch, rows, k, n),
+        ShuffleKey::Row => {
+            let mut buf = Vec::new();
+            rows.map(|_, row| {
                 buf.clear();
-                chunk.batch.write_row_canonical(row, &mut buf);
+                batch.write_row_canonical(row, &mut buf);
                 bucket(&buf, n)
-            }),
-            ShuffleKey::Single => vec![0; chunk.rows.len()],
-        };
-        chunk.rows.for_each(|i, row| picks[buckets[i]].push(row));
-        for (cuts, picks) in cuts.iter_mut().zip(&picks) {
-            cuts.push(picks.len());
+            })
         }
-    }
-    let run = |(picks, cuts): (&Vec<usize>, &Vec<usize>)| {
-        let starts = [0].into_iter().chain(cuts.iter().copied());
-        let stretches = starts.zip(cuts).map(|(start, &end)| &picks[start..end]);
-        let sources = chunks.iter().map(|c| &*c.batch);
-        let parts: Vec<(&Batch, &[usize])> = sources.zip(stretches).collect();
-        let routed = !picks.is_empty();
-        Partition::Cols(Vec::from_iter(
-            routed.then(|| (tag, Batch::gather_parts(&parts))),
-        ))
+        ShuffleKey::Single => vec![0; rows.len()],
     };
-    picks.iter().zip(&cuts).map(run).collect()
+    let mut picks = vec![Vec::new(); n];
+    rows.for_each(|i, row| picks[buckets[i]].push(row));
+    let run = |picks: Vec<usize>| {
+        let run = (!picks.is_empty()).then(|| (tag, batch.gather(&picks)));
+        Partition::Cols(Vec::from_iter(run))
+    };
+    picks.into_iter().map(run).collect()
 }
 
 /// Row kernel of [`Stream::digest`]: each record is canonically encoded
@@ -1178,35 +1144,27 @@ fn frame_rows<'r>(records: impl Iterator<Item = &'r Record>, cd: &mut ChunkedDig
     payload_bytes
 }
 
-/// Vectorized kernel of [`Stream::digest`]: frames the live rows of each
-/// chunk into one reused buffer per hasher update — a run ends where the
-/// digest chunk or the stream chunk does (byte-identical digests).
-/// Returns the payload bytes framed.
-fn frame_chunks(chunks: &[Chunk<'_>], granularity: usize, cd: &mut ChunkedDigest) -> u64 {
+/// Vectorized kernel of [`Stream::digest`]: frames the live rows into
+/// one reused buffer per hasher update — a run ends where a digest chunk
+/// or the stream does (byte-identical digests). Returns the payload bytes
+/// framed.
+fn frame_chunk(chunk: &Chunk<'_>, granularity: usize, cd: &mut ChunkedDigest) -> u64 {
     let mut run = Vec::new();
     let (mut framed, mut payload, mut payload_bytes) = (0usize, 0u64, 0u64);
-    let mut room = granularity;
-    for chunk in chunks {
-        chunk.rows.for_each(|i, row| {
-            let start = run.len();
-            run.extend_from_slice(&[0u8; 8]);
-            chunk.batch.write_row_canonical(row, &mut run);
-            let len = (run.len() - start - 8) as u64;
-            run[start..start + 8].copy_from_slice(&len.to_be_bytes());
-            (framed, payload) = (framed + 1, payload + len);
-            if framed == room || i + 1 == chunk.rows.len() {
-                cd.append_run(&run, framed, payload);
-                payload_bytes += payload;
-                room = if framed == room {
-                    granularity
-                } else {
-                    room - framed
-                };
-                run.clear();
-                (framed, payload) = (0, 0);
-            }
-        });
-    }
+    chunk.rows.for_each(|i, row| {
+        let start = run.len();
+        run.extend_from_slice(&[0u8; 8]);
+        chunk.batch.write_row_canonical(row, &mut run);
+        let len = (run.len() - start - 8) as u64;
+        run[start..start + 8].copy_from_slice(&len.to_be_bytes());
+        (framed, payload) = (framed + 1, payload + len);
+        if framed == granularity || i + 1 == chunk.rows.len() {
+            cd.append_run(&run, framed, payload);
+            payload_bytes += payload;
+            run.clear();
+            (framed, payload) = (0, 0);
+        }
+    });
     payload_bytes
 }
 

@@ -70,9 +70,10 @@ pub struct CliOptions {
     /// `Some(0)` sizes the pool to the host's cores. Works in both the
     /// sequential and `--threads` modes without changing any verdict.
     pub compute_threads: Option<usize>,
-    /// Rows per columnar batch on the task data plane. `None` keeps the
-    /// engine default (1024); `Some(0)` forces row-at-a-time execution.
-    /// Host-side only: digests and verdicts are identical for any value.
+    /// The task data plane: `Some(0)` is the row plane, any other value
+    /// the columnar plane, and `None` the engine default (1024, columnar).
+    /// No width is read from it. Host-side only: digests and verdicts are
+    /// identical for any value.
     pub batch_size: Option<usize>,
     /// Verification tier for the `--threads` path: full replication,
     /// single-run spot-check sampling, or hybrid (sample, escalate to
@@ -179,8 +180,8 @@ OPTIONS:
                          (map/reduce evaluation, digesting, shuffle gather);
                          0 = one thread per host core. Verdicts and traces
                          are identical for any value     [default: inline]
-    --batch-size N       rows per columnar batch on the task data plane;
-                         0 = row-at-a-time execution. Digests, outputs and
+    --batch-size N       task data plane: 0 = row-at-a-time execution, any
+                         other value = columnar. Digests, outputs and
                          verdicts are identical for any value [default: 1024]
     --verify-mode M      verification tier on the --threads path:
                            replicate  f+1..3f+1 replicated execution
@@ -396,10 +397,10 @@ pub(crate) fn parse_replication(v: &str) -> Result<Replication, UsageError> {
     })
 }
 
-/// Parses and bounds a `--batch-size` value. `0` is the documented
-/// row-at-a-time path and stays valid; values beyond 2^32 rows per batch
-/// could only overflow capacity arithmetic on the data plane, so they
-/// are rejected here with a pointer at the row path instead.
+/// Parses and bounds a `--batch-size` value. `0` selects the row plane
+/// and any other value the columnar plane; the bound of 2^32 dates from
+/// when the value sized batches and is kept so the flag accepts what it
+/// always did.
 pub fn checked_batch_size(s: &str) -> Result<usize, UsageError> {
     const MAX: u64 = 1 << 32;
     let n: u64 = parse_num(s, "--batch-size")?;

@@ -64,7 +64,8 @@ pub struct DaemonOptions {
     pub points: u32,
     /// Records per digest chunk.
     pub granularity: usize,
-    /// Rows per columnar batch (`None` = engine default, `0` = row path).
+    /// The task data plane (`None` = engine default, columnar; `0` = row
+    /// plane; any other value = columnar plane).
     pub batch_size: Option<usize>,
     /// Nodes in each replica's isolated cluster.
     pub nodes: usize,
@@ -151,7 +152,7 @@ OPTIONS:
                                                            [default: optimistic]
     --points N           marker-chosen verification points [default: 2]
     --granularity D      records per digest chunk (≥ 1)    [default: whole stream]
-    --batch-size N       rows per columnar batch; 0 = row path
+    --batch-size N       data plane: 0 = row path, other = columnar
     --nodes N            nodes per replica cluster (≥ 1)   [default: 8]
     --node-slots N       task slots per node (≥ 1)         [default: 3]
     --metrics FILE       write Prometheus metrics (server series included)

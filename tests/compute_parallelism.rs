@@ -228,6 +228,9 @@ fn csv_loaded_inputs() -> [FileData; 2] {
     })
 }
 
+/// [`run_batched`] over `users` and `clicks` as given. Splits are
+/// 128 records, so the 600 clicks span five map tasks and every window
+/// but the first starts past row 0.
 fn run_batched_from(
     [users, clicks]: [FileData; 2],
     batch_records: usize,
@@ -239,6 +242,7 @@ fn run_batched_from(
         threads,
         compute_threads,
         batch_records,
+        map_split_records: 128,
         expected_failures: 1,
         escalation: vec![2, 3, 4],
         master_seed: 2013,
@@ -254,15 +258,21 @@ fn run_batched_from(
 
 #[test]
 fn batch_size_never_changes_the_outcome() {
-    // The columnar data plane is a host-side execution strategy: any batch
-    // size — including 0, the historical row-at-a-time path — serializes
-    // byte-for-byte identically, across worker and pool sizes at once.
+    // The batch size picks a plane and nothing else: 0, the row plane,
+    // and any other value, the columnar plane — `usize::MAX` included —
+    // serialize byte-for-byte identically, across worker and pool sizes at
+    // once.
     let baseline = run_batched(0, 1, 1, None);
     assert!(baseline.verified());
     let canon = serde_json::to_string(&baseline).unwrap();
-    for (batch_records, threads, compute_threads) in
-        [(1, 1, 1), (7, 2, 4), (1024, 2, 1), (1024, 2, 8), (0, 2, 8)]
-    {
+    for (batch_records, threads, compute_threads) in [
+        (1, 1, 1),
+        (7, 2, 4),
+        (1024, 2, 1),
+        (1024, 2, 8),
+        (usize::MAX, 2, 4),
+        (0, 2, 8),
+    ] {
         let outcome = run_batched(batch_records, threads, compute_threads, None);
         assert_eq!(
             canon,
@@ -303,8 +313,8 @@ fn batch_size_invariance_holds_under_faults() {
             "batch_records={batch_records}"
         );
     }
-    // From columnar input files the deviant replica's corrupt tasks read
-    // a row image of their window while its siblings window the columns.
+    // From columnar input files the deviant replica's corrupt tasks copy
+    // their window and flip it while its siblings read theirs in place.
     for batch_records in [0, 1, 1024] {
         assert_eq!(
             baseline,

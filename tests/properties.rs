@@ -965,10 +965,12 @@ proptest! {
             let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut.index(n + 1)).collect();
             cuts.extend([0, n]);
             cuts.sort_unstable();
-            let runs: Vec<Batch> = cuts.windows(2).map(|w| batch.slice(w[0]..w[1])).collect();
+            let rows = batch.to_records();
+            let run = |w: &[usize]| Batch::from_records(&rows[w[0]..w[1]]).expect("uniform arity");
+            let runs: Vec<Batch> = cuts.windows(2).map(run).collect();
             let runs: Vec<&Batch> = runs.iter().collect();
             let joined = Batch::concat(&runs).expect("one arity");
-            assert_eq!(joined.to_records(), batch.to_records(), "{ctx}: the runs hold the rows");
+            assert_eq!(joined.to_records(), rows, "{ctx}: the runs hold the rows");
             for key in 0..=batch.arity() {
                 let grouped = group_batch(&joined, key);
                 for generates in [generates.clone(), some(1), some(2)] {
@@ -1223,52 +1225,6 @@ proptest! {
         prop_assert_eq!(joined.to_records(), join_records(&left, left_key, &right, right_key));
     }
 
-    /// A slice of a batch is the batch `from_records` builds over those
-    /// rows — rows, encodings, byte size and column layouts — for windows
-    /// that drop a column's nulls, or all its non-nulls, or one of its two
-    /// types, for nested bags (which arrive in `from_records` as values),
-    /// and for the empty window, which has lost its schema.
-    #[test]
-    fn batch_slice_equals_from_records_over_the_window(
-        arity in 1usize..4,
-        kinds in proptest::collection::vec(0u8..7, 3..4),
-        len in 0usize..24,
-        seed in any::<u64>(),
-        windows in proptest::collection::vec((0usize..25, 0usize..25), 1..6),
-    ) {
-        // Column kinds as in `batch_concat_matches_from_records_over_all_rows`,
-        // in stretches of four rows so that windows see one-kind runs.
-        let rows: Vec<Record> = (0..len as u64)
-            .map(|r| {
-                (0..arity)
-                    .map(|c| {
-                        let n = seed.wrapping_add(r * 7 + c as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33;
-                        let int = Value::Int((n % 5) as i64 - 2);
-                        let string = Value::str(["", "a", "bc"][(n % 3) as usize]);
-                        match (kinds[c], (r / 4 + n % 2) % 4) {
-                            (2, _) | (3..=5, 0) => Value::Null,
-                            (0 | 3, _) | (5, 1) => int,
-                            (1 | 4 | 5, _) => string,
-                            _ => Value::Bag(vec![Record::new(vec![int, Value::Null])]),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let flat = Batch::from_records(&rows).expect("uniform arity");
-        let grouped = group_batch(&flat, 0);
-        for batch in [&flat, &grouped] {
-            let rows = batch.to_records();
-            for (a, b) in &windows {
-                let (start, end) = (a.min(b) % (rows.len() + 1), a.max(b) % (rows.len() + 1));
-                let window = start.min(end)..start.max(end);
-                let expected = Batch::from_records(&rows[window.clone()]).expect("uniform arity");
-                assert_same_batch(&batch.slice(window.clone()), &expected, &rows[window]);
-            }
-            assert_eq!(batch.slice(3..3).arity(), 0);
-        }
-    }
-
     /// The commission fault is the same fault on both planes:
     /// `corrupt_batch` over a batch is the batch `from_records` builds
     /// over the `corrupt_record`ed rows — rows, encodings, byte size and
@@ -1333,9 +1289,9 @@ proptest! {
     /// (all-null included), `Str` when every value is a string or null
     /// and one is a string, `Mixed` otherwise; a typed column has a null
     /// mask exactly when it holds a null, zeros and empty ranges under it.
-    /// A selection out of a column — `gather`, `filter_batch`, `truncate`
-    /// — keeps the column's type and obeys the mask half of the rule: it
-    /// has a mask exactly when it selected a null.
+    /// A selection out of a column — `gather`, `select_rows` of a window,
+    /// `filter_batch`, `truncate` — keeps the column's type and obeys the
+    /// mask half of the rule: it has a mask exactly when it selected a null.
     #[test]
     fn column_layout_is_a_function_of_the_value_types(
         values in proptest::collection::vec(
@@ -1399,9 +1355,10 @@ proptest! {
         let is_null = Expr::IsNull(Box::new(Expr::Col(0)));
         let not_null = Expr::is_not_null(Expr::Col(0));
         let kept = |keep: fn(&Value) -> bool| values.iter().filter(|v| keep(v)).cloned().collect();
-        let selections: [(Batch, Vec<Value>); 4] = [
+        let selections: [(Batch, Vec<Value>); 5] = [
             (batch.gather(&picks), picks.iter().map(|&i| values[i].clone()).collect()),
             (prefix.clone(), values[..prefix.len()].to_vec()),
+            (batch.select_rows(&live), values[..prefix.len()].to_vec()),
             (filter_batch(&batch, &not_null), kept(|v| !v.is_null())),
             (filter_batch(&batch, &is_null), kept(Value::is_null)),
         ];
@@ -1473,12 +1430,13 @@ proptest! {
     /// bags as values and nested), windows that are empty, mid-file and
     /// to the end, and every `Expr` shape as predicate and as generate
     /// list: select-then-gather holds the rows `filter_batch` keeps of
-    /// the window's `slice` — and is that batch, layouts included,
-    /// wherever the slice kept the file's layouts (it re-derives an
-    /// all-null `Str` window, `Mixed` and bags from their values) — also
-    /// when a second filter narrows a selection that is already a row
-    /// list; `project` over a selection is `project_batch` of the
-    /// gathered rows; the range form of `canonical_bytes` is the slice's;
+    /// the batch `from_records` builds over the window's rows — and is
+    /// that batch, layouts included, wherever it kept the file's layouts
+    /// (it re-derives an all-null `Str` window, `Mixed` and bags from
+    /// their values) — also when a second filter narrows a selection that
+    /// is already a row list; `project` over a selection is
+    /// `project_batch` of the gathered rows; the range form of
+    /// `canonical_bytes` is the copy's;
     /// and `shuffle_buckets` is `fnv1a` of the key's canonical encoding
     /// modulo `n`, for every key column and one past the arity.
     #[test]
@@ -1490,11 +1448,12 @@ proptest! {
     ) {
         let exprs = every_expr_shape();
         for_every_layout_pair(n, duplicates, seed, |batch, ctx| {
+            let all_rows = batch.to_records();
             let (a, b) = (cuts.0 % (n + 1), cuts.1 % (n + 1));
             for window in [a..a, a.min(b)..a.max(b), a.min(b)..n, 0..n] {
                 let ctx = format!("{ctx}, window {window:?}");
                 let live = Selection::Range(window.clone());
-                let copy = batch.slice(window.clone());
+                let copy = Batch::from_records(&all_rows[window.clone()]).expect("uniform arity");
                 assert_eq!(
                     batch.canonical_bytes_in(window.clone()),
                     copy.canonical_bytes(),
@@ -1544,49 +1503,6 @@ proptest! {
                 }
             }
         });
-    }
-
-    /// One gather over many sources is the `concat` of one gather each:
-    /// the same rows in the same order, whatever layouts the sources'
-    /// columns have — and the same batch where they are typed.
-    #[test]
-    fn gather_parts_is_the_concat_of_the_gathers(
-        n in 2usize..12,
-        seed in any::<u64>(),
-        picks in proptest::collection::vec(
-            proptest::collection::vec(any::<proptest::sample::Index>(), 0..8),
-            1..4,
-        ),
-    ) {
-        let mut sources: Vec<(Batch, String)> = Vec::new();
-        for_every_layout_pair(n, false, seed, |batch, ctx| {
-            if batch.arity() == 2 {
-                sources.push((batch.clone(), ctx.to_owned()));
-            }
-        });
-        for (s, (first, ctx)) in sources.iter().enumerate() {
-            // This source, then others of other layouts, each with its picks.
-            let parts: Vec<(&Batch, Vec<usize>)> = picks
-                .iter()
-                .enumerate()
-                .map(|(k, rows)| {
-                    let source = if k == 0 { first } else { &sources[(s + 5 * k) % sources.len()].0 };
-                    (source, rows.iter().map(|i| i.index(n)).collect())
-                })
-                .collect();
-            let borrowed: Vec<(&Batch, &[usize])> = parts.iter().map(|(b, rows)| (*b, &rows[..])).collect();
-            let once = Batch::gather_parts(&borrowed);
-            let gathers: Vec<Batch> = parts.iter().map(|(b, rows)| b.gather(rows)).collect();
-            let typed = gathers.iter().all(|g| {
-                (0..2).all(|c| matches!(g.column(c), Some(Column::Int { .. } | Column::Str { .. })))
-            });
-            let rows: Vec<Record> = gathers.iter().flat_map(Batch::to_records).collect();
-            assert_batch_holds(&once, &rows);
-            let joined = Batch::concat(&gathers.iter().collect::<Vec<_>>()).expect("one arity");
-            if typed && !rows.is_empty() {
-                assert_eq!(once, joined, "{ctx}: layouts");
-            }
-        }
     }
 }
 
