@@ -97,16 +97,6 @@ impl<S: StateMachine + Clone> BftCluster<S> {
         }
     }
 
-    /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// The fault threshold `f`.
-    pub fn fault_threshold(&self) -> usize {
-        self.f
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.queue.now()

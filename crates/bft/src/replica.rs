@@ -202,11 +202,6 @@ impl<S: StateMachine> Replica<S> {
         self.behavior
     }
 
-    /// Overrides the progress timeout.
-    pub fn set_progress_timeout(&mut self, d: SimDuration) {
-        self.progress_timeout = d;
-    }
-
     /// The current view.
     pub fn view(&self) -> u64 {
         self.view

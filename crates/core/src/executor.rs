@@ -54,7 +54,7 @@ use crate::config::VpPolicy;
 use crate::outcome::SubmitError;
 use crate::pipeline::{choose_points, job_output_sites, vp_sites_by_job, ReplicaJobs};
 use crate::suspicion::{SuspicionBand, SuspicionTable};
-use crate::verifier::{StreamedReport, Verifier};
+use crate::verifier::{record_divergence, StreamedReport, Verifier};
 
 /// The executor's verification tier: how much redundant computation buys
 /// how much assurance.
@@ -248,15 +248,29 @@ struct Prepared {
     pool: ComputePool,
 }
 
-/// Mutable verification state threaded through escalation rounds. The
-/// hybrid tier seeds it with the probe replica before entering the
-/// ladder, so earlier evidence keeps counting toward quorums.
+/// Mutable verification state threaded through the rounds. The sampled
+/// tiers' probe is round 0; a hybrid escalation keeps its transcript,
+/// runs and round counts, so earlier evidence keeps counting toward
+/// quorums.
 struct RoundState {
     verifier: Verifier,
     transcript: Vec<StreamedReport>,
     runs: BTreeMap<usize, ReplicaRun>,
     replicas_per_round: Vec<usize>,
     total_uids: usize,
+}
+
+impl RoundState {
+    /// No round run yet, verifying under `f`.
+    fn new(f: usize) -> Self {
+        RoundState {
+            verifier: Verifier::new(f, 0),
+            transcript: Vec::new(),
+            runs: BTreeMap::new(),
+            replicas_per_round: Vec::new(),
+            total_uids: 0,
+        }
+    }
 }
 
 /// Spot-check accounting for one run (all zero under
@@ -623,47 +637,29 @@ impl ParallelExecutor {
             pool,
         };
         match self.config.verify_mode {
-            VerifyMode::Replicate => self.run_replicated(&prep),
+            // The classic tier: the full escalation ladder from an empty
+            // table.
+            VerifyMode::Replicate => self.run_ladder(
+                &prep,
+                RoundState::new(self.config.expected_failures),
+                ReexecSummary::default(),
+            ),
             VerifyMode::Sample | VerifyMode::Hybrid => self.run_sampled(&prep),
         }
     }
 
-    /// The classic tier: the full escalation ladder from an empty table.
-    fn run_replicated(&self, prep: &Prepared) -> Result<ParallelOutcome, SubmitError> {
-        let mut state = RoundState {
-            verifier: Verifier::new(self.config.expected_failures, 0),
-            transcript: Vec::new(),
-            runs: BTreeMap::new(),
-            replicas_per_round: Vec::new(),
-            total_uids: 0,
-        };
-        let published = self.run_rounds(prep, &mut state)?;
-        Ok(self.finish_outcome(
-            state,
-            published,
-            VerifyMode::Replicate,
-            ReexecSummary::default(),
-        ))
-    }
-
-    /// The sampled tiers: one probe replica plus spot-checks; hybrid
-    /// escalates to the replication ladder on any suspicion.
+    /// The sampled tiers: round 0 is one probe replica plus spot-checks;
+    /// hybrid escalates to the replication ladder on any suspicion.
     fn run_sampled(&self, prep: &Prepared) -> Result<ParallelOutcome, SubmitError> {
         let mode = self.config.verify_mode;
         let sample = SamplePlan::from_rate(self.config.master_seed, self.config.sample_rate);
-        if self.tracer.enabled() {
-            self.tracer.emit(
-                TraceEvent::instant("round_start", "executor")
-                    .on(COORDINATOR_PID, 0)
-                    .seq(0)
-                    .arg("target", 1u64)
-                    .arg("fresh", 1u64),
-            );
-        }
-        let (run, reports, checks) = self.run_probe_round(prep, sample)?;
+        // A single report per key suffices in the probe round (`f = 0`):
+        // the spot-checks, not sibling replicas, carry the assurance.
+        let mut state = RoundState::new(0);
+        let checks = self.run_round(prep, &mut state, 1, Some(sample))?;
 
         let mut reexec = ReexecSummary {
-            tasks_total: run.tasks_done,
+            tasks_total: state.runs[&0].tasks_done,
             sampled: checks.len() as u64,
             reexecuted: checks.len() as u64,
             ..ReexecSummary::default()
@@ -696,28 +692,14 @@ impl ParallelExecutor {
                 }
                 self.tracer.emit(ev);
             }
-            if self.metrics.enabled() {
-                if let Some(range) = &check.divergence {
-                    // Same localization gauges the quorum verifier uses,
-                    // keyed so the health report names the checked task.
-                    let kind = match check.kind {
-                        cbft_mapreduce::TaskKind::Map => "map",
-                        cbft_mapreduce::TaskKind::Reduce => "reduce",
-                    };
-                    let key = format!("spot/{}/{kind}/{}", check.sid, check.task_index);
-                    let label = [("key", cbft_metrics::LabelValue::from(key))];
-                    for (name, value) in [
-                        (
-                            metric_names::DIVERGENCE_FIRST_CHUNK,
-                            range.first_chunk as u64,
-                        ),
-                        (metric_names::DIVERGENCE_LAST_CHUNK, range.last_chunk as u64),
-                        (metric_names::DIVERGENCE_FIRST_RECORD, range.first_record),
-                        (metric_names::DIVERGENCE_LAST_RECORD, range.last_record),
-                    ] {
-                        self.metrics.gauge_set(Domain::Sim, name, &label, value);
-                    }
-                }
+            if let Some(range) = check.divergence.as_ref().filter(|_| self.metrics.enabled()) {
+                // Keyed so the health report names the checked task.
+                let kind = match check.kind {
+                    cbft_mapreduce::TaskKind::Map => "map",
+                    cbft_mapreduce::TaskKind::Reduce => "reduce",
+                };
+                let key = format!("spot/{}/{kind}/{}", check.sid, check.task_index);
+                record_divergence(&self.metrics, key, range);
             }
         }
         let suspect_band = checks
@@ -734,23 +716,11 @@ impl ParallelExecutor {
             );
         }
 
-        // A single report per key suffices in the probe round (the
-        // spot-checks, not sibling replicas, carry the assurance).
-        let mut state = RoundState {
-            verifier: Verifier::new(0, 1),
-            transcript: reports,
-            runs: BTreeMap::from([(0, run)]),
-            replicas_per_round: vec![1],
-            total_uids: 1,
-        };
-        for sr in &state.transcript {
-            state.verifier.ingest_traced(sr, &self.tracer);
-        }
         let probe_clean = reexec.mismatched == 0
             && state.runs[&0].complete
             && suspect_band.rank() < SuspicionBand::Med.rank();
         let published = if probe_clean {
-            self.decide(&prep.store_sites, &state.verifier, &state.runs)
+            self.decide(prep, &state)
         } else {
             None
         };
@@ -784,7 +754,7 @@ impl ParallelExecutor {
                         .arg("mismatched", reexec.mismatched),
                 );
             }
-            let mut outcome = self.finish_outcome(state, published, mode, reexec);
+            let mut outcome = self.finish_outcome(state, published, reexec);
             if reexec.mismatched > 0 {
                 // The probe replica is contradicted by trusted
                 // re-execution — name it, the way a quorum would.
@@ -795,116 +765,84 @@ impl ParallelExecutor {
             return Ok(outcome);
         }
 
-        // Hybrid escalation: restart verification under the real `f`
-        // with the probe's transcript re-ingested as replica 0, then walk
-        // the ordinary ladder. Sampling stays off in replicated rounds —
-        // the quorum carries the assurance from here.
+        // Hybrid escalation: re-verify the probe's transcript under the
+        // real `f` as replica 0, then walk the ordinary ladder. Sampling
+        // stays off in replicated rounds — the quorum carries the
+        // assurance from here.
         reexec.escalated = true;
-        let mut ladder = RoundState {
-            verifier: Verifier::new(self.config.expected_failures, 1),
-            transcript: state.transcript,
-            runs: state.runs,
-            replicas_per_round: state.replicas_per_round,
-            total_uids: 1,
-        };
-        for sr in &ladder.transcript {
-            ladder.verifier.ingest_traced(sr, &self.tracer);
+        state.verifier = Verifier::new(self.config.expected_failures, 1);
+        for sr in &state.transcript {
+            state.verifier.ingest_traced(sr, &self.tracer);
         }
-        let published = self.run_rounds(prep, &mut ladder)?;
-        Ok(self.finish_outcome(ladder, published, mode, reexec))
+        self.run_ladder(prep, state, reexec)
     }
 
-    /// Runs the single sampled probe replica (uid 0), dispatching each
-    /// captured spot-check onto the shared compute pool the moment it
-    /// arrives, so trusted re-execution overlaps foreground execution.
-    fn run_probe_round(
+    /// Walks the escalation ladder from wherever `state` stands until a
+    /// round verifies or the targets run out, then assembles the outcome.
+    fn run_ladder(
         &self,
         prep: &Prepared,
-        sample: SamplePlan,
-    ) -> Result<(ReplicaRun, Vec<StreamedReport>, Vec<SpotCheck>), SubmitError> {
-        let (tx, rx) = crossbeam::channel::unbounded::<ReplicaMsg>();
-        crossbeam::thread::scope(|scope| {
-            let handle = {
-                let tx = tx.clone();
-                let prep = &*prep;
-                scope.spawn(move |_| {
-                    self.run_replica(
-                        0,
-                        &prep.plan,
-                        &prep.graph,
-                        &prep.vp_map,
-                        &prep.pool,
-                        &tx,
-                        Some(sample),
-                    )
-                })
-            };
-            drop(tx);
-            let mut reports = Vec::new();
-            let mut tickets: Vec<Ticket<SpotCheck>> = Vec::new();
-            for msg in &rx {
-                match msg {
-                    ReplicaMsg::Report(sr) => reports.push(sr),
-                    ReplicaMsg::Check(rec) => {
-                        let task_pool = prep.pool.worker_handle();
-                        tickets.push(prep.pool.dispatch(move || rec.check(&task_pool)));
-                    }
-                }
+        mut state: RoundState,
+        reexec: ReexecSummary,
+    ) -> Result<ParallelOutcome, SubmitError> {
+        let mut published = None;
+        for target in self.config.escalation_targets() {
+            let fresh = target.saturating_sub(state.total_uids);
+            if fresh == 0 {
+                continue; // targets are strictly increasing; defensive
             }
-            let run = match handle.join() {
-                Ok(run) => run,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            // Engine emission order is sim-deterministic for the single
-            // probe replica, so this check sequence is too.
-            let checks = tickets.into_iter().map(Ticket::join).collect();
-            (run, reports, checks)
-        })
-        .map_err(|_| SubmitError::Engine("replica worker thread panicked".to_owned()))
+            self.run_round(prep, &mut state, fresh, None)?;
+            published = self.decide(prep, &state);
+            self.note_round(&state, published.as_ref());
+            if published.is_some() {
+                break;
+            }
+        }
+        Ok(self.finish_outcome(state, published, reexec))
     }
 
-    /// Walks the escalation ladder from wherever `state` stands,
-    /// returning the published outputs once a round verifies.
-    fn run_rounds(
+    /// Runs one round: `fresh` replicas under the next uids, claimed by
+    /// `threads.min(fresh)` workers (`0` = one per replica). Digest
+    /// reports stream into the verifier while siblings still execute, and
+    /// each captured spot-check is dispatched onto the compute pool the
+    /// moment it arrives, so trusted re-execution overlaps foreground
+    /// execution. Returns the joined spot-checks in arrival order — none
+    /// unless `sample` is set, which only the one-replica probe does, so
+    /// the order is sim-deterministic.
+    fn run_round(
         &self,
         prep: &Prepared,
         state: &mut RoundState,
-    ) -> Result<Option<BTreeMap<String, FileData>>, SubmitError> {
-        let mut published: Option<BTreeMap<String, FileData>> = None;
-        for target in self.config.escalation_targets() {
-            if state.total_uids >= target {
-                continue; // targets are strictly increasing; defensive
-            }
-            let fresh = target - state.total_uids;
-            let uid_base = state.total_uids;
-            state.total_uids = target;
-            state.verifier.set_expected(state.total_uids);
-            state.replicas_per_round.push(fresh);
-            if self.tracer.enabled() {
-                self.tracer.emit(
-                    TraceEvent::instant("round_start", "executor")
-                        .on(COORDINATOR_PID, 0)
-                        .seq(state.replicas_per_round.len() as u64 - 1)
-                        .arg("target", target)
-                        .arg("fresh", fresh),
-                );
-            }
+        fresh: usize,
+        sample: Option<SamplePlan>,
+    ) -> Result<Vec<SpotCheck>, SubmitError> {
+        let uid_base = state.total_uids;
+        state.total_uids += fresh;
+        state.verifier.set_expected(state.total_uids);
+        state.replicas_per_round.push(fresh);
+        if self.tracer.enabled() {
+            self.tracer.emit(
+                TraceEvent::instant("round_start", "executor")
+                    .on(COORDINATOR_PID, 0)
+                    .seq(state.replicas_per_round.len() as u64 - 1)
+                    .arg("target", state.total_uids)
+                    .arg("fresh", fresh),
+            );
+        }
 
-            let workers = match self.config.threads {
-                0 => fresh,
-                t => t.min(fresh),
-            };
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = crossbeam::channel::unbounded::<ReplicaMsg>();
-
-            let verifier = &mut state.verifier;
-            let round_result = crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for _ in 0..workers {
+        let workers = match self.config.threads {
+            0 => fresh,
+            t => t.min(fresh),
+        };
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = crossbeam::channel::unbounded::<ReplicaMsg>();
+        let verifier = &mut state.verifier;
+        let (finished, received, checks) = crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
                     let tx = tx.clone();
                     let next = &next;
-                    let prep = &*prep;
-                    handles.push(scope.spawn(move |_| {
+                    scope.spawn(move |_| {
                         // Work queue: replicas are claimed, not
                         // pre-assigned, so a slow replica never idles the
                         // other workers.
@@ -914,58 +852,45 @@ impl ParallelExecutor {
                             if i >= fresh {
                                 break;
                             }
-                            mine.push(self.run_replica(
-                                uid_base + i,
-                                &prep.plan,
-                                &prep.graph,
-                                &prep.vp_map,
-                                &prep.pool,
-                                &tx,
-                                None,
-                            ));
+                            mine.push(self.run_replica(uid_base + i, prep, &tx, sample));
                         }
                         mine
-                    }));
-                }
-                drop(tx);
-                // Streaming ingest: the verifier works while replicas are
-                // still executing. The loop ends when the last worker
-                // drops its sender.
-                let mut received = Vec::new();
-                for msg in &rx {
-                    match msg {
-                        ReplicaMsg::Report(sr) => {
-                            verifier.ingest_traced(&sr, &self.tracer);
-                            received.push(sr);
-                        }
-                        // Replicated rounds never carry a sample plan.
-                        ReplicaMsg::Check(_) => {}
+                    })
+                })
+                .collect();
+            drop(tx);
+            // The loop ends when the last worker drops its sender.
+            let mut received = Vec::new();
+            let mut tickets: Vec<Ticket<SpotCheck>> = Vec::new();
+            for msg in &rx {
+                match msg {
+                    ReplicaMsg::Report(sr) => {
+                        verifier.ingest_traced(&sr, &self.tracer);
+                        received.push(sr);
+                    }
+                    ReplicaMsg::Check(rec) => {
+                        let task_pool = prep.pool.worker_handle();
+                        tickets.push(prep.pool.dispatch(move || rec.check(&task_pool)));
                     }
                 }
-                let mut finished = Vec::new();
-                for handle in handles {
-                    match handle.join() {
-                        Ok(mine) => finished.extend(mine),
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
+            }
+            let mut finished = Vec::new();
+            for handle in handles {
+                match handle.join() {
+                    Ok(mine) => finished.extend(mine),
+                    Err(payload) => std::panic::resume_unwind(payload),
                 }
-                (finished, received)
-            })
-            .map_err(|_| SubmitError::Engine("replica worker thread panicked".to_owned()))?;
-
-            let (finished, received) = round_result;
-            state.transcript.extend(received);
-            for run in finished {
-                state.runs.insert(run.uid, run);
             }
+            let checks: Vec<SpotCheck> = tickets.into_iter().map(Ticket::join).collect();
+            (finished, received, checks)
+        })
+        .map_err(|_| SubmitError::Engine("replica worker thread panicked".to_owned()))?;
 
-            published = self.decide(&prep.store_sites, &state.verifier, &state.runs);
-            self.note_round(state, published.as_ref());
-            if published.is_some() {
-                break;
-            }
-        }
-        Ok(published)
+        state.transcript.extend(received);
+        state
+            .runs
+            .extend(finished.into_iter().map(|run| (run.uid, run)));
+        Ok(checks)
     }
 
     /// Emits the round-end trace event and the escalation-cost metrics
@@ -1016,7 +941,6 @@ impl ParallelExecutor {
         &self,
         state: RoundState,
         published: Option<BTreeMap<String, FileData>>,
-        verify_mode: VerifyMode,
         reexec: ReexecSummary,
     ) -> ParallelOutcome {
         let RoundState {
@@ -1073,7 +997,7 @@ impl ParallelExecutor {
             clean_replicas: verifier.clean_replicas(),
             omitted_replicas: omitted,
             conflict_replicas: verifier.conflict_replicas(),
-            verify_mode,
+            verify_mode: self.config.verify_mode,
             reexec,
         }
     }
@@ -1082,16 +1006,12 @@ impl ParallelExecutor {
     /// job's output. The publication is the winning replica's file handle,
     /// the one its storage holds: nothing is built or copied here, for
     /// either plane.
-    fn decide(
-        &self,
-        store_sites: &BTreeMap<JobId, (String, Vec<Site>)>,
-        verifier: &Verifier,
-        runs: &BTreeMap<usize, ReplicaRun>,
-    ) -> Option<BTreeMap<String, FileData>> {
+    fn decide(&self, prep: &Prepared, state: &RoundState) -> Option<BTreeMap<String, FileData>> {
+        let runs = &state.runs;
         let mut out = BTreeMap::new();
-        for (name, sites) in store_sites.values() {
+        for (name, sites) in prep.store_sites.values() {
             let holders = runs.values().filter(|run| run.outputs.contains_key(name));
-            let winner = verifier.winner(sites, holders.map(|run| run.uid))?;
+            let winner = state.verifier.winner(sites, holders.map(|run| run.uid))?;
             out.insert(name.clone(), runs[&winner].outputs[name].clone());
         }
         Some(out)
@@ -1100,17 +1020,14 @@ impl ParallelExecutor {
     /// Runs one replica start-to-finish in its own isolated cluster,
     /// streaming every digest (and, when `sample` is set, every captured
     /// spot-check record) through `tx` as the simulation produces them.
-    #[allow(clippy::too_many_arguments)]
     fn run_replica(
         &self,
         uid: usize,
-        plan: &Arc<LogicalPlan>,
-        graph: &JobGraph,
-        vp_map: &HashMap<JobId, Vec<VpSite>>,
-        pool: &ComputePool,
+        prep: &Prepared,
         tx: &Sender<ReplicaMsg>,
         sample: Option<SamplePlan>,
     ) -> ReplicaRun {
+        let graph = &prep.graph;
         if self.tracer.enabled() {
             self.tracer.emit(
                 TraceEvent::begin("replica", "executor")
@@ -1124,7 +1041,7 @@ impl ParallelExecutor {
             .slots_per_node(self.config.slots_per_node)
             .cost_model(self.config.cost)
             .seed(spawner.replica_seed(uid))
-            .compute_pool(pool.clone())
+            .compute_pool(prep.pool.clone())
             .tracer(self.tracer.clone(), uid as u32)
             .metrics(self.metrics.clone());
         if let Some(&behavior) = self.faults.get(&uid) {
@@ -1143,9 +1060,9 @@ impl ParallelExecutor {
         }
 
         let mut jobs = ReplicaJobs {
-            plan,
+            plan: &prep.plan,
             graph,
-            vp_map,
+            vp_map: &prep.vp_map,
             namespace: format!("par/r{uid}"),
             sid_prefix: "j".to_owned(),
             replica: uid,

@@ -67,11 +67,6 @@ impl FaultAnalyzer {
         }
     }
 
-    /// The configured fault bound.
-    pub fn fault_bound(&self) -> usize {
-        self.f
-    }
-
     /// Number of faulty clusters observed.
     pub fn observations(&self) -> u64 {
         self.observations

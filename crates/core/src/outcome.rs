@@ -11,52 +11,21 @@ use serde::{Deserialize, Serialize};
 /// The result of running a script through ClusterBFT.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScriptOutcome {
-    verified: bool,
-    attempts: u32,
-    latency: SimDuration,
-    total: JobMetrics,
-    outputs: Vec<String>,
-    verification_points: Vec<VertexId>,
-    replicas_per_attempt: Vec<usize>,
-    jobs_per_attempt: Vec<usize>,
-    deviant_replica_runs: u32,
-    omitted_replica_runs: u32,
-    digest_reports: u64,
-    digest_chunks: u64,
+    pub(crate) verified: bool,
+    pub(crate) attempts: u32,
+    pub(crate) latency: SimDuration,
+    pub(crate) total: JobMetrics,
+    pub(crate) outputs: Vec<String>,
+    pub(crate) verification_points: Vec<VertexId>,
+    pub(crate) replicas_per_attempt: Vec<usize>,
+    pub(crate) jobs_per_attempt: Vec<usize>,
+    pub(crate) deviant_replica_runs: u32,
+    pub(crate) omitted_replica_runs: u32,
+    pub(crate) digest_reports: u64,
+    pub(crate) digest_chunks: u64,
 }
 
 impl ScriptOutcome {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        verified: bool,
-        attempts: u32,
-        latency: SimDuration,
-        total: JobMetrics,
-        outputs: Vec<String>,
-        verification_points: Vec<VertexId>,
-        replicas_per_attempt: Vec<usize>,
-        jobs_per_attempt: Vec<usize>,
-        deviant_replica_runs: u32,
-        omitted_replica_runs: u32,
-        digest_reports: u64,
-        digest_chunks: u64,
-    ) -> Self {
-        ScriptOutcome {
-            verified,
-            attempts,
-            latency,
-            total,
-            outputs,
-            verification_points,
-            replicas_per_attempt,
-            jobs_per_attempt,
-            deviant_replica_runs,
-            omitted_replica_runs,
-            digest_reports,
-            digest_chunks,
-        }
-    }
-
     /// Whether every final output reached an `f + 1` digest quorum.
     ///
     /// Unreplicated baseline configurations

@@ -583,54 +583,17 @@ impl ClusterBft {
                 );
             }
 
-            // Unverified baseline: publish replica 0's outputs as-is.
+            // Unverified baseline: replica 0's outputs are published
+            // as-is, whole or not at all.
             if unverified_baseline {
-                let rep0_done = completed[0].len() == run_jobs.len();
-                let outputs = if rep0_done {
-                    self.publish_from(&graph, &store_jobs, |job| {
-                        completed[0].get(&job).map(|c| c.file.clone())
-                    })?
-                } else {
-                    Vec::new()
-                };
-                verifier.emit_quorum_events(&self.tracer);
-                verifier.record_metrics(&self.metrics);
-                return Ok(ScriptOutcome::new(
-                    false,
-                    attempt + 1,
-                    self.cluster.now().since(start),
-                    total,
-                    outputs,
-                    vps.iter().copied().collect(),
-                    replicas_per_attempt,
-                    jobs_per_attempt.clone(),
-                    deviant_runs,
-                    omitted_runs,
-                    digest_reports,
-                    digest_chunks,
-                ));
+                trusted.clear();
+                if completed[0].len() == run_jobs.len() {
+                    trusted.extend(completed[0].iter().map(|(&job, c)| (job, c.file.clone())));
+                }
+                break;
             }
-
             if store_jobs.iter().all(|j| trusted.contains_key(j)) {
-                let outputs =
-                    self.publish_from(&graph, &store_jobs, |job| trusted.get(&job).cloned())?;
-                self.restore_exclusions(&temp_excluded);
-                verifier.emit_quorum_events(&self.tracer);
-                verifier.record_metrics(&self.metrics);
-                return Ok(ScriptOutcome::new(
-                    true,
-                    attempt + 1,
-                    self.cluster.now().since(start),
-                    total,
-                    outputs,
-                    vps.iter().copied().collect(),
-                    replicas_per_attempt,
-                    jobs_per_attempt.clone(),
-                    deviant_runs,
-                    omitted_runs,
-                    digest_reports,
-                    digest_chunks,
-                ));
+                break;
             }
 
             // Prepare the next attempt. Timeouts escalate the replica count
@@ -662,7 +625,9 @@ impl ClusterBft {
             }
         }
 
-        // Attempts exhausted (or everything was already trusted on entry).
+        // Verified, baseline done, or attempts exhausted: publish every
+        // output or none. The baseline's one attempt sidelines no suspect,
+        // so restoring is a no-op there.
         let all_trusted = store_jobs.iter().all(|j| trusted.contains_key(j));
         let outputs = if all_trusted {
             self.publish_from(&graph, &store_jobs, |job| trusted.get(&job).cloned())?
@@ -672,20 +637,20 @@ impl ClusterBft {
         self.restore_exclusions(&temp_excluded);
         verifier.emit_quorum_events(&self.tracer);
         verifier.record_metrics(&self.metrics);
-        Ok(ScriptOutcome::new(
-            all_trusted,
-            replicas_per_attempt.len() as u32,
-            self.cluster.now().since(start),
+        Ok(ScriptOutcome {
+            verified: all_trusted && !unverified_baseline,
+            attempts: replicas_per_attempt.len() as u32,
+            latency: self.cluster.now().since(start),
             total,
             outputs,
-            vps.iter().copied().collect(),
+            verification_points: vps.iter().copied().collect(),
             replicas_per_attempt,
             jobs_per_attempt,
-            deviant_runs,
-            omitted_runs,
+            deviant_replica_runs: deviant_runs,
+            omitted_replica_runs: omitted_runs,
             digest_reports,
             digest_chunks,
-        ))
+        })
     }
 
     // --- helpers ------------------------------------------------------------

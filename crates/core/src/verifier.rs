@@ -94,6 +94,24 @@ pub fn key_label(key: &DigestKey) -> String {
     format!("v{}/{:?}/{:?}/{}", vertex.0, site, kind, index)
 }
 
+/// Writes the four `cbft_divergence_*` gauges for one localized window
+/// under `key`: a quorum key's Merkle-descent range, or a mismatched
+/// spot-check's (`spot/SID/KIND/TASK`), in one health-report section.
+pub(crate) fn record_divergence(metrics: &Metrics, key: String, range: &MismatchRange) {
+    let labels = [("key", key.into())];
+    for (name, value) in [
+        (
+            metric_names::DIVERGENCE_FIRST_CHUNK,
+            range.first_chunk as u64,
+        ),
+        (metric_names::DIVERGENCE_LAST_CHUNK, range.last_chunk as u64),
+        (metric_names::DIVERGENCE_FIRST_RECORD, range.first_record),
+        (metric_names::DIVERGENCE_LAST_RECORD, range.last_record),
+    ] {
+        metrics.gauge_set(Domain::Sim, name, &labels, value);
+    }
+}
+
 /// Collects digest reports for one replica set and decides verification.
 ///
 /// # Examples
@@ -247,31 +265,7 @@ impl Verifier {
             // the narrowed chunk/record window so the health report can
             // bound the recomputation span.
             if let Some(range) = self.divergence_range(key) {
-                let labels = [("key", key_label(key).into())];
-                metrics.gauge_set(
-                    Domain::Sim,
-                    metric_names::DIVERGENCE_FIRST_CHUNK,
-                    &labels,
-                    range.first_chunk as u64,
-                );
-                metrics.gauge_set(
-                    Domain::Sim,
-                    metric_names::DIVERGENCE_LAST_CHUNK,
-                    &labels,
-                    range.last_chunk as u64,
-                );
-                metrics.gauge_set(
-                    Domain::Sim,
-                    metric_names::DIVERGENCE_FIRST_RECORD,
-                    &labels,
-                    range.first_record,
-                );
-                metrics.gauge_set(
-                    Domain::Sim,
-                    metric_names::DIVERGENCE_LAST_RECORD,
-                    &labels,
-                    range.last_record,
-                );
+                record_divergence(metrics, key_label(key), &range);
             }
             match self.verdict(key) {
                 KeyVerdict::Verified { deviant, .. } => {
@@ -506,11 +500,6 @@ impl Verifier {
         }
         let agrees = |uid: &usize| quorums.iter().all(|matching| matching.contains(uid));
         completed.into_iter().find(agrees)
-    }
-
-    /// Whether every recorded key is verified.
-    pub fn all_keys_verified(&self) -> bool {
-        self.table.keys().all(|k| self.verdict(k).is_verified())
     }
 
     /// Keys currently in mismatch.

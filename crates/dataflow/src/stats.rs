@@ -15,16 +15,15 @@
 //! because a columnar row is built, not cloned. A `GROUP` → aggregate
 //! reduce task materializes exactly its output rows.
 //!
-//! Two views exist of each: a process-wide total (what `cbft-mapreduce`'s
-//! `data_plane` module surfaces next to its own clone counter) and a
-//! per-thread total (kernels clone on the calling thread, so tests can
-//! assert exact counts even while other test threads run kernels of their
-//! own).
+//! Both have a per-thread total (kernels clone on the calling thread, so
+//! tests can assert exact counts even while other test threads run
+//! kernels of their own); `rows_materialized` also has a process-wide
+//! total, which `cbft-mapreduce`'s `data_plane` module surfaces next to
+//! its own clone counter.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-static RECORD_CLONES: AtomicU64 = AtomicU64::new(0);
 static ROWS_MATERIALIZED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
@@ -34,14 +33,7 @@ thread_local! {
 
 /// Counts `n` record clones on a kernel path.
 pub fn count_record_clones(n: u64) {
-    RECORD_CLONES.fetch_add(n, Ordering::Relaxed);
     THREAD_RECORD_CLONES.with(|c| c.set(c.get() + n));
-}
-
-/// Total record clones counted on kernel paths since process start,
-/// across all threads.
-pub fn record_clones() -> u64 {
-    RECORD_CLONES.load(Ordering::Relaxed)
 }
 
 /// Record clones counted on the calling thread only.

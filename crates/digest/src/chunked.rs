@@ -172,12 +172,6 @@ impl ChunkedDigest {
         buf[..8].copy_from_slice(&len.to_be_bytes());
     }
 
-    /// Number of chunk digests sealed so far (not counting a pending partial
-    /// chunk). Lets the verifier start comparing before the stream ends.
-    pub fn sealed_chunks(&self) -> &[Digest] {
-        &self.chunks
-    }
-
     /// Finalizes the stream, sealing any trailing partial chunk, and returns
     /// the summary (Merkle tree built sequentially).
     pub fn finish(self) -> ChunkedSummary {

@@ -61,15 +61,6 @@ impl Digest {
         &self.0
     }
 
-    /// Constructs a digest from raw bytes.
-    ///
-    /// Useful for testing and for deserializing digests received from the
-    /// untrusted tier; no validation is possible (all 32-byte values are
-    /// valid digests).
-    pub fn from_bytes(bytes: [u8; 32]) -> Self {
-        Digest(bytes)
-    }
-
     /// Combines this digest with another, producing the digest of their
     /// concatenation. Used to fold per-chunk digests into a single summary
     /// digest (Merkle-style chaining).

@@ -78,12 +78,6 @@ impl Behavior {
             Behavior::Crashed => TaskFate::Omitted,
         }
     }
-
-    /// True when the behaviour can produce a wrong result (as opposed to
-    /// only withholding results).
-    pub fn is_commission(&self) -> bool {
-        matches!(self, Behavior::Commission { .. })
-    }
 }
 
 /// The fate of one task on one node.

@@ -332,11 +332,6 @@ impl JobHandle {
         }
     }
 
-    /// Returns the result if the job already finished.
-    pub fn try_wait(&self) -> Option<JobResult> {
-        self.rx.try_recv().ok()
-    }
-
     /// Cancels the job if it is still waiting in the admission queue:
     /// the job is removed (its quota freed), counted under
     /// `cbft_server_jobs_cancelled_total`, and its result arrives as

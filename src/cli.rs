@@ -273,7 +273,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
                 opts.slots = positive(parse_num(&need(&mut it, "--slots")?, "--slots")?, "--slots")?
             }
             "--seed" => seed_flag = Some(parse_num(&need(&mut it, "--seed")?, "--seed")?),
-            "--f" => opts.f = parse_num(&need(&mut it, "--f")?, "--f")?,
+            "--f" => opts.f = checked_fault_bound(&need(&mut it, "--f")?)?,
             "--points" => opts.points = parse_num(&need(&mut it, "--points")?, "--points")?,
             "--granularity" => {
                 opts.granularity = positive(
@@ -410,6 +410,20 @@ pub fn checked_batch_size(s: &str) -> Result<usize, UsageError> {
         )));
     }
     Ok(n as usize)
+}
+
+/// Parses an `--f` value. A fault bound sizes runs of up to `3f + 1`
+/// replicas, so an `f` for which that count does not fit in `usize` is
+/// rejected here instead of overflowing in the replica arithmetic.
+pub(crate) fn checked_fault_bound(s: &str) -> Result<usize, UsageError> {
+    const MAX: usize = (usize::MAX - 1) / 3;
+    let f: usize = parse_num(s, "--f")?;
+    if f > MAX {
+        return Err(UsageError(format!(
+            "--f {f} is too large: 3f + 1 replicas must fit in a usize (max {MAX})"
+        )));
+    }
+    Ok(f)
 }
 
 /// Parses `N:KIND[:P]` fault specs (also `cbftd`'s `fault:N:KIND[:P]`
@@ -1914,6 +1928,16 @@ mod tests {
         for (spec, p) in [("0:commission:0", 0.0), ("0:commission:1", 1.0)] {
             let opts = parse(&["s.pig", "--fault", spec]).unwrap();
             assert_eq!(opts.faults[0].1, Behavior::Commission { probability: p });
+        }
+    }
+
+    #[test]
+    fn a_fault_bound_whose_replica_count_overflows_is_a_usage_error() {
+        assert_eq!(parse(&["s.pig", "--f", "5"]).unwrap().f, 5);
+        let first_overflowing = (usize::MAX - 1) / 3 + 1;
+        for f in [first_overflowing, usize::MAX] {
+            let err = parse(&["s.pig", "--f", &f.to_string()]).unwrap_err();
+            assert!(err.0.starts_with(&format!("--f {f} is too large")), "{err}");
         }
     }
 

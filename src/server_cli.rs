@@ -26,8 +26,8 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use crate::cli::{
-    executor_config, load_input, parse_num, parse_replication, positive, read_script, CliOptions,
-    InputLoad, Observability, OutputRender, ReportFlags, UsageError,
+    checked_fault_bound, executor_config, load_input, parse_num, parse_replication, positive,
+    read_script, CliOptions, InputLoad, Observability, OutputRender, ReportFlags, UsageError,
 };
 use crate::core::{ExecutorConfig, Replication};
 use crate::flight::{self, Anomaly, AnomalyKind, BundleSpec, RejectionBurstDetector};
@@ -239,7 +239,7 @@ pub fn parse_daemon_args<I: IntoIterator<Item = String>>(
                     "--threads",
                 )?
             }
-            "--f" => opts.f = parse_num(&need(&mut it, "--f")?, "--f")?,
+            "--f" => opts.f = checked_fault_bound(&need(&mut it, "--f")?)?,
             "--replication" => {
                 opts.replication = parse_replication(&need(&mut it, "--replication")?)?
             }
@@ -878,6 +878,18 @@ mod tests {
             let err = parse(args).unwrap_err();
             assert!(err.0.contains(needle), "{args:?}: {err}");
         }
+    }
+
+    #[test]
+    fn a_fault_bound_whose_replica_count_overflows_is_a_usage_error() {
+        assert_eq!(parse(&["--f", "5"]).unwrap().f, 5);
+        let first_overflowing = (usize::MAX - 1) / 3 + 1;
+        let err = parse(&["--f", &first_overflowing.to_string()]).unwrap_err();
+        assert!(
+            err.0
+                .starts_with(&format!("--f {first_overflowing} is too large")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use clusterbft_repro::core::{Behavior, ExecutorConfig, ParallelExecutor, ParallelOutcome};
 use clusterbft_repro::dataflow::{Record, Value};
-use clusterbft_repro::trace::{canonicalize, TraceEvent, Tracer, QUORUM_EVENT};
+use clusterbft_repro::trace::{canonicalize, CanonicalEvent, TraceEvent, Tracer, QUORUM_EVENT};
 
 const SCRIPT: &str = "
     users = LOAD 'users' AS (uid, region);
@@ -272,13 +272,15 @@ fn sim_metric_snapshots_identical_across_thread_matrix() {
 
 use clusterbft_repro::core::VerifyMode;
 
+/// A run in any verification tier with a memory trace sink attached;
+/// returns the raw trace events alongside the outcome.
 fn run_mode(
     mode: VerifyMode,
     sample_rate: f64,
     threads: usize,
     compute_threads: usize,
     fault: Option<(usize, Behavior)>,
-) -> ParallelOutcome {
+) -> (ParallelOutcome, Vec<TraceEvent>) {
     let mut exec = ParallelExecutor::new(ExecutorConfig {
         threads,
         compute_threads,
@@ -289,22 +291,51 @@ fn run_mode(
         sample_rate,
         ..ExecutorConfig::default()
     });
+    let (tracer, sink) = Tracer::memory();
+    exec.set_tracer(tracer);
     exec.load_input("users", users(40)).unwrap();
     exec.load_input("clicks", clicks(600)).unwrap();
     if let Some((uid, behavior)) = fault {
         exec.inject_fault(uid, behavior);
     }
-    exec.run_script(SCRIPT).unwrap()
+    let outcome = exec.run_script(SCRIPT).unwrap();
+    (outcome, sink.take())
+}
+
+/// The worker-thread × compute-pool-thread points a sampled run is
+/// compared at against its 1 × 1 baseline.
+const MATRIX: [(usize, usize); 5] = [(1, 4), (2, 1), (2, 4), (8, 1), (8, 4)];
+
+/// The probe replica is round 0 of the ladder: the canonical
+/// `round_start` events carry seq `0..n`, each with the fresh replicas
+/// its round started.
+fn assert_rounds(outcome: &ParallelOutcome, canonical: &[CanonicalEvent]) {
+    let rounds: Vec<(u64, String)> = canonical
+        .iter()
+        .filter(|e| e.name == "round_start")
+        .map(|e| {
+            let fresh = e.args.iter().find(|(k, _)| *k == "fresh");
+            (e.seq, fresh.map_or(String::new(), |(_, v)| v.clone()))
+        })
+        .collect();
+    let expected: Vec<(u64, String)> = outcome
+        .replicas_per_round()
+        .iter()
+        .enumerate()
+        .map(|(seq, n)| (seq as u64, n.to_string()))
+        .collect();
+    assert_eq!(rounds, expected);
 }
 
 #[test]
 fn sampled_runs_are_interleaving_independent() {
     // The sampling decision is a pure function of (seed, task uid), so
     // the spot-checked set — and with it the verdict, the re-execution
-    // counters and the serialized outcome — must be byte-identical for
-    // every worker-thread × compute-pool-thread combination.
+    // counters, the serialized outcome and the canonical trace — must be
+    // byte-identical for every worker-thread × compute-pool-thread
+    // combination.
     for mode in [VerifyMode::Sample, VerifyMode::Hybrid] {
-        let baseline = run_mode(mode, 0.5, 1, 1, None);
+        let (baseline, events) = run_mode(mode, 0.5, 1, 1, None);
         assert!(baseline.verified(), "{mode:?} fault-free run verifies");
         assert_eq!(baseline.verify_mode(), mode);
         assert!(
@@ -312,16 +343,22 @@ fn sampled_runs_are_interleaving_independent() {
             "rate 0.5 must sample something"
         );
         let canon = serde_json::to_string(&baseline).unwrap();
-        for threads in [2, 8] {
-            for compute_threads in [1, 4] {
-                let wide = run_mode(mode, 0.5, threads, compute_threads, None);
-                assert_eq!(
-                    canon,
-                    serde_json::to_string(&wide).unwrap(),
-                    "{mode:?} threads={threads} compute={compute_threads}: \
-                     sampled outcome diverged"
-                );
-            }
+        let trace = canonicalize(&events);
+        assert_rounds(&baseline, &trace);
+        for (threads, compute_threads) in MATRIX {
+            let (wide, wide_events) = run_mode(mode, 0.5, threads, compute_threads, None);
+            assert_eq!(
+                canon,
+                serde_json::to_string(&wide).unwrap(),
+                "{mode:?} threads={threads} compute={compute_threads}: \
+                 sampled outcome diverged"
+            );
+            assert_eq!(
+                trace,
+                canonicalize(&wide_events),
+                "{mode:?} threads={threads} compute={compute_threads}: \
+                 canonical trace diverged"
+            );
         }
     }
 }
@@ -332,21 +369,27 @@ fn hybrid_escalation_is_interleaving_independent() {
     // walks the ordinary ladder; the whole recovery must survive any
     // interleaving bit-for-bit.
     let fault = Some((0, Behavior::Commission { probability: 1.0 }));
-    let baseline = run_mode(VerifyMode::Hybrid, 1.0, 1, 1, fault);
+    let (baseline, events) = run_mode(VerifyMode::Hybrid, 1.0, 1, 1, fault);
     assert!(baseline.verified(), "escalation recovers the output");
     assert!(baseline.reexec().escalated);
     assert!(baseline.reexec().mismatched > 0);
     assert!(baseline.deviant_replicas().contains(&0));
     let canon = serde_json::to_string(&baseline).unwrap();
-    for threads in [2, 8] {
-        for compute_threads in [1, 4] {
-            let wide = run_mode(VerifyMode::Hybrid, 1.0, threads, compute_threads, fault);
-            assert_eq!(
-                canon,
-                serde_json::to_string(&wide).unwrap(),
-                "threads={threads} compute={compute_threads}"
-            );
-        }
+    let trace = canonicalize(&events);
+    assert_rounds(&baseline, &trace);
+    for (threads, compute_threads) in MATRIX {
+        let (wide, wide_events) =
+            run_mode(VerifyMode::Hybrid, 1.0, threads, compute_threads, fault);
+        assert_eq!(
+            canon,
+            serde_json::to_string(&wide).unwrap(),
+            "threads={threads} compute={compute_threads}"
+        );
+        assert_eq!(
+            trace,
+            canonicalize(&wide_events),
+            "threads={threads} compute={compute_threads}: canonical trace diverged"
+        );
     }
 }
 
@@ -356,7 +399,7 @@ fn sample_mode_matches_replicated_outputs_when_healthy() {
     // of the replicas.
     let replicated = run(4, 2, None);
     for mode in [VerifyMode::Sample, VerifyMode::Hybrid] {
-        let sampled = run_mode(mode, 0.25, 2, 1, None);
+        let (sampled, _) = run_mode(mode, 0.25, 2, 1, None);
         assert_eq!(sampled.verified(), replicated.verified());
         assert_eq!(sampled.outputs(), replicated.outputs());
         assert_eq!(sampled.replicas_per_round(), &[1]);
