@@ -474,14 +474,15 @@ fn group_key_only(batch: &Batch, key: usize) -> Batch {
 
 /// Wall of an aggregate-only GROUP's reduce task over `rows` cut into
 /// [`GROUP_RUNS`] runs, `(replaced pipeline, fused kernel)`, after
-/// asserting that both build the same batch.
+/// asserting that both build the same batch. The runs are windows of
+/// `rows`, read in place, as a reduce task reads its partition's runs.
 fn aggregate_group_passes(rows: &Batch, key: usize, generates: &[Expr]) -> (f64, f64) {
     let per_run = rows.len().div_ceil(GROUP_RUNS);
-    let runs: Vec<Batch> = (0..rows.len())
+    let windows: Vec<Selection> = (0..rows.len())
         .step_by(per_run)
-        .map(|start| rows.select_rows(&Selection::Range(start..rows.len().min(start + per_run))))
+        .map(|start| Selection::Range(start..rows.len().min(start + per_run)))
         .collect();
-    let runs: Vec<&Batch> = runs.iter().collect();
+    let runs: Vec<(&Batch, &Selection)> = windows.iter().map(|w| (rows, w)).collect();
     let plan = Combiner::for_group_projection(key, generates).expect("all-algebraic generates");
     let (replaced, wall_replaced) = measure(|| {
         let joined = Batch::concat(&runs).expect("one arity");

@@ -141,6 +141,16 @@ impl Selection {
         self.for_each(|i, row| out.push(f(i, row)));
         out
     }
+
+    /// The selected rows as ranges, in order, for kernels that copy or
+    /// sum slices: the window, or one range per listed row.
+    fn spans(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let (window, ids) = match self {
+            Selection::Range(window) => (Some(window.clone()), &[][..]),
+            Selection::Rows(ids) => (None, &ids[..]),
+        };
+        window.into_iter().chain(ids.iter().map(|&i| i..i + 1))
+    }
 }
 
 impl Column {
@@ -188,6 +198,14 @@ impl Column {
             Column::Int { validity, .. } | Column::Str { validity, .. } => validity.as_deref(),
             Column::Bag { .. } | Column::Mixed(_) => None,
         }
+    }
+
+    /// How many of the selected cells the mask says are null: a copy of
+    /// the selection keeps a mask exactly when this is not zero.
+    fn nulls_in(&self, rows: &Selection) -> u64 {
+        let Some(mask) = self.mask() else { return 0 };
+        let nulls = |s: Range<usize>| mask[s].iter().filter(|v| !**v).count() as u64;
+        rows.spans().map(nulls).sum()
     }
 
     fn is_valid(&self, row: usize) -> bool {
@@ -409,76 +427,72 @@ impl Column {
         }
     }
 
-    /// The columns of `parts`, one after another, copied once. Typed
-    /// columns of one layout append (a part without a null mask fills its
-    /// stretch of a merged mask with `true`); parts that disagree on
-    /// layout — an all-null `Int` run next to a `Str` run, anything `Mixed`
-    /// or `Bag` — are rebuilt from their values by [`Column::from_values`].
-    fn concat(parts: &[&Column]) -> Column {
-        let len: usize = parts.iter().map(|c| c.len()).sum();
-        /// The masks of typed parts, one after another; a part without
-        /// one fills its stretch with `true`, and none has one, no mask.
-        fn concat_masks<'a>(
-            masks: impl Iterator<Item = (Option<&'a [bool]>, usize)> + Clone,
-            len: usize,
-        ) -> Option<Vec<bool>> {
-            masks.clone().any(|(m, _)| m.is_some()).then(|| {
+    /// The selected cells of `parts`, one part after another, copied once.
+    /// Typed columns of one layout append (with a mask when a selected
+    /// cell is null); parts that disagree on layout — an all-null `Int`
+    /// run next to a `Str` run, anything `Mixed` or `Bag` — are rebuilt
+    /// from their values by [`Column::from_values`].
+    fn concat(parts: &[(&Column, &Selection)]) -> Column {
+        let len: usize = parts.iter().map(|(_, rows)| rows.len()).sum();
+        let mask = || {
+            parts.iter().any(|(c, rows)| c.nulls_in(rows) > 0).then(|| {
                 let mut mask = Vec::with_capacity(len);
-                for (part, rows) in masks {
-                    match part {
-                        Some(part) => mask.extend_from_slice(part),
-                        None => mask.resize(mask.len() + rows, true),
+                for (c, rows) in parts {
+                    match c.mask() {
+                        Some(m) => rows.spans().for_each(|s| mask.extend_from_slice(&m[s])),
+                        None => mask.resize(mask.len() + rows.len(), true),
                     }
                 }
                 mask
             })
-        }
+        };
         let ints: Option<Vec<_>> = parts
             .iter()
-            .map(|c| match c {
-                Column::Int { values, validity } => Some((values, validity.as_deref())),
+            .map(|(c, rows)| match c {
+                Column::Int { values, .. } => Some((values, *rows)),
                 _ => None,
             })
             .collect();
         if let Some(ints) = ints {
             let mut values = Vec::with_capacity(len);
-            for (v, _) in &ints {
-                values.extend_from_slice(v);
+            for (v, rows) in ints {
+                rows.spans().for_each(|s| values.extend_from_slice(&v[s]));
             }
             return Column::Int {
                 values,
-                validity: concat_masks(ints.iter().map(|(v, m)| (*m, v.len())), len),
+                validity: mask(),
             };
         }
         let strs: Option<Vec<_>> = parts
             .iter()
-            .map(|c| match c {
-                Column::Str {
-                    bytes,
-                    offsets,
-                    validity,
-                } => Some((bytes, offsets, validity.as_deref())),
+            .map(|(c, rows)| match c {
+                Column::Str { bytes, offsets, .. } => Some((bytes, offsets, *rows)),
                 _ => None,
             })
             .collect();
         if let Some(strs) = strs {
-            let mut bytes = Vec::with_capacity(strs.iter().map(|(b, ..)| b.len()).sum());
+            let text = |(_, o, rows): &(_, &Vec<usize>, &Selection)| {
+                rows.spans().map(|s| o[s.end] - o[s.start]).sum::<usize>()
+            };
+            let mut bytes = Vec::with_capacity(strs.iter().map(text).sum());
             let mut offsets = Vec::with_capacity(len + 1);
             offsets.push(0);
-            for (b, o, _) in &strs {
-                let base = bytes.len();
-                offsets.extend(o[1..].iter().map(|end| base + end));
-                bytes.extend_from_slice(b);
+            for (b, o, rows) in strs {
+                for s in rows.spans() {
+                    let (base, first) = (bytes.len(), o[s.start]);
+                    offsets.extend(o[s.start + 1..=s.end].iter().map(|end| base + end - first));
+                    bytes.extend_from_slice(&b[first..o[s.end]]);
+                }
             }
             return Column::Str {
                 bytes,
                 offsets,
-                validity: concat_masks(strs.iter().map(|(_, o, m)| (*m, o.len() - 1)), len),
+                validity: mask(),
             };
         }
         let cells = parts
             .iter()
-            .flat_map(|c| (0..c.len()).map(|row| c.value_at(row)));
+            .flat_map(|(c, rows)| rows.spans().flatten().map(|row| c.value_at(row)));
         Column::from_values(cells.collect())
     }
 }
@@ -803,28 +817,27 @@ impl Batch {
         }
     }
 
-    /// The rows of `runs`, one run after another, as one new batch —
-    /// observationally equal to [`Batch::from_records`] over all their
-    /// rows, without building one; the runs are read where they are and
-    /// each row is copied once. Empty runs are skipped (a batch of no
-    /// rows has lost its schema: `from_records(&[])` and a `gather` of
-    /// nothing both have arity 0); a single non-empty run is cloned whole.
-    /// Returns `None` when the non-empty runs do not share one arity.
-    pub fn concat(runs: &[&Batch]) -> Option<Batch> {
-        let runs: Vec<&Batch> = runs.iter().copied().filter(|b| !b.is_empty()).collect();
-        let arity = runs.first().map_or(0, |b| b.arity());
-        if runs.iter().any(|b| b.arity() != arity) {
+    /// The selected rows of `runs`, one run after another, as one new
+    /// batch — equal, layouts included, to joining copies of the
+    /// selections, and observationally to [`Batch::from_records`] over all
+    /// the rows; the runs are read where they are and each row is copied
+    /// once. Runs that select nothing are skipped (a batch of no rows has
+    /// lost its schema). Returns `None` when the others' arities differ.
+    pub fn concat(runs: &[(&Batch, &Selection)]) -> Option<Batch> {
+        let runs: Vec<_> = runs.iter().filter(|(_, rows)| !rows.is_empty()).collect();
+        let arity = runs.first().map_or(0, |(b, _)| b.arity());
+        if runs.iter().any(|(b, _)| b.arity() != arity) {
             return None;
         }
-        if let [run] = runs[..] {
-            return Some(run.clone());
+        if let [(run, rows)] = runs[..] {
+            return Some(run.select_rows(rows));
         }
         let column = |c: usize| {
-            let parts: Vec<&Column> = runs.iter().map(|b| &b.columns[c]).collect();
+            let parts = Vec::from_iter(runs.iter().map(|(b, r)| (&b.columns[c], *r)));
             Column::concat(&parts)
         };
         Some(Batch {
-            len: runs.iter().map(|b| b.len).sum(),
+            len: runs.iter().map(|(_, rows)| rows.len()).sum(),
             columns: (0..arity).map(column).collect(),
         })
     }
@@ -833,38 +846,40 @@ impl Batch {
     /// (`sum of Record::to_canonical_bytes().len()`), computed from the
     /// arenas without encoding.
     pub fn canonical_bytes(&self) -> u64 {
-        self.canonical_bytes_in(0..self.len)
+        self.canonical_bytes_in(&Selection::Range(0..self.len))
     }
 
-    /// [`Batch::canonical_bytes`] of rows `rows` alone — equal to
-    /// `select_rows(&Selection::Range(rows)).canonical_bytes()` without
-    /// the copy.
+    /// [`Batch::canonical_bytes`] of the selected rows alone — equal to
+    /// `select_rows(rows).canonical_bytes()` without the copy.
     ///
     /// # Panics
     ///
     /// Panics if `rows` reaches past the batch.
-    pub fn canonical_bytes_in(&self, rows: Range<usize>) -> u64 {
+    pub fn canonical_bytes_in(&self, rows: &Selection) -> u64 {
         let n = rows.len() as u64;
         // A valid typed cell is a tag and 8 bytes, a null one the tag.
-        let typed = |c: &Column| {
-            let nulls = |m: &[bool]| m[rows.clone()].iter().filter(|v| !**v).count() as u64;
-            9 * n - 8 * c.mask().map_or(0, nulls)
-        };
+        let typed = |c: &Column| 9 * n - 8 * c.nulls_in(rows);
         let mut total = 8 * n; // arity prefix per row
         for c in &self.columns {
             total += match c {
                 Column::Int { .. } => typed(c),
                 // Invalid rows hold empty ranges of the arena.
                 Column::Str { offsets, .. } => {
-                    typed(c) + (offsets[rows.end] - offsets[rows.start]) as u64
+                    let text = rows.spans().map(|s| offsets[s.end] - offsets[s.start]);
+                    typed(c) + text.sum::<usize>() as u64
                 }
                 // Tag and member count per bag, plus every member row.
                 Column::Bag {
                     offsets,
                     rows: members,
-                } => 9 * n + members.canonical_bytes_in(offsets[rows.start]..offsets[rows.end]),
-                Column::Mixed(values) => values[rows.clone()]
-                    .iter()
+                } => {
+                    let bag = |s: Range<usize>| Selection::Range(offsets[s.start]..offsets[s.end]);
+                    let bytes = |s| members.canonical_bytes_in(&bag(s));
+                    9 * n + rows.spans().map(bytes).sum::<u64>()
+                }
+                Column::Mixed(values) => rows
+                    .spans()
+                    .flat_map(|s| &values[s])
                     .map(|v| v.to_canonical_bytes().len() as u64)
                     .sum(),
             };
@@ -1149,22 +1164,23 @@ impl IntFold {
 }
 
 /// `GROUP` by `plan.key` and the all-algebraic `FOREACH` after it, fused:
-/// one `[slot…]` row per distinct key of `runs` (which share one arity;
-/// empty ones are skipped), ordered by key — equal, column layouts
-/// included, to [`project_batch`] of [`group_batch`] of [`Batch::concat`]
-/// of the runs, with no run joined and no bag built: the runs are read in
-/// place, once ([`fold_groups`]). Where the key column is `Int` without a
-/// null in every run, a row finds its group by one hash probe
+/// one `[slot…]` row per distinct key of the selected rows of `runs` (of
+/// one arity; runs that select nothing are skipped), ordered by key —
+/// equal, column layouts included, to [`project_batch`] of [`group_batch`]
+/// of [`Batch::concat`] of the runs, with no run joined and no bag built:
+/// the rows are read in place, once ([`fold_groups`]). Where the key
+/// column is `Int` and no selected key is null in every run, a row finds
+/// its group by one hash probe
 /// ([`IntGroups`]) and nothing the size of the partition is allocated; the
 /// distinct keys are sorted at the end, so the output's order is the key
-/// sort's, never the table's. Every other layout (`Str`, `Mixed`, a null
-/// mask, runs that disagree, a key past the arity) takes the exact path:
-/// the key columns alone are joined, and the groups are the runs of equal
-/// keys [`sorted_indices`] finds.
-pub fn group_aggregate(runs: &[&Batch], plan: &Combiner) -> Batch {
-    let runs: Vec<&Batch> = runs.iter().copied().filter(|b| !b.is_empty()).collect();
-    let int_keys = runs.iter().map(|b| match b.column(plan.key) {
-        Some(c @ Column::Int { values, .. }) if c.mask().is_none() => Some(&values[..]),
+/// sort's, never the table's. Every other layout (`Str`, `Mixed`, a
+/// selected null, runs that disagree, a key past the arity) takes the
+/// exact path: the selected key cells alone are joined, and the groups
+/// are the runs of equal keys [`sorted_indices`] finds.
+pub fn group_aggregate<'a>(runs: &[(&'a Batch, &Selection)], plan: &Combiner) -> Batch {
+    let runs = Vec::from_iter(runs.iter().copied().filter(|(_, r)| !r.is_empty()));
+    let int_keys = runs.iter().map(|(b, rows)| match b.column(plan.key) {
+        Some(c @ Column::Int { values, .. }) if c.nulls_in(rows) == 0 => Some(&values[..]),
         _ => None,
     });
     // The key column in key order, the groups (numbered as `fold_groups`
@@ -1172,8 +1188,7 @@ pub fn group_aggregate(runs: &[&Batch], plan: &Combiner) -> Batch {
     let (keys, order, (counts, folds)) = match int_keys.collect::<Option<Vec<_>>>() {
         Some(parts) => {
             let mut groups = IntGroups::default();
-            let ids = parts.iter().copied().flatten().map(|&key| groups.of(key));
-            let folded = fold_groups(ids, &runs, plan);
+            let folded = fold_groups(&runs, plan, |run, row| groups.of(parts[run][row]));
             let mut order: Vec<usize> = (0..groups.keys.len()).collect();
             order.sort_unstable_by_key(|&g| groups.keys[g]);
             let keys = Column::Int {
@@ -1183,9 +1198,10 @@ pub fn group_aggregate(runs: &[&Batch], plan: &Combiner) -> Batch {
             (keys, order, folded)
         }
         None => {
-            let parts: Vec<&Column> = runs.iter().filter_map(|b| b.column(plan.key)).collect();
+            let key = |(b, r): &(&'a Batch, _)| Some((b.column(plan.key)?, *r));
+            let parts = Vec::from_iter(runs.iter().filter_map(key));
             let joined = Batch {
-                len: runs.iter().map(|b| b.len).sum(),
+                len: runs.iter().map(|(_, rows)| rows.len()).sum(),
                 columns: Vec::from_iter((!parts.is_empty()).then(|| Column::concat(&parts))),
             };
             let (perm, mut starts) = sorted_indices(&joined, 0, SortOrder::Asc, false);
@@ -1200,7 +1216,9 @@ pub fn group_aggregate(runs: &[&Batch], plan: &Combiner) -> Batch {
                 None => int_column(vec![None; firsts.len()]),
             };
             let order = (0..firsts.len()).collect();
-            (keys, order, fold_groups(ids.into_iter(), &runs, plan))
+            let mut ids = ids.into_iter();
+            let folded = fold_groups(&runs, plan, |_, _| ids.next().unwrap_or_default());
+            (keys, order, folded)
         }
     };
     let column = |(slot, fold): (&CombineSlot, &Vec<IntFold>)| {
@@ -1225,21 +1243,22 @@ pub fn group_aggregate(runs: &[&Batch], plan: &Combiner) -> Batch {
     }
 }
 
-/// One pass over the rows of `runs`, whose groups `ids` yields run after
-/// run: per group its rows counted and, per slot of `plan` that aggregates
-/// a field (the other slots' lists stay empty), that field folded. A field
-/// past the arity, like a string or null cell, feeds nothing.
+/// One pass over the selected rows of `runs`, each in group `group(run,
+/// row)`: per group its rows counted and, per slot of `plan` that
+/// aggregates a field (the other slots' lists stay empty), that field
+/// folded. A field past the arity, like a string or null cell, feeds nothing.
 fn fold_groups(
-    mut ids: impl Iterator<Item = usize>,
-    runs: &[&Batch],
+    runs: &[(&Batch, &Selection)],
     plan: &Combiner,
+    mut group: impl FnMut(usize, usize) -> usize,
 ) -> (Vec<i64>, Vec<Vec<IntFold>>) {
     let (mut counts, mut folds) = (Vec::new(), vec![Vec::new(); plan.slots.len()]);
-    for run in runs {
+    for (r, (run, rows)) in runs.iter().enumerate() {
         let fed = folds.iter_mut().zip(&plan.slots);
         let fed = fed.filter_map(|(fold, slot)| Some((fold, run.column(slot.field()?))));
         let mut fed: Vec<(&mut Vec<IntFold>, Option<&Column>)> = fed.collect();
-        for (row, g) in (0..run.len).zip(&mut ids) {
+        rows.for_each(|_, row| {
+            let g = group(r, row);
             if g >= counts.len() {
                 counts.resize(g + 1, 0);
                 fed.iter_mut()
@@ -1251,7 +1270,7 @@ fn fold_groups(
                     fold[g].feed(v);
                 }
             }
-        }
+        });
     }
     (counts, folds)
 }
@@ -1905,13 +1924,15 @@ mod tests {
                 .map(|w| Batch::from_records(&records[w[0]..w[1]]).unwrap())
                 .collect()
         };
-        let whole = Batch::from_records(&records).unwrap();
+        let every = Batch::from_records(&records).unwrap();
         // Column 2's runs are `Int`, all-null `Int` and `Mixed` (the bag).
         for cuts in [&[][..], &[2], &[1, 1, 3], &[0, 2, 4, 5]] {
             let runs = runs(cuts);
-            let joined = Batch::concat(&runs.iter().collect::<Vec<_>>()).expect("one arity");
+            let all: Vec<Selection> = runs.iter().map(whole).collect();
+            let runs: Vec<_> = runs.iter().zip(&all).collect();
+            let joined = Batch::concat(&runs).expect("one arity");
             assert_eq!(joined.to_records(), records, "cuts {cuts:?}");
-            assert_eq!(joined.canonical_bytes(), whole.canonical_bytes());
+            assert_eq!(joined.canonical_bytes(), every.canonical_bytes());
             assert!(matches!(joined.column(0), Some(Column::Int { .. })));
             assert!(matches!(joined.column(1), Some(Column::Str { .. })));
         }
@@ -1920,11 +1941,20 @@ mod tests {
             let rows: Vec<Record> = range.map(|i| Record::new(vec![Value::Int(i)])).collect();
             Batch::from_records(&rows).unwrap()
         };
-        assert_eq!(Batch::concat(&[&ints(0..3), &ints(3..6)]), Some(ints(0..6)));
+        let (front, back) = (ints(0..3), ints(3..6));
+        let concat = |runs: &[&Batch]| {
+            let all: Vec<Selection> = runs.iter().map(|b| whole(b)).collect();
+            Batch::concat(&runs.iter().copied().zip(&all).collect::<Vec<_>>())
+        };
+        assert_eq!(concat(&[&front, &back]), Some(ints(0..6)));
+        // Selected rows alone are copied, each once, in selection order.
+        let picked = [Selection::Rows(vec![0, 2]), Selection::Range(1..3)];
+        let joined = Batch::concat(&[(&front, &picked[0]), (&back, &picked[1])]);
+        assert_eq!(joined, Some(ints(0..6).gather(&[0, 2, 4, 5])));
         // Nothing but empty runs is the empty batch; unequal arities refuse.
         let empty = Batch::from_records(&[]).unwrap();
-        assert_eq!(Batch::concat(&[&empty, &empty]), Some(empty.clone()));
-        assert_eq!(Batch::concat(&[&ints(0..3), &whole]), None);
+        assert_eq!(concat(&[&empty, &empty]), Some(empty.clone()));
+        assert_eq!(concat(&[&front, &every]), None);
     }
 
     #[test]

@@ -163,10 +163,21 @@ pub mod data_plane {
         pub const GROUPS_UNORDERED: &str = "cbft_data_plane_groups_unordered_total";
     }
 
+    thread_local! {
+        static THREAD_RECORDS_CLONED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
     /// Records that were physically deep-copied (e.g. at a task's output
     /// boundary, or for the record view of a published record file).
     pub fn count_records_cloned(n: u64) {
         global().add(Domain::Sim, names::RECORDS_CLONED, &[], n);
+        THREAD_RECORDS_CLONED.with(|c| c.set(c.get() + n));
+    }
+
+    /// [`count_records_cloned`]'s total on the calling thread alone, so a
+    /// test can assert an exact count while other threads clone records.
+    pub fn thread_records_cloned() -> u64 {
+        THREAD_RECORDS_CLONED.with(std::cell::Cell::get)
     }
 
     /// Storage reads/shares satisfied by handing out an `Arc` handle.

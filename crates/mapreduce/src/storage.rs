@@ -61,7 +61,7 @@ enum Form {
 
 #[derive(Debug)]
 struct ColumnarFile {
-    batch: Batch,
+    batch: Arc<Batch>,
     /// The row image, for the record-typed view ([`Storage::peek`]) the
     /// harness inspects files through. Built on first request, once for
     /// every handle to the file; no task, no publication and no report
@@ -90,6 +90,11 @@ impl FileData {
 
     /// The file as one batch, if it is stored columnar.
     pub fn batch(&self) -> Option<&Batch> {
+        self.shared_batch().map(|batch| &**batch)
+    }
+
+    /// The handle to the file's batch, if it is stored columnar.
+    pub(crate) fn shared_batch(&self) -> Option<&Arc<Batch>> {
         match &self.form {
             Form::Rows(_) => None,
             Form::Cols(file) => Some(&file.batch),
@@ -137,6 +142,12 @@ impl From<Vec<Record>> for FileData {
 
 impl From<Batch> for FileData {
     fn from(batch: Batch) -> FileData {
+        FileData::from(Arc::new(batch))
+    }
+}
+
+impl From<Arc<Batch>> for FileData {
+    fn from(batch: Arc<Batch>) -> FileData {
         FileData {
             bytes: batch.canonical_bytes(),
             form: Form::Cols(Arc::new(ColumnarFile {

@@ -16,7 +16,6 @@
 //! and between map and reduce ([`Partition`]) is known to this module
 //! alone.
 
-use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
@@ -48,9 +47,10 @@ type Tagged = (usize, Record);
 /// The rows a task hands over — the one data format between tasks and
 /// out of them: a map task's share of one reduce partition, and the
 /// whole output of a reduce, collector or shuffle-less map task. A
-/// columnar task, faithful or corrupt, hands its rows over as batches,
-/// which the reduce kernels read as batches and a job's output file keeps
-/// as one; every other producer (the row plane, a ragged split, a
+/// columnar task, faithful or corrupt, hands its rows over as selections
+/// of the batch they live in — the input file's, or one the task built —
+/// which the reduce kernels read in place and a job's output file keeps
+/// as one batch; every other producer (the row plane, a ragged split, a
 /// combiner, DISTINCT) hands over tagged records. Which form a
 /// partition has is decided by the data alone and is invisible outside
 /// this module: both hold the same `(tag, row)` sequence.
@@ -58,8 +58,8 @@ type Tagged = (usize, Record);
 pub(crate) enum Partition {
     /// Tagged records, in row order.
     Rows(Vec<Tagged>),
-    /// `(tag, batch)` runs, in row order; every run is non-empty.
-    Cols(Vec<(usize, Batch)>),
+    /// `(tag, chunk)` runs, in row order; every run selects a row.
+    Cols(Vec<(usize, Chunk)>),
 }
 
 impl Default for Partition {
@@ -73,23 +73,24 @@ impl Partition {
     pub fn len(&self) -> usize {
         match self {
             Partition::Rows(rows) => rows.len(),
-            Partition::Cols(runs) => runs.iter().map(|(_, b)| b.len()).sum(),
+            Partition::Cols(runs) => runs.iter().map(|(_, c)| c.rows.len()).sum(),
         }
     }
 
     /// Σ [`Record::byte_size`] over the partition's rows, which for a
-    /// batch is [`Batch::canonical_bytes`].
+    /// run is [`Batch::canonical_bytes_in`] its selection.
     fn byte_size(&self) -> u64 {
+        let run = |(_, c): &(usize, Chunk)| c.batch.canonical_bytes_in(&c.rows);
         match self {
             Partition::Rows(rows) => rows.iter().map(|(_, r)| r.byte_size()).sum(),
-            Partition::Cols(runs) => runs.iter().map(|(_, b)| b.canonical_bytes()).sum(),
+            Partition::Cols(runs) => runs.iter().map(run).sum(),
         }
     }
 
     /// The gather, of a shuffle partition's per-map runs and of a job's
     /// output alike: lists the runs in task order — a columnar map task
     /// hands each reduce partition one run, so a partition holds as many
-    /// runs as the job has map tasks. Batches and records move, never
+    /// runs as the job has map tasks. Chunks and records move, never
     /// clone, and no batch is joined here: an aggregate-only GROUP reads
     /// the runs where they are ([`bags_unobserved`]), every other reduce
     /// task and a job's output file join them once ([`Partition::lay_out`]).
@@ -105,11 +106,17 @@ impl Partition {
             }
             return Partition::Rows(buf);
         }
-        let batches = runs.into_iter().flat_map(|run| match run {
-            Partition::Cols(batches) => batches,
+        let chunks = runs.into_iter().flat_map(|run| match run {
+            Partition::Cols(chunks) => chunks,
             Partition::Rows(_) => Vec::new(),
         });
-        Partition::Cols(batches.collect())
+        Partition::Cols(chunks.collect())
+    }
+
+    /// The partition of `chunk`, tagged — of no run if it selects no row.
+    fn cols(tag: usize, chunk: Chunk) -> Partition {
+        let run = (!chunk.rows.is_empty()).then_some((tag, chunk));
+        Partition::Cols(Vec::from_iter(run))
     }
 
     /// The partition as tagged records; batch runs materialize here.
@@ -117,9 +124,9 @@ impl Partition {
         match self {
             Partition::Rows(rows) => rows,
             Partition::Cols(runs) => {
-                let mut rows = Vec::with_capacity(runs.iter().map(|(_, b)| b.len()).sum());
-                for (tag, b) in runs {
-                    rows.extend(b.to_records().into_iter().map(|r| (tag, r)));
+                let mut rows = Vec::with_capacity(runs.iter().map(|(_, c)| c.rows.len()).sum());
+                for (tag, c) in runs {
+                    c.rows.for_each(|_, row| rows.push((tag, c.batch.row(row))));
                 }
                 rows
             }
@@ -127,20 +134,22 @@ impl Partition {
     }
 
     /// The commission fault on every row, in whichever form it is held:
-    /// [`corrupt_batch`] is [`corrupt_record`] on each row of a run.
+    /// [`corrupt_batch`] is [`corrupt_record`] on each row of a run, and
+    /// copy-on-write: a run's batch is shared (with storage, the map
+    /// task's other partitions, a spot-checker's capture).
     fn corrupt(&mut self) {
         match self {
             Partition::Rows(rows) => rows.iter_mut().for_each(|(_, r)| corrupt_record(r)),
-            Partition::Cols(runs) => runs.iter_mut().for_each(|(_, b)| corrupt_batch(b)),
+            Partition::Cols(runs) => runs.iter_mut().for_each(|(_, c)| *c = c.corrupted()),
         }
     }
 
     /// Lays the partition out as one new batch per side — tag 0 and the
     /// rest when `by_tag` (a join), everything in the first otherwise —
-    /// and leaves it empty. Batch runs are joined with [`Batch::concat`],
-    /// records converted once with [`Batch::from_records`]; the layout is
-    /// the check: a side whose rows disagree on arity has none, and the
-    /// partition stays as it was.
+    /// and leaves it empty. The selected rows of batch runs are joined
+    /// with [`Batch::concat`], records converted once with
+    /// [`Batch::from_records`]; the layout is the check: a side whose rows
+    /// disagree on arity has none, and the partition stays as it was.
     fn lay_out(&mut self, by_tag: bool) -> Option<[Batch; 2]> {
         fn split<T>(items: &[(usize, T)], by_tag: bool) -> [Vec<&T>; 2] {
             let mut sides = [Vec::new(), Vec::new()];
@@ -151,41 +160,50 @@ impl Partition {
         }
         let [left, right] = match &*self {
             Partition::Rows(rows) => split(rows, by_tag).map(|s| Batch::from_rows(&s)),
-            Partition::Cols(runs) => split(runs, by_tag).map(|s| Batch::concat(&s)),
+            Partition::Cols(runs) => split(runs, by_tag)
+                .map(|side| Batch::concat(&side.iter().map(|c| c.run()).collect::<Vec<_>>())),
         };
         let sides = [left?, right?];
         *self = Partition::default();
         Some(sides)
     }
 
-    /// The partition as batches of one arity, to be read where they are,
-    /// leaving it empty: a columnar partition's own runs, moved; a record
-    /// partition laid out as one run, that copy timed into `to_batch`. A
-    /// ragged partition has none and stays as it was.
-    fn take_runs(&mut self, to_batch: &mut u64) -> Option<Vec<Batch>> {
+    /// The partition as runs of one arity, to be read where they are,
+    /// leaving it empty: a columnar partition's own chunks, moved; a
+    /// record partition laid out as one run, that copy timed into
+    /// `to_batch`. A ragged partition has none and stays as it was.
+    fn take_runs(&mut self, to_batch: &mut u64) -> Option<Vec<Chunk>> {
         match self {
-            Partition::Rows(_) => timed(to_batch, || self.lay_out(false)).map(|[all, _]| vec![all]),
+            Partition::Rows(_) => {
+                timed(to_batch, || self.lay_out(false)).map(|[all, _]| vec![Chunk::owned(all)])
+            }
             Partition::Cols(runs) => {
-                let uniform = runs.windows(2).all(|w| w[0].1.arity() == w[1].1.arity());
-                uniform.then(|| std::mem::take(runs).into_iter().map(|(_, b)| b).collect())
+                let arity = |i: usize| runs[i].1.batch.arity();
+                let uniform = (1..runs.len()).all(|i| arity(i) == arity(0));
+                uniform.then(|| std::mem::take(runs).into_iter().map(|(_, c)| c).collect())
             }
         }
     }
 
     /// The partition as a stored file, tags dropped: the gather of a
     /// job's last phase becomes the job's output this way. Batch runs are
-    /// joined into one columnar file (a single run moves whole); records,
-    /// runs that disagree on arity (a UNION of unequal inputs) and a
-    /// partition of no rows, which has no schema to keep, are stored as
-    /// records.
+    /// joined into one columnar file (a single run that selects its whole
+    /// batch becomes the file, shared, and any other single run is copied
+    /// out of its batch); records, runs that disagree on arity (a UNION of
+    /// unequal inputs) and a partition of no rows, which has no schema to
+    /// keep, are stored as records.
     pub fn into_file(mut self) -> FileData {
-        let batch = match &mut self {
+        let chunk = match &mut self {
             Partition::Rows(_) => None,
             Partition::Cols(runs) if runs.len() <= 1 => runs.pop().map(|(_, run)| run),
-            columnar => columnar.lay_out(false).map(|[all, _]| all),
+            columnar => columnar.lay_out(false).map(|[all, _]| Chunk::owned(all)),
         };
         let records = || Vec::from_iter(self.into_tagged().into_iter().map(|(_, r)| r));
-        batch.map_or_else(|| records().into(), FileData::from)
+        match chunk {
+            Some(Chunk { batch, rows }) if rows.len() == batch.len() => batch.into(),
+            Some(Chunk { batch, rows }) => batch.select_rows(&rows).into(),
+            None => records().into(),
+        }
     }
 }
 
@@ -230,13 +248,13 @@ impl TaskInput {
 
     /// The copy kept for the trusted spot-checker, made before the
     /// untrusted task (whose fate may corrupt its view) sees the input.
-    /// A split costs a handle clone; a partition is copied whole — its
-    /// records deep-cloned, or the columns of its runs (one per map task
-    /// that fed it) copied — and charged one `records_cloned` per row in
-    /// either form.
+    /// A split or a columnar partition costs handle (and row id) clones:
+    /// an untrusted task can copy a shared batch, never write to it
+    /// ([`Partition::corrupt`]). A record partition is deep-cloned and
+    /// charged one `records_cloned` per row.
     pub fn capture(&self) -> TaskInput {
-        if let TaskInput::Partition(p) = self {
-            data_plane::count_records_cloned(p.len() as u64);
+        if let TaskInput::Partition(Partition::Rows(rows)) = self {
+            data_plane::count_records_cloned(rows.len() as u64);
         }
         self.clone()
     }
@@ -266,9 +284,9 @@ pub(crate) struct StageWall {
     /// takes a copy: records → [`Batch`] for a record file's split or a
     /// record partition, [`Batch::concat`] of the runs for a columnar
     /// partition, the row arm's row image of a columnar split — and a
-    /// corrupt fate's edit of its input (a columnar split's window,
-    /// materialized once and flipped in place; a partition's rows, flipped
-    /// where they are) on either arm. A faithful columnar task over a
+    /// corrupt fate's edit of its input (the selected rows of a columnar
+    /// split or run copied once, the copy flipped; records flipped where
+    /// they are) on either arm. A faithful columnar task over a
     /// columnar file reads its window in place and spends nothing here,
     /// and neither does an aggregate-only GROUP's reduce task over
     /// columnar runs: nothing is joined.
@@ -284,10 +302,10 @@ pub(crate) struct StageWall {
     /// Canonical encoding and hashing at verification points.
     pub digest: u64,
     /// Routing map output to reduce partitions: hashing each row's
-    /// shuffle key and, on the columnar arm, gathering each partition's
-    /// rows into its one run — the copy of a row out of the split (on the
-    /// row arm the records move). Without a shuffle, handing the stream
-    /// over as the one partition.
+    /// shuffle key and, on the columnar arm, listing each partition's row
+    /// ids — its run is a selection of the batch the rows live in, and no
+    /// row is copied (on the row arm the records move). Without a
+    /// shuffle, handing the stream over as the one partition.
     pub partition: u64,
 }
 
@@ -343,43 +361,38 @@ impl TaskOutput {
 
     /// Commitment digest over the task's output: every record (for a map
     /// task, every `(partition, tag, record)` triple) framed canonically
-    /// into one chunked stream. Computed once when the engine captures a
-    /// sampled task and again by the trusted spot-checker after an honest
-    /// re-run; any divergence between the two localizes via the summary's
-    /// Merkle tree. Finished inline (never pool-fanned) so capture and
-    /// re-check hash the byte-identical stream regardless of which thread
-    /// runs them.
+    /// into one chunked stream ([`Framer`]). Computed once when the engine
+    /// captures a sampled task and again by the trusted spot-checker after
+    /// an honest re-run; any divergence between the two localizes via the
+    /// summary's Merkle tree. Finished inline (never pool-fanned) so
+    /// capture and re-check hash the byte-identical stream regardless of
+    /// which thread runs them.
     pub fn commitment(&self, kind: TaskKind, granularity: usize) -> ChunkedSummary {
         let mut cd = ChunkedDigest::new(granularity);
-        let mut buf = Vec::new();
-        // Frames one row: its route (map output only), then its
-        // canonical encoding as `row` writes it.
-        let mut frame = |partition: usize, tag: usize, row: &dyn Fn(&mut Vec<u8>)| {
-            ChunkedDigest::begin_frame(&mut buf);
-            if kind == TaskKind::Map {
-                buf.extend_from_slice(&(partition as u64).to_be_bytes());
-                buf.extend_from_slice(&(tag as u64).to_be_bytes());
-            }
-            row(&mut buf);
-            ChunkedDigest::seal_frame(&mut buf);
-            cd.append_framed(&buf);
-        };
+        let mut framer = Framer::new(granularity);
+        // A row's route (map output only) goes ahead of its encoding.
+        let routed = if kind == TaskKind::Map { 16 } else { 0 };
         for (p, part) in self.data.iter().enumerate() {
+            let route = |tag: usize| [p as u64, tag as u64].map(u64::to_be_bytes);
             match part {
                 Partition::Rows(rows) => {
                     for (tag, r) in rows {
-                        frame(p, *tag, &|buf| r.write_canonical(buf));
+                        let route = route(*tag);
+                        let row = |buf: &mut _| r.write_canonical(buf);
+                        framer.frame(&mut cd, &route.as_flattened()[..routed], row);
                     }
                 }
                 Partition::Cols(runs) => {
-                    for (tag, b) in runs {
-                        for row in 0..b.len() {
-                            frame(p, *tag, &|buf| b.write_row_canonical(row, buf));
-                        }
+                    for (tag, c) in runs {
+                        let route = route(*tag);
+                        let row = |row| move |buf: &mut _| c.batch.write_row_canonical(row, buf);
+                        let route = &route.as_flattened()[..routed];
+                        c.rows.for_each(|_, r| framer.frame(&mut cd, route, row(r)));
                     }
                 }
             }
         }
+        framer.finish(&mut cd);
         cd.finish()
     }
 }
@@ -409,9 +422,9 @@ pub(crate) fn run_task(
 /// at map-side verification points, and partitions the result for the
 /// shuffle.
 ///
-/// The split is borrowed (`window` of the shared input `file`); a row is
-/// copied only where it must become owned — at the partition boundary,
-/// and only if the pipeline kept it borrowed until then.
+/// The split is read where it is (`window` of the shared input `file`);
+/// the columnar arm hands selections of its batch over, and the row arm
+/// copies a record it kept borrowed at the partition boundary.
 pub(crate) fn run_map_task(
     job: &ExecJob,
     input_index: usize,
@@ -430,8 +443,8 @@ pub(crate) fn run_map_task(
     // ragged: then it stays rows) — and is borrowed from this frame from
     // then on like a window of the file, so the task charges the same
     // whichever form the file is stored in.
-    let (image, converted): (Vec<Record>, Batch);
-    let split = match file.batch() {
+    let (image, converted): (Vec<Record>, Arc<Batch>);
+    let split = match file.shared_batch() {
         Some(batch) if columnar(job) => Split::Cols(batch, window),
         Some(batch) => {
             image = timed(&mut out.stages.to_batch, || {
@@ -446,7 +459,7 @@ pub(crate) fn run_map_task(
             match batch.flatten() {
                 Some(batch) => {
                     count_batch_built(&batch);
-                    converted = batch;
+                    converted = Arc::new(batch);
                     Split::Cols(&converted, 0..converted.len())
                 }
                 None => Split::Rows(records),
@@ -466,11 +479,11 @@ pub(crate) fn run_map_task(
         digest_where(job, here, &stream, &mut out, pool);
     }
 
-    // The output boundary: partitions outlive the split borrow, so rows
-    // still borrowed from (or selected in place in) the split are copied
-    // here — the single unavoidable copy on the map path.
+    // The output boundary: partitions outlive the split borrow, so
+    // records still borrowed from it are copied here — the row arm's one
+    // copy. A columnar stream's partitions share the batch it read.
     let len = stream.len();
-    if !stream.is_owned() {
+    if stream.borrows_records() {
         data_plane::count_records_cloned(len);
     }
     let work = &mut out.work;
@@ -621,25 +634,39 @@ enum Split<'a> {
     Rows(&'a [Record]),
     /// A row range of a columnar file, or of the columnar arm's image of
     /// a record one.
-    Cols(&'a Batch, Range<usize>),
+    Cols(&'a Arc<Batch>, Range<usize>),
 }
 
-/// The columnar arm's stream: a batch — borrowed while its rows are the
-/// split's, owned once a projection, a shuffle kernel or a corrupt fate
-/// produced it — and the rows of it that are live. `FILTER` and `LIMIT`
-/// narrow the selection and copy nothing.
-struct Chunk<'a> {
-    batch: Cow<'a, Batch>,
+/// The columnar arm's stream and a columnar partition's run: a shared
+/// batch (the input file's, or one a task built) and its live rows.
+/// `FILTER`, `LIMIT` and a map task's shuffle narrow or split the
+/// selection and copy nothing; the whole batch stays alive meanwhile.
+#[derive(Clone, Debug)]
+pub(crate) struct Chunk {
+    batch: Arc<Batch>,
     rows: Selection,
 }
 
-impl Chunk<'_> {
-    /// Every row of a batch the task built.
-    fn owned(batch: Batch) -> Chunk<'static> {
+impl Chunk {
+    /// Every row of a batch the task built, shared from here on.
+    fn owned(batch: Batch) -> Chunk {
         Chunk {
             rows: Selection::Range(0..batch.len()),
-            batch: Cow::Owned(batch),
+            batch: Arc::new(batch),
         }
+    }
+
+    /// The batch and its live rows, as the kernels read a run.
+    fn run(&self) -> (&Batch, &Selection) {
+        (&self.batch, &self.rows)
+    }
+
+    /// The commission fault, copy-on-write: the live rows copied out of
+    /// the shared batch, and the copy flipped in place.
+    fn corrupted(&self) -> Chunk {
+        let mut copy = self.batch.select_rows(&self.rows);
+        corrupt_batch(&mut copy);
+        Chunk::owned(copy)
     }
 }
 
@@ -721,12 +748,12 @@ enum Stream<'a> {
     /// Vectorized execution over a selection: a split is read in place,
     /// its whole window selected, and a shuffle kernel's output is the
     /// batch it built.
-    Cols(Chunk<'a>),
+    Cols(Chunk),
 }
 
 impl<'a> Stream<'a> {
     /// Opens a map task's split and charges the bytes it reads. The
-    /// columnar arm borrows the split's batch and copies nothing: the
+    /// columnar arm shares the split's batch and copies nothing: the
     /// stream is the window, selected. Under a commission fault the node
     /// processes a corrupted view of the split — its window copied once
     /// and flipped in place, after `bytes_in` is charged for the true data
@@ -735,21 +762,16 @@ impl<'a> Stream<'a> {
         let corrupt = fate == TaskFate::Corrupt;
         match split {
             Split::Cols(batch, window) => {
-                out.work.bytes_in = batch.canonical_bytes_in(window.clone());
-                let rows = Selection::Range(window);
+                let mut chunk = Chunk {
+                    batch: Arc::clone(batch),
+                    rows: Selection::Range(window),
+                };
+                out.work.bytes_in = batch.canonical_bytes_in(&chunk.rows);
                 if corrupt {
-                    let owned = timed(&mut out.stages.to_batch, || {
-                        let mut owned = batch.select_rows(&rows);
-                        corrupt_batch(&mut owned);
-                        owned
-                    });
-                    count_batch_built(&owned);
-                    return Stream::Cols(Chunk::owned(owned));
+                    chunk = timed(&mut out.stages.to_batch, || chunk.corrupted());
+                    count_batch_built(&chunk.batch);
                 }
-                Stream::Cols(Chunk {
-                    batch: Cow::Borrowed(batch),
-                    rows,
-                })
+                Stream::Cols(chunk)
             }
             Split::Rows(records) => {
                 out.work.bytes_in = records.iter().map(Record::byte_size).sum();
@@ -811,7 +833,7 @@ impl<'a> Stream<'a> {
                 Some(&Operator::Group { key }) => match &fused {
                     Some(plan) => incoming.take_runs(to_batch).map(|runs| {
                         data_plane::count_groups_unordered(1);
-                        let runs: Vec<&Batch> = runs.iter().collect();
+                        let runs: Vec<_> = runs.iter().map(Chunk::run).collect();
                         timed(shuffle_kernel, || group_aggregate(&runs, plan))
                     }),
                     None => sides(false)
@@ -888,13 +910,10 @@ impl<'a> Stream<'a> {
         }
     }
 
-    /// False while the rows are still the borrowed input split's:
+    /// True while the rows are records borrowed from the input split:
     /// handing them over at the output boundary is then a clone.
-    fn is_owned(&self) -> bool {
-        match self {
-            Stream::Rows(s) => matches!(s, RecordStream::Owned(_)),
-            Stream::Cols(chunk) => matches!(chunk.batch, Cow::Owned(_)),
-        }
+    fn borrows_records(&self) -> bool {
+        matches!(self, Stream::Rows(s) if !matches!(s, RecordStream::Owned(_)))
     }
 
     /// Applies one per-record operator. `LOAD`, `UNION` and `STORE`
@@ -928,30 +947,23 @@ impl<'a> Stream<'a> {
 
     /// Routes a map task's output to `n` reduce partitions by shuffle
     /// key. Each arm hands its rows over in its own form: owned records,
-    /// or one gathered batch per partition.
+    /// or one selection of the stream's batch per partition.
     fn partition(self, key: ShuffleKey, tag: usize, n: usize) -> Vec<Partition> {
         match self {
             Stream::Rows(s) => partition_records(key, tag, s.into_owned(), n),
-            Stream::Cols(chunk) => partition_chunk(key, tag, &chunk, n),
+            Stream::Cols(chunk) => partition_chunk(key, tag, chunk, n),
         }
     }
 
     /// The whole stream as one partition: a reduce or collector task's
-    /// output, or a map task's when the job has no shuffle. A batch the
-    /// task built moves whole; rows still selected are copied out.
+    /// output, or a map task's when the job has no shuffle. A chunk moves
+    /// whole, its rows where they are.
     fn into_partition(self, tag: usize) -> Partition {
         match self {
             Stream::Rows(s) => {
                 Partition::Rows(s.into_owned().into_iter().map(|r| (tag, r)).collect())
             }
-            Stream::Cols(Chunk { batch, rows }) => {
-                let run = match batch {
-                    _ if rows.is_empty() => None,
-                    Cow::Owned(built) if rows.len() == built.len() => Some(built),
-                    batch => Some(batch.select_rows(&rows)),
-                };
-                Partition::Cols(Vec::from_iter(run.map(|run| (tag, run))))
-            }
+            Stream::Cols(chunk) => Partition::cols(tag, chunk),
         }
     }
 
@@ -1017,7 +1029,7 @@ fn apply_op<'a>(op: &Operator, records: RecordStream<'a>) -> RecordStream<'a> {
 /// Vectorized kernel of [`Stream::apply`]: a filter narrows the
 /// selection, a projection evaluates over it into a batch of its own, a
 /// limit cuts it.
-fn apply_op_selected<'a>(op: &Operator, mut chunk: Chunk<'a>) -> Chunk<'a> {
+fn apply_op_selected(op: &Operator, mut chunk: Chunk) -> Chunk {
     match op {
         Operator::Load { .. } | Operator::Union | Operator::Store { .. } => {}
         Operator::Filter { predicate } => {
@@ -1098,32 +1110,37 @@ fn partition_records(
     parts.into_iter().map(Partition::Rows).collect()
 }
 
-/// Vectorized kernel of [`Stream::partition`], and the one place the
-/// columnar arm copies a row: the bucket of every live row is hashed
-/// straight out of the batch's columns, and each partition's rows are
-/// gathered into its one run — no record is built, nothing is copied
-/// twice.
-fn partition_chunk(key: ShuffleKey, tag: usize, chunk: &Chunk<'_>, n: usize) -> Vec<Partition> {
-    let Chunk { batch, rows } = chunk;
+/// Vectorized kernel of [`Stream::partition`]: the bucket of every live
+/// row is hashed straight out of the batch's columns, the rows of each
+/// bucket counted, and each partition's run is the list of its row ids,
+/// sized exactly — a selection of the one batch they all share. No row is
+/// copied; with one partition the chunk moves whole.
+fn partition_chunk(key: ShuffleKey, tag: usize, chunk: Chunk, n: usize) -> Vec<Partition> {
     let buckets = match key {
-        ShuffleKey::Field(k) => shuffle_buckets(batch, rows, k, n),
+        _ if n == 1 => return vec![Partition::cols(tag, chunk)],
+        ShuffleKey::Field(k) => shuffle_buckets(&chunk.batch, &chunk.rows, k, n),
         ShuffleKey::Row => {
             let mut buf = Vec::new();
-            rows.map(|_, row| {
+            chunk.rows.map(|_, row| {
                 buf.clear();
-                batch.write_row_canonical(row, &mut buf);
+                chunk.batch.write_row_canonical(row, &mut buf);
                 bucket(&buf, n)
             })
         }
-        ShuffleKey::Single => vec![0; rows.len()],
+        ShuffleKey::Single => vec![0; chunk.rows.len()],
     };
-    let mut picks = vec![Vec::new(); n];
-    rows.for_each(|i, row| picks[buckets[i]].push(row));
-    let run = |picks: Vec<usize>| {
-        let run = (!picks.is_empty()).then(|| (tag, batch.gather(&picks)));
-        Partition::Cols(Vec::from_iter(run))
+    let mut sizes = vec![0; n];
+    buckets.iter().for_each(|&b| sizes[b] += 1);
+    let mut picks: Vec<Vec<usize>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    chunk.rows.for_each(|i, row| picks[buckets[i]].push(row));
+    let run = |rows: Vec<usize>| Chunk {
+        batch: Arc::clone(&chunk.batch),
+        rows: Selection::Rows(rows),
     };
-    picks.into_iter().map(run).collect()
+    picks
+        .into_iter()
+        .map(|rows| Partition::cols(tag, run(rows)))
+        .collect()
 }
 
 /// Row kernel of [`Stream::digest`]: each record is canonically encoded
@@ -1144,28 +1161,60 @@ fn frame_rows<'r>(records: impl Iterator<Item = &'r Record>, cd: &mut ChunkedDig
     payload_bytes
 }
 
-/// Vectorized kernel of [`Stream::digest`]: frames the live rows into
-/// one reused buffer per hasher update — a run ends where a digest chunk
-/// or the stream does (byte-identical digests). Returns the payload bytes
-/// framed.
-fn frame_chunk(chunk: &Chunk<'_>, granularity: usize, cd: &mut ChunkedDigest) -> u64 {
-    let mut run = Vec::new();
-    let (mut framed, mut payload, mut payload_bytes) = (0usize, 0u64, 0u64);
-    chunk.rows.for_each(|i, row| {
-        let start = run.len();
-        run.extend_from_slice(&[0u8; 8]);
-        chunk.batch.write_row_canonical(row, &mut run);
-        let len = (run.len() - start - 8) as u64;
-        run[start..start + 8].copy_from_slice(&len.to_be_bytes());
-        (framed, payload) = (framed + 1, payload + len);
-        if framed == granularity || i + 1 == chunk.rows.len() {
-            cd.append_run(&run, framed, payload);
-            payload_bytes += payload;
-            run.clear();
-            (framed, payload) = (0, 0);
+/// Vectorized kernel of [`Stream::digest`]: frames the live rows a run
+/// at a time ([`Framer`]). Returns the payload bytes framed.
+fn frame_chunk(chunk: &Chunk, granularity: usize, cd: &mut ChunkedDigest) -> u64 {
+    let mut framer = Framer::new(granularity);
+    let row = |row| move |buf: &mut _| chunk.batch.write_row_canonical(row, buf);
+    chunk.rows.for_each(|_, r| framer.frame(cd, &[], row(r)));
+    framer.finish(cd)
+}
+
+/// Rows framed into one reused buffer and handed to the hasher a run at a
+/// time: a run ends where a digest chunk does, or at [`Framer::finish`] —
+/// so the digest is byte-identical to one
+/// [`ChunkedDigest::append_framed`] per row, and whole blocks take the
+/// SHA-256 multi-block fast path.
+#[derive(Default)]
+struct Framer {
+    granularity: usize,
+    run: Vec<u8>,
+    /// Rows and payload bytes in `run`, and payload bytes handed over.
+    framed: (usize, u64),
+    hashed: u64,
+}
+
+impl Framer {
+    fn new(granularity: usize) -> Framer {
+        Framer {
+            granularity,
+            ..Framer::default()
         }
-    });
-    payload_bytes
+    }
+
+    /// Frames one row: `route`, then the payload `row` appends.
+    fn frame(&mut self, cd: &mut ChunkedDigest, route: &[u8], row: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.run.len();
+        self.run.extend_from_slice(&[0u8; 8]);
+        self.run.extend_from_slice(route);
+        row(&mut self.run);
+        let len = (self.run.len() - start - 8) as u64;
+        self.run[start..start + 8].copy_from_slice(&len.to_be_bytes());
+        self.framed = (self.framed.0 + 1, self.framed.1 + len);
+        if self.framed.0 == self.granularity {
+            self.finish(cd);
+        }
+    }
+
+    /// Hands the pending run over; returns the payload bytes framed.
+    fn finish(&mut self, cd: &mut ChunkedDigest) -> u64 {
+        if let (rows @ 1.., payload) = std::mem::take(&mut self.framed) {
+            cd.append_run(&self.run, rows, payload);
+            self.hashed += payload;
+            self.run.clear();
+        }
+        self.hashed
+    }
 }
 
 /// Finalizes a chunked digest, fanning the Merkle levels over the
@@ -2264,17 +2313,17 @@ mod tests {
             let input: Vec<Record> = (0..40i64)
                 .map(|i| Record::new(vec![keys(i), Value::Int(i)]))
                 .collect();
-            let runs: Vec<(usize, Batch)> = input
+            let runs: Vec<(usize, Chunk)> = input
                 .chunks(9)
-                .map(|run| (0, Batch::from_records(run).unwrap()))
+                .map(|run| (0, Chunk::owned(Batch::from_records(run).unwrap())))
                 .collect();
             let mut joined =
-                Batch::concat(&runs.iter().map(|(_, b)| b).collect::<Vec<_>>()).unwrap();
+                Batch::concat(&runs.iter().map(|(_, c)| c.run()).collect::<Vec<_>>()).unwrap();
             corrupt_batch(&mut joined);
             let corrupt = run_reduce_task(&job, Partition::Cols(runs), TaskFate::Corrupt, &pool);
             let over_corrupted = run_reduce_task(
                 &job,
-                Partition::Cols(vec![(0, joined)]),
+                Partition::Cols(vec![(0, Chunk::owned(joined))]),
                 TaskFate::Faithful,
                 &pool,
             );
@@ -2366,6 +2415,118 @@ mod tests {
             // this process count too), none on the row plane's account.
             let fused = data_plane::snapshot().groups_unordered - fused_before;
             assert!(batch_records == 0 || fused >= 8, "{fused}");
+        }
+    }
+
+    /// Two partitions of one map task select rows of one shared batch —
+    /// the input file's. The spot-checker's capture of one is a handle
+    /// clone: its runs share the batch, and no row is copied or charged.
+    /// A corrupt reduce task over the input it is handed copies what it
+    /// flips, so the shared batch is left as it was, and re-running the
+    /// capture faithfully commits what a faithful task over the same rows
+    /// commits — for a task that folds its runs in place and for one that
+    /// lays them out.
+    #[test]
+    fn a_captured_partition_shares_its_batch_and_stays_isolated() {
+        let rows: Vec<Record> = follower_partition().into_iter().map(|(_, r)| r).collect();
+        let file = FileData::from(Batch::from_records(&rows).unwrap());
+        let shared = file.shared_batch().expect("a columnar file");
+        let before = Batch::clone(shared);
+        let pool = ComputePool::default();
+        let stored = "raw = LOAD 'twitter' AS (user, follower);
+             grp = GROUP raw BY user;
+             STORE grp INTO 'groups';";
+        for src in [FOLLOWER, stored] {
+            let job = exec_job(src, vec![]);
+            let mapped = run_map_task(&job, 0, &file, 0..file.len(), TaskFate::Faithful, &pool);
+            assert_eq!(parts(&mapped).len(), 2);
+            let runs = |part: &Partition| match part {
+                Partition::Cols(runs) => runs.iter().map(|(_, c)| Arc::clone(&c.batch)).collect(),
+                Partition::Rows(_) => Vec::new(),
+            };
+            for part in parts(&mapped) {
+                let batches: Vec<Arc<Batch>> = runs(part);
+                assert!(!batches.is_empty(), "{src}");
+                assert!(batches.iter().all(|b| Arc::ptr_eq(b, shared)), "{src}");
+            }
+            let partition = || Partition::concat(vec![parts(&mapped)[0].clone()]);
+            let mut input = TaskInput::Partition(partition());
+            let cloned = data_plane::thread_records_cloned();
+            let captured = input.capture();
+            assert_eq!(data_plane::thread_records_cloned(), cloned, "{src}");
+            let TaskInput::Partition(kept) = &captured else {
+                panic!("a partition captures as a partition")
+            };
+            assert!(runs(kept).iter().all(|b| Arc::ptr_eq(b, shared)), "{src}");
+
+            let corrupt = run_task(&job, input.take(), TaskFate::Corrupt, &pool);
+            assert_eq!(**shared, before, "{src}: the fault copied what it flipped");
+            let faithful = run_reduce_task(&job, partition(), TaskFate::Faithful, &pool);
+            let rerun = run_task(&job, captured, TaskFate::Faithful, &pool);
+            for granularity in [1, 2, usize::MAX] {
+                let commit = |out: &TaskOutput| out.commitment(TaskKind::Reduce, granularity);
+                assert_eq!(commit(&rerun), commit(&faithful), "{src}");
+                assert_ne!(commit(&corrupt), commit(&faithful), "{src}");
+            }
+        }
+    }
+
+    /// The commitment hashes runs of frames, one hasher update per run:
+    /// over partitions of record rows and of batch runs — several runs to
+    /// a partition, windows and row lists of one shared batch, partitions
+    /// with no run — its summary is the one a frame per `(route, row)`
+    /// through `append_framed` builds, for both task kinds, at chunk
+    /// granularities that cut runs short, fall on their ends or never cut.
+    #[test]
+    fn commitments_frame_runs_byte_identical_to_one_frame_per_row() {
+        let rows: Vec<Record> = (0..300i64)
+            .map(|i| {
+                let key = if i % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 13)
+                };
+                Record::new(vec![key, Value::str(["", "a", "bc"][(i % 3) as usize])])
+            })
+            .collect();
+        let batch = Arc::new(Batch::from_records(&rows).unwrap());
+        let chunk = |rows: Selection| Chunk {
+            batch: Arc::clone(&batch),
+            rows,
+        };
+        let mut out = TaskOutput::new(0);
+        out.data = vec![
+            Partition::Cols(vec![
+                (0, chunk(Selection::Range(3..90))),
+                (1, chunk(Selection::Rows((90..300).step_by(3).collect()))),
+            ]),
+            Partition::Cols(Vec::new()),
+            Partition::Rows(rows[..40].iter().cloned().map(|r| (1, r)).collect()),
+            Partition::Cols(vec![(0, chunk(Selection::Rows(vec![0, 1, 299])))]),
+        ];
+        let tagged: Vec<(usize, Tagged)> = out
+            .data
+            .iter()
+            .enumerate()
+            .flat_map(|(p, part)| part.clone().into_tagged().into_iter().map(move |t| (p, t)))
+            .collect();
+        for kind in [TaskKind::Map, TaskKind::Reduce] {
+            for granularity in [1usize, 2, 7, 256, usize::MAX] {
+                let mut cd = ChunkedDigest::new(granularity);
+                let mut buf = Vec::new();
+                for (p, (tag, row)) in &tagged {
+                    ChunkedDigest::begin_frame(&mut buf);
+                    if kind == TaskKind::Map {
+                        buf.extend_from_slice(&(*p as u64).to_be_bytes());
+                        buf.extend_from_slice(&(*tag as u64).to_be_bytes());
+                    }
+                    row.write_canonical(&mut buf);
+                    ChunkedDigest::seal_frame(&mut buf);
+                    cd.append_framed(&buf);
+                }
+                let ctx = format!("{kind} task, granularity {granularity}");
+                assert_eq!(out.commitment(kind, granularity), cd.finish(), "{ctx}");
+            }
         }
     }
 

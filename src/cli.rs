@@ -170,7 +170,7 @@ OPTIONS:
     --fault N:KIND[:P]   inject a fault on node N (N < --nodes); KIND =
                          commission | omission (with probability P in
                          [0, 1], default 1.0) | crash
-    --combiners          enable map-side combiners
+    --combiners          enable map-side combiners (sequential path only)
     --optimize           run the logical-plan optimizer first
     --threads N          run replicas on N worker threads (0 = one per
                          replica), streaming digests into the verifier as
@@ -192,7 +192,8 @@ OPTIONS:
                                       on any mismatch or suspicion
                                                         [default: replicate]
     --sample-rate R      fraction of tasks spot-checked in the sample and
-                         hybrid tiers, in [0, 1]        [default: 0.1]
+                         hybrid tiers (needs --verify-mode sample|hybrid),
+                         in [0, 1]                      [default: 0.1]
     --dot                print the plan in Graphviz dot and exit
     --show N             rows of each output to print   [default: 10]
     --trace FILE         record a Chrome-trace-format JSON trace of the run
@@ -354,6 +355,20 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
             "--verify-mode {} needs the parallel executor; add --threads N",
             opts.verify_mode.name()
         )));
+    }
+    // Flags the chosen path would not read are refused, not ignored: the
+    // parallel executor runs no combiner, and only a sampling tier
+    // samples.
+    if opts.combiners && opts.threads.is_some() {
+        return Err(UsageError(
+            "--combiners runs on the sequential path only; drop --threads or --combiners"
+                .to_owned(),
+        ));
+    }
+    if opts.sample_rate.is_some() && opts.verify_mode == VerifyMode::Replicate {
+        return Err(UsageError(
+            "--sample-rate needs --verify-mode sample|hybrid (and --threads N)".to_owned(),
+        ));
     }
     // On the sequential path `--fault N` names a node of the one shared
     // cluster, which must exist (with `--threads` it names a replica, and
@@ -1127,6 +1142,59 @@ mod tests {
         assert_eq!(opts.faults[1], (7, Behavior::Crashed));
         assert!(opts.combiners);
         assert_eq!(opts.show_rows, 5);
+    }
+
+    /// `--combiners` is read on the sequential path alone: with
+    /// `--threads` the run would ignore it, so the pair is refused.
+    #[test]
+    fn combiners_with_threads_is_a_usage_error() {
+        assert!(parse(&["s.pig", "--combiners"]).unwrap().combiners);
+        for threads in ["0", "2"] {
+            let err = parse(&["s.pig", "--combiners", "--threads", threads]).unwrap_err();
+            assert!(
+                err.0.contains("--combiners") && err.0.contains("--threads"),
+                "{err}"
+            );
+        }
+        let err = parse(&["s.pig", "--threads", "2", "--combiners"]).unwrap_err();
+        assert!(err.0.contains("--combiners"), "{err}");
+    }
+
+    /// `--sample-rate` is read by the sampling tiers alone: under the
+    /// replicate tier, named or by default, it is refused.
+    #[test]
+    fn sample_rate_outside_a_sampling_tier_is_a_usage_error() {
+        for args in [
+            &["s.pig", "--sample-rate", "0.5"][..],
+            &["s.pig", "--threads", "2", "--sample-rate", "0.5"],
+            &[
+                "s.pig",
+                "--threads",
+                "2",
+                "--verify-mode",
+                "replicate",
+                "--sample-rate",
+                "0.5",
+            ],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(
+                err.0.contains("--sample-rate") && err.0.contains("--verify-mode"),
+                "{err}"
+            );
+        }
+        for mode in ["sample", "hybrid"] {
+            let args = [
+                "s.pig",
+                "--sample-rate",
+                "0.5",
+                "--threads",
+                "2",
+                "--verify-mode",
+                mode,
+            ];
+            assert_eq!(parse(&args).unwrap().sample_rate, Some(0.5));
+        }
     }
 
     #[test]

@@ -860,6 +860,15 @@ fn for_every_layout_pair(
     }
 }
 
+/// Every row of each batch: the selections that make whole batches the
+/// runs the run-reading kernels (`Batch::concat`, `group_aggregate`) take.
+fn every_row(batches: &[Batch]) -> Vec<Selection> {
+    batches
+        .iter()
+        .map(|b| Selection::Range(0..b.len()))
+        .collect()
+}
+
 /// `group_batch` materializes to exactly `group_records` and encodes to
 /// the same canonical bytes without materializing.
 fn assert_group_batch_is_group_records(batch: &Batch, rows: &[Record], key: usize, ctx: &str) {
@@ -968,7 +977,8 @@ proptest! {
             let rows = batch.to_records();
             let run = |w: &[usize]| Batch::from_records(&rows[w[0]..w[1]]).expect("uniform arity");
             let runs: Vec<Batch> = cuts.windows(2).map(run).collect();
-            let runs: Vec<&Batch> = runs.iter().collect();
+            let all = every_row(&runs);
+            let runs: Vec<(&Batch, &Selection)> = runs.iter().zip(&all).collect();
             let joined = Batch::concat(&runs).expect("one arity");
             assert_eq!(joined.to_records(), rows, "{ctx}: the runs hold the rows");
             for key in 0..=batch.arity() {
@@ -1028,7 +1038,8 @@ fn group_aggregate_matches_the_bag_pipeline_at_the_integer_edges() {
             .chunks(run_rows)
             .map(|run| Batch::from_records(run).expect("uniform arity"))
             .collect();
-        let runs: Vec<&Batch> = runs.iter().collect();
+        let all = every_row(&runs);
+        let runs: Vec<(&Batch, &Selection)> = runs.iter().zip(&all).collect();
         let joined = Batch::concat(&runs).expect("one arity");
         let expected = project_batch(&group_batch(&joined, 0), &generates);
         assert!(
@@ -1176,7 +1187,8 @@ proptest! {
             let bytes: u64 = rows.iter().map(Record::byte_size).sum();
             prop_assert_eq!(b.canonical_bytes(), bytes);
         }
-        let joined = Batch::concat(&batches.iter().collect::<Vec<_>>()).expect("one arity");
+        let whole = every_row(&batches);
+        let joined = Batch::concat(&batches.iter().zip(&whole).collect::<Vec<_>>()).expect("one arity");
         let whole = Batch::from_records(&all).expect("uniform arity");
         prop_assert_eq!(joined.len(), all.len());
         prop_assert_eq!(&joined.to_records(), &all);
@@ -1199,7 +1211,8 @@ proptest! {
                 Batch::from_records(&[]).expect("empty"),
                 Batch::from_records(&[wider]).expect("one row"),
             ];
-            prop_assert!(Batch::concat(&ragged.iter().collect::<Vec<_>>()).is_none());
+            let whole = every_row(&ragged);
+            prop_assert!(Batch::concat(&ragged.iter().zip(&whole).collect::<Vec<_>>()).is_none());
         }
     }
 
@@ -1438,7 +1451,16 @@ proptest! {
     /// `project_batch` of the gathered rows; the range form of
     /// `canonical_bytes` is the copy's;
     /// and `shuffle_buckets` is `fnv1a` of the key's canonical encoding
-    /// modulo `n`, for every key column and one past the arity.
+    /// modulo `n`, for every key column and one past the arity. The
+    /// kernels that read a shuffle partition's runs where they are read
+    /// what copies of them hold: a window or the rows a filter kept, split
+    /// into 1, 3 and 4 buckets by key (so runs that select nothing, runs
+    /// of null keys alone and runs with none), and the unsplit selection
+    /// as one more run — `canonical_bytes_in` each run is the copy's
+    /// `canonical_bytes`, and `Batch::concat` and `group_aggregate` (an
+    /// all-algebraic generate list, keyed by the first two columns and one
+    /// past the arity) over the runs are, layouts included, the same
+    /// kernels over the runs' copies.
     #[test]
     fn selection_kernels_match_the_dense_kernels_over_a_copy(
         n in 2usize..20,
@@ -1447,6 +1469,10 @@ proptest! {
         cuts in (0usize..21, 0usize..21),
     ) {
         let exprs = every_expr_shape();
+        let agg = |func, field| Expr::Agg { func, bag_col: 1, field };
+        let mut generates = vec![Expr::Col(0), agg(AggFunc::Count, None)];
+        // Each aggregate over another field; field 4 is past every arity.
+        generates.extend(AGG_FUNCS.iter().zip([0, 1, 2, 3, 4]).map(|(&f, x)| agg(f, Some(x))));
         for_every_layout_pair(n, duplicates, seed, |batch, ctx| {
             let all_rows = batch.to_records();
             let (a, b) = (cuts.0 % (n + 1), cuts.1 % (n + 1));
@@ -1455,7 +1481,7 @@ proptest! {
                 let live = Selection::Range(window.clone());
                 let copy = Batch::from_records(&all_rows[window.clone()]).expect("uniform arity");
                 assert_eq!(
-                    batch.canonical_bytes_in(window.clone()),
+                    batch.canonical_bytes_in(&live),
                     copy.canonical_bytes(),
                     "{ctx}"
                 );
@@ -1501,8 +1527,57 @@ proptest! {
                         }
                     }
                 }
+                let kept = exprs.iter().step_by(7).map(|e| Selection::Rows(select(batch, &live, e)));
+                for rows in [live.clone()].into_iter().chain(kept) {
+                    assert_runs_read_in_place_match_copies(batch, &rows, &generates, &ctx);
+                }
             }
         });
+    }
+}
+
+/// One check of `selection_kernels_match_the_dense_kernels_over_a_copy`:
+/// `rows` of `batch` split into buckets by each key, read in place and
+/// through copies (`gather` of each bucket's row ids, `select_rows` of the
+/// unsplit selection).
+fn assert_runs_read_in_place_match_copies(
+    batch: &Batch,
+    rows: &Selection,
+    generates: &[Expr],
+    ctx: &str,
+) {
+    for key in (0..=batch.arity()).filter(|&k| k < 2 || k == batch.arity()) {
+        let plan = Combiner::for_group_projection(key, generates).expect("all algebraic");
+        for parts in [1usize, 3, 4] {
+            let buckets = shuffle_buckets(batch, rows, key, parts);
+            let mut ids = vec![Vec::new(); parts];
+            rows.for_each(|i, row| ids[buckets[i]].push(row));
+            let mut copies: Vec<Batch> = ids.iter().map(|ids| batch.gather(ids)).collect();
+            copies.push(batch.select_rows(rows));
+            let mut runs: Vec<Selection> = ids.into_iter().map(Selection::Rows).collect();
+            runs.push(rows.clone());
+            let ctx = format!("{ctx}, rows {rows:?}, key {key}, {parts} buckets");
+            for (run, copy) in runs.iter().zip(&copies) {
+                assert_eq!(
+                    batch.canonical_bytes_in(run),
+                    copy.canonical_bytes(),
+                    "{ctx}"
+                );
+            }
+            let whole = every_row(&copies);
+            let dense: Vec<(&Batch, &Selection)> = copies.iter().zip(&whole).collect();
+            let in_place: Vec<(&Batch, &Selection)> = runs.iter().map(|run| (batch, run)).collect();
+            assert_eq!(
+                Batch::concat(&in_place),
+                Batch::concat(&dense),
+                "{ctx}: concat"
+            );
+            assert_eq!(
+                group_aggregate(&in_place, &plan),
+                group_aggregate(&dense, &plan),
+                "{ctx}: group_aggregate"
+            );
+        }
     }
 }
 
