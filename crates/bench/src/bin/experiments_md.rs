@@ -180,14 +180,22 @@ fn commentary(id: &str) -> &'static str {
                               real run."
         }
         "flight_overhead" => {
-            "Observability cost check for the always-on flight recorder: \
-                              every CLI and cbftd run carries the recorder (its \
-                              fixed-memory rings are the forensic context when an \
-                              anomaly fires), so a real pipeline is priced with a \
-                              fully disabled tracer vs the recorder attached and the \
-                              binary asserts the always-on overhead stays under 2%. \
-                              The micro row prices one ring push — the recorder's \
-                              marginal cost per event the engine emits."
+            "Observability cost check for the flight recorder, which \
+                              cbft and cbftd attach when --flight-dir is set (its \
+                              rings, bounded by capacity × live pid tracks, are the \
+                              forensic context a bundle is written from; without the \
+                              flag the tracer is disabled, and the \
+                              cbft_flight_events_total / cbft_flight_evicted_total \
+                              counters are exported only with it). A real 30k-record \
+                              pipeline is priced with a fully disabled tracer vs the \
+                              recorder attached, and the binary asserts that overhead \
+                              stays under 2%. The server-drain rows, recorded but not \
+                              asserted, price the regime one large job hides: many \
+                              small jobs through a JobServer, where every job's \
+                              heartbeats are recorded and every job leaves four pid \
+                              tracks in the recorder until the drain ends. The micro \
+                              row prices one ring push — the recorder's marginal cost \
+                              per event the engine emits."
         }
         "chaos_campaign" => {
             "Campaign gate: a thousand seeded scenarios drive the real \

@@ -1,12 +1,18 @@
-//! Always-on cost of the flight recorder.
+//! Cost of the flight recorder.
 //!
-//! The flight recorder is attached to **every** CLI and `cbftd` run —
-//! its fixed-memory rings are the forensic context when an anomaly
-//! fires — so its price is paid even when no trace flag is set. This
-//! harness pins that price: a real `ParallelExecutor` pipeline runs
-//! twice, once with a fully disabled tracer (no events constructed at
-//! all) and once with the always-on recorder attached, and the run
-//! **asserts** the recorder costs less than 2% of wall time.
+//! The flight recorder is attached under `--flight-dir` — its rings are
+//! the forensic context a bundle is written from — and nowhere else:
+//! without it `cbft` and `cbftd` run a disabled tracer (or only the sink
+//! `--trace` asks for). This harness prices what turning it on costs. A
+//! real `ParallelExecutor` pipeline runs twice, once with a fully
+//! disabled tracer (no events constructed at all) and once with the
+//! recorder attached, and the run **asserts** the recorder costs less
+//! than 2% of wall time on that one 30k-record job.
+//!
+//! A server row, recorded but not asserted, prices the regime one large
+//! job hides: many small jobs drained through a `JobServer`, where every
+//! job's heartbeats and task spans are recorded and every job leaves its
+//! own pid tracks in the recorder.
 //!
 //! A micro row prices one ring push (event construction excluded), the
 //! recorder's marginal cost per event the engine emits.
@@ -18,6 +24,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cbft_bench::{pig_like_cost, ExperimentRecord};
+use cbft_server::{JobServer, JobSpec, ServerConfig};
 use cbft_trace::{FlightRecorder, TraceEvent, TraceSink, Tracer};
 use cbft_workloads::twitter;
 use clusterbft::{Adversary, ExecutorConfig, ParallelExecutor, VpPolicy};
@@ -26,8 +33,14 @@ use clusterbft::{Adversary, ExecutorConfig, ParallelExecutor, VpPolicy};
 const PASSES: usize = 5;
 /// Ring pushes for the micro row.
 const PUSHES: u64 = 2_000_000;
-/// Always-on overhead ceiling, percent.
+/// Recorder overhead ceiling on the pipeline row, percent.
 const MAX_OVERHEAD_PCT: f64 = 2.0;
+/// Jobs per server drain.
+const DRAIN_JOBS: u64 = 60;
+/// Input records per server job.
+const DRAIN_RECORDS: usize = 3_000;
+/// Execution slots of the drained server.
+const DRAIN_SLOTS: usize = 2;
 
 /// Wall seconds of one full parallel run with the given tracer.
 fn pipeline_run(tracer: Tracer) -> f64 {
@@ -52,6 +65,49 @@ fn pipeline_run(tracer: Tracer) -> f64 {
     let outcome = exec.run_script(workload.script).expect("run verifies");
     let wall = start.elapsed().as_secs_f64();
     assert!(outcome.verified());
+    wall
+}
+
+/// The server drain's jobs: small follower analyses, one seed each.
+fn drain_jobs() -> Vec<JobSpec> {
+    (1..=DRAIN_JOBS)
+        .map(|seed| {
+            let workload = twitter::follower_analysis(seed, DRAIN_RECORDS);
+            JobSpec::new("bench", workload.script)
+                .input(workload.input_name, workload.records)
+                .exec(ExecutorConfig {
+                    threads: 2,
+                    compute_threads: 1,
+                    expected_failures: 1,
+                    escalation: vec![2],
+                    vp_policy: VpPolicy::Marked(2),
+                    master_seed: seed,
+                    nodes: 8,
+                    slots_per_node: 3,
+                    ..ExecutorConfig::default()
+                })
+        })
+        .collect()
+}
+
+/// Wall seconds to drain `jobs` through a fresh server with `tracer`.
+fn drain_run(jobs: &[JobSpec], tracer: Tracer) -> f64 {
+    let server = JobServer::start(ServerConfig {
+        slots: DRAIN_SLOTS,
+        queue_depth: jobs.len(),
+        tracer,
+        ..ServerConfig::default()
+    });
+    let start = Instant::now();
+    let handles: Vec<_> = jobs
+        .iter()
+        .map(|job| server.submit(job.clone()).expect_admitted())
+        .collect();
+    for handle in handles {
+        assert!(handle.wait().verified());
+    }
+    let wall = start.elapsed().as_secs_f64();
+    server.shutdown();
     wall
 }
 
@@ -87,28 +143,62 @@ fn main() {
         ))));
     }
     let overhead_pct = (flight / base - 1.0) * 100.0;
+
+    let jobs = drain_jobs();
+    black_box(drain_run(&jobs, Tracer::disabled()));
+    let mut drain_base = f64::INFINITY;
+    let mut drain_flight = f64::INFINITY;
+    let mut tracks = 0;
+    for _ in 0..PASSES {
+        drain_base = drain_base.min(drain_run(&jobs, Tracer::disabled()));
+        let rec = Arc::new(FlightRecorder::with_default_capacity());
+        drain_flight = drain_flight.min(drain_run(&jobs, Tracer::new(rec.clone())));
+        tracks = rec.tracks();
+    }
+    let drain_overhead_pct = (drain_flight / drain_base - 1.0) * 100.0;
     let push_ns = push_cost();
 
     let mut rec = ExperimentRecord::new(
         "flight_overhead",
-        "Always-on cost of the flight recorder vs a disabled tracer",
+        "Cost of the flight recorder (attached under --flight-dir) vs a disabled tracer",
         &format!(
             "pipeline: follower_analysis 30k records, 2 replicas, best of \
-             {PASSES} passes per variant; micro: {PUSHES} ring pushes. The \
-             always-on overhead is asserted <{MAX_OVERHEAD_PCT}%."
+             {PASSES} passes per variant, recorder overhead asserted \
+             <{MAX_OVERHEAD_PCT}%; server drain: {DRAIN_JOBS} jobs x \
+             {DRAIN_RECORDS} records through a JobServer on {DRAIN_SLOTS} \
+             slots, best of {PASSES} passes per variant, recorded, not \
+             asserted; micro: {PUSHES} ring pushes."
         ),
     );
     rec.set_flag("cpu_bound", true);
     rec.push("pipeline run, tracer disabled", "s", None, base);
     rec.push("pipeline run, flight recorder", "s", None, flight);
-    rec.push("always-on overhead", "%", None, overhead_pct);
+    rec.push("pipeline recorder overhead", "%", None, overhead_pct);
+    rec.push("server drain, tracer disabled", "s", None, drain_base);
+    rec.push("server drain, flight recorder", "s", None, drain_flight);
+    rec.push(
+        "server drain recorder overhead",
+        "%",
+        None,
+        drain_overhead_pct,
+    );
+    rec.push(
+        "pid tracks held after the drain",
+        "tracks",
+        None,
+        tracks as f64,
+    );
     rec.push("ring push cost", "ns/event", None, push_ns);
     rec.finish();
 
+    println!(
+        "   server drain recorder overhead {drain_overhead_pct:.1}% \
+         ({tracks} pid tracks held; recorded, not asserted)"
+    );
     assert!(
         overhead_pct < MAX_OVERHEAD_PCT,
-        "always-on flight-recorder overhead {overhead_pct:.3}% breaches \
+        "pipeline flight-recorder overhead {overhead_pct:.3}% breaches \
          the {MAX_OVERHEAD_PCT}% budget"
     );
-    println!("   always-on overhead {overhead_pct:.3}% < {MAX_OVERHEAD_PCT}% budget: OK");
+    println!("   pipeline recorder overhead {overhead_pct:.3}% < {MAX_OVERHEAD_PCT}% budget: OK");
 }

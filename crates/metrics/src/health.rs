@@ -142,10 +142,12 @@ pub mod names {
 
     // --- flight recorder (cbft-trace / clusterbft-repro) ----------------
 
-    /// Counter: trace events captured by the always-on flight recorder
-    /// (wall domain — event arrival order is host-scheduling dependent).
+    /// Counter: trace events captured by the flight recorder (wall
+    /// domain — event arrival order is host-scheduling dependent).
+    /// Exported only when the recorder runs, i.e. under `--flight-dir`.
     pub const FLIGHT_EVENTS: &str = "cbft_flight_events_total";
-    /// Counter: events evicted from full flight-recorder rings.
+    /// Counter: events evicted from full flight-recorder rings. Exported
+    /// only under `--flight-dir`, like [`FLIGHT_EVENTS`].
     pub const FLIGHT_EVICTED: &str = "cbft_flight_evicted_total";
     /// Counter, labels `{kind}`: anomalies detected by the flight
     /// recorder's detector (mismatch, escalation, withheld, ...).

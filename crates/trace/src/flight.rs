@@ -1,14 +1,17 @@
-//! Always-on flight recorder: a fixed-memory, sharded ring of the most
+//! Flight recorder: a sharded set of per-track rings holding the most
 //! recent trace events.
 //!
-//! Full `--trace` capture is opt-in because it buffers every event for
-//! the whole run. The [`FlightRecorder`] is the complementary always-on
-//! tier: it keeps only the last [`FlightRecorder::capacity`] events *per
-//! pid track* in pre-sized rings, so memory is bounded no matter how
-//! long the run and the cost per event is a shard lock plus a ring slot
-//! write — cheap enough to leave attached on every run. When an anomaly
-//! fires (digest mismatch, escalation, withheld output, lost worker,
-//! rejection burst) the rings are drained into a forensic bundle.
+//! Full `--trace` capture buffers every event for the whole run. The
+//! [`FlightRecorder`] is the bounded tier beside it: it keeps only the
+//! last [`FlightRecorder::capacity`] events *per pid track* in pre-sized
+//! rings, so memory is bounded by `capacity × live pid tracks` however
+//! long a track runs, and the cost per event is a shard lock plus a ring
+//! slot write. The CLI and `cbftd` attach it under `--flight-dir`: when
+//! an anomaly fires (digest mismatch, escalation, withheld output, lost
+//! worker, rejection burst) the rings are drained into a forensic bundle.
+//! A track's ring lives until the next drain, so a process that opens
+//! new tracks without draining (`cbftd` gives every job its own pid
+//! band) grows by one set of rings per track opened.
 //!
 //! Determinism: rings are sharded by the event's `pid` track, not by OS
 //! thread. Each replica pid's events are emitted in deterministic sim
@@ -103,7 +106,7 @@ impl EventRing {
 /// low for realistic replica counts while the array stays tiny.
 const SHARDS: usize = 16;
 
-/// The always-on flight recorder sink.
+/// The flight recorder sink.
 ///
 /// Events are routed to a per-pid [`EventRing`] held inside one of
 /// [`SHARDS`] mutex-protected shards, so concurrent workers emitting on

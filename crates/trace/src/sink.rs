@@ -71,9 +71,9 @@ impl TraceSink for MemorySink {
     }
 }
 
-/// Fans one event stream out to several sinks (e.g. the always-on
-/// [`FlightRecorder`](crate::FlightRecorder) plus a full-capture
-/// [`MemorySink`] when `--trace` is on). Each downstream sink stamps its
+/// Fans one event stream out to several sinks (e.g. the
+/// [`FlightRecorder`](crate::FlightRecorder) of `--flight-dir` plus a
+/// full-capture [`MemorySink`] when `--trace` is on). Each downstream sink stamps its
 /// own wall clock, as usual.
 pub struct FanoutSink {
     sinks: Vec<Arc<dyn TraceSink>>,

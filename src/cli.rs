@@ -25,7 +25,8 @@ use crate::metrics::{
     Metrics, Snapshot,
 };
 use crate::trace::{
-    chrome_trace_json, FanoutSink, FlightRecorder, MemorySink, TraceSink, TraceSummary, Tracer,
+    chrome_trace_json, FanoutSink, FlightRecorder, MemorySink, TraceEvent, TraceSink, TraceSummary,
+    Tracer,
 };
 
 /// Parsed command-line options for one `cbft` invocation.
@@ -98,10 +99,11 @@ pub struct CliOptions {
     /// Append the per-replica fault-forensics health report to the
     /// run report.
     pub health_report: bool,
-    /// Directory receiving forensic bundles when the always-on flight
-    /// recorder detects an anomaly (mismatch, escalation, withheld
-    /// output, ...). `None` still detects and reports anomalies, but
-    /// writes nothing.
+    /// Directory receiving a forensic bundle when the run trips the
+    /// anomaly detector (mismatch, escalation, withheld output, ...).
+    /// Setting it attaches the flight recorder the bundle's event log is
+    /// drained from. `None` still detects and reports anomalies, but
+    /// records no event and writes nothing.
     pub flight_dir: Option<String>,
 }
 
@@ -211,12 +213,15 @@ OPTIONS:
                          digest mismatch/omission counters, suspicion band
                          trajectories, verification lag quantiles and
                          escalation round costs
-    --flight-dir DIR     write a self-contained forensic bundle under DIR
-                         when the always-on flight recorder detects an
-                         anomaly (digest mismatch, escalation, withheld
-                         output, spot-check mismatch, suspicion crossing):
-                         canonical ring events, sim metrics, health report,
-                         script+input copies and a one-shot repro command
+    --flight-dir DIR     attach the flight recorder (the last 256 events per
+                         track) and write a self-contained forensic bundle
+                         under DIR when the run trips the anomaly detector
+                         (digest mismatch, escalation, withheld output,
+                         spot-check mismatch, suspicion crossing): canonical
+                         ring events, sim metrics, health report,
+                         script+input copies and a one-shot repro command.
+                         Without it anomalies are still reported, and no
+                         event is recorded
 
 ENVIRONMENT:
     CBFT_SEED            simulation seed used when --seed is absent; the
@@ -683,6 +688,7 @@ pub(crate) struct ReportFlags<'a> {
     pub metrics: Option<&'a str>,
     pub metrics_json: Option<&'a str>,
     pub health_report: bool,
+    pub flight_dir: Option<&'a str>,
 }
 
 impl CliOptions {
@@ -693,6 +699,7 @@ impl CliOptions {
             metrics: self.metrics.as_deref(),
             metrics_json: self.metrics_json.as_deref(),
             health_report: self.health_report,
+            flight_dir: self.flight_dir.as_deref(),
         }
     }
 }
@@ -703,34 +710,41 @@ pub(crate) struct Observability<'a> {
     flags: ReportFlags<'a>,
     pub tracer: Tracer,
     sink: Option<Arc<MemorySink>>,
-    pub flight_rec: Arc<FlightRecorder>,
+    flight_rec: Option<Arc<FlightRecorder>>,
     pub metrics: Metrics,
     dp_before: DataPlaneSnapshot,
 }
 
 impl<'a> Observability<'a> {
-    /// Builds the handles for one run. The flight recorder is **always**
-    /// attached — its fixed-memory rings are the forensic context when an
-    /// anomaly fires — so the tracer is never disabled; a full-capture
-    /// [`MemorySink`] is teed in when either trace flag asks for it. The
-    /// metrics hub is a live registry when a metrics flag is set or the
-    /// caller has another consumer (`also_live`: a `--flight-dir`, whose
-    /// bundles embed a snapshot, or the daemon's snapshot series), the
-    /// zero-cost disabled handle otherwise.
+    /// Builds the handles for one run. The flight recorder is attached
+    /// only under `--flight-dir`, the one place its rings are read (they
+    /// are the forensic context of a bundle); a full-capture
+    /// [`MemorySink`] is attached when either trace flag asks for it.
+    /// With neither, the tracer is disabled and instrumented code builds
+    /// no event. The metrics hub is a live registry when a metrics flag
+    /// or `--flight-dir` (whose bundles embed a snapshot) is set, or the
+    /// caller has another consumer (`also_live`: the daemon's snapshot
+    /// series), the zero-cost disabled handle otherwise.
     pub fn start(flags: ReportFlags<'a>, also_live: bool) -> Self {
-        let flight_rec = Arc::new(FlightRecorder::with_default_capacity());
+        let flight_rec = flags
+            .flight_dir
+            .is_some()
+            .then(|| Arc::new(FlightRecorder::with_default_capacity()));
         let sink =
             (flags.trace.is_some() || flags.trace_summary).then(|| Arc::new(MemorySink::new()));
-        let tracer = match &sink {
-            Some(sink) => {
-                let tee: Vec<Arc<dyn TraceSink>> = vec![flight_rec.clone(), sink.clone()];
+        let tracer = match (&flight_rec, &sink) {
+            (Some(rec), Some(sink)) => {
+                let tee: Vec<Arc<dyn TraceSink>> = vec![rec.clone(), sink.clone()];
                 Tracer::new(Arc::new(FanoutSink::new(tee)))
             }
-            None => Tracer::new(flight_rec.clone()),
+            (Some(rec), None) => Tracer::new(rec.clone()),
+            (None, Some(sink)) => Tracer::new(sink.clone()),
+            (None, None) => Tracer::disabled(),
         };
         let live = flags.metrics.is_some()
             || flags.metrics_json.is_some()
             || flags.health_report
+            || flags.flight_dir.is_some()
             || also_live;
         Observability {
             flags,
@@ -746,12 +760,22 @@ impl<'a> Observability<'a> {
         }
     }
 
+    /// Drains the flight recorder's rings (see
+    /// [`FlightRecorder::drain`]); empty without `--flight-dir`.
+    pub fn drain_flight(&self) -> Vec<TraceEvent> {
+        self.flight_rec
+            .as_ref()
+            .map_or_else(Vec::new, |rec| rec.drain())
+    }
+
     /// Flight accounting: what the recorder's rings captured and
-    /// evicted. Lands in the wall domain (capture order is host
-    /// scheduling), like the two counters below.
+    /// evicted, when there is a recorder. Lands in the wall domain
+    /// (capture order is host scheduling), like the two counters below.
     pub fn count_flight_rings(&self) {
+        let Some(rec) = &self.flight_rec else {
+            return;
+        };
         if self.metrics.enabled() {
-            let rec = &self.flight_rec;
             self.metrics.add(
                 Domain::Wall,
                 metric_names::FLIGHT_EVENTS,
@@ -883,7 +907,7 @@ pub fn run(opts: &CliOptions) -> Result<String, Box<dyn Error>> {
         }
     }
 
-    let obs = Observability::start(opts.report_flags(), opts.flight_dir.is_some());
+    let obs = Observability::start(opts.report_flags(), false);
     let mut out = String::new();
     let mut output_lines = Vec::new();
     let anomalies = if opts.threads.is_some() {
@@ -913,7 +937,7 @@ pub fn run(opts: &CliOptions) -> Result<String, Box<dyn Error>> {
                 script: &source,
                 inputs: &raw_inputs,
                 seed: opts.seed,
-                events: &obs.flight_rec.drain(),
+                events: &obs.drain_flight(),
                 snapshot: snapshot.as_ref(),
                 repro: flight::repro_command(opts),
                 context: vec![
@@ -1796,6 +1820,69 @@ mod tests {
         assert!(opts.health_report);
         assert!(parse(&["s.pig", "--metrics"]).is_err());
         assert!(parse(&["s.pig", "--metrics-json"]).is_err());
+    }
+
+    /// One canonical event on replica track 0, emitted through `obs`.
+    fn emit_one(obs: &Observability<'_>) {
+        obs.tracer
+            .emit(crate::trace::TraceEvent::instant("probe", "test").on(0, 0));
+    }
+
+    #[test]
+    fn no_flight_or_trace_flag_means_no_recorder_and_a_disabled_tracer() {
+        let opts = parse(&["s.pig", "--metrics", "m.prom", "--health-report"]).unwrap();
+        let obs = Observability::start(opts.report_flags(), false);
+        assert!(obs.flight_rec.is_none());
+        assert!(obs.sink.is_none());
+        assert!(!obs.tracer.enabled());
+        emit_one(&obs);
+        assert!(obs.drain_flight().is_empty());
+        // Without a recorder its ring counters are not exported.
+        obs.count_flight_rings();
+        let prom = prometheus_text(&obs.metrics.snapshot());
+        assert!(!prom.contains(metric_names::FLIGHT_EVENTS), "{prom}");
+        assert!(!prom.contains(metric_names::FLIGHT_EVICTED), "{prom}");
+    }
+
+    #[test]
+    fn flight_dir_attaches_the_recorder_and_a_live_metrics_hub() {
+        let opts = parse(&["s.pig", "--flight-dir", "flights"]).unwrap();
+        let obs = Observability::start(opts.report_flags(), false);
+        assert!(obs.flight_rec.is_some());
+        assert!(obs.sink.is_none());
+        assert!(obs.tracer.enabled());
+        assert!(obs.metrics.enabled());
+        emit_one(&obs);
+        obs.count_flight_rings();
+        let prom = prometheus_text(&obs.metrics.snapshot());
+        assert!(prom.contains(metric_names::FLIGHT_EVENTS), "{prom}");
+        assert_eq!(obs.drain_flight().len(), 1);
+    }
+
+    #[test]
+    fn trace_alone_feeds_only_its_sink() {
+        for flag in [&["--trace", "t.json"][..], &["--trace-summary"][..]] {
+            let args: Vec<&str> = std::iter::once("s.pig")
+                .chain(flag.iter().copied())
+                .collect();
+            let opts = parse(&args).unwrap();
+            let obs = Observability::start(opts.report_flags(), false);
+            assert!(obs.flight_rec.is_none(), "{flag:?}");
+            assert!(obs.tracer.enabled(), "{flag:?}");
+            assert!(!obs.metrics.enabled(), "{flag:?}");
+            emit_one(&obs);
+            assert!(obs.drain_flight().is_empty(), "{flag:?}");
+            assert_eq!(obs.sink.as_ref().map(|s| s.len()), Some(1), "{flag:?}");
+        }
+    }
+
+    #[test]
+    fn flight_dir_and_trace_both_see_every_event() {
+        let opts = parse(&["s.pig", "--flight-dir", "flights", "--trace-summary"]).unwrap();
+        let obs = Observability::start(opts.report_flags(), false);
+        emit_one(&obs);
+        assert_eq!(obs.sink.as_ref().map(|s| s.len()), Some(1));
+        assert_eq!(obs.drain_flight().len(), 1);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Anomaly detection and forensic bundles for the always-on flight
-//! recorder.
+//! Anomaly detection and forensic bundles for the flight recorder.
 //!
 //! The recorder itself ([`crate::trace::FlightRecorder`]) lives in
 //! `cbft-trace`; this module is the policy layer that sits above it in
@@ -8,7 +7,9 @@
 //! divergence localization, escalation, spot-check mismatches, withheld
 //! outputs, lost workers, suspicion-band crossings, admission rejection
 //! bursts — and, when any fire, writes a self-contained **forensic
-//! bundle** under `--flight-dir`.
+//! bundle** under `--flight-dir`. Detection runs on every run; the
+//! recorder, whose rings a bundle is written from, is attached only
+//! under `--flight-dir`.
 //!
 //! Bundle layout (one directory per anomalous run):
 //!

@@ -18,7 +18,7 @@
 //!
 //! `fault:` tokens inject per-job replica faults (same specs as the
 //! single-run CLI's `--fault`), so chaos jobs ride through the server
-//! like healthy ones — and trip the flight recorder's anomaly detector.
+//! like healthy ones — and trip the anomaly detector.
 
 use std::error::Error;
 use std::fmt::Write as _;
@@ -167,9 +167,11 @@ OPTIONS:
                          rows, bytes, columnar or rows, wall ms), its
                          outputs: line what the jobs published (outputs,
                          rows, plane; cbftd renders no row)
-    --flight-dir DIR     write per-job forensic bundles under DIR when a
-                         job trips the anomaly detector (mismatch,
-                         escalation, withheld output, lost worker, ...)
+    --flight-dir DIR     attach the flight recorder and write per-job
+                         forensic bundles under DIR when a job trips the
+                         anomaly detector (mismatch, escalation, withheld
+                         output, lost worker, ...); the recorder keeps four
+                         event rings per job served until the drain ends
     --snapshot-series FILE  append wall-clock metrics snapshots to FILE as
                          JSONL while the server runs (plus one final line)
     --snapshot-interval SECS  seconds between appends       [default: 1]
@@ -552,11 +554,9 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
         metrics: opts.metrics.as_deref(),
         metrics_json: opts.metrics_json.as_deref(),
         health_report: opts.health_report,
+        flight_dir: opts.flight_dir.as_deref(),
     };
-    let obs = Observability::start(
-        flags,
-        opts.flight_dir.is_some() || opts.snapshot_series.is_some(),
-    );
+    let obs = Observability::start(flags, opts.snapshot_series.is_some());
 
     let server = JobServer::start(ServerConfig {
         slots: opts.slots,
@@ -734,7 +734,7 @@ fn finish_flight(
     obs.count_flight_rings();
     // One drain serves every bundle: each job's events carry the `job`
     // arg its scoped sink stamped.
-    let drained = obs.flight_rec.drain();
+    let drained = obs.drain_flight();
     let mut anomaly_lines: Vec<String> = Vec::new();
     let mut bundle_lines: Vec<String> = Vec::new();
 
@@ -1189,6 +1189,87 @@ mod tests {
             report.contains(" rows, columnar, render 0.0 ms\n"),
             "{report}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A result line with its wall-clock fields cut off.
+    fn verdict(line: &str) -> &str {
+        line.split(" queue_ms=").next().unwrap_or(line)
+    }
+
+    #[test]
+    fn flight_dir_alone_bundles_the_faulty_jobs_events_and_only_it_records() {
+        let dir = std::env::temp_dir().join(format!("cbftd_flight_only_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let script = dir.join("s.pig");
+        std::fs::write(
+            &script,
+            "a = LOAD 'edges' AS (u, f);
+             g = GROUP a BY u;
+             c = FOREACH g GENERATE group, COUNT(a) AS n;
+             STORE c INTO 'counts';",
+        )
+        .unwrap();
+        let data = dir.join("edges.csv");
+        let rows: Vec<String> = (0..60).map(|i| format!("{},{}", i % 5, i)).collect();
+        std::fs::write(&data, rows.join("\n")).unwrap();
+        let jobs = dir.join("jobs.txt");
+        let (s, d) = (script.display(), data.display());
+        std::fs::write(
+            &jobs,
+            format!(
+                "acme 1 {s} edges={d}\n\
+                 beta 2 {s} edges={d}\n\
+                 evil 3 {s} edges={d} fault:0:commission\n\
+                 acme 4 {s} edges={d}\n"
+            ),
+        )
+        .unwrap();
+        let flights = dir.join("flights");
+        let with = run_daemon(
+            &parse(&[
+                jobs.to_str().unwrap(),
+                "--flight-dir",
+                flights.to_str().unwrap(),
+            ])
+            .unwrap(),
+        )
+        .unwrap();
+        let without = run_daemon(&parse(&[jobs.to_str().unwrap()]).unwrap()).unwrap();
+
+        // The same verdicts either way; only --flight-dir writes a bundle.
+        let verdicts = |report: &str| -> Vec<String> {
+            report
+                .lines()
+                .filter(|l| l.starts_with("job "))
+                .map(|l| verdict(l).to_owned())
+                .collect()
+        };
+        assert_eq!(verdicts(&with), verdicts(&without));
+        assert_eq!(with.matches(" VERIFIED").count(), 4, "{with}");
+        assert!(with.contains("forensic bundle:"), "{with}");
+        assert!(without.contains("anomalies detected:"), "{without}");
+        assert!(!without.contains("forensic bundle:"), "{without}");
+
+        // One bundle, the faulty job's, and its event log holds that
+        // job's events and no other job's.
+        let evil = with
+            .lines()
+            .find(|l| l.contains(" tenant=evil "))
+            .and_then(|l| l.split_whitespace().nth(1))
+            .expect("a result line for the faulty job");
+        let bundles: Vec<_> = std::fs::read_dir(&flights)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(bundles.len(), 1, "{bundles:?}");
+        let name = bundles[0].file_name().unwrap().to_str().unwrap().to_owned();
+        assert!(name.starts_with(&format!("job{evil}-evil-")), "{name}");
+        let log = std::fs::read_to_string(bundles[0].join("sim/events.log")).unwrap();
+        assert!(!log.is_empty());
+        let tag = format!(" job={evil}");
+        assert!(log.lines().all(|l| l.contains(&tag)), "{log}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
