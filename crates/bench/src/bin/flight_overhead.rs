@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use cbft_bench::{pig_like_cost, ExperimentRecord};
 use cbft_server::{JobServer, JobSpec, ServerConfig};
-use cbft_trace::{FlightRecorder, TraceEvent, TraceSink, Tracer};
+use cbft_trace::{FlightRecorder, Obs, TraceEvent, TraceSink, Tracer};
 use cbft_workloads::twitter;
 use clusterbft::{Adversary, ExecutorConfig, ParallelExecutor, VpPolicy};
 
@@ -45,20 +45,25 @@ const DRAIN_SLOTS: usize = 2;
 /// Wall seconds of one full parallel run with the given tracer.
 fn pipeline_run(tracer: Tracer) -> f64 {
     let workload = twitter::follower_analysis(3, 30_000);
-    let mut exec = ParallelExecutor::new(ExecutorConfig {
-        threads: 2,
-        expected_failures: 1,
-        escalation: vec![2],
-        vp_policy: VpPolicy::Marked(1),
-        adversary: Adversary::Weak,
-        map_split_records: 5_000,
-        nodes: 8,
-        slots_per_node: 3,
-        master_seed: 5,
-        cost: pig_like_cost(),
-        ..ExecutorConfig::default()
-    });
-    exec.set_tracer(tracer);
+    let mut exec = ParallelExecutor::observed(
+        ExecutorConfig {
+            threads: 2,
+            expected_failures: 1,
+            escalation: vec![2],
+            vp_policy: VpPolicy::Marked(1),
+            adversary: Adversary::Weak,
+            map_split_records: 5_000,
+            nodes: 8,
+            slots_per_node: 3,
+            master_seed: 5,
+            cost: pig_like_cost(),
+            ..ExecutorConfig::default()
+        },
+        Obs {
+            tracer,
+            ..Obs::disabled()
+        },
+    );
     exec.load_input(workload.input_name, workload.records.clone())
         .expect("fresh storage");
     let start = Instant::now();
@@ -95,7 +100,10 @@ fn drain_run(jobs: &[JobSpec], tracer: Tracer) -> f64 {
     let server = JobServer::start(ServerConfig {
         slots: DRAIN_SLOTS,
         queue_depth: jobs.len(),
-        tracer,
+        obs: Obs {
+            tracer,
+            ..Obs::disabled()
+        },
         ..ServerConfig::default()
     });
     let start = Instant::now();

@@ -20,8 +20,9 @@ use std::time::Instant;
 
 use cbft_bench::{pig_like_cost, ExperimentRecord};
 use cbft_metrics::{names, Domain, Metrics};
+use cbft_trace::Tracer;
 use cbft_workloads::twitter;
-use clusterbft::{Adversary, ExecutorConfig, ParallelExecutor, VpPolicy};
+use clusterbft::{Adversary, ExecutorConfig, Obs, ParallelExecutor, VpPolicy};
 
 /// Iterations of the synthetic task loop per pass.
 const ITERS: u64 = 2_000_000;
@@ -91,20 +92,29 @@ fn measure(mut pass: impl FnMut() -> u64) -> f64 {
 /// Wall seconds of one full parallel run with the given handle.
 fn pipeline_run(metrics: &Metrics) -> f64 {
     let workload = twitter::follower_analysis(3, 30_000);
-    let mut exec = ParallelExecutor::new(ExecutorConfig {
-        threads: 2,
-        expected_failures: 1,
-        escalation: vec![2],
-        vp_policy: VpPolicy::Marked(1),
-        adversary: Adversary::Weak,
-        map_split_records: 5_000,
-        nodes: 8,
-        slots_per_node: 3,
-        master_seed: 5,
-        cost: pig_like_cost(),
-        ..ExecutorConfig::default()
-    });
-    exec.set_metrics(metrics.clone());
+    let mut exec = ParallelExecutor::observed(
+        ExecutorConfig {
+            threads: 2,
+            expected_failures: 1,
+            escalation: vec![2],
+            vp_policy: VpPolicy::Marked(1),
+            adversary: Adversary::Weak,
+            map_split_records: 5_000,
+            nodes: 8,
+            slots_per_node: 3,
+            master_seed: 5,
+            cost: pig_like_cost(),
+            ..ExecutorConfig::default()
+        },
+        // Both fields spelled out: with `..Obs::disabled()` the dropped
+        // temporary hub changes how this binary is optimised, and
+        // `pass_metered`'s loop stops being split on the disabled
+        // handle, so the disabled path pays the label stores.
+        Obs {
+            tracer: Tracer::disabled(),
+            metrics: metrics.clone(),
+        },
+    );
     exec.load_input(workload.input_name, workload.records.clone())
         .expect("fresh storage");
     let start = Instant::now();

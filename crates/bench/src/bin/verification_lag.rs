@@ -17,28 +17,33 @@ use std::sync::Arc;
 
 use cbft_bench::{pig_like_cost, ExperimentRecord};
 use cbft_mapreduce::Behavior;
-use cbft_trace::{canonicalize, MemorySink, TraceEvent, TraceSummary, Tracer};
+use cbft_trace::{canonicalize, MemorySink, Obs, TraceEvent, TraceSummary, Tracer};
 use cbft_workloads::twitter;
 use clusterbft::{Adversary, ExecutorConfig, ParallelExecutor, VpPolicy};
 
 /// One traced run: returns the raw trace events.
 fn traced_run(threads: usize, records: Vec<cbft_dataflow::Record>) -> Vec<TraceEvent> {
     let workload = twitter::follower_analysis(3, 20_000);
-    let mut exec = ParallelExecutor::new(ExecutorConfig {
-        threads,
-        expected_failures: 1,
-        escalation: vec![2, 3, 4],
-        vp_policy: VpPolicy::Marked(1),
-        adversary: Adversary::Strong,
-        map_split_records: 5_000,
-        nodes: 8,
-        slots_per_node: 3,
-        master_seed: 11,
-        cost: pig_like_cost(),
-        ..ExecutorConfig::default()
-    });
     let (tracer, sink): (Tracer, Arc<MemorySink>) = Tracer::memory();
-    exec.set_tracer(tracer);
+    let mut exec = ParallelExecutor::observed(
+        ExecutorConfig {
+            threads,
+            expected_failures: 1,
+            escalation: vec![2, 3, 4],
+            vp_policy: VpPolicy::Marked(1),
+            adversary: Adversary::Strong,
+            map_split_records: 5_000,
+            nodes: 8,
+            slots_per_node: 3,
+            master_seed: 11,
+            cost: pig_like_cost(),
+            ..ExecutorConfig::default()
+        },
+        Obs {
+            tracer,
+            ..Obs::disabled()
+        },
+    );
     exec.load_input(workload.input_name, records)
         .expect("fresh input");
     // Replica 0 always corrupts: its reports never join a quorum, so the

@@ -14,7 +14,7 @@ use cbft_dataflow::interp::interpret;
 use cbft_dataflow::Script;
 use cbft_mapreduce::ComputePool;
 use cbft_metrics::{names, HealthReport, Histogram, Metrics, SampleValue, Snapshot};
-use clusterbft::{Behavior, ExecutorConfig, ParallelExecutor, ParallelOutcome, VpPolicy};
+use clusterbft::{Behavior, ExecutorConfig, Obs, ParallelExecutor, ParallelOutcome, VpPolicy};
 use serde::Serialize;
 
 use crate::report::CampaignReport;
@@ -239,18 +239,24 @@ pub mod oracle {
 
 /// Executes the scenario once at the given pool size.
 fn execute(scenario: &Scenario, compute_threads: usize, metrics: &Metrics) -> ParallelOutcome {
-    let mut exec = ParallelExecutor::new(ExecutorConfig {
-        threads: 1,
-        compute_threads,
-        expected_failures: oracle::F,
-        escalation: scenario.escalation.clone(),
-        vp_policy: VpPolicy::Marked(scenario.points),
-        digest_granularity: scenario.granularity,
-        map_split_records: scenario.map_split_records,
-        master_seed: scenario.seed,
-        ..ExecutorConfig::default()
-    });
-    exec.set_metrics(metrics.clone());
+    let obs = Obs {
+        metrics: metrics.clone(),
+        ..Obs::disabled()
+    };
+    let mut exec = ParallelExecutor::observed(
+        ExecutorConfig {
+            threads: 1,
+            compute_threads,
+            expected_failures: oracle::F,
+            escalation: scenario.escalation.clone(),
+            vp_policy: VpPolicy::Marked(scenario.points),
+            digest_granularity: scenario.granularity,
+            map_split_records: scenario.map_split_records,
+            master_seed: scenario.seed,
+            ..ExecutorConfig::default()
+        },
+        obs,
+    );
     exec.load_input("in", scenario.input())
         .expect("scenario input loads");
     for &(uid, behavior) in &scenario.faults {

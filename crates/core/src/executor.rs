@@ -44,9 +44,9 @@ use cbft_mapreduce::{
     default_compute_threads, Behavior, Cluster, ComputePool, EngineEvent, FileData, JobOutcome,
     RunHandle, SamplePlan, SpotCheck, SpotCheckRecord, Ticket, VpSite,
 };
-use cbft_metrics::{names as metric_names, Domain, Metrics};
+use cbft_metrics::{names as metric_names, Domain};
 use cbft_sim::{CostModel, SeedSpawner};
-use cbft_trace::{TraceEvent, Tracer, COORDINATOR_PID};
+use cbft_trace::{Obs, TraceEvent, Tracer, COORDINATOR_PID};
 use crossbeam::channel::Sender;
 use serde::{Deserialize, Serialize};
 
@@ -487,8 +487,7 @@ pub struct ParallelExecutor {
     /// replica cluster is seeded with handles to the same allocations.
     inputs: BTreeMap<String, FileData>,
     faults: BTreeMap<usize, Behavior>,
-    tracer: Tracer,
-    metrics: Metrics,
+    obs: Obs,
     /// An externally owned compute pool (e.g. the job server's, shared
     /// across concurrent jobs). `None` builds a private pool per run
     /// from [`ExecutorConfig::compute_threads`].
@@ -496,14 +495,23 @@ pub struct ParallelExecutor {
 }
 
 impl ParallelExecutor {
-    /// Creates an executor with the given configuration.
+    /// Creates an executor with the given configuration and no
+    /// observability ([`Obs::disabled`]).
     pub fn new(config: ExecutorConfig) -> Self {
+        Self::observed(config, Obs::disabled())
+    }
+
+    /// Creates an executor that records into `obs`. Each replica's
+    /// engine gets a clone with its globally unique uid as track and
+    /// `replica` label; coordinator and verifier events use reserved
+    /// tracks, and their series (per-round replica counts and verdicts,
+    /// lag histograms, per-replica forensics) go to the same hub.
+    pub fn observed(config: ExecutorConfig, obs: Obs) -> Self {
         ParallelExecutor {
             config,
             inputs: BTreeMap::new(),
             faults: BTreeMap::new(),
-            tracer: Tracer::disabled(),
-            metrics: Metrics::disabled(),
+            obs,
             shared_pool: None,
         }
     }
@@ -519,20 +527,11 @@ impl ParallelExecutor {
         self.shared_pool = Some(pool);
     }
 
-    /// Attaches a trace sink. Each replica's engine events land on a
-    /// track labelled by its globally unique uid; coordinator and
-    /// verifier events use reserved tracks. Disabled by default.
+    // Kept only for `examples/perf`, which attaches its tracer after
+    // construction; ROADMAP item 2(b) deletes it.
+    #[doc(hidden)]
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Attaches a metrics hub. Replica engines record task latency,
-    /// shuffle bytes and heartbeats labeled by uid; the coordinator
-    /// records per-round replica counts and verdicts; the verifier
-    /// contributes lag histograms and per-replica forensics. Disabled
-    /// by default.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
+        self.obs.tracer = tracer;
     }
 
     /// The active configuration.
@@ -626,7 +625,7 @@ impl ParallelExecutor {
         // the same cores. Under a job server the pool is shared wider
         // still — across every concurrently executing job.
         let pool = self.shared_pool.clone().unwrap_or_else(|| {
-            ComputePool::with_metrics(self.config.compute_threads, self.metrics.clone())
+            ComputePool::with_metrics(self.config.compute_threads, self.obs.metrics.clone())
         });
 
         let prep = Prepared {
@@ -671,15 +670,15 @@ impl ParallelExecutor {
         // coincide unless the node had prior clean checks.
         let mut suspicion = SuspicionTable::new();
         for check in &checks {
-            suspicion.record_jobs_metered([check.node], &self.metrics);
+            suspicion.record_jobs_metered([check.node], &self.obs.metrics);
             reexec.records_reexecuted += check.records_reexecuted;
             if check.confirmed {
                 reexec.confirmed += 1;
                 continue;
             }
             reexec.mismatched += 1;
-            suspicion.record_faults_metered([check.node], &self.metrics);
-            if self.tracer.enabled() {
+            suspicion.record_faults_metered([check.node], &self.obs.metrics);
+            if self.obs.tracer.enabled() {
                 let mut ev = TraceEvent::instant("spot_check_mismatch", "executor")
                     .on(COORDINATOR_PID, 0)
                     .arg("sid", check.sid.clone())
@@ -690,16 +689,20 @@ impl ParallelExecutor {
                         .arg("first_record", range.first_record)
                         .arg("last_record", range.last_record);
                 }
-                self.tracer.emit(ev);
+                self.obs.tracer.emit(ev);
             }
-            if let Some(range) = check.divergence.as_ref().filter(|_| self.metrics.enabled()) {
+            if let Some(range) = check
+                .divergence
+                .as_ref()
+                .filter(|_| self.obs.metrics.enabled())
+            {
                 // Keyed so the health report names the checked task.
                 let kind = match check.kind {
                     cbft_mapreduce::TaskKind::Map => "map",
                     cbft_mapreduce::TaskKind::Reduce => "reduce",
                 };
                 let key = format!("spot/{}/{kind}/{}", check.sid, check.task_index);
-                record_divergence(&self.metrics, key, range);
+                record_divergence(&self.obs.metrics, key, range);
             }
         }
         let suspect_band = checks
@@ -707,8 +710,8 @@ impl ParallelExecutor {
             .map(|c| suspicion.band(c.node))
             .max_by_key(|b| b.rank())
             .unwrap_or(SuspicionBand::None);
-        if suspect_band.rank() >= SuspicionBand::Med.rank() && self.tracer.enabled() {
-            self.tracer.emit(
+        if suspect_band.rank() >= SuspicionBand::Med.rank() && self.obs.tracer.enabled() {
+            self.obs.tracer.emit(
                 TraceEvent::instant("suspicion_band_crossed", "executor")
                     .on(COORDINATOR_PID, 0)
                     .seq(1)
@@ -727,8 +730,9 @@ impl ParallelExecutor {
         self.note_round(&state, published.as_ref());
 
         let escalate = mode == VerifyMode::Hybrid && published.is_none();
-        if self.metrics.enabled() {
-            self.metrics
+        if self.obs.metrics.enabled() {
+            self.obs
+                .metrics
                 .gauge_set(Domain::Sim, metric_names::VERIFY_MODE, &[], mode.rank());
             for (name, value) in [
                 (metric_names::REEXEC_TASKS, reexec.tasks_total),
@@ -740,14 +744,14 @@ impl ParallelExecutor {
                 (metric_names::REEXEC_ESCALATIONS, u64::from(escalate)),
             ] {
                 if value > 0 {
-                    self.metrics.add(Domain::Sim, name, &[], value);
+                    self.obs.metrics.add(Domain::Sim, name, &[], value);
                 }
             }
         }
 
         if !escalate {
-            if published.is_none() && self.tracer.enabled() {
-                self.tracer.emit(
+            if published.is_none() && self.obs.tracer.enabled() {
+                self.obs.tracer.emit(
                     TraceEvent::instant("output_withheld", "executor")
                         .on(COORDINATOR_PID, 0)
                         .seq(2)
@@ -772,7 +776,7 @@ impl ParallelExecutor {
         reexec.escalated = true;
         state.verifier = Verifier::new(self.config.expected_failures, 1);
         for sr in &state.transcript {
-            state.verifier.ingest_traced(sr, &self.tracer);
+            state.verifier.ingest_traced(sr, &self.obs.tracer);
         }
         self.run_ladder(prep, state, reexec)
     }
@@ -820,8 +824,8 @@ impl ParallelExecutor {
         state.total_uids += fresh;
         state.verifier.set_expected(state.total_uids);
         state.replicas_per_round.push(fresh);
-        if self.tracer.enabled() {
-            self.tracer.emit(
+        if self.obs.tracer.enabled() {
+            self.obs.tracer.emit(
                 TraceEvent::instant("round_start", "executor")
                     .on(COORDINATOR_PID, 0)
                     .seq(state.replicas_per_round.len() as u64 - 1)
@@ -865,7 +869,7 @@ impl ParallelExecutor {
             for msg in &rx {
                 match msg {
                     ReplicaMsg::Report(sr) => {
-                        verifier.ingest_traced(&sr, &self.tracer);
+                        verifier.ingest_traced(&sr, &self.obs.tracer);
                         received.push(sr);
                     }
                     ReplicaMsg::Check(rec) => {
@@ -899,25 +903,25 @@ impl ParallelExecutor {
     fn note_round(&self, state: &RoundState, published: Option<&BTreeMap<String, FileData>>) {
         let round = state.replicas_per_round.len() as u64;
         let fresh = state.replicas_per_round.last().copied().unwrap_or(0);
-        if self.tracer.enabled() {
-            self.tracer.emit(
+        if self.obs.tracer.enabled() {
+            self.obs.tracer.emit(
                 TraceEvent::instant("round_end", "executor")
                     .on(COORDINATOR_PID, 0)
                     .seq(round - 1)
                     .arg("verified", if published.is_some() { 1u64 } else { 0 }),
             );
         }
-        if self.metrics.enabled() {
+        if self.obs.metrics.enabled() {
             // Escalation-cost forensics, recorded on the coordinator
             // in round order (1-indexed for the health report).
             let label = [("round", cbft_metrics::LabelValue::U64(round))];
-            self.metrics.gauge_set(
+            self.obs.metrics.gauge_set(
                 Domain::Sim,
                 metric_names::ROUND_REPLICAS,
                 &label,
                 fresh as u64,
             );
-            self.metrics.gauge_set(
+            self.obs.metrics.gauge_set(
                 Domain::Sim,
                 metric_names::ROUND_VERIFIED,
                 &label,
@@ -929,7 +933,8 @@ impl ParallelExecutor {
                 .map(|file| file.len() as u64)
                 .sum();
             if records > 0 {
-                self.metrics
+                self.obs
+                    .metrics
                     .add(Domain::Sim, metric_names::ROUND_RECORDS, &label, records);
             }
         }
@@ -952,9 +957,9 @@ impl ParallelExecutor {
         } = state;
         // Deterministic verification-lag timeline, derived from the final
         // table state rather than live channel arrivals.
-        verifier.emit_quorum_events(&self.tracer);
-        verifier.record_metrics(&self.metrics);
-        if self.metrics.enabled() {
+        verifier.emit_quorum_events(&self.obs.tracer);
+        verifier.record_metrics(&self.obs.metrics);
+        if self.obs.metrics.enabled() {
             // Fully silent replicas never reach the verifier table, so
             // their omission forensics are charged here: they missed
             // every key their siblings reported.
@@ -963,9 +968,10 @@ impl ParallelExecutor {
             for run in runs.values() {
                 if !seen.contains(&run.uid) {
                     let labels = [("replica", cbft_metrics::LabelValue::U64(run.uid as u64))];
-                    self.metrics
+                    self.obs
+                        .metrics
                         .add(Domain::Sim, metric_names::REPLICA_REPORTS, &labels, 0);
-                    self.metrics.add(
+                    self.obs.metrics.add(
                         Domain::Sim,
                         metric_names::REPLICA_OMISSIONS,
                         &labels,
@@ -1028,8 +1034,8 @@ impl ParallelExecutor {
         sample: Option<SamplePlan>,
     ) -> ReplicaRun {
         let graph = &prep.graph;
-        if self.tracer.enabled() {
-            self.tracer.emit(
+        if self.obs.tracer.enabled() {
+            self.obs.tracer.emit(
                 TraceEvent::begin("replica", "executor")
                     .on(uid as u32, 0)
                     .seq(uid as u64),
@@ -1042,8 +1048,7 @@ impl ParallelExecutor {
             .cost_model(self.config.cost)
             .seed(spawner.replica_seed(uid))
             .compute_pool(prep.pool.clone())
-            .tracer(self.tracer.clone(), uid as u32)
-            .metrics(self.metrics.clone());
+            .obs(self.obs.clone(), uid as u32);
         if let Some(&behavior) = self.faults.get(&uid) {
             for node in 0..self.config.nodes {
                 builder = builder.node_behavior(node, behavior);
@@ -1129,8 +1134,8 @@ impl ParallelExecutor {
         }
 
         let complete = !wedged && jobs.files.len() == graph.len();
-        if self.tracer.enabled() {
-            self.tracer.emit(
+        if self.obs.tracer.enabled() {
+            self.obs.tracer.emit(
                 TraceEvent::end("replica", "executor")
                     .on(uid as u32, 0)
                     .at_sim(cluster.now().as_micros())

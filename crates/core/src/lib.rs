@@ -84,3 +84,4 @@ pub use verifier::{DigestKey, KeyVerdict, StreamedReport, Verifier};
 pub use cbft_dataflow::analyze::Adversary;
 pub use cbft_dataflow::{LogicalPlan, PlanBuilder, Record, Schema, Script, Value, VertexId};
 pub use cbft_mapreduce::{Behavior, Cluster, FileData, JobMetrics, NodeId};
+pub use cbft_trace::Obs;

@@ -31,7 +31,7 @@ use cbft_mapreduce::{
     Cluster, ComputePool, EngineEvent, ExecInput, ExecJob, JobOutcome, NodeId, RunHandle,
     SamplePlan, StorageError, TimerToken, VpSite,
 };
-use cbft_metrics::{names as metric_names, Domain, Metrics};
+use cbft_metrics::{names as metric_names, Domain};
 use cbft_sim::SimDuration;
 use cbft_trace::{TraceEvent, Tracer, COORDINATOR_PID};
 
@@ -43,6 +43,11 @@ use crate::verifier::Verifier;
 
 /// The ClusterBFT system: owns the untrusted-tier cluster and the trusted
 /// control-tier state (verifier, suspicion table, fault analyzer).
+///
+/// It records into its cluster's observability context, the one given
+/// to [`cbft_mapreduce::ClusterBuilder::obs`]: attempt spans,
+/// verification timeouts and per-key quorum events on the coordinator
+/// track, per-attempt replica counts and suspicion forensics in the hub.
 ///
 /// # Examples
 ///
@@ -73,8 +78,6 @@ pub struct ClusterBft {
     analyzer: Option<FaultAnalyzer>,
     script_counter: u64,
     timer_counter: u64,
-    tracer: Tracer,
-    metrics: Metrics,
 }
 
 /// Per-replica bookkeeping of one completed job.
@@ -107,26 +110,14 @@ impl ClusterBft {
             analyzer,
             script_counter: 0,
             timer_counter: 0,
-            tracer: Tracer::disabled(),
-            metrics: Metrics::disabled(),
         }
     }
 
-    /// Attaches a trace sink: the control loop records attempt spans,
-    /// verification timeouts and per-key quorum events, and the inner
-    /// engine records task/heartbeat/shuffle events on node tracks.
+    // Kept only for `examples/perf`, which attaches its tracer after
+    // construction; ROADMAP item 2(b) deletes it.
+    #[doc(hidden)]
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.cluster.set_tracer(tracer.clone(), 0);
-        self.tracer = tracer;
-    }
-
-    /// Attaches a metrics hub: the control loop records per-attempt
-    /// replica counts, suspicion band transitions and fault forensics,
-    /// and the inner engine records task latency, shuffle volume and
-    /// heartbeat counters.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.cluster.set_metrics(metrics.clone());
-        self.metrics = metrics;
+        self.cluster.set_tracer(tracer, 0);
     }
 
     /// The underlying cluster.
@@ -227,6 +218,7 @@ impl ClusterBft {
         let plan = Arc::new(plan);
         let start = self.cluster.now();
         let graph = compile_plan(&plan);
+        let obs = self.cluster.obs().clone();
 
         let vps = self.choose_verification_points(&plan, &graph);
         let vp_map = vp_sites_by_job(&graph, &vps);
@@ -292,16 +284,16 @@ impl ClusterBft {
                 break; // everything verified in earlier attempts
             }
             jobs_per_attempt.push(run_jobs.len());
-            if self.metrics.enabled() {
-                self.metrics.gauge_set(
+            if obs.metrics.enabled() {
+                obs.metrics.gauge_set(
                     Domain::Sim,
                     metric_names::ROUND_REPLICAS,
                     &[("round", (attempt as u64 + 1).into())],
                     r as u64,
                 );
             }
-            if self.tracer.enabled() {
-                self.tracer.emit(
+            if obs.tracer.enabled() {
+                obs.tracer.emit(
                     TraceEvent::begin("attempt", "control")
                         .on(COORDINATOR_PID, 0)
                         .at_sim(self.cluster.now().as_micros())
@@ -395,7 +387,7 @@ impl ClusterBft {
                             } => {
                                 total += metrics;
                                 self.suspicion
-                                    .record_jobs_metered(nodes.iter().copied(), &self.metrics);
+                                    .record_jobs_metered(nodes.iter().copied(), &obs.metrics);
                                 replicas[rep].files.insert(job, output_file.clone());
                                 let done = CompletedJob {
                                     file: output_file,
@@ -455,12 +447,12 @@ impl ClusterBft {
                 // updated" (§4.3).
                 if timed_out {
                     self.suspicion
-                        .record_faults_metered(nodes.iter().copied(), &self.metrics);
+                        .record_faults_metered(nodes.iter().copied(), &obs.metrics);
                 }
             }
             self.cancel_all(&handles, &completed);
-            if timed_out && self.tracer.enabled() {
-                self.tracer.emit(
+            if timed_out && obs.tracer.enabled() {
+                obs.tracer.emit(
                     TraceEvent::instant("verify_timeout", "control")
                         .on(COORDINATOR_PID, 0)
                         .at_sim(self.cluster.now().as_micros())
@@ -500,7 +492,7 @@ impl ClusterBft {
                     }
                     if let Some(c) = completed_by_uid.get(&(uid, job)) {
                         self.suspicion
-                            .record_faults_metered(c.nodes.iter().copied(), &self.metrics);
+                            .record_faults_metered(c.nodes.iter().copied(), &obs.metrics);
                         if let Some(analyzer) = &mut self.analyzer {
                             analyzer.observe_faulty_cluster(c.nodes.clone());
                         }
@@ -533,7 +525,7 @@ impl ClusterBft {
                     if let Some(c) = completed_by_uid.get(&(uid, job)) {
                         if uid >= uid_base {
                             self.suspicion
-                                .record_faults_metered(c.nodes.iter().copied(), &self.metrics);
+                                .record_faults_metered(c.nodes.iter().copied(), &obs.metrics);
                         }
                         union.extend(c.nodes.iter().copied());
                     }
@@ -571,9 +563,9 @@ impl ClusterBft {
                 }
             }
 
-            if self.tracer.enabled() {
+            if obs.tracer.enabled() {
                 let verified = store_jobs.iter().all(|j| trusted.contains_key(j));
-                self.tracer.emit(
+                obs.tracer.emit(
                     TraceEvent::end("attempt", "control")
                         .on(COORDINATOR_PID, 0)
                         .at_sim(self.cluster.now().as_micros())
@@ -635,8 +627,8 @@ impl ClusterBft {
             Vec::new()
         };
         self.restore_exclusions(&temp_excluded);
-        verifier.emit_quorum_events(&self.tracer);
-        verifier.record_metrics(&self.metrics);
+        verifier.emit_quorum_events(&obs.tracer);
+        verifier.record_metrics(&obs.metrics);
         Ok(ScriptOutcome {
             verified: all_trusted && !unverified_baseline,
             attempts: replicas_per_attempt.len() as u32,

@@ -239,6 +239,19 @@ impl Expr {
             Expr::Agg { bag_col, .. } => Some(*bag_col),
         }
     }
+
+    /// Nodes on the longest path from this node to a leaf (a leaf is 1).
+    pub(crate) fn depth(&self) -> usize {
+        match self {
+            Expr::Col(_) | Expr::IntLit(_) | Expr::StrLit(_) | Expr::NullLit | Expr::Agg { .. } => {
+                1
+            }
+            Expr::Cmp(_, l, r) | Expr::Arith(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) => {
+                1 + l.depth().max(r.depth())
+            }
+            Expr::Not(e) | Expr::IsNull(e) => 1 + e.depth(),
+        }
+    }
 }
 
 /// Aggregates one cell: null unless it holds a bag.

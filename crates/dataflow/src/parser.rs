@@ -21,7 +21,8 @@
 //! ```
 //!
 //! Keywords are case-insensitive; aliases and column names are
-//! case-sensitive identifiers.
+//! case-sensitive identifiers. An expression may nest at most
+//! [`MAX_EXPR_DEPTH`] levels deep.
 
 use std::collections::HashMap;
 
@@ -30,6 +31,19 @@ use crate::expr::{AggFunc, ArithOp, CmpOp, Expr};
 use crate::op::SortOrder;
 use crate::plan::{LogicalPlan, PlanBuilder, VertexId};
 use crate::value::Schema;
+
+/// How deep an expression may nest: its tree may be at most this many
+/// nodes deep (a column or literal is one, each operator above it one
+/// more, so `t` terms joined by `+` are `t` deep), and the expression
+/// with the parenthesised groups, `NOT`s and unary minuses inside it may
+/// nest at most this many levels. A script past either bound is a parse
+/// error naming its line. The parser recurses once per level and every
+/// consumer of an [`Expr`] (evaluation, folding, the batch kernels, its
+/// drop) once per node, so the bound is what keeps one script from
+/// overflowing the stack of the thread it runs on, a `cbftd` slot's
+/// 2 MiB included: at the bound an unoptimized build's parser uses about
+/// half of it, a release build's about a tenth.
+const MAX_EXPR_DEPTH: usize = 128;
 
 /// A parsed script, convertible into a [`LogicalPlan`].
 ///
@@ -68,6 +82,7 @@ impl Script {
             builder: PlanBuilder::new(),
             bag_elem: HashMap::new(),
             store_lines: HashMap::new(),
+            depth: 0,
         };
         p.parse_script()?;
         let plan = p
@@ -302,6 +317,9 @@ struct Parser {
     bag_elem: HashMap<VertexId, Schema>,
     /// Source line of each STORE statement, by vertex id.
     store_lines: HashMap<usize, usize>,
+    /// Parenthesised groups, `NOT`s and unary minuses open at the
+    /// cursor (see [`MAX_EXPR_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -501,12 +519,41 @@ impl Parser {
         self.parse_or(schema, elem)
     }
 
+    /// Opens one more level of recursion (the expression of a
+    /// parenthesised group, a `NOT` or a unary minus operand), failing
+    /// past [`MAX_EXPR_DEPTH`]; the caller closes it when the level parsed.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
+    /// `expr`, if its tree is at most [`MAX_EXPR_DEPTH`] deep. Its
+    /// operands were checked when they were built, so `depth` recurses
+    /// at most that far.
+    fn bounded(&self, expr: Expr) -> Result<Expr, ParseError> {
+        if expr.depth() > MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(expr)
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.err(format!(
+            "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+        ))
+    }
+
     fn parse_or(&mut self, s: &Schema, e: Option<&Schema>) -> Result<Expr, ParseError> {
+        self.descend()?;
         let mut lhs = self.parse_and(s, e)?;
         while self.eat_kw(Kw::Or) {
             let rhs = self.parse_and(s, e)?;
-            lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
+            lhs = self.bounded(Expr::Or(Box::new(lhs), Box::new(rhs)))?;
         }
+        self.depth -= 1;
         Ok(lhs)
     }
 
@@ -514,15 +561,17 @@ impl Parser {
         let mut lhs = self.parse_not(s, e)?;
         while self.eat_kw(Kw::And) {
             let rhs = self.parse_not(s, e)?;
-            lhs = Expr::And(Box::new(lhs), Box::new(rhs));
+            lhs = self.bounded(Expr::And(Box::new(lhs), Box::new(rhs)))?;
         }
         Ok(lhs)
     }
 
     fn parse_not(&mut self, s: &Schema, e: Option<&Schema>) -> Result<Expr, ParseError> {
         if self.eat_kw(Kw::Not) {
+            self.descend()?;
             let inner = self.parse_not(s, e)?;
-            return Ok(Expr::Not(Box::new(inner)));
+            self.depth -= 1;
+            return self.bounded(Expr::Not(Box::new(inner)));
         }
         self.parse_cmp(s, e)
     }
@@ -533,7 +582,7 @@ impl Parser {
             let negated = self.eat_kw(Kw::Not);
             self.expect_kw(Kw::Null)?;
             let test = Expr::IsNull(Box::new(lhs));
-            return Ok(if negated {
+            return self.bounded(if negated {
                 Expr::Not(Box::new(test))
             } else {
                 test
@@ -550,7 +599,7 @@ impl Parser {
         };
         self.pos += 1;
         let rhs = self.parse_add(s, e)?;
-        Ok(Expr::cmp(op, lhs, rhs))
+        self.bounded(Expr::cmp(op, lhs, rhs))
     }
 
     fn parse_add(&mut self, s: &Schema, e: Option<&Schema>) -> Result<Expr, ParseError> {
@@ -563,7 +612,7 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.parse_mul(s, e)?;
-            lhs = Expr::arith(op, lhs, rhs);
+            lhs = self.bounded(Expr::arith(op, lhs, rhs))?;
         }
     }
 
@@ -578,7 +627,7 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.parse_primary(s, e)?;
-            lhs = Expr::arith(op, lhs, rhs);
+            lhs = self.bounded(Expr::arith(op, lhs, rhs))?;
         }
     }
 
@@ -600,11 +649,13 @@ impl Parser {
         }
         if self.eat_sym("-") {
             // Unary minus: fold literals, otherwise negate via 0 - expr.
+            self.descend()?;
             let inner = self.parse_primary(s, e)?;
-            return Ok(match inner {
-                Expr::IntLit(n) => Expr::IntLit(n.wrapping_neg()),
-                other => Expr::arith(ArithOp::Sub, Expr::IntLit(0), other),
-            });
+            self.depth -= 1;
+            return match inner {
+                Expr::IntLit(n) => Ok(Expr::IntLit(n.wrapping_neg())),
+                other => self.bounded(Expr::arith(ArithOp::Sub, Expr::IntLit(0), other)),
+            };
         }
         match self.next_tok() {
             Some((Tok::Int(n), _)) => Ok(Expr::IntLit(n)),
@@ -1123,6 +1174,68 @@ mod parser_corner_tests {
         )
         .unwrap();
         assert_eq!(s.plan().len(), 3);
+    }
+
+    /// `FILTER a BY` over an expression built from `body`, on line 2.
+    fn filter_by(body: &str) -> Result<Script, ParseError> {
+        Script::parse(&format!(
+            "a = LOAD 'f' AS (k);\nb = FILTER a BY {body};\nSTORE b INTO 'o';"
+        ))
+    }
+
+    fn assert_too_deep(result: Result<Script, ParseError>) {
+        let err = result.expect_err("a too-deep expression is rejected");
+        assert_eq!(err.line(), Some(2), "{err}");
+        assert!(err.to_string().contains("nested deeper than 128"), "{err}");
+    }
+
+    #[test]
+    fn nesting_past_the_depth_bound_is_a_parse_error() {
+        let n = 20_000;
+        assert_too_deep(filter_by(&format!(
+            "{}k > 1{}",
+            "(".repeat(n),
+            ")".repeat(n)
+        )));
+    }
+
+    #[test]
+    fn a_unary_minus_chain_past_the_depth_bound_is_a_parse_error() {
+        assert_too_deep(filter_by(&format!("{}k > 1", "- ".repeat(20_000))));
+    }
+
+    #[test]
+    fn an_operator_chain_past_the_depth_bound_is_a_parse_error() {
+        let terms = vec!["k"; 50_000].join(" + ");
+        assert_too_deep(filter_by(&format!("{terms} > 1")));
+    }
+
+    #[test]
+    fn expressions_just_inside_the_depth_bound_parse() {
+        // One level for the predicate, one per parenthesis.
+        let n = MAX_EXPR_DEPTH - 1;
+        assert!(filter_by(&format!("{}k > 1{}", "(".repeat(n), ")".repeat(n))).is_ok());
+        assert_too_deep(filter_by(&format!(
+            "{}k > 1{}",
+            "(".repeat(n + 1),
+            ")".repeat(n + 1)
+        )));
+        // `t` terms make a `+` chain `t` nodes deep; `>` adds one.
+        let terms = vec!["k"; MAX_EXPR_DEPTH - 1].join(" + ");
+        assert!(filter_by(&format!("{terms} > 1")).is_ok());
+        let terms = vec!["k"; MAX_EXPR_DEPTH].join(" + ");
+        assert_too_deep(filter_by(&format!("{terms} > 1")));
+    }
+
+    #[test]
+    fn chains_nested_in_the_left_operand_count_toward_the_bound() {
+        // Each group's chain stacks on the one inside it: 16 groups of
+        // 9 `*` make a tree over 128 deep, though no group nests deep.
+        let mut body = "k".to_owned();
+        for _ in 0..16 {
+            body = format!("({body}{})", " * k".repeat(9));
+        }
+        assert_too_deep(filter_by(&format!("{body} > 1")));
     }
 
     #[test]

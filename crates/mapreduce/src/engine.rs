@@ -18,9 +18,9 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use cbft_metrics::{names as metric_names, Domain, Metrics};
+use cbft_metrics::{names as metric_names, Domain};
 use cbft_sim::{CostModel, EventQueue, SeedSpawner, SimDuration, SimTime};
-use cbft_trace::{TraceEvent, Tracer};
+use cbft_trace::{Obs, TraceEvent, Tracer};
 use rand::rngs::StdRng;
 
 use crate::compute::{default_compute_threads, ComputePool, Ticket};
@@ -247,9 +247,8 @@ pub struct ClusterBuilder {
     behaviors: Vec<(usize, Behavior)>,
     use_overlap_scheduler: bool,
     task_timeout: Option<SimDuration>,
-    tracer: Tracer,
+    obs: Obs,
     trace_pid: u32,
-    metrics: Metrics,
     compute_pool: Option<ComputePool>,
 }
 
@@ -321,22 +320,16 @@ impl ClusterBuilder {
         self.compute_pool(ComputePool::new(threads))
     }
 
-    /// Attaches a trace sink; `trace_pid` labels this cluster's events
-    /// (the parallel executor passes the replica's globally unique uid,
-    /// so traces from different replicas land on different tracks). The
-    /// default is a disabled tracer — zero cost on every hot path.
-    pub fn tracer(mut self, tracer: Tracer, trace_pid: u32) -> Self {
-        self.tracer = tracer;
+    /// Attaches the observability context: the tracer records task,
+    /// heartbeat, shuffle and job events on the `trace_pid` track, and
+    /// the hub records task sim-latency histograms, shuffle bytes and
+    /// heartbeat counts labeled `replica = trace_pid` (the parallel
+    /// executor passes the replica's globally unique uid, so replicas
+    /// land on different tracks and series). The default is
+    /// [`Obs::disabled`] — one branch per site.
+    pub fn obs(mut self, obs: Obs, trace_pid: u32) -> Self {
+        self.obs = obs;
         self.trace_pid = trace_pid;
-        self
-    }
-
-    /// Attaches a metrics hub; the cluster records task sim-latency
-    /// histograms, shuffle bytes and heartbeat counts labeled by this
-    /// cluster's `trace_pid` (the replica uid under the parallel
-    /// executor). The default is a disabled hub — one branch per site.
-    pub fn metrics(mut self, metrics: Metrics) -> Self {
-        self.metrics = metrics;
         self
     }
 
@@ -384,9 +377,8 @@ impl ClusterBuilder {
             placement_salt: seeds.seed("placement", 0) as usize,
             rotation_nonce: 0,
             task_timeout: self.task_timeout,
-            tracer: self.tracer,
+            obs: self.obs,
             trace_pid: self.trace_pid,
-            metrics: self.metrics,
             pool: self
                 .compute_pool
                 .unwrap_or_else(|| ComputePool::new(default_compute_threads())),
@@ -422,14 +414,13 @@ pub struct Cluster {
     rotation_nonce: usize,
     /// Speculative-execution deadline, if enabled.
     task_timeout: Option<SimDuration>,
-    /// Trace sink (disabled by default: a plain `Option` check per site).
-    tracer: Tracer,
+    /// Tracer and metrics hub (disabled by default: a plain `Option`
+    /// check per site); samples are labeled with `trace_pid` as the
+    /// replica dimension.
+    obs: Obs,
     /// Track id for this cluster's trace events (replica uid under the
     /// parallel executor; 0 in standalone use).
     trace_pid: u32,
-    /// Metrics hub (disabled by default); samples are labeled with
-    /// `trace_pid` as the replica dimension.
-    metrics: Metrics,
     /// Executes task payloads; possibly shared with other replicas.
     pool: ComputePool,
     /// Dispatched payloads not yet joined back into the simulation.
@@ -458,24 +449,21 @@ impl Cluster {
             behaviors: Vec::new(),
             use_overlap_scheduler: true,
             task_timeout: None,
-            tracer: Tracer::disabled(),
+            obs: Obs::disabled(),
             trace_pid: 0,
-            metrics: Metrics::disabled(),
             compute_pool: None,
         }
     }
 
-    /// Attaches (or replaces) the trace sink after construction; see
-    /// [`ClusterBuilder::tracer`].
-    pub fn set_tracer(&mut self, tracer: Tracer, trace_pid: u32) {
-        self.tracer = tracer;
-        self.trace_pid = trace_pid;
+    /// The observability context given to [`ClusterBuilder::obs`].
+    pub fn obs(&self) -> &Obs {
+        &self.obs
     }
 
-    /// Attaches (or replaces) the metrics hub after construction; see
-    /// [`ClusterBuilder::metrics`].
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = metrics;
+    // Kept only for `ClusterBft::set_tracer`; ROADMAP item 2(b) deletes it.
+    #[doc(hidden)]
+    pub fn set_tracer(&mut self, tracer: Tracer, trace_pid: u32) {
+        (self.obs.tracer, self.trace_pid) = (tracer, trace_pid);
     }
 
     /// The compute pool executing task payloads; see
@@ -609,8 +597,8 @@ impl Cluster {
             nodes_used: BTreeSet::new(),
             spec: Arc::new(spec),
         };
-        if self.tracer.enabled() {
-            self.tracer.emit(
+        if self.obs.tracer.enabled() {
+            self.obs.tracer.emit(
                 TraceEvent::instant("job_submitted", "engine")
                     .on(self.trace_pid, 0)
                     .at_sim(self.now().as_micros())
@@ -749,18 +737,18 @@ impl Cluster {
 
     fn on_heartbeat(&mut self, node: NodeId) {
         self.nodes[node.0].heartbeat_pending = false;
-        if self.tracer.enabled() {
-            self.tracer.emit(
+        if self.obs.tracer.enabled() {
+            self.obs.tracer.emit(
                 TraceEvent::instant("heartbeat", "engine")
                     .on(self.trace_pid, node.0 as u32)
                     .at_sim(self.now().as_micros())
                     .arg("free_slots", self.nodes[node.0].free_slots),
             );
         }
-        if self.metrics.enabled() {
+        if self.obs.metrics.enabled() {
             // Heartbeats are wake-driven simulation events: their count
             // is a function of the schedule, not of host threading.
-            self.metrics.add(
+            self.obs.metrics.add(
                 Domain::Sim,
                 metric_names::HEARTBEATS,
                 &[("replica", self.trace_pid.into())],
@@ -883,7 +871,7 @@ impl Cluster {
             let n = &mut self.nodes[node.0];
             n.worker.behavior().draw(&mut n.rng)
         };
-        if self.tracer.enabled() {
+        if self.obs.tracer.enabled() {
             let ev = if fate == TaskFate::Omitted {
                 TraceEvent::instant("task_omitted", "engine")
             } else {
@@ -896,7 +884,7 @@ impl Cluster {
                     },
                 )
             };
-            self.tracer.emit(
+            self.obs.tracer.emit(
                 ev.on(self.trace_pid, node.0 as u32)
                     .at_sim(self.queue.now().as_micros())
                     .seq(choice.task_index as u64)
@@ -1004,10 +992,10 @@ impl Cluster {
                         + self.cost.hdfs(w.bytes_out)
                 }
             };
-            if self.metrics.enabled() {
+            if self.obs.metrics.enabled() {
                 // Task sim latency is the cost-model duration: a pure
                 // function of the task's work, so sim-domain.
-                self.metrics.observe(
+                self.obs.metrics.observe(
                     Domain::Sim,
                     metric_names::TASK_SIM_US,
                     &[
@@ -1067,7 +1055,7 @@ impl Cluster {
         };
         self.nodes[node.0].free_slots += 1;
         self.tasks_done += 1;
-        if self.tracer.enabled() {
+        if self.obs.tracer.enabled() {
             // Stage wall times ride on the span's End as wall-domain
             // args: in the exported trace and the summary, never in the
             // canonical trace.
@@ -1078,7 +1066,7 @@ impl Cluster {
             for (stage, ns) in result.stages.named() {
                 end = end.wall_arg(stage, ns);
             }
-            self.tracer.emit(end);
+            self.obs.tracer.emit(end);
         }
 
         let w = result.work;
@@ -1094,7 +1082,7 @@ impl Cluster {
                     job.metrics.hdfs_write_bytes += w.bytes_out;
                 } else {
                     job.metrics.local_write_bytes += w.bytes_out;
-                    self.metrics.add(
+                    self.obs.metrics.add(
                         Domain::Sim,
                         metric_names::SHUFFLE_BYTES,
                         &[("replica", self.trace_pid.into())],
@@ -1129,8 +1117,8 @@ impl Cluster {
         let TaskOutput { data, digests, .. } = *result;
         for (vp, summary) in digests {
             job.metrics.network_bytes += 40 * summary.chunks().len() as u64;
-            if self.tracer.enabled() {
-                self.tracer.emit(
+            if self.obs.tracer.enabled() {
+                self.obs.tracer.emit(
                     TraceEvent::instant("digest", "engine")
                         .on(self.trace_pid, node.0 as u32)
                         .at_sim(now.as_micros())
@@ -1194,8 +1182,8 @@ impl Cluster {
                         .collect(),
                 );
                 job.in_reduce_phase = true;
-                if self.tracer.enabled() {
-                    self.tracer.emit(
+                if self.obs.tracer.enabled() {
+                    self.obs.tracer.emit(
                         TraceEvent::instant("shuffle_start", "engine")
                             .on(self.trace_pid, 0)
                             .at_sim(now.as_micros())
@@ -1228,8 +1216,8 @@ impl Cluster {
                 reason: e.to_string(),
             },
         };
-        if self.tracer.enabled() {
-            self.tracer.emit(
+        if self.obs.tracer.enabled() {
+            self.obs.tracer.emit(
                 TraceEvent::instant("job_completed", "engine")
                     .on(self.trace_pid, 0)
                     .at_sim(self.now().as_micros())

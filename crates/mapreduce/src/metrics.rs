@@ -113,54 +113,32 @@ impl JobMetrics {
 /// Counters are cumulative; callers interested in one region take a
 /// [`data_plane::snapshot`] before and after and subtract.
 ///
-/// Since the `cbft-metrics` registry landed this module is a *compat
-/// shim*: the free functions forward into the process-global default
-/// registry (`cbft_metrics::global()`), under `cbft_data_plane_*`
-/// metric names, so the same totals show up in `--metrics` output and
-/// the historical [`DataPlaneSnapshot`] API keeps working. Counts that
-/// are functions of the deterministic simulation (clones, shares,
-/// encoded/hashed bytes, dispatches) are tagged [`Domain::Sim`];
-/// scheduling-dependent ones (steals, queue peak) are [`Domain::Wall`].
-/// Code that wants per-run isolation — the fix for snapshot bleed when
-/// several runs share one process — should thread an explicit
-/// [`cbft_metrics::Metrics`] handle instead (see `ComputePool` and the
-/// engine's labeled metrics).
-///
-/// [`Domain::Sim`]: cbft_metrics::Domain::Sim
-/// [`Domain::Wall`]: cbft_metrics::Domain::Wall
+/// Each counter is a process-wide `static AtomicU64` (the queue peak a
+/// `fetch_max` mark), the pattern of [`cbft_dataflow::stats`]: a count
+/// is one relaxed atomic add, and nothing is registered anywhere. They
+/// are not series of any [`cbft_metrics::Metrics`] hub, so `--metrics`
+/// output does not carry them; `--trace-summary` prints their deltas.
+/// Several runs in one process add into the same totals — code that
+/// wants per-run isolation records into an explicit hub instead (see
+/// `ComputePool` and the engine's labeled metrics).
 pub mod data_plane {
-    use cbft_metrics::{global, Domain};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use serde::{Deserialize, Serialize};
 
-    /// Registry metric names backing the shim (all label-free).
-    pub mod names {
-        /// Counter (sim): records physically deep-copied.
-        pub const RECORDS_CLONED: &str = "cbft_data_plane_records_cloned_total";
-        /// Counter (sim): storage reads satisfied by `Arc` sharing.
-        pub const ARCS_SHARED: &str = "cbft_data_plane_arcs_shared_total";
-        /// Counter (sim): bytes through canonical record encoding.
-        pub const BYTES_ENCODED: &str = "cbft_data_plane_bytes_encoded_total";
-        /// Counter (sim): batches tasks allocated to lay their input out
-        /// (a window read in place builds none).
-        pub const BATCHES_BUILT: &str = "cbft_data_plane_batches_built_total";
-        /// Counter (sim): rows of those batches.
-        pub const BATCH_ROWS: &str = "cbft_data_plane_batch_rows_total";
-        /// Counter (sim): bytes absorbed by digest hashers.
-        pub const DIGEST_BYTES: &str = "cbft_data_plane_digest_bytes_hashed_total";
-        /// Counter (wall): payloads handed to the compute pool. Wall,
-        /// not sim: the inline pool elides the chunk-sort dispatches a
-        /// threaded pool queues, so the count depends on pool size.
-        pub const TASKS_DISPATCHED: &str = "cbft_data_plane_tasks_dispatched_total";
-        /// Counter (wall): payloads stolen between pool workers.
-        pub const TASKS_STOLEN: &str = "cbft_data_plane_tasks_stolen_total";
-        /// Gauge (wall): high-water mark of the pool queue depth.
-        pub const POOL_QUEUE_PEAK: &str = "cbft_data_plane_pool_queue_peak";
-        /// Counter (wall): reduce tasks that aggregated their GROUP
-        /// without building a bag (the name is from when they built one
-        /// and left it unordered). Wall, not sim: it describes how the
-        /// host ran the task, and the row plane, which builds and orders
-        /// every bag, never counts.
-        pub const GROUPS_UNORDERED: &str = "cbft_data_plane_groups_unordered_total";
+    static RECORDS_CLONED: AtomicU64 = AtomicU64::new(0);
+    static ARCS_SHARED: AtomicU64 = AtomicU64::new(0);
+    static BYTES_ENCODED: AtomicU64 = AtomicU64::new(0);
+    static BATCHES_BUILT: AtomicU64 = AtomicU64::new(0);
+    static BATCH_ROWS: AtomicU64 = AtomicU64::new(0);
+    static DIGEST_BYTES: AtomicU64 = AtomicU64::new(0);
+    static TASKS_DISPATCHED: AtomicU64 = AtomicU64::new(0);
+    static TASKS_STOLEN: AtomicU64 = AtomicU64::new(0);
+    static POOL_QUEUE_PEAK: AtomicU64 = AtomicU64::new(0);
+    static GROUPS_UNORDERED: AtomicU64 = AtomicU64::new(0);
+
+    fn add(counter: &AtomicU64, n: u64) {
+        counter.fetch_add(n, Ordering::Relaxed);
     }
 
     thread_local! {
@@ -170,7 +148,7 @@ pub mod data_plane {
     /// Records that were physically deep-copied (e.g. at a task's output
     /// boundary, or for the record view of a published record file).
     pub fn count_records_cloned(n: u64) {
-        global().add(Domain::Sim, names::RECORDS_CLONED, &[], n);
+        add(&RECORDS_CLONED, n);
         THREAD_RECORDS_CLONED.with(|c| c.set(c.get() + n));
     }
 
@@ -182,52 +160,55 @@ pub mod data_plane {
 
     /// Storage reads/shares satisfied by handing out an `Arc` handle.
     pub fn count_arcs_shared(n: u64) {
-        global().add(Domain::Sim, names::ARCS_SHARED, &[], n);
+        add(&ARCS_SHARED, n);
     }
 
     /// Bytes written through canonical record encoding.
     pub fn count_bytes_encoded(n: u64) {
-        global().add(Domain::Sim, names::BYTES_ENCODED, &[], n);
+        add(&BYTES_ENCODED, n);
     }
 
     /// Batches a task allocated to lay its input out: a record split's
     /// conversion, a corrupt task's copy of its window, a reduce
     /// partition's layout. A columnar split read in place builds none.
     pub fn count_batches_built(n: u64) {
-        global().add(Domain::Sim, names::BATCHES_BUILT, &[], n);
+        add(&BATCHES_BUILT, n);
     }
 
     /// Rows of the batches [`count_batches_built`] counts.
     pub fn count_batch_rows(n: u64) {
-        global().add(Domain::Sim, names::BATCH_ROWS, &[], n);
+        add(&BATCH_ROWS, n);
     }
 
     /// Bytes absorbed by digest hashers at verification points.
     pub fn count_digest_bytes(n: u64) {
-        global().add(Domain::Sim, names::DIGEST_BYTES, &[], n);
+        add(&DIGEST_BYTES, n);
     }
 
     /// Payloads handed to the compute pool (including inline execution).
+    /// The inline pool elides the chunk-sort dispatches a threaded pool
+    /// queues, so the count depends on pool size.
     pub fn count_tasks_dispatched(n: u64) {
-        global().add(Domain::Wall, names::TASKS_DISPATCHED, &[], n);
+        add(&TASKS_DISPATCHED, n);
     }
 
     /// Payloads a pool worker stole from a sibling's local deque.
     pub fn count_tasks_stolen(n: u64) {
-        global().add(Domain::Wall, names::TASKS_STOLEN, &[], n);
+        add(&TASKS_STOLEN, n);
     }
 
     /// Observes the pool queue depth after a dispatch; the snapshot
     /// keeps the high-water mark.
     pub fn record_pool_queue_depth(depth: u64) {
-        global().gauge_max(Domain::Wall, names::POOL_QUEUE_PEAK, &[], depth);
+        POOL_QUEUE_PEAK.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Reduce tasks that aggregated their GROUP without building a bag:
     /// only order-independent aggregates would have read it, so the task
-    /// folded its partition's runs in place.
+    /// folded its partition's runs in place. The row plane, which builds
+    /// and orders every bag, never counts.
     pub fn count_groups_unordered(n: u64) {
-        global().add(Domain::Wall, names::GROUPS_UNORDERED, &[], n);
+        add(&GROUPS_UNORDERED, n);
     }
 
     /// A point-in-time copy of the cumulative counters.
@@ -279,22 +260,21 @@ pub mod data_plane {
         }
     }
 
-    /// Reads all counters at once (from the global registry).
+    /// Reads all counters at once.
     pub fn snapshot() -> DataPlaneSnapshot {
-        let snap = global().snapshot();
-        let read = |name| snap.scalar(name, &[]).unwrap_or(0);
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         DataPlaneSnapshot {
-            records_cloned: read(names::RECORDS_CLONED),
-            arcs_shared: read(names::ARCS_SHARED),
-            bytes_encoded: read(names::BYTES_ENCODED),
-            batches_built: read(names::BATCHES_BUILT),
-            batch_rows: read(names::BATCH_ROWS),
-            digest_bytes_hashed: read(names::DIGEST_BYTES),
+            records_cloned: read(&RECORDS_CLONED),
+            arcs_shared: read(&ARCS_SHARED),
+            bytes_encoded: read(&BYTES_ENCODED),
+            batches_built: read(&BATCHES_BUILT),
+            batch_rows: read(&BATCH_ROWS),
+            digest_bytes_hashed: read(&DIGEST_BYTES),
             rows_materialized: cbft_dataflow::stats::rows_materialized(),
-            groups_unordered: read(names::GROUPS_UNORDERED),
-            tasks_dispatched: read(names::TASKS_DISPATCHED),
-            tasks_stolen: read(names::TASKS_STOLEN),
-            pool_queue_peak: read(names::POOL_QUEUE_PEAK),
+            groups_unordered: read(&GROUPS_UNORDERED),
+            tasks_dispatched: read(&TASKS_DISPATCHED),
+            tasks_stolen: read(&TASKS_STOLEN),
+            pool_queue_peak: read(&POOL_QUEUE_PEAK),
         }
     }
 }

@@ -35,6 +35,5 @@ pub use export::{json_snapshot, prometheus_text, validate_prometheus_text};
 pub use health::{names, DivergenceSpan, HealthReport, BAND_NAMES};
 pub use histogram::{bucket_index, bucket_lower, bucket_upper, Histogram, BUCKETS};
 pub use registry::{
-    global, Domain, LabelValue, Labels, Metrics, Registry, Sample, SampleValue, Snapshot,
-    MAX_LABELS,
+    Domain, LabelValue, Labels, Metrics, Sample, SampleValue, Snapshot, MAX_LABELS,
 };

@@ -12,7 +12,7 @@ use crate::histogram::Histogram;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Number of independent lock shards in a [`Registry`].
 const SHARDS: usize = 16;
@@ -141,16 +141,10 @@ struct Cell {
     value: CellValue,
 }
 
-/// The sharded metric store. Usually accessed through a [`Metrics`]
-/// handle rather than directly.
-pub struct Registry {
+/// The sharded metric store behind every enabled [`Metrics`] handle,
+/// and reached only through one.
+pub(crate) struct Registry {
     shards: Vec<Mutex<HashMap<Key, Cell>>>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Registry {
@@ -371,11 +365,6 @@ impl Metrics {
         }
     }
 
-    /// Wrap an existing shared registry.
-    pub fn from_registry(reg: Arc<Registry>) -> Self {
-        Metrics { inner: Some(reg) }
-    }
-
     /// Whether a collector is installed.
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
@@ -436,16 +425,6 @@ impl std::fmt::Debug for Metrics {
             .field("enabled", &self.enabled())
             .finish()
     }
-}
-
-/// The process-global default registry.
-///
-/// Exists for compatibility with code that cannot thread a handle
-/// through (the `data_plane` free-function counters); new
-/// instrumentation should prefer an explicit per-run [`Metrics`].
-pub fn global() -> Metrics {
-    static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-    Metrics::from_registry(Arc::clone(GLOBAL.get_or_init(|| Arc::new(Registry::new()))))
 }
 
 #[cfg(test)]

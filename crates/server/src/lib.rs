@@ -71,7 +71,7 @@ use std::time::Instant;
 
 use cbft_mapreduce::{Behavior, ComputePool, FileData};
 use cbft_metrics::{names as metric_names, Domain, LabelValue, Metrics, Snapshot};
-use cbft_trace::Tracer;
+use cbft_trace::Obs;
 use clusterbft::{ExecutorConfig, ParallelExecutor, ParallelOutcome, SubmitError};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
@@ -99,14 +99,13 @@ pub struct ServerConfig {
     /// an entry are unbounded; submissions over the quota are rejected
     /// with [`RejectReason::QuotaExceeded`].
     pub max_inflight: Vec<(String, usize)>,
-    /// Metrics hub receiving the `cbft_server_*` series. Disabled by
-    /// default.
-    pub metrics: Metrics,
-    /// Tracer shared by every slot worker. Each job records through a
-    /// [`cbft_trace::ScopedSink`] keyed by its admission id, so
-    /// co-tenant events land on disjoint pid bands and never interleave
-    /// on one track. Disabled by default.
-    pub tracer: Tracer,
+    /// The server's observability context. Its hub receives the
+    /// `cbft_server_*` series and the shared compute pool's counters;
+    /// its tracer is shared by every slot worker, each job recording
+    /// through [`Obs::scoped`] by its admission id, so co-tenant events
+    /// land on disjoint pid bands and never interleave on one track.
+    /// Disabled by default.
+    pub obs: Obs,
     /// Give each job a private metrics hub and deliver its sim-domain
     /// snapshot on [`JobResult::snapshot`]. Per-job isolation keeps
     /// co-tenant forensics (suspicion bands, divergence gauges) from
@@ -123,8 +122,7 @@ impl Default for ServerConfig {
             default_weight: 1,
             weights: Vec::new(),
             max_inflight: Vec::new(),
-            metrics: Metrics::disabled(),
-            tracer: Tracer::disabled(),
+            obs: Obs::disabled(),
             job_metrics: false,
         }
     }
@@ -348,8 +346,9 @@ impl JobHandle {
         let Some(dispatched) = removed else {
             return false;
         };
-        if inner.metrics.enabled() {
+        if inner.obs.metrics.enabled() {
             inner
+                .obs
                 .metrics
                 .add(Domain::Wall, metric_names::SERVER_CANCELLED, &[], 1);
         }
@@ -441,8 +440,7 @@ struct Inner {
     state: Mutex<State>,
     work_ready: Condvar,
     pool: ComputePool,
-    metrics: Metrics,
-    tracer: Tracer,
+    obs: Obs,
     queue_depth: usize,
     job_metrics: bool,
     /// Timeline origin: the instant the server started.
@@ -472,9 +470,8 @@ impl JobServer {
                 draining: false,
             }),
             work_ready: Condvar::new(),
-            pool: ComputePool::with_metrics(config.compute_threads, config.metrics.clone()),
-            metrics: config.metrics,
-            tracer: config.tracer,
+            pool: ComputePool::with_metrics(config.compute_threads, config.obs.metrics.clone()),
+            obs: config.obs,
             queue_depth: config.queue_depth,
             job_metrics: config.job_metrics,
             epoch: Instant::now(),
@@ -511,8 +508,8 @@ impl JobServer {
             Ok(id) => {
                 let depth = state.queue.len();
                 drop(state);
-                if self.inner.metrics.enabled() {
-                    let m = &self.inner.metrics;
+                if self.inner.obs.metrics.enabled() {
+                    let m = &self.inner.obs.metrics;
                     m.add(Domain::Wall, metric_names::SERVER_ADMITTED, &[], 1);
                     m.gauge_max(
                         Domain::Wall,
@@ -531,8 +528,9 @@ impl JobServer {
             }
             Err(err) => {
                 drop(state);
-                if self.inner.metrics.enabled() {
+                if self.inner.obs.metrics.enabled() {
                     self.inner
+                        .obs
                         .metrics
                         .add(Domain::Wall, metric_names::SERVER_REJECTED, &[], 1);
                 }
@@ -626,8 +624,8 @@ fn worker_loop(inner: &Inner) {
             .queue
             .release(&tenant);
 
-        if inner.metrics.enabled() {
-            let m = &inner.metrics;
+        if inner.obs.metrics.enabled() {
+            let m = &inner.obs.metrics;
             let by_tenant = [("tenant", LabelValue::Owned(tenant.clone()))];
             m.add(Domain::Wall, metric_names::SERVER_COMPLETED, &by_tenant, 1);
             if outcome.as_ref().is_ok_and(ParallelOutcome::verified) {
@@ -669,30 +667,25 @@ fn worker_loop(inner: &Inner) {
 }
 
 /// Executes one job in its own [`ParallelExecutor`] (private verifier
-/// and suspicion state), over the server's shared compute pool. When the
-/// server has a tracer, the job records through a per-job scoped sink so
-/// concurrently executing co-tenants write to disjoint pid bands. With
-/// [`ServerConfig::job_metrics`], the job gets a private metrics hub —
-/// its sim-domain series (suspicion bands, divergence gauges) would
-/// collide across co-tenants in a shared hub — and the second element
-/// carries the job's sim snapshot.
+/// and suspicion state), over the server's shared compute pool. The job
+/// records through the server tracer scoped to its id, so concurrently
+/// executing co-tenants write to disjoint pid bands. Its sim-domain
+/// series (suspicion bands, divergence gauges) would collide across
+/// co-tenants in the server hub, so they never go there: with
+/// [`ServerConfig::job_metrics`] the job gets a private hub and the
+/// second element carries its sim snapshot; without, it records none.
 fn run_job(
     inner: &Inner,
     id: u64,
     spec: JobSpec,
 ) -> (Result<ParallelOutcome, SubmitError>, Option<Snapshot>) {
-    let mut exec = ParallelExecutor::new(spec.exec);
-    exec.set_compute_pool(inner.pool.clone());
-    if inner.tracer.enabled() {
-        exec.set_tracer(inner.tracer.scoped(id));
-    }
-    let hub = if inner.job_metrics {
-        let hub = Metrics::new();
-        exec.set_metrics(hub.clone());
-        Some(hub)
-    } else {
-        None
+    let hub = inner.job_metrics.then(Metrics::new);
+    let obs = Obs {
+        metrics: hub.clone().unwrap_or_default(),
+        ..inner.obs.scoped(id)
     };
+    let mut exec = ParallelExecutor::observed(spec.exec, obs);
+    exec.set_compute_pool(inner.pool.clone());
     let outcome = (|| {
         for (name, records) in spec.inputs {
             exec.load_input(&name, records)?;
@@ -902,5 +895,51 @@ mod tests {
         assert!(outcome.verified(), "escalation recovers inside the server");
         assert!(outcome.deviant_replicas().contains(&0));
         server.shutdown();
+    }
+
+    #[test]
+    fn a_metered_job_records_into_its_own_hub_and_pid_band_only() {
+        let (tracer, sink) = cbft_trace::Tracer::memory();
+        let server_hub = Metrics::new();
+        let server = JobServer::start(ServerConfig {
+            slots: 1,
+            obs: Obs {
+                tracer,
+                metrics: server_hub.clone(),
+            },
+            job_metrics: true,
+            ..ServerConfig::default()
+        });
+        let spec = JobSpec::new("chaos", SCRIPT)
+            .input("in", rows(60))
+            .seed(3)
+            .fault(0, Behavior::Commission { probability: 1.0 });
+        let r = server.submit(spec).expect_admitted().wait();
+        server.shutdown();
+        assert!(r.verified());
+
+        // The job's sim series (task latency, suspicion forensics) are in
+        // its private snapshot...
+        let job = r.snapshot.expect("job_metrics delivers a snapshot");
+        for name in [metric_names::TASK_SIM_US, metric_names::REPLICA_MISMATCHES] {
+            assert!(job.samples.iter().any(|s| s.name == name), "{name}");
+        }
+        // ...and the server hub holds only its own wall-domain series.
+        let shared = server_hub.snapshot();
+        assert!(shared.sim_only().samples.is_empty(), "{shared:?}");
+        assert!(shared
+            .samples
+            .iter()
+            .all(|s| s.name.starts_with("cbft_server_") || s.name.starts_with("cbft_pool_")));
+
+        // Every event lands in the job's pid band, tagged with its id.
+        let base = r.id as u32 * cbft_trace::JOB_PID_STRIDE;
+        let band = base..base + cbft_trace::JOB_PID_STRIDE;
+        let events = sink.take();
+        assert!(!events.is_empty());
+        for e in &events {
+            assert!(band.contains(&e.pid), "pid {} outside {band:?}", e.pid);
+            assert!(e.args.contains(&("job", cbft_trace::ArgValue::Uint(r.id))));
+        }
     }
 }

@@ -25,6 +25,7 @@
 mod chrome;
 mod event;
 mod flight;
+mod obs;
 mod sink;
 mod summary;
 
@@ -33,5 +34,6 @@ pub use event::{
     canonicalize, ArgValue, CanonicalEvent, Phase, TraceEvent, COORDINATOR_PID, VERIFIER_PID,
 };
 pub use flight::{canonical_dump, EventRing, FlightRecorder};
+pub use obs::Obs;
 pub use sink::{FanoutSink, MemorySink, ScopedSink, TraceSink, Tracer, JOB_PID_STRIDE};
 pub use summary::{KeyLag, SpanStats, StageTotals, TraceSummary, QUORUM_EVENT};

@@ -25,8 +25,8 @@ use crate::metrics::{
     Metrics, Snapshot,
 };
 use crate::trace::{
-    chrome_trace_json, FanoutSink, FlightRecorder, MemorySink, TraceEvent, TraceSink, TraceSummary,
-    Tracer,
+    chrome_trace_json, FanoutSink, FlightRecorder, MemorySink, Obs, TraceEvent, TraceSink,
+    TraceSummary, Tracer,
 };
 
 /// Parsed command-line options for one `cbft` invocation.
@@ -708,10 +708,11 @@ impl CliOptions {
 /// of the report that drains them.
 pub(crate) struct Observability<'a> {
     flags: ReportFlags<'a>,
-    pub tracer: Tracer,
+    /// The run's tracer and hub, handed to the engine, executor or job
+    /// server when it is built.
+    pub obs: Obs,
     sink: Option<Arc<MemorySink>>,
     flight_rec: Option<Arc<FlightRecorder>>,
-    pub metrics: Metrics,
     dp_before: DataPlaneSnapshot,
 }
 
@@ -748,16 +749,20 @@ impl<'a> Observability<'a> {
             || also_live;
         Observability {
             flags,
-            tracer,
+            obs: Obs {
+                tracer,
+                metrics: live.then(Metrics::new).unwrap_or_default(),
+            },
             sink,
             flight_rec,
-            metrics: if live {
-                Metrics::new()
-            } else {
-                Metrics::disabled()
-            },
             dp_before: data_plane::snapshot(),
         }
+    }
+
+    /// The hub's snapshot, when the hub is live.
+    pub fn snapshot(&self) -> Option<Snapshot> {
+        let metrics = &self.obs.metrics;
+        metrics.enabled().then(|| metrics.snapshot())
     }
 
     /// Drains the flight recorder's rings (see
@@ -775,14 +780,14 @@ impl<'a> Observability<'a> {
         let Some(rec) = &self.flight_rec else {
             return;
         };
-        if self.metrics.enabled() {
-            self.metrics.add(
+        if self.obs.metrics.enabled() {
+            self.obs.metrics.add(
                 Domain::Wall,
                 metric_names::FLIGHT_EVENTS,
                 &[],
                 rec.captured(),
             );
-            self.metrics.add(
+            self.obs.metrics.add(
                 Domain::Wall,
                 metric_names::FLIGHT_EVICTED,
                 &[],
@@ -793,10 +798,11 @@ impl<'a> Observability<'a> {
 
     /// Flight accounting: one count per detected anomaly, by kind.
     pub fn count_anomalies(&self, anomalies: &[Anomaly]) {
-        if self.metrics.enabled() {
+        if self.obs.metrics.enabled() {
             for a in anomalies {
                 let label = [("kind", LabelValue::from(a.kind.name()))];
-                self.metrics
+                self.obs
+                    .metrics
                     .add(Domain::Wall, metric_names::FLIGHT_ANOMALIES, &label, 1);
             }
         }
@@ -810,7 +816,8 @@ impl<'a> Observability<'a> {
         spec: &BundleSpec<'_>,
     ) -> Result<String, Box<dyn Error>> {
         let path = flight::write_bundle(Path::new(dir), name, spec)?;
-        self.metrics
+        self.obs
+            .metrics
             .add(Domain::Wall, metric_names::FLIGHT_BUNDLES, &[], 1);
         Ok(format!("forensic bundle: {}", path.display()))
     }
@@ -858,10 +865,10 @@ impl<'a> Observability<'a> {
                 out.push('\n');
             }
         }
-        if !self.metrics.enabled() {
+        if !self.obs.metrics.enabled() {
             return Ok(());
         }
-        let snap = self.metrics.snapshot();
+        let snap = self.obs.metrics.snapshot();
         if let Some(path) = self.flags.metrics {
             flight::write_output("--metrics", path, &prometheus_text(&snap))?;
         }
@@ -926,7 +933,7 @@ pub fn run(opts: &CliOptions) -> Result<String, Box<dyn Error>> {
             let _ = writeln!(out, "  {}: {}", a.kind, a.detail);
         }
         if let Some(dir) = &opts.flight_dir {
-            let snapshot = obs.metrics.enabled().then(|| obs.metrics.snapshot());
+            let snapshot = obs.snapshot();
             let mode = match opts.threads {
                 Some(n) => format!("parallel({n} threads)"),
                 None => "sequential".to_owned(),
@@ -972,7 +979,8 @@ fn run_sequential(
     let mut builder = Cluster::builder()
         .nodes(opts.nodes)
         .slots_per_node(opts.slots)
-        .seed(opts.seed);
+        .seed(opts.seed)
+        .obs(obs.obs.clone(), 0);
     for &(node, behavior) in &opts.faults {
         builder = builder.node_behavior(node, behavior);
     }
@@ -991,8 +999,6 @@ fn run_sequential(
         config = config.batch_records(n);
     }
     let mut cbft = ClusterBft::new(builder.build(), config.build());
-    cbft.set_tracer(obs.tracer.clone());
-    cbft.set_metrics(obs.metrics.clone());
     for (name, data) in inputs {
         cbft.load_input(&name, data)?;
     }
@@ -1034,9 +1040,7 @@ fn run_parallel(
     out: &mut String,
     renders: &mut Vec<String>,
 ) -> Result<Vec<Anomaly>, Box<dyn Error>> {
-    let mut exec = ParallelExecutor::new(executor_config(opts));
-    exec.set_tracer(obs.tracer.clone());
-    exec.set_metrics(obs.metrics.clone());
+    let mut exec = ParallelExecutor::observed(executor_config(opts), obs.obs.clone());
     for (name, data) in inputs {
         exec.load_input(&name, data)?;
     }
@@ -1094,7 +1098,7 @@ fn run_parallel(
     for (name, file) in outcome.published() {
         render_timed(out, renders, name, file, opts.show_rows);
     }
-    let snapshot: Option<Snapshot> = obs.metrics.enabled().then(|| obs.metrics.snapshot());
+    let snapshot = obs.snapshot();
     Ok(flight::detect_parallel_anomalies(
         &outcome,
         snapshot.as_ref(),
@@ -1824,7 +1828,8 @@ mod tests {
 
     /// One canonical event on replica track 0, emitted through `obs`.
     fn emit_one(obs: &Observability<'_>) {
-        obs.tracer
+        obs.obs
+            .tracer
             .emit(crate::trace::TraceEvent::instant("probe", "test").on(0, 0));
     }
 
@@ -1834,12 +1839,12 @@ mod tests {
         let obs = Observability::start(opts.report_flags(), false);
         assert!(obs.flight_rec.is_none());
         assert!(obs.sink.is_none());
-        assert!(!obs.tracer.enabled());
+        assert!(!obs.obs.tracer.enabled());
         emit_one(&obs);
         assert!(obs.drain_flight().is_empty());
         // Without a recorder its ring counters are not exported.
         obs.count_flight_rings();
-        let prom = prometheus_text(&obs.metrics.snapshot());
+        let prom = prometheus_text(&obs.obs.metrics.snapshot());
         assert!(!prom.contains(metric_names::FLIGHT_EVENTS), "{prom}");
         assert!(!prom.contains(metric_names::FLIGHT_EVICTED), "{prom}");
     }
@@ -1850,11 +1855,11 @@ mod tests {
         let obs = Observability::start(opts.report_flags(), false);
         assert!(obs.flight_rec.is_some());
         assert!(obs.sink.is_none());
-        assert!(obs.tracer.enabled());
-        assert!(obs.metrics.enabled());
+        assert!(obs.obs.tracer.enabled());
+        assert!(obs.obs.metrics.enabled());
         emit_one(&obs);
         obs.count_flight_rings();
-        let prom = prometheus_text(&obs.metrics.snapshot());
+        let prom = prometheus_text(&obs.obs.metrics.snapshot());
         assert!(prom.contains(metric_names::FLIGHT_EVENTS), "{prom}");
         assert_eq!(obs.drain_flight().len(), 1);
     }
@@ -1868,8 +1873,8 @@ mod tests {
             let opts = parse(&args).unwrap();
             let obs = Observability::start(opts.report_flags(), false);
             assert!(obs.flight_rec.is_none(), "{flag:?}");
-            assert!(obs.tracer.enabled(), "{flag:?}");
-            assert!(!obs.metrics.enabled(), "{flag:?}");
+            assert!(obs.obs.tracer.enabled(), "{flag:?}");
+            assert!(!obs.obs.metrics.enabled(), "{flag:?}");
             emit_one(&obs);
             assert!(obs.drain_flight().is_empty(), "{flag:?}");
             assert_eq!(obs.sink.as_ref().map(|s| s.len()), Some(1), "{flag:?}");

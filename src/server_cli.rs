@@ -565,8 +565,7 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
         default_weight: opts.default_weight,
         weights: opts.weights.clone(),
         max_inflight: opts.max_inflight.clone(),
-        metrics: obs.metrics.clone(),
-        tracer: obs.tracer.clone(),
+        obs: obs.obs.clone(),
         // Per-job metrics hubs feed the per-job bundle forensics.
         job_metrics: opts.flight_dir.is_some(),
     });
@@ -575,7 +574,7 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
         Some(path) => Some(SnapshotSeries::start(
             path,
             opts.snapshot_interval,
-            obs.metrics.clone(),
+            obs.obs.metrics.clone(),
         )?),
         None => None,
     };
@@ -1270,6 +1269,66 @@ mod tests {
         assert!(!log.is_empty());
         let tag = format!(" job={evil}");
         assert!(log.lines().all(|l| l.contains(&tag)), "{log}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_job_whose_script_nests_too_deep_fails_alone() {
+        let dir = std::env::temp_dir().join(format!("cbftd_hostile_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let healthy = dir.join("s.pig");
+        std::fs::write(
+            &healthy,
+            "a = LOAD 'edges' AS (u, f);
+             g = GROUP a BY u;
+             c = FOREACH g GENERATE group, COUNT(a) AS n;
+             STORE c INTO 'counts';",
+        )
+        .unwrap();
+        // Deep enough to overflow a slot thread's stack were the
+        // parser's recursion unbounded.
+        let hostile = dir.join("deep.pig");
+        let n = 2_000;
+        std::fs::write(
+            &hostile,
+            format!(
+                "a = LOAD 'edges' AS (u, f);\nb = FILTER a BY {}u > 1{};\nSTORE b INTO 'o';\n",
+                "(".repeat(n),
+                ")".repeat(n)
+            ),
+        )
+        .unwrap();
+        let data = dir.join("edges.csv");
+        let rows: Vec<String> = (0..40).map(|i| format!("{},{}", i % 4, i)).collect();
+        std::fs::write(&data, rows.join("\n")).unwrap();
+        let jobs = dir.join("jobs.txt");
+        let (s, h, d) = (healthy.display(), hostile.display(), data.display());
+        std::fs::write(
+            &jobs,
+            format!(
+                "acme 1 {s} edges={d}\n\
+                 evil 2 {h} edges={d}\n\
+                 beta 3 {s} edges={d}\n\
+                 acme 4 {s} edges={d}\n"
+            ),
+        )
+        .unwrap();
+        let report = run_daemon(&parse(&[jobs.to_str().unwrap(), "--slots", "2"]).unwrap())
+            .expect("the daemon survives the hostile job");
+        let results: Vec<&str> = report.lines().filter(|l| l.starts_with("job ")).collect();
+        assert_eq!(results.len(), 4, "{report}");
+        for line in results {
+            if line.contains(" tenant=evil ") {
+                assert!(
+                    line.contains("ERROR: parse error on line 2: expression nested deeper"),
+                    "{line}"
+                );
+            } else {
+                assert!(line.contains(" VERIFIED "), "{line}");
+            }
+        }
+        assert!(report.contains("3 verified, 1 errored"), "{report}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

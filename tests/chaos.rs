@@ -17,6 +17,7 @@ use clusterbft_repro::dataflow::interp::interpret;
 use clusterbft_repro::dataflow::Script;
 use clusterbft_repro::metrics::{HealthReport, Metrics};
 use clusterbft_repro::sim::SimDuration;
+use clusterbft_repro::trace::Obs;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -283,16 +284,21 @@ fn parallel_escalation_exhausts_to_unverified() {
 #[test]
 fn mixed_fault_run_climbs_the_ladder_and_isolates_the_clean_set() {
     let metrics = Metrics::new();
-    let mut exec = ParallelExecutor::new(ExecutorConfig {
-        threads: 2,
-        expected_failures: 1,
-        // One extra rung past 3f+1 so two honest replicas emerge even
-        // with three faulty ones in front of them.
-        escalation: vec![2, 3, 4, 5],
-        master_seed: 7,
-        ..ExecutorConfig::default()
-    });
-    exec.set_metrics(metrics.clone());
+    let mut exec = ParallelExecutor::observed(
+        ExecutorConfig {
+            threads: 2,
+            expected_failures: 1,
+            // One extra rung past 3f+1 so two honest replicas emerge even
+            // with three faulty ones in front of them.
+            escalation: vec![2, 3, 4, 5],
+            master_seed: 7,
+            ..ExecutorConfig::default()
+        },
+        Obs {
+            metrics: metrics.clone(),
+            ..Obs::disabled()
+        },
+    );
     let records: Vec<Record> = (0..150)
         .map(|i| Record::new(vec![Value::Int(i % 13), Value::Int(i * 7 % 101)]))
         .collect();
@@ -349,14 +355,19 @@ fn mixed_fault_run_climbs_the_ladder_and_isolates_the_clean_set() {
 #[test]
 fn health_report_names_every_injected_fault_even_without_a_quorum() {
     let metrics = Metrics::new();
-    let mut exec = ParallelExecutor::new(ExecutorConfig {
-        threads: 2,
-        expected_failures: 1,
-        escalation: vec![2, 3, 4],
-        master_seed: 7,
-        ..ExecutorConfig::default()
-    });
-    exec.set_metrics(metrics.clone());
+    let mut exec = ParallelExecutor::observed(
+        ExecutorConfig {
+            threads: 2,
+            expected_failures: 1,
+            escalation: vec![2, 3, 4],
+            master_seed: 7,
+            ..ExecutorConfig::default()
+        },
+        Obs {
+            metrics: metrics.clone(),
+            ..Obs::disabled()
+        },
+    );
     let records: Vec<Record> = (0..120)
         .map(|i| Record::new(vec![Value::Int(i % 13), Value::Int(i * 7 % 101)]))
         .collect();

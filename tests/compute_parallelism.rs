@@ -13,7 +13,7 @@ use clusterbft_repro::core::{
 };
 use clusterbft_repro::dataflow::{Record, Value};
 use clusterbft_repro::mapreduce::data_plane;
-use clusterbft_repro::trace::{canonicalize, TraceEvent, Tracer, QUORUM_EVENT};
+use clusterbft_repro::trace::{canonicalize, Obs, TraceEvent, Tracer, QUORUM_EVENT};
 use proptest::prelude::*;
 
 const SCRIPT: &str = "
@@ -68,16 +68,21 @@ fn run_traced(
     compute_threads: usize,
     fault: Option<(usize, Behavior)>,
 ) -> (ParallelOutcome, Vec<TraceEvent>) {
-    let mut exec = ParallelExecutor::new(ExecutorConfig {
-        threads: 2,
-        compute_threads,
-        expected_failures: 1,
-        escalation: vec![2, 3, 4],
-        master_seed: 2013,
-        ..ExecutorConfig::default()
-    });
     let (tracer, sink) = Tracer::memory();
-    exec.set_tracer(tracer);
+    let mut exec = ParallelExecutor::observed(
+        ExecutorConfig {
+            threads: 2,
+            compute_threads,
+            expected_failures: 1,
+            escalation: vec![2, 3, 4],
+            master_seed: 2013,
+            ..ExecutorConfig::default()
+        },
+        Obs {
+            tracer,
+            ..Obs::disabled()
+        },
+    );
     exec.load_input("users", users(40)).unwrap();
     exec.load_input("clicks", clicks(600)).unwrap();
     if let Some((uid, behavior)) = fault {

@@ -6,7 +6,9 @@
 
 use clusterbft_repro::core::{Behavior, ExecutorConfig, ParallelExecutor, ParallelOutcome};
 use clusterbft_repro::dataflow::{Record, Value};
-use clusterbft_repro::trace::{canonicalize, CanonicalEvent, TraceEvent, Tracer, QUORUM_EVENT};
+use clusterbft_repro::trace::{
+    canonicalize, CanonicalEvent, Obs, TraceEvent, Tracer, QUORUM_EVENT,
+};
 
 const SCRIPT: &str = "
     users = LOAD 'users' AS (uid, region);
@@ -60,15 +62,20 @@ fn run_traced(
     threads: usize,
     fault: Option<(usize, Behavior)>,
 ) -> (ParallelOutcome, Vec<TraceEvent>) {
-    let mut exec = ParallelExecutor::new(ExecutorConfig {
-        threads,
-        expected_failures: 1,
-        escalation: vec![replicas, 3, 4],
-        master_seed: 2013,
-        ..ExecutorConfig::default()
-    });
     let (tracer, sink) = Tracer::memory();
-    exec.set_tracer(tracer);
+    let mut exec = ParallelExecutor::observed(
+        ExecutorConfig {
+            threads,
+            expected_failures: 1,
+            escalation: vec![replicas, 3, 4],
+            master_seed: 2013,
+            ..ExecutorConfig::default()
+        },
+        Obs {
+            tracer,
+            ..Obs::disabled()
+        },
+    );
     exec.load_input("users", users(40)).unwrap();
     exec.load_input("clicks", clicks(600)).unwrap();
     if let Some((uid, behavior)) = fault {
@@ -230,16 +237,21 @@ fn sim_metric_snapshots_identical_across_thread_matrix() {
     let mut baseline: Option<String> = None;
     for threads in [1, 8] {
         for compute_threads in [1, 8] {
-            let mut exec = ParallelExecutor::new(ExecutorConfig {
-                threads,
-                compute_threads,
-                expected_failures: 1,
-                escalation: vec![2, 3, 4],
-                master_seed: 2013,
-                ..ExecutorConfig::default()
-            });
             let metrics = Metrics::new();
-            exec.set_metrics(metrics.clone());
+            let mut exec = ParallelExecutor::observed(
+                ExecutorConfig {
+                    threads,
+                    compute_threads,
+                    expected_failures: 1,
+                    escalation: vec![2, 3, 4],
+                    master_seed: 2013,
+                    ..ExecutorConfig::default()
+                },
+                Obs {
+                    metrics: metrics.clone(),
+                    ..Obs::disabled()
+                },
+            );
             exec.load_input("users", users(40)).unwrap();
             exec.load_input("clicks", clicks(600)).unwrap();
             if let Some((uid, behavior)) = fault {
@@ -281,18 +293,23 @@ fn run_mode(
     compute_threads: usize,
     fault: Option<(usize, Behavior)>,
 ) -> (ParallelOutcome, Vec<TraceEvent>) {
-    let mut exec = ParallelExecutor::new(ExecutorConfig {
-        threads,
-        compute_threads,
-        expected_failures: 1,
-        escalation: vec![2, 3, 4],
-        master_seed: 2013,
-        verify_mode: mode,
-        sample_rate,
-        ..ExecutorConfig::default()
-    });
     let (tracer, sink) = Tracer::memory();
-    exec.set_tracer(tracer);
+    let mut exec = ParallelExecutor::observed(
+        ExecutorConfig {
+            threads,
+            compute_threads,
+            expected_failures: 1,
+            escalation: vec![2, 3, 4],
+            master_seed: 2013,
+            verify_mode: mode,
+            sample_rate,
+            ..ExecutorConfig::default()
+        },
+        Obs {
+            tracer,
+            ..Obs::disabled()
+        },
+    );
     exec.load_input("users", users(40)).unwrap();
     exec.load_input("clicks", clicks(600)).unwrap();
     if let Some((uid, behavior)) = fault {

@@ -7,6 +7,7 @@
 use clusterbft_repro::core::{Behavior, ExecutorConfig, VpPolicy};
 use clusterbft_repro::metrics::{validate_prometheus_text, HealthReport, Metrics};
 use clusterbft_repro::server::{JobServer, JobSpec, RejectReason, ServerConfig, SubmitOutcome};
+use clusterbft_repro::trace::Obs;
 use clusterbft_repro::workloads::twitter;
 
 fn job(tenant: &str, seed: u64, edges: usize) -> JobSpec {
@@ -119,7 +120,10 @@ fn server_metrics_flow_into_exposition_and_health_report() {
     let server = JobServer::start(ServerConfig {
         slots: 2,
         queue_depth: 16,
-        metrics: metrics.clone(),
+        obs: Obs {
+            metrics: metrics.clone(),
+            ..Obs::disabled()
+        },
         ..ServerConfig::default()
     });
     let mut handles = Vec::new();
