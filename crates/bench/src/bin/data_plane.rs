@@ -79,9 +79,8 @@
 
 use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Instant;
 
-use cbft_bench::{pig_like_cost, ExperimentRecord};
+use cbft_bench::{best_of, timed, ExperimentRecord, ParallelSpec};
 use cbft_dataflow::batch::{
     filter_batch, fnv1a, group_aggregate, group_batch, project, project_batch, select,
     shuffle_buckets, Selection,
@@ -92,7 +91,7 @@ use cbft_dataflow::{csv, AggFunc, Batch, Column, ColumnBuilder, Expr, Record, Va
 use cbft_digest::{hardware_accelerated, ChunkedDigest, ChunkedSummary};
 use cbft_mapreduce::{corrupt_batch, corrupt_record, data_plane, FileData, Storage};
 use cbft_workloads::{airline, twitter, weather};
-use clusterbft::{Adversary, ExecutorConfig, ParallelExecutor, VpPolicy};
+use clusterbft::ExecutorConfig;
 
 /// Records in the digested file.
 const RECORDS: usize = 200_000;
@@ -498,15 +497,8 @@ fn aggregate_group_passes(rows: &Batch, key: usize, generates: &[Expr]) -> (f64,
 
 /// Best-of-three wall time of `pass`, returning its last output too.
 fn measure<T>(mut pass: impl FnMut() -> T) -> (T, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let value = pass();
-        best = best.min(start.elapsed().as_secs_f64());
-        out = Some(value);
-    }
-    (out.expect("three passes ran"), best)
+    let [best] = best_of(3, |_| timed(&mut pass));
+    best
 }
 
 fn main() {
@@ -679,28 +671,14 @@ fn main() {
     // measured above.
     let full_run = |batch_records: usize| {
         let before_run = data_plane::snapshot();
-        let workload = twitter::follower_analysis(3, 50_000);
-        let input_records = workload.records.len() as f64;
-        let mut exec = ParallelExecutor::new(ExecutorConfig {
-            threads: 2,
-            expected_failures: 1,
-            escalation: vec![2],
-            vp_policy: VpPolicy::Marked(1),
-            adversary: Adversary::Weak,
-            map_split_records: 5_000,
-            nodes: 8,
-            slots_per_node: 3,
-            master_seed: 5,
-            cost: pig_like_cost(),
-            batch_records,
-            ..ExecutorConfig::default()
-        });
-        exec.load_input(workload.input_name, workload.records)
-            .expect("fresh input");
-        let outcome = exec.run_script(workload.script).expect("runs");
+        let mut spec = ParallelSpec::pipeline(50_000);
+        spec.config.batch_records = batch_records;
+        let input_records = spec.workload.records.len() as f64;
+        let output = spec.workload.outputs[0];
+        let (outcome, _) = spec.execute();
         assert!(outcome.verified(), "healthy run verifies");
         let replicas: usize = outcome.replicas_per_round().iter().sum();
-        let output_records = outcome.output(workload.outputs[0]).expect("stored").len();
+        let output_records = outcome.output(output).expect("stored").len();
         let run = data_plane::snapshot().since(&before_run);
         (run, input_records, replicas as f64, output_records as f64)
     };

@@ -23,11 +23,9 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cbft_bench::{pig_like_cost, ExperimentRecord};
+use cbft_bench::{best_of, server_job, ExperimentRecord, ParallelSpec};
 use cbft_server::{JobServer, JobSpec, ServerConfig};
 use cbft_trace::{FlightRecorder, Obs, TraceEvent, TraceSink, Tracer};
-use cbft_workloads::twitter;
-use clusterbft::{Adversary, ExecutorConfig, ParallelExecutor, VpPolicy};
 
 /// Pipeline measurement passes; the best (minimum) is kept.
 const PASSES: usize = 5;
@@ -42,57 +40,18 @@ const DRAIN_RECORDS: usize = 3_000;
 /// Execution slots of the drained server.
 const DRAIN_SLOTS: usize = 2;
 
-/// Wall seconds of one full parallel run with the given tracer.
-fn pipeline_run(tracer: Tracer) -> f64 {
-    let workload = twitter::follower_analysis(3, 30_000);
-    let mut exec = ParallelExecutor::observed(
-        ExecutorConfig {
-            threads: 2,
-            expected_failures: 1,
-            escalation: vec![2],
-            vp_policy: VpPolicy::Marked(1),
-            adversary: Adversary::Weak,
-            map_split_records: 5_000,
-            nodes: 8,
-            slots_per_node: 3,
-            master_seed: 5,
-            cost: pig_like_cost(),
-            ..ExecutorConfig::default()
-        },
-        Obs {
-            tracer,
-            ..Obs::disabled()
-        },
-    );
-    exec.load_input(workload.input_name, workload.records.clone())
-        .expect("fresh storage");
-    let start = Instant::now();
-    let outcome = exec.run_script(workload.script).expect("run verifies");
-    let wall = start.elapsed().as_secs_f64();
+/// One full parallel run, variant 0 with a disabled tracer, variant 1
+/// with a flight recorder attached; returns its run wall.
+fn pipeline_run(variant: usize) -> ((), f64) {
+    let tracer = match variant {
+        0 => Tracer::disabled(),
+        _ => Tracer::new(Arc::new(FlightRecorder::with_default_capacity())),
+    };
+    let mut spec = ParallelSpec::pipeline(30_000);
+    spec.obs.tracer = tracer;
+    let (outcome, wall) = spec.execute();
     assert!(outcome.verified());
-    wall
-}
-
-/// The server drain's jobs: small follower analyses, one seed each.
-fn drain_jobs() -> Vec<JobSpec> {
-    (1..=DRAIN_JOBS)
-        .map(|seed| {
-            let workload = twitter::follower_analysis(seed, DRAIN_RECORDS);
-            JobSpec::new("bench", workload.script)
-                .input(workload.input_name, workload.records)
-                .exec(ExecutorConfig {
-                    threads: 2,
-                    compute_threads: 1,
-                    expected_failures: 1,
-                    escalation: vec![2],
-                    vp_policy: VpPolicy::Marked(2),
-                    master_seed: seed,
-                    nodes: 8,
-                    slots_per_node: 3,
-                    ..ExecutorConfig::default()
-                })
-        })
-        .collect()
+    ((), wall)
 }
 
 /// Wall seconds to drain `jobs` through a fresh server with `tracer`.
@@ -137,32 +96,24 @@ fn push_cost() -> f64 {
 
 fn main() {
     // Warm-up pass of each variant.
-    black_box(pipeline_run(Tracer::disabled()));
-    black_box(pipeline_run(Tracer::new(Arc::new(
-        FlightRecorder::with_default_capacity(),
-    ))));
-
-    let mut base = f64::INFINITY;
-    let mut flight = f64::INFINITY;
-    for _ in 0..PASSES {
-        base = base.min(pipeline_run(Tracer::disabled()));
-        flight = flight.min(pipeline_run(Tracer::new(Arc::new(
-            FlightRecorder::with_default_capacity(),
-        ))));
-    }
+    black_box(pipeline_run(0));
+    black_box(pipeline_run(1));
+    let [(_, base), (_, flight)] = best_of(PASSES, pipeline_run);
     let overhead_pct = (flight / base - 1.0) * 100.0;
 
-    let jobs = drain_jobs();
+    // The server drain's jobs: small follower analyses, one seed each.
+    let jobs: Vec<JobSpec> = (1..=DRAIN_JOBS)
+        .map(|seed| server_job("bench", seed, DRAIN_RECORDS))
+        .collect();
     black_box(drain_run(&jobs, Tracer::disabled()));
-    let mut drain_base = f64::INFINITY;
-    let mut drain_flight = f64::INFINITY;
-    let mut tracks = 0;
-    for _ in 0..PASSES {
-        drain_base = drain_base.min(drain_run(&jobs, Tracer::disabled()));
-        let rec = Arc::new(FlightRecorder::with_default_capacity());
-        drain_flight = drain_flight.min(drain_run(&jobs, Tracer::new(rec.clone())));
-        tracks = rec.tracks();
-    }
+    let [(_, drain_base), (tracks, drain_flight)] = best_of(PASSES, |variant| match variant {
+        0 => (0, drain_run(&jobs, Tracer::disabled())),
+        _ => {
+            let rec = Arc::new(FlightRecorder::with_default_capacity());
+            let wall = drain_run(&jobs, Tracer::new(rec.clone()));
+            (rec.tracks(), wall)
+        }
+    });
     let drain_overhead_pct = (drain_flight / drain_base - 1.0) * 100.0;
     let push_ns = push_cost();
 

@@ -20,10 +20,8 @@
 
 use std::time::Instant;
 
-use cbft_bench::ExperimentRecord;
-use cbft_server::{JobServer, JobSpec, RejectReason, ServerConfig, SubmitOutcome};
-use cbft_workloads::twitter;
-use clusterbft::{ExecutorConfig, VpPolicy};
+use cbft_bench::{server_job, ExperimentRecord};
+use cbft_server::{JobServer, RejectReason, ServerConfig, SubmitOutcome};
 
 /// Tenants and their fair-share weights for the sustained profile.
 const TENANTS: [(&str, u64); 3] = [("acme", 4), ("beta", 2), ("solo", 1)];
@@ -32,23 +30,6 @@ const SUSTAINED_JOBS: usize = 1_200;
 /// Edges per job: small enough that a thousand jobs finish in seconds,
 /// large enough that slots stay saturated and the queue actually fills.
 const EDGES: usize = 300;
-
-fn job(tenant: &str, seed: u64, edges: usize) -> JobSpec {
-    let workload = twitter::follower_analysis(seed, edges);
-    JobSpec::new(tenant, workload.script)
-        .input(workload.input_name, workload.records)
-        .exec(ExecutorConfig {
-            threads: 2,
-            compute_threads: 1,
-            expected_failures: 1,
-            escalation: vec![2],
-            vp_policy: VpPolicy::Marked(2),
-            master_seed: seed,
-            nodes: 8,
-            slots_per_node: 3,
-            ..ExecutorConfig::default()
-        })
-}
 
 /// Exact nearest-rank percentile over a sorted slice.
 fn percentile(sorted: &[u64], q: f64) -> u64 {
@@ -72,7 +53,7 @@ fn sustained(record: &mut ExperimentRecord) {
     let mut retries = 0u64;
     for i in 0..SUSTAINED_JOBS {
         let (tenant, _) = TENANTS[i % TENANTS.len()];
-        let spec = job(tenant, i as u64 + 1, EDGES);
+        let spec = server_job(tenant, i as u64 + 1, EDGES);
         let handle = loop {
             match server.submit(spec.clone()) {
                 SubmitOutcome::Admitted(h) => break h,
@@ -145,7 +126,7 @@ fn stress(record: &mut ExperimentRecord) {
     for i in 0..burst {
         // Heavier jobs than the sustained profile, submitted without
         // retry: the 4-deep queue behind one slot must push back.
-        match server.submit(job("burst", i as u64 + 1, 2 * EDGES)) {
+        match server.submit(server_job("burst", i as u64 + 1, 2 * EDGES)) {
             SubmitOutcome::Admitted(h) => handles.push(h),
             SubmitOutcome::Rejected(RejectReason::QueueFull { .. }) => rejected += 1,
             SubmitOutcome::Rejected(r) => panic!("unexpected rejection: {r}"),
@@ -172,7 +153,7 @@ fn stress(record: &mut ExperimentRecord) {
 }
 
 fn determinism(record: &mut ExperimentRecord) {
-    let probe = || job("solo", 424_242, EDGES);
+    let probe = || server_job("solo", 424_242, EDGES);
 
     let quiet = JobServer::start(ServerConfig::default());
     let solo = quiet.submit(probe()).expect_admitted().wait();
@@ -186,11 +167,17 @@ fn determinism(record: &mut ExperimentRecord) {
     });
     let mut noise = Vec::new();
     for i in 0..15 {
-        noise.push(busy.submit(job("acme", i + 1, EDGES)).expect_admitted());
+        noise.push(
+            busy.submit(server_job("acme", i + 1, EDGES))
+                .expect_admitted(),
+        );
     }
     let co_tenant = busy.submit(probe()).expect_admitted().wait();
     for i in 0..15 {
-        noise.push(busy.submit(job("beta", i + 100, EDGES)).expect_admitted());
+        noise.push(
+            busy.submit(server_job("beta", i + 100, EDGES))
+                .expect_admitted(),
+        );
     }
     for h in noise {
         assert!(h.wait().verified());

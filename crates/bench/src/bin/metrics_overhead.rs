@@ -16,13 +16,11 @@
 //! Results land in `bench_results/metrics_overhead.json`.
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use cbft_bench::{pig_like_cost, ExperimentRecord};
+use cbft_bench::{best_of, timed, ExperimentRecord, ParallelSpec};
 use cbft_metrics::{names, Domain, Metrics};
 use cbft_trace::Tracer;
-use cbft_workloads::twitter;
-use clusterbft::{Adversary, ExecutorConfig, Obs, ParallelExecutor, VpPolicy};
+use clusterbft::Obs;
 
 /// Iterations of the synthetic task loop per pass.
 const ITERS: u64 = 2_000_000;
@@ -78,50 +76,26 @@ fn pass_metered(handle: &Metrics) -> u64 {
     acc
 }
 
-/// Best-of-[`PASSES`] wall seconds of `pass`.
-fn measure(mut pass: impl FnMut() -> u64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..PASSES {
-        let start = Instant::now();
-        black_box(pass());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Wall seconds of one full parallel run with the given handle.
-fn pipeline_run(metrics: &Metrics) -> f64 {
-    let workload = twitter::follower_analysis(3, 30_000);
-    let mut exec = ParallelExecutor::observed(
-        ExecutorConfig {
-            threads: 2,
-            expected_failures: 1,
-            escalation: vec![2],
-            vp_policy: VpPolicy::Marked(1),
-            adversary: Adversary::Weak,
-            map_split_records: 5_000,
-            nodes: 8,
-            slots_per_node: 3,
-            master_seed: 5,
-            cost: pig_like_cost(),
-            ..ExecutorConfig::default()
-        },
-        // Both fields spelled out: with `..Obs::disabled()` the dropped
-        // temporary hub changes how this binary is optimised, and
-        // `pass_metered`'s loop stops being split on the disabled
-        // handle, so the disabled path pays the label stores.
-        Obs {
-            tracer: Tracer::disabled(),
-            metrics: metrics.clone(),
-        },
-    );
-    exec.load_input(workload.input_name, workload.records.clone())
-        .expect("fresh storage");
-    let start = Instant::now();
-    let outcome = exec.run_script(workload.script).expect("run verifies");
-    let wall = start.elapsed().as_secs_f64();
+/// One full parallel run, variant 0 with a disabled handle, variant 1
+/// with a live registry; returns its run wall.
+fn pipeline_run(variant: usize) -> ((), f64) {
+    let metrics = match variant {
+        0 => Metrics::disabled(),
+        _ => Metrics::new(),
+    };
+    // Both fields spelled out: with `..Obs::disabled()` the dropped
+    // temporary hub changes how this binary is optimised, and
+    // `pass_metered`'s loop stops being split on the disabled handle, so
+    // the disabled path pays the label stores.
+    let obs = Obs {
+        tracer: Tracer::disabled(),
+        metrics,
+    };
+    let mut spec = ParallelSpec::pipeline(30_000);
+    spec.obs = obs;
+    let (outcome, wall) = spec.execute();
     assert!(outcome.verified());
-    wall
+    ((), wall)
 }
 
 fn main() {
@@ -133,19 +107,14 @@ fn main() {
     assert_eq!(w0, w1, "instrumentation must not change the computation");
     black_box(pass_metered(&enabled));
 
-    let wall_base = measure(pass_baseline);
-    let wall_disabled = measure(|| pass_metered(&disabled));
-    let wall_enabled = measure(|| pass_metered(&enabled));
+    let [(_, wall_base)] = best_of(PASSES, |_| timed(|| black_box(pass_baseline())));
+    let [(_, wall_disabled)] = best_of(PASSES, |_| timed(|| black_box(pass_metered(&disabled))));
+    let [(_, wall_enabled)] = best_of(PASSES, |_| timed(|| black_box(pass_metered(&enabled))));
 
     let disabled_pct = (wall_disabled / wall_base - 1.0) * 100.0;
     let enabled_ns = (wall_enabled - wall_base) / ITERS as f64 * 1e9 / 2.0;
 
-    let mut pipe_base = f64::INFINITY;
-    let mut pipe_enabled = f64::INFINITY;
-    for _ in 0..3 {
-        pipe_base = pipe_base.min(pipeline_run(&Metrics::disabled()));
-        pipe_enabled = pipe_enabled.min(pipeline_run(&Metrics::new()));
-    }
+    let [(_, pipe_base), (_, pipe_enabled)] = best_of(3, pipeline_run);
     let pipe_pct = (pipe_enabled / pipe_base - 1.0) * 100.0;
 
     let mut rec = ExperimentRecord::new(

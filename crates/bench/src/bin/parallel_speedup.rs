@@ -20,77 +20,36 @@
 //! the 2x target); on a single-core host it stays ~1x while the span
 //! bound still reports what the hardware-independent algorithm provides.
 
-use std::time::Instant;
-
-use cbft_bench::{pig_like_cost, ExperimentRecord};
+use cbft_bench::{host_cores, ExperimentRecord, ParallelSpec};
 use cbft_workloads::twitter;
-use clusterbft::{Adversary, ExecutorConfig, ParallelExecutor, ParallelOutcome, VpPolicy};
 
 const EDGES: usize = 500_000;
 const SEED: u64 = 9;
-
-fn config(threads: usize, f: usize, escalation: Vec<usize>) -> ExecutorConfig {
-    ExecutorConfig {
-        threads,
-        expected_failures: f,
-        escalation,
-        vp_policy: VpPolicy::Marked(2),
-        adversary: Adversary::Weak,
-        map_split_records: 25_000,
-        nodes: 32,
-        slots_per_node: 9,
-        master_seed: SEED,
-        cost: pig_like_cost(),
-        ..ExecutorConfig::default()
-    }
-}
-
-fn run(config: ExecutorConfig) -> (ParallelOutcome, f64) {
-    let workload = twitter::follower_analysis(SEED, EDGES);
-    let mut exec = ParallelExecutor::new(config);
-    exec.load_input(workload.input_name, workload.records)
-        .unwrap();
-    let start = Instant::now();
-    let outcome = exec
-        .run_script(workload.script)
-        .expect("parallel_speedup run");
-    let wall = start.elapsed().as_secs_f64();
-    assert!(outcome.verified(), "healthy cluster must verify");
-    (outcome, wall)
-}
-
-/// Best-of-two wall time, after the process-wide warmup has paged the
-/// workload in — bench runs are short enough that allocator and page
-/// cache warmth otherwise dominate the comparison.
-fn measure(c: ExecutorConfig) -> (ParallelOutcome, f64) {
-    let (outcome, first) = run(c.clone());
-    let (_, second) = run(c);
-    (outcome, first.min(second))
-}
 
 /// Worker threads used by the parallel configuration below.
 const POOL_THREADS: usize = 4;
 
 fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    // The host is CPU-bound when it has fewer cores than the worker pool:
-    // measured speedup is then capped by the hardware, not the algorithm
-    // (the span bound row reports the hardware-independent limit).
-    let cpu_bound = cores < POOL_THREADS;
+    let cores = host_cores();
+    let workload = twitter::follower_analysis(SEED, EDGES);
+    let follower =
+        |threads, f, escalation| ParallelSpec::vicci(workload.clone(), threads, f, escalation);
 
-    // Warmup: one replica end-to-end, result discarded.
-    let _ = run(config(1, 0, vec![1]));
+    // Warmup: one replica end-to-end, result discarded. Every timed
+    // figure is then a best of two: bench runs are short enough that
+    // allocator and page cache warmth otherwise dominate the comparison.
+    let _ = follower(1, 0, vec![1]).best_of(1);
 
     // r = 3 replicas, sequential baseline vs a 4-thread pool.
-    let (sequential, wall_seq) = measure(config(1, 1, vec![3]));
-    let (parallel, wall_par) = measure(config(POOL_THREADS, 1, vec![3]));
+    let (sequential, wall_seq) = follower(1, 1, vec![3]).best_of(2);
+    let (parallel, wall_par) = follower(POOL_THREADS, 1, vec![3]).best_of(2);
     assert_eq!(
         sequential, parallel,
         "thread count must not change the outcome"
     );
 
     // The critical path: one replica alone (f = 0, trivial quorum).
-    let (_, wall_one) = measure(config(1, 0, vec![1]));
+    let (_, wall_one) = follower(1, 0, vec![1]).best_of(2);
 
     let mut record = ExperimentRecord::new(
         "parallel_speedup",
@@ -105,7 +64,6 @@ fn main() {
              the measurement is hardware-capped."
         ),
     );
-    record.set_flag("cpu_bound", cpu_bound);
     record.push("sequential wall (r=3, 1 thread)", "s", None, wall_seq);
     record.push("parallel wall (r=3, 4 threads)", "s", None, wall_par);
     record.push("measured speedup", "x", None, wall_seq / wall_par);
@@ -116,7 +74,7 @@ fn main() {
         Some(2.0),
         wall_seq / wall_one,
     );
-    record.push("host cores", "", None, cores as f64);
+    record.push_host(cores, POOL_THREADS);
     record.push(
         "digest reports per run",
         "",

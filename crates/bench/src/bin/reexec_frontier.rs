@@ -25,20 +25,17 @@
 //!
 //! Results land in `bench_results/reexec_frontier.json`.
 
-use std::time::Instant;
-
-use cbft_bench::ExperimentRecord;
+use cbft_bench::{ExperimentRecord, ParallelSpec};
 use cbft_workloads::twitter;
-use clusterbft::{
-    Adversary, Behavior, ExecutorConfig, ParallelExecutor, ParallelOutcome, VerifyMode, VpPolicy,
-};
+use clusterbft::{Adversary, Behavior, ExecutorConfig, ParallelOutcome, VerifyMode, VpPolicy};
 
 const EDGES: usize = 24_000;
 const SEED: u64 = 9;
 const F: usize = 1;
 
-fn config(mode: VerifyMode, sample_rate: f64) -> ExecutorConfig {
-    ExecutorConfig {
+/// A fault-free run of the follower analysis in `mode`.
+fn follower(mode: VerifyMode, sample_rate: f64) -> ParallelSpec {
+    let config = ExecutorConfig {
         threads: 2,
         expected_failures: F,
         // The conservative tier pays 3f+1 up front; the sampled tiers run
@@ -56,22 +53,8 @@ fn config(mode: VerifyMode, sample_rate: f64) -> ExecutorConfig {
         verify_mode: mode,
         sample_rate,
         ..ExecutorConfig::default()
-    }
-}
-
-fn run(config: ExecutorConfig, faults: &[(usize, Behavior)]) -> (ParallelOutcome, f64) {
-    let workload = twitter::follower_analysis(SEED, EDGES);
-    let mut exec = ParallelExecutor::new(config);
-    exec.load_input(workload.input_name, workload.records)
-        .unwrap();
-    for &(uid, behavior) in faults {
-        exec.inject_fault(uid, behavior);
-    }
-    let start = Instant::now();
-    let outcome = exec
-        .run_script(workload.script)
-        .expect("reexec_frontier run");
-    (outcome, start.elapsed().as_secs_f64())
+    };
+    ParallelSpec::new(twitter::follower_analysis(SEED, EDGES), config)
 }
 
 /// Deterministic cost of a run in replica-record units: every launched
@@ -99,7 +82,7 @@ fn main() {
     );
 
     // --- fault-free frontier: sample vs full replication ----------------
-    let (replicate, wall_repl) = run(config(VerifyMode::Replicate, 0.0), &[]);
+    let (replicate, wall_repl) = follower(VerifyMode::Replicate, 0.0).execute();
     assert!(replicate.verified(), "replicated baseline must verify");
     let repl_cost = cost(&replicate);
     record.push("replicate wall (3f+1, fault-free)", "s", None, wall_repl);
@@ -112,7 +95,7 @@ fn main() {
 
     let mut min_ratio = f64::INFINITY;
     for rate in [0.05, 0.1, 0.25] {
-        let (sample, wall_sample) = run(config(VerifyMode::Sample, rate), &[]);
+        let (sample, wall_sample) = follower(VerifyMode::Sample, rate).execute();
         assert_eq!(
             sample.verified(),
             replicate.verified(),
@@ -123,7 +106,7 @@ fn main() {
             replicate.outputs(),
             "sample mode must publish byte-identical outputs"
         );
-        let (hybrid, _) = run(config(VerifyMode::Hybrid, rate), &[]);
+        let (hybrid, _) = follower(VerifyMode::Hybrid, rate).execute();
         assert!(hybrid.verified(), "fault-free hybrid stays un-escalated");
         assert!(
             !hybrid.reexec().escalated,
@@ -172,8 +155,10 @@ fn main() {
     for p in [0.5, 1.0] {
         for rate in [0.25, 0.5, 1.0] {
             injected += 1;
-            let faults = [(0usize, Behavior::Commission { probability: p })];
-            let (hybrid, wall) = run(config(VerifyMode::Hybrid, rate), &faults);
+            let fault = Behavior::Commission { probability: p };
+            let mut spec = follower(VerifyMode::Hybrid, rate);
+            spec.faults.push((0, fault));
+            let (hybrid, wall) = spec.execute();
             let re = hybrid.reexec();
             let caught = re.mismatched > 0
                 && re.escalated
@@ -206,7 +191,9 @@ fn main() {
             // The pure sample tier sees the same mismatch but cannot
             // escalate: it must withhold the output rather than publish
             // corrupt records.
-            let (sample, _) = run(config(VerifyMode::Sample, rate), &faults);
+            let mut spec = follower(VerifyMode::Sample, rate);
+            spec.faults.push((0, fault));
+            let (sample, _) = spec.execute();
             assert!(
                 !sample.verified(),
                 "sample mode must withhold on mismatch (p={p} rate={rate})"

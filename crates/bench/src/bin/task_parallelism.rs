@@ -19,12 +19,9 @@
 //!
 //! Results land in `bench_results/task_parallelism.json`.
 
-use std::time::Instant;
-
-use cbft_bench::{pig_like_cost, ExperimentRecord};
+use cbft_bench::{host_cores, ExperimentRecord, ParallelSpec};
 use cbft_mapreduce::data_plane;
 use cbft_workloads::twitter;
-use clusterbft::{Adversary, ExecutorConfig, ParallelExecutor, ParallelOutcome, VpPolicy};
 
 const EDGES: usize = 500_000;
 const SEED: u64 = 9;
@@ -32,62 +29,24 @@ const SEED: u64 = 9;
 /// Compute-pool width of the pooled configuration below.
 const POOL_THREADS: usize = 8;
 
-fn config(compute_threads: usize) -> ExecutorConfig {
-    ExecutorConfig {
-        // Two replica worker threads share the one compute pool: the
-        // CPU-bound part of the run is the payload work, not the event
-        // loop, so the pool is where the cores go.
-        threads: 2,
-        compute_threads,
-        expected_failures: 1,
-        escalation: vec![2],
-        vp_policy: VpPolicy::Marked(2),
-        adversary: Adversary::Weak,
-        map_split_records: 25_000,
-        nodes: 32,
-        slots_per_node: 9,
-        master_seed: SEED,
-        cost: pig_like_cost(),
-        ..ExecutorConfig::default()
-    }
-}
-
-fn run(config: ExecutorConfig) -> (ParallelOutcome, f64) {
-    let workload = twitter::follower_analysis(SEED, EDGES);
-    let mut exec = ParallelExecutor::new(config);
-    exec.load_input(workload.input_name, workload.records)
-        .unwrap();
-    let start = Instant::now();
-    let outcome = exec
-        .run_script(workload.script)
-        .expect("task_parallelism run");
-    let wall = start.elapsed().as_secs_f64();
-    assert!(outcome.verified(), "healthy cluster must verify");
-    (outcome, wall)
-}
-
-/// Best-of-two wall time, after the process-wide warmup has paged the
-/// workload in.
-fn measure(c: ExecutorConfig) -> (ParallelOutcome, f64) {
-    let (outcome, first) = run(c.clone());
-    let (_, second) = run(c);
-    (outcome, first.min(second))
-}
-
 fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    // The host is CPU-bound when it has fewer cores than the compute
-    // pool: measured speedup is then capped by the hardware, not the
-    // algorithm (the payload-parallelism row reports what the engine
-    // exposed for a wider host to use).
-    let cpu_bound = cores < POOL_THREADS;
+    let cores = host_cores();
+    let workload = twitter::follower_analysis(SEED, EDGES);
+    // Two replica worker threads share the one compute pool: the
+    // CPU-bound part of the run is the payload work, not the event loop,
+    // so the pool is where the cores go.
+    let follower = |compute_threads| {
+        let mut spec = ParallelSpec::vicci(workload.clone(), 2, 1, vec![2]);
+        spec.config.compute_threads = compute_threads;
+        spec
+    };
 
-    // Warmup, result discarded.
-    let _ = run(config(1));
+    // Warmup, result discarded; then best of two each.
+    let _ = follower(1).best_of(1);
 
-    let (inline, wall_inline) = measure(config(1));
+    let (inline, wall_inline) = follower(1).best_of(2);
     let before = data_plane::snapshot();
-    let (pooled, wall_pooled) = measure(config(POOL_THREADS));
+    let (pooled, wall_pooled) = follower(POOL_THREADS).best_of(2);
     let delta = data_plane::snapshot().since(&before);
     assert_eq!(inline, pooled, "pool size must not change the outcome");
 
@@ -108,7 +67,6 @@ fn main() {
              cores < {POOL_THREADS}, i.e. the measurement is hardware-capped."
         ),
     );
-    record.set_flag("cpu_bound", cpu_bound);
     record.push("inline wall (r=2, pool=1)", "s", None, wall_inline);
     record.push(
         format!("pooled wall (r=2, pool={POOL_THREADS})"),
@@ -135,7 +93,7 @@ fn main() {
         None,
         delta.tasks_stolen as f64 / 2.0,
     );
-    record.push("host cores", "", None, cores as f64);
+    record.push_host(cores, POOL_THREADS);
 
     record.finish();
 }

@@ -13,55 +13,39 @@
 //!
 //! Results land in `bench_results/verification_lag.json`.
 
-use std::sync::Arc;
-
-use cbft_bench::{pig_like_cost, ExperimentRecord};
+use cbft_bench::{ExperimentRecord, ParallelSpec};
 use cbft_mapreduce::Behavior;
-use cbft_trace::{canonicalize, MemorySink, Obs, TraceEvent, TraceSummary, Tracer};
-use cbft_workloads::twitter;
-use clusterbft::{Adversary, ExecutorConfig, ParallelExecutor, VpPolicy};
-
-/// One traced run: returns the raw trace events.
-fn traced_run(threads: usize, records: Vec<cbft_dataflow::Record>) -> Vec<TraceEvent> {
-    let workload = twitter::follower_analysis(3, 20_000);
-    let (tracer, sink): (Tracer, Arc<MemorySink>) = Tracer::memory();
-    let mut exec = ParallelExecutor::observed(
-        ExecutorConfig {
-            threads,
-            expected_failures: 1,
-            escalation: vec![2, 3, 4],
-            vp_policy: VpPolicy::Marked(1),
-            adversary: Adversary::Strong,
-            map_split_records: 5_000,
-            nodes: 8,
-            slots_per_node: 3,
-            master_seed: 11,
-            cost: pig_like_cost(),
-            ..ExecutorConfig::default()
-        },
-        Obs {
-            tracer,
-            ..Obs::disabled()
-        },
-    );
-    exec.load_input(workload.input_name, records)
-        .expect("fresh input");
-    // Replica 0 always corrupts: its reports never join a quorum, so the
-    // verdict waits for the escalation round — a visible lag.
-    exec.inject_fault(0, Behavior::Commission { probability: 1.0 });
-    let outcome = exec.run_script(workload.script).expect("runs");
-    assert!(outcome.verified(), "escalation recovers the quorum");
-    assert!(
-        outcome.deviant_replicas().contains(&0),
-        "the corrupt replica is identified"
-    );
-    sink.take()
-}
+use cbft_trace::{canonicalize, TraceEvent, TraceSummary, Tracer};
+use clusterbft::{Adversary, ExecutorConfig};
 
 fn main() {
-    let workload = twitter::follower_analysis(3, 20_000);
-    let events_t1 = traced_run(1, workload.records.clone());
-    let events_t4 = traced_run(4, workload.records);
+    // One traced run at `threads` worker threads: returns the raw trace
+    // events.
+    let traced_run = |threads| -> Vec<TraceEvent> {
+        let (tracer, sink) = Tracer::memory();
+        // Replica 0 always corrupts: its reports never join a quorum, so
+        // the verdict waits for the escalation round — a visible lag.
+        let mut spec = ParallelSpec::pipeline(20_000);
+        spec.obs.tracer = tracer;
+        spec.faults
+            .push((0, Behavior::Commission { probability: 1.0 }));
+        spec.config = ExecutorConfig {
+            threads,
+            escalation: vec![2, 3, 4],
+            adversary: Adversary::Strong,
+            master_seed: 11,
+            ..spec.config
+        };
+        let (outcome, _) = spec.execute();
+        assert!(outcome.verified(), "escalation recovers the quorum");
+        assert!(
+            outcome.deviant_replicas().contains(&0),
+            "the corrupt replica is identified"
+        );
+        sink.take()
+    };
+    let events_t1 = traced_run(1);
+    let events_t4 = traced_run(4);
 
     // Determinism: the canonical projection (wall-clock dropped,
     // non-canonical events filtered) must not depend on the thread count.

@@ -1,10 +1,11 @@
 //! Benchmark harness regenerating every table and figure of the
 //! ClusterBFT evaluation (§6).
 //!
-//! One binary per paper artefact (run with `cargo run -p cbft-bench --release --bin <name>`):
+//! One binary per paper artefact or substrate check (run with
+//! `cargo run -p cbft-bench --release --bin <name>`):
 //!
-//! | binary         | paper artefact | what it reproduces |
-//! |----------------|----------------|--------------------|
+//! | binary         | artefact | what it reproduces |
+//! |----------------|----------|--------------------|
 //! | `fig9`         | Fig. 9         | Twitter Follower Analysis latency: Pure Pig vs Single vs BFT execution, 1–3 verification points |
 //! | `fig10`        | Fig. 10        | Two Hop Analysis digest overhead at Join / Project / Filter / J&F / J,P&F |
 //! | `table3`       | Table 3        | multipliers under a commission-faulty node for C (ClusterBFT) vs P (final-output-only), r ∈ {2, 3, 4} |
@@ -18,10 +19,21 @@
 //! | `ablation_combiner` | substrate | map-side combiners: shuffle volume & digest equivalence |
 //! | `verification_lag` | §6 | per-key first-report-to-quorum lag from the trace subsystem |
 //! | `reexec_frontier` | §3.3 / perf | sampled partial re-execution: verified throughput per core vs the 3f+1 replication tax, and hybrid fault capture |
+//! | `parallel_speedup` | substrate | replica clusters on worker threads: wall-clock speedup and the span bound |
+//! | `task_parallelism` | substrate | the intra-replica compute pool: wall-clock speedup and the payload parallelism exposed |
+//! | `data_plane` | substrate | zero-copy and columnar data plane: digest, group, ingest and map-side throughput, clone counters |
+//! | `mismatch_localization` | §6.4 | Merkle descent to the mismatching chunk vs a linear scan |
+//! | `metrics_overhead` | observability | disabled- and enabled-path cost of the metrics layer |
+//! | `flight_overhead` | observability | cost of the flight recorder on one pipeline and a server drain |
+//! | `chaos_campaign` | substrate | seeded fault campaign: verdicts checked against the injected plan |
+//! | `load_gen` | substrate | the `cbft-server` job server under sustained multi-tenant load (`server_load.json`) |
 //! | `experiments_md` | — | regenerates `EXPERIMENTS.md` from the recorded results |
 //!
-//! Every binary prints a paper-vs-measured table and appends a JSON record
-//! under `bench_results/` from which `EXPERIMENTS.md` is assembled.
+//! Every other binary prints a paper-vs-measured table and writes a JSON
+//! record under `bench_results/` from which `EXPERIMENTS.md` is assembled.
+//! The sequential figures run through [`RunSpec`]; the binaries on the
+//! parallel path through [`ParallelSpec`] and its presets, and
+//! every wall-clock one times with [`best_of`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,11 +41,16 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::time::Instant;
 
 use cbft_mapreduce::{Behavior, Cluster};
+use cbft_server::JobSpec;
 use cbft_sim::CostModel;
-use cbft_workloads::Workload;
-use clusterbft::{ClusterBft, JobConfig, ScriptOutcome, SubmitError, VertexId};
+use cbft_workloads::{twitter, Workload};
+use clusterbft::{
+    Adversary, ClusterBft, ExecutorConfig, JobConfig, Obs, ParallelExecutor, ParallelOutcome,
+    ScriptOutcome, SubmitError, VertexId, VpPolicy,
+};
 use serde::{Deserialize, Serialize};
 
 pub use cbft_dataflow::Script;
@@ -96,6 +113,15 @@ impl ExperimentRecord {
         self.flags
             .get_or_insert_with(BTreeMap::new)
             .insert(name.to_owned(), value);
+    }
+
+    /// Stamps the host facts a wall-clock speedup depends on: the
+    /// `cpu_bound` flag, true when the host has fewer than `pool` cores so
+    /// that a `pool`-thread measurement is capped by the hardware rather
+    /// than the algorithm, and the `host cores` row.
+    pub fn push_host(&mut self, cores: usize, pool: usize) {
+        self.set_flag("cpu_bound", cores < pool);
+        self.push("host cores", "", None, cores as f64);
     }
 
     /// Appends a row.
@@ -257,6 +283,159 @@ impl RunSpec {
     }
 }
 
+/// One small `JobServer` job: `tenant`'s follower analysis of `edges`
+/// edges, 2 worker threads with payloads inline, f = 1 on a 2-replica
+/// ladder, 8 nodes x 3 slots, all seeded by `seed`.
+pub fn server_job(tenant: &str, seed: u64, edges: usize) -> JobSpec {
+    let workload = twitter::follower_analysis(seed, edges);
+    JobSpec::new(tenant, workload.script)
+        .input(workload.input_name, workload.records)
+        .exec(ExecutorConfig {
+            threads: 2,
+            compute_threads: 1,
+            expected_failures: 1,
+            escalation: vec![2],
+            vp_policy: VpPolicy::Marked(2),
+            master_seed: seed,
+            nodes: 8,
+            slots_per_node: 3,
+            ..ExecutorConfig::default()
+        })
+}
+
+/// The parallel twin of [`RunSpec`]: one [`ParallelExecutor`] run of a
+/// workload, with replica faults and an observability context.
+#[derive(Clone, Debug)]
+pub struct ParallelSpec {
+    /// The executor configuration.
+    pub config: ExecutorConfig,
+    /// The workload.
+    pub workload: Workload,
+    /// Faulty replicas: `(replica uid, behaviour)`.
+    pub faults: Vec<(usize, Behavior)>,
+    /// What the run records into (default: nothing).
+    pub obs: Obs,
+}
+
+impl ParallelSpec {
+    /// A fault-free, unobserved run of `workload` under `config`.
+    pub fn new(workload: Workload, config: ExecutorConfig) -> Self {
+        ParallelSpec {
+            config,
+            workload,
+            faults: Vec::new(),
+            obs: Obs::disabled(),
+        }
+    }
+
+    /// The 8-node pipeline the overhead benches price: the follower
+    /// analysis of `edges` edges from seed 3 on 2 worker threads, f = 1 on
+    /// a 2-replica ladder, one marked verification point, 8 nodes x 3
+    /// slots, 5,000-record splits, seed 5 and [`pig_like_cost`].
+    pub fn pipeline(edges: usize) -> Self {
+        let config = ExecutorConfig {
+            threads: 2,
+            expected_failures: 1,
+            escalation: vec![2],
+            vp_policy: VpPolicy::Marked(1),
+            adversary: Adversary::Weak,
+            map_split_records: 5_000,
+            nodes: 8,
+            slots_per_node: 3,
+            master_seed: 5,
+            cost: pig_like_cost(),
+            ..ExecutorConfig::default()
+        };
+        ParallelSpec::new(twitter::follower_analysis(3, edges), config)
+    }
+
+    /// [`RunSpec::vicci`]'s 32 nodes x 9 slots per replica on the parallel
+    /// path: `threads` worker threads, `f` expected failures and the
+    /// `escalation` ladder, two marked verification points, 25,000-record
+    /// splits, seed 9 and [`pig_like_cost`].
+    pub fn vicci(workload: Workload, threads: usize, f: usize, escalation: Vec<usize>) -> Self {
+        let config = ExecutorConfig {
+            threads,
+            expected_failures: f,
+            escalation,
+            vp_policy: VpPolicy::Marked(2),
+            adversary: Adversary::Weak,
+            map_split_records: 25_000,
+            nodes: 32,
+            slots_per_node: 9,
+            master_seed: 9,
+            cost: pig_like_cost(),
+            ..ExecutorConfig::default()
+        };
+        ParallelSpec::new(workload, config)
+    }
+
+    /// Builds the executor, loads the workload, injects the faults and
+    /// runs the script; returns the outcome and the wall seconds of the
+    /// run alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the script does not run; bench inputs are static.
+    pub fn execute(self) -> (ParallelOutcome, f64) {
+        let mut exec = ParallelExecutor::observed(self.config, self.obs);
+        exec.load_input(self.workload.input_name, self.workload.records)
+            .expect("fresh storage");
+        for (replica, behavior) in self.faults {
+            exec.inject_fault(replica, behavior);
+        }
+        let (outcome, wall) = timed(|| exec.run_script(self.workload.script));
+        (outcome.expect("bench script runs"), wall)
+    }
+
+    /// The best (minimum) run wall of `passes` runs, with the last run's
+    /// outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a run does not verify: its time would price the wrong
+    /// work.
+    pub fn best_of(&self, passes: usize) -> (ParallelOutcome, f64) {
+        let [best] = best_of(passes, |_| {
+            let (outcome, wall) = self.clone().execute();
+            assert!(outcome.verified(), "a timed run must verify");
+            (outcome, wall)
+        });
+        best
+    }
+}
+
+/// `f`'s output and its wall seconds.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64())
+}
+
+/// Runs `K` variants alternately, `run(0)` to `run(K - 1)`, for `passes`
+/// rounds (at least one), and returns each variant's last output and best
+/// (minimum) wall seconds. Each run reports its own wall, so it can time
+/// less than the call ([`timed`] times all of it).
+pub fn best_of<T, const K: usize>(
+    passes: usize,
+    mut run: impl FnMut(usize) -> (T, f64),
+) -> [(T, f64); K] {
+    let mut best: [(Option<T>, f64); K] = std::array::from_fn(|_| (None, f64::INFINITY));
+    for _ in 0..passes {
+        for (k, (out, wall)) in best.iter_mut().enumerate() {
+            let (value, w) = run(k);
+            *out = Some(value);
+            *wall = wall.min(w);
+        }
+    }
+    best.map(|(out, wall)| (out.expect("at least one pass"), wall))
+}
+
+/// Cores the host grants this process (1 when it cannot tell).
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
 /// Finds every vertex of `script` whose operator name is in `names`
 /// (e.g. `["Join", "Filter"]`) — used to place explicit verification
 /// points the way §6.1 does.
@@ -312,5 +491,42 @@ mod tests {
         );
         let outcome = spec.execute().expect("runs");
         assert!(outcome.verified());
+    }
+
+    #[test]
+    fn parallel_spec_is_thread_count_blind_and_names_a_deviant() {
+        let follower = |threads| {
+            let mut spec = ParallelSpec::pipeline(600);
+            spec.config.threads = threads;
+            spec.config.escalation = vec![2, 3];
+            spec.config.map_split_records = 100;
+            spec
+        };
+        let (one, _) = follower(1).execute();
+        let (two, _) = follower(2).best_of(2);
+        assert!(one.verified());
+        assert_eq!(one, two, "worker threads must not change the outcome");
+
+        let mut faulty = follower(2);
+        faulty
+            .faults
+            .push((0, Behavior::Commission { probability: 1.0 }));
+        let (faulty, _) = faulty.execute();
+        assert!(faulty.verified(), "escalation recovers the quorum");
+        assert!(faulty.deviant_replicas().contains(&0), "{faulty:?}");
+    }
+
+    #[test]
+    fn best_of_alternates_variants_and_keeps_each_minimum() {
+        let mut order = Vec::new();
+        let walls = [[3.0, 1.0, 2.0], [5.0, 6.0, 4.0]];
+        let mut pass = [0, 0];
+        let best: [(usize, f64); 2] = best_of(3, |k| {
+            order.push(k);
+            pass[k] += 1;
+            (pass[k], walls[k][pass[k] - 1])
+        });
+        assert_eq!(order, [0, 1, 0, 1, 0, 1]);
+        assert_eq!(best, [(3, 1.0), (3, 4.0)], "last output, minimum wall");
     }
 }

@@ -11,7 +11,9 @@
 //!   constant truth disappears; one folding to constant false still runs
 //!   (it legitimately empties the stream) but with a pre-folded predicate;
 //! * **filter fusion** — adjacent filters with a single consumer merge
-//!   into one `AND` predicate, saving an operator pass per record;
+//!   into one `AND` predicate, saving an operator pass per record; a run
+//!   too long for one predicate of the parser's depth bound splits into
+//!   several filters;
 //! * **dead-code elimination** — vertices that cannot reach a `STORE`
 //!   are dropped (the MR compiler also ignores them, but pruning first
 //!   keeps analyses like the marker function honest).
@@ -23,6 +25,7 @@ use std::collections::HashMap;
 
 use crate::expr::{EvalContext, Expr};
 use crate::op::Operator;
+use crate::parser::MAX_EXPR_DEPTH;
 use crate::plan::{LogicalPlan, PlanBuilder, VertexId};
 use crate::value::{Record, Value};
 
@@ -121,14 +124,21 @@ pub fn optimize(plan: &LogicalPlan) -> LogicalPlan {
             }
             Operator::Filter { predicate } => {
                 let mut pred = fold_expr(predicate);
+                // A pending parent is remapped to the stream its fused
+                // predicate reads.
+                let mut parent = mapped(&b, &remap, parents[0]);
                 // Pick up a pending predicate from a fused upstream filter.
-                let parent = if let Some(upstream) = pending_filter.remove(&parents[0]) {
-                    pred = Expr::And(Box::new(upstream), Box::new(pred));
-                    // The fused parent's stream is its own parent's stream.
-                    mapped(&b, &remap, plan.vertex(parents[0]).parents()[0])
-                } else {
-                    mapped(&b, &remap, parents[0])
-                };
+                if let Some(upstream) = pending_filter.remove(&parents[0]) {
+                    // The `AND` over both is one level deeper than either;
+                    // past what a parsed predicate may nest, the upstream
+                    // run becomes a filter of its own and a new run starts
+                    // here.
+                    if upstream.depth().max(pred.depth()) < MAX_EXPR_DEPTH {
+                        pred = Expr::And(Box::new(upstream), Box::new(pred));
+                    } else {
+                        parent = b.add_filter(parent, upstream).expect("valid filter");
+                    }
+                }
                 if matches!(pred, Expr::IntLit(n) if n != 0) {
                     // Constant-true filter: drop the vertex entirely.
                     remap.insert(v, parent);
@@ -285,6 +295,41 @@ mod tests {
         assert_eq!(filters, 1, "three filters fuse into one: {}", opt.render());
         let data = ints(&[&[0, 5], &[2, 5], &[2, 11], &[3, 3], &[4, 9]]);
         assert_eq!(outputs_of(&plan, data.clone()), outputs_of(&opt, data));
+    }
+
+    #[test]
+    fn long_filter_runs_fuse_within_the_depth_bound() {
+        // Filter i drops exactly the row x = i, so a run that went missing,
+        // or read the wrong stream, leaves rows behind. 129 and 256 end on
+        // a short run after one and two full ones; 1,000 spans eight.
+        for n in [129_usize, 256, 1_000] {
+            let mut text = String::from("f0 = LOAD 'in' AS (x, y);\n");
+            for i in 1..=n {
+                text += &format!("f{i} = FILTER f{} BY x != {i};\n", i - 1);
+            }
+            text += &format!("STORE f{n} INTO 'out';");
+            let plan = Script::parse(&text).unwrap().into_plan();
+            let opt = optimize(&plan);
+            let depths: Vec<usize> = opt
+                .vertices()
+                .iter()
+                .filter_map(|v| match v.op() {
+                    Operator::Filter { predicate } => Some(predicate.depth()),
+                    _ => None,
+                })
+                .collect();
+            assert!(
+                depths.iter().all(|&d| d <= MAX_EXPR_DEPTH),
+                "n={n}: fused predicate depths {depths:?} exceed {MAX_EXPR_DEPTH}"
+            );
+            assert_eq!(depths.len(), n.div_ceil(MAX_EXPR_DEPTH - 1), "n={n}");
+            let data: Vec<Record> = (0..=n as i64)
+                .map(|i| Record::new(vec![Value::Int(i), Value::Int(-i)]))
+                .collect();
+            let rows = outputs_of(&plan, data.clone());
+            assert_eq!(rows["out"].len(), 1, "n={n}: only x = 0 passes");
+            assert_eq!(rows, outputs_of(&opt, data), "n={n}");
+        }
     }
 
     #[test]

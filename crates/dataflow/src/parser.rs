@@ -43,7 +43,7 @@ use crate::value::Schema;
 /// overflowing the stack of the thread it runs on, a `cbftd` slot's
 /// 2 MiB included: at the bound an unoptimized build's parser uses about
 /// half of it, a release build's about a tenth.
-const MAX_EXPR_DEPTH: usize = 128;
+pub(crate) const MAX_EXPR_DEPTH: usize = 128;
 
 /// A parsed script, convertible into a [`LogicalPlan`].
 ///
