@@ -17,7 +17,9 @@
 //!   job keeps private verifier/suspicion state — while all jobs
 //!   multiplex over **one shared compute pool**
 //!   ([`ParallelExecutor::set_compute_pool`]) instead of spawning a pool
-//!   per job.
+//!   per job. A job's file inputs ([`JobSpec::input_file`]) are read by
+//!   the slot that starts it, so a queued job holds paths, and at most
+//!   `slots` jobs' parsed inputs are alive at once.
 //! * **Server-level metrics**: admitted/rejected/completed counters, a
 //!   queue-depth peak gauge and per-tenant latency histograms land in a
 //!   [`Metrics`] hub under the `cbft_server_*` names, rendered by the
@@ -62,6 +64,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod input;
 pub mod sched;
 
 use std::collections::VecDeque;
@@ -75,6 +78,7 @@ use cbft_trace::Obs;
 use clusterbft::{ExecutorConfig, ParallelExecutor, ParallelOutcome, SubmitError};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
+pub use input::{load_input, plane, InputLoad, JobInput};
 use sched::{AdmitError, FairQueue};
 
 /// Configuration for a [`JobServer`].
@@ -106,11 +110,13 @@ pub struct ServerConfig {
     /// land on disjoint pid bands and never interleave on one track.
     /// Disabled by default.
     pub obs: Obs,
-    /// Give each job a private metrics hub and deliver its sim-domain
-    /// snapshot on [`JobResult::snapshot`]. Per-job isolation keeps
-    /// co-tenant forensics (suspicion bands, divergence gauges) from
-    /// colliding in the shared server hub. Off by default.
-    pub job_metrics: bool,
+    /// Keep what a forensic bundle needs of each job: a private metrics
+    /// hub whose sim-domain snapshot rides on [`JobResult::snapshot`], and
+    /// the raw text of every file input the slot parsed, on
+    /// [`JobResult::input_texts`]. Per-job isolation keeps co-tenant
+    /// forensics (suspicion bands, divergence gauges) from colliding in
+    /// the shared server hub. Off by default.
+    pub job_forensics: bool,
 }
 
 impl Default for ServerConfig {
@@ -123,7 +129,7 @@ impl Default for ServerConfig {
             weights: Vec::new(),
             max_inflight: Vec::new(),
             obs: Obs::disabled(),
-            job_metrics: false,
+            job_forensics: false,
         }
     }
 }
@@ -137,7 +143,7 @@ pub struct JobSpec {
     /// Script source text.
     pub script: String,
     /// Input data sets by name.
-    pub inputs: Vec<(String, FileData)>,
+    pub inputs: Vec<(String, JobInput)>,
     /// Replica faults to inject, `(replica uid, behavior)` — chaos jobs
     /// ride through the server like healthy ones.
     pub faults: Vec<(usize, Behavior)>,
@@ -166,7 +172,18 @@ impl JobSpec {
     /// Adds an input data set.
     #[must_use]
     pub fn input(mut self, name: &str, data: impl Into<FileData>) -> Self {
-        self.inputs.push((name.to_owned(), data.into()));
+        self.inputs
+            .push((name.to_owned(), JobInput::Data(data.into())));
+        self
+    }
+
+    /// Adds an input read from the CSV file at `path` when a slot starts
+    /// the job (see [`load_input`]). A file that cannot be read fails this
+    /// job alone, with [`JobError::Input`].
+    #[must_use]
+    pub fn input_file(mut self, name: &str, path: &str) -> Self {
+        self.inputs
+            .push((name.to_owned(), JobInput::File(path.to_owned())));
         self
     }
 
@@ -230,9 +247,12 @@ impl std::fmt::Display for RejectReason {
 /// Why an admitted job produced no [`ParallelOutcome`].
 #[derive(Debug)]
 pub enum JobError {
-    /// The executor refused or failed the job (parse error, missing
-    /// input, replica worker panic).
+    /// The executor refused or failed the job (parse error, an input the
+    /// script loads but the job does not give, replica worker panic).
     Exec(SubmitError),
+    /// A file input could not be read; the message names the input and
+    /// its path.
+    Input(String),
     /// The job was cancelled through [`JobHandle::cancel`] while still
     /// queued; it never reached an execution slot.
     Cancelled,
@@ -245,6 +265,7 @@ impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             JobError::Exec(e) => e.fmt(f),
+            JobError::Input(e) => f.write_str(e),
             JobError::Cancelled => write!(f, "job cancelled before dispatch"),
             JobError::WorkerLost => write!(f, "slot worker lost before completion"),
         }
@@ -326,6 +347,8 @@ impl JobHandle {
                 total_us: 0,
                 timeline: JobTimeline::default(),
                 snapshot: None,
+                inputs: Vec::new(),
+                input_texts: Vec::new(),
             },
         }
     }
@@ -372,6 +395,8 @@ impl JobHandle {
                 completed_us: admitted_us + waited,
             },
             snapshot: None,
+            inputs: Vec::new(),
+            input_texts: Vec::new(),
         });
         true
     }
@@ -404,16 +429,24 @@ pub struct JobResult {
     pub outcome: Result<ParallelOutcome, JobError>,
     /// Wall microseconds spent waiting in the admission queue.
     pub queue_us: u64,
-    /// Wall microseconds spent executing.
+    /// Wall microseconds spent executing, reading the job's file inputs
+    /// included.
     pub exec_us: u64,
     /// Wall microseconds from submission to completion.
     pub total_us: u64,
     /// Lifecycle timestamps relative to server start.
     pub timeline: JobTimeline,
     /// The job's private sim-domain metrics snapshot, when the server
-    /// runs with [`ServerConfig::job_metrics`]. Deterministic per job:
+    /// runs with [`ServerConfig::job_forensics`]. Deterministic per job:
     /// co-tenants and thread counts never change it.
     pub snapshot: Option<Snapshot>,
+    /// What the loader read of each file input, in the spec's order; a
+    /// job whose input failed lists the ones read before it.
+    pub inputs: Vec<(String, InputLoad)>,
+    /// The raw text of each file input, exactly the bytes the slot
+    /// parsed, when the server runs with [`ServerConfig::job_forensics`];
+    /// empty otherwise.
+    pub input_texts: Vec<(String, String)>,
 }
 
 impl JobResult {
@@ -442,7 +475,7 @@ struct Inner {
     pool: ComputePool,
     obs: Obs,
     queue_depth: usize,
-    job_metrics: bool,
+    job_forensics: bool,
     /// Timeline origin: the instant the server started.
     epoch: Instant,
 }
@@ -473,7 +506,7 @@ impl JobServer {
             pool: ComputePool::with_metrics(config.compute_threads, config.obs.metrics.clone()),
             obs: config.obs,
             queue_depth: config.queue_depth,
-            job_metrics: config.job_metrics,
+            job_forensics: config.job_forensics,
             epoch: Instant::now(),
         });
         let slots = config.slots.max(1);
@@ -609,8 +642,12 @@ fn worker_loop(inner: &Inner) {
         let started = Instant::now();
         let dispatched_us = inner.epoch.elapsed().as_micros() as u64;
         let queue_us = (started - submitted).as_micros() as u64;
-        let (outcome, snapshot) = run_job(inner, id, spec);
-        let outcome = outcome.map_err(JobError::from);
+        let Ran {
+            outcome,
+            snapshot,
+            inputs,
+            input_texts,
+        } = run_job(inner, id, spec);
         let finished = Instant::now();
         let completed_us = inner.epoch.elapsed().as_micros() as u64;
         let exec_us = (finished - started).as_micros() as u64;
@@ -662,41 +699,68 @@ fn worker_loop(inner: &Inner) {
                 completed_us,
             },
             snapshot,
+            inputs,
+            input_texts,
         });
     }
 }
 
+/// What running one job produced, besides its timings.
+struct Ran {
+    outcome: Result<ParallelOutcome, JobError>,
+    snapshot: Option<Snapshot>,
+    inputs: Vec<(String, InputLoad)>,
+    input_texts: Vec<(String, String)>,
+}
+
 /// Executes one job in its own [`ParallelExecutor`] (private verifier
-/// and suspicion state), over the server's shared compute pool. The job
-/// records through the server tracer scoped to its id, so concurrently
-/// executing co-tenants write to disjoint pid bands. Its sim-domain
-/// series (suspicion bands, divergence gauges) would collide across
-/// co-tenants in the server hub, so they never go there: with
-/// [`ServerConfig::job_metrics`] the job gets a private hub and the
-/// second element carries its sim snapshot; without, it records none.
-fn run_job(
-    inner: &Inner,
-    id: u64,
-    spec: JobSpec,
-) -> (Result<ParallelOutcome, SubmitError>, Option<Snapshot>) {
-    let hub = inner.job_metrics.then(Metrics::new);
+/// and suspicion state), over the server's shared compute pool. File
+/// inputs are read here, on the job's own plane (columnar unless its
+/// `batch_records` is 0). The job records through the server tracer
+/// scoped to its id, so concurrently executing co-tenants write to
+/// disjoint pid bands. Its sim-domain series (suspicion bands,
+/// divergence gauges) would collide across co-tenants in the server hub,
+/// so they never go there: with [`ServerConfig::job_forensics`] the job
+/// gets a private hub whose sim snapshot is returned, and the raw input
+/// texts are kept; without, it records none and keeps none.
+fn run_job(inner: &Inner, id: u64, spec: JobSpec) -> Ran {
+    let hub = inner.job_forensics.then(Metrics::new);
     let obs = Obs {
         metrics: hub.clone().unwrap_or_default(),
         ..inner.obs.scoped(id)
     };
+    let columnar = spec.exec.batch_records > 0;
     let mut exec = ParallelExecutor::observed(spec.exec, obs);
     exec.set_compute_pool(inner.pool.clone());
+    let mut inputs = Vec::new();
+    let mut input_texts = Vec::new();
     let outcome = (|| {
-        for (name, records) in spec.inputs {
-            exec.load_input(&name, records)?;
+        for (name, input) in spec.inputs {
+            let data = match input {
+                JobInput::Data(data) => data,
+                JobInput::File(path) => {
+                    let (data, text, load) =
+                        load_input(&name, &path, columnar).map_err(JobError::Input)?;
+                    inputs.push((name.clone(), load));
+                    if inner.job_forensics {
+                        input_texts.push((name.clone(), text));
+                    }
+                    data
+                }
+            };
+            exec.load_input(&name, data)?;
         }
         for (uid, behavior) in spec.faults {
             exec.inject_fault(uid, behavior);
         }
-        exec.run_script(&spec.script)
+        Ok(exec.run_script(&spec.script)?)
     })();
-    let snapshot = hub.map(|h| h.snapshot().sim_only());
-    (outcome, snapshot)
+    Ran {
+        outcome,
+        snapshot: hub.map(|h| h.snapshot().sim_only()),
+        inputs,
+        input_texts,
+    }
 }
 
 #[cfg(test)]
@@ -897,6 +961,89 @@ mod tests {
         server.shutdown();
     }
 
+    /// Runs `spec` alone on a fresh server.
+    fn solo(spec: JobSpec) -> JobResult {
+        let server = JobServer::start(ServerConfig::default());
+        let r = server.submit(spec).expect_admitted().wait();
+        server.shutdown();
+        r
+    }
+
+    #[test]
+    fn a_file_input_runs_exactly_like_the_same_data_given_in_memory() {
+        let dir = std::env::temp_dir().join(format!("cbft_server_files_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let even: String = (0..60).map(|i| format!("{},{}\n", i % 5, i)).collect();
+        let ragged = format!("{even}7\n3,4,5\n");
+        for (case, text, batch_records) in [
+            ("columnar", &even, 1024),
+            ("rows", &even, 0),
+            ("ragged", &ragged, 1024),
+        ] {
+            let path = dir.join(format!("{case}.csv"));
+            std::fs::write(&path, text).unwrap();
+            let spec = || {
+                let mut spec = JobSpec::new("t", SCRIPT).seed(5);
+                spec.exec.batch_records = batch_records;
+                spec
+            };
+            let in_memory = solo(spec().input("in", cbft_dataflow::csv::parse_records(text)));
+            let from_file = solo(spec().input_file("in", path.to_str().unwrap()));
+
+            let (a, b) = (in_memory.outcome.unwrap(), from_file.outcome.unwrap());
+            assert!(a.verified() && b.verified(), "{case}");
+            assert_eq!(a.transcript(), b.transcript(), "{case}");
+            assert_eq!(a.outputs(), b.outputs(), "{case}");
+            assert!(in_memory.inputs.is_empty(), "{case}");
+            // No forensics asked for, so no text is kept.
+            assert!(from_file.input_texts.is_empty(), "{case}");
+            let [(name, load)] = &from_file.inputs[..] else {
+                panic!("{case}: one load, got {:?}", from_file.inputs);
+            };
+            assert_eq!(name, "in");
+            let line = load.line("in");
+            let rows = text.lines().count();
+            let plane = match case {
+                "ragged" => "rows (ragged: line 61 has 1 fields, line 1 has 2)",
+                plane => plane,
+            };
+            let expected = format!("in: {rows} rows, {} bytes, {plane}, load ", text.len());
+            assert!(line.starts_with(&expected), "{case}: {line}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_missing_input_file_fails_its_job_alone_and_forensics_keep_the_text_read() {
+        let dir = std::env::temp_dir().join(format!("cbft_server_missing_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = dir.join("good.csv");
+        let text: String = (0..40).map(|i| format!("{},{}\n", i % 5, i)).collect();
+        std::fs::write(&good, &text).unwrap();
+        let missing = dir.join("missing.csv");
+        let server = JobServer::start(ServerConfig {
+            job_forensics: true,
+            ..ServerConfig::default()
+        });
+        let submit = |path: &std::path::Path, seed| {
+            let spec = JobSpec::new("t", SCRIPT)
+                .input_file("in", path.to_str().unwrap())
+                .seed(seed);
+            server.submit(spec).expect_admitted()
+        };
+        let handles = [submit(&good, 1), submit(&missing, 2), submit(&good, 3)];
+        let results: Vec<JobResult> = handles.into_iter().map(JobHandle::wait).collect();
+        server.shutdown();
+
+        assert!(results[0].verified() && results[2].verified());
+        let err = results[1].outcome.as_ref().unwrap_err().to_string();
+        let prefix = format!("cannot read input 'in' from '{}': ", missing.display());
+        assert!(err.starts_with(&prefix), "{err}");
+        assert!(results[1].inputs.is_empty() && results[1].input_texts.is_empty());
+        assert_eq!(results[0].input_texts, vec![("in".to_owned(), text)]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn a_metered_job_records_into_its_own_hub_and_pid_band_only() {
         let (tracer, sink) = cbft_trace::Tracer::memory();
@@ -907,7 +1054,7 @@ mod tests {
                 tracer,
                 metrics: server_hub.clone(),
             },
-            job_metrics: true,
+            job_forensics: true,
             ..ServerConfig::default()
         });
         let spec = JobSpec::new("chaos", SCRIPT)
@@ -920,7 +1067,7 @@ mod tests {
 
         // The job's sim series (task latency, suspicion forensics) are in
         // its private snapshot...
-        let job = r.snapshot.expect("job_metrics delivers a snapshot");
+        let job = r.snapshot.expect("job_forensics delivers a snapshot");
         for name in [metric_names::TASK_SIM_US, metric_names::REPLICA_MISMATCHES] {
             assert!(job.samples.iter().any(|s| s.name == name), "{name}");
         }

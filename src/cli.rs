@@ -15,7 +15,6 @@ use crate::core::{
     Adversary, Behavior, Cluster, ClusterBft, ExecutorConfig, FileData, JobConfig,
     ParallelExecutor, Record, Replication, VerifyMode, VpPolicy,
 };
-use crate::dataflow::csv;
 pub use crate::dataflow::csv::{parse_columns, parse_record};
 use crate::dataflow::Script;
 use crate::flight::{self, Anomaly, BundleSpec};
@@ -24,6 +23,7 @@ use crate::metrics::{
     json_snapshot, names as metric_names, prometheus_text, Domain, HealthReport, LabelValue,
     Metrics, Snapshot,
 };
+use crate::server::{load_input, plane};
 use crate::trace::{
     chrome_trace_json, FanoutSink, FlightRecorder, MemorySink, Obs, TraceEvent, TraceSink,
     TraceSummary, Tracer,
@@ -506,83 +506,6 @@ pub(crate) fn read_script(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read script '{path}': {e}"))
 }
 
-/// What the loader read: one line of `--trace-summary`'s `inputs:`
-/// section, for one input (`cbft`) or summed over a run's (`cbftd` loads
-/// a file per job, and a line each would drown the summary).
-#[derive(Default)]
-pub(crate) struct InputLoad {
-    pub files: usize,
-    rows: usize,
-    bytes: usize,
-    columnar: usize,
-    /// Why the first ragged file was loaded as records.
-    ragged: Option<String>,
-    wall: Duration,
-}
-
-impl InputLoad {
-    /// Adds the load of input `name` to this total.
-    pub fn add(&mut self, name: &str, load: InputLoad) {
-        self.files += load.files;
-        self.rows += load.rows;
-        self.bytes += load.bytes;
-        self.columnar += load.columnar;
-        let named = load.ragged.map(|why| format!("{name} {why}"));
-        self.ragged = self.ragged.take().or(named);
-        self.wall += load.wall;
-    }
-
-    /// The line, under `label`: an input's name, or a file count.
-    pub fn line(&self, label: &str) -> String {
-        let plane = plane(self.columnar, self.files);
-        let why: String = self.ragged.iter().map(|why| format!(" ({why})")).collect();
-        let (rows, bytes, ms) = (self.rows, self.bytes, self.wall.as_secs_f64() * 1e3);
-        format!("{label}: {rows} rows, {bytes} bytes, {plane}{why}, load {ms:.1} ms")
-    }
-}
-
-/// The plane `files` files were held on, `columnar` of them as batches.
-fn plane(columnar: usize, files: usize) -> String {
-    match (columnar, files - columnar) {
-        (_, 0) => "columnar".to_owned(),
-        (0, _) => "rows".to_owned(),
-        (columnar, rows) => format!("{columnar} columnar, {rows} rows"),
-    }
-}
-
-/// Reads one input file (one record per non-blank line), returning the
-/// raw text (forensic bundles ship exact copies of what was read) and
-/// what the load took alongside. The error names the input and the path.
-///
-/// With `columnar` set — the job runs the columnar data plane — a file
-/// whose lines all have one field count is parsed straight into one
-/// `Batch`, which map tasks window without building a record; a ragged
-/// file, which no batch can hold, is loaded as records, like every file
-/// when `columnar` is off, and the load says why.
-pub(crate) fn load_input(
-    name: &str,
-    path: &str,
-    columnar: bool,
-) -> Result<(FileData, String, InputLoad), String> {
-    let started = Instant::now();
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read input '{name}' from '{path}': {e}"))?;
-    let (data, ragged): (FileData, _) = match columnar.then(|| csv::scan_columns(&text)) {
-        Some(Ok(batch)) => (batch.into(), None),
-        Some(Err(ragged)) => (csv::parse_records(&text).into(), Some(ragged.to_string())),
-        None => (csv::parse_records(&text).into(), None),
-    };
-    let load = InputLoad {
-        files: 1,
-        rows: data.len(),
-        bytes: text.len(),
-        columnar: usize::from(data.batch().is_some()),
-        ragged,
-        wall: started.elapsed(),
-    };
-    Ok((data, text, load))
-}
-
 /// Appends one published output to the report: a header and at most
 /// `show_rows` rows, written from the file as it is stored — a columnar
 /// file straight from its columns ([`Batch::write_row_text`]), a record
@@ -824,7 +747,7 @@ impl<'a> Observability<'a> {
 
     /// The tail of the report: writes the Chrome-trace JSON (`--trace`)
     /// and appends the aggregated summary (`--trace-summary`) closed by
-    /// `inputs`, the [`InputLoad`] lines, and `outputs`, the
+    /// `inputs`, the [`crate::server::InputLoad`] lines, and `outputs`, the
     /// [`OutputRender`] lines (wall times both: not in the trace), then
     /// writes the Prometheus (`--metrics`) and JSON (`--metrics-json`)
     /// dumps and appends the health report (`--health-report`). The

@@ -26,14 +26,14 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use crate::cli::{
-    checked_fault_bound, executor_config, load_input, parse_num, parse_replication, positive,
-    read_script, CliOptions, InputLoad, Observability, OutputRender, ReportFlags, UsageError,
+    checked_fault_bound, executor_config, parse_num, parse_replication, positive, read_script,
+    CliOptions, Observability, OutputRender, ReportFlags, UsageError,
 };
 use crate::core::{ExecutorConfig, Replication};
 use crate::flight::{self, Anomaly, AnomalyKind, BundleSpec, RejectionBurstDetector};
 use crate::metrics::{json_snapshot, Metrics};
 use crate::server::{
-    JobError, JobResult, JobServer, JobSpec, RejectReason, ServerConfig, SubmitOutcome,
+    InputLoad, JobError, JobResult, JobServer, JobSpec, RejectReason, ServerConfig, SubmitOutcome,
 };
 use crate::trace::{ArgValue, TraceEvent};
 
@@ -163,7 +163,7 @@ OPTIONS:
     --trace FILE         write a Chrome-trace JSON of every job (per-job
                          scoped tracks; load in Perfetto)
     --trace-summary      append the aggregated trace summary; its inputs:
-                         line totals what the submitter loaded (files,
+                         line totals what the slots loaded (files,
                          rows, bytes, columnar or rows, wall ms), its
                          outputs: line what the jobs published (outputs,
                          rows, plane; cbftd renders no row)
@@ -175,6 +175,9 @@ OPTIONS:
     --snapshot-series FILE  append wall-clock metrics snapshots to FILE as
                          JSONL while the server runs (plus one final line)
     --snapshot-interval SECS  seconds between appends       [default: 1]
+
+A job's inputs are read when a slot starts it; one that cannot be read
+fails that job alone (an ERROR result line naming its jobs line).
 
 Rejections are explicit backpressure: when the queue is full, cbftd waits
 briefly and retries the submission, counting every rejection it absorbed.
@@ -293,14 +296,11 @@ pub fn parse_daemon_args<I: IntoIterator<Item = String>>(
     Ok(opts)
 }
 
-/// Raw `(name, contents)` input files exactly as read from disk, kept
-/// so forensic bundles can ship byte-exact copies.
-type RawInputs = Vec<(String, String)>;
-
-/// Per-job context retained while a submission is in flight: the parsed
-/// line, the script text, and the raw input files — everything a
-/// forensic bundle needs beyond the drained ring events.
-type JobContexts = std::collections::BTreeMap<u64, (JobLine, String, RawInputs)>;
+/// Per admitted job, by admission id: its jobs-file line number, the
+/// parsed line and, under `--flight-dir`, the script text — what a
+/// result line and a forensic bundle need beyond the [`JobResult`] (which
+/// carries the raw input texts the slot parsed).
+type JobContexts<'a> = std::collections::BTreeMap<u64, (usize, &'a JobLine, Option<String>)>;
 
 /// One parsed job submission line.
 #[derive(Clone, Debug, PartialEq)]
@@ -370,32 +370,23 @@ fn job_exec(opts: &DaemonOptions, line: &JobLine) -> ExecutorConfig {
     }
 }
 
-/// Loads one job line's script and inputs into a submit-ready
-/// [`JobSpec`], returning the raw input texts alongside (forensic
-/// bundles ship exact copies of what was read).
+/// Builds one job line's submit-ready [`JobSpec`]: reads the script and
+/// names the inputs by path, which the slot that starts the job reads.
 ///
 /// # Errors
 ///
-/// IO errors carry the path (and input name) that failed, so a typo in a
+/// An IO error reading the script carries its path, so a typo in a
 /// thousand-line jobs file is findable.
-fn load_job(
-    opts: &DaemonOptions,
-    line: &JobLine,
-    loads: &mut InputLoad,
-) -> Result<(JobSpec, RawInputs), Box<dyn Error>> {
+fn load_job(opts: &DaemonOptions, line: &JobLine) -> Result<JobSpec, Box<dyn Error>> {
     let script = read_script(&line.script)?;
     let mut spec = JobSpec::new(&line.tenant, &script).exec(job_exec(opts, line));
-    let mut raw = Vec::with_capacity(line.inputs.len());
     for (name, path) in &line.inputs {
-        let (data, text, load) = load_input(name, path, opts.batch_size != Some(0))?;
-        loads.add(name, load);
-        spec = spec.input(name, data);
-        raw.push((name.clone(), text));
+        spec = spec.input_file(name, path);
     }
     for &(uid, behavior) in &line.faults {
         spec = spec.fault(uid, behavior);
     }
-    Ok((spec, raw))
+    Ok(spec)
 }
 
 /// The one-shot `cbft` invocation equivalent to one daemon job, built by
@@ -523,10 +514,16 @@ impl SnapshotSeries {
 /// Executes a parsed `cbftd` invocation: reads the job stream, drives the
 /// server, and returns the human-readable report.
 ///
+/// A job's inputs are read by the slot that starts it: an input that
+/// cannot be read fails that job alone, whose result line reads
+/// `ERROR: cannot read input 'NAME' from 'PATH': … (jobs line N)`, and
+/// its co-tenants still run.
+///
 /// # Errors
 ///
-/// IO errors reading the jobs file / scripts / inputs (each named with
-/// its path and jobs-file line number), and malformed job lines.
+/// IO errors reading the jobs file or a job's script (each named with its
+/// path, a script also with its jobs-file line number), and malformed
+/// job lines.
 pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
     let text = match &opts.jobs {
         Some(path) => std::fs::read_to_string(path)
@@ -566,8 +563,9 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
         weights: opts.weights.clone(),
         max_inflight: opts.max_inflight.clone(),
         obs: obs.obs.clone(),
-        // Per-job metrics hubs feed the per-job bundle forensics.
-        job_metrics: opts.flight_dir.is_some(),
+        // Per-job metrics hubs and raw input texts feed the per-job
+        // bundle forensics.
+        job_forensics: opts.flight_dir.is_some(),
     });
 
     let series = match &opts.snapshot_series {
@@ -590,11 +588,9 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
     let mut quota_waits = 0u64;
     let mut burst = RejectionBurstDetector::new(REJECTION_BURST_THRESHOLD);
     let mut server_anomalies: Vec<Anomaly> = Vec::new();
-    let mut loads = InputLoad::default();
     for (lineno, line) in &lines {
-        let (spec, raw_inputs) =
-            load_job(opts, line, &mut loads).map_err(|e| format!("jobs line {lineno}: {e}"))?;
-        let script_text = spec.script.clone();
+        let spec = load_job(opts, line).map_err(|e| format!("jobs line {lineno}: {e}"))?;
+        let script_text = opts.flight_dir.is_some().then(|| spec.script.clone());
         let handle = loop {
             match server.submit(spec.clone()) {
                 SubmitOutcome::Admitted(h) => {
@@ -618,9 +614,7 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
                 }
             }
         };
-        if opts.flight_dir.is_some() {
-            contexts.insert(handle.id, (line.clone(), script_text, raw_inputs));
-        }
+        contexts.insert(handle.id, (*lineno, line, script_text));
         handles.push(handle);
     }
 
@@ -635,7 +629,11 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
     // tenant → (jobs, verified, Σqueue_us, Σexec_us)
     let mut by_tenant: std::collections::BTreeMap<String, (usize, usize, u64, u64)> =
         Default::default();
+    let mut loads = InputLoad::default();
     for r in &results {
+        for (name, load) in &r.inputs {
+            loads.add(name, load);
+        }
         let entry = by_tenant.entry(r.tenant.clone()).or_default();
         entry.0 += 1;
         entry.2 += r.queue_us;
@@ -647,6 +645,10 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
                 "VERIFIED".to_owned()
             }
             Ok(_) => "NOT VERIFIED".to_owned(),
+            Err(e @ JobError::Input(_)) => {
+                failed += 1;
+                format!("ERROR: {e} (jobs line {})", contexts[&r.id].0)
+            }
             Err(e) => {
                 failed += 1;
                 format!("ERROR: {e}")
@@ -713,7 +715,7 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
     obs.finish(
         &mut out,
         true,
-        &[loads.line(&format!("{} files", loads.files))],
+        &[loads.line(&format!("{} files", loads.files()))],
         &[renders.line(&format!("{} outputs", renders.files))],
     )?;
     Ok(out)
@@ -749,7 +751,7 @@ fn finish_flight(
                 kind: AnomalyKind::WorkerLost,
                 detail: "slot worker died before delivering a result".to_owned(),
             }],
-            // Exec errors (parse failures, missing inputs) and
+            // Exec and input errors (parse failures, unreadable inputs) and
             // cancellations are reported on the result line; they are
             // not integrity anomalies.
             Err(_) => Vec::new(),
@@ -767,13 +769,13 @@ fn finish_flight(
         let Some(dir) = &opts.flight_dir else {
             continue;
         };
-        let Some((line, script, raw_inputs)) = contexts.get(&r.id) else {
+        let Some((_, line, Some(script))) = contexts.get(&r.id) else {
             continue;
         };
         let spec = BundleSpec {
             anomalies: &anomalies,
             script,
-            inputs: raw_inputs,
+            inputs: &r.input_texts,
             seed: line.seed,
             events: &job_events(&drained, r.id),
             snapshot: r.snapshot.as_ref(),
@@ -1157,7 +1159,11 @@ mod tests {
             .unwrap()
             .is_empty());
         assert!(bundle.join("script.pig").exists());
-        assert!(bundle.join("input_edges.csv").exists());
+        // The input the bundle ships is the very text the slot parsed.
+        assert_eq!(
+            std::fs::read(bundle.join("input_edges.csv")).unwrap(),
+            std::fs::read(&data).unwrap()
+        );
         assert!(bundle.join("repro.sh").exists());
 
         // The snapshot series holds at least the final line, each line
@@ -1329,6 +1335,64 @@ mod tests {
             }
         }
         assert!(report.contains("3 verified, 1 errored"), "{report}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_job_whose_input_file_is_missing_fails_alone() {
+        let dir = std::env::temp_dir().join(format!("cbftd_no_input_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let script = dir.join("s.pig");
+        std::fs::write(
+            &script,
+            "a = LOAD 'edges' AS (u, f);
+             g = GROUP a BY u;
+             c = FOREACH g GENERATE group, COUNT(a) AS n;
+             STORE c INTO 'counts';",
+        )
+        .unwrap();
+        let data = dir.join("edges.csv");
+        let rows: Vec<String> = (0..40).map(|i| format!("{},{}", i % 4, i)).collect();
+        std::fs::write(&data, rows.join("\n")).unwrap();
+        let missing = dir.join("missing.csv");
+        let jobs = dir.join("jobs.txt");
+        let (s, d, m) = (script.display(), data.display(), missing.display());
+        std::fs::write(
+            &jobs,
+            format!(
+                "acme 1 {s} edges={d}\n\
+                 # the next job names a file that is not there\n\
+                 evil 2 {s} edges={m}\n\
+                 beta 3 {s} edges={d}\n\
+                 acme 4 {s} edges={d}\n"
+            ),
+        )
+        .unwrap();
+        let report = run_daemon(
+            &parse(&[jobs.to_str().unwrap(), "--slots", "2", "--trace-summary"]).unwrap(),
+        )
+        .expect("the daemon survives a job whose input is missing");
+        let results: Vec<&str> = report.lines().filter(|l| l.starts_with("job ")).collect();
+        assert_eq!(results.len(), 4, "{report}");
+        for line in results {
+            if line.contains(" tenant=evil ") {
+                let prefix = format!("ERROR: cannot read input 'edges' from '{m}': ");
+                assert!(line.contains(&prefix), "{line}");
+                assert!(verdict(line).ends_with(" (jobs line 3)"), "{line}");
+            } else {
+                assert!(line.contains(" VERIFIED "), "{line}");
+            }
+        }
+        assert!(report.contains("3 verified, 1 errored"), "{report}");
+        // Only the three files that were read are counted.
+        let bytes = 3 * rows.join("\n").len();
+        assert!(
+            report.contains(&format!(
+                "  inputs:\n    3 files: 120 rows, {bytes} bytes, columnar, load "
+            )),
+            "{report}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }
