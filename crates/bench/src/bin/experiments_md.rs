@@ -169,14 +169,15 @@ fn commentary(id: &str) -> &'static str {
                               worker threads (tracing observes, never steers)."
         }
         "metrics_overhead" => {
-            "Observability cost check: instrumented code holds a Metrics \
-                              handle whose disabled form is a single branch per call — \
-                              the synthetic engine-shaped loop (one counter add + one \
-                              histogram observe per task) must stay under 2% over the \
-                              uninstrumented baseline, and the binary asserts it. The \
-                              enabled path prices a live registry update (shard lock + \
-                              label hash); the pipeline rows show both vanish inside a \
-                              real run."
+            "Observability cost check: sim-domain metrics are a fold over \
+                              the canonical trace events, so instrumented code pays a \
+                              disabled Tracer's single branch per site — the synthetic \
+                              engine-shaped loop (a heartbeat and a task-cost event per \
+                              task) must stay under 2% over the uninstrumented baseline, \
+                              and the binary asserts it. The enabled path prices building \
+                              an event and folding it into a live registry (shard lock + \
+                              label hash); the pipeline rows show the fold of every event \
+                              of a real run."
         }
         "flight_overhead" => {
             "Observability cost check for the flight recorder, which \

@@ -44,7 +44,6 @@ use cbft_mapreduce::{
     default_compute_threads, Behavior, Cluster, ComputePool, EngineEvent, FileData, JobOutcome,
     RunHandle, SamplePlan, SpotCheck, SpotCheckRecord, Ticket, VpSite,
 };
-use cbft_metrics::{names as metric_names, Domain};
 use cbft_sim::{CostModel, SeedSpawner};
 use cbft_trace::{Obs, TraceEvent, Tracer, COORDINATOR_PID};
 use crossbeam::channel::Sender;
@@ -54,7 +53,7 @@ use crate::config::VpPolicy;
 use crate::outcome::SubmitError;
 use crate::pipeline::{choose_points, job_output_sites, vp_sites_by_job, ReplicaJobs};
 use crate::suspicion::{SuspicionBand, SuspicionTable};
-use crate::verifier::{record_divergence, StreamedReport, Verifier};
+use crate::verifier::{StreamedReport, Verifier};
 
 /// The executor's verification tier: how much redundant computation buys
 /// how much assurance.
@@ -501,17 +500,19 @@ impl ParallelExecutor {
         Self::observed(config, Obs::disabled())
     }
 
-    /// Creates an executor that records into `obs`. Each replica's
-    /// engine gets a clone with its globally unique uid as track and
-    /// `replica` label; coordinator and verifier events use reserved
-    /// tracks, and their series (per-round replica counts and verdicts,
-    /// lag histograms, per-replica forensics) go to the same hub.
+    /// Creates an executor that records into `obs`, with the metrics
+    /// fold attached when its hub is live ([`Obs::folded`]). Each
+    /// replica's engine gets a clone with its globally unique uid as
+    /// track and `replica` label; coordinator and verifier events use
+    /// reserved tracks, and the fold turns them into the same hub's
+    /// series (per-round replica counts and verdicts, lag histograms,
+    /// per-replica forensics).
     pub fn observed(config: ExecutorConfig, obs: Obs) -> Self {
         ParallelExecutor {
             config,
             inputs: BTreeMap::new(),
             faults: BTreeMap::new(),
-            obs,
+            obs: obs.folded(),
             shared_pool: None,
         }
     }
@@ -531,7 +532,8 @@ impl ParallelExecutor {
     // construction; ROADMAP item 2(b) deletes it.
     #[doc(hidden)]
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.obs.tracer = tracer;
+        let metrics = self.obs.metrics.clone();
+        self.obs = Obs { tracer, metrics }.folded();
     }
 
     /// The active configuration.
@@ -670,15 +672,18 @@ impl ParallelExecutor {
         // coincide unless the node had prior clean checks.
         let mut suspicion = SuspicionTable::new();
         for check in &checks {
-            suspicion.record_jobs_metered([check.node], &self.obs.metrics);
+            suspicion.record_jobs([check.node]).emit(&self.obs.tracer);
             reexec.records_reexecuted += check.records_reexecuted;
             if check.confirmed {
                 reexec.confirmed += 1;
                 continue;
             }
             reexec.mismatched += 1;
-            suspicion.record_faults_metered([check.node], &self.obs.metrics);
+            suspicion.record_faults([check.node]).emit(&self.obs.tracer);
             if self.obs.tracer.enabled() {
+                // `sid`, `kind` and `task` name the checked task; the
+                // localized window folds into the divergence gauges
+                // under `spot/SID/KIND/TASK`.
                 let mut ev = TraceEvent::instant("spot_check_mismatch", "executor")
                     .on(COORDINATOR_PID, 0)
                     .arg("sid", check.sid.clone())
@@ -687,22 +692,11 @@ impl ParallelExecutor {
                 if let Some(range) = &check.divergence {
                     ev = ev
                         .arg("first_record", range.first_record)
-                        .arg("last_record", range.last_record);
+                        .arg("last_record", range.last_record)
+                        .arg("first_chunk", range.first_chunk)
+                        .arg("last_chunk", range.last_chunk);
                 }
-                self.obs.tracer.emit(ev);
-            }
-            if let Some(range) = check
-                .divergence
-                .as_ref()
-                .filter(|_| self.obs.metrics.enabled())
-            {
-                // Keyed so the health report names the checked task.
-                let kind = match check.kind {
-                    cbft_mapreduce::TaskKind::Map => "map",
-                    cbft_mapreduce::TaskKind::Reduce => "reduce",
-                };
-                let key = format!("spot/{}/{kind}/{}", check.sid, check.task_index);
-                record_divergence(&self.obs.metrics, key, range);
+                self.obs.tracer.emit(ev.arg("kind", check.kind.to_string()));
             }
         }
         let suspect_band = checks
@@ -730,23 +724,19 @@ impl ParallelExecutor {
         self.note_round(&state, published.as_ref());
 
         let escalate = mode == VerifyMode::Hybrid && published.is_none();
-        if self.obs.metrics.enabled() {
-            self.obs
-                .metrics
-                .gauge_set(Domain::Sim, metric_names::VERIFY_MODE, &[], mode.rank());
-            for (name, value) in [
-                (metric_names::REEXEC_TASKS, reexec.tasks_total),
-                (metric_names::REEXEC_SAMPLED, reexec.sampled),
-                (metric_names::REEXEC_RERUN, reexec.reexecuted),
-                (metric_names::REEXEC_CONFIRMED, reexec.confirmed),
-                (metric_names::REEXEC_MISMATCHED, reexec.mismatched),
-                (metric_names::REEXEC_RECORDS, reexec.records_reexecuted),
-                (metric_names::REEXEC_ESCALATIONS, u64::from(escalate)),
-            ] {
-                if value > 0 {
-                    self.obs.metrics.add(Domain::Sim, name, &[], value);
-                }
-            }
+        if self.obs.tracer.enabled() {
+            self.obs.tracer.emit(
+                TraceEvent::instant("reexec_summary", "executor")
+                    .on(COORDINATOR_PID, 0)
+                    .arg("mode", mode.name())
+                    .arg("tasks", reexec.tasks_total)
+                    .arg("sampled", reexec.sampled)
+                    .arg("rerun", reexec.reexecuted)
+                    .arg("confirmed", reexec.confirmed)
+                    .arg("mismatched", reexec.mismatched)
+                    .arg("records", reexec.records_reexecuted)
+                    .arg("escalated", u64::from(escalate)),
+            );
         }
 
         if !escalate {
@@ -897,46 +887,24 @@ impl ParallelExecutor {
         Ok(checks)
     }
 
-    /// Emits the round-end trace event and the escalation-cost metrics
-    /// for the round that just finished (the last entry of
-    /// `state.replicas_per_round`, 1-indexed for the health report).
+    /// Emits the round-end trace event for the round that just finished
+    /// (the last entry of `state.replicas_per_round`): its verdict and
+    /// the records it published, the escalation cost the health report
+    /// shows per round.
     fn note_round(&self, state: &RoundState, published: Option<&BTreeMap<String, FileData>>) {
-        let round = state.replicas_per_round.len() as u64;
-        let fresh = state.replicas_per_round.last().copied().unwrap_or(0);
         if self.obs.tracer.enabled() {
-            self.obs.tracer.emit(
-                TraceEvent::instant("round_end", "executor")
-                    .on(COORDINATOR_PID, 0)
-                    .seq(round - 1)
-                    .arg("verified", if published.is_some() { 1u64 } else { 0 }),
-            );
-        }
-        if self.obs.metrics.enabled() {
-            // Escalation-cost forensics, recorded on the coordinator
-            // in round order (1-indexed for the health report).
-            let label = [("round", cbft_metrics::LabelValue::U64(round))];
-            self.obs.metrics.gauge_set(
-                Domain::Sim,
-                metric_names::ROUND_REPLICAS,
-                &label,
-                fresh as u64,
-            );
-            self.obs.metrics.gauge_set(
-                Domain::Sim,
-                metric_names::ROUND_VERIFIED,
-                &label,
-                u64::from(published.is_some()),
-            );
             let records: u64 = published
                 .iter()
                 .flat_map(|outs| outs.values())
                 .map(|file| file.len() as u64)
                 .sum();
-            if records > 0 {
-                self.obs
-                    .metrics
-                    .add(Domain::Sim, metric_names::ROUND_RECORDS, &label, records);
-            }
+            self.obs.tracer.emit(
+                TraceEvent::instant("round_end", "executor")
+                    .on(COORDINATOR_PID, 0)
+                    .seq(state.replicas_per_round.len() as u64 - 1)
+                    .arg("verified", if published.is_some() { 1u64 } else { 0 })
+                    .arg("records", records),
+            );
         }
     }
 
@@ -957,29 +925,7 @@ impl ParallelExecutor {
         } = state;
         // Deterministic verification-lag timeline, derived from the final
         // table state rather than live channel arrivals.
-        verifier.emit_quorum_events(&self.obs.tracer);
-        verifier.record_metrics(&self.obs.metrics);
-        if self.obs.metrics.enabled() {
-            // Fully silent replicas never reach the verifier table, so
-            // their omission forensics are charged here: they missed
-            // every key their siblings reported.
-            let seen = verifier.seen_replicas();
-            let keys = verifier.keys_seen() as u64;
-            for run in runs.values() {
-                if !seen.contains(&run.uid) {
-                    let labels = [("replica", cbft_metrics::LabelValue::U64(run.uid as u64))];
-                    self.obs
-                        .metrics
-                        .add(Domain::Sim, metric_names::REPLICA_REPORTS, &labels, 0);
-                    self.obs.metrics.add(
-                        Domain::Sim,
-                        metric_names::REPLICA_OMISSIONS,
-                        &labels,
-                        keys.max(1),
-                    );
-                }
-            }
-        }
+        verifier.emit_forensics(&self.obs.tracer, runs.keys().copied());
 
         // Canonical order: any thread interleaving sorts to this exact
         // transcript, so downstream consumers (tests, persisted logs)

@@ -76,7 +76,7 @@ pub use isolation::FaultAnalyzer;
 pub use outcome::{ScriptOutcome, SubmitError};
 pub use pipeline::ClusterBft;
 pub use probe::ProbeReport;
-pub use suspicion::{SuspicionBand, SuspicionTable};
+pub use suspicion::{BandUpdates, SuspicionBand, SuspicionTable};
 pub use verifier::{DigestKey, KeyVerdict, StreamedReport, Verifier};
 
 // Re-export the types users need to drive the system without spelling out

@@ -31,7 +31,6 @@ use cbft_mapreduce::{
     Cluster, ComputePool, EngineEvent, ExecInput, ExecJob, JobOutcome, NodeId, RunHandle,
     SamplePlan, StorageError, TimerToken, VpSite,
 };
-use cbft_metrics::{names as metric_names, Domain};
 use cbft_sim::SimDuration;
 use cbft_trace::{TraceEvent, Tracer, COORDINATOR_PID};
 
@@ -46,8 +45,10 @@ use crate::verifier::Verifier;
 ///
 /// It records into its cluster's observability context, the one given
 /// to [`cbft_mapreduce::ClusterBuilder::obs`]: attempt spans,
-/// verification timeouts and per-key quorum events on the coordinator
-/// track, per-attempt replica counts and suspicion forensics in the hub.
+/// verification timeouts, suspicion band updates and the verifier's
+/// quorum and forensics events. The cluster's tracer already folds into
+/// a live hub, which so receives the per-attempt replica counts and the
+/// suspicion forensics.
 ///
 /// # Examples
 ///
@@ -284,14 +285,6 @@ impl ClusterBft {
                 break; // everything verified in earlier attempts
             }
             jobs_per_attempt.push(run_jobs.len());
-            if obs.metrics.enabled() {
-                obs.metrics.gauge_set(
-                    Domain::Sim,
-                    metric_names::ROUND_REPLICAS,
-                    &[("round", (attempt as u64 + 1).into())],
-                    r as u64,
-                );
-            }
             if obs.tracer.enabled() {
                 obs.tracer.emit(
                     TraceEvent::begin("attempt", "control")
@@ -387,7 +380,8 @@ impl ClusterBft {
                             } => {
                                 total += metrics;
                                 self.suspicion
-                                    .record_jobs_metered(nodes.iter().copied(), &obs.metrics);
+                                    .record_jobs(nodes.iter().copied())
+                                    .emit(&obs.tracer);
                                 replicas[rep].files.insert(job, output_file.clone());
                                 let done = CompletedJob {
                                     file: output_file,
@@ -447,7 +441,8 @@ impl ClusterBft {
                 // updated" (§4.3).
                 if timed_out {
                     self.suspicion
-                        .record_faults_metered(nodes.iter().copied(), &obs.metrics);
+                        .record_faults(nodes.iter().copied())
+                        .emit(&obs.tracer);
                 }
             }
             self.cancel_all(&handles, &completed);
@@ -492,7 +487,8 @@ impl ClusterBft {
                     }
                     if let Some(c) = completed_by_uid.get(&(uid, job)) {
                         self.suspicion
-                            .record_faults_metered(c.nodes.iter().copied(), &obs.metrics);
+                            .record_faults(c.nodes.iter().copied())
+                            .emit(&obs.tracer);
                         if let Some(analyzer) = &mut self.analyzer {
                             analyzer.observe_faulty_cluster(c.nodes.clone());
                         }
@@ -525,7 +521,8 @@ impl ClusterBft {
                     if let Some(c) = completed_by_uid.get(&(uid, job)) {
                         if uid >= uid_base {
                             self.suspicion
-                                .record_faults_metered(c.nodes.iter().copied(), &obs.metrics);
+                                .record_faults(c.nodes.iter().copied())
+                                .emit(&obs.tracer);
                         }
                         union.extend(c.nodes.iter().copied());
                     }
@@ -627,8 +624,7 @@ impl ClusterBft {
             Vec::new()
         };
         self.restore_exclusions(&temp_excluded);
-        verifier.emit_quorum_events(&obs.tracer);
-        verifier.record_metrics(&obs.metrics);
+        verifier.emit_forensics(&obs.tracer, []);
         Ok(ScriptOutcome {
             verified: all_trusted && !unverified_baseline,
             attempts: replicas_per_attempt.len() as u32,

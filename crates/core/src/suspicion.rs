@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use cbft_mapreduce::NodeId;
-use cbft_metrics::{names as metric_names, Domain, Metrics};
+use cbft_trace::{TraceEvent, Tracer, COORDINATOR_PID};
 use serde::{Deserialize, Serialize};
 
 /// Suspicion bucket used in the paper's Figs. 12–13.
@@ -46,6 +46,45 @@ impl SuspicionBand {
     }
 }
 
+/// What one record call did to one node: its band before and after,
+/// and the evidence (jobs, faults) behind the band after.
+#[derive(Clone, Copy, Debug)]
+struct BandUpdate {
+    node: NodeId,
+    from: SuspicionBand,
+    to: SuspicionBand,
+    jobs: u64,
+    faults: u64,
+}
+
+/// The band updates of one record call, one per node named, in order.
+#[derive(Clone, Debug, Default)]
+pub struct BandUpdates(Vec<BandUpdate>);
+
+impl BandUpdates {
+    /// Emits one canonical `suspicion` instant per update on the
+    /// coordinator track, band names and evidence as args: the events
+    /// the metrics fold turns into band transitions and band gauges.
+    /// Callers run on the coordinator in sim order, so the events are
+    /// sim-deterministic.
+    pub fn emit(self, tracer: &Tracer) {
+        if !tracer.enabled() {
+            return;
+        }
+        for u in self.0 {
+            tracer.emit(
+                TraceEvent::instant("suspicion", "control")
+                    .on(COORDINATOR_PID, 0)
+                    .arg("node", u.node.0)
+                    .arg("from", u.from.name())
+                    .arg("to", u.to.name())
+                    .arg("jobs", u.jobs)
+                    .arg("faults", u.faults),
+            );
+        }
+    }
+}
+
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 struct NodeStats {
     faults: u64,
@@ -79,10 +118,8 @@ impl SuspicionTable {
     }
 
     /// Records that a job (cluster) executed on `nodes`.
-    pub fn record_jobs(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
-        for n in nodes {
-            self.stats.entry(n).or_default().jobs += 1;
-        }
+    pub fn record_jobs(&mut self, nodes: impl IntoIterator<Item = NodeId>) -> BandUpdates {
+        self.record(nodes, |s| s.jobs += 1)
     }
 
     /// Records that a faulty job cluster involved `nodes`.
@@ -94,68 +131,35 @@ impl SuspicionTable {
     /// previously such evidence was stored as `faults = 1, jobs = 0`,
     /// which `level()` rendered as `0.0`, hiding the fault until an
     /// unrelated job landed on the node.
-    pub fn record_faults(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
-        for n in nodes {
-            let s = self.stats.entry(n).or_default();
+    pub fn record_faults(&mut self, nodes: impl IntoIterator<Item = NodeId>) -> BandUpdates {
+        self.record(nodes, |s| {
             s.jobs = s.jobs.max(1);
             s.faults = (s.faults + 1).min(s.jobs);
-        }
+        })
     }
 
-    /// [`SuspicionTable::record_jobs`] plus band-transition metrics: a
-    /// node whose band changed gets a
-    /// `cbft_suspicion_transitions_total{node, from, to}` tick and its
-    /// `cbft_suspicion_band{node}` gauge updated. Updates run on the
-    /// coordinator in sim order, so both are sim-deterministic.
-    pub fn record_jobs_metered(
+    fn record(
         &mut self,
         nodes: impl IntoIterator<Item = NodeId>,
-        metrics: &Metrics,
-    ) {
-        for n in nodes {
-            let before = self.band(n);
-            self.record_jobs([n]);
-            self.note_band(n, before, metrics);
-        }
-    }
-
-    /// [`SuspicionTable::record_faults`] plus band-transition metrics;
-    /// see [`SuspicionTable::record_jobs_metered`].
-    pub fn record_faults_metered(
-        &mut self,
-        nodes: impl IntoIterator<Item = NodeId>,
-        metrics: &Metrics,
-    ) {
-        for n in nodes {
-            let before = self.band(n);
-            self.record_faults([n]);
-            self.note_band(n, before, metrics);
-        }
-    }
-
-    fn note_band(&self, node: NodeId, before: SuspicionBand, metrics: &Metrics) {
-        if !metrics.enabled() {
-            return;
-        }
-        let after = self.band(node);
-        if after != before {
-            metrics.add(
-                Domain::Sim,
-                metric_names::SUSPICION_TRANSITIONS,
-                &[
-                    ("node", node.0.into()),
-                    ("from", before.name().into()),
-                    ("to", after.name().into()),
-                ],
-                1,
-            );
-        }
-        metrics.gauge_set(
-            Domain::Sim,
-            metric_names::SUSPICION_BAND,
-            &[("node", node.0.into())],
-            after.rank(),
-        );
+        update: impl Fn(&mut NodeStats),
+    ) -> BandUpdates {
+        let updates = nodes
+            .into_iter()
+            .map(|node| {
+                let from = self.band(node);
+                let stats = self.stats.entry(node).or_default();
+                update(stats);
+                let NodeStats { jobs, faults } = *stats;
+                BandUpdate {
+                    node,
+                    from,
+                    to: self.band(node),
+                    jobs,
+                    faults,
+                }
+            })
+            .collect();
+        BandUpdates(updates)
     }
 
     /// The suspicion level `s = faults / jobs` (0 when the node has run
@@ -200,13 +204,7 @@ impl SuspicionTable {
     pub fn band_counts(&self) -> BTreeMap<&'static str, usize> {
         let mut out = BTreeMap::from([("none", 0), ("low", 0), ("med", 0), ("high", 0)]);
         for &n in self.stats.keys() {
-            let key = match self.band(n) {
-                SuspicionBand::None => "none",
-                SuspicionBand::Low => "low",
-                SuspicionBand::Med => "med",
-                SuspicionBand::High => "high",
-            };
-            *out.get_mut(key).expect("preseeded") += 1;
+            *out.get_mut(self.band(n).name()).expect("preseeded") += 1;
         }
         out
     }

@@ -10,9 +10,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use cbft_dataflow::compile::Site;
 use cbft_dataflow::VertexId;
-use cbft_digest::{ChunkedSummary, Digest, MismatchRange, StreamVerdict};
+use cbft_digest::{ChunkedSummary, Digest, MismatchRange};
 use cbft_mapreduce::{DigestReport, TaskKind};
-use cbft_metrics::{names as metric_names, Domain, Metrics};
 use cbft_sim::{SimDuration, SimTime};
 use cbft_trace::{TraceEvent, Tracer, QUORUM_EVENT, VERIFIER_PID};
 use serde::{Deserialize, Serialize};
@@ -94,24 +93,6 @@ pub fn key_label(key: &DigestKey) -> String {
     format!("v{}/{:?}/{:?}/{}", vertex.0, site, kind, index)
 }
 
-/// Writes the four `cbft_divergence_*` gauges for one localized window
-/// under `key`: a quorum key's Merkle-descent range, or a mismatched
-/// spot-check's (`spot/SID/KIND/TASK`), in one health-report section.
-pub(crate) fn record_divergence(metrics: &Metrics, key: String, range: &MismatchRange) {
-    let labels = [("key", key.into())];
-    for (name, value) in [
-        (
-            metric_names::DIVERGENCE_FIRST_CHUNK,
-            range.first_chunk as u64,
-        ),
-        (metric_names::DIVERGENCE_LAST_CHUNK, range.last_chunk as u64),
-        (metric_names::DIVERGENCE_FIRST_RECORD, range.first_record),
-        (metric_names::DIVERGENCE_LAST_RECORD, range.last_record),
-    ] {
-        metrics.gauge_set(Domain::Sim, name, &labels, value);
-    }
-}
-
 /// Collects digest reports for one replica set and decides verification.
 ///
 /// # Examples
@@ -183,7 +164,7 @@ impl Verifier {
     /// track. The instant is *non-canonical*: which ingest flips a key's
     /// verdict depends on channel arrival order, so it is excluded from
     /// determinism comparisons; the deterministic quorum timeline comes
-    /// from [`Verifier::emit_quorum_events`] at end of run.
+    /// from [`Verifier::emit_forensics`] at end of run.
     pub fn ingest_traced(&mut self, streamed: &StreamedReport, tracer: &Tracer) -> KeyVerdict {
         let verdict = self.ingest(streamed);
         if tracer.enabled() {
@@ -206,17 +187,38 @@ impl Verifier {
         verdict
     }
 
-    /// Emits one canonical [`QUORUM_EVENT`] instant per verified key,
-    /// computed from the *final* table state: the quorum time is the
-    /// virtual time of the `(f+1)`-th earliest matching report, and the
-    /// lag is measured from the key's first report of any kind. Both are
-    /// functions of the table contents alone, so the emitted events are
-    /// identical for every thread count and channel interleaving.
-    pub fn emit_quorum_events(&self, tracer: &Tracer) {
+    /// Emits the verifier's end-of-run events on the verifier track, in
+    /// one walk of the *final* table, so each is a function of the table
+    /// contents alone — identical for every thread count and channel
+    /// interleaving:
+    ///
+    /// - a [`QUORUM_EVENT`] instant per verified key at its quorum time,
+    ///   the virtual time of the `(f+1)`-th earliest matching report,
+    ///   with `lag_us` measured from the key's first report of any kind;
+    /// - a `divergence` instant per key where any replica pair disagrees
+    ///   (a named deviant or an unresolved conflict alike), carrying the
+    ///   Merkle-narrowed chunk/record window (satellite of §6.4's
+    ///   granular digests) so the health report can bound the
+    ///   recomputation span;
+    /// - a `replica_forensics` instant per replica: keys reported, keys
+    ///   where it contradicted a quorum (`mismatches`), keys where it is
+    ///   party to an unresolved conflict (`conflicts`: no quorum assigns
+    ///   blame, but the reporter set provably contains a faulty replica)
+    ///   and keys its siblings reported but it did not (`omissions`).
+    ///
+    /// `ran` names every replica that ran, so a fully silent one — never
+    /// in the table — is charged with missing every key (at least one).
+    pub fn emit_forensics(&self, tracer: &Tracer, ran: impl IntoIterator<Item = usize>) {
         if !tracer.enabled() {
             return;
         }
-        for key in self.table.keys() {
+        // Per replica: [reports, mismatches, conflicts, omissions].
+        let mut counts: BTreeMap<usize, [u64; 4]> = self
+            .seen_replicas()
+            .into_iter()
+            .map(|r| (r, [0; 4]))
+            .collect();
+        for (key, reports) in &self.table {
             if let Some(quorum_at) = self.quorum_time(key) {
                 let lag = self.verification_lag(key).unwrap_or(SimDuration::ZERO);
                 tracer.emit(
@@ -227,102 +229,49 @@ impl Verifier {
                         .arg("lag_us", lag.as_micros()),
                 );
             }
-        }
-    }
-
-    /// Records the verifier's forensics into a metrics hub, computed —
-    /// like [`Verifier::emit_quorum_events`] — from the *final* table
-    /// state, so every sample is sim-domain deterministic:
-    ///
-    /// - a report→quorum lag histogram per verified key
-    ///   (`cbft_verification_lag_us{key}`),
-    /// - per-replica report counts (`cbft_replica_reports_total`),
-    /// - per-replica quorum contradictions
-    ///   (`cbft_replica_mismatches_total`),
-    /// - per-replica unresolved-conflict parties
-    ///   (`cbft_replica_conflicts_total`): keys stuck in
-    ///   [`KeyVerdict::Mismatch`], where no quorum assigns blame but the
-    ///   reporter set provably contains a faulty replica, and
-    /// - per-replica missed keys (`cbft_replica_omissions_total`): keys
-    ///   where sibling replicas reported but this one stayed silent.
-    pub fn record_metrics(&self, metrics: &Metrics) {
-        if !metrics.enabled() {
-            return;
-        }
-        for key in self.table.keys() {
-            if self.quorum_time(key).is_some() {
-                let lag = self.verification_lag(key).unwrap_or(SimDuration::ZERO);
-                metrics.observe(
-                    Domain::Sim,
-                    metric_names::VERIFICATION_LAG_US,
-                    &[("key", key_label(key).into())],
-                    lag.as_micros(),
-                );
-            }
-            // Merkle mismatch localization (satellite of §6.4's granular
-            // digests): whenever any replica pair disagrees at this key —
-            // a named deviant or an unresolved conflict alike — publish
-            // the narrowed chunk/record window so the health report can
-            // bound the recomputation span.
             if let Some(range) = self.divergence_range(key) {
-                record_divergence(metrics, key_label(key), &range);
+                let last_at = reports.values().map(|rec| rec.at.as_micros()).max();
+                tracer.emit(
+                    TraceEvent::instant("divergence", "verifier")
+                        .on(VERIFIER_PID, 0)
+                        .at_sim(last_at.unwrap_or(0))
+                        .arg("key", key_label(key))
+                        .arg("first_chunk", range.first_chunk)
+                        .arg("last_chunk", range.last_chunk)
+                        .arg("first_record", range.first_record)
+                        .arg("last_record", range.last_record),
+                );
             }
-            match self.verdict(key) {
-                KeyVerdict::Verified { deviant, .. } => {
-                    for replica in deviant {
-                        metrics.add(
-                            Domain::Sim,
-                            metric_names::REPLICA_MISMATCHES,
-                            &[("replica", replica.into())],
-                            1,
-                        );
-                    }
-                }
-                // An unresolved conflict never forms a quorum, so no
-                // single side can be blamed — but the set of reporters
-                // provably contains a faulty replica (§4.2 fault sets).
-                // Without this charge, a Byzantine replica in a
-                // quorumless run escapes the health report entirely
-                // while its crashed siblings are named. Recording runs
-                // at end-of-run, so the closed-world reading applies to
-                // `Pending` keys too: replicas that never reported are
-                // never going to.
-                KeyVerdict::Mismatch | KeyVerdict::Pending => {
-                    for replica in self.conflict_parties(key) {
-                        metrics.add(
-                            Domain::Sim,
-                            metric_names::REPLICA_CONFLICTS,
-                            &[("replica", replica.into())],
-                            1,
-                        );
-                    }
+            // A key with no quorum blames no single side, but its
+            // reporters provably include a faulty replica (§4.2 fault
+            // sets). End of run is closed-world, so `Pending` keys count
+            // too: replicas that never reported are never going to.
+            let (blamed, slot) = match self.verdict(key) {
+                KeyVerdict::Verified { deviant, .. } => (deviant.into_iter().collect(), 1),
+                KeyVerdict::Mismatch | KeyVerdict::Pending => (self.conflict_parties(key), 2),
+            };
+            for (replica, c) in counts.iter_mut() {
+                c[if reports.contains_key(replica) { 0 } else { 3 }] += 1;
+                if blamed.contains(replica) {
+                    c[slot] += 1;
                 }
             }
         }
-        for replica in self.seen_replicas() {
-            let mut reports = 0u64;
-            let mut missed = 0u64;
-            for key_reports in self.table.values() {
-                if key_reports.contains_key(&replica) {
-                    reports += 1;
-                } else {
-                    missed += 1;
-                }
-            }
-            metrics.add(
-                Domain::Sim,
-                metric_names::REPLICA_REPORTS,
-                &[("replica", replica.into())],
-                reports,
+        let keys = self.keys_seen() as u64;
+        for replica in ran {
+            counts.entry(replica).or_insert([0, 0, 0, keys.max(1)]);
+        }
+        for (replica, [reports, mismatches, conflicts, omissions]) in counts {
+            tracer.emit(
+                TraceEvent::instant("replica_forensics", "verifier")
+                    .on(VERIFIER_PID, 0)
+                    .seq(replica as u64)
+                    .arg("replica", replica)
+                    .arg("reports", reports)
+                    .arg("mismatches", mismatches)
+                    .arg("conflicts", conflicts)
+                    .arg("omissions", omissions),
             );
-            if missed > 0 {
-                metrics.add(
-                    Domain::Sim,
-                    metric_names::REPLICA_OMISSIONS,
-                    &[("replica", replica.into())],
-                    missed,
-                );
-            }
         }
     }
 
@@ -509,31 +458,6 @@ impl Verifier {
             .filter(|k| matches!(self.verdict(k), KeyVerdict::Mismatch))
             .copied()
             .collect()
-    }
-
-    /// The first chunk at which replicas' streams diverge at `key` — the
-    /// recomputation window starts there. `None` when the key has no
-    /// disagreement (or only one report).
-    pub fn divergence_chunk(&self, key: &DigestKey) -> Option<usize> {
-        let reports = self.table.get(key)?;
-        let mut min_chunk: Option<usize> = None;
-        let summaries: Vec<&ChunkedSummary> = reports.values().map(|rec| &rec.summary).collect();
-        for i in 0..summaries.len() {
-            for j in (i + 1)..summaries.len() {
-                if let StreamVerdict::DivergedAt { chunk } = summaries[i].compare(summaries[j]) {
-                    min_chunk = Some(min_chunk.map_or(chunk, |m| m.min(chunk)));
-                }
-            }
-        }
-        min_chunk
-    }
-
-    /// The earliest divergence chunk across every disagreeing key.
-    pub fn earliest_divergence(&self) -> Option<usize> {
-        self.table
-            .keys()
-            .filter_map(|k| self.divergence_chunk(k))
-            .min()
     }
 
     /// The chunk/record window implicated at `key`, localized by Merkle
@@ -855,16 +779,21 @@ mod tests {
             for i in order {
                 v.ingest_traced(&reports[i], &tracer);
             }
-            v.emit_quorum_events(&tracer);
+            v.emit_forensics(&tracer, []);
             canon.push(canonicalize(&sink.take()));
         }
         assert_eq!(canon[0], canon[1]);
         assert_eq!(canon[1], canon[2]);
-        // Live ingest instants are non-canonical; only the quorum
-        // instant survives into the canonical trace.
-        assert_eq!(canon[0].len(), 1);
-        assert_eq!(canon[0][0].name, "quorum");
-        assert_eq!(canon[0][0].sim_us, 50);
+        // Live ingest instants are non-canonical; of the ingest and
+        // quorum events only the quorum instant survives into the
+        // canonical trace (beside the end-of-run forensics).
+        let quorum: Vec<_> = canon[0]
+            .iter()
+            .filter(|e| e.name != "divergence" && e.name != "replica_forensics")
+            .collect();
+        assert_eq!(quorum.len(), 1);
+        assert_eq!(quorum[0].name, "quorum");
+        assert_eq!(quorum[0].sim_us, 50);
 
         // And the summary extracts the per-key lag from it.
         let mut v = Verifier::new(1, 3);
@@ -872,7 +801,7 @@ mod tests {
         for r in &reports {
             v.ingest_traced(r, &tracer);
         }
-        v.emit_quorum_events(&tracer);
+        v.emit_forensics(&tracer, []);
         let summary = TraceSummary::from_events(&sink.take());
         assert_eq!(summary.key_lags.len(), 1);
         assert_eq!(summary.key_lags[0].lag_us, 40);
@@ -940,23 +869,33 @@ mod divergence_tests {
             0,
         );
 
+        let first_chunk = |v: &Verifier| v.divergence_range(&key).map(|r| r.first_chunk);
+
         // Granularity 2: record 4 corrupt → chunk 2.
         let mut v = Verifier::new(1, 2);
         v.record(&report_chunked(0, &good, 2));
         v.record(&report_chunked(1, &bad, 2));
-        assert_eq!(v.divergence_chunk(&key), Some(2));
-        assert_eq!(v.earliest_divergence(), Some(2));
+        assert_eq!(first_chunk(&v), Some(2));
 
         // Whole-stream digests only say "somewhere" (chunk 0).
         let mut coarse = Verifier::new(1, 2);
         coarse.record(&report_chunked(0, &good, usize::MAX));
         coarse.record(&report_chunked(1, &bad, usize::MAX));
-        assert_eq!(coarse.divergence_chunk(&key), Some(0));
+        assert_eq!(first_chunk(&coarse), Some(0));
+    }
+
+    /// A live hub with the metrics fold in front of its tracer.
+    fn folded() -> cbft_trace::Obs {
+        cbft_trace::Obs {
+            metrics: cbft_metrics::Metrics::new(),
+            ..cbft_trace::Obs::disabled()
+        }
+        .folded()
     }
 
     #[test]
     fn merkle_localization_narrows_the_record_window() {
-        use cbft_metrics::{HealthReport, Metrics};
+        use cbft_metrics::HealthReport;
 
         let good: Vec<&[u8]> = vec![b"a", b"b", b"c", b"d", b"e", b"f"];
         let bad: Vec<&[u8]> = vec![b"a", b"b", b"c", b"d", b"X", b"f"];
@@ -975,10 +914,11 @@ mod divergence_tests {
         assert_eq!((range.first_chunk, range.last_chunk), (2, 2));
         assert_eq!((range.first_record, range.last_record), (4, 5));
 
-        // The range flows through record_metrics into the health report.
-        let metrics = Metrics::new();
-        v.record_metrics(&metrics);
-        let report = HealthReport::from_snapshot(&metrics.snapshot());
+        // The range flows through the forensics events and the metrics
+        // fold into the health report.
+        let obs = folded();
+        v.emit_forensics(&obs.tracer, []);
+        let report = HealthReport::from_snapshot(&obs.metrics.snapshot());
         let spans = report.divergence_spans();
         assert_eq!(spans.len(), 1);
         let (label, span) = spans.iter().next().unwrap();
@@ -994,9 +934,9 @@ mod divergence_tests {
         agree.record(&report_chunked(0, &good, 2));
         agree.record(&report_chunked(1, &good, 2));
         assert_eq!(agree.divergence_range(&key), None);
-        let m2 = Metrics::new();
-        agree.record_metrics(&m2);
-        assert!(HealthReport::from_snapshot(&m2.snapshot())
+        let obs = folded();
+        agree.emit_forensics(&obs.tracer, []);
+        assert!(HealthReport::from_snapshot(&obs.metrics.snapshot())
             .divergence_spans()
             .is_empty());
     }
@@ -1033,7 +973,6 @@ mod divergence_tests {
         let mut v = Verifier::new(1, 2);
         v.record(&report_chunked(0, &recs, 1));
         v.record(&report_chunked(1, &recs, 1));
-        assert_eq!(v.divergence_chunk(&key), None);
-        assert_eq!(v.earliest_divergence(), None);
+        assert_eq!(v.divergence_range(&key), None);
     }
 }

@@ -18,7 +18,6 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use cbft_metrics::{names as metric_names, Domain};
 use cbft_sim::{CostModel, EventQueue, SeedSpawner, SimDuration, SimTime};
 use cbft_trace::{Obs, TraceEvent, Tracer};
 use rand::rngs::StdRng;
@@ -321,9 +320,11 @@ impl ClusterBuilder {
     }
 
     /// Attaches the observability context: the tracer records task,
-    /// heartbeat, shuffle and job events on the `trace_pid` track, and
-    /// the hub records task sim-latency histograms, shuffle bytes and
-    /// heartbeat counts labeled `replica = trace_pid` (the parallel
+    /// heartbeat, shuffle and job events on the `trace_pid` track. With a
+    /// live hub, [`ClusterBuilder::build`] attaches the metrics fold
+    /// ([`Obs::folded`]; a no-op when the caller already did), which
+    /// turns those events into task sim-latency histograms, shuffle bytes
+    /// and heartbeat counts labeled `replica = trace_pid` (the parallel
     /// executor passes the replica's globally unique uid, so replicas
     /// land on different tracks and series). The default is
     /// [`Obs::disabled`] — one branch per site.
@@ -377,7 +378,7 @@ impl ClusterBuilder {
             placement_salt: seeds.seed("placement", 0) as usize,
             rotation_nonce: 0,
             task_timeout: self.task_timeout,
-            obs: self.obs,
+            obs: self.obs.folded(),
             trace_pid: self.trace_pid,
             pool: self
                 .compute_pool
@@ -415,8 +416,7 @@ pub struct Cluster {
     /// Speculative-execution deadline, if enabled.
     task_timeout: Option<SimDuration>,
     /// Tracer and metrics hub (disabled by default: a plain `Option`
-    /// check per site); samples are labeled with `trace_pid` as the
-    /// replica dimension.
+    /// check per site); the tracer folds into the hub when it is live.
     obs: Obs,
     /// Track id for this cluster's trace events (replica uid under the
     /// parallel executor; 0 in standalone use).
@@ -463,7 +463,9 @@ impl Cluster {
     // Kept only for `ClusterBft::set_tracer`; ROADMAP item 2(b) deletes it.
     #[doc(hidden)]
     pub fn set_tracer(&mut self, tracer: Tracer, trace_pid: u32) {
-        (self.obs.tracer, self.trace_pid) = (tracer, trace_pid);
+        let metrics = self.obs.metrics.clone();
+        self.obs = Obs { tracer, metrics }.folded();
+        self.trace_pid = trace_pid;
     }
 
     /// The compute pool executing task payloads; see
@@ -745,16 +747,6 @@ impl Cluster {
                     .arg("free_slots", self.nodes[node.0].free_slots),
             );
         }
-        if self.obs.metrics.enabled() {
-            // Heartbeats are wake-driven simulation events: their count
-            // is a function of the schedule, not of host threading.
-            self.obs.metrics.add(
-                Domain::Sim,
-                metric_names::HEARTBEATS,
-                &[("replica", self.trace_pid.into())],
-                1,
-            );
-        }
         if self.nodes[node.0].excluded || self.nodes[node.0].free_slots == 0 {
             return;
         }
@@ -992,24 +984,16 @@ impl Cluster {
                         + self.cost.hdfs(w.bytes_out)
                 }
             };
-            if self.obs.metrics.enabled() {
-                // Task sim latency is the cost-model duration: a pure
-                // function of the task's work, so sim-domain.
-                self.obs.metrics.observe(
-                    Domain::Sim,
-                    metric_names::TASK_SIM_US,
-                    &[
-                        ("replica", self.trace_pid.into()),
-                        (
-                            "kind",
-                            match p.kind {
-                                TaskKind::Map => "map",
-                                TaskKind::Reduce => "reduce",
-                            }
-                            .into(),
-                        ),
-                    ],
-                    duration.as_micros(),
+            if self.obs.tracer.enabled() {
+                // The task's cost-model duration, priced here: a task
+                // cancelled before it completes still had one.
+                self.obs.tracer.emit(
+                    TraceEvent::instant("task_cost", "engine")
+                        .on(self.trace_pid, node.0 as u32)
+                        .at_sim(self.queue.now().as_micros())
+                        .seq(p.index as u64)
+                        .arg("kind", p.kind.to_string())
+                        .arg("dur_us", duration.as_micros()),
                 );
             }
             job.phase_mut(p.kind).states[p.index] = TaskSt::Running {
@@ -1063,6 +1047,9 @@ impl Cluster {
                 .on(self.trace_pid, node.0 as u32)
                 .at_sim(now.as_micros())
                 .seq(index as u64);
+            if kind == TaskKind::Map && !job.spec.is_map_only() {
+                end = end.arg("shuffle_bytes", result.work.bytes_out);
+            }
             for (stage, ns) in result.stages.named() {
                 end = end.wall_arg(stage, ns);
             }
@@ -1082,12 +1069,6 @@ impl Cluster {
                     job.metrics.hdfs_write_bytes += w.bytes_out;
                 } else {
                     job.metrics.local_write_bytes += w.bytes_out;
-                    self.obs.metrics.add(
-                        Domain::Sim,
-                        metric_names::SHUFFLE_BYTES,
-                        &[("replica", self.trace_pid.into())],
-                        w.bytes_out,
-                    );
                 }
                 job.metrics.map_tasks += 1;
             }

@@ -276,172 +276,97 @@ impl HealthReport {
     pub fn from_snapshot(snap: &Snapshot) -> Self {
         let mut report = HealthReport::default();
         for s in &snap.samples {
-            let scalar = match &s.value {
-                SampleValue::Counter(v) | SampleValue::Gauge(v) => *v,
-                SampleValue::Histogram(_) => 0,
+            let (v, hist) = match &s.value {
+                SampleValue::Counter(v) | SampleValue::Gauge(v) => (*v, None),
+                SampleValue::Histogram(h) => (0, Some(h.as_ref())),
             };
+            let text = |name| label(&s.labels, name);
+            let num = |name| label_u64(&s.labels, name);
             match s.name {
-                names::REPLICA_REPORTS => {
-                    if let Some(r) = label_u64(&s.labels, "replica") {
-                        report.replicas.entry(r).or_default().reports = scalar;
+                names::REPLICA_REPORTS
+                | names::REPLICA_MISMATCHES
+                | names::REPLICA_OMISSIONS
+                | names::REPLICA_CONFLICTS => {
+                    if let Some(r) = num("replica") {
+                        let h = report.replicas.entry(r).or_default();
+                        *match s.name {
+                            names::REPLICA_REPORTS => &mut h.reports,
+                            names::REPLICA_MISMATCHES => &mut h.mismatches,
+                            names::REPLICA_OMISSIONS => &mut h.omissions,
+                            _ => &mut h.conflicts,
+                        } = v;
                     }
                 }
-                names::REPLICA_MISMATCHES => {
-                    if let Some(r) = label_u64(&s.labels, "replica") {
-                        report.replicas.entry(r).or_default().mismatches = scalar;
-                    }
-                }
-                names::REPLICA_OMISSIONS => {
-                    if let Some(r) = label_u64(&s.labels, "replica") {
-                        report.replicas.entry(r).or_default().omissions = scalar;
-                    }
-                }
-                names::REPLICA_CONFLICTS => {
-                    if let Some(r) = label_u64(&s.labels, "replica") {
-                        report.replicas.entry(r).or_default().conflicts = scalar;
+                names::DIVERGENCE_FIRST_CHUNK
+                | names::DIVERGENCE_LAST_CHUNK
+                | names::DIVERGENCE_FIRST_RECORD
+                | names::DIVERGENCE_LAST_RECORD => {
+                    if let Some(key) = text("key") {
+                        let d = report.divergences.entry(key.to_owned()).or_default();
+                        *match s.name {
+                            names::DIVERGENCE_FIRST_CHUNK => &mut d.first_chunk,
+                            names::DIVERGENCE_LAST_CHUNK => &mut d.last_chunk,
+                            names::DIVERGENCE_FIRST_RECORD => &mut d.first_record,
+                            _ => &mut d.last_record,
+                        } = v;
                     }
                 }
                 names::VERIFICATION_LAG_US => {
-                    if let (Some(key), SampleValue::Histogram(h)) =
-                        (label(&s.labels, "key"), &s.value)
-                    {
-                        report.points.entry(key.to_string()).or_default().merge(h);
-                    }
-                }
-                names::DIVERGENCE_FIRST_CHUNK => {
-                    if let Some(key) = label(&s.labels, "key") {
-                        report
-                            .divergences
-                            .entry(key.to_string())
-                            .or_default()
-                            .first_chunk = scalar;
-                    }
-                }
-                names::DIVERGENCE_LAST_CHUNK => {
-                    if let Some(key) = label(&s.labels, "key") {
-                        report
-                            .divergences
-                            .entry(key.to_string())
-                            .or_default()
-                            .last_chunk = scalar;
-                    }
-                }
-                names::DIVERGENCE_FIRST_RECORD => {
-                    if let Some(key) = label(&s.labels, "key") {
-                        report
-                            .divergences
-                            .entry(key.to_string())
-                            .or_default()
-                            .first_record = scalar;
-                    }
-                }
-                names::DIVERGENCE_LAST_RECORD => {
-                    if let Some(key) = label(&s.labels, "key") {
-                        report
-                            .divergences
-                            .entry(key.to_string())
-                            .or_default()
-                            .last_record = scalar;
+                    if let (Some(key), Some(h)) = (text("key"), hist) {
+                        report.points.entry(key.to_owned()).or_default().merge(h);
                     }
                 }
                 names::SUSPICION_TRANSITIONS => {
-                    if let (Some(node), Some(from), Some(to)) = (
-                        label_u64(&s.labels, "node"),
-                        label(&s.labels, "from"),
-                        label(&s.labels, "to"),
-                    ) {
-                        report.nodes.entry(node).or_default().transitions.push((
-                            band_rank(from),
-                            band_rank(to),
-                            scalar,
-                        ));
+                    if let (Some(node), Some(from), Some(to)) =
+                        (num("node"), text("from"), text("to"))
+                    {
+                        let step = (band_rank(from), band_rank(to), v);
+                        report.nodes.entry(node).or_default().transitions.push(step);
                     }
                 }
                 names::SUSPICION_BAND => {
-                    if let Some(node) = label_u64(&s.labels, "node") {
-                        report.nodes.entry(node).or_default().final_band = scalar as usize;
+                    if let Some(node) = num("node") {
+                        report.nodes.entry(node).or_default().final_band = v as usize;
                     }
                 }
-                names::ROUND_REPLICAS => {
-                    if let Some(r) = label_u64(&s.labels, "round") {
-                        report.rounds.entry(r).or_default().replicas = scalar;
+                names::ROUND_REPLICAS | names::ROUND_RECORDS | names::ROUND_VERIFIED => {
+                    if let Some(r) = num("round") {
+                        let h = report.rounds.entry(r).or_default();
+                        match s.name {
+                            names::ROUND_REPLICAS => h.replicas = v,
+                            names::ROUND_RECORDS => h.records = v,
+                            _ => h.verified = v != 0,
+                        }
                     }
                 }
-                names::ROUND_RECORDS => {
-                    if let Some(r) = label_u64(&s.labels, "round") {
-                        report.rounds.entry(r).or_default().records = scalar;
+                names::VERIFY_MODE => report.reexec.mode = Some(v),
+                names::REEXEC_TASKS => report.reexec.tasks = v,
+                names::REEXEC_SAMPLED => report.reexec.sampled = v,
+                names::REEXEC_RERUN => report.reexec.rerun = v,
+                names::REEXEC_CONFIRMED => report.reexec.confirmed = v,
+                names::REEXEC_MISMATCHED => report.reexec.mismatched = v,
+                names::REEXEC_RECORDS => report.reexec.records = v,
+                names::REEXEC_ESCALATIONS => report.reexec.escalations = v,
+                names::SERVER_ADMITTED => report.server.admitted = v,
+                names::SERVER_REJECTED => report.server.rejected = v,
+                names::SERVER_QUEUE_PEAK => report.server.queue_peak = v,
+                names::SERVER_COMPLETED | names::SERVER_VERIFIED | names::SERVER_FAILED => {
+                    if let Some(t) = text("tenant") {
+                        let t = report.server.tenants.entry(t.to_owned()).or_default();
+                        *match s.name {
+                            names::SERVER_COMPLETED => &mut t.completed,
+                            names::SERVER_VERIFIED => &mut t.verified,
+                            _ => &mut t.failed,
+                        } = v;
                     }
                 }
-                names::ROUND_VERIFIED => {
-                    if let Some(r) = label_u64(&s.labels, "round") {
-                        report.rounds.entry(r).or_default().verified = scalar != 0;
-                    }
-                }
-                names::VERIFY_MODE => report.reexec.mode = Some(scalar),
-                names::REEXEC_TASKS => report.reexec.tasks = scalar,
-                names::REEXEC_SAMPLED => report.reexec.sampled = scalar,
-                names::REEXEC_RERUN => report.reexec.rerun = scalar,
-                names::REEXEC_CONFIRMED => report.reexec.confirmed = scalar,
-                names::REEXEC_MISMATCHED => report.reexec.mismatched = scalar,
-                names::REEXEC_RECORDS => report.reexec.records = scalar,
-                names::REEXEC_ESCALATIONS => report.reexec.escalations = scalar,
-                names::SERVER_ADMITTED => report.server.admitted = scalar,
-                names::SERVER_REJECTED => report.server.rejected = scalar,
-                names::SERVER_QUEUE_PEAK => report.server.queue_peak = scalar,
-                names::SERVER_COMPLETED => {
-                    if let Some(t) = label(&s.labels, "tenant") {
-                        report
-                            .server
-                            .tenants
-                            .entry(t.to_string())
-                            .or_default()
-                            .completed = scalar;
-                    }
-                }
-                names::SERVER_VERIFIED => {
-                    if let Some(t) = label(&s.labels, "tenant") {
-                        report
-                            .server
-                            .tenants
-                            .entry(t.to_string())
-                            .or_default()
-                            .verified = scalar;
-                    }
-                }
-                names::SERVER_FAILED => {
-                    if let Some(t) = label(&s.labels, "tenant") {
-                        report
-                            .server
-                            .tenants
-                            .entry(t.to_string())
-                            .or_default()
-                            .failed = scalar;
-                    }
-                }
-                names::SERVER_JOB_LATENCY_US => {
-                    if let (Some(t), SampleValue::Histogram(h)) =
-                        (label(&s.labels, "tenant"), &s.value)
-                    {
-                        report
-                            .server
-                            .tenants
-                            .entry(t.to_string())
-                            .or_default()
-                            .latency
-                            .merge(h);
-                    }
-                }
-                names::SERVER_JOB_QUEUE_US => {
-                    if let (Some(t), SampleValue::Histogram(h)) =
-                        (label(&s.labels, "tenant"), &s.value)
-                    {
-                        report
-                            .server
-                            .tenants
-                            .entry(t.to_string())
-                            .or_default()
-                            .queue
-                            .merge(h);
+                names::SERVER_JOB_LATENCY_US | names::SERVER_JOB_QUEUE_US => {
+                    if let (Some(t), Some(h)) = (text("tenant"), hist) {
+                        let t = report.server.tenants.entry(t.to_owned()).or_default();
+                        match s.name {
+                            names::SERVER_JOB_LATENCY_US => t.latency.merge(h),
+                            _ => t.queue.merge(h),
+                        }
                     }
                 }
                 _ => {}
@@ -497,6 +422,15 @@ impl HealthReport {
     /// recorded before localization gauges existed).
     pub fn divergence_spans(&self) -> &BTreeMap<String, DivergenceSpan> {
         &self.divergences
+    }
+
+    /// Nodes whose final suspicion band rank is at least `rank`,
+    /// ascending.
+    pub fn nodes_in_band(&self, rank: usize) -> impl Iterator<Item = u64> + '_ {
+        self.nodes
+            .iter()
+            .filter(move |(_, h)| h.final_band >= rank)
+            .map(|(node, _)| *node)
     }
 
     /// Whether the snapshot contained any of the conventional metrics.

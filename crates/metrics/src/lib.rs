@@ -32,7 +32,7 @@ mod histogram;
 mod registry;
 
 pub use export::{json_snapshot, prometheus_text, validate_prometheus_text};
-pub use health::{names, DivergenceSpan, HealthReport, BAND_NAMES};
+pub use health::{names, DivergenceSpan, HealthReport, BAND_NAMES, VERIFY_MODE_NAMES};
 pub use histogram::{bucket_index, bucket_lower, bucket_upper, Histogram, BUCKETS};
 pub use registry::{
     Domain, LabelValue, Labels, Metrics, Sample, SampleValue, Snapshot, MAX_LABELS,

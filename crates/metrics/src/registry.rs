@@ -141,6 +141,16 @@ struct Cell {
     value: CellValue,
 }
 
+/// One update to a cell; the first update of a cell fixes its kind.
+#[derive(Clone, Copy)]
+enum Op<'a> {
+    Add(u64),
+    Set(u64),
+    Max(u64),
+    Record(u64),
+    Merge(&'a Histogram),
+}
+
 /// The sharded metric store behind every enabled [`Metrics`] handle,
 /// and reached only through one.
 pub(crate) struct Registry {
@@ -155,91 +165,26 @@ impl Registry {
         }
     }
 
-    fn with_cell(
-        &self,
-        domain: Domain,
-        key: Key,
-        init: impl FnOnce() -> CellValue,
-        f: impl FnOnce(&mut CellValue),
-    ) {
-        let shard = &self.shards[key.shard()];
-        let mut map = shard.lock().expect("metrics shard poisoned");
+    fn apply(&self, domain: Domain, key: Key, op: Op<'_>) {
+        let mut map = self.shards[key.shard()]
+            .lock()
+            .expect("metrics shard poisoned");
         let cell = map.entry(key).or_insert_with(|| Cell {
             domain,
-            value: init(),
+            value: match op {
+                Op::Add(_) => CellValue::Counter(0),
+                Op::Set(_) | Op::Max(_) => CellValue::Gauge(0),
+                Op::Record(_) | Op::Merge(_) => CellValue::Hist(Box::default()),
+            },
         });
-        f(&mut cell.value);
-    }
-
-    /// Add `v` to a monotonic counter.
-    pub fn counter_add(&self, domain: Domain, name: &'static str, labels: &Labels, v: u64) {
-        self.with_cell(
-            domain,
-            Key::new(name, labels),
-            || CellValue::Counter(0),
-            |c| {
-                if let CellValue::Counter(cur) = c {
-                    *cur += v;
-                }
-            },
-        );
-    }
-
-    /// Set a gauge to `v` (last-write-wins; prefer [`Registry::gauge_max`]
-    /// for sim-domain metrics, where write order must not matter).
-    pub fn gauge_set(&self, domain: Domain, name: &'static str, labels: &Labels, v: u64) {
-        self.with_cell(
-            domain,
-            Key::new(name, labels),
-            || CellValue::Gauge(0),
-            |c| {
-                if let CellValue::Gauge(cur) = c {
-                    *cur = v;
-                }
-            },
-        );
-    }
-
-    /// Raise a gauge to at least `v` (a running peak; commutative).
-    pub fn gauge_max(&self, domain: Domain, name: &'static str, labels: &Labels, v: u64) {
-        self.with_cell(
-            domain,
-            Key::new(name, labels),
-            || CellValue::Gauge(0),
-            |c| {
-                if let CellValue::Gauge(cur) = c {
-                    *cur = (*cur).max(v);
-                }
-            },
-        );
-    }
-
-    /// Record one sample into a log₂ histogram.
-    pub fn observe(&self, domain: Domain, name: &'static str, labels: &Labels, v: u64) {
-        self.with_cell(
-            domain,
-            Key::new(name, labels),
-            || CellValue::Hist(Box::default()),
-            |c| {
-                if let CellValue::Hist(h) = c {
-                    h.record(v);
-                }
-            },
-        );
-    }
-
-    /// Merge a whole pre-built histogram into a histogram metric.
-    pub fn observe_hist(&self, domain: Domain, name: &'static str, labels: &Labels, h: &Histogram) {
-        self.with_cell(
-            domain,
-            Key::new(name, labels),
-            || CellValue::Hist(Box::default()),
-            |c| {
-                if let CellValue::Hist(cur) = c {
-                    cur.merge(h);
-                }
-            },
-        );
+        match (&mut cell.value, op) {
+            (CellValue::Counter(c), Op::Add(v)) => *c += v,
+            (CellValue::Gauge(g), Op::Set(v)) => *g = v,
+            (CellValue::Gauge(g), Op::Max(v)) => *g = (*g).max(v),
+            (CellValue::Hist(h), Op::Record(v)) => h.record(v),
+            (CellValue::Hist(h), Op::Merge(m)) => h.merge(m),
+            _ => {}
+        }
     }
 
     /// A stable, sorted snapshot of every metric in the registry.
@@ -303,21 +248,12 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Samples restricted to one domain (still sorted).
-    pub fn domain(&self, domain: Domain) -> Snapshot {
-        Snapshot {
-            samples: self
-                .samples
-                .iter()
-                .filter(|s| s.domain == domain)
-                .cloned()
-                .collect(),
-        }
-    }
-
-    /// The deterministic subset: sim-domain samples only.
+    /// The deterministic subset: sim-domain samples only (still sorted).
     pub fn sim_only(&self) -> Snapshot {
-        self.domain(Domain::Sim)
+        let sim = self.samples.iter().filter(|s| s.domain == Domain::Sim);
+        Snapshot {
+            samples: sim.cloned().collect(),
+        }
     }
 
     /// Look up one sample by name and exact label set.
@@ -370,44 +306,50 @@ impl Metrics {
         self.inner.is_some()
     }
 
+    /// Applies `op` to one cell; the only branch a disabled handle takes.
+    #[inline]
+    fn update(&self, domain: Domain, name: &'static str, labels: &Labels, op: Op<'_>) {
+        if let Some(reg) = &self.inner {
+            reg.apply(domain, Key::new(name, labels), op);
+        }
+    }
+
     /// Add `v` to a counter. No-op when disabled.
     #[inline]
     pub fn add(&self, domain: Domain, name: &'static str, labels: &Labels, v: u64) {
-        if let Some(reg) = &self.inner {
-            reg.counter_add(domain, name, labels, v);
-        }
+        self.update(domain, name, labels, Op::Add(v));
     }
 
-    /// Set a gauge. No-op when disabled.
+    /// Set a gauge (last write wins; prefer [`Metrics::gauge_max`] where
+    /// write order must not matter). No-op when disabled.
     #[inline]
     pub fn gauge_set(&self, domain: Domain, name: &'static str, labels: &Labels, v: u64) {
-        if let Some(reg) = &self.inner {
-            reg.gauge_set(domain, name, labels, v);
-        }
+        self.update(domain, name, labels, Op::Set(v));
     }
 
-    /// Raise a gauge to at least `v`. No-op when disabled.
+    /// Raise a gauge to at least `v` (a running peak; commutative).
+    /// No-op when disabled.
     #[inline]
     pub fn gauge_max(&self, domain: Domain, name: &'static str, labels: &Labels, v: u64) {
-        if let Some(reg) = &self.inner {
-            reg.gauge_max(domain, name, labels, v);
-        }
+        self.update(domain, name, labels, Op::Max(v));
     }
 
-    /// Record a histogram sample. No-op when disabled.
+    /// Record one sample into a log₂ histogram. No-op when disabled.
     #[inline]
     pub fn observe(&self, domain: Domain, name: &'static str, labels: &Labels, v: u64) {
-        if let Some(reg) = &self.inner {
-            reg.observe(domain, name, labels, v);
-        }
+        self.update(domain, name, labels, Op::Record(v));
     }
 
     /// Merge a pre-built histogram. No-op when disabled.
     #[inline]
     pub fn observe_hist(&self, domain: Domain, name: &'static str, labels: &Labels, h: &Histogram) {
-        if let Some(reg) = &self.inner {
-            reg.observe_hist(domain, name, labels, h);
-        }
+        self.update(domain, name, labels, Op::Merge(h));
+    }
+
+    /// Whether both handles record into one registry (never true of a
+    /// disabled handle).
+    pub fn same_hub(&self, other: &Metrics) -> bool {
+        matches!((&self.inner, &other.inner), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
     }
 
     /// Snapshot the backing registry (empty snapshot when disabled).

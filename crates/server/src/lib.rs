@@ -369,12 +369,8 @@ impl JobHandle {
         let Some(dispatched) = removed else {
             return false;
         };
-        if inner.obs.metrics.enabled() {
-            inner
-                .obs
-                .metrics
-                .add(Domain::Wall, metric_names::SERVER_CANCELLED, &[], 1);
-        }
+        let m = &inner.obs.metrics;
+        m.add(Domain::Wall, metric_names::SERVER_CANCELLED, &[], 1);
         let Pending {
             tx,
             submitted,
@@ -541,16 +537,10 @@ impl JobServer {
             Ok(id) => {
                 let depth = state.queue.len();
                 drop(state);
-                if self.inner.obs.metrics.enabled() {
-                    let m = &self.inner.obs.metrics;
-                    m.add(Domain::Wall, metric_names::SERVER_ADMITTED, &[], 1);
-                    m.gauge_max(
-                        Domain::Wall,
-                        metric_names::SERVER_QUEUE_PEAK,
-                        &[],
-                        depth as u64,
-                    );
-                }
+                let m = &self.inner.obs.metrics;
+                m.add(Domain::Wall, metric_names::SERVER_ADMITTED, &[], 1);
+                let peak = metric_names::SERVER_QUEUE_PEAK;
+                m.gauge_max(Domain::Wall, peak, &[], depth as u64);
                 self.inner.work_ready.notify_one();
                 SubmitOutcome::Admitted(JobHandle {
                     id,
@@ -561,12 +551,8 @@ impl JobServer {
             }
             Err(err) => {
                 drop(state);
-                if self.inner.obs.metrics.enabled() {
-                    self.inner
-                        .obs
-                        .metrics
-                        .add(Domain::Wall, metric_names::SERVER_REJECTED, &[], 1);
-                }
+                let m = &self.inner.obs.metrics;
+                m.add(Domain::Wall, metric_names::SERVER_REJECTED, &[], 1);
                 SubmitOutcome::Rejected(match err {
                     AdmitError::Full(_) => RejectReason::QueueFull {
                         depth: self.inner.queue_depth,

@@ -18,6 +18,10 @@
 //!    format loadable in `chrome://tracing` or Perfetto;
 //!    [`TraceSummary`] aggregates per-phase time, instant counts and
 //!    per-key verification lag for terminal reporting and benches.
+//! 4. **One mechanism for sim metrics.** Every sim-domain series of
+//!    `cbft-metrics` is a fold over the canonical events, applied live
+//!    by [`Obs::folded`] or after the fact by
+//!    [`FromEvents::from_events`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,6 +29,7 @@
 mod chrome;
 mod event;
 mod flight;
+mod fold;
 mod obs;
 mod sink;
 mod summary;
@@ -34,6 +39,7 @@ pub use event::{
     canonicalize, ArgValue, CanonicalEvent, Phase, TraceEvent, COORDINATOR_PID, VERIFIER_PID,
 };
 pub use flight::{canonical_dump, EventRing, FlightRecorder};
+pub use fold::FromEvents;
 pub use obs::Obs;
 pub use sink::{FanoutSink, MemorySink, ScopedSink, TraceSink, Tracer, JOB_PID_STRIDE};
 pub use summary::{KeyLag, SpanStats, StageTotals, TraceSummary, QUORUM_EVENT};

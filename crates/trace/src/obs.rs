@@ -11,7 +11,9 @@ use crate::Tracer;
 ///
 /// There are no forwarding methods: instrumented code calls
 /// `obs.tracer.*` and `obs.metrics.*` directly, so each site still pays
-/// one branch when its handle is disabled.
+/// one branch when its handle is disabled. Sim-side code only emits
+/// events; a layer given a live hub attaches the metrics fold once
+/// ([`Obs::folded`]), which turns them into the hub's sim series.
 #[derive(Clone, Debug, Default)]
 pub struct Obs {
     /// Event sink for spans and instants (disabled: records nothing).

@@ -10,6 +10,8 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use cbft_metrics::Metrics;
+
 use crate::event::TraceEvent;
 
 /// A destination for trace events. Implementations must tolerate
@@ -147,19 +149,25 @@ impl TraceSink for ScopedSink {
 /// The handle instrumented code holds. Cloning shares the sink.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    sink: Option<Arc<dyn TraceSink>>,
+    pub(crate) sink: Option<Arc<dyn TraceSink>>,
+    /// The hub this tracer's sink folds into (see [`crate::Obs::folded`]);
+    /// disabled when it folds into none.
+    pub(crate) folds_into: Metrics,
 }
 
 impl Tracer {
     /// A tracer with no sink: every [`Tracer::emit`] is a no-op and
     /// [`Tracer::enabled`] is `false`.
     pub fn disabled() -> Self {
-        Tracer { sink: None }
+        Tracer::default()
     }
 
     /// A tracer recording into `sink`.
     pub fn new(sink: Arc<dyn TraceSink>) -> Self {
-        Tracer { sink: Some(sink) }
+        Tracer {
+            sink: Some(sink),
+            folds_into: Metrics::disabled(),
+        }
     }
 
     /// Convenience: a tracer backed by a fresh [`MemorySink`], returning

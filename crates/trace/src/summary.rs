@@ -105,10 +105,8 @@ impl TraceSummary {
                 }
                 Phase::Instant => {
                     *instants.entry(e.name).or_default() += 1;
-                    if e.name == QUORUM_EVENT {
-                        if let Some(lag) = key_lag_from(e) {
-                            key_lags.push(lag);
-                        }
+                    if let Some(lag) = key_lag(e) {
+                        key_lags.push(lag);
                     }
                 }
                 Phase::Counter => {}
@@ -243,7 +241,12 @@ fn add_stages(
     span_ns
 }
 
-fn key_lag_from(e: &TraceEvent) -> Option<KeyLag> {
+/// The key and lag of a [`QUORUM_EVENT`] (`None` for any other event):
+/// the one parser of it, for the summary and the metrics fold.
+pub(crate) fn key_lag(e: &TraceEvent) -> Option<KeyLag> {
+    if e.name != QUORUM_EVENT {
+        return None;
+    }
     let mut key = None;
     let mut lag_us = None;
     for (k, v) in &e.args {

@@ -703,31 +703,28 @@ impl<'a> Observability<'a> {
         let Some(rec) = &self.flight_rec else {
             return;
         };
-        if self.obs.metrics.enabled() {
-            self.obs.metrics.add(
-                Domain::Wall,
-                metric_names::FLIGHT_EVENTS,
-                &[],
-                rec.captured(),
-            );
-            self.obs.metrics.add(
-                Domain::Wall,
-                metric_names::FLIGHT_EVICTED,
-                &[],
-                rec.evicted(),
-            );
-        }
+        let m = &self.obs.metrics;
+        m.add(
+            Domain::Wall,
+            metric_names::FLIGHT_EVENTS,
+            &[],
+            rec.captured(),
+        );
+        m.add(
+            Domain::Wall,
+            metric_names::FLIGHT_EVICTED,
+            &[],
+            rec.evicted(),
+        );
     }
 
     /// Flight accounting: one count per detected anomaly, by kind.
     pub fn count_anomalies(&self, anomalies: &[Anomaly]) {
-        if self.obs.metrics.enabled() {
-            for a in anomalies {
-                let label = [("kind", LabelValue::from(a.kind.name()))];
-                self.obs
-                    .metrics
-                    .add(Domain::Wall, metric_names::FLIGHT_ANOMALIES, &label, 1);
-            }
+        for a in anomalies {
+            let label = [("kind", LabelValue::from(a.kind.name()))];
+            self.obs
+                .metrics
+                .add(Domain::Wall, metric_names::FLIGHT_ANOMALIES, &label, 1);
         }
     }
 

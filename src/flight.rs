@@ -36,7 +36,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use crate::core::{Behavior, ParallelOutcome, Replication, ScriptOutcome, VerifyMode};
-use crate::metrics::{json_snapshot, names, prometheus_text, HealthReport, SampleValue, Snapshot};
+use crate::metrics::{json_snapshot, prometheus_text, HealthReport, Snapshot};
 use crate::trace::{canonical_dump, TraceEvent};
 
 /// The anomaly classes the detector recognizes. Names are stable: they
@@ -198,33 +198,16 @@ pub fn detect_sequential_anomalies(outcome: &ScriptOutcome) -> Vec<Anomaly> {
 /// localization gauges and suspicion-band crossings. Sim-domain gauges,
 /// so detection is thread-count independent.
 fn snapshot_anomalies(snap: &Snapshot) -> Vec<Anomaly> {
-    let mut out = Vec::new();
-    let mut diverged: Vec<String> = Vec::new();
-    let mut crossed: Vec<String> = Vec::new();
-    for s in &snap.samples {
-        match s.name {
-            n if n == names::DIVERGENCE_FIRST_RECORD => {
-                if let Some((_, key)) = s.labels.iter().find(|(k, _)| *k == "key") {
-                    diverged.push(key.clone());
-                }
-            }
-            n if n == names::SUSPICION_BAND => {
-                // Band rank 2 = Med: the hybrid tier's escalation line.
-                if matches!(s.value, SampleValue::Gauge(v) if v >= 2) {
-                    let node = s
-                        .labels
-                        .iter()
-                        .find(|(k, _)| *k == "node")
-                        .map(|(_, v)| v.clone())
-                        .unwrap_or_default();
-                    crossed.push(node);
-                }
-            }
-            _ => {}
-        }
-    }
-    diverged.sort();
+    let report = HealthReport::from_snapshot(snap);
+    let diverged: Vec<&str> = report
+        .divergence_spans()
+        .keys()
+        .map(String::as_str)
+        .collect();
+    // Band rank 2 = Med: the hybrid tier's escalation line.
+    let mut crossed: Vec<String> = report.nodes_in_band(2).map(|n| n.to_string()).collect();
     crossed.sort();
+    let mut out = Vec::new();
     if !diverged.is_empty() {
         out.push(Anomaly::new(
             AnomalyKind::Divergence,

@@ -542,6 +542,13 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
             Err(e) => return Err(format!("jobs line {}: {e}", lineno + 1).into()),
         }
     }
+    // Every script is read before the server starts: an unreadable one
+    // fails the run before any job has run (or been thrown away) and
+    // before any output file is created.
+    let mut specs = Vec::with_capacity(lines.len());
+    for (lineno, line) in &lines {
+        specs.push(load_job(opts, line).map_err(|e| format!("jobs line {lineno}: {e}"))?);
+    }
 
     // Same handles as the single-run CLI; the snapshot series is one
     // more consumer that needs a live metrics hub.
@@ -588,8 +595,7 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<String, Box<dyn Error>> {
     let mut quota_waits = 0u64;
     let mut burst = RejectionBurstDetector::new(REJECTION_BURST_THRESHOLD);
     let mut server_anomalies: Vec<Anomaly> = Vec::new();
-    for (lineno, line) in &lines {
-        let spec = load_job(opts, line).map_err(|e| format!("jobs line {lineno}: {e}"))?;
+    for ((lineno, line), spec) in lines.iter().zip(specs) {
         let script_text = opts.flight_dir.is_some().then(|| spec.script.clone());
         let handle = loop {
             match server.submit(spec.clone()) {
@@ -1006,6 +1012,37 @@ mod tests {
             msg.contains("cannot read script 'nonexistent_script.pig'"),
             "{msg}"
         );
+
+        // A good line ahead of the bad one: the run fails on the bad
+        // line before the server starts, so no job runs and no output
+        // file is created.
+        let script = dir.join("s.pig");
+        std::fs::write(&script, "a = LOAD 'in' AS (k);\nSTORE a INTO 'out';\n").unwrap();
+        let data = dir.join("in.csv");
+        std::fs::write(&data, "1\n2\n").unwrap();
+        std::fs::write(
+            &jobs,
+            format!(
+                "acme 1 {} in={}\nacme 2 nonexistent_script.pig\n",
+                script.display(),
+                data.display()
+            ),
+        )
+        .unwrap();
+        let series = dir.join("series.jsonl");
+        let opts = parse(&[
+            jobs.to_str().unwrap(),
+            "--snapshot-series",
+            series.to_str().unwrap(),
+        ])
+        .unwrap();
+        let msg = run_daemon(&opts).unwrap_err().to_string();
+        assert!(msg.contains("jobs line 2"), "{msg}");
+        assert!(
+            msg.contains("cannot read script 'nonexistent_script.pig'"),
+            "{msg}"
+        );
+        assert!(!series.exists(), "no output file is created");
         std::fs::remove_dir_all(&dir).ok();
     }
 
