@@ -70,8 +70,10 @@
 //! rows, each run through `filter_batch` / `project_batch`, every key
 //! encoded into a buffer and hashed, and one `gather` per (batch,
 //! partition). The `in place` rows read the split as one selection
-//! (`select` / `project` / `shuffle_buckets`) and gather each partition
-//! once per task (`Batch::gather`) — what `mapreduce::task` runs. Both
+//! (`select` / `project`), cut it into its partitions as
+//! `mapreduce::task` does (`shuffle_partitions`: one bucket byte per row
+//! of the window) and copy each partition out once per task
+//! (`Batch::select_rows`). Both
 //! must route the same rows to the same partitions, and reading in place
 //! may not be the slower one.
 //!
@@ -83,7 +85,7 @@ use std::sync::Arc;
 use cbft_bench::{best_of, timed, ExperimentRecord, ParallelSpec};
 use cbft_dataflow::batch::{
     filter_batch, fnv1a, group_aggregate, group_batch, project, project_batch, select,
-    shuffle_buckets, Selection,
+    shuffle_partitions, Selection,
 };
 use cbft_dataflow::combiner::Combiner;
 use cbft_dataflow::interp::{group_records, project_record};
@@ -304,8 +306,9 @@ fn map_side_copying(file: &Batch, op: &MapOp, key: usize) -> Vec<Vec<Batch>> {
 
 /// The map side as `mapreduce::task` runs it: per task, the split read
 /// in place as one selection — a filter narrows it, a projection
-/// evaluates over it — the bucket of every live row hashed out of its
-/// column, and one gather per partition. Returns each partition's runs.
+/// evaluates over it — cut into its partitions by the bucket byte of
+/// every row of the window, hashed out of the key column, and each
+/// partition copied out once. Returns each partition's runs.
 fn map_side_in_place(file: &Batch, op: &MapOp, key: usize) -> Vec<Vec<Batch>> {
     let mut parts = vec![Vec::new(); MAP_PARTITIONS];
     for task in (0..file.len()).step_by(MAP_SPLIT) {
@@ -321,12 +324,12 @@ fn map_side_in_place(file: &Batch, op: &MapOp, key: usize) -> Vec<Vec<Batch>> {
                 (Cow::Owned(dense), all)
             }
         };
-        let buckets = shuffle_buckets(&batch, &rows, key, MAP_PARTITIONS);
-        let mut picks = vec![Vec::new(); MAP_PARTITIONS];
-        rows.for_each(|i, row| picks[buckets[i]].push(row));
-        for (p, picks) in picks.iter().enumerate() {
-            if !picks.is_empty() {
-                parts[p].push(batch.gather(picks));
+        for (p, part) in shuffle_partitions(&batch, &rows, key, MAP_PARTITIONS)
+            .iter()
+            .enumerate()
+        {
+            if !part.is_empty() {
+                parts[p].push(batch.select_rows(part));
             }
         }
     }
@@ -731,8 +734,9 @@ fn main() {
              copies of the split, filter_batch / project_batch, each key encoded and hashed, one \
              gather per batch and partition — with the current kernels, which are themselves \
              the selection kernels over a whole batch) against one selection per task (select / \
-             project / shuffle_buckets, one Batch::gather per partition per task); both route \
-             the same rows to the same partitions."
+             project, cut by shuffle_partitions into bucket selections of one byte per window \
+             row, one Batch::select_rows per partition per task); both route the same rows to \
+             the same partitions."
         ),
     );
     record.set_flag("digests_byte_identical", true);

@@ -561,14 +561,25 @@ impl ClusterBft {
             }
 
             if obs.tracer.enabled() {
+                // The attempt's verdict and the records it would publish:
+                // the round's line of the health report, as the parallel
+                // executor's `round_end` states it.
                 let verified = store_jobs.iter().all(|j| trusted.contains_key(j));
+                let storage = self.cluster.storage();
+                let stored = |j: &JobId| storage.len_of(&trusted[j]).unwrap_or(0) as u64;
+                let records: u64 = if verified {
+                    store_jobs.iter().map(stored).sum()
+                } else {
+                    0
+                };
                 obs.tracer.emit(
                     TraceEvent::end("attempt", "control")
                         .on(COORDINATOR_PID, 0)
                         .at_sim(self.cluster.now().as_micros())
                         .seq(attempt as u64)
                         .arg("verified", u64::from(verified))
-                        .arg("timed_out", u64::from(timed_out)),
+                        .arg("timed_out", u64::from(timed_out))
+                        .arg("records", records),
                 );
             }
 

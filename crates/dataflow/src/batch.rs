@@ -39,6 +39,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::combiner::{CombineSlot, Combiner};
 use crate::expr::{eval_agg, AggFunc, Expr};
@@ -92,16 +93,155 @@ pub enum Column {
     Mixed(Vec<Value>),
 }
 
-/// The live rows of a batch, ascending: a window, or the listed ones. A
-/// map task reads its split through one instead of copying the window
-/// out — [`select`] narrows it, [`project`] evaluates over it — and a
-/// row is copied once, by [`Batch::gather`].
+/// The live rows of a batch, ascending: a window, the listed ones, or
+/// one bucket of a shuffle. A map task reads its split through one
+/// instead of copying the window out — [`select`] narrows it, [`project`]
+/// evaluates over it, [`shuffle_partitions`] cuts it into the reduce
+/// partitions — and a row is copied once, by [`Batch::gather`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Selection {
     /// Every row of the window.
     Range(Range<usize>),
     /// The listed rows.
     Rows(Vec<usize>),
+    /// The rows of a window whose bucket byte is this bucket's.
+    Bucket(Bucket),
+}
+
+/// The most partitions a shuffle names by one byte per row: the byte
+/// holds buckets `0..MAX_BYTE_BUCKETS` and [`DROPPED`]. A shuffle into
+/// more lists each partition's row ids instead.
+pub const MAX_BYTE_BUCKETS: usize = DROPPED as usize;
+
+/// The bucket byte of a window row no partition holds: one an earlier
+/// `FILTER` dropped.
+const DROPPED: u8 = u8::MAX;
+
+/// One reduce partition of a map task's shuffle: the rows `start + i` of
+/// a window whose byte `bytes[i]` is `bucket`. The partitions cut from one
+/// window share `bytes`, one byte per window row; each partition's rows
+/// and canonical bytes were counted when the window was cut, against the
+/// batch it was cut from.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Bucket {
+    start: usize,
+    bytes: Arc<[u8]>,
+    bucket: u8,
+    len: usize,
+    canonical: u64,
+}
+
+impl Bucket {
+    /// The bucket's rows, in order.
+    fn rows(&self) -> BucketRows<'_> {
+        BucketRows {
+            rest: &self.bytes,
+            bucket: self.bucket,
+            next: self.start,
+        }
+    }
+
+    /// The window the bucket bytes cover.
+    fn window(&self) -> Range<usize> {
+        self.start..self.start + self.bytes.len()
+    }
+}
+
+/// The high bit of every byte of the word `bytes` (up to eight, read
+/// little-endian and padded with a byte that is not `bucket`) that equals
+/// `bucket`: a byte of `x` is zero exactly there, and `(x & 0x7f..) +
+/// 0x7f..` sets a byte's high bit iff its low seven bits are not all zero,
+/// with no carry across bytes.
+#[inline]
+fn matches(bytes: &[u8], bucket: u8) -> u64 {
+    const LOW: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let word = match bytes.try_into() {
+        Ok(word) => u64::from_le_bytes(word),
+        Err(_) => {
+            let mut padded = [!bucket; 8];
+            padded[..bytes.len()].copy_from_slice(bytes);
+            u64::from_le_bytes(padded)
+        }
+    };
+    let x = word ^ u64::from_ne_bytes([bucket; 8]);
+    !(((x & LOW) + LOW) | x | LOW)
+}
+
+/// For each 8-bit mask, the positions of its set bits, ascending, one per
+/// byte from the lowest.
+const SET_BITS: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        let (mut bit, mut found) = (0, 0);
+        while bit < 8 {
+            if mask >> bit & 1 == 1 {
+                table[mask] |= (bit as u64) << (8 * found);
+                found += 1;
+            }
+            bit += 1;
+        }
+        mask += 1;
+    }
+    table
+};
+
+/// `f` folded over every `i` with `bytes[i] == bucket`, in order. The
+/// bytes are read a word at a time and a block of words at a time: each
+/// word's matching offsets are written out together, with no branch on
+/// the data — its match bits gathered into one byte, the byte looked up
+/// in [`SET_BITS`] — and the block's offsets are then handed to `f`.
+#[inline]
+fn fold_matches<B>(bytes: &[u8], bucket: u8, mut acc: B, mut f: impl FnMut(B, usize) -> B) -> B {
+    const BLOCK: usize = 256;
+    const LANES: u64 = 0x0101_0101_0101_0101;
+    let mut offsets = [0u8; BLOCK];
+    for (at, block) in (0..).step_by(BLOCK).zip(bytes.chunks(BLOCK)) {
+        let mut found = 0;
+        for (w, word) in block.chunks(8).enumerate() {
+            // One bit per byte, at the byte's lowest bit; multiplied, bit
+            // `j` of the top byte is byte `j`'s, or the top byte is their
+            // sum (no product term carries into it).
+            let ones = matches(word, bucket) >> 7;
+            let mask = ones.wrapping_mul(0x0102_0408_1020_4080) >> 56;
+            let lanes = SET_BITS[mask as usize] + LANES * (8 * w) as u64;
+            // `found` is at most `8 * w`, so the word's eight lanes fit.
+            offsets[found..found + 8].copy_from_slice(&lanes.to_le_bytes());
+            found += (ones.wrapping_mul(LANES) >> 56) as usize;
+        }
+        for &i in &offsets[..found] {
+            acc = f(acc, at + usize::from(i));
+        }
+    }
+    acc
+}
+
+/// The rows of a [`Bucket`]: folded, a block of bytes at a time
+/// ([`fold_matches`]); one at a time, by a search for the next byte.
+#[derive(Clone)]
+struct BucketRows<'a> {
+    /// The bytes not yet read.
+    rest: &'a [u8],
+    bucket: u8,
+    /// The row of `rest`'s first byte.
+    next: usize,
+}
+
+impl Iterator for BucketRows<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let at = self.rest.iter().position(|&b| b == self.bucket)?;
+        let row = self.next + at;
+        (self.rest, self.next) = (&self.rest[at + 1..], row + 1);
+        Some(row)
+    }
+
+    #[inline]
+    fn fold<B, F: FnMut(B, usize) -> B>(self, acc: B, mut f: F) -> B {
+        let next = self.next;
+        fold_matches(self.rest, self.bucket, acc, |acc, i| f(acc, next + i))
+    }
 }
 
 impl Selection {
@@ -110,6 +250,7 @@ impl Selection {
         match self {
             Selection::Range(rows) => rows.len(),
             Selection::Rows(rows) => rows.len(),
+            Selection::Bucket(bucket) => bucket.len,
         }
     }
 
@@ -118,11 +259,13 @@ impl Selection {
         self.len() == 0
     }
 
-    /// Keeps only the first `n` selected rows (`LIMIT`).
+    /// Keeps only the first `n` selected rows (`LIMIT`); a bucket's are
+    /// listed (no pipeline cuts one).
     pub fn truncate(&mut self, n: usize) {
         match self {
             Selection::Range(rows) => rows.end = rows.end.min(rows.start.saturating_add(n)),
             Selection::Rows(rows) => rows.truncate(n),
+            Selection::Bucket(bucket) => *self = Selection::Rows(bucket.rows().take(n).collect()),
         }
     }
 
@@ -131,6 +274,7 @@ impl Selection {
         match self {
             Selection::Range(rows) => rows.clone().enumerate().for_each(|(i, r)| f(i, r)),
             Selection::Rows(rows) => rows.iter().enumerate().for_each(|(i, &r)| f(i, r)),
+            Selection::Bucket(bucket) => bucket.rows().enumerate().for_each(|(i, r)| f(i, r)),
         }
     }
 
@@ -143,14 +287,110 @@ impl Selection {
     }
 
     /// The selected rows as ranges, in order, for kernels that copy or
-    /// sum slices: the window, or one range per listed row.
+    /// sum slices: the window, or one range per listed or bucket row.
     fn spans(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        let (window, ids) = match self {
-            Selection::Range(window) => (Some(window.clone()), &[][..]),
-            Selection::Rows(ids) => (None, &ids[..]),
+        let (window, ids, bucket) = match self {
+            Selection::Range(window) => (Some(window.clone()), &[][..], None),
+            Selection::Rows(ids) => (None, &ids[..], None),
+            Selection::Bucket(bucket) => (None, &[][..], Some(bucket.rows())),
         };
-        window.into_iter().chain(ids.iter().map(|&i| i..i + 1))
+        let single = ids.iter().copied().chain(bucket.into_iter().flatten());
+        window.into_iter().chain(single.map(|i| i..i + 1))
     }
+
+    /// The rows the selection lies within: its first row to past its last.
+    fn hull(&self) -> Range<usize> {
+        match self {
+            Selection::Range(window) => window.clone(),
+            Selection::Rows(ids) => match (ids.first(), ids.last()) {
+                (Some(&first), Some(&last)) => first..last + 1,
+                _ => 0..0,
+            },
+            Selection::Bucket(bucket) => bucket.window(),
+        }
+    }
+
+    /// The selection cut into `n` reduce partitions, each row into
+    /// partition `bucket(row)` (below `n`), each partition's rows in order:
+    /// [`shuffle_partitions`] for a route other than a key cell's hash.
+    pub fn partition(
+        &self,
+        batch: &Batch,
+        n: usize,
+        mut bucket: impl FnMut(usize) -> usize,
+    ) -> Vec<Selection> {
+        if n > MAX_BYTE_BUCKETS {
+            return listed(self, &self.map(|_, row| bucket(row)), n);
+        }
+        cut(batch, self, n, |cut| {
+            self.for_each(|_, row| cut.put(row, bucket(row)))
+        })
+    }
+}
+
+/// A window while a shuffle cuts it: the bucket byte of each row of the
+/// selection's hull, written straight into the array the partitions will
+/// share, and each bucket's rows counted.
+struct Cut<'a> {
+    start: usize,
+    bytes: &'a mut [u8],
+    counts: &'a mut [usize],
+}
+
+impl Cut<'_> {
+    /// Routes `row` into `bucket`.
+    #[inline]
+    fn put(&mut self, row: usize, bucket: usize) {
+        self.bytes[row - self.start] = bucket as u8;
+        self.counts[bucket] += 1;
+    }
+}
+
+/// The `n` ([`MAX_BYTE_BUCKETS`] at most) partitions of `rows`, as
+/// [`Selection::Bucket`]s of one byte array spanning the selection's hull,
+/// in which `route` puts every selected row (and [`DROPPED`] marks the
+/// rest); each partition's canonical bytes are counted by one pass per
+/// column over the array.
+fn cut(batch: &Batch, rows: &Selection, n: usize, route: impl FnOnce(&mut Cut)) -> Vec<Selection> {
+    let hull = rows.hull();
+    stats::count_shuffle_index_bytes(hull.len() as u64);
+    let mut bytes: Arc<[u8]> = std::iter::repeat_n(DROPPED, hull.len()).collect();
+    let mut counts = vec![0; n];
+    route(&mut Cut {
+        start: hull.start,
+        bytes: Arc::get_mut(&mut bytes).expect("a new array is unshared"),
+        counts: &mut counts,
+    });
+    // The arity prefix of every row, then each column's cells.
+    let mut canonical = [0u64; 256];
+    for (total, &len) in canonical.iter_mut().zip(&counts) {
+        *total = 8 * len as u64;
+    }
+    for c in &batch.columns {
+        c.canonical_by_bucket(hull.start, &bytes, &counts, &mut canonical);
+    }
+    let bucket = |(b, &len): (usize, &usize)| {
+        Selection::Bucket(Bucket {
+            start: hull.start,
+            bytes: Arc::clone(&bytes),
+            bucket: b as u8,
+            len,
+            canonical: canonical[b],
+        })
+    };
+    counts.iter().enumerate().map(bucket).collect()
+}
+
+/// The partitions as lists of row ids, each sized exactly — the form of a
+/// shuffle into more than [`MAX_BYTE_BUCKETS`]: `buckets[i]` is the
+/// partition of the `i`th selected row.
+fn listed(rows: &Selection, buckets: &[usize], n: usize) -> Vec<Selection> {
+    stats::count_shuffle_index_bytes((size_of::<usize>() * rows.len()) as u64);
+    let mut sizes = vec![0; n];
+    buckets.iter().for_each(|&b| sizes[b] += 1);
+    let mut picks: Vec<Vec<usize>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    rows.for_each(|i, row| picks[buckets[i]].push(row));
+    picks.into_iter().map(Selection::Rows).collect()
 }
 
 impl Column {
@@ -204,8 +444,70 @@ impl Column {
     /// the selection keeps a mask exactly when this is not zero.
     fn nulls_in(&self, rows: &Selection) -> u64 {
         let Some(mask) = self.mask() else { return 0 };
+        if let Selection::Bucket(b) = rows {
+            // One pass over the window, with no branch per row.
+            let cells = b.bytes.iter().zip(&mask[b.window()]);
+            return cells
+                .map(|(&x, &valid)| u64::from(x == b.bucket && !valid))
+                .sum();
+        }
         let nulls = |s: Range<usize>| mask[s].iter().filter(|v| !**v).count() as u64;
         rows.spans().map(nulls).sum()
+    }
+
+    /// Adds to `into[bucket]` the canonical bytes of this column's cells
+    /// in each bucket of a cut window: `bytes[i]` is the bucket of row
+    /// `start + i` ([`DROPPED`]'s slot gathers what no bucket holds) and
+    /// `counts` each bucket's rows — [`Batch::canonical_bytes_in`] of every
+    /// bucket, in one pass.
+    fn canonical_by_bucket(
+        &self,
+        start: usize,
+        bytes: &[u8],
+        counts: &[usize],
+        into: &mut [u64; 256],
+    ) {
+        let window = start..start + bytes.len();
+        // A valid typed cell is a tag and 8 bytes, a null one the tag.
+        let typed = |into: &mut [u64; 256]| {
+            into.iter_mut()
+                .zip(counts)
+                .for_each(|(t, &len)| *t += 9 * len as u64);
+            if let Some(mask) = self.mask() {
+                for (&b, &valid) in bytes.iter().zip(&mask[window.clone()]) {
+                    if !valid && b != DROPPED {
+                        into[usize::from(b)] -= 8;
+                    }
+                }
+            }
+        };
+        match self {
+            Column::Int { .. } => typed(into),
+            // Invalid rows hold empty ranges of the arena.
+            Column::Str { offsets, .. } => {
+                typed(into);
+                let ends = offsets[window.start..=window.end].windows(2);
+                for (&b, end) in bytes.iter().zip(ends) {
+                    into[usize::from(b)] += (end[1] - end[0]) as u64;
+                }
+            }
+            // Tag and member count per bag, plus every member row.
+            Column::Bag { offsets, rows } => {
+                for (row, &b) in window.zip(bytes).filter(|&(_, &b)| b != DROPPED) {
+                    let members = Selection::Range(offsets[row]..offsets[row + 1]);
+                    into[usize::from(b)] += 9 + rows.canonical_bytes_in(&members);
+                }
+            }
+            Column::Mixed(values) => {
+                for (v, &b) in values[window]
+                    .iter()
+                    .zip(bytes)
+                    .filter(|&(_, &b)| b != DROPPED)
+                {
+                    into[usize::from(b)] += v.to_canonical_bytes().len() as u64;
+                }
+            }
+        }
     }
 
     fn is_valid(&self, row: usize) -> bool {
@@ -360,52 +662,63 @@ impl Column {
     /// the column's layout (with a null mask only if a taken cell is
     /// null); a bag column gathers its members from its one member batch.
     fn gather(&self, indices: &[usize]) -> Column {
-        let mask = || {
-            let m = self.mask().filter(|m| indices.iter().any(|&i| !m[i]))?;
-            Some(indices.iter().map(|&i| m[i]).collect())
-        };
+        self.take(indices.iter().copied(), indices.len())
+    }
+
+    /// [`Column::gather`] of the `len` rows `rows` yields: one pass over
+    /// them per column (a string column sums its text first), each a fold
+    /// — a bucket's is [`fold_matches`] — that copies a typed cell's
+    /// validity beside it ([`take_cells`]).
+    fn take(&self, rows: impl Iterator<Item = usize> + Clone, len: usize) -> Column {
         match self {
-            Column::Int { values, .. } => Column::Int {
-                values: indices.iter().map(|&i| values[i]).collect(),
-                validity: mask(),
-            },
+            Column::Int { values, .. } => {
+                let mut taken = Vec::with_capacity(len);
+                let validity = take_cells(rows, self.mask(), &mut taken, |i| values[i]);
+                Column::Int {
+                    values: taken,
+                    validity,
+                }
+            }
             Column::Str { bytes, offsets, .. } => {
                 let text = |i: usize| &bytes[offsets[i]..offsets[i + 1]];
-                let mut taken = Vec::with_capacity(indices.iter().map(|&i| text(i).len()).sum());
-                let mut ends = Vec::with_capacity(indices.len() + 1);
+                let mut taken = Vec::with_capacity(rows.clone().map(|i| text(i).len()).sum());
+                let mut ends = Vec::with_capacity(len + 1);
                 ends.push(0);
-                for &i in indices {
+                let validity = take_cells(rows, self.mask(), &mut ends, |i| {
                     taken.extend_from_slice(text(i));
-                    ends.push(taken.len());
-                }
+                    taken.len()
+                });
                 Column::Str {
                     bytes: taken,
                     offsets: ends,
-                    validity: mask(),
+                    validity,
                 }
             }
-            Column::Bag { offsets, rows } => {
+            Column::Bag {
+                offsets,
+                rows: bags,
+            } => {
                 let (mut ends, mut members) = (vec![0], Vec::new());
-                for &i in indices {
+                for i in rows {
                     members.extend(offsets[i]..offsets[i + 1]);
                     ends.push(members.len());
                 }
                 Column::Bag {
                     offsets: ends,
-                    rows: Box::new(rows.gather(&members)),
+                    rows: Box::new(bags.gather(&members)),
                 }
             }
-            Column::Mixed(values) => {
-                Column::Mixed(indices.iter().map(|&i| values[i].clone()).collect())
-            }
+            Column::Mixed(values) => Column::Mixed(rows.map(|i| values[i].clone()).collect()),
         }
     }
 
     /// The selected rows of this column, in the layout [`Column::gather`]
-    /// keeps; a window of a typed column is copied slice-wise.
+    /// keeps; a window of a typed column is copied slice-wise, a bucket's
+    /// rows are taken as its bytes are read.
     fn select(&self, rows: &Selection) -> Column {
         let window = match rows {
             Selection::Rows(rows) => return self.gather(rows),
+            Selection::Bucket(bucket) => return self.take(bucket.rows(), bucket.len),
             Selection::Range(window) => window.clone(),
         };
         let mask = || holding_a_null(self.mask().map(|m| &m[window.clone()])).map(<[bool]>::to_vec);
@@ -495,6 +808,27 @@ impl Column {
             .flat_map(|(c, rows)| rows.spans().flatten().map(|row| c.value_at(row)));
         Column::from_values(cells.collect())
     }
+}
+
+/// Pushes `cell(i)` of every row `i` of `rows` onto `out`, in one fold,
+/// and returns the rows' validity under `mask` — the null mask a copy
+/// keeps: none unless a taken cell is null ([`holding_a_null`]).
+fn take_cells<T>(
+    rows: impl Iterator<Item = usize>,
+    mask: Option<&[bool]>,
+    out: &mut Vec<T>,
+    mut cell: impl FnMut(usize) -> T,
+) -> Option<Vec<bool>> {
+    let Some(mask) = mask else {
+        rows.for_each(|i| out.push(cell(i)));
+        return None;
+    };
+    let mut kept = Vec::with_capacity(out.capacity() - out.len());
+    rows.for_each(|i| {
+        out.push(cell(i));
+        kept.push(mask[i]);
+    });
+    holding_a_null(Some(kept))
 }
 
 /// Appends the decimal digits of `i`, as its `Display` writes them,
@@ -850,12 +1184,16 @@ impl Batch {
     }
 
     /// [`Batch::canonical_bytes`] of the selected rows alone — equal to
-    /// `select_rows(rows).canonical_bytes()` without the copy.
+    /// `select_rows(rows).canonical_bytes()` without the copy. A bucket's
+    /// were counted when its window was cut from this batch.
     ///
     /// # Panics
     ///
     /// Panics if `rows` reaches past the batch.
     pub fn canonical_bytes_in(&self, rows: &Selection) -> u64 {
+        if let Selection::Bucket(bucket) = rows {
+            return bucket.canonical;
+        }
         let n = rows.len() as u64;
         // A valid typed cell is a tag and 8 bytes, a null one the tag.
         let typed = |c: &Column| 9 * n - 8 * c.nulls_in(rows);
@@ -978,6 +1316,35 @@ fn fnv1a_tagged([tag, four_zeros, six_zeros]: [u64; 3], v: u64) -> u64 {
 /// integer's leading zero bytes are constants — and every other layout,
 /// like a key past the arity, through the encoding itself.
 pub fn shuffle_buckets(batch: &Batch, rows: &Selection, key: usize, n: usize) -> Vec<usize> {
+    let mut buckets = Vec::with_capacity(rows.len());
+    route_by_key(batch, rows, key, n, |_, bucket| buckets.push(bucket));
+    buckets
+}
+
+/// The `n` reduce partitions of the selected rows under a shuffle on
+/// column `key`, each row in its [`shuffle_buckets`] partition and each
+/// partition's rows in order. Up to [`MAX_BYTE_BUCKETS`] partitions are
+/// [`Selection::Bucket`]s of one array of a byte per row of the
+/// selection's hull, written as the keys are hashed; more are lists of row
+/// ids.
+pub fn shuffle_partitions(batch: &Batch, rows: &Selection, key: usize, n: usize) -> Vec<Selection> {
+    if n > MAX_BYTE_BUCKETS {
+        return listed(rows, &shuffle_buckets(batch, rows, key, n), n);
+    }
+    cut(batch, rows, n, |cut| {
+        route_by_key(batch, rows, key, n, |row, bucket| cut.put(row, bucket))
+    })
+}
+
+/// Calls `put(row, partition)` for every selected row, in order, with its
+/// [`shuffle_buckets`] partition.
+fn route_by_key(
+    batch: &Batch,
+    rows: &Selection,
+    key: usize,
+    n: usize,
+    mut put: impl FnMut(usize, usize),
+) {
     const NULL: u64 = fnv1a(&[0]);
     const INT: [u64; 3] = fnv1a_zeros(1);
     const STR: [u64; 3] = fnv1a_zeros(2);
@@ -995,18 +1362,21 @@ pub fn shuffle_buckets(batch: &Batch, rows: &Selection, key: usize, n: usize) ->
     };
     match batch.column(key) {
         Some(Column::Int { values, .. }) => {
-            rows.map(|_, row| cell(row, fnv1a_tagged(INT, values[row] as u64)))
+            rows.for_each(|_, row| put(row, cell(row, fnv1a_tagged(INT, values[row] as u64))))
         }
-        Some(Column::Str { bytes, offsets, .. }) => rows.map(|_, row| {
+        Some(Column::Str { bytes, offsets, .. }) => rows.for_each(|_, row| {
             let text = &bytes[offsets[row]..offsets[row + 1]];
-            cell(row, fnv1a_from(fnv1a_tagged(STR, text.len() as u64), text))
+            put(
+                row,
+                cell(row, fnv1a_from(fnv1a_tagged(STR, text.len() as u64), text)),
+            )
         }),
         _ => {
             let mut buf = Vec::new();
-            rows.map(|_, row| {
+            rows.for_each(|_, row| {
                 buf.clear();
                 batch.write_value_canonical(row, key, &mut buf);
-                bucket(fnv1a(&buf))
+                put(row, bucket(fnv1a(&buf)))
             })
         }
     }
@@ -2014,6 +2384,59 @@ mod tests {
                     e.eval(&EvalContext::new(r)),
                     "expr {k} row {i}"
                 );
+            }
+        }
+    }
+
+    /// A bucket's rows and null counts are read off the shared bytes at
+    /// every alignment: windows starting and ending inside and on 8-byte
+    /// words, rows an earlier filter dropped, buckets that hold nothing,
+    /// and every column's mask (`nulls_in`) against the id list's.
+    #[test]
+    fn bucket_rows_and_nulls_match_their_id_lists() {
+        let records: Vec<Record> = (0..45i64)
+            .map(|i| {
+                let key = if i % 5 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 6)
+                };
+                let text = if i % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::str("t".repeat(i as usize % 4))
+                };
+                Record::new(vec![key, text, Value::Int(i)])
+            })
+            .collect();
+        let batch = Batch::from_records(&records).expect("uniform arity");
+        for (start, end) in [(0, 45), (3, 45), (8, 16), (5, 13), (1, 2), (7, 7)] {
+            let window = Selection::Range(start..end);
+            let filtered = Selection::Rows((start..end).filter(|r| r % 3 != 1).collect());
+            for rows in [window, filtered] {
+                for n in [1, 2, 4, 7, MAX_BYTE_BUCKETS] {
+                    let cut = shuffle_partitions(&batch, &rows, 0, n);
+                    let buckets = shuffle_buckets(&batch, &rows, 0, n);
+                    for (b, part) in cut.iter().enumerate() {
+                        let ids: Vec<usize> = (0..rows.len())
+                            .filter(|&i| buckets[i] == b)
+                            .map(|i| rows.map(|_, row| row)[i])
+                            .collect();
+                        let ctx = format!("{rows:?}, bucket {b} of {n}");
+                        assert!(matches!(part, Selection::Bucket(_)), "{ctx}");
+                        assert_eq!(part.map(|_, row| row), ids, "{ctx}");
+                        assert_eq!(part.spans().flatten().collect::<Vec<_>>(), ids, "{ctx}");
+                        let list = Selection::Rows(ids);
+                        for c in &batch.columns {
+                            assert_eq!(c.nulls_in(part), c.nulls_in(&list), "{ctx}");
+                        }
+                        let mut cut_short = part.clone();
+                        cut_short.truncate(2);
+                        let mut listed = list.clone();
+                        listed.truncate(2);
+                        assert_eq!(cut_short, listed, "{ctx}: LIMIT");
+                    }
+                }
             }
         }
     }

@@ -15,16 +15,24 @@
 //! because a columnar row is built, not cloned. A `GROUP` → aggregate
 //! reduce task materializes exactly its output rows.
 //!
-//! Both have a per-thread total (kernels clone on the calling thread, so
-//! tests can assert exact counts even while other test threads run
-//! kernels of their own); `rows_materialized` also has a process-wide
-//! total, which `cbft-mapreduce`'s `data_plane` module surfaces next to
-//! its own clone counter.
+//! A third, `shuffle_index_bytes`, counts the bytes a shuffle's
+//! partitions allocate to name their rows (`batch::shuffle_partitions`,
+//! `Selection::partition`): one bucket byte per row of the window cut, or
+//! eight bytes of row id per row routed when there are too many partitions
+//! for a byte to name. It depends on the data alone, not on the host.
+//!
+//! The first two have a per-thread total (kernels clone on the calling
+//! thread, so tests can assert exact counts even while other test threads
+//! run kernels of their own); `rows_materialized` and
+//! `shuffle_index_bytes` have a process-wide total, which
+//! `cbft-mapreduce`'s `data_plane` module surfaces next to its own
+//! counters.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ROWS_MATERIALIZED: AtomicU64 = AtomicU64::new(0);
+static SHUFFLE_INDEX_BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_RECORD_CLONES: Cell<u64> = const { Cell::new(0) };
@@ -56,4 +64,15 @@ pub fn rows_materialized() -> u64 {
 /// Batch rows materialized on the calling thread only.
 pub fn thread_rows_materialized() -> u64 {
     THREAD_ROWS_MATERIALIZED.with(Cell::get)
+}
+
+/// Counts `n` bytes a shuffle's partitions allocated to name their rows.
+pub fn count_shuffle_index_bytes(n: u64) {
+    SHUFFLE_INDEX_BYTES.fetch_add(n, Ordering::Relaxed);
+}
+
+/// Total bytes shuffle partitions allocated to name their rows since
+/// process start, across all threads.
+pub fn shuffle_index_bytes() -> u64 {
+    SHUFFLE_INDEX_BYTES.load(Ordering::Relaxed)
 }

@@ -265,6 +265,11 @@ impl Storage {
         self.files.get(name).map(|f| f.bytes)
     }
 
+    /// Records in `name`, if it exists (uncharged, like the size).
+    pub fn len_of(&self, name: &str) -> Option<usize> {
+        self.files.get(name).map(FileData::len)
+    }
+
     /// Map of every file name to its size, e.g. for
     /// [`cbft_dataflow::analyze::analyze_plan`]'s input-size table.
     pub fn sizes(&self) -> HashMap<String, u64> {

@@ -22,7 +22,7 @@ use std::time::Instant;
 
 pub(crate) use cbft_dataflow::batch::fnv1a;
 use cbft_dataflow::batch::{
-    group_aggregate, group_batch, join_batch, order_batch, project, select, shuffle_buckets,
+    group_aggregate, group_batch, join_batch, order_batch, project, select, shuffle_partitions,
     Selection,
 };
 use cbft_dataflow::combiner::Combiner;
@@ -248,7 +248,8 @@ impl TaskInput {
 
     /// The copy kept for the trusted spot-checker, made before the
     /// untrusted task (whose fate may corrupt its view) sees the input.
-    /// A split or a columnar partition costs handle (and row id) clones:
+    /// A split or a columnar partition costs handle clones (a shuffle
+    /// partition's bucket bytes are shared, a listed run's ids copied):
     /// an untrusted task can copy a shared batch, never write to it
     /// ([`Partition::corrupt`]). A record partition is deep-cloned and
     /// charged one `records_cloned` per row.
@@ -1111,34 +1112,31 @@ fn partition_records(
 }
 
 /// Vectorized kernel of [`Stream::partition`]: the bucket of every live
-/// row is hashed straight out of the batch's columns, the rows of each
-/// bucket counted, and each partition's run is the list of its row ids,
-/// sized exactly — a selection of the one batch they all share. No row is
+/// row is hashed straight out of the batch's columns into one byte per
+/// row of the stream's window, and each partition's run is the rows of
+/// one bucket — a selection of the one batch they all share, reading the
+/// one byte array they all share ([`shuffle_partitions`]). No row is
 /// copied; with one partition the chunk moves whole.
 fn partition_chunk(key: ShuffleKey, tag: usize, chunk: Chunk, n: usize) -> Vec<Partition> {
-    let buckets = match key {
+    let (batch, rows) = (&chunk.batch, &chunk.rows);
+    let runs = match key {
         _ if n == 1 => return vec![Partition::cols(tag, chunk)],
-        ShuffleKey::Field(k) => shuffle_buckets(&chunk.batch, &chunk.rows, k, n),
+        ShuffleKey::Field(k) => shuffle_partitions(batch, rows, k, n),
         ShuffleKey::Row => {
             let mut buf = Vec::new();
-            chunk.rows.map(|_, row| {
+            rows.partition(batch, n, |row| {
                 buf.clear();
-                chunk.batch.write_row_canonical(row, &mut buf);
+                batch.write_row_canonical(row, &mut buf);
                 bucket(&buf, n)
             })
         }
-        ShuffleKey::Single => vec![0; chunk.rows.len()],
+        ShuffleKey::Single => rows.partition(batch, n, |_| 0),
     };
-    let mut sizes = vec![0; n];
-    buckets.iter().for_each(|&b| sizes[b] += 1);
-    let mut picks: Vec<Vec<usize>> = sizes.into_iter().map(Vec::with_capacity).collect();
-    chunk.rows.for_each(|i, row| picks[buckets[i]].push(row));
-    let run = |rows: Vec<usize>| Chunk {
-        batch: Arc::clone(&chunk.batch),
-        rows: Selection::Rows(rows),
+    let run = |rows: Selection| Chunk {
+        batch: Arc::clone(batch),
+        rows,
     };
-    picks
-        .into_iter()
+    runs.into_iter()
         .map(|rows| Partition::cols(tag, run(rows)))
         .collect()
 }

@@ -110,7 +110,7 @@ impl Fold {
                     self.gauge(names::ROUND_REPLICAS, &round, r);
                 }
             }
-            ("round_end", Phase::Instant) => {
+            ("attempt", Phase::End) | ("round_end", Phase::Instant) => {
                 if let Some(v) = uint(e, "verified") {
                     self.gauge(names::ROUND_VERIFIED, &round, v);
                 }

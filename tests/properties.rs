@@ -588,7 +588,8 @@ proptest! {
 
 use clusterbft_repro::dataflow::batch::{
     eval_column, filter_batch, fnv1a, group_aggregate, group_batch, join_batch, order_batch,
-    project, project_batch, select, shuffle_buckets, Selection,
+    project, project_batch, select, shuffle_buckets, shuffle_partitions, Selection,
+    MAX_BYTE_BUCKETS,
 };
 use clusterbft_repro::dataflow::combiner::Combiner;
 use clusterbft_repro::dataflow::{AggFunc, Batch, CmpOp, Column, EvalContext, SortOrder};
@@ -1626,6 +1627,105 @@ fn shuffle_buckets_hash_the_canonical_encoding_at_every_width() {
                 assert_eq!(shuffle_buckets(&batch, &rows, 0, parts), expected);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A map task's shuffle partitions, one bucket byte per window row,
+    /// read like the lists of row ids they replace. Over every layout (and
+    /// pair of layouts) as key — `Int`, `Str` and `Mixed` keys, nulls, all
+    /// nulls, bags, one past the arity — random windows and the rows a
+    /// FILTER kept of them, split into 1 … 300 partitions: each partition
+    /// selects its id list's rows in order, with its length and canonical
+    /// bytes; its copy (`select_rows`, layouts and null masks included) and
+    /// that copy corrupted are the id list's; `Batch::concat` and
+    /// `group_aggregate` over all of them read what the id lists give; and
+    /// a route given row by row (`Selection::partition`) cuts the same
+    /// partitions. Up to 255 partitions are bucket selections, more are id
+    /// lists.
+    #[test]
+    fn bucket_partitions_read_like_their_row_id_lists(
+        n in 2usize..70,
+        duplicates in any::<bool>(),
+        seed in any::<u64>(),
+        cuts in (0usize..71, 0usize..71),
+    ) {
+        let generates = [
+            Expr::Col(0),
+            Expr::Agg { func: AggFunc::Count, bag_col: 1, field: None },
+            Expr::Agg { func: AggFunc::Sum, bag_col: 1, field: Some(1) },
+            Expr::Agg { func: AggFunc::Max, bag_col: 1, field: Some(2) },
+        ];
+        let kept = Expr::Cmp(
+            CmpOp::Ne,
+            Box::new(Expr::Col(0)),
+            Box::new(Expr::IntLit(seed as i64 % 3)),
+        );
+        for_every_layout_pair(n, duplicates, seed, |batch, ctx| {
+            let (a, b) = (cuts.0 % (n + 1), cuts.1 % (n + 1));
+            let window = Selection::Range(a.min(b)..a.max(b).max(n.min(a + 9)));
+            let filtered = Selection::Rows(select(batch, &window, &kept));
+            for rows in [window.clone(), filtered] {
+                for key in (0..=batch.arity()).filter(|&k| k < 2 || k == batch.arity()) {
+                    let plan =
+                        Combiner::for_group_projection(key, &generates).expect("algebraic");
+                    for parts in [1usize, 2, 3, 4, 7, 255, 256, 300] {
+                        let ctx =
+                            format!("{ctx}, rows {rows:?}, key {key}, {parts} partitions");
+                        let cut = shuffle_partitions(batch, &rows, key, parts);
+                        let buckets = shuffle_buckets(batch, &rows, key, parts);
+                        let mut ids = vec![Vec::new(); parts];
+                        rows.for_each(|i, row| ids[buckets[i]].push(row));
+                        let lists: Vec<Selection> =
+                            ids.into_iter().map(Selection::Rows).collect();
+                        assert_eq!(cut.len(), parts, "{ctx}");
+                        let bytes = parts <= MAX_BYTE_BUCKETS;
+                        for (part, list) in cut.iter().zip(&lists) {
+                            assert_eq!(matches!(part, Selection::Bucket(_)), bytes, "{ctx}");
+                            assert_eq!(part.map(|_, row| row), list.map(|_, row| row), "{ctx}");
+                            assert_eq!(part.len(), list.len(), "{ctx}");
+                            if part.is_empty() {
+                                continue;
+                            }
+                            assert_eq!(
+                                batch.canonical_bytes_in(part),
+                                batch.canonical_bytes_in(list),
+                                "{ctx}"
+                            );
+                            let copy = batch.select_rows(part);
+                            assert_eq!(copy, batch.select_rows(list), "{ctx}: copy");
+                            let mut flipped = copy;
+                            let mut expected = batch.gather(&list.map(|_, row| row));
+                            corrupt_batch(&mut flipped);
+                            corrupt_batch(&mut expected);
+                            assert_eq!(flipped, expected, "{ctx}: corrupted copy");
+                        }
+                        let routed = rows.partition(batch, parts, |row| {
+                            let mut cell = Vec::new();
+                            batch.write_value_canonical(row, key, &mut cell);
+                            (fnv1a(&cell) % parts as u64) as usize
+                        });
+                        assert_eq!(routed, cut, "{ctx}: routed row by row");
+                        let in_place: Vec<(&Batch, &Selection)> =
+                            cut.iter().map(|part| (batch, part)).collect();
+                        let listed: Vec<(&Batch, &Selection)> =
+                            lists.iter().map(|list| (batch, list)).collect();
+                        assert_eq!(
+                            Batch::concat(&in_place),
+                            Batch::concat(&listed),
+                            "{ctx}: concat"
+                        );
+                        assert_eq!(
+                            group_aggregate(&in_place, &plan),
+                            group_aggregate(&listed, &plan),
+                            "{ctx}: group_aggregate"
+                        );
+                    }
+                }
+            }
+        });
     }
 }
 
