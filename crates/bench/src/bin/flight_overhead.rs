@@ -7,7 +7,8 @@
 //! real `ParallelExecutor` pipeline runs twice, once with a fully
 //! disabled tracer (no events constructed at all) and once with the
 //! recorder attached, and the run **asserts** the recorder costs less
-//! than 2% of wall time on that one 30k-record job.
+//! than 2% of wall time on that one 30k-record job: the median over
+//! alternating pairs of runs of the recorder's overhead in its pair.
 //!
 //! A server row, recorded but not asserted, prices the regime one large
 //! job hides: many small jobs drained through a `JobServer`, where every
@@ -23,12 +24,14 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cbft_bench::{best_of, server_job, ExperimentRecord, ParallelSpec};
+use cbft_bench::{best_of, paired_overhead, server_job, ExperimentRecord, ParallelSpec};
 use cbft_server::{JobServer, JobSpec, ServerConfig};
 use cbft_trace::{FlightRecorder, Obs, TraceEvent, TraceSink, Tracer};
 
-/// Pipeline measurement passes; the best (minimum) is kept.
+/// Server drain measurement passes; the best (minimum) is kept.
 const PASSES: usize = 5;
+/// Alternating pipeline run pairs the asserted overhead is the median of.
+const PAIRS: usize = 201;
 /// Ring pushes for the micro row.
 const PUSHES: u64 = 2_000_000;
 /// Recorder overhead ceiling on the pipeline row, percent.
@@ -98,8 +101,7 @@ fn main() {
     // Warm-up pass of each variant.
     black_box(pipeline_run(0));
     black_box(pipeline_run(1));
-    let [(_, base), (_, flight)] = best_of(PASSES, pipeline_run);
-    let overhead_pct = (flight / base - 1.0) * 100.0;
+    let ([(_, base), (_, flight)], overhead_pct) = paired_overhead(PAIRS, pipeline_run);
 
     // The server drain's jobs: small follower analyses, one seed each.
     let jobs: Vec<JobSpec> = (1..=DRAIN_JOBS)
@@ -121,8 +123,9 @@ fn main() {
         "flight_overhead",
         "Cost of the flight recorder (attached under --flight-dir) vs a disabled tracer",
         &format!(
-            "pipeline: follower_analysis 30k records, 2 replicas, best of \
-             {PASSES} passes per variant, recorder overhead asserted \
+            "pipeline: follower_analysis 30k records, 2 replicas, {PAIRS} \
+             alternating pairs, best run per variant, recorder overhead \
+             (median of the per-pair overheads) asserted \
              <{MAX_OVERHEAD_PCT}%; server drain: {DRAIN_JOBS} jobs x \
              {DRAIN_RECORDS} records through a JobServer on {DRAIN_SLOTS} \
              slots, best of {PASSES} passes per variant, recorded, not \

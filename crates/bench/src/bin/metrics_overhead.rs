@@ -10,7 +10,9 @@
 //! heartbeat and a task-cost event per simulated task) runs three ways —
 //! uninstrumented, with a disabled tracer, and with a tracer folding
 //! into a live registry — and the run **asserts** that the disabled path
-//! costs less than 2% over the uninstrumented baseline.
+//! costs less than 2% over the uninstrumented baseline: the median over
+//! alternating pairs of passes of the disabled path's overhead in its
+//! pair.
 //!
 //! A full-pipeline row repeats the comparison on a real
 //! `ParallelExecutor` run, where the live hub's cost is the fold of
@@ -20,16 +22,19 @@
 
 use std::hint::black_box;
 
-use cbft_bench::{best_of, timed, ExperimentRecord, ParallelSpec};
+use cbft_bench::{best_of, paired_overhead, timed, ExperimentRecord, ParallelSpec};
 use cbft_metrics::Metrics;
 use cbft_trace::{TraceEvent, Tracer};
 use clusterbft::Obs;
 
 /// Iterations of the synthetic task loop per pass.
 const ITERS: u64 = 2_000_000;
-/// Measurement passes; the best (minimum) wall time is kept, which is
-/// the standard way to strip scheduler noise from a CPU-bound loop.
+/// Measurement passes of the enabled loop; the best (minimum) wall time
+/// is kept.
 const PASSES: usize = 9;
+/// Alternating baseline / disabled-path pass pairs the asserted overhead
+/// is the median of.
+const PAIRS: usize = 41;
 /// Disabled-path overhead ceiling, percent.
 const MAX_DISABLED_OVERHEAD_PCT: f64 = 2.0;
 
@@ -117,11 +122,12 @@ fn main() {
     assert_eq!(w0, w1, "instrumentation must not change the computation");
     black_box(pass_traced(&enabled));
 
-    let [(_, wall_base)] = best_of(PASSES, |_| timed(|| black_box(pass_baseline())));
-    let [(_, wall_disabled)] = best_of(PASSES, |_| timed(|| black_box(pass_traced(&disabled))));
+    let ([(_, wall_base), _], disabled_pct) = paired_overhead(PAIRS, |k| match k {
+        0 => timed(|| black_box(pass_baseline())),
+        _ => timed(|| black_box(pass_traced(&disabled))),
+    });
     let [(_, wall_enabled)] = best_of(PASSES, |_| timed(|| black_box(pass_traced(&enabled))));
 
-    let disabled_pct = (wall_disabled / wall_base - 1.0) * 100.0;
     let enabled_ns = (wall_enabled - wall_base) / ITERS as f64 * 1e9 / 2.0;
 
     let [(_, pipe_base), (_, pipe_enabled)] = best_of(3, pipeline_run);
@@ -132,7 +138,9 @@ fn main() {
         "Cost of the cbft-metrics layer (disabled and enabled paths)",
         &format!(
             "synthetic task loop: {ITERS} iterations, 2 traced events each \
-             (folded into a live registry when enabled), best of {PASSES}; \
+             (folded into a live registry when enabled); disabled path: \
+             median overhead over {PAIRS} alternating pairs with the \
+             uninstrumented loop; enabled: best of {PASSES}; \
              pipeline: follower_analysis 30k records, 2 replicas, best of 3, \
              its live registry fed by the fold of every event. The disabled \
              path is asserted <{MAX_DISABLED_OVERHEAD_PCT}%."

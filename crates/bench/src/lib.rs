@@ -431,6 +431,38 @@ pub fn best_of<T, const K: usize>(
     best.map(|(out, wall)| (out.expect("at least one pass"), wall))
 }
 
+/// Runs a base, `run(0)`, and a variant, `run(1)`, in `pairs` adjacent
+/// pairs (at least one), the base first in even pairs and second in odd
+/// ones, and returns each side's last output and best (minimum) wall
+/// seconds with the median over pairs of the variant's overhead on the
+/// base, `(variant / base - 1) × 100` percent. A pair's two runs share the
+/// host's phase, so its ratio cancels what moves both; one best wall per
+/// side compares two runs that may be minutes and phases apart.
+pub fn paired_overhead<T>(
+    pairs: usize,
+    mut run: impl FnMut(usize) -> (T, f64),
+) -> ([(T, f64); 2], f64) {
+    let mut best: [(Option<T>, f64); 2] = [(None, f64::INFINITY), (None, f64::INFINITY)];
+    let mut overheads = Vec::with_capacity(pairs);
+    for pair in 0..pairs.max(1) {
+        let mut walls = [0.0; 2];
+        for k in [pair % 2, 1 - pair % 2] {
+            let (value, wall) = run(k);
+            best[k] = (Some(value), best[k].1.min(wall));
+            walls[k] = wall;
+        }
+        overheads.push((walls[1] / walls[0] - 1.0) * 100.0);
+    }
+    overheads.sort_by(f64::total_cmp);
+    let mid = overheads.len() / 2;
+    let median = match overheads.len() % 2 {
+        1 => overheads[mid],
+        _ => (overheads[mid - 1] + overheads[mid]) / 2.0,
+    };
+    let sides = best.map(|(out, wall)| (out.expect("at least one pair"), wall));
+    (sides, median)
+}
+
 /// Cores the host grants this process (1 when it cannot tell).
 pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
@@ -528,5 +560,22 @@ mod tests {
         });
         assert_eq!(order, [0, 1, 0, 1, 0, 1]);
         assert_eq!(best, [(3, 1.0), (3, 4.0)], "last output, minimum wall");
+    }
+
+    #[test]
+    fn paired_overhead_alternates_sides_and_takes_the_median_pair() {
+        let mut order = Vec::new();
+        // Per pair (base, variant): +10%, +100% (a slow phase the base
+        // missed), +2%, -5%.
+        let walls = [[1.0, 4.0, 1.0, 2.0], [1.1, 8.0, 1.02, 1.9]];
+        let mut pass = [0, 0];
+        let (sides, median) = paired_overhead(4, |k| {
+            order.push(k);
+            pass[k] += 1;
+            (pass[k], walls[k][pass[k] - 1])
+        });
+        assert_eq!(order, [0, 1, 1, 0, 0, 1, 1, 0]);
+        assert_eq!(sides, [(4, 1.0), (4, 1.02)], "last output, minimum wall");
+        assert!((median - 6.0).abs() < 1e-9, "{median}");
     }
 }

@@ -48,10 +48,14 @@ use crate::stats;
 use crate::value::{Record, Value};
 
 /// A column-oriented block of records with uniform arity.
+///
+/// Columns are shared, not owned: a projection that only names columns
+/// ([`pick`]) hands the same columns on, and [`Batch::map_column`] copies
+/// a shared column before it changes it, so no holder sees another's edit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Batch {
     len: usize,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
 }
 
 /// One column of a [`Batch`].
@@ -1014,12 +1018,12 @@ impl Batch {
         }
         let columns = (0..arity)
             .map(|c| {
-                Column::from_values(
+                Arc::new(Column::from_values(
                     records
                         .iter()
                         .map(|r| r.borrow().get(c).expect("arity checked").clone())
                         .collect(),
-                )
+                ))
             })
             .collect();
         Some(Batch {
@@ -1037,7 +1041,10 @@ impl Batch {
         for c in &columns {
             assert_eq!(c.len(), len, "column length mismatch");
         }
-        Batch { len, columns }
+        Batch {
+            len,
+            columns: columns.into_iter().map(Arc::new).collect(),
+        }
     }
 
     /// Number of rows.
@@ -1057,19 +1064,21 @@ impl Batch {
 
     /// Column `c`, if present.
     pub fn column(&self, c: usize) -> Option<&Column> {
-        self.columns.get(c)
+        self.columns.get(c).map(Arc::as_ref)
     }
 
-    /// Replaces column `c` with `f` of it; the column moves through `f`,
-    /// so a same-layout edit happens in place.
+    /// Replaces column `c` with `f` of it, copy-on-write: a column another
+    /// batch shares is copied first, and the copy moves through `f`, so a
+    /// same-layout edit of a column this batch alone holds happens in
+    /// place and no other holder sees it.
     ///
     /// # Panics
     ///
     /// Panics if `c` is out of range or `f` changes the column's length.
     pub fn map_column(&mut self, c: usize, f: impl FnOnce(Column) -> Column) {
-        let column = std::mem::replace(&mut self.columns[c], Column::Mixed(Vec::new()));
-        self.columns[c] = f(column);
-        assert_eq!(self.columns[c].len(), self.len, "column length mismatch");
+        let column = Arc::make_mut(&mut self.columns[c]);
+        *column = f(std::mem::replace(column, Column::Mixed(Vec::new())));
+        assert_eq!(column.len(), self.len, "column length mismatch");
     }
 
     /// Materializes row `row` as a [`Record`].
@@ -1138,7 +1147,11 @@ impl Batch {
     pub fn gather(&self, indices: &[usize]) -> Batch {
         Batch {
             len: indices.len(),
-            columns: self.columns.iter().map(|c| c.gather(indices)).collect(),
+            columns: self
+                .columns
+                .iter()
+                .map(|c| Arc::new(c.gather(indices)))
+                .collect(),
         }
     }
 
@@ -1147,7 +1160,11 @@ impl Batch {
     pub fn select_rows(&self, rows: &Selection) -> Batch {
         Batch {
             len: rows.len(),
-            columns: self.columns.iter().map(|c| c.select(rows)).collect(),
+            columns: self
+                .columns
+                .iter()
+                .map(|c| Arc::new(c.select(rows)))
+                .collect(),
         }
     }
 
@@ -1167,8 +1184,8 @@ impl Batch {
             return Some(run.select_rows(rows));
         }
         let column = |c: usize| {
-            let parts = Vec::from_iter(runs.iter().map(|(b, r)| (&b.columns[c], *r)));
-            Column::concat(&parts)
+            let parts = Vec::from_iter(runs.iter().map(|(b, r)| (&*b.columns[c], *r)));
+            Arc::new(Column::concat(&parts))
         };
         Some(Batch {
             len: runs.iter().map(|(_, rows)| rows.len()).sum(),
@@ -1191,15 +1208,21 @@ impl Batch {
     ///
     /// Panics if `rows` reaches past the batch.
     pub fn canonical_bytes_in(&self, rows: &Selection) -> u64 {
-        if let Selection::Bucket(bucket) = rows {
-            return bucket.canonical;
+        match rows {
+            Selection::Bucket(bucket) => bucket.canonical,
+            rows => self.count_canonical_bytes(rows),
         }
+    }
+
+    /// [`Batch::canonical_bytes_in`] counted from the columns, a bucket's
+    /// rows included.
+    fn count_canonical_bytes(&self, rows: &Selection) -> u64 {
         let n = rows.len() as u64;
         // A valid typed cell is a tag and 8 bytes, a null one the tag.
         let typed = |c: &Column| 9 * n - 8 * c.nulls_in(rows);
         let mut total = 8 * n; // arity prefix per row
         for c in &self.columns {
-            total += match c {
+            total += match &**c {
                 Column::Int { .. } => typed(c),
                 // Invalid rows hold empty ranges of the arena.
                 Column::Str { offsets, .. } => {
@@ -1251,8 +1274,38 @@ pub fn select(batch: &Batch, rows: &Selection, predicate: &Expr) -> Vec<usize> {
 pub fn project(batch: &Batch, rows: &Selection, exprs: &[Expr]) -> Batch {
     Batch {
         len: rows.len(),
-        columns: exprs.iter().map(|e| eval_column(e, batch, rows)).collect(),
+        columns: exprs
+            .iter()
+            .map(|e| Arc::new(eval_column(e, batch, rows)))
+            .collect(),
     }
+}
+
+/// `FOREACH ... GENERATE` of plain columns, shared: when every expression
+/// names a column of `batch` (an in-range [`Expr::Col`]), the columns so
+/// named, in that order, as a batch of the input's length and row
+/// numbering — each column an `Arc` clone, no row copied — read through
+/// the same selection `rows`. Read through it, the batch equals
+/// [`project`]'s dense copy row for row, and every reader of a
+/// `(batch, selection)` pair answers alike; only the layout may differ,
+/// in that a shared column keeps a null mask where no selected cell is
+/// null. A bucket's canonical bytes, counted against `batch`, are
+/// recounted against the picked columns. `None`, and `rows` untouched,
+/// for a projection that computes anything or names a missing column.
+pub fn pick(batch: &Batch, rows: &mut Selection, exprs: &[Expr]) -> Option<Batch> {
+    let named = exprs.iter().map(|e| match e {
+        Expr::Col(c) => batch.columns.get(*c).cloned(),
+        _ => None,
+    });
+    let picked = Batch {
+        len: batch.len,
+        columns: named.collect::<Option<_>>()?,
+    };
+    stats::count_columns_shared(picked.arity() as u64);
+    if let Selection::Bucket(bucket) = rows {
+        bucket.canonical = picked.count_canonical_bytes(&Selection::Bucket(bucket.clone()));
+    }
+    Some(picked)
 }
 
 /// Vectorized `FILTER`: rows where `predicate` is truthy, in input order —
@@ -1500,15 +1553,13 @@ pub fn group_batch(batch: &Batch, key: usize) -> Batch {
         Some(c) => c.gather(&firsts),
         None => all_null(firsts.len()),
     };
+    let bags = Column::Bag {
+        offsets,
+        rows: Box::new(batch.gather(&indices)),
+    };
     Batch {
         len: firsts.len(),
-        columns: vec![
-            keys,
-            Column::Bag {
-                offsets,
-                rows: Box::new(batch.gather(&indices)),
-            },
-        ],
+        columns: vec![Arc::new(keys), Arc::new(bags)],
     }
 }
 
@@ -1572,7 +1623,9 @@ pub fn group_aggregate<'a>(runs: &[(&'a Batch, &Selection)], plan: &Combiner) ->
             let parts = Vec::from_iter(runs.iter().filter_map(key));
             let joined = Batch {
                 len: runs.iter().map(|(_, rows)| rows.len()).sum(),
-                columns: Vec::from_iter((!parts.is_empty()).then(|| Column::concat(&parts))),
+                columns: Vec::from_iter(
+                    (!parts.is_empty()).then(|| Arc::new(Column::concat(&parts))),
+                ),
             };
             let (perm, mut starts) = sorted_indices(&joined, 0, SortOrder::Asc, false);
             let firsts: Vec<usize> = starts.iter().map(|&start| perm[start]).collect();
@@ -1595,7 +1648,11 @@ pub fn group_aggregate<'a>(runs: &[(&'a Batch, &Selection)], plan: &Combiner) ->
         let read = |f: fn(&IntFold) -> Option<i64>| {
             int_column(order.iter().map(|&g| f(&fold[g])).collect())
         };
-        match slot {
+        Arc::new(match slot {
+            // A copy, not a share: shared, `keys` stays alive among the
+            // kernel's scratch (the key table, the order), which is then
+            // freed around it rather than in one piece under the copy;
+            // on the follower run that raised peak RSS by 5%.
             CombineSlot::Key => keys.clone(),
             CombineSlot::Count => Column::Int {
                 values: order.iter().map(|&g| counts[g]).collect(),
@@ -1605,7 +1662,7 @@ pub fn group_aggregate<'a>(runs: &[(&'a Batch, &Selection)], plan: &Combiner) ->
             CombineSlot::Min { .. } => read(|f| (f.seen > 0).then_some(f.min)),
             CombineSlot::Max { .. } => read(|f| (f.seen > 0).then_some(f.max)),
             CombineSlot::Avg { .. } => read(|f| (f.seen > 0).then(|| f.sum / f.seen)),
-        }
+        })
     };
     Batch {
         len: order.len(),
@@ -2030,6 +2087,121 @@ mod tests {
         ];
         let expected: Vec<Record> = records.iter().map(|r| project_record(r, &exprs)).collect();
         assert_eq!(project_batch(&batch, &exprs).to_records(), expected);
+    }
+
+    /// Forty rows: an `Int` key with nulls, a `Str` with nulls, a plain
+    /// `Int`, and a `Mixed` column (a bag among integers).
+    fn shared_sample() -> Batch {
+        let records: Vec<Record> = (0..40i64)
+            .map(|i| {
+                let key = if i % 6 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 5)
+                };
+                let text = if i % 7 == 3 {
+                    Value::Null
+                } else {
+                    Value::str(format!("t{}", i % 4))
+                };
+                let mixed = match i % 9 {
+                    0 => Value::Bag(vec![Record::new(vec![Value::Int(i)])]),
+                    _ => Value::Int(-i),
+                };
+                Record::new(vec![key, text, Value::Int(i), mixed])
+            })
+            .collect();
+        Batch::from_records(&records).unwrap()
+    }
+
+    #[test]
+    fn a_plain_column_projection_shares_its_columns_under_every_selection() {
+        let batch = shared_sample();
+        let filtered = Selection::Rows((3..37).filter(|r| r % 4 != 1).collect());
+        let buckets = shuffle_partitions(&batch, &filtered, 0, 3);
+        let mut selections = vec![Selection::Range(5..31), filtered.clone()];
+        selections.extend(buckets);
+        // Reordered and duplicated columns share alike.
+        let exprs = [Expr::Col(3), Expr::Col(1), Expr::Col(0), Expr::Col(1)];
+        for rows in selections {
+            let dense = project(&batch, &rows, &exprs);
+            let mut picked_rows = rows.clone();
+            let shared = stats::columns_shared();
+            let picked = pick(&batch, &mut picked_rows, &exprs).expect("plain columns");
+            // Other test threads may count too, so at least this one's.
+            assert!(stats::columns_shared() >= shared + 4);
+            let ctx = format!("{rows:?}");
+            assert_eq!((picked.len(), picked.arity()), (batch.len(), 4), "{ctx}");
+            for (c, e) in exprs.iter().enumerate() {
+                let Expr::Col(i) = e else { unreachable!() };
+                assert!(Arc::ptr_eq(&picked.columns[c], &batch.columns[*i]), "{ctx}");
+            }
+            assert_eq!(picked_rows.map(|_, r| r), rows.map(|_, r| r), "{ctx}");
+            let read: Vec<Record> = picked_rows.map(|_, r| picked.row(r));
+            assert_eq!(read, dense.to_records(), "{ctx}");
+            assert_eq!(
+                picked.canonical_bytes_in(&picked_rows),
+                dense.canonical_bytes(),
+                "{ctx}"
+            );
+            assert_eq!(
+                picked.select_rows(&picked_rows).to_records(),
+                dense.to_records(),
+                "{ctx}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_projection_that_computes_or_names_a_missing_column_stays_dense() {
+        let batch = shared_sample();
+        let arith = Expr::arith(crate::expr::ArithOp::Add, Expr::Col(0), Expr::IntLit(1));
+        for exprs in [
+            vec![Expr::Col(0), Expr::Col(9)],
+            vec![Expr::Col(2), arith],
+            vec![Expr::IntLit(4)],
+        ] {
+            let mut rows = Selection::Rows(vec![1, 4, 9]);
+            assert_eq!(pick(&batch, &mut rows, &exprs), None, "{exprs:?}");
+            assert_eq!(rows, Selection::Rows(vec![1, 4, 9]), "{exprs:?}");
+        }
+        // A column past the arity reads as nulls, as it always has.
+        let dense = project(&batch, &Selection::Range(0..3), &[Expr::Col(9)]);
+        assert_eq!(dense.to_records(), vec![Record::new(vec![Value::Null]); 3]);
+    }
+
+    #[test]
+    fn map_column_copies_a_shared_column_before_it_changes() {
+        let batch = shared_sample();
+        let before = batch.to_records();
+        let mut rows = Selection::Range(0..batch.len());
+        let mut picked = pick(&batch, &mut rows, &[Expr::Col(2), Expr::Col(0)]).unwrap();
+        let other = picked.clone();
+        picked.map_column(0, |c| match c {
+            Column::Int { values, validity } => Column::Int {
+                values: values.iter().map(|v| v + 100).collect(),
+                validity,
+            },
+            other => other,
+        });
+        assert_eq!(
+            picked.row(3),
+            Record::new(vec![Value::Int(103), Value::Int(3)])
+        );
+        // Every other holder reads what it read before.
+        assert_eq!(batch.to_records(), before);
+        assert_eq!(
+            other.row(3),
+            Record::new(vec![Value::Int(3), Value::Int(3)])
+        );
+        assert!(Arc::ptr_eq(&other.columns[0], &batch.columns[2]));
+        assert!(!Arc::ptr_eq(&picked.columns[0], &batch.columns[2]));
+        // The untouched column is still shared; a column one batch alone
+        // holds is edited where it is.
+        assert!(Arc::ptr_eq(&picked.columns[1], &batch.columns[0]));
+        let alone = Arc::as_ptr(&picked.columns[0]);
+        picked.map_column(0, |c| c);
+        assert_eq!(Arc::as_ptr(&picked.columns[0]), alone);
     }
 
     #[test]

@@ -21,10 +21,14 @@
 //! eight bytes of row id per row routed when there are too many partitions
 //! for a byte to name. It depends on the data alone, not on the host.
 //!
+//! A fourth, `columns_shared`, counts the columns a projection handed on
+//! without a copy (`batch::pick`: a `FOREACH` that only names columns
+//! shares them with its input). It too depends on the data alone.
+//!
 //! The first two have a per-thread total (kernels clone on the calling
 //! thread, so tests can assert exact counts even while other test threads
-//! run kernels of their own); `rows_materialized` and
-//! `shuffle_index_bytes` have a process-wide total, which
+//! run kernels of their own); `rows_materialized`, `shuffle_index_bytes`
+//! and `columns_shared` have a process-wide total, which
 //! `cbft-mapreduce`'s `data_plane` module surfaces next to its own
 //! counters.
 
@@ -33,6 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static ROWS_MATERIALIZED: AtomicU64 = AtomicU64::new(0);
 static SHUFFLE_INDEX_BYTES: AtomicU64 = AtomicU64::new(0);
+static COLUMNS_SHARED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_RECORD_CLONES: Cell<u64> = const { Cell::new(0) };
@@ -75,4 +80,15 @@ pub fn count_shuffle_index_bytes(n: u64) {
 /// process start, across all threads.
 pub fn shuffle_index_bytes() -> u64 {
     SHUFFLE_INDEX_BYTES.load(Ordering::Relaxed)
+}
+
+/// Counts `n` columns a projection handed on without a copy.
+pub fn count_columns_shared(n: u64) {
+    COLUMNS_SHARED.fetch_add(n, Ordering::Relaxed);
+}
+
+/// Total columns projections handed on without a copy since process
+/// start, across all threads.
+pub fn columns_shared() -> u64 {
+    COLUMNS_SHARED.load(Ordering::Relaxed)
 }

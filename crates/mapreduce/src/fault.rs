@@ -360,11 +360,15 @@ mod tests {
                 .map(|(i, v)| Record::new(vec![v, Value::Int(i as i64), Value::Null]))
                 .collect();
             let mut batch = Batch::from_records(&rows).unwrap();
+            // A clone shares every column: the fault copies the one it
+            // flips, and the other holder reads what it read before.
+            let holder = batch.clone();
             corrupt_batch(&mut batch);
             let mut corrupted = rows.clone();
             corrupted.iter_mut().for_each(corrupt_record);
             assert_eq!(batch, Batch::from_records(&corrupted).unwrap(), "{name}");
             assert_eq!(batch.to_records(), corrupted, "{name}");
+            assert_eq!(holder.to_records(), rows, "{name}: the other holder");
         }
 
         // Hand-built columns off the layout rule — garbage under an

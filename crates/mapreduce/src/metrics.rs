@@ -222,6 +222,9 @@ pub mod data_plane {
         /// rows: one per row of a cut window, or eight per row routed
         /// past `MAX_BYTE_BUCKETS` partitions.
         pub shuffle_index_bytes: u64,
+        /// Columns projections handed on without a copy: a `FOREACH`
+        /// that only names columns shares them with its input.
+        pub columns_shared: u64,
         /// Bytes written through canonical record encoding.
         pub bytes_encoded: u64,
         /// Batches tasks allocated to lay their input out.
@@ -252,6 +255,7 @@ pub mod data_plane {
                 records_cloned: self.records_cloned - earlier.records_cloned,
                 arcs_shared: self.arcs_shared - earlier.arcs_shared,
                 shuffle_index_bytes: self.shuffle_index_bytes - earlier.shuffle_index_bytes,
+                columns_shared: self.columns_shared - earlier.columns_shared,
                 bytes_encoded: self.bytes_encoded - earlier.bytes_encoded,
                 batches_built: self.batches_built - earlier.batches_built,
                 batch_rows: self.batch_rows - earlier.batch_rows,
@@ -272,6 +276,7 @@ pub mod data_plane {
             records_cloned: read(&RECORDS_CLONED),
             arcs_shared: read(&ARCS_SHARED),
             shuffle_index_bytes: cbft_dataflow::stats::shuffle_index_bytes(),
+            columns_shared: cbft_dataflow::stats::columns_shared(),
             bytes_encoded: read(&BYTES_ENCODED),
             batches_built: read(&BATCHES_BUILT),
             batch_rows: read(&BATCH_ROWS),

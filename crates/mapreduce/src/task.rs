@@ -22,8 +22,8 @@ use std::time::Instant;
 
 pub(crate) use cbft_dataflow::batch::fnv1a;
 use cbft_dataflow::batch::{
-    group_aggregate, group_batch, join_batch, order_batch, project, select, shuffle_partitions,
-    Selection,
+    group_aggregate, group_batch, join_batch, order_batch, pick, project, select,
+    shuffle_partitions, Selection,
 };
 use cbft_dataflow::combiner::Combiner;
 use cbft_dataflow::compile::Site;
@@ -641,7 +641,9 @@ enum Split<'a> {
 /// The columnar arm's stream and a columnar partition's run: a shared
 /// batch (the input file's, or one a task built) and its live rows.
 /// `FILTER`, `LIMIT` and a map task's shuffle narrow or split the
-/// selection and copy nothing; the whole batch stays alive meanwhile.
+/// selection and copy nothing, and a `FOREACH` that only names columns
+/// swaps the batch for one sharing those columns under the same
+/// selection; the batch's columns stay alive meanwhile.
 #[derive(Clone, Debug)]
 pub(crate) struct Chunk {
     batch: Arc<Batch>,
@@ -1028,17 +1030,19 @@ fn apply_op<'a>(op: &Operator, records: RecordStream<'a>) -> RecordStream<'a> {
 }
 
 /// Vectorized kernel of [`Stream::apply`]: a filter narrows the
-/// selection, a projection evaluates over it into a batch of its own, a
-/// limit cuts it.
+/// selection, a projection that only names columns shares them under the
+/// same selection ([`pick`]) and any other evaluates over it into a batch
+/// of its own, a limit cuts it.
 fn apply_op_selected(op: &Operator, mut chunk: Chunk) -> Chunk {
     match op {
         Operator::Load { .. } | Operator::Union | Operator::Store { .. } => {}
         Operator::Filter { predicate } => {
             chunk.rows = Selection::Rows(select(&chunk.batch, &chunk.rows, predicate));
         }
-        Operator::Project { exprs, .. } => {
-            return Chunk::owned(project(&chunk.batch, &chunk.rows, exprs));
-        }
+        Operator::Project { exprs, .. } => match pick(&chunk.batch, &mut chunk.rows, exprs) {
+            Some(picked) => chunk.batch = Arc::new(picked),
+            None => return Chunk::owned(project(&chunk.batch, &chunk.rows, exprs)),
+        },
         Operator::Limit { count } => chunk.rows.truncate(*count as usize),
         blocking => {
             debug_assert!(false, "blocking operator {} in a pipeline", blocking.name());

@@ -772,6 +772,7 @@ impl<'a> Observability<'a> {
                     .with_counter("groups_unordered", d.groups_unordered)
                     .with_counter("arcs_shared", d.arcs_shared)
                     .with_counter("shuffle_index_bytes", d.shuffle_index_bytes)
+                    .with_counter("columns_shared", d.columns_shared)
                     .with_counter("bytes_encoded", d.bytes_encoded)
                     .with_counter("digest_bytes_hashed", d.digest_bytes_hashed)
                     .with_counter("tasks_dispatched", d.tasks_dispatched)

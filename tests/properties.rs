@@ -587,7 +587,7 @@ proptest! {
 // --- columnar data plane & merkle digest trees ------------------------------
 
 use clusterbft_repro::dataflow::batch::{
-    eval_column, filter_batch, fnv1a, group_aggregate, group_batch, join_batch, order_batch,
+    eval_column, filter_batch, fnv1a, group_aggregate, group_batch, join_batch, order_batch, pick,
     project, project_batch, select, shuffle_buckets, shuffle_partitions, Selection,
     MAX_BYTE_BUCKETS,
 };
@@ -1726,6 +1726,151 @@ proptest! {
                 }
             }
         });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A `FOREACH` that only names columns hands its input's columns on
+    /// under the input's selection (`pick`), and the picked chunk reads
+    /// like `project`'s dense copy — the chunk the columnar arm would
+    /// build instead. Over every layout (and pair and quadruple of
+    /// layouts: `Int` with and without nulls, `Str`, `Mixed`, bags),
+    /// random windows, the rows a FILTER kept of them, and buckets of
+    /// `shuffle_partitions` into 1, 2, 4, 255 and 256 partitions, and
+    /// projections that name plain, duplicated and reordered columns (a
+    /// pick), one past the arity or compute (the dense path): row by row
+    /// the values and canonical encodings, `canonical_bytes_in`, the
+    /// `shuffle_partitions` cut of the chunk by each output column and one
+    /// past them, `group_aggregate`, `Batch::concat` (of the chunk and of
+    /// its cut), `select_rows` and that copy corrupted agree with the
+    /// dense chunk's. The copies are compared layouts included; the
+    /// picked batch itself may differ from the dense one only in whether
+    /// a shared column carries a null mask where no selected cell is
+    /// null, and nothing observable reads that.
+    #[test]
+    fn shared_projection_reads_like_its_dense_copy(
+        n in 2usize..30,
+        duplicates in any::<bool>(),
+        seed in any::<u64>(),
+        cuts in (0usize..31, 0usize..31),
+    ) {
+        let kept = Expr::Cmp(
+            CmpOp::Ne,
+            Box::new(Expr::Col(0)),
+            Box::new(Expr::IntLit(seed as i64 % 3)),
+        );
+        for_every_layout_pair(n, duplicates, seed, |batch, ctx| {
+            let (a, b) = (cuts.0 % (n + 1), cuts.1 % (n + 1));
+            let window = Selection::Range(a.min(b)..a.max(b).max(n.min(a + 9)));
+            let filtered = Selection::Rows(select(batch, &window, &kept));
+            let mut selections = vec![window.clone(), filtered.clone()];
+            for rows in [&window, &filtered] {
+                for parts in [1usize, 2, 4, 255, 256] {
+                    let cut = shuffle_partitions(batch, rows, 0, parts);
+                    selections.extend(cut.into_iter().filter(|p| !p.is_empty()).take(2));
+                }
+            }
+            let last = batch.arity() - 1;
+            let plus_one = Expr::arith(
+                clusterbft_repro::dataflow::ArithOp::Add,
+                Expr::Col(0),
+                Expr::IntLit(1),
+            );
+            let projections = [
+                (0..=last).map(Expr::Col).collect(),
+                vec![Expr::Col(last), Expr::Col(0), Expr::Col(last)],
+                vec![Expr::Col(0), Expr::Col(last + 1)],
+                vec![Expr::Col(last), plus_one],
+            ];
+            for rows in &selections {
+                for (p, exprs) in projections.iter().enumerate() {
+                    let ctx = format!("{ctx}, rows {rows:?}, projection {p}");
+                    let dense = project(batch, rows, exprs);
+                    let whole = Selection::Range(0..dense.len());
+                    let mut picked_rows = rows.clone();
+                    let picked = pick(batch, &mut picked_rows, exprs);
+                    assert_eq!(picked.is_some(), p < 2, "{ctx}");
+                    let (chunk, chunk_rows) = match picked {
+                        Some(picked) => (picked, picked_rows),
+                        None => (project(batch, rows, exprs), whole.clone()),
+                    };
+                    assert_chunks_read_alike((&chunk, &chunk_rows), (&dense, &whole), &ctx);
+                }
+            }
+        });
+    }
+}
+
+/// The checks of `shared_projection_reads_like_its_dense_copy`: a chunk
+/// `(batch, rows)` against the dense batch it must read like.
+fn assert_chunks_read_alike(chunk: (&Batch, &Selection), dense: (&Batch, &Selection), ctx: &str) {
+    let (batch, rows) = chunk;
+    let expected = dense.0.to_records();
+    let read = |batch: &Batch, rows: &Selection| rows.map(|_, row| batch.row(row));
+    assert_eq!(read(batch, rows), expected, "{ctx}: values");
+    for (i, row) in rows.map(|_, row| row).into_iter().enumerate() {
+        let mut encoded = Vec::new();
+        batch.write_row_canonical(row, &mut encoded);
+        assert_eq!(encoded, expected[i].to_canonical_bytes(), "{ctx}: row {i}");
+    }
+    assert_eq!(
+        batch.canonical_bytes_in(rows),
+        dense.0.canonical_bytes(),
+        "{ctx}"
+    );
+    let copy = batch.select_rows(rows);
+    assert_eq!(copy, dense.0.select_rows(dense.1), "{ctx}: select_rows");
+    let (mut flipped, mut dense_flipped) = (copy, dense.0.select_rows(dense.1));
+    corrupt_batch(&mut flipped);
+    corrupt_batch(&mut dense_flipped);
+    assert_eq!(flipped, dense_flipped, "{ctx}: corrupted copy");
+    assert_eq!(
+        Batch::concat(&[chunk]),
+        Batch::concat(&[dense]),
+        "{ctx}: concat"
+    );
+    let generates = [
+        Expr::Col(0),
+        Expr::Agg {
+            func: AggFunc::Count,
+            bag_col: 1,
+            field: None,
+        },
+        Expr::Agg {
+            func: AggFunc::Sum,
+            bag_col: 1,
+            field: Some(1),
+        },
+    ];
+    for key in [0, batch.arity()] {
+        let plan = Combiner::for_group_projection(key, &generates).expect("algebraic");
+        assert_eq!(
+            group_aggregate(&[chunk], &plan),
+            group_aggregate(&[dense], &plan),
+            "{ctx}: group_aggregate by {key}"
+        );
+        let parts = 3;
+        let cut = shuffle_partitions(batch, rows, key, parts);
+        let dense_cut = shuffle_partitions(dense.0, dense.1, key, parts);
+        for (part, dense_part) in cut.iter().zip(&dense_cut) {
+            let ctx = format!("{ctx}, key {key}, partition of {parts}");
+            assert_eq!(read(batch, part), read(dense.0, dense_part), "{ctx}");
+            assert_eq!(
+                batch.canonical_bytes_in(part),
+                dense.0.canonical_bytes_in(dense_part),
+                "{ctx}"
+            );
+        }
+        fn runs<'a>(b: &'a Batch, cut: &'a [Selection]) -> Vec<(&'a Batch, &'a Selection)> {
+            cut.iter().map(|p| (b, p)).collect()
+        }
+        assert_eq!(
+            Batch::concat(&runs(batch, &cut)),
+            Batch::concat(&runs(dense.0, &dense_cut)),
+            "{ctx}: concat of the cut by {key} into {parts}"
+        );
     }
 }
 
