@@ -46,14 +46,13 @@ use cbft_mapreduce::{
 };
 use cbft_sim::{CostModel, SeedSpawner};
 use cbft_trace::{Obs, TraceEvent, Tracer, COORDINATOR_PID};
+use cbft_verify::{StreamedReport, SuspicionBand, SuspicionTable, Verifier};
 use crossbeam::channel::Sender;
 use serde::{Deserialize, Serialize};
 
 use crate::config::VpPolicy;
 use crate::outcome::SubmitError;
 use crate::pipeline::{choose_points, job_output_sites, vp_sites_by_job, ReplicaJobs};
-use crate::suspicion::{SuspicionBand, SuspicionTable};
-use crate::verifier::{StreamedReport, Verifier};
 
 /// The executor's verification tier: how much redundant computation buys
 /// how much assurance.
@@ -925,7 +924,7 @@ impl ParallelExecutor {
         } = state;
         // Deterministic verification-lag timeline, derived from the final
         // table state rather than live channel arrivals.
-        verifier.emit_forensics(&self.obs.tracer, runs.keys().copied());
+        verifier.emit_forensics(&self.obs.tracer, runs.keys().copied(), None);
 
         // Canonical order: any thread interleaving sorts to this exact
         // transcript, so downstream consumers (tests, persisted logs)

@@ -14,9 +14,10 @@
 //! * **approximate, offline comparison** — replicas stream SHA-256 digests
 //!   (optionally one per `d` records) to a trusted verifier while
 //!   downstream jobs already proceed;
-//! * **separation of duty** — a small trusted control tier (this crate)
-//!   commands the untrusted Hadoop-style computation tier
-//!   ([`cbft_mapreduce`]);
+//! * **separation of duty** — a small trusted control tier (this crate,
+//!   with its judging half, the verifier, suspicion table and fault
+//!   analyzer, in [`cbft_verify`]) commands the untrusted Hadoop-style
+//!   computation tier ([`cbft_mapreduce`]);
 //! * **fault identification and isolation** — overlapping job clusters,
 //!   per-node suspicion levels and the Fig. 7 fault analyzer narrow
 //!   mismatches down to individual faulty nodes.
@@ -63,25 +64,24 @@
 
 mod config;
 mod executor;
-mod isolation;
 mod outcome;
 mod pipeline;
 mod probe;
-mod suspicion;
-mod verifier;
 
 pub use config::{JobConfig, JobConfigBuilder, Replication, VpPolicy};
 pub use executor::{ExecutorConfig, ParallelExecutor, ParallelOutcome, ReexecSummary, VerifyMode};
-pub use isolation::FaultAnalyzer;
 pub use outcome::{ScriptOutcome, SubmitError};
 pub use pipeline::ClusterBft;
 pub use probe::ProbeReport;
-pub use suspicion::{BandUpdates, SuspicionBand, SuspicionTable};
-pub use verifier::{DigestKey, KeyVerdict, StreamedReport, Verifier};
 
 // Re-export the types users need to drive the system without spelling out
 // every substrate crate.
 pub use cbft_dataflow::analyze::Adversary;
 pub use cbft_dataflow::{LogicalPlan, PlanBuilder, Record, Schema, Script, Value, VertexId};
-pub use cbft_mapreduce::{Behavior, Cluster, FileData, JobMetrics, NodeId};
+pub use cbft_mapreduce::{Behavior, Cluster, FileData, JobMetrics};
 pub use cbft_trace::Obs;
+// The trusted tier's judges, defined in their own crate.
+pub use cbft_verify::{
+    BandUpdates, DigestKey, FaultAnalyzer, KeyVerdict, NodeId, StreamedReport, SuspicionBand,
+    SuspicionTable, Verifier,
+};

@@ -33,12 +33,10 @@ use cbft_mapreduce::{
 };
 use cbft_sim::SimDuration;
 use cbft_trace::{TraceEvent, Tracer, COORDINATOR_PID};
+use cbft_verify::{FaultAnalyzer, StreamedReport, SuspicionTable, Verifier};
 
 use crate::config::{JobConfig, VpPolicy};
-use crate::isolation::FaultAnalyzer;
 use crate::outcome::{ScriptOutcome, SubmitError};
-use crate::suspicion::SuspicionTable;
-use crate::verifier::Verifier;
 
 /// The ClusterBFT system: owns the untrusted-tier cluster and the trusted
 /// control-tier state (verifier, suspicion table, fault analyzer).
@@ -356,7 +354,13 @@ impl ClusterBft {
                         }
                         digest_reports += 1;
                         digest_chunks += d.summary.chunks().len() as u64;
-                        verifier.record(&d);
+                        // Replica ids are unique per verifier here.
+                        let uid = d.replica;
+                        verifier.ingest(&StreamedReport {
+                            uid,
+                            seq: 0,
+                            report: d,
+                        });
                         if self.config.early_cancel {
                             self.early_cancel_deviants(
                                 &verifier,
@@ -458,21 +462,17 @@ impl ClusterBft {
 
             // Account commission deviants and feed the fault analyzer with
             // the per-job clusters that produced wrong digests.
-            for uid in verifier.deviant_replicas() {
+            let mut faulty_jobs_of: BTreeMap<usize, BTreeSet<JobId>> = BTreeMap::new();
+            for (key, deviant) in verifier.deviants() {
+                for uid in deviant {
+                    faulty_jobs_of.entry(uid).or_default().insert(key.1.job());
+                }
+            }
+            for (uid, faulty_jobs) in faulty_jobs_of {
                 if !deviant_uids_seen.insert((attempt_key, uid)) {
                     continue; // already processed in an earlier evaluation
                 }
                 deviant_runs += 1;
-                let mut faulty_jobs: BTreeSet<JobId> = BTreeSet::new();
-                for key in verifier.keys() {
-                    if let crate::verifier::KeyVerdict::Verified { deviant, .. } =
-                        verifier.verdict(key)
-                    {
-                        if deviant.contains(&uid) {
-                            faulty_jobs.insert(key.1.job());
-                        }
-                    }
-                }
                 // Attribute only at the deviance *frontier*: a job whose
                 // dependency already deviated merely inherited corrupt
                 // input — its own cluster is innocent.
@@ -560,6 +560,13 @@ impl ClusterBft {
                 }
             }
 
+            // Without digest reuse the next attempt starts a fresh
+            // verifier and numbers its replicas from 0 again, so this
+            // attempt's forensics are emitted now, labelled by attempt.
+            if !reuse {
+                verifier.emit_forensics(&obs.tracer, 0..total_uids, Some(attempt as usize));
+            }
+
             if obs.tracer.enabled() {
                 // The attempt's verdict and the records it would publish:
                 // the round's line of the health report, as the parallel
@@ -635,7 +642,9 @@ impl ClusterBft {
             Vec::new()
         };
         self.restore_exclusions(&temp_excluded);
-        verifier.emit_forensics(&obs.tracer, []);
+        if reuse {
+            verifier.emit_forensics(&obs.tracer, 0..total_uids, None);
+        }
         Ok(ScriptOutcome {
             verified: all_trusted && !unverified_baseline,
             attempts: replicas_per_attempt.len() as u32,
@@ -684,21 +693,19 @@ impl ClusterBft {
         completed: &[HashMap<JobId, CompletedJob>],
     ) {
         let mut newly_blocked: Vec<(usize, JobId)> = Vec::new();
-        for key in verifier.keys() {
-            if let crate::verifier::KeyVerdict::Verified { deviant, .. } = verifier.verdict(key) {
-                let job = key.1.job();
-                for uid in deviant {
-                    // Only the current attempt has cancellable work.
-                    let Some(rep) = uid.checked_sub(uid_base) else {
-                        continue;
-                    };
-                    if rep >= blocked.len() {
-                        continue;
-                    }
-                    for &down in &descendants[job.index()] {
-                        if blocked[rep].insert(down) {
-                            newly_blocked.push((rep, down));
-                        }
+        for (key, deviant) in verifier.deviants() {
+            let job = key.1.job();
+            for uid in deviant {
+                // Only the current attempt has cancellable work.
+                let Some(rep) = uid.checked_sub(uid_base) else {
+                    continue;
+                };
+                if rep >= blocked.len() {
+                    continue;
+                }
+                for &down in &descendants[job.index()] {
+                    if blocked[rep].insert(down) {
+                        newly_blocked.push((rep, down));
                     }
                 }
             }
@@ -1074,6 +1081,60 @@ mod tests {
             2,
             "both union branches digest the store marker"
         );
+    }
+
+    /// Without digest reuse each attempt's verifier emits its own
+    /// forensics, labelled by attempt, and charges the attempt's replicas
+    /// that never reported: here those bound to the crashed node.
+    #[test]
+    fn every_attempt_charges_its_silent_replica() {
+        use cbft_dataflow::{Record, Value};
+        use cbft_mapreduce::Behavior;
+        use cbft_trace::{ArgValue, Obs};
+
+        let (tracer, sink) = Tracer::memory();
+        let obs = Obs {
+            tracer,
+            ..Obs::disabled()
+        };
+        let cluster = Cluster::builder()
+            .nodes(2)
+            .seed(1)
+            .node_behavior(0, Behavior::Crashed)
+            .obs(obs, 0)
+            .build();
+        let config = JobConfig::builder()
+            .expected_failures(1)
+            .max_attempts(2)
+            .build();
+        let mut cbft = ClusterBft::new(cluster, config);
+        let edges: Vec<Record> = (0..40)
+            .map(|i| Record::new(vec![Value::Int(i % 4), Value::Int(i)]))
+            .collect();
+        cbft.load_input("edges", edges).unwrap();
+        let outcome = cbft
+            .submit_script(
+                "raw = LOAD 'edges' AS (user, follower);
+                 grp = GROUP raw BY user;
+                 cnt = FOREACH grp GENERATE group, COUNT(raw) AS n;
+                 STORE cnt INTO 'counts';",
+            )
+            .unwrap();
+        assert_eq!(outcome.attempts, 2, "{outcome:?}");
+
+        let arg = |e: &TraceEvent, key: &str| match e.args.iter().find(|(k, _)| *k == key) {
+            Some((_, ArgValue::Uint(v))) => Some(*v),
+            _ => None,
+        };
+        let silent: Vec<(u64, u64)> = sink
+            .take()
+            .iter()
+            .filter(|e| e.name == "replica_forensics" && arg(e, "reports") == Some(0))
+            .map(|e| (arg(e, "attempt").unwrap(), arg(e, "omissions").unwrap()))
+            .collect();
+        let attempts: BTreeSet<u64> = silent.iter().map(|&(attempt, _)| attempt).collect();
+        assert_eq!(attempts, BTreeSet::from([0, 1]), "{silent:?}");
+        assert!(silent.iter().all(|&(_, omissions)| omissions > 0));
     }
 
     #[test]

@@ -1084,7 +1084,6 @@ impl Cluster {
         // on the trusted side — no sim time charged).
         let spot = job.sampled_inputs.remove(&(kind, index)).map(|input| {
             EngineEvent::SpotCheck(Box::new(SpotCheckRecord {
-                handle,
                 sid: job.spec.sid.clone(),
                 replica: job.spec.replica,
                 kind,
@@ -1109,7 +1108,6 @@ impl Cluster {
                 );
             }
             self.outbox.push_back(EngineEvent::Digest(DigestReport {
-                handle,
                 sid: job.spec.sid.clone(),
                 replica: job.spec.replica,
                 vertex: vp.vertex,

@@ -7,22 +7,12 @@
 //! failures") and omission faults ("one correct replica not responding
 //! within the verifier timeout"); [`Behavior`] models those, plus crashes.
 
-use std::fmt;
-
 use cbft_dataflow::{Batch, Column, Record, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Identifier of a worker node in the untrusted tier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct NodeId(pub usize);
-
-impl fmt::Display for NodeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "n{}", self.0)
-    }
-}
+pub use cbft_verify::NodeId;
 
 /// A node's (mis)behaviour, drawn per task.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]

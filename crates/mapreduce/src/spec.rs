@@ -6,9 +6,9 @@ use std::sync::Arc;
 use cbft_dataflow::combiner::Combiner;
 use cbft_dataflow::compile::Site;
 use cbft_dataflow::{LogicalPlan, VertexId};
-use cbft_digest::ChunkedSummary;
-use cbft_sim::SimTime;
 use serde::{Deserialize, Serialize};
+
+pub use cbft_verify::{DigestReport, TaskKind};
 
 /// Handle identifying one submitted job run within a [`Cluster`].
 ///
@@ -17,13 +17,6 @@ use serde::{Deserialize, Serialize};
 pub struct RunHandle(pub(crate) u64);
 
 impl RunHandle {
-    /// Builds a handle from a raw id — for tests and tooling. Handles used
-    /// with a [`Cluster`](crate::Cluster) must come from
-    /// [`Cluster::submit`](crate::Cluster::submit).
-    pub fn from_raw(raw: u64) -> Self {
-        RunHandle(raw)
-    }
-
     /// The raw id.
     pub fn raw(&self) -> u64 {
         self.0
@@ -197,60 +190,6 @@ impl ExecJob {
     /// True when the job runs a single collector task instead of a shuffle.
     pub fn is_collector(&self) -> bool {
         self.shuffle.is_none() && !self.reduce.is_empty()
-    }
-}
-
-/// What kind of task produced a result.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum TaskKind {
-    /// Map task over one split of one input.
-    Map,
-    /// Reduce (or collector) task over one partition.
-    Reduce,
-}
-
-impl fmt::Display for TaskKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TaskKind::Map => write!(f, "map"),
-            TaskKind::Reduce => write!(f, "reduce"),
-        }
-    }
-}
-
-/// A digest produced at a verification point by one task of one replica,
-/// streamed to the verifier as soon as the task completes (§3.3's
-/// "approximate, offline redundancy": comparison can start before the
-/// sub-job finishes).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DigestReport {
-    /// The run that produced the digest.
-    pub handle: RunHandle,
-    /// Sub-graph id (replicas share it).
-    pub sid: String,
-    /// Replica index.
-    pub replica: usize,
-    /// The instrumented vertex.
-    pub vertex: VertexId,
-    /// The vertex's execution site.
-    pub site: Site,
-    /// Task kind that produced the stream.
-    pub kind: TaskKind,
-    /// Task index within its phase (split index for maps, partition index
-    /// for reduces). Replicas use identical splits/partitions, so this is
-    /// the correspondence key for comparison.
-    pub task_index: usize,
-    /// The chunked digest of the record stream.
-    pub summary: ChunkedSummary,
-    /// Virtual time the digest reached the verifier.
-    pub at: SimTime,
-}
-
-impl DigestReport {
-    /// The comparison key: reports from different replicas with equal keys
-    /// digest corresponding streams and must match.
-    pub fn correspondence_key(&self) -> (VertexId, Site, TaskKind, usize) {
-        (self.vertex, self.site, self.kind, self.task_index)
     }
 }
 

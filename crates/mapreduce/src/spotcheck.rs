@@ -29,7 +29,7 @@ use cbft_digest::{ChunkedSummary, MismatchRange};
 
 use crate::compute::ComputePool;
 use crate::fault::{NodeId, TaskFate};
-use crate::spec::{ExecJob, RunHandle, TaskKind};
+use crate::spec::{ExecJob, TaskKind};
 use crate::task::{run_task, TaskInput};
 
 /// Everything needed to re-execute one sampled task and judge its
@@ -38,8 +38,6 @@ use crate::task::{run_task, TaskInput};
 /// the sampled task completes.
 #[derive(Clone, Debug)]
 pub struct SpotCheckRecord {
-    /// The run the task belonged to.
-    pub handle: RunHandle,
     /// Sub-graph id.
     pub sid: String,
     /// Replica index within the sub-graph.

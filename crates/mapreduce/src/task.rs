@@ -2350,7 +2350,6 @@ mod tests {
     /// both runs of this aggregate-only GROUP fold in place.
     #[test]
     fn spot_check_round_trip_confirms_honest_and_localizes_corrupt_on_both_planes() {
-        use crate::spec::RunHandle;
         use crate::spotcheck::SpotCheckRecord;
 
         let rows: Vec<Record> = follower_partition().into_iter().map(|(_, r)| r).collect();
@@ -2391,7 +2390,6 @@ mod tests {
                     let captured = input.capture();
                     let out = run_task(&spec, input.take(), fate, &pool);
                     let record = SpotCheckRecord {
-                        handle: RunHandle::from_raw(0),
                         sid: spec.sid.clone(),
                         replica: 0,
                         kind,

@@ -9,7 +9,7 @@ use clusterbft_repro::core::{
 use clusterbft_repro::dataflow::compile::{JobId, Site};
 use clusterbft_repro::dataflow::{LogicalPlan, Script, VertexId};
 use clusterbft_repro::digest::{ChunkedDigest, ChunkedSummary, Digest};
-use clusterbft_repro::mapreduce::{DigestReport, JobMetrics, RunHandle, TaskKind};
+use clusterbft_repro::mapreduce::{DigestReport, JobMetrics, TaskKind};
 use clusterbft_repro::sim::SimTime;
 
 fn round_trip<T>(value: &T) -> T
@@ -116,7 +116,6 @@ fn streamed(uid: usize, seq: u64, payload: &[u8]) -> StreamedReport {
         uid,
         seq,
         report: DigestReport {
-            handle: RunHandle::from_raw(9),
             sid: "j2".to_owned(),
             replica: uid,
             vertex: VertexId(4),
