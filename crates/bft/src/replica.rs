@@ -15,10 +15,9 @@
 //!   union of prepared certificates (any committed entry is prepared at
 //!   ≥ f + 1 honest replicas, so it appears in every `2f + 1` vote set)
 //!   plus pending client requests in `NEW-VIEW`.
-//! * Omitted relative to full PBFT: checkpointing/garbage collection and
-//!   the `NEW-VIEW` validity proofs (our simulated network cannot forge
-//!   messages, which is what the proofs defend against); documented in
-//!   DESIGN.md.
+//! * Omitted relative to full PBFT: request batching and the `NEW-VIEW`
+//!   validity proofs (our simulated network cannot forge messages, which
+//!   is what the proofs defend against); DESIGN.md §2 lists both.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 

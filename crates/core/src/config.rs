@@ -140,7 +140,7 @@ pub struct JobConfig {
     /// node), so fresh digests are honest and any match with a prior
     /// digest includes at least one honest run. With `f ≥ 2` an uncaught
     /// second faulty node could collude with a prior corrupt digest, so
-    /// reuse should stay off (see DESIGN.md).
+    /// reuse should stay off (DESIGN.md §2).
     pub reuse_digests: bool,
 }
 

@@ -521,7 +521,7 @@ impl ParallelExecutor {
     /// shared pool here so `slots` concurrent jobs multiplex over a
     /// fixed set of compute workers rather than spawning `slots` pools
     /// that fight for the same cores. Pool size never changes verdicts,
-    /// digests or canonical transcripts (DESIGN.md §5e), so sharing is
+    /// digests or canonical transcripts (DESIGN.md §5b), so sharing is
     /// invisible to every outcome.
     pub fn set_compute_pool(&mut self, pool: ComputePool) {
         self.shared_pool = Some(pool);

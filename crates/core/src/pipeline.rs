@@ -261,7 +261,7 @@ impl ClusterBft {
         // having caused a mismatch; restored at the end unless isolated.
         let mut temp_excluded: BTreeSet<NodeId> = BTreeSet::new();
         // Digest reuse across attempts (sound for f = 1 because every
-        // attempt's suspects are sidelined before the retry; see DESIGN.md):
+        // attempt's suspects are sidelined before the retry; DESIGN.md §2):
         // replicas get globally unique ids so a fresh run's digests can
         // complete a quorum together with prior clean runs.
         let reuse = self.config.reuse_digests;

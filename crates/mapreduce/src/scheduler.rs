@@ -12,8 +12,9 @@
 //! Schedulers run strictly *before* payload dispatch: the engine draws the
 //! task's fate and picks its slot here, then hands the pure payload to the
 //! [compute pool](crate::compute). Placement therefore never observes pool
-//! size or host-thread timing, which is half of the §5e determinism
-//! argument (the simulation owns time, the pool owns compute).
+//! size or host-thread timing, which is half of the determinism argument
+//! of DESIGN.md §5b "The compute pool" (the simulation owns time, the
+//! pool owns compute).
 
 use std::collections::BTreeSet;
 

@@ -29,7 +29,7 @@
 //!
 //! A job's verdict, transcript and outputs are a pure function of its
 //! own [`JobSpec`] — executor seeding is per-job, the shared pool never
-//! affects outcomes (DESIGN.md §5e), and storage is per-replica inside
+//! affects outcomes (DESIGN.md §5b), and storage is per-replica inside
 //! each executor. Co-tenants change *when* a job runs, never *what* it
 //! computes; `tests/server.rs` pins solo-vs-loaded byte-identity.
 //!

@@ -946,7 +946,11 @@ fn run_sequential(
             let _ = writeln!(out, "\nsuspect sets: {:?}", analyzer.suspects());
         }
     }
-    Ok(flight::detect_sequential_anomalies(&outcome))
+    let snapshot = obs.snapshot();
+    Ok(flight::detect_sequential_anomalies(
+        &outcome,
+        snapshot.as_ref(),
+    ))
 }
 
 /// The `--threads` path: replicas run on worker threads in isolated
@@ -2096,6 +2100,50 @@ mod tests {
         assert!(report.contains("VERIFIED"), "{report}");
         assert!(report.contains("health report"), "{report}");
         assert!(!report.contains("mismatch localization"), "{report}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The snapshot detectors run on both paths, and only when the hub
+    /// is live: a sequential run whose health report localizes a
+    /// mismatch lists `divergence`, and the same run without a metrics
+    /// flag does not.
+    #[test]
+    fn a_sequential_run_detects_divergence_when_the_hub_is_live() {
+        let dir = std::env::temp_dir().join(format!("cbft_cli_seq_div_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let script = dir.join("s.pig");
+        std::fs::write(
+            &script,
+            "a = LOAD 'edges' AS (u, f);
+             g = GROUP a BY u;
+             c = FOREACH g GENERATE group, COUNT(a) AS n;
+             STORE c INTO 'counts';",
+        )
+        .unwrap();
+        let data = dir.join("edges.csv");
+        let lines: Vec<String> = (0..200).map(|i| format!("{},{}", i % 7, i)).collect();
+        std::fs::write(&data, lines.join("\n")).unwrap();
+        let input = format!("edges={}", data.to_str().unwrap());
+        let args = [
+            script.to_str().unwrap(),
+            "--input",
+            &input,
+            "--fault",
+            "0:commission",
+            "--granularity",
+            "10",
+            "--seed",
+            "1",
+        ];
+
+        let live = run(&parse(&[&args[..], &["--health-report"]].concat()).unwrap()).unwrap();
+        assert!(live.contains("mismatch localization"), "{live}");
+        assert!(live.contains("\n  digest_mismatch: "), "{live}");
+        assert!(live.contains("\n  divergence: "), "{live}");
+
+        let dark = run(&parse(&args).unwrap()).unwrap();
+        assert!(dark.contains("\n  digest_mismatch: "), "{dark}");
+        assert!(!dark.contains("divergence"), "{dark}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,9 +7,12 @@
 //! divergence localization, escalation, spot-check mismatches, withheld
 //! outputs, lost workers, suspicion-band crossings, admission rejection
 //! bursts — and, when any fire, writes a self-contained **forensic
-//! bundle** under `--flight-dir`. Detection runs on every run; the
-//! recorder, whose rings a bundle is written from, is attached only
-//! under `--flight-dir`.
+//! bundle** under `--flight-dir`. The signals read off the outcome are
+//! detected on every run. `divergence` and `suspicion_crossing` are read
+//! off the sim-domain metrics snapshot, so they are detected only when
+//! the metrics hub is live: under `--metrics`, `--metrics-json`,
+//! `--health-report` or `--flight-dir`. The recorder, whose rings a
+//! bundle is written from, is attached only under `--flight-dir`.
 //!
 //! Bundle layout (one directory per anomalous run):
 //!
@@ -35,7 +38,7 @@ use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::core::{Behavior, ParallelOutcome, Replication, ScriptOutcome, VerifyMode};
+use crate::core::{Adversary, Behavior, ParallelOutcome, Replication, ScriptOutcome, VerifyMode};
 use crate::metrics::{json_snapshot, prometheus_text, HealthReport, Snapshot};
 use crate::trace::{canonical_dump, TraceEvent};
 
@@ -108,8 +111,8 @@ impl Anomaly {
 }
 
 /// Inspects a `--threads`-path outcome (plus the sim-domain metrics
-/// snapshot, when metrics ran) for anomaly signals. Deterministic: every
-/// input is itself identical across thread counts.
+/// snapshot, when the hub is live) for anomaly signals. Deterministic:
+/// every input is itself identical across thread counts.
 pub fn detect_parallel_anomalies(
     outcome: &ParallelOutcome,
     snapshot: Option<&Snapshot>,
@@ -164,8 +167,12 @@ pub fn detect_parallel_anomalies(
     out
 }
 
-/// Inspects a sequential-pipeline outcome for the same signals.
-pub fn detect_sequential_anomalies(outcome: &ScriptOutcome) -> Vec<Anomaly> {
+/// Inspects a sequential-pipeline outcome (plus the sim-domain metrics
+/// snapshot, when the hub is live) for the same signals.
+pub fn detect_sequential_anomalies(
+    outcome: &ScriptOutcome,
+    snapshot: Option<&Snapshot>,
+) -> Vec<Anomaly> {
     let mut out = Vec::new();
     if outcome.deviant_replica_runs() > 0 {
         out.push(Anomaly::new(
@@ -190,6 +197,9 @@ pub fn detect_sequential_anomalies(outcome: &ScriptOutcome) -> Vec<Anomaly> {
             AnomalyKind::OutputWithheld,
             "run not verified".to_owned(),
         ));
+    }
+    if let Some(snap) = snapshot {
+        out.extend(snapshot_anomalies(snap));
     }
     out
 }
@@ -457,8 +467,9 @@ fn render_replication(r: Replication) -> &'static str {
 }
 
 /// Builds the exact one-shot `cbft` command reproducing a run: script
-/// and input paths as the user typed them, plus every determinism-
-/// relevant flag (seed, fault plan, verification tier, thread counts).
+/// and input paths as the user typed them, plus every flag that shapes
+/// the run (seed, fault plan, adversary, data plane, verification tier,
+/// thread counts).
 pub fn repro_command(opts: &crate::cli::CliOptions) -> String {
     let mut cmd = vec!["cbft".to_owned(), opts.script.clone()];
     for (name, path) in &opts.inputs {
@@ -485,6 +496,10 @@ pub fn repro_command(opts: &crate::cli::CliOptions) -> String {
     cmd.push(opts.slots.to_string());
     cmd.push("--points".to_owned());
     cmd.push(opts.points.to_string());
+    if opts.adversary == Adversary::Weak {
+        cmd.push("--adversary".to_owned());
+        cmd.push("weak".to_owned());
+    }
     if opts.granularity != usize::MAX {
         cmd.push("--granularity".to_owned());
         cmd.push(opts.granularity.to_string());
@@ -505,6 +520,10 @@ pub fn repro_command(opts: &crate::cli::CliOptions) -> String {
     }
     if let Some(n) = opts.compute_threads {
         cmd.push("--compute-threads".to_owned());
+        cmd.push(n.to_string());
+    }
+    if let Some(n) = opts.batch_size {
+        cmd.push("--batch-size".to_owned());
         cmd.push(n.to_string());
     }
     if opts.verify_mode != VerifyMode::Replicate {
@@ -551,32 +570,62 @@ mod tests {
 
     #[test]
     fn repro_command_round_trips_through_parse_args() {
-        let opts = crate::cli::parse_args(
-            [
-                "job.pig",
-                "--input",
-                "edges=/tmp/edges.csv",
-                "--seed",
-                "42",
-                "--threads",
-                "2",
-                "--verify-mode",
-                "hybrid",
-                "--sample-rate",
-                "0.5",
-                "--fault",
-                "0:commission",
-                "--granularity",
-                "8",
-            ]
-            .iter()
-            .map(|s| (*s).to_owned()),
-        )
-        .unwrap();
-        let cmd = repro_command(&opts);
-        let reparsed =
-            crate::cli::parse_args(cmd.split_whitespace().skip(1).map(|s| s.to_owned())).unwrap();
-        assert_eq!(reparsed, opts, "repro command is an exact round trip");
+        let parallel = [
+            "job.pig",
+            "--input",
+            "edges=/tmp/edges.csv",
+            "--seed",
+            "42",
+            "--threads",
+            "2",
+            "--verify-mode",
+            "hybrid",
+            "--sample-rate",
+            "0.5",
+            "--fault",
+            "0:commission",
+            "--granularity",
+            "8",
+            "--adversary",
+            "weak",
+            "--batch-size",
+            "0",
+            "--optimize",
+            "--compute-threads",
+            "2",
+            "--nodes",
+            "5",
+            "--slots",
+            "2",
+            "--points",
+            "3",
+            "--replication",
+            "3",
+        ];
+        // `--combiners` runs on the sequential path only.
+        let sequential = [
+            "job.pig",
+            "--input",
+            "edges=/tmp/edges.csv",
+            "--fault",
+            "3:omission:0.5",
+            "--combiners",
+            "--batch-size",
+            "1024",
+            "--replication",
+            "quorum",
+        ];
+        for args in [&parallel[..], &sequential[..]] {
+            let opts = crate::cli::parse_args(args.iter().map(|s| (*s).to_owned())).unwrap();
+            let cmd = repro_command(&opts);
+            let reparsed =
+                crate::cli::parse_args(cmd.split_whitespace().skip(1).map(|s| s.to_owned()))
+                    .unwrap();
+            assert_eq!(
+                reparsed, opts,
+                "repro command is an exact round trip: {cmd}"
+            );
+        }
     }
 
     #[test]

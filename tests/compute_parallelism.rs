@@ -4,7 +4,7 @@
 //! pool only changes *which host thread* evaluates a task payload, never
 //! what the payload computes or when the simulation says it finished —
 //! the discrete-event sim keeps sole authority over scheduling, fault
-//! draws and clocks (DESIGN.md §5e).
+//! draws and clocks (DESIGN.md §5b "The compute pool").
 
 use clusterbft_repro::cli;
 use clusterbft_repro::core::{
