@@ -110,12 +110,6 @@ pub struct JobConfig {
     pub verifier_timeout: SimDuration,
     /// Maximum execution attempts before giving up unverified.
     pub max_attempts: u32,
-    /// Suspicion level above which a node is excluded from scheduling
-    /// (§4.2's administrator threshold).
-    pub suspicion_threshold: f64,
-    /// Minimum jobs a node must have executed before the threshold can
-    /// exclude it (evidence guard).
-    pub suspicion_min_jobs: u64,
     /// Cancel a replica's outstanding jobs as soon as its digests prove it
     /// deviant (saves resources; off by default to mirror the paper's
     /// accounting).
@@ -165,8 +159,6 @@ impl JobConfig {
             batch_records: 1024,
             verifier_timeout: SimDuration::from_secs(600),
             max_attempts: 5,
-            suspicion_threshold: 0.9,
-            suspicion_min_jobs: 4,
             early_cancel: false,
             optimize_plans: false,
             combiners: false,
@@ -265,18 +257,6 @@ impl JobConfigBuilder {
     /// Sets the maximum number of attempts.
     pub fn max_attempts(mut self, n: u32) -> Self {
         self.config.max_attempts = n.max(1);
-        self
-    }
-
-    /// Sets the suspicion exclusion threshold.
-    pub fn suspicion_threshold(mut self, s: f64) -> Self {
-        self.config.suspicion_threshold = s;
-        self
-    }
-
-    /// Sets the minimum job count before threshold exclusion applies.
-    pub fn suspicion_min_jobs(mut self, n: u64) -> Self {
-        self.config.suspicion_min_jobs = n;
         self
     }
 

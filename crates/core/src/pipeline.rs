@@ -33,7 +33,10 @@ use cbft_mapreduce::{
 };
 use cbft_sim::SimDuration;
 use cbft_trace::{TraceEvent, Tracer, COORDINATOR_PID};
-use cbft_verify::{FaultAnalyzer, StreamedReport, SuspicionTable, Verifier};
+use cbft_verify::{
+    FaultAnalyzer, StreamedReport, SuspicionTable, Verifier, EXCLUSION_MIN_JOBS,
+    EXCLUSION_THRESHOLD,
+};
 
 use crate::config::{JobConfig, VpPolicy};
 use crate::outcome::{ScriptOutcome, SubmitError};
@@ -548,10 +551,10 @@ impl ClusterBft {
 
             // Threshold exclusion (§4.2) plus precise exclusion of nodes
             // the fault analyzer has isolated down to a singleton set.
-            for node in self.suspicion.over_threshold(
-                self.config.suspicion_threshold,
-                self.config.suspicion_min_jobs,
-            ) {
+            for node in self
+                .suspicion
+                .over_threshold(EXCLUSION_THRESHOLD, EXCLUSION_MIN_JOBS)
+            {
                 self.cluster.set_node_excluded(node, true);
             }
             if let Some(analyzer) = &self.analyzer {
@@ -743,10 +746,7 @@ impl ClusterBft {
     fn restore_exclusions(&mut self, temp_excluded: &BTreeSet<NodeId>) {
         let mut keep: BTreeSet<NodeId> = self
             .suspicion
-            .over_threshold(
-                self.config.suspicion_threshold,
-                self.config.suspicion_min_jobs,
-            )
+            .over_threshold(EXCLUSION_THRESHOLD, EXCLUSION_MIN_JOBS)
             .into_iter()
             .collect();
         if let Some(analyzer) = &self.analyzer {

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use crate::combiner::{CombineSlot, Combiner};
 use crate::expr::{eval_agg, AggFunc, Expr};
 use crate::op::SortOrder;
-use crate::stats;
+use crate::stats::{self, Counter};
 use crate::value::{Record, Value};
 
 /// A column-oriented block of records with uniform arity.
@@ -357,7 +357,7 @@ impl Cut<'_> {
 /// column over the array.
 fn cut(batch: &Batch, rows: &Selection, n: usize, route: impl FnOnce(&mut Cut)) -> Vec<Selection> {
     let hull = rows.hull();
-    stats::count_shuffle_index_bytes(hull.len() as u64);
+    stats::count(Counter::ShuffleIndexBytes, hull.len() as u64);
     let mut bytes: Arc<[u8]> = std::iter::repeat_n(DROPPED, hull.len()).collect();
     let mut counts = vec![0; n];
     route(&mut Cut {
@@ -389,7 +389,10 @@ fn cut(batch: &Batch, rows: &Selection, n: usize, route: impl FnOnce(&mut Cut)) 
 /// shuffle into more than [`MAX_BYTE_BUCKETS`]: `buckets[i]` is the
 /// partition of the `i`th selected row.
 fn listed(rows: &Selection, buckets: &[usize], n: usize) -> Vec<Selection> {
-    stats::count_shuffle_index_bytes((size_of::<usize>() * rows.len()) as u64);
+    stats::count(
+        Counter::ShuffleIndexBytes,
+        (size_of::<usize>() * rows.len()) as u64,
+    );
     let mut sizes = vec![0; n];
     buckets.iter().for_each(|&b| sizes[b] += 1);
     let mut picks: Vec<Vec<usize>> = sizes.into_iter().map(Vec::with_capacity).collect();
@@ -562,7 +565,7 @@ impl Column {
             }
             Column::Bag { offsets, rows } => {
                 let members = offsets[row]..offsets[row + 1];
-                stats::count_rows_materialized(members.len() as u64);
+                stats::count(Counter::RowsMaterialized, members.len() as u64);
                 Value::Bag(members.map(|i| rows.build_row(i)).collect())
             }
             Column::Mixed(values) => values[row].clone(),
@@ -1083,13 +1086,13 @@ impl Batch {
 
     /// Materializes row `row` as a [`Record`].
     pub fn row(&self, row: usize) -> Record {
-        stats::count_rows_materialized(1);
+        stats::count(Counter::RowsMaterialized, 1);
         self.build_row(row)
     }
 
     /// Converts the batch back to rows; inverse of [`Batch::from_records`].
     pub fn to_records(&self) -> Vec<Record> {
-        stats::count_rows_materialized(self.len as u64);
+        stats::count(Counter::RowsMaterialized, self.len as u64);
         (0..self.len).map(|i| self.build_row(i)).collect()
     }
 
@@ -1301,7 +1304,7 @@ pub fn pick(batch: &Batch, rows: &mut Selection, exprs: &[Expr]) -> Option<Batch
         len: batch.len,
         columns: named.collect::<Option<_>>()?,
     };
-    stats::count_columns_shared(picked.arity() as u64);
+    stats::count(Counter::ColumnsShared, picked.arity() as u64);
     if let Selection::Bucket(bucket) = rows {
         bucket.canonical = picked.count_canonical_bytes(&Selection::Bucket(bucket.clone()));
     }
@@ -2126,10 +2129,10 @@ mod tests {
         for rows in selections {
             let dense = project(&batch, &rows, &exprs);
             let mut picked_rows = rows.clone();
-            let shared = stats::columns_shared();
+            let shared = stats::total(Counter::ColumnsShared);
             let picked = pick(&batch, &mut picked_rows, &exprs).expect("plain columns");
             // Other test threads may count too, so at least this one's.
-            assert!(stats::columns_shared() >= shared + 4);
+            assert!(stats::total(Counter::ColumnsShared) >= shared + 4);
             let ctx = format!("{rows:?}");
             assert_eq!((picked.len(), picked.arity()), (batch.len(), 4), "{ctx}");
             for (c, e) in exprs.iter().enumerate() {
@@ -2253,7 +2256,7 @@ mod tests {
         assert_eq!(grouped.len(), rows.len());
         assert_eq!(grouped.arity(), 2);
         assert!(matches!(grouped.column(1), Some(Column::Bag { .. })));
-        let before = stats::thread_rows_materialized();
+        let before = stats::thread_total(Counter::RowsMaterialized);
         let mut buf = Vec::new();
         for i in 0..grouped.len() {
             grouped.write_row_canonical(i, &mut buf);
@@ -2268,14 +2271,18 @@ mod tests {
             &grouped,
             &whole(&grouped),
         );
-        assert_eq!(stats::thread_rows_materialized(), before, "no row built");
+        assert_eq!(
+            stats::thread_total(Counter::RowsMaterialized),
+            before,
+            "no row built"
+        );
         let _ = grouped.to_records();
         let members: usize = rows
             .iter()
             .map(|r| r.get(1).unwrap().as_bag().unwrap().len())
             .sum();
         assert_eq!(
-            stats::thread_rows_materialized() - before,
+            stats::thread_total(Counter::RowsMaterialized) - before,
             (rows.len() + members) as u64,
             "output rows plus the members of their bags"
         );

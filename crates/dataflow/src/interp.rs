@@ -18,6 +18,7 @@ use std::fmt;
 use crate::expr::EvalContext;
 use crate::op::{Operator, SortOrder};
 use crate::plan::{LogicalPlan, VertexId};
+use crate::stats::{self, Counter};
 use crate::value::{Record, Value};
 
 /// Error from plan interpretation.
@@ -123,9 +124,10 @@ pub fn interpret(
             Operator::Group { key } => {
                 // One explicit clone of the retained parent stream; the
                 // `_owned` kernel moves records into bags without further
-                // copies (`kernel_stats` + tests pin this).
+                // copies (`blocking_operators_clone_each_record_exactly_once`
+                // pins this).
                 let input = streams[vert.parents()[0].index()].clone();
-                crate::stats::count_record_clones(input.len() as u64);
+                stats::count(Counter::KernelRecordClones, input.len() as u64);
                 group_records_owned(input, *key)
             }
             Operator::Join {
@@ -144,14 +146,14 @@ pub fn interpret(
             }
             Operator::Distinct => {
                 let mut out = streams[vert.parents()[0].index()].clone();
-                crate::stats::count_record_clones(out.len() as u64);
+                stats::count(Counter::KernelRecordClones, out.len() as u64);
                 out.sort();
                 out.dedup();
                 out
             }
             Operator::Order { key, order } => {
                 let input = streams[vert.parents()[0].index()].clone();
-                crate::stats::count_record_clones(input.len() as u64);
+                stats::count(Counter::KernelRecordClones, input.len() as u64);
                 order_records_owned(input, *key, *order)
             }
             Operator::Limit { count } => streams[vert.parents()[0].index()]
@@ -186,7 +188,7 @@ pub fn project_record(r: &Record, exprs: &[crate::expr::Expr]) -> Record {
 /// bag; callers that own their records should use [`group_records_owned`],
 /// which moves them instead.
 pub fn group_records(records: &[Record], key: usize) -> Vec<Record> {
-    crate::stats::count_record_clones(records.len() as u64);
+    stats::count(Counter::KernelRecordClones, records.len() as u64);
     let mut groups: BTreeMap<&Value, Vec<&Record>> = BTreeMap::new();
     for r in records {
         let k = r.get(key).unwrap_or(&Value::Null);
@@ -260,7 +262,7 @@ pub fn join_records(
 /// Globally sorts `records` by column `key`, with the full record as a
 /// deterministic tie-break.
 pub fn order_records(records: &[Record], key: usize, order: SortOrder) -> Vec<Record> {
-    crate::stats::count_record_clones(records.len() as u64);
+    stats::count(Counter::KernelRecordClones, records.len() as u64);
     order_records_owned(records.to_vec(), key, order)
 }
 
@@ -424,9 +426,9 @@ mod tests {
         let n = records.len() as u64;
         let inputs = HashMap::from([("i".to_owned(), records)]);
 
-        let before = crate::stats::thread_record_clones();
+        let before = stats::thread_total(Counter::KernelRecordClones);
         let result = interpret(&plan, &inputs).unwrap();
-        let delta = crate::stats::thread_record_clones() - before;
+        let delta = stats::thread_total(Counter::KernelRecordClones) - before;
         assert_eq!(
             delta,
             2 * n,

@@ -31,7 +31,7 @@ use std::thread::JoinHandle;
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 
-use crate::metrics::data_plane;
+use crate::data_plane::{self, Counter};
 use cbft_metrics::{names as metric_names, Domain, Metrics};
 
 /// A queued payload: type-erased, returns through its ticket.
@@ -148,7 +148,7 @@ impl Shared {
         }
         for s in &self.stealers {
             if let Steal::Success(job) = s.steal() {
-                data_plane::count_tasks_stolen(1);
+                data_plane::count(Counter::TasksStolen, 1);
                 self.metrics.add(
                     Domain::Wall,
                     metric_names::POOL_STOLEN,
@@ -322,7 +322,7 @@ impl ComputePool {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        data_plane::count_tasks_dispatched(1);
+        data_plane::count(Counter::TasksDispatched, 1);
         if self.metrics.enabled() {
             // Wall-domain: the inline pool runs (and never dispatches)
             // chunk sorts that a threaded pool queues, so dispatch

@@ -103,13 +103,6 @@ enum Event {
         kind: TaskKind,
         index: usize,
     },
-    /// Speculative-execution check: if the task has not completed by now,
-    /// re-queue it on another node (Hadoop's task-timeout recovery).
-    TaskCheck {
-        handle: RunHandle,
-        kind: TaskKind,
-        index: usize,
-    },
     Timer(TimerToken),
 }
 
@@ -245,7 +238,6 @@ pub struct ClusterBuilder {
     seed: u64,
     behaviors: Vec<(usize, Behavior)>,
     use_overlap_scheduler: bool,
-    task_timeout: Option<SimDuration>,
     obs: Obs,
     trace_pid: u32,
     compute_pool: Option<ComputePool>,
@@ -285,17 +277,6 @@ impl ClusterBuilder {
     /// Use the paper's overlap-maximizing scheduler instead of FIFO.
     pub fn overlap_scheduler(mut self, on: bool) -> Self {
         self.use_overlap_scheduler = on;
-        self
-    }
-
-    /// Enables speculative re-execution: a task that has not completed
-    /// this long after assignment is re-queued on another node, masking
-    /// single-task omission faults at the cluster level (Hadoop's task
-    /// timeout). Off by default — the paper handles omissions at the
-    /// verifier instead (§4.1 step 6), and several experiments depend on
-    /// a wedged replica reaching the verifier timeout.
-    pub fn task_timeout(mut self, timeout: SimDuration) -> Self {
-        self.task_timeout = Some(timeout);
         self
     }
 
@@ -377,7 +358,6 @@ impl ClusterBuilder {
             outbox: VecDeque::new(),
             placement_salt: seeds.seed("placement", 0) as usize,
             rotation_nonce: 0,
-            task_timeout: self.task_timeout,
             obs: self.obs.folded(),
             trace_pid: self.trace_pid,
             pool: self
@@ -413,8 +393,6 @@ pub struct Cluster {
     /// would produce identical job clusters and the fault analyzer would
     /// never see a new intersection.
     rotation_nonce: usize,
-    /// Speculative-execution deadline, if enabled.
-    task_timeout: Option<SimDuration>,
     /// Tracer and metrics hub (disabled by default: a plain `Option`
     /// check per site); the tracer folds into the hub when it is live.
     obs: Obs,
@@ -448,7 +426,6 @@ impl Cluster {
             seed: 0,
             behaviors: Vec::new(),
             use_overlap_scheduler: true,
-            task_timeout: None,
             obs: Obs::disabled(),
             trace_pid: 0,
             compute_pool: None,
@@ -705,11 +682,6 @@ impl Cluster {
                     kind,
                     index,
                 } => self.on_task_done(handle, kind, index),
-                Event::TaskCheck {
-                    handle,
-                    kind,
-                    index,
-                } => self.on_task_check(handle, kind, index),
                 Event::Timer(token) => self.outbox.push_back(EngineEvent::Timer(token)),
             }
         }
@@ -886,21 +858,9 @@ impl Cluster {
         }
         if fate == TaskFate::Omitted {
             // The slot is wedged: the task never reports back. The paper
-            // handles this at the verifier via timeout and re-execution;
-            // with a task timeout configured, the cluster itself re-queues
-            // the task (speculative execution) after the deadline.
+            // handles this at the verifier via timeout and re-execution
+            // (§4.1 step 6); the cluster never re-queues it.
             job.phase_mut(choice.kind).states[choice.task_index] = TaskSt::Hung;
-            if let Some(deadline) = self.task_timeout {
-                let at = self.queue.now() + deadline;
-                self.queue.schedule(
-                    at,
-                    Event::TaskCheck {
-                        handle: choice.handle,
-                        kind: choice.kind,
-                        index: choice.task_index,
-                    },
-                );
-            }
             return;
         }
 
@@ -1009,20 +969,6 @@ impl Cluster {
                     index: p.index,
                 },
             );
-        }
-    }
-
-    /// Speculative-execution deadline: a task still hung gets re-queued;
-    /// anything else (done, running with a pending completion event, or a
-    /// cancelled job) is left alone.
-    fn on_task_check(&mut self, handle: RunHandle, kind: TaskKind, index: usize) {
-        let Some(job) = self.jobs.get_mut(&handle) else {
-            return;
-        };
-        let state = &mut job.phase_mut(kind).states[index];
-        if matches!(state, TaskSt::Hung) {
-            *state = TaskSt::Pending;
-            self.wake_nodes(SimDuration::ZERO);
         }
     }
 
@@ -1354,7 +1300,7 @@ mod tests {
     /// it.
     #[test]
     fn columnar_jobs_materialize_rows_only_where_they_must() {
-        use cbft_dataflow::stats::thread_rows_materialized;
+        use crate::data_plane::{thread_total, Counter};
         let run_from = |input: FileData, src: &str, batch_records: usize| {
             let mut cluster = Cluster::builder()
                 .nodes(4)
@@ -1367,12 +1313,12 @@ mod tests {
                 .unwrap();
             let mut spec = spec_of(src, "s0", 0, "out", vec![]);
             spec.batch_records = batch_records;
-            let before = thread_rows_materialized();
+            let before = thread_total(Counter::RowsMaterialized);
             cluster.submit(spec).unwrap();
             cluster.run_to_quiescence();
-            let running = thread_rows_materialized() - before;
+            let running = thread_total(Counter::RowsMaterialized) - before;
             let published = cluster.storage().peek("out").unwrap().len() as u64;
-            let peeking = thread_rows_materialized() - before - running;
+            let peeking = thread_total(Counter::RowsMaterialized) - before - running;
             (running, peeking, published)
         };
         let run = |src: &str, batch_records: usize| run_from(edges(20).into(), src, batch_records);
@@ -2056,7 +2002,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod speculative_tests {
+mod omission_tests {
     use super::*;
     use crate::spec::ExecInput;
     use cbft_dataflow::compile::{compile_plan, DataSource};
@@ -2112,27 +2058,6 @@ mod speculative_tests {
     }
 
     #[test]
-    fn task_timeout_recovers_from_omission_faults() {
-        let mut cluster = Cluster::builder()
-            .nodes(4)
-            .slots_per_node(3)
-            .seed(2)
-            .node_behavior(0, Behavior::Omission { probability: 0.6 })
-            .task_timeout(SimDuration::from_secs(5))
-            .build();
-        cluster.storage_mut().write("in", records(24)).unwrap();
-        let h = cluster.submit(tiny_spec("out")).unwrap();
-        let events = cluster.run_to_quiescence();
-        assert!(
-            events.iter().any(|e| matches!(
-                e,
-                EngineEvent::JobCompleted { handle, outcome } if *handle == h && outcome.is_success()
-            )),
-            "speculative re-execution must complete the job: {events:?}"
-        );
-    }
-
-    #[test]
     fn without_task_timeout_omission_wedges() {
         let mut cluster = Cluster::builder()
             .nodes(1)
@@ -2144,27 +2069,6 @@ mod speculative_tests {
         cluster.submit(tiny_spec("out")).unwrap();
         cluster.run_to_quiescence();
         assert!(cluster.has_incomplete_jobs(), "no timeout → wedged");
-    }
-
-    #[test]
-    fn all_nodes_omitting_requeues_until_cancelled() {
-        // Even with speculation, a fully-omitting cluster cannot finish;
-        // the re-queue loop must not livelock the event queue forever.
-        let mut cluster = Cluster::builder()
-            .nodes(2)
-            .slots_per_node(2)
-            .seed(4)
-            .node_behavior(0, Behavior::Crashed)
-            .node_behavior(1, Behavior::Crashed)
-            .task_timeout(SimDuration::from_secs(1))
-            .build();
-        cluster.storage_mut().write("in", records(8)).unwrap();
-        let h = cluster.submit(tiny_spec("out")).unwrap();
-        // Slots wedge permanently (crashed tasks never release them), so
-        // after both nodes fill up no further progress is possible.
-        let events = cluster.run_to_quiescence();
-        assert!(events.is_empty());
-        assert!(cluster.cancel(h));
     }
 }
 

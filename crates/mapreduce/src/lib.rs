@@ -36,10 +36,11 @@ mod spotcheck;
 mod storage;
 mod task;
 
+pub use cbft_dataflow::stats as data_plane;
 pub use compute::{default_compute_threads, ComputePool, Ticket};
 pub use engine::{Cluster, ClusterBuilder, EngineEvent, JobOutcome, TimerToken};
 pub use fault::{corrupt_batch, corrupt_record, Behavior, NodeId, WorkerNode};
-pub use metrics::{data_plane, JobMetrics};
+pub use metrics::JobMetrics;
 pub use scheduler::{FifoScheduler, OverlapScheduler, SchedContext, Scheduler, TaskChoice};
 pub use spec::{DigestReport, ExecInput, ExecJob, RunHandle, SamplePlan, TaskKind, VpSite};
 pub use spotcheck::{SpotCheck, SpotCheckRecord};

@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock};
 
 use cbft_dataflow::{Batch, Record};
 
-use crate::metrics::data_plane;
+use crate::data_plane::{self, Counter};
 
 /// Error from the storage layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,7 +117,7 @@ impl FileData {
     pub fn to_records(&self) -> Vec<Record> {
         match &self.form {
             Form::Rows(rows) => {
-                data_plane::count_records_cloned(rows.len() as u64);
+                data_plane::count(Counter::RecordsCloned, rows.len() as u64);
                 rows.to_vec()
             }
             Form::Cols(file) => file.batch.to_records(),
@@ -230,7 +230,7 @@ impl Storage {
         match self.files.get(name) {
             Some(f) => {
                 self.read_bytes += f.bytes;
-                data_plane::count_arcs_shared(1);
+                data_plane::count(Counter::ArcsShared, 1);
                 Ok(f.clone())
             }
             None => Err(StorageError::NotFound(name.to_owned())),
@@ -250,7 +250,7 @@ impl Storage {
     /// reading it.
     pub fn handle(&self, name: &str) -> Option<FileData> {
         self.files.get(name).map(|f| {
-            data_plane::count_arcs_shared(1);
+            data_plane::count(Counter::ArcsShared, 1);
             f.clone()
         })
     }

@@ -36,8 +36,8 @@ use cbft_digest::{
 };
 
 use crate::compute::ComputePool;
+use crate::data_plane::{self, Counter};
 use crate::fault::{corrupt_batch, corrupt_record, TaskFate};
-use crate::metrics::data_plane;
 use crate::spec::{ExecJob, TaskKind, VpSite};
 use crate::storage::FileData;
 
@@ -255,7 +255,7 @@ impl TaskInput {
     /// charged one `records_cloned` per row.
     pub fn capture(&self) -> TaskInput {
         if let TaskInput::Partition(Partition::Rows(rows)) = self {
-            data_plane::count_records_cloned(rows.len() as u64);
+            data_plane::count(Counter::RecordsCloned, rows.len() as u64);
         }
         self.clone()
     }
@@ -485,7 +485,7 @@ pub(crate) fn run_map_task(
     // copy. A columnar stream's partitions share the batch it read.
     let len = stream.len();
     if stream.borrows_records() {
-        data_plane::count_records_cloned(len);
+        data_plane::count(Counter::RecordsCloned, len);
     }
     let work = &mut out.work;
     out.data = timed(&mut out.stages.partition, || {
@@ -675,8 +675,8 @@ impl Chunk {
 
 /// Counts a batch a task built to lay its input out.
 fn count_batch_built(batch: &Batch) {
-    data_plane::count_batches_built(1);
-    data_plane::count_batch_rows(batch.len() as u64);
+    data_plane::count(Counter::BatchesBuilt, 1);
+    data_plane::count(Counter::BatchRows, batch.len() as u64);
 }
 
 /// A stream of rows flowing through a task pipeline on the row plane.
@@ -835,7 +835,7 @@ impl<'a> Stream<'a> {
                 None => sides(false).map(|[all, _]| all),
                 Some(&Operator::Group { key }) => match &fused {
                     Some(plan) => incoming.take_runs(to_batch).map(|runs| {
-                        data_plane::count_groups_unordered(1);
+                        data_plane::count(Counter::GroupsUnordered, 1);
                         let runs: Vec<_> = runs.iter().map(Chunk::run).collect();
                         timed(shuffle_kernel, || group_aggregate(&runs, plan))
                     }),
@@ -943,8 +943,8 @@ impl<'a> Stream<'a> {
         // paper's Penny agents sit between script stages), on top of the
         // hash bytes.
         work.record_ops += count;
-        data_plane::count_bytes_encoded(payload_bytes);
-        data_plane::count_digest_bytes(payload_bytes + 8 * count);
+        data_plane::count(Counter::BytesEncoded, payload_bytes);
+        data_plane::count(Counter::DigestBytesHashed, payload_bytes + 8 * count);
         finish_chunked(cd, pool)
     }
 
@@ -1664,14 +1664,14 @@ mod tests {
 
     #[test]
     fn group_aggregate_reduce_hands_over_a_batch_and_builds_no_row() {
-        use cbft_dataflow::stats::thread_rows_materialized;
+        use crate::data_plane::{thread_total, Counter};
         let job = exec_job(FOLLOWER, vec![]);
         let incoming = follower_partition();
         let pool = ComputePool::default(); // inline: the task runs on this thread
-        let before = thread_rows_materialized();
+        let before = thread_total(Counter::RowsMaterialized);
         let out = run_reduce_task(&job, Partition::Rows(incoming), TaskFate::Faithful, &pool);
         assert_eq!(
-            thread_rows_materialized() - before,
+            thread_total(Counter::RowsMaterialized) - before,
             0,
             "no per-input-row, per-bag or per-output-row materialization"
         );
@@ -2451,9 +2451,13 @@ mod tests {
             }
             let partition = || Partition::concat(vec![parts(&mapped)[0].clone()]);
             let mut input = TaskInput::Partition(partition());
-            let cloned = data_plane::thread_records_cloned();
+            let cloned = data_plane::thread_total(Counter::RecordsCloned);
             let captured = input.capture();
-            assert_eq!(data_plane::thread_records_cloned(), cloned, "{src}");
+            assert_eq!(
+                data_plane::thread_total(Counter::RecordsCloned),
+                cloned,
+                "{src}"
+            );
             let TaskInput::Partition(kept) = &captured else {
                 panic!("a partition captures as a partition")
             };

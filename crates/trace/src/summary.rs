@@ -1,8 +1,8 @@
 //! Trace summarisation: per-phase span totals, per-job task-stage wall
 //! time, instant counts, per-key verification lag, and
-//! externally-supplied counters (the
-//! `data_plane` atomics live above this crate in the dependency graph,
-//! so their snapshot deltas are passed in rather than read here).
+//! externally-supplied counters (the data-plane counters live in
+//! `cbft-dataflow`, which this crate does not depend on, so their
+//! snapshot deltas are passed in rather than read here).
 
 use std::collections::BTreeMap;
 

@@ -32,7 +32,9 @@ mod suspicion;
 mod verifier;
 
 pub use isolation::FaultAnalyzer;
-pub use suspicion::{BandUpdates, SuspicionBand, SuspicionTable};
+pub use suspicion::{
+    BandUpdates, SuspicionBand, SuspicionTable, EXCLUSION_MIN_JOBS, EXCLUSION_THRESHOLD,
+};
 pub use verifier::{DigestKey, KeyVerdict, StreamedReport, Verifier};
 
 /// Identifier of a worker node in the untrusted tier.

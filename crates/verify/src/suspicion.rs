@@ -12,6 +12,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::NodeId;
 
+/// Suspicion level above which the resource manager excludes a node from
+/// scheduling (§4.2's administrator threshold).
+pub const EXCLUSION_THRESHOLD: f64 = 0.9;
+
+/// Jobs a node must have executed before [`EXCLUSION_THRESHOLD`] can
+/// exclude it (evidence guard; see [`SuspicionTable::over_threshold`]).
+pub const EXCLUSION_MIN_JOBS: u64 = 4;
+
 /// Suspicion bucket used in the paper's Figs. 12–13.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SuspicionBand {

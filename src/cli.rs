@@ -765,19 +765,11 @@ impl<'a> Observability<'a> {
                 flight::write_output("--trace", path, &chrome_trace_json(&events))?;
             }
             if self.flags.trace_summary {
-                let d = data_plane::snapshot().since(&self.dp_before);
-                let summary = TraceSummary::from_events(&events)
-                    .with_counter("records_cloned", d.records_cloned)
-                    .with_counter("rows_materialized", d.rows_materialized)
-                    .with_counter("groups_unordered", d.groups_unordered)
-                    .with_counter("arcs_shared", d.arcs_shared)
-                    .with_counter("shuffle_index_bytes", d.shuffle_index_bytes)
-                    .with_counter("columns_shared", d.columns_shared)
-                    .with_counter("bytes_encoded", d.bytes_encoded)
-                    .with_counter("digest_bytes_hashed", d.digest_bytes_hashed)
-                    .with_counter("tasks_dispatched", d.tasks_dispatched)
-                    .with_counter("tasks_stolen", d.tasks_stolen)
-                    .with_counter("pool_queue_peak", d.pool_queue_peak);
+                let mut summary = TraceSummary::from_events(&events);
+                let counters = data_plane::snapshot().since(&self.dp_before).counters();
+                summary
+                    .counters
+                    .extend(counters.map(|(name, n)| (name.to_owned(), n)));
                 let _ = write!(out, "\n{}", summary.render());
                 for (section, lines) in [("inputs", inputs), ("outputs", outputs)] {
                     if !lines.is_empty() {
@@ -1716,7 +1708,29 @@ mod tests {
             let report = run(&opts).unwrap();
             assert!(report.contains("VERIFIED"), "{report}");
             assert!(report.contains("verification lag"), "{report}");
-            assert!(report.contains("digest_bytes_hashed"), "{report}");
+            let counters = report.split("  counters:\n").nth(1).expect("counters");
+            let counters: Vec<&str> = (counters.lines())
+                .take_while(|l| l.starts_with("    "))
+                .map(|l| l.trim().split_once(": ").expect(l))
+                .inspect(|(_, n)| assert!(n.parse::<u64>().is_ok(), "{report}"))
+                .map(|(name, _)| name)
+                .collect();
+            let every = [
+                "records_cloned",
+                "arcs_shared",
+                "shuffle_index_bytes",
+                "columns_shared",
+                "bytes_encoded",
+                "batches_built",
+                "batch_rows",
+                "digest_bytes_hashed",
+                "rows_materialized",
+                "groups_unordered",
+                "tasks_dispatched",
+                "tasks_stolen",
+                "pool_queue_peak",
+            ];
+            assert_eq!(counters, every, "{report}");
             let line = "  inputs:\n    edges: 50 rows, 239 bytes, columnar, load ";
             assert!(report.contains(line), "{report}");
             let line = "  outputs:\n    counts: 5 rows, columnar, render ";
