@@ -110,10 +110,10 @@ fn commentary(id: &str) -> &'static str {
         "task_parallelism" => {
             "Substrate optimization check: task payloads (UDF evaluation, \
                                digesting, shuffle gather, reduce-side sorts) run on a \
-                               work-stealing compute pool shared across replica workers \
-                               while the discrete-event sim keeps sole authority over \
-                               scheduling, fault draws and clocks — outcomes are asserted \
-                               bit-identical across pool sizes. The payload-parallelism \
+                               FIFO compute pool shared across replica workers while the \
+                               discrete-event sim keeps sole authority over scheduling, \
+                               fault draws and clocks — outcomes and dispatch counts are \
+                               asserted identical across pool sizes. The payload-parallelism \
                                row is the hardware-independent concurrency the engine \
                                exposes; the measured wall-clock speedup only follows it \
                                when the host grants one core per pool thread (see the \

@@ -2,11 +2,12 @@
 //!
 //! The engine dispatches each task's pure payload — map/reduce UDF
 //! evaluation over the shared input slice plus chunked digesting — to a
-//! work-stealing compute pool at scheduling time, and joins the result
+//! FIFO compute pool at scheduling time, and joins the result
 //! when the simulation reaches the task's completion instant. The
 //! discrete-event sim keeps sole authority over scheduling, fault draws
 //! and clocks, so the verdict and the canonical transcript are
-//! bit-identical for any pool size (asserted below); the pool only
+//! bit-identical for any pool size, and no payload dispatches another, so
+//! the dispatch count is too (both asserted below); the pool only
 //! changes host wall clock.
 //!
 //! This bench measures the Twitter Follower Analysis at `r = 2` replicas
@@ -44,11 +45,17 @@ fn main() {
     // Warmup, result discarded; then best of two each.
     let _ = follower(1).best_of(1);
 
-    let (inline, wall_inline) = follower(1).best_of(2);
     let before = data_plane::snapshot();
+    let (inline, wall_inline) = follower(1).best_of(2);
+    let middle = data_plane::snapshot();
     let (pooled, wall_pooled) = follower(POOL_THREADS).best_of(2);
-    let delta = data_plane::snapshot().since(&before);
+    let delta = data_plane::snapshot().since(&middle);
     assert_eq!(inline, pooled, "pool size must not change the outcome");
+    assert_eq!(
+        middle.since(&before).tasks_dispatched,
+        delta.tasks_dispatched,
+        "pool size must not change the dispatch count"
+    );
 
     let exposed = (delta.pool_queue_peak as f64).min(POOL_THREADS as f64);
 
@@ -58,9 +65,9 @@ fn main() {
         &format!(
             "{EDGES} synthetic follower edges, 32 nodes x 9 slots per replica; host has \
              {cores} core(s). Inline = payloads evaluated on the dispatching engine \
-             thread, pooled = payloads on an {POOL_THREADS}-thread work-stealing pool \
-             shared by both replica workers. Outcomes are asserted bit-identical across \
-             pool sizes. Measured speedup is bounded by the host's cores; the payload \
+             thread, pooled = payloads on an {POOL_THREADS}-thread FIFO pool shared by \
+             both replica workers. Outcomes and dispatch counts are asserted identical \
+             across pool sizes. Measured speedup is bounded by the host's cores; the payload \
              parallelism row is the pool-queue high-water mark clamped to the pool \
              width — the hardware-independent concurrency a >= {POOL_THREADS}-core \
              host converts into wall-clock speedup. The cpu_bound flag is true when \
@@ -86,12 +93,6 @@ fn main() {
         "",
         None,
         delta.tasks_dispatched as f64 / 2.0,
-    );
-    record.push(
-        "payloads stolen per run",
-        "",
-        None,
-        delta.tasks_stolen as f64 / 2.0,
     );
     record.push_host(cores, POOL_THREADS);
 

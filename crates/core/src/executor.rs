@@ -861,10 +861,7 @@ impl ParallelExecutor {
                         verifier.ingest_traced(&sr, &self.obs.tracer);
                         received.push(sr);
                     }
-                    ReplicaMsg::Check(rec) => {
-                        let task_pool = prep.pool.worker_handle();
-                        tickets.push(prep.pool.dispatch(move || rec.check(&task_pool)));
-                    }
+                    ReplicaMsg::Check(rec) => tickets.push(prep.pool.dispatch(move || rec.check())),
                 }
             }
             let mut finished = Vec::new();

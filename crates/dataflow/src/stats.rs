@@ -120,10 +120,12 @@ counters! {
     /// folded its partition's runs in place. The row plane never counts.
     groups_unordered: GroupsUnordered,
     /// Payloads handed to the compute pool (including inline execution).
-    /// The inline pool elides the chunk-sort dispatches a threaded pool
-    /// queues, so the count depends on pool size.
+    /// No payload dispatches another, so the count is a function of the
+    /// run, the same at every pool size.
     tasks_dispatched: TasksDispatched,
-    /// Payloads a pool worker stole from a sibling's local deque.
+    /// Always 0: the compute pool is one FIFO queue and nothing steals.
+    /// Kept so the snapshot's serde shape and `--trace-summary` lines do
+    /// not move.
     tasks_stolen: TasksStolen,
     /// High-water mark of the pool queue depth. Not a delta: a peak
     /// cannot be meaningfully subtracted, so [`DataPlaneSnapshot::since`]

@@ -14,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::merkle::{parent_level, MerkleTree};
+use crate::merkle::MerkleTree;
 use crate::{Digest, Sha256};
 
 /// Streams records through a verification point, emitting one [`Digest`] per
@@ -173,21 +173,8 @@ impl ChunkedDigest {
     }
 
     /// Finalizes the stream, sealing any trailing partial chunk, and returns
-    /// the summary (Merkle tree built sequentially).
-    pub fn finish(self) -> ChunkedSummary {
-        self.finish_with(parent_level)
-    }
-
-    /// Like [`ChunkedDigest::finish`], but delegates the hashing of each
-    /// Merkle level to `hash_level`, so callers can fan tree construction
-    /// out over a compute pool. `hash_level` must reproduce
-    /// [`crate::parent_level`] (e.g. by concatenating
-    /// [`crate::parent_range`] outputs over a partition of the parents);
-    /// the resulting summary is then identical to [`ChunkedDigest::finish`].
-    pub fn finish_with(
-        mut self,
-        hash_level: impl FnMut(&[Digest]) -> Vec<Digest>,
-    ) -> ChunkedSummary {
+    /// the summary.
+    pub fn finish(mut self) -> ChunkedSummary {
         if self.records_in_chunk > 0 || self.chunks.is_empty() {
             self.seal_chunk();
         }
@@ -197,7 +184,7 @@ impl ChunkedDigest {
         }
         ChunkedSummary {
             granularity: u64::try_from(self.granularity).unwrap_or(u64::MAX),
-            tree: MerkleTree::build_with(self.chunks, hash_level),
+            tree: MerkleTree::build(self.chunks),
             combined,
             records: self.total_records,
             bytes: self.total_bytes,
@@ -584,28 +571,6 @@ mod tests {
         bad[4] = b"E";
         let z = summarize(2, &bad);
         assert_ne!(x.merkle_root(), z.merkle_root());
-    }
-
-    #[test]
-    fn finish_with_pool_style_levels_matches_finish() {
-        let recs: Vec<Vec<u8>> = (0..37u8).map(|i| vec![i, i]).collect();
-        let refs: Vec<&[u8]> = recs.iter().map(|v| v.as_slice()).collect();
-        let plain = summarize(3, &refs);
-
-        let mut cd = ChunkedDigest::new(3);
-        for r in &refs {
-            cd.append(r);
-        }
-        let split = cd.finish_with(|level| {
-            // Simulate a compute pool: hash each level in two halves.
-            let parents = crate::merkle::parent_count(level.len());
-            let mid = parents / 2;
-            let mut out = crate::merkle::parent_range(level, 0, mid);
-            out.extend(crate::merkle::parent_range(level, mid, parents));
-            out
-        });
-        assert_eq!(plain, split);
-        assert_eq!(plain.merkle_root(), split.merkle_root());
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod merkle;
 mod sha256;
 
 pub use chunked::{ChunkedDigest, ChunkedSummary, MismatchRange, StreamVerdict};
-pub use merkle::{parent_count, parent_level, parent_range, MerkleDiff, MerkleTree};
+pub use merkle::{parent_level, MerkleDiff, MerkleTree};
 pub use sha256::{hardware_accelerated, Digest, ParseDigestError, Sha256};
 
 /// Compares a set of digests and reports whether at least `f + 1` of them

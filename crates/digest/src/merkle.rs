@@ -16,9 +16,7 @@
 //! unchanged* (Certificate-Transparency style), so every leaf count has a
 //! well-defined tree and no padding digests are invented. Construction is
 //! level-by-level bottom-up, and each level is a pure function of the one
-//! below — [`parent_range`] exposes the per-parent unit of work so callers
-//! can fan a level out over a compute pool and concatenate the results
-//! deterministically.
+//! below ([`parent_level`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -51,36 +49,9 @@ pub struct MerkleTree {
 impl MerkleTree {
     /// Builds the tree bottom-up with [`parent_level`].
     pub fn build(leaves: Vec<Digest>) -> Self {
-        Self::build_with(leaves, parent_level)
-    }
-
-    /// Builds the tree, delegating the hashing of each level to
-    /// `hash_level` — the hook `cbft-mapreduce` uses to parallelize
-    /// construction on its compute pool. `hash_level` must reproduce
-    /// [`parent_level`] exactly (e.g. by concatenating [`parent_range`]
-    /// outputs); debug builds verify this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hash_level` returns a level of the wrong length.
-    pub fn build_with(
-        leaves: Vec<Digest>,
-        mut hash_level: impl FnMut(&[Digest]) -> Vec<Digest>,
-    ) -> Self {
         let mut levels = vec![leaves];
         while levels.last().expect("levels never empty").len() > 1 {
-            let prev = levels.last().unwrap();
-            let next = hash_level(prev);
-            assert_eq!(
-                next.len(),
-                parent_count(prev.len()),
-                "hash_level produced a level of the wrong length"
-            );
-            debug_assert_eq!(
-                next,
-                parent_level(prev),
-                "hash_level deviates from parent_level"
-            );
+            let next = parent_level(levels.last().unwrap());
             levels.push(next);
         }
         MerkleTree { levels }
@@ -163,27 +134,14 @@ pub struct MerkleDiff {
     pub comparisons: usize,
 }
 
-/// Number of parents a level of `n` nodes produces: `ceil(n / 2)`.
-pub fn parent_count(n: usize) -> usize {
-    n.div_ceil(2)
-}
-
 /// Hashes one level into its parents: adjacent pairs combine via
 /// [`Digest::combine`]; an odd trailing node is carried up unchanged.
 pub fn parent_level(level: &[Digest]) -> Vec<Digest> {
-    parent_range(level, 0, parent_count(level.len()))
-}
-
-/// Hashes parents `[first, last)` of `level` — the unit of work a compute
-/// pool fans out. Parent `i` covers children `2i` and `2i + 1` (or just
-/// `2i` for the carried odd node). Concatenating range outputs that
-/// partition `0..parent_count(level.len())` reproduces [`parent_level`]
-/// exactly, so parallel construction is deterministic by construction.
-pub fn parent_range(level: &[Digest], first: usize, last: usize) -> Vec<Digest> {
-    (first..last)
-        .map(|i| match level.get(2 * i + 1) {
-            Some(right) => level[2 * i].combine(right),
-            None => level[2 * i],
+    level
+        .chunks(2)
+        .map(|pair| match pair {
+            [left, right] => left.combine(right),
+            _ => pair[0],
         })
         .collect()
 }
@@ -280,34 +238,6 @@ mod tests {
             diff.comparisons
         );
         assert!(diff.comparisons < n / 10, "descent must beat linear scan");
-    }
-
-    #[test]
-    fn parent_ranges_concatenate_to_parent_level() {
-        let level = leaves(11);
-        let whole = parent_level(&level);
-        let parents = parent_count(level.len());
-        assert_eq!(parents, 6);
-        let mut stitched = Vec::new();
-        for start in (0..parents).step_by(2) {
-            stitched.extend(parent_range(&level, start, (start + 2).min(parents)));
-        }
-        assert_eq!(stitched, whole);
-    }
-
-    #[test]
-    fn build_with_matches_build() {
-        let l = leaves(37);
-        let plain = MerkleTree::build(l.clone());
-        // Simulate a pool: split each level into two ranges.
-        let split = MerkleTree::build_with(l, |level| {
-            let parents = parent_count(level.len());
-            let mid = parents / 2;
-            let mut out = parent_range(level, 0, mid);
-            out.extend(parent_range(level, mid, parents));
-            out
-        });
-        assert_eq!(plain, split);
     }
 
     #[test]

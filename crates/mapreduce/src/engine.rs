@@ -867,22 +867,16 @@ impl Cluster {
         // Hand the pure payload to the compute pool; the simulation
         // rejoins it in `settle_dispatched` before the clock can move
         // past this instant. Payloads are pure functions of
-        // `(spec, input, fate)`, so nothing about the pool (size, steal
+        // `(spec, input, fate)`, so nothing about the pool (size, queue
         // order, host timing) can reach the simulated history.
         let spec = Arc::clone(&job.spec);
-        // The payload gets a worker handle to the pool: the shuffle sort
-        // is chunked over it and the columnar plane fans Merkle-level
-        // hashing out over it.
-        let task_pool = self.pool.worker_handle();
         let input = job.phase_mut(choice.kind).inputs[choice.task_index].take();
         let sampled = spec.sample.as_ref();
         if sampled.is_some_and(|s| s.samples(&spec.sid, choice.kind, choice.task_index)) {
             job.sampled_inputs
                 .insert((choice.kind, choice.task_index), input.capture());
         }
-        let ticket = self
-            .pool
-            .dispatch(move || run_task(&spec, input, fate, &task_pool));
+        let ticket = self.pool.dispatch(move || run_task(&spec, input, fate));
         job.phase_mut(choice.kind).states[choice.task_index] = TaskSt::Dispatched { node, ticket };
         self.pending_joins.push_back(PendingJoin {
             handle: choice.handle,
@@ -1958,9 +1952,8 @@ mod tests {
         // 24 records / 3 per split = 8 map tasks, plus 2 reduce tasks,
         // all sampled at rate 1.0.
         assert_eq!(checks.len(), 10);
-        let pool = ComputePool::new(2);
         for rec in checks {
-            let verdict = rec.check(&pool);
+            let verdict = rec.check();
             assert!(verdict.confirmed, "honest task flagged: {verdict:?}");
             assert!(verdict.divergence.is_none());
             assert!(verdict.records_reexecuted > 0);
@@ -1980,8 +1973,10 @@ mod tests {
         cluster.submit(spec).unwrap();
         let checks = spot_checks(cluster.run_to_quiescence());
         assert!(!checks.is_empty());
-        let pool = ComputePool::new(2);
-        let verdicts: Vec<_> = checks.iter().map(|rec| rec.check(&pool)).collect();
+        let verdicts: Vec<_> = checks
+            .iter()
+            .map(crate::spotcheck::SpotCheckRecord::check)
+            .collect();
         // Every task's input view was corrupted, so honest re-execution
         // from the captured true inputs contradicts each recorded digest.
         assert!(

@@ -27,7 +27,6 @@ use std::sync::Arc;
 
 use cbft_digest::{ChunkedSummary, MismatchRange};
 
-use crate::compute::ComputePool;
 use crate::fault::{NodeId, TaskFate};
 use crate::spec::{ExecJob, TaskKind};
 use crate::task::{run_task, TaskInput};
@@ -66,11 +65,11 @@ impl SpotCheckRecord {
     /// Re-executes the task honestly on its captured true inputs and
     /// compares the result against the recorded output digest. Pure: the
     /// verdict (and the localized divergence window) is identical on any
-    /// thread and for any pool size.
-    pub fn check(&self, pool: &ComputePool) -> SpotCheck {
+    /// thread.
+    pub fn check(&self) -> SpotCheck {
         // The same entry point the untrusted node ran, with a faithful
         // fate; the two runs are compared by their output commitments.
-        let honest = run_task(&self.spec, self.input.clone(), TaskFate::Faithful, pool)
+        let honest = run_task(&self.spec, self.input.clone(), TaskFate::Faithful)
             .commitment(self.kind, self.spec.digest_granularity);
         let confirmed = honest.combined() == self.recorded.combined();
         SpotCheck {

@@ -31,11 +31,8 @@ use cbft_dataflow::interp::{
     group_records_owned, join_records, order_records_owned, project_record,
 };
 use cbft_dataflow::{Batch, Operator, Record, Value};
-use cbft_digest::{
-    parent_count, parent_level, parent_range, ChunkedDigest, ChunkedSummary, Digest,
-};
+use cbft_digest::{ChunkedDigest, ChunkedSummary};
 
-use crate::compute::ComputePool;
 use crate::data_plane::{self, Counter};
 use crate::fault::{corrupt_batch, corrupt_record, TaskFate};
 use crate::spec::{ExecJob, TaskKind, VpSite};
@@ -365,9 +362,7 @@ impl TaskOutput {
     /// into one chunked stream ([`Framer`]). Computed once when the engine
     /// captures a sampled task and again by the trusted spot-checker after
     /// an honest re-run; any divergence between the two localizes via the
-    /// summary's Merkle tree. Finished inline (never pool-fanned) so
-    /// capture and re-check hash the byte-identical stream regardless of
-    /// which thread runs them.
+    /// summary's Merkle tree.
     pub fn commitment(&self, kind: TaskKind, granularity: usize) -> ChunkedSummary {
         let mut cd = ChunkedDigest::new(granularity);
         let mut framer = Framer::new(granularity);
@@ -402,20 +397,15 @@ impl TaskOutput {
 /// task over its partition. The single entry point of the engine and of
 /// the spot-checker, so an honest re-run executes exactly the code the
 /// untrusted node ran.
-pub(crate) fn run_task(
-    job: &ExecJob,
-    input: TaskInput,
-    fate: TaskFate,
-    pool: &ComputePool,
-) -> TaskOutput {
+pub(crate) fn run_task(job: &ExecJob, input: TaskInput, fate: TaskFate) -> TaskOutput {
     match input {
         TaskInput::Split {
             input,
             file,
             start,
             end,
-        } => run_map_task(job, input, &file, start..end, fate, pool),
-        TaskInput::Partition(incoming) => run_reduce_task(job, incoming, fate, pool),
+        } => run_map_task(job, input, &file, start..end, fate),
+        TaskInput::Partition(incoming) => run_reduce_task(job, incoming, fate),
     }
 }
 
@@ -432,7 +422,6 @@ pub(crate) fn run_map_task(
     file: &FileData,
     window: Range<usize>,
     fate: TaskFate,
-    pool: &ComputePool,
 ) -> TaskOutput {
     debug_assert_ne!(fate, TaskFate::Omitted, "omitted tasks never execute");
     let plan = &job.plan;
@@ -477,7 +466,7 @@ pub(crate) fn run_map_task(
             Site::MapInput { input, pos: p, .. } => input == input_index && p == pos,
             _ => false,
         };
-        digest_where(job, here, &stream, &mut out, pool);
+        digest_where(job, here, &stream, &mut out);
     }
 
     // The output boundary: partitions outlive the split borrow, so
@@ -514,16 +503,8 @@ pub(crate) fn run_map_task(
     out
 }
 
-/// Executes one reduce (or collector) task over one partition. `pool`
-/// accelerates the shuffle-side sort; since the chunked parallel sort is
-/// pool-size-invariant, results are identical for every pool (the engine
-/// passes its own pool, standalone tests the inline default).
-pub(crate) fn run_reduce_task(
-    job: &ExecJob,
-    incoming: Partition,
-    fate: TaskFate,
-    pool: &ComputePool,
-) -> TaskOutput {
+/// Executes one reduce (or collector) task over one partition.
+pub(crate) fn run_reduce_task(job: &ExecJob, incoming: Partition, fate: TaskFate) -> TaskOutput {
     debug_assert_ne!(fate, TaskFate::Omitted, "omitted tasks never execute");
     let plan = &job.plan;
     let mut out = TaskOutput::new(incoming.byte_size());
@@ -548,8 +529,7 @@ pub(crate) fn run_reduce_task(
     // shuffle-site point cannot be served then (no materialized bags);
     // the caller must not combine in that case, and the kernel never runs
     // in it. The kernel is charged the projection's pass it stood for.
-    let (mut stream, projected) =
-        Stream::open_partition(job, incoming, fate, &mut out.stages, pool);
+    let (mut stream, projected) = Stream::open_partition(job, incoming, fate, &mut out.stages);
     if projected && job.combiner.is_none() {
         out.work.record_ops += stream.len();
     }
@@ -561,7 +541,7 @@ pub(crate) fn run_reduce_task(
                 matches!(vp.site, Site::Shuffle { .. }) && vp.vertex == shuffle
             }
         };
-        digest_where(job, here, &stream, &mut out, pool);
+        digest_where(job, here, &stream, &mut out);
     }
 
     for (pos, &vid) in job.reduce.iter().enumerate().skip(usize::from(projected)) {
@@ -571,7 +551,7 @@ pub(crate) fn run_reduce_task(
         let here = |vp: &VpSite| {
             vp.vertex == vid && matches!(vp.site, Site::Reduce { pos: p, .. } if p == pos)
         };
-        digest_where(job, here, &stream, &mut out, pool);
+        digest_where(job, here, &stream, &mut out);
     }
 
     let part = stream.into_partition(0);
@@ -587,11 +567,10 @@ fn digest_where(
     here: impl Fn(&VpSite) -> bool,
     stream: &Stream<'_>,
     out: &mut TaskOutput,
-    pool: &ComputePool,
 ) {
     for vp in job.verification_points.iter().filter(|vp| here(vp)) {
         let summary = timed(&mut out.stages.digest, || {
-            stream.digest(job.digest_granularity, &mut out.work, pool)
+            stream.digest(job.digest_granularity, &mut out.work)
         });
         out.digests.push((*vp, summary));
     }
@@ -801,17 +780,15 @@ impl<'a> Stream<'a> {
     /// runs in place — records are converted once, into one run — and
     /// folds them into its projection's output; for every other job the
     /// runs are joined, or the records converted, into one batch per
-    /// side. DISTINCT's whole-record sort/dedup runs on owned rows with
-    /// the pool's chunked sort, so it, like a combiner and a ragged
-    /// partition, takes the partition as records — materializing it if it
-    /// arrived as batches. A corrupt fate corrupts what the shuffle reads,
-    /// where it is, in either form.
+    /// side. DISTINCT's whole-record sort/dedup runs on owned rows, so
+    /// it, like a combiner and a ragged partition, takes the partition as
+    /// records — materializing it if it arrived as batches. A corrupt fate
+    /// corrupts what the shuffle reads, where it is, in either form.
     fn open_partition(
         job: &ExecJob,
         mut incoming: Partition,
         fate: TaskFate,
         stages: &mut StageWall,
-        pool: &ComputePool,
     ) -> (Stream<'static>, bool) {
         let op = job.shuffle.map(|sh| job.plan.vertex(sh).op());
         let StageWall {
@@ -886,9 +863,8 @@ impl<'a> Stream<'a> {
                 Operator::Distinct => {
                     let mut records = untag(incoming);
                     // Sorts the whole record, so ties are byte-identical
-                    // and instability (and chunked parallel merging)
-                    // cannot show.
-                    pool.par_sort_unstable(&mut records);
+                    // and instability cannot show.
+                    records.sort_unstable();
                     records.dedup();
                     records
                 }
@@ -931,7 +907,7 @@ impl<'a> Stream<'a> {
 
     /// Digests the stream at a verification point: every row canonically
     /// encoded, length-prefix framed and chunk-hashed.
-    fn digest(&self, granularity: usize, work: &mut Work, pool: &ComputePool) -> ChunkedSummary {
+    fn digest(&self, granularity: usize, work: &mut Work) -> ChunkedSummary {
         let mut cd = ChunkedDigest::new(granularity);
         let payload_bytes = match self {
             Stream::Rows(s) => frame_rows(s.iter(), &mut cd),
@@ -945,7 +921,7 @@ impl<'a> Stream<'a> {
         work.record_ops += count;
         data_plane::count(Counter::BytesEncoded, payload_bytes);
         data_plane::count(Counter::DigestBytesHashed, payload_bytes + 8 * count);
-        finish_chunked(cd, pool)
+        cd.finish()
     }
 
     /// Routes a map task's output to `n` reduce partitions by shuffle
@@ -1219,35 +1195,6 @@ impl Framer {
     }
 }
 
-/// Finalizes a chunked digest, fanning the Merkle levels over the
-/// compute pool when there are enough parent hashes to amortize the
-/// dispatch. Every partition of a level concatenates back to exactly
-/// [`parent_level`], so the summary is byte-identical for every pool
-/// size, including the inline pool.
-fn finish_chunked(cd: ChunkedDigest, pool: &ComputePool) -> ChunkedSummary {
-    /// Parents hashed per pool payload.
-    const PAR_MERKLE_CHUNK: usize = 512;
-    if pool.is_inline() {
-        return cd.finish();
-    }
-    let handle = pool.worker_handle();
-    cd.finish_with(move |level| {
-        let parents = parent_count(level.len());
-        if parents < 2 * PAR_MERKLE_CHUNK {
-            return parent_level(level);
-        }
-        let shared: Arc<Vec<Digest>> = Arc::new(level.to_vec());
-        let tasks = parents.div_ceil(PAR_MERKLE_CHUNK);
-        handle
-            .par_map(tasks, move |i| {
-                let first = i * PAR_MERKLE_CHUNK;
-                let last = (first + PAR_MERKLE_CHUNK).min(parents);
-                parent_range(&shared, first, last)
-            })
-            .concat()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1301,12 +1248,10 @@ mod tests {
             .collect()
     }
 
-    /// One map task over all of `records`, held as a record file, on the
-    /// inline pool.
+    /// One map task over all of `records`, held as a record file.
     fn map_task(job: &ExecJob, input: usize, records: &[Record], fate: TaskFate) -> TaskOutput {
         let file = FileData::from(records.to_vec());
-        let pool = ComputePool::default();
-        run_map_task(job, input, &file, 0..records.len(), fate, &pool)
+        run_map_task(job, input, &file, 0..records.len(), fate)
     }
 
     fn parts(out: &TaskOutput) -> &[Partition] {
@@ -1358,12 +1303,7 @@ mod tests {
             .into_iter()
             .map(|r| (0, r))
             .collect();
-        let out = run_reduce_task(
-            &job,
-            Partition::Rows(incoming),
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
+        let out = run_reduce_task(&job, Partition::Rows(incoming), TaskFate::Faithful);
         assert_eq!(recs(&out), ints(&[&[1, 2], &[2, 1]]));
     }
 
@@ -1424,12 +1364,7 @@ mod tests {
             (0, Record::new(vec![Value::Int(1), Value::Int(2)])),
             (1, Record::new(vec![Value::Int(2), Value::Int(3)])),
         ];
-        let out = run_reduce_task(
-            &job,
-            Partition::Rows(incoming),
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
+        let out = run_reduce_task(&job, Partition::Rows(incoming), TaskFate::Faithful);
         assert_eq!(recs(&out), ints(&[&[1, 2, 2, 3]]));
     }
 
@@ -1448,7 +1383,6 @@ mod tests {
             &job,
             out.data.into_iter().next().unwrap(),
             TaskFate::Faithful,
-            &ComputePool::default(),
         );
         assert_eq!(recs(&reduced), ints(&[&[3], &[2], &[1]]));
     }
@@ -1464,12 +1398,7 @@ mod tests {
             },
         }];
         let incoming: Vec<Tagged> = ints(&[&[1, 10]]).into_iter().map(|r| (0, r)).collect();
-        let out = run_reduce_task(
-            &job,
-            Partition::Rows(incoming),
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
+        let out = run_reduce_task(&job, Partition::Rows(incoming), TaskFate::Faithful);
         assert_eq!(out.digests.len(), 1);
         assert_eq!(out.digests[0].0.vertex, shuffle);
     }
@@ -1554,26 +1483,16 @@ mod tests {
             site: Site::Reduce { job: jid, pos },
         }));
         job.verification_points = vps;
-        let pool = ComputePool::default();
         let mut records = Vec::new();
         for granularity in [1usize, 2, usize::MAX] {
             job.digest_granularity = granularity;
             job.batch_records = 0;
-            let row = run_reduce_task(
-                &job,
-                Partition::Rows(incoming.to_vec()),
-                TaskFate::Faithful,
-                &pool,
-            );
+            let row = run_reduce_task(&job, Partition::Rows(incoming.to_vec()), TaskFate::Faithful);
             assert_eq!(row.digests.len(), 1 + job.reduce.len());
             for bs in [1usize, 5, 1024] {
                 job.batch_records = bs;
-                let batched = run_reduce_task(
-                    &job,
-                    Partition::Rows(incoming.to_vec()),
-                    TaskFate::Faithful,
-                    &pool,
-                );
+                let batched =
+                    run_reduce_task(&job, Partition::Rows(incoming.to_vec()), TaskFate::Faithful);
                 assert_identical(
                     &batched,
                     &row,
@@ -1667,9 +1586,8 @@ mod tests {
         use crate::data_plane::{thread_total, Counter};
         let job = exec_job(FOLLOWER, vec![]);
         let incoming = follower_partition();
-        let pool = ComputePool::default(); // inline: the task runs on this thread
         let before = thread_total(Counter::RowsMaterialized);
-        let out = run_reduce_task(&job, Partition::Rows(incoming), TaskFate::Faithful, &pool);
+        let out = run_reduce_task(&job, Partition::Rows(incoming), TaskFate::Faithful);
         assert_eq!(
             thread_total(Counter::RowsMaterialized) - before,
             0,
@@ -1706,13 +1624,11 @@ mod tests {
             &join_job(0),
             Partition::Rows(incoming.clone()),
             TaskFate::Faithful,
-            &ComputePool::default(),
         );
         let batched = run_reduce_task(
             &join_job(8),
             Partition::Rows(incoming.clone()),
             TaskFate::Faithful,
-            &ComputePool::default(),
         );
         assert_identical(&batched, &row, "join");
 
@@ -1733,14 +1649,8 @@ mod tests {
             &order_job(0),
             Partition::Rows(incoming.clone()),
             TaskFate::Faithful,
-            &ComputePool::default(),
         );
-        let batched = run_reduce_task(
-            &order_job(4),
-            Partition::Rows(incoming),
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
+        let batched = run_reduce_task(&order_job(4), Partition::Rows(incoming), TaskFate::Faithful);
         assert_identical(&batched, &row, "order");
     }
 
@@ -1764,32 +1674,6 @@ mod tests {
         assert_identical(&batched, &row, "ragged fallback");
     }
 
-    #[test]
-    fn pool_built_merkle_tree_is_identical_to_inline() {
-        // Enough granularity-1 chunks (> 2 × the 512-parent payload
-        // threshold) that the threaded pool actually fans levels out.
-        let mut job = exec_job(FOLLOWER, vec![]);
-        job.verification_points = vec![VpSite {
-            vertex: job.inputs[0].pipeline[1],
-            site: Site::MapInput {
-                job: cbft_dataflow::compile::JobId(0),
-                input: 0,
-                pos: 1,
-            },
-        }];
-        job.digest_granularity = 1;
-        let records: Vec<Record> = (0..2500i64)
-            .map(|i| Record::new(vec![Value::Int(i % 9), Value::Int(i)]))
-            .collect();
-        let inline = map_task(&job, 0, &records, TaskFate::Faithful);
-        let threaded = ComputePool::new(2);
-        let file = FileData::from(records);
-        let pooled = run_map_task(&job, 0, &file, 0..2500, TaskFate::Faithful, &threaded);
-        assert_identical(&pooled, &inline, "pool merkle");
-        assert_eq!(inline.digests[0].1.chunks().len(), 2500);
-        assert!(inline.digests[0].1.merkle().depth() > 10);
-    }
-
     /// Runs every task of `job` over `file` the way the engine would — two
     /// splits per input, the shuffle gather, one reduce (or collector)
     /// task per partition — and returns every task's output, maps first.
@@ -1799,13 +1683,12 @@ mod tests {
         file: &FileData,
         fate: impl Fn(usize) -> TaskFate,
     ) -> Vec<TaskOutput> {
-        let pool = ComputePool::default();
         let mut outs = Vec::new();
         for input in 0..job.inputs.len() {
             let mid = file.len() / 2;
             for split in [0..mid, mid..file.len()] {
                 let fate = fate(outs.len());
-                outs.push(run_map_task(job, input, file, split, fate, &pool));
+                outs.push(run_map_task(job, input, file, split, fate));
             }
         }
         if job.is_map_only() {
@@ -1824,7 +1707,7 @@ mod tests {
         }
         for part in runs {
             let fate = fate(outs.len());
-            outs.push(run_reduce_task(job, Partition::concat(part), fate, &pool));
+            outs.push(run_reduce_task(job, Partition::concat(part), fate));
         }
         outs
     }
@@ -2306,7 +2189,6 @@ mod tests {
             1 => Value::str("k"),
             k => Value::Int([i64::MAX, i64::MIN, -1][(k - 2) as usize]),
         };
-        let pool = ComputePool::default();
         for keys in [
             (|i| Value::Int(i % 5)) as fn(i64) -> Value,
             |i| Value::str(["a", "b"][(i % 2) as usize]),
@@ -2322,12 +2204,11 @@ mod tests {
             let mut joined =
                 Batch::concat(&runs.iter().map(|(_, c)| c.run()).collect::<Vec<_>>()).unwrap();
             corrupt_batch(&mut joined);
-            let corrupt = run_reduce_task(&job, Partition::Cols(runs), TaskFate::Corrupt, &pool);
+            let corrupt = run_reduce_task(&job, Partition::Cols(runs), TaskFate::Corrupt);
             let over_corrupted = run_reduce_task(
                 &job,
                 Partition::Cols(vec![(0, Chunk::owned(joined))]),
                 TaskFate::Faithful,
-                &pool,
             );
             assert_eq!(rows(&corrupt), rows(&over_corrupted));
             assert_eq!(corrupt.digests, over_corrupted.digests);
@@ -2335,7 +2216,7 @@ mod tests {
             assert_eq!(corrupt.digests.len(), 1, "the point at reduce position 0");
             assert!(corrupt.stages.to_batch > 0 && over_corrupted.stages.to_batch == 0);
             let faithful = Partition::Rows(input.iter().cloned().map(|r| (0, r)).collect());
-            let honest = run_reduce_task(&job, faithful, TaskFate::Faithful, &pool);
+            let honest = run_reduce_task(&job, faithful, TaskFate::Faithful);
             assert_ne!(rows(&honest), rows(&corrupt));
         }
     }
@@ -2355,7 +2236,6 @@ mod tests {
         let rows: Vec<Record> = follower_partition().into_iter().map(|(_, r)| r).collect();
         let columnar_file = FileData::from(Batch::from_records(&rows).unwrap());
         let file = FileData::from(rows);
-        let pool = ComputePool::default();
         for batch_records in [0usize, 1024] {
             let mut job = exec_job(FOLLOWER, vec![]);
             job.batch_records = batch_records;
@@ -2365,7 +2245,7 @@ mod tests {
             let spec = Arc::new(job);
             // The reduce input as the engine builds it: partition 0 of a
             // faithful map task's output, gathered.
-            let mapped = run_map_task(&spec, 0, &file, 0..file.len(), TaskFate::Faithful, &pool);
+            let mapped = run_map_task(&spec, 0, &file, 0..file.len(), TaskFate::Faithful);
             let gathered = Partition::concat(vec![parts(&mapped)[0].clone()]);
             assert!(gathered.len() > 0);
             assert_eq!(is_columnar(&gathered), batch_records > 0);
@@ -2388,7 +2268,7 @@ mod tests {
                 for (kind, mut input) in inputs {
                     let len = input.len() as u64;
                     let captured = input.capture();
-                    let out = run_task(&spec, input.take(), fate, &pool);
+                    let out = run_task(&spec, input.take(), fate);
                     let record = SpotCheckRecord {
                         sid: spec.sid.clone(),
                         replica: 0,
@@ -2401,7 +2281,7 @@ mod tests {
                     };
                     let ctx = format!("{kind} task, {fate:?}, batch_records {batch_records}");
                     assert_eq!(record.records_to_rerun(), len, "{ctx}");
-                    let verdict = record.check(&pool);
+                    let verdict = record.check();
                     assert_eq!(verdict.confirmed, fate == TaskFate::Faithful, "{ctx}");
                     assert_eq!(
                         verdict.divergence.is_some(),
@@ -2432,13 +2312,12 @@ mod tests {
         let file = FileData::from(Batch::from_records(&rows).unwrap());
         let shared = file.shared_batch().expect("a columnar file");
         let before = Batch::clone(shared);
-        let pool = ComputePool::default();
         let stored = "raw = LOAD 'twitter' AS (user, follower);
              grp = GROUP raw BY user;
              STORE grp INTO 'groups';";
         for src in [FOLLOWER, stored] {
             let job = exec_job(src, vec![]);
-            let mapped = run_map_task(&job, 0, &file, 0..file.len(), TaskFate::Faithful, &pool);
+            let mapped = run_map_task(&job, 0, &file, 0..file.len(), TaskFate::Faithful);
             assert_eq!(parts(&mapped).len(), 2);
             let runs = |part: &Partition| match part {
                 Partition::Cols(runs) => runs.iter().map(|(_, c)| Arc::clone(&c.batch)).collect(),
@@ -2463,10 +2342,10 @@ mod tests {
             };
             assert!(runs(kept).iter().all(|b| Arc::ptr_eq(b, shared)), "{src}");
 
-            let corrupt = run_task(&job, input.take(), TaskFate::Corrupt, &pool);
+            let corrupt = run_task(&job, input.take(), TaskFate::Corrupt);
             assert_eq!(**shared, before, "{src}: the fault copied what it flipped");
-            let faithful = run_reduce_task(&job, partition(), TaskFate::Faithful, &pool);
-            let rerun = run_task(&job, captured, TaskFate::Faithful, &pool);
+            let faithful = run_reduce_task(&job, partition(), TaskFate::Faithful);
+            let rerun = run_task(&job, captured, TaskFate::Faithful);
             for granularity in [1, 2, usize::MAX] {
                 let commit = |out: &TaskOutput| out.commitment(TaskKind::Reduce, granularity);
                 assert_eq!(commit(&rerun), commit(&faithful), "{src}");

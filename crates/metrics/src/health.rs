@@ -9,7 +9,7 @@
 
 use crate::histogram::Histogram;
 use crate::registry::{SampleValue, Snapshot};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Conventional metric names shared by the instrumented crates and the
@@ -18,6 +18,8 @@ use std::fmt::Write as _;
 /// dependency cycle.
 pub mod names {
     /// Counter, labels `{replica}`: digest reports streamed per replica.
+    /// Where an orchestrator numbers each attempt's replicas from 0, the
+    /// four replica series also carry the attempt's `{round}`.
     pub const REPLICA_REPORTS: &str = "cbft_replica_reports_total";
     /// Counter, labels `{replica}`: verification points where the
     /// replica's digest diverged from the quorum.
@@ -60,11 +62,10 @@ pub mod names {
     pub const SHUFFLE_BYTES: &str = "cbft_shuffle_bytes_total";
     /// Counter, labels `{replica}`: heartbeats processed by the engine.
     pub const HEARTBEATS: &str = "cbft_heartbeats_total";
-    /// Counter (wall): compute-pool payload dispatches. Wall-domain
-    /// because the inline pool elides chunk-sort dispatches.
+    /// Counter (wall), labels `{threads}`: compute-pool payload
+    /// dispatches. Wall-domain because the label is the pool width,
+    /// which no sim series may carry.
     pub const POOL_DISPATCHED: &str = "cbft_pool_tasks_dispatched_total";
-    /// Counter (wall): compute-pool sibling steals.
-    pub const POOL_STOLEN: &str = "cbft_pool_tasks_stolen_total";
     /// Gauge (wall): peak compute-pool queue depth.
     pub const POOL_QUEUE_PEAK: &str = "cbft_pool_queue_peak";
 
@@ -251,7 +252,9 @@ pub struct DivergenceSpan {
 /// Fault-forensics summary assembled from a metrics snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct HealthReport {
-    replicas: BTreeMap<u64, ReplicaHealth>,
+    /// Keyed by `(round, replica)`; the round is `None` where replica
+    /// ids are unique across the run.
+    replicas: BTreeMap<(Option<u64>, u64), ReplicaHealth>,
     nodes: BTreeMap<u64, NodeHealth>,
     points: BTreeMap<String, Histogram>,
     rounds: BTreeMap<u64, RoundHealth>,
@@ -288,7 +291,7 @@ impl HealthReport {
                 | names::REPLICA_OMISSIONS
                 | names::REPLICA_CONFLICTS => {
                     if let Some(r) = num("replica") {
-                        let h = report.replicas.entry(r).or_default();
+                        let h = report.replicas.entry((num("round"), r)).or_default();
                         *match s.name {
                             names::REPLICA_REPORTS => &mut h.reports,
                             names::REPLICA_MISMATCHES => &mut h.mismatches,
@@ -382,11 +385,7 @@ impl HealthReport {
     /// These contradicted an *established* quorum (or went silent), so
     /// every member is individually implicated.
     pub fn suspect_replicas(&self) -> Vec<u64> {
-        self.replicas
-            .iter()
-            .filter(|(_, h)| h.mismatches > 0 || h.omissions > 0)
-            .map(|(r, _)| *r)
-            .collect()
+        self.replicas_where(|h| h.mismatches > 0 || h.omissions > 0)
     }
 
     /// Replicas party to an unresolved digest conflict, ascending: the
@@ -395,11 +394,7 @@ impl HealthReport {
     /// sets). Disjoint evidence from [`HealthReport::suspect_replicas`];
     /// a replica can appear in both.
     pub fn conflict_replicas(&self) -> Vec<u64> {
-        self.replicas
-            .iter()
-            .filter(|(_, h)| h.conflicts > 0)
-            .map(|(r, _)| *r)
-            .collect()
+        self.replicas_where(|h| h.conflicts > 0)
     }
 
     /// Every replica the forensics implicate at all: the union of
@@ -409,11 +404,19 @@ impl HealthReport {
     /// for unresolved conflicts, their honest counterparties — which
     /// only the fault analyzer's set intersection can exonerate).
     pub fn named_replicas(&self) -> Vec<u64> {
-        self.replicas
+        self.replicas_where(|h| h.mismatches > 0 || h.omissions > 0 || h.conflicts > 0)
+    }
+
+    /// The replica ids, ascending and once each, of which some round's
+    /// forensics satisfy `pred`.
+    fn replicas_where(&self, pred: impl Fn(&ReplicaHealth) -> bool) -> Vec<u64> {
+        let ids: BTreeSet<u64> = self
+            .replicas
             .iter()
-            .filter(|(_, h)| h.mismatches > 0 || h.omissions > 0 || h.conflicts > 0)
-            .map(|(r, _)| *r)
-            .collect()
+            .filter(|(_, h)| pred(h))
+            .map(|((_, r), _)| *r)
+            .collect();
+        ids.into_iter().collect()
     }
 
     /// Per-verification-point Merkle mismatch localization: the narrowed
@@ -492,7 +495,7 @@ impl HealthReport {
 
         if !self.replicas.is_empty() {
             out.push_str("\nreplica forensics:\n");
-            for (r, h) in &self.replicas {
+            for ((round, r), h) in &self.replicas {
                 let verdict = if h.mismatches > 0 || h.omissions > 0 {
                     "SUSPECT"
                 } else if h.conflicts > 0 {
@@ -500,9 +503,10 @@ impl HealthReport {
                 } else {
                     "clean"
                 };
+                let round = round.map_or(String::new(), |n| format!(" in round {n}"));
                 let _ = writeln!(
                     out,
-                    "  replica {r}: reports={}  mismatches={}  omissions={}  conflicts={}  [{verdict}]",
+                    "  replica {r}{round}: reports={}  mismatches={}  omissions={}  conflicts={}  [{verdict}]",
                     h.reports, h.mismatches, h.omissions, h.conflicts
                 );
             }
@@ -640,6 +644,27 @@ mod tests {
             text.contains("replica 0: reports=6  mismatches=0  omissions=0  conflicts=0  [clean]")
         );
         assert!(text.contains("suspected faulty replicas: {1, 2}"));
+    }
+
+    #[test]
+    fn a_replica_id_reused_across_rounds_is_reported_per_round() {
+        let m = Metrics::new();
+        for round in [1u64, 2] {
+            let labels = [("replica", 0u64.into()), ("round", round.into())];
+            m.add(Domain::Sim, names::REPLICA_REPORTS, &labels, 4);
+        }
+        let first = [("replica", 0u64.into()), ("round", 1u64.into())];
+        m.add(Domain::Sim, names::REPLICA_CONFLICTS, &first, 3);
+        let report = HealthReport::from_snapshot(&m.snapshot());
+        assert_eq!(report.conflict_replicas(), vec![0]);
+        assert_eq!(report.named_replicas(), vec![0]);
+        let text = report.render();
+        assert!(text.contains(
+            "replica 0 in round 1: reports=4  mismatches=0  omissions=0  conflicts=3  [CONFLICT]"
+        ));
+        assert!(text.contains(
+            "replica 0 in round 2: reports=4  mismatches=0  omissions=0  conflicts=0  [clean]"
+        ));
     }
 
     /// The ≥2-fault naming regression: before conflict forensics were

@@ -14,7 +14,7 @@
 //!    simulation and — because every update op (counter add, gauge max,
 //!    histogram record/merge) is commutative and associative — their
 //!    snapshot is bit-identical across worker-thread and compute-pool
-//!    sizes. `Wall` metrics (steal counts, queue depths) are clearly
+//!    sizes. `Wall` metrics (pool dispatches, queue depths) are clearly
 //!    segregated and excluded from determinism comparisons.
 //! 3. **Standard export.** [`prometheus_text`] emits the Prometheus
 //!    text exposition format (validated by

@@ -25,8 +25,9 @@ pub const MAX_LABELS: usize = 3;
 /// `Sim` metrics are functions of the deterministic simulation (virtual
 /// clock, record counts, digests): their snapshot is bit-identical
 /// across `--threads` and `--compute-threads` settings. `Wall` metrics
-/// depend on host scheduling (steal counts, queue depths, wall-clock
-/// timings) and are excluded from determinism comparisons.
+/// depend on host scheduling or settings (pool queue depths, dispatch
+/// counts labelled by pool width, wall-clock timings) and are excluded
+/// from determinism comparisons.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Domain {
     /// Deterministic: derived from simulation state only.

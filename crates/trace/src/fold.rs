@@ -148,10 +148,18 @@ impl Fold {
                 }
             }
             // A replica's report count is written always (a silent
-            // replica's reads 0), its other counts when non-zero.
+            // replica's reads 0), its other counts when non-zero. An
+            // orchestrator that numbers each attempt's replicas from 0
+            // tags them with the attempt, which labels them by its round
+            // (as the attempt's round series are), so two attempts'
+            // replica 0 stay apart.
             ("replica_forensics", Phase::Instant) => {
                 if let Some(r) = uint(e, "replica") {
-                    let labels = [("replica", LabelValue::U64(r))];
+                    let replica = ("replica", LabelValue::U64(r));
+                    let labels = match uint(e, "attempt") {
+                        Some(a) => vec![replica, ("round", LabelValue::U64(a + 1))],
+                        None => vec![replica],
+                    };
                     let reports = uint(e, "reports").unwrap_or(0);
                     self.add(names::REPLICA_REPORTS, &labels, reports);
                     self.counts(
@@ -377,5 +385,27 @@ mod tests {
             .get(names::VERIFICATION_LAG_US, &[("key", "v1")])
             .is_some());
         assert!(snap.samples.iter().all(|s| s.domain == Domain::Sim));
+    }
+
+    #[test]
+    fn each_attempts_replica_forensics_fold_into_their_own_round() {
+        let forensics = |attempt: u64, reports: u64| {
+            TraceEvent::instant("replica_forensics", "verifier")
+                .arg("attempt", attempt)
+                .arg("replica", 0u64)
+                .arg("reports", reports)
+                .arg("conflicts", attempt)
+        };
+        let snap = Snapshot::from_events(&[forensics(0, 4), forensics(1, 3)]);
+        let first = [("replica", "0"), ("round", "1")];
+        let second = [("replica", "0"), ("round", "2")];
+        assert_eq!(snap.scalar(names::REPLICA_REPORTS, &first), Some(4));
+        assert_eq!(snap.scalar(names::REPLICA_REPORTS, &second), Some(3));
+        assert_eq!(snap.scalar(names::REPLICA_CONFLICTS, &first), None);
+        assert_eq!(snap.scalar(names::REPLICA_CONFLICTS, &second), Some(1));
+        assert_eq!(
+            snap.scalar(names::REPLICA_REPORTS, &[("replica", "0")]),
+            None
+        );
     }
 }

@@ -9,10 +9,10 @@
 use clusterbft_repro::cli;
 use clusterbft_repro::core::{
     Behavior, Cluster, ClusterBft, ExecutorConfig, FileData, JobConfig, ParallelExecutor,
-    ParallelOutcome, Replication,
+    ParallelOutcome, Replication, VpPolicy,
 };
 use clusterbft_repro::dataflow::{Record, Value};
-use clusterbft_repro::mapreduce::data_plane;
+use clusterbft_repro::mapreduce::{data_plane, TaskKind};
 use clusterbft_repro::trace::{canonicalize, Obs, TraceEvent, Tracer, QUORUM_EVENT};
 use proptest::prelude::*;
 
@@ -207,6 +207,58 @@ fn sequential_pipeline_is_pool_size_independent() {
             "compute_threads={compute_threads}"
         );
     }
+}
+
+#[test]
+fn a_wide_distinct_is_pool_size_independent() {
+    // Reduce partitions of more than 16,384 rows, digested at granularity
+    // 4 into more than 2,048 chunks per stream: a task's sort and Merkle
+    // build at sizes where splitting them over the pool would pay, so a
+    // task that did so is held to the inline pool's outcome. Every row
+    // appears twice, so a partition holds twice the rows its DISTINCT
+    // output does.
+    const UNIQUE: i64 = 24_000;
+    let run = |compute_threads: usize| {
+        let mut exec = ParallelExecutor::new(ExecutorConfig {
+            threads: 2,
+            compute_threads,
+            expected_failures: 1,
+            vp_policy: VpPolicy::Individual,
+            digest_granularity: 4,
+            reduce_tasks: 2,
+            master_seed: 2013,
+            ..ExecutorConfig::default()
+        });
+        let rows: Vec<Record> = (0..2 * UNIQUE)
+            .map(|i| Record::new(vec![Value::Int(i % UNIQUE), Value::Int(i % UNIQUE % 97)]))
+            .collect();
+        exec.load_input("pairs", rows).unwrap();
+        exec.run_script("raw = LOAD 'pairs' AS (k, v); d = DISTINCT raw; STORE d INTO 'uniq';")
+            .unwrap()
+    };
+    let inline = run(1);
+    assert!(inline.verified());
+    assert_eq!(
+        inline.output("uniq").map(<[Record]>::len),
+        Some(UNIQUE as usize)
+    );
+    let reduces: Vec<_> = inline
+        .transcript()
+        .iter()
+        .map(|sr| &sr.report)
+        .filter(|r| r.kind == TaskKind::Reduce)
+        .collect();
+    assert!(!reduces.is_empty());
+    for r in reduces {
+        assert!(r.summary.records() >= 8_192, "{} rows", r.summary.records());
+        assert!(r.summary.chunks().len() >= 2_048);
+    }
+    let pooled = run(4);
+    assert_eq!(inline, pooled);
+    assert_eq!(
+        serde_json::to_string(&inline).unwrap(),
+        serde_json::to_string(&pooled).unwrap()
+    );
 }
 
 // --- columnar batch plane invariance ---------------------------------------

@@ -229,8 +229,8 @@ fn sim_metric_snapshots_identical_across_thread_matrix() {
     // for a fixed seed and fault plan, the JSON rendering of the
     // sim-only snapshot is byte-identical for every worker-thread ×
     // compute-pool-thread combination. Wall-domain samples (pool
-    // dispatch/steal counts, queue peaks) are excluded — they genuinely
-    // depend on host scheduling.
+    // dispatch counts labelled by pool width, queue peaks) are excluded —
+    // they depend on the pool's settings and on host scheduling.
     use clusterbft_repro::metrics::{json_snapshot, Metrics};
 
     let fault = Some((1, Behavior::Commission { probability: 1.0 }));
